@@ -33,13 +33,6 @@ def build_parser():
         description="Rigid-motion-invariant statistical shape modeling "
         "of triangle meshes.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="BLAS thread count (default: SHAPEFORMS_THREADS or the "
-        "library default)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encode", help="mesh -> representation JSON")
@@ -155,12 +148,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    threads = args.threads
-    if threads is None and os.environ.get("SHAPEFORMS_THREADS"):
-        threads = int(os.environ["SHAPEFORMS_THREADS"])
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
 
     import json
 
@@ -201,6 +188,14 @@ def _fmt(value):
     return f"{value:.17g}"
 
 
+def _warn_unconverged(report, path):
+    """One stderr line when the reconstruction written to ``path`` stopped
+    before meeting its tolerance."""
+    if not report.converged:
+        print(f"warning: {path}: reconstruction did not converge in "
+              f"{report.iterations} iterations", file=sys.stderr)
+
+
 def _cmd_encode(args):
     from .mesh import load_mesh
     from .representation import encode
@@ -221,7 +216,9 @@ def _cmd_reconstruct(args):
     rep = ShapeRep.load(args.input)
     mesh, report = reconstruct(ref, rep, tol=args.tol, max_iter=args.max_iter)
     save_mesh(mesh, args.out)
+    _warn_unconverged(report, args.out)
     print(f"reconstructed in {report.iterations} iterations, "
+          f"converged={report.converged}, "
           f"final energy {_fmt(report.energies[-1])}")
 
 
@@ -239,8 +236,10 @@ def _cmd_interpolate(args):
     system = prefactor(ref)
     for k, lam in enumerate(np.linspace(0.0, 1.0, args.steps)):
         rep = geodesic(rep_a, rep_b, lam)
-        mesh, _ = reconstruct(ref, rep, system=system)
-        save_mesh(mesh, os.path.join(args.out_dir, f"interp_{k:03d}.obj"))
+        mesh, report = reconstruct(ref, rep, system=system)
+        path = os.path.join(args.out_dir, f"interp_{k:03d}.obj")
+        save_mesh(mesh, path)
+        _warn_unconverged(report, path)
     print(f"wrote {args.steps} meshes to {args.out_dir}")
 
 
@@ -258,8 +257,9 @@ def _cmd_mean(args):
         reps = [encode(ref, mesh)[0] for mesh in meshes]
         mu = frechet_mean(reps, tol=args.tol, max_iter=args.max_iter)
     mu.save(args.out_rep)
-    mesh, _ = reconstruct(ref, mu)
+    mesh, report = reconstruct(ref, mu)
     save_mesh(mesh, args.out_mesh)
+    _warn_unconverged(report, args.out_mesh)
     if args.out_reference is not None:
         save_mesh(ref.mesh, args.out_reference)
     print(f"mean of {len(meshes)} shapes written to {args.out_rep}")
@@ -299,8 +299,9 @@ def _cmd_synthesize(args):
     model = PGAModel.load(args.model)
     coeffs = [float(x) for x in args.coeffs.split(",") if x]
     rep = synthesize(model, coeffs)
-    mesh, _ = reconstruct(ref, rep)
+    mesh, report = reconstruct(ref, rep)
     save_mesh(mesh, args.out)
+    _warn_unconverged(report, args.out)
     print(f"synthesized shape written to {args.out}")
 
 
@@ -317,8 +318,10 @@ def _cmd_sample(args):
     for k, rep in enumerate(reps):
         rep.save(os.path.join(args.out_dir, f"sample_{k:03d}.json"))
         if args.meshes:
-            mesh, _ = reconstruct(ref, rep, system=system)
-            save_mesh(mesh, os.path.join(args.out_dir, f"sample_{k:03d}.obj"))
+            mesh, report = reconstruct(ref, rep, system=system)
+            path = os.path.join(args.out_dir, f"sample_{k:03d}.obj")
+            save_mesh(mesh, path)
+            _warn_unconverged(report, path)
     print(f"wrote {args.count} samples to {args.out_dir}")
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ReferenceMismatchError
 from .reconstruction import prefactor, reconstruct
-from .representation import rep_distance
+from .representation import _write_json, rep_distance
 from .statistics import PGAModel, coefficients, pga, sample, synthesize
 
 DEFAULT_SVM_ITERATIONS = 600
@@ -223,15 +223,13 @@ class ClassifierModel:
 
     def save(self, path):
         payload = {
-            "weights_std": [float(x) for x in self.weights_std],
+            "weights_std": self.weights_std.tolist(),
             "bias_std": self.bias_std,
-            "feature_mean": [float(x) for x in self.feature_mean],
-            "feature_std": [float(x) for x in self.feature_std],
+            "feature_mean": self.feature_mean.tolist(),
+            "feature_std": self.feature_std.tolist(),
             "regularization": self.regularization,
         }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.write("\n")
+        _write_json(path, payload)
 
     @classmethod
     def load(cls, path):

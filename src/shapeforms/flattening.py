@@ -11,7 +11,6 @@ spreads the unavoidable distortion smoothly.
 """
 
 from dataclasses import dataclass
-import json
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .errors import MeshTopologyError
 from .liegroups import so3_exp
 from .mesh import TriangleMesh, unique_edges
 from .reconstruction import DEFAULT_MAX_ITER, DEFAULT_TOL, reconstruct
-from .representation import ShapeRep
+from .representation import ShapeRep, _write_json
 
 
 @dataclass
@@ -54,12 +53,30 @@ class FlatteningReport:
             "max_edge_distortion": self.max_edge_distortion,
             "mean_edge_distortion": self.mean_edge_distortion,
             "max_area_distortion": self.max_area_distortion,
-            "edge_distortions": [float(x) for x in self.edge_distortions],
-            "area_distortions": [float(x) for x in self.area_distortions],
+            "edge_distortions": self.edge_distortions.tolist(),
+            "area_distortions": self.area_distortions.tolist(),
         }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.write("\n")
+        _write_json(path, payload)
+
+
+def _row_dots(p, q):
+    # Stacked (1 x 3)(3 x 1) products run the same BLAS dot as ``np.dot``
+    # on single vectors, so the batched result keeps its last bits.
+    return (p[:, None, :] @ q[:, :, None])[:, 0, 0]
+
+
+def _unfold_rotations(ref, e, i, j):
+    """Unfolding rotations of inner edges ``e`` for the ordered pairs
+    ``(i, j)``, each folding triangle ``j`` into the plane of ``i``."""
+    a, b = ref.edge_shared_vertices[e].T
+    axis = ref.mesh.vertices[b] - ref.mesh.vertices[a]
+    axis = axis / np.sqrt(_row_dots(axis, axis))[:, None]
+    normals = ref.frames[:, :, 2]
+    ni, nj = normals[i], normals[j]
+    # Signed dihedral angle from n_j to n_i about the edge direction; the
+    # sign flips together with the axis, so the rotation is well-defined.
+    angle = np.arctan2(_row_dots(np.cross(nj, ni), axis), _row_dots(nj, ni))
+    return so3_exp(axis * angle[:, None])
 
 
 def unfold_rotation(ref, edge):
@@ -71,17 +88,7 @@ def unfold_rotation(ref, edge):
     """
     i, j = edge
     e = ref.edge_index(i, j)
-    if ref.inner_edges[e, 0] != min(i, j) or ref.inner_edges[e, 1] != max(i, j):
-        raise MeshTopologyError(f"({i}, {j}) is not an inner edge")
-    a, b = ref.edge_shared_vertices[e]
-    axis = ref.mesh.vertices[b] - ref.mesh.vertices[a]
-    axis = axis / np.linalg.norm(axis)
-    normals = ref.frames[:, :, 2]
-    ni, nj = normals[i], normals[j]
-    # Signed dihedral angle from n_j to n_i about the edge direction; the
-    # sign flips together with the axis, so the rotation is well-defined.
-    angle = np.arctan2(np.dot(np.cross(nj, ni), axis), np.dot(nj, ni))
-    return so3_exp(axis * angle)
+    return _unfold_rotations(ref, [e], [i], [j])[0]
 
 
 def flat_projection(ref):
@@ -91,11 +98,10 @@ def flat_projection(ref):
     ``(i, j)`` becomes ``F_i^T R_unfold F_j``, which fixes the frame
     normal axis (a planar transition).
     """
-    E = ref.n_inner_edges
-    rotations = np.empty((E, 3, 3))
-    for e, (i, j) in enumerate(ref.inner_edges):
-        unfold = unfold_rotation(ref, (int(i), int(j)))
-        rotations[e] = ref.frames[i].T @ unfold @ ref.frames[j]
+    i, j = ref.inner_edges.T
+    unfold = _unfold_rotations(ref, np.arange(ref.n_inner_edges), i, j)
+    F = ref.frames
+    rotations = np.swapaxes(F[i], -1, -2) @ unfold @ F[j]
     stretches = np.broadcast_to(np.eye(2), (ref.n_triangles, 2, 2)).copy()
     return ShapeRep(rotations, stretches, ref.content_hash)
 

@@ -9,6 +9,8 @@ checked on construction since everything downstream relies on them.
 import hashlib
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateGeometryError, MeshFormatError, MeshTopologyError
 
@@ -128,31 +130,23 @@ class TriangleMesh:
         lo = directed.min(axis=1)
         hi = directed.max(axis=1)
         ukeys = lo * self.n_vertices + hi
-        _, counts = np.unique(ukeys, return_counts=True)
-        if np.any(counts > 2):
+        order = np.argsort(ukeys)
+        ukeys = ukeys[order]
+        if np.any(ukeys[2:] == ukeys[:-2]):
             raise MeshTopologyError("edge shared by more than two triangles")
 
-        # Dual-graph connectivity via union-find over shared edges.
-        parent = np.arange(m)
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        owner = {}
-        tri_ids = np.concatenate([np.arange(m)] * 3)
-        for key, t in zip(ukeys, tri_ids):
-            if key in owner:
-                ra, rb = find(owner[key]), find(int(t))
-                parent[ra] = rb
-            else:
-                owner[key] = int(t)
-        roots = {find(i) for i in range(m)}
-        if len(roots) > 1:
+        # Dual-graph connectivity over the triangle pairs of shared edges;
+        # row ``k`` of ``directed`` belongs to triangle ``k % m``.
+        shared = np.flatnonzero(ukeys[1:] == ukeys[:-1])
+        tri_ids = order % m
+        dual = scipy.sparse.coo_matrix(
+            (np.ones(shared.size), (tri_ids[shared], tri_ids[shared + 1])),
+            shape=(m, m),
+        )
+        n_components, _ = connected_components(dual, directed=False)
+        if n_components > 1:
             raise MeshTopologyError(
-                f"dual graph has {len(roots)} components; expected a single one"
+                f"dual graph has {n_components} components; expected a single one"
             )
 
 

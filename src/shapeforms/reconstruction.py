@@ -73,12 +73,16 @@ def init_rotations(ref, rep):
     R = np.empty((m, 3, 3))
     R[ref.seed_triangle] = np.eye(3)
     F = ref.frames
-    for parent, child in ref.spanning_tree:
-        e = ref.edge_index(int(parent), int(child))
-        C = rep.rotations[e]
-        if parent > child:
-            C = C.T
-        R[child] = R[parent] @ F[parent] @ C @ F[child].T
+    parent, child = ref.spanning_tree.T
+    C = rep.rotations[ref.tree_edge_indices]
+    backward = parent > child
+    C[backward] = np.swapaxes(C[backward], -1, -2)
+    # Tree edges are in breadth-first order, so each depth is one
+    # contiguous run whose parents were all set by the previous run.
+    starts = np.flatnonzero(np.diff(ref.tree_depths, prepend=0))
+    for lo, hi in zip(starts, np.append(starts[1:], child.size)):
+        p, c = parent[lo:hi], child[lo:hi]
+        R[c] = R[p] @ F[p] @ C[lo:hi] @ np.swapaxes(F[c], -1, -2)
     return R
 
 

@@ -32,6 +32,9 @@ class ReferenceGeometry:
     inner_edges : ndarray
         ``(E, 2)`` triangle pairs ``(i, j)`` with ``i < j``, sorted
         lexicographically.
+    edge_keys : ndarray
+        ``(E,)`` ascending keys ``i * m + j`` of ``inner_edges``, searched
+        by :meth:`edge_index`.
     edge_areas : ndarray
         ``(E,)`` edge weights ``(A_i + A_j) / 3``.
     edge_shared_vertices : ndarray
@@ -41,6 +44,11 @@ class ReferenceGeometry:
     spanning_tree : ndarray
         ``(m - 1, 2)`` dual-graph tree edges ``(parent, child)`` in
         breadth-first visit order from seed triangle 0.
+    tree_edge_indices : ndarray
+        ``(m - 1,)`` inner-edge index of each spanning-tree edge.
+    tree_depths : ndarray
+        ``(m - 1,)`` breadth-first depth of each tree edge's child, so
+        non-decreasing; the edges of one depth form a contiguous run.
     grad_inverses : ndarray
         ``(m, 3, 3)`` inverses of ``[e1, e2, n]`` used by
         :func:`deformation_gradients`.
@@ -51,14 +59,16 @@ class ReferenceGeometry:
     tri_areas: np.ndarray
     total_area: float
     inner_edges: np.ndarray
+    edge_keys: np.ndarray
     edge_areas: np.ndarray
     total_edge_area: float
     edge_shared_vertices: np.ndarray
     neighbors: tuple
     neighbor_counts: np.ndarray
     spanning_tree: np.ndarray
+    tree_edge_indices: np.ndarray
+    tree_depths: np.ndarray
     grad_inverses: np.ndarray
-    edge_lookup: dict = field(default_factory=dict, repr=False)
     seed_triangle: int = 0
     content_hash: str = field(default="")
 
@@ -92,10 +102,14 @@ class ReferenceGeometry:
 
     def edge_index(self, i, j):
         """Position of the inner edge between triangles ``i`` and ``j``."""
-        key = (min(i, j), max(i, j))
-        if key not in self.edge_lookup:
-            raise MeshTopologyError(f"triangles {i} and {j} do not share an edge")
-        return self.edge_lookup[key]
+        lo, hi = min(i, j), max(i, j)
+        m = self.n_triangles
+        if 0 <= lo and hi < m:
+            key = lo * m + hi
+            e = int(np.searchsorted(self.edge_keys, key))
+            if e < self.edge_keys.size and self.edge_keys[e] == key:
+                return e
+        raise MeshTopologyError(f"triangles {i} and {j} do not share an edge")
 
 
 def triangle_frames(mesh):
@@ -120,6 +134,7 @@ def build_reference(mesh):
     total_area = float(tri_areas.sum())
 
     inner_edges, shared = _inner_edges(mesh)
+    edge_keys = inner_edges[:, 0] * m + inner_edges[:, 1]
     edge_areas = (tri_areas[inner_edges[:, 0]] + tri_areas[inner_edges[:, 1]]) / 3.0
     total_edge_area = float(edge_areas.sum())
 
@@ -130,15 +145,14 @@ def build_reference(mesh):
     neighbors = tuple(np.array(sorted(n), dtype=np.int64) for n in neighbors)
     neighbor_counts = np.array([len(n) for n in neighbors], dtype=np.int64)
 
-    tree = _bfs_tree(m, neighbors, seed=0)
+    tree, tree_depths = _bfs_tree(m, neighbors, seed=0)
+    tree_edge_indices = np.searchsorted(
+        edge_keys, tree.min(axis=1) * m + tree.max(axis=1)
+    )
 
     e1, e2 = mesh.edge_vectors()
     basis = np.stack((e1, e2, mesh.triangle_normals()), axis=-1)
     grad_inverses = np.linalg.inv(basis)
-
-    edge_lookup = {
-        (int(i), int(j)): e for e, (i, j) in enumerate(inner_edges)
-    }
 
     return ReferenceGeometry(
         mesh=mesh,
@@ -146,14 +160,16 @@ def build_reference(mesh):
         tri_areas=tri_areas,
         total_area=total_area,
         inner_edges=inner_edges,
+        edge_keys=edge_keys,
         edge_areas=edge_areas,
         total_edge_area=total_edge_area,
         edge_shared_vertices=shared,
         neighbors=neighbors,
         neighbor_counts=neighbor_counts,
         spanning_tree=tree,
+        tree_edge_indices=tree_edge_indices,
+        tree_depths=tree_depths,
         grad_inverses=grad_inverses,
-        edge_lookup=edge_lookup,
         seed_triangle=0,
         content_hash=mesh.content_hash(),
     )
@@ -197,6 +213,7 @@ def _inner_edges(mesh):
 def _bfs_tree(m, neighbors, seed):
     visited = np.zeros(m, dtype=bool)
     visited[seed] = True
+    depth = [0] * m
     queue = [seed]
     edges = []
     head = 0
@@ -206,11 +223,13 @@ def _bfs_tree(m, neighbors, seed):
         for nb in neighbors[current]:
             if not visited[nb]:
                 visited[nb] = True
+                depth[nb] = depth[current] + 1
                 edges.append((current, int(nb)))
                 queue.append(int(nb))
     if not visited.all():
         raise MeshTopologyError("dual graph is disconnected")
-    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return edges, np.array(depth, dtype=np.int64)[edges[:, 1]]
 
 
 def deformation_gradients(ref, mesh):

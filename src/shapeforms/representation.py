@@ -90,30 +90,46 @@ class ShapeRep:
         """
         payload = {
             "reference_hash": self.reference_hash,
-            "rotations": [[float(x) for x in C.reshape(-1)] for C in self.rotations],
-            "stretches": [
-                [float(U[0, 0]), float(U[0, 1]), float(U[1, 1])]
-                for U in self.stretches
-            ],
+            "rotations": self.rotations.reshape(-1, 9).tolist(),
+            "stretches": _sym_to_triples(self.stretches),
         }
         if omega is not None:
             payload["omega"] = float(omega)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.write("\n")
+        _write_json(path, payload)
 
     @classmethod
     def load(cls, path):
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
         rotations = np.array(payload["rotations"], dtype=float).reshape(-1, 3, 3)
-        triples = np.array(payload["stretches"], dtype=float)
-        stretches = np.empty((triples.shape[0], 2, 2))
-        stretches[:, 0, 0] = triples[:, 0]
-        stretches[:, 0, 1] = triples[:, 1]
-        stretches[:, 1, 0] = triples[:, 1]
-        stretches[:, 1, 1] = triples[:, 2]
+        stretches = _triples_to_sym(np.array(payload["stretches"], dtype=float))
         return cls(rotations, stretches, payload["reference_hash"])
+
+
+def _write_json(path, payload):
+    """Write ``payload`` as one line of JSON.
+
+    ``json.dumps`` runs the C encoder; ``json.dump`` streams through the
+    pure-Python one and is many times slower on large payloads.
+    """
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(payload))
+        handle.write("\n")
+
+
+def _sym_to_triples(sym):
+    """``(n, 2, 2)`` symmetric matrices as ``(X11, X12, X22)`` lists."""
+    return sym.reshape(-1, 4)[:, [0, 1, 3]].tolist()
+
+
+def _triples_to_sym(triples):
+    """Inverse of :func:`_sym_to_triples` on an ``(n, 3)`` array."""
+    out = np.empty((triples.shape[0], 2, 2))
+    out[:, 0, 0] = triples[:, 0]
+    out[:, 0, 1] = triples[:, 1]
+    out[:, 1, 0] = triples[:, 1]
+    out[:, 1, 1] = triples[:, 2]
+    return out
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,9 @@ from .representation import (
     DistanceParams,
     ShapeRep,
     TangentRep,
+    _sym_to_triples,
+    _triples_to_sym,
+    _write_json,
     encode,
     flatten_tangent,
     rep_exp,
@@ -112,30 +115,20 @@ class PGAModel:
         payload = {
             "reference_hash": self.reference_hash,
             "omega": self.params.omega,
-            "variances": [float(v) for v in self.variances],
+            "variances": self.variances.tolist(),
             "mean": {
-                "rotations": [
-                    [float(x) for x in C.reshape(-1)] for C in self.mean.rotations
-                ],
-                "stretches": [
-                    [float(U[0, 0]), float(U[0, 1]), float(U[1, 1])]
-                    for U in self.mean.stretches
-                ],
+                "rotations": self.mean.rotations.reshape(-1, 9).tolist(),
+                "stretches": _sym_to_triples(self.mean.stretches),
             },
             "modes": [
                 {
-                    "rot_part": [[float(x) for x in row] for row in mode.rot_part],
-                    "stretch_part": [
-                        [float(X[0, 0]), float(X[0, 1]), float(X[1, 1])]
-                        for X in mode.stretch_part
-                    ],
+                    "rot_part": mode.rot_part.tolist(),
+                    "stretch_part": _sym_to_triples(mode.stretch_part),
                 }
                 for mode in self.modes
             ],
         }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.write("\n")
+        _write_json(path, payload)
 
     @classmethod
     def load(cls, path):
@@ -160,15 +153,6 @@ class PGAModel:
             params=DistanceParams(payload["omega"]),
             reference_hash=payload["reference_hash"],
         )
-
-
-def _triples_to_sym(triples):
-    out = np.empty((triples.shape[0], 2, 2))
-    out[:, 0, 0] = triples[:, 0]
-    out[:, 0, 1] = triples[:, 1]
-    out[:, 1, 0] = triples[:, 1]
-    out[:, 1, 1] = triples[:, 2]
-    return out
 
 
 def pga(ref, reps, mu=None, params=DistanceParams(), mean_tol=1e-6):

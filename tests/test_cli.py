@@ -43,6 +43,50 @@ class TestRoundtrip:
         back = load_mesh(out)
         assert rigid_rms(back, original) < 1e-6 * original.bbox_diagonal
 
+    def test_unconverged_reconstruction_warns(self, workspace, capsys):
+        # A PGA sample is not integrable, so one iteration cannot converge.
+        inputs = [str(workspace / f"shape_{k}.obj") for k in range(4)]
+        model = workspace / "warn_model.json"
+        assert main([
+            "pga", *inputs, "--reference", str(workspace / "ref.obj"),
+            "--out-model", str(model),
+            "--out-coeffs", str(workspace / "warn_coeffs.csv"),
+        ]) == 0
+        sample_dir = workspace / "warn_samples"
+        assert main([
+            "sample", "--reference", str(workspace / "ref.obj"),
+            "--model", str(model), "--count", "1", "--seed", "2",
+            "--out-dir", str(sample_dir),
+        ]) == 0
+        capsys.readouterr()
+        out = workspace / "warn_back.obj"
+        assert main([
+            "reconstruct", "--reference", str(workspace / "ref.obj"),
+            "--input", str(sample_dir / "sample_000.json"), "--out", str(out),
+            "--max-iter", "1",
+        ]) == 0
+        captured = capsys.readouterr()
+        assert "converged=False" in captured.out
+        assert captured.err == (
+            f"warning: {out}: reconstruction did not converge in 1 iterations\n"
+        )
+        assert out.exists()
+
+    def test_converged_reconstruction_is_quiet(self, workspace, capsys):
+        rep = workspace / "quiet_rep.json"
+        assert main([
+            "encode", "--reference", str(workspace / "ref.obj"),
+            "--input", str(workspace / "shape_1.obj"), "--out", str(rep),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "reconstruct", "--reference", str(workspace / "ref.obj"),
+            "--input", str(rep), "--out", str(workspace / "quiet_back.obj"),
+        ]) == 0
+        captured = capsys.readouterr()
+        assert "converged=True" in captured.out
+        assert captured.err == ""
+
     def test_corrupt_rep_json_fails_cleanly(self, workspace, capsys):
         bad = workspace / "bad.json"
         bad.write_text("{not json")

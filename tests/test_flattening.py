@@ -34,6 +34,24 @@ def folded_pair(theta):
     return TriangleMesh(vertices, flat.triangles)
 
 
+def jittered_hemisphere(seed=4, scale=0.02):
+    """Open mesh with a valence-24 pole and randomly perturbed vertices."""
+    mesh = hemisphere_patch()
+    rng = np.random.default_rng(seed)
+    jitter = scale * rng.normal(size=mesh.vertices.shape)
+    return TriangleMesh(mesh.vertices + jitter, mesh.triangles)
+
+
+def per_edge_unfold(ref, i, j):
+    """Unfolding rotation of one inner edge, computed on its own."""
+    a, b = ref.edge_shared_vertices[ref.edge_index(i, j)]
+    axis = ref.mesh.vertices[b] - ref.mesh.vertices[a]
+    axis = axis / np.linalg.norm(axis)
+    ni, nj = ref.frames[i, :, 2], ref.frames[j, :, 2]
+    angle = np.arctan2(np.dot(np.cross(nj, ni), axis), np.dot(nj, ni))
+    return so3_exp(axis * angle)
+
+
 def rigid_rms_2d(a, b):
     P = a - a.mean(axis=0)
     Q = b - b.mean(axis=0)
@@ -81,6 +99,22 @@ class TestFlatProjection:
         e3 = np.array([0.0, 0.0, 1.0])
         mapped = rep.rotations @ e3
         assert np.max(np.abs(mapped - e3)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "make_mesh",
+        [lambda: cylinder_patch(n_u=6, n_v=10), jittered_hemisphere],
+        ids=["cylinder-patch", "jittered-hemisphere"],
+    )
+    def test_matches_per_edge_unfold_rotations(self, make_mesh):
+        ref = build_reference(make_mesh())
+        rep = flat_projection(ref)
+        F = ref.frames
+        for e, (i, j) in enumerate(ref.inner_edges):
+            i, j = int(i), int(j)
+            unfold = unfold_rotation(ref, (i, j))
+            assert np.max(np.abs(unfold - per_edge_unfold(ref, i, j))) < 1e-12
+            expected = F[i].T @ unfold @ F[j]
+            assert np.max(np.abs(rep.rotations[e] - expected)) < 1e-12
 
     def test_idempotent_through_flattening(self):
         ref = build_reference(cylinder_patch(n_u=6, n_v=10))

@@ -60,7 +60,7 @@ class TestTriangleMesh:
                 [5.0, 0.0, 0.0], [6.0, 0.0, 0.0], [5.0, 1.0, 0.0],
             ]
         )
-        with pytest.raises(MeshTopologyError):
+        with pytest.raises(MeshTopologyError, match="2 components"):
             TriangleMesh(vertices, np.array([[0, 1, 2], [3, 4, 5]]))
 
     def test_normals_unit(self, tetrahedron):
@@ -195,6 +195,30 @@ class TestReference:
             assert child not in visited
             visited.add(int(child))
         assert visited == set(range(80))
+
+    def test_tree_edge_indices_and_depths(self):
+        ref = build_reference(icosphere(2))
+        tree = ref.spanning_tree
+        pairs = ref.inner_edges[ref.tree_edge_indices]
+        assert np.array_equal(pairs, np.sort(tree, axis=1))
+        depth = {ref.seed_triangle: 0}
+        for (parent, child), d in zip(tree, ref.tree_depths):
+            depth[int(child)] = depth[int(parent)] + 1
+            assert d == depth[int(child)]
+        assert np.all(np.diff(ref.tree_depths) >= 0)
+
+    def test_edge_index(self):
+        ref = build_reference(icosphere(1))
+        for e, (i, j) in enumerate(ref.inner_edges):
+            assert ref.edge_index(int(i), int(j)) == e
+            assert ref.edge_index(int(j), int(i)) == e
+        i = 0
+        non_adjacent = next(
+            j for j in range(1, ref.n_triangles) if j not in ref.neighbors[i]
+        )
+        for pair in ((i, non_adjacent), (i, i), (-1, 0), (0, ref.n_triangles)):
+            with pytest.raises(MeshTopologyError, match="do not share an edge"):
+                ref.edge_index(*pair)
 
     def test_total_areas(self):
         ref = build_reference(icosphere(1))

@@ -96,6 +96,22 @@ class TestInitRotations:
             propagated = R[i] @ F[i] @ rep.rotations[e] @ F[j].T
             assert np.linalg.norm(R[j] - propagated) < 1e-9
 
+    def test_matches_sequential_tree_propagation(self):
+        # Depth-batched propagation does the same arithmetic as one 3x3
+        # product chain per tree edge, so the results agree bit for bit.
+        ref = build_reference(icosphere(3))
+        rep, _ = encode(ref, smooth_deformation(ref.mesh, seed=5))
+        rep = perturbed_rep(ref, rep, seed=6)
+        F = ref.frames
+        expected = np.empty((ref.n_triangles, 3, 3))
+        expected[ref.seed_triangle] = np.eye(3)
+        for parent, child in ref.spanning_tree:
+            C = rep.rotations[ref.edge_index(int(parent), int(child))]
+            if parent > child:
+                C = C.T
+            expected[child] = expected[parent] @ F[parent] @ C @ F[child].T
+        assert np.array_equal(init_rotations(ref, rep), expected)
+
 
 class TestLocalStep:
     def test_exact_rotations_recovered(self, ref):

@@ -1,10 +1,14 @@
+import dataclasses
+import io
+import json
+
 import numpy as np
 import pytest
 
 from shapeforms.errors import ReferenceMismatchError
 from shapeforms.liegroups import so3_exp
 from shapeforms.mesh import TriangleMesh
-from shapeforms.reference import ReferenceGeometry, build_reference
+from shapeforms.reference import build_reference
 from shapeforms.representation import (
     DistanceParams,
     ShapeRep,
@@ -130,22 +134,7 @@ class TestDistance:
         angle = 0.83
         c, s = np.cos(angle), np.sin(angle)
         twist = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        twisted = ReferenceGeometry(
-            mesh=ref.mesh,
-            frames=ref.frames @ twist,
-            tri_areas=ref.tri_areas,
-            total_area=ref.total_area,
-            inner_edges=ref.inner_edges,
-            edge_areas=ref.edge_areas,
-            total_edge_area=ref.total_edge_area,
-            edge_shared_vertices=ref.edge_shared_vertices,
-            neighbors=ref.neighbors,
-            neighbor_counts=ref.neighbor_counts,
-            spanning_tree=ref.spanning_tree,
-            grad_inverses=ref.grad_inverses,
-            seed_triangle=ref.seed_triangle,
-            content_hash=ref.content_hash,
-        )
+        twisted = dataclasses.replace(ref, frames=ref.frames @ twist)
         mesh_s = smooth_deformation(ref.mesh, seed=21)
         mesh_t = smooth_deformation(ref.mesh, seed=22)
         d = rep_distance(ref, encode(ref, mesh_s)[0], encode(ref, mesh_t)[0])
@@ -314,6 +303,24 @@ class TestSerialization:
         assert np.array_equal(back.rotations, rep.rotations)
         assert np.array_equal(back.stretches, rep.stretches)
         assert back.content_hash() == rep.content_hash()
+
+    def test_save_bytes_match_streamed_encoder(self, deformed_reps, tmp_path):
+        rep = deformed_reps[0]
+        path = tmp_path / "rep.json"
+        rep.save(path, omega=2.5)
+        payload = {
+            "reference_hash": rep.reference_hash,
+            "rotations": [[float(x) for x in C.reshape(-1)] for C in rep.rotations],
+            "stretches": [
+                [float(U[0, 0]), float(U[0, 1]), float(U[1, 1])]
+                for U in rep.stretches
+            ],
+            "omega": 2.5,
+        }
+        expected = io.StringIO()
+        json.dump(payload, expected)
+        expected.write("\n")
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 class TestRefinement:
