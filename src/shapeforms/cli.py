@@ -19,6 +19,20 @@ def _positive_float(text):
     return value
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not positive")
+    return value
+
+
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return value
+
+
 def _share_list(text):
     shares = [float(x) for x in text.split(",") if x]
     for s in shares:
@@ -46,7 +60,7 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--tol", type=_positive_float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--max-iter", type=_non_negative_int, default=100)
 
     p = sub.add_parser("interpolate", help="geodesic between two meshes")
     p.add_argument("inputs", nargs=2, metavar=("A", "B"))
@@ -64,7 +78,7 @@ def build_parser():
     p.add_argument("--rebias", type=int, default=0,
                    help="outer iterations re-centering the reference on the mean")
     p.add_argument("--tol", type=_positive_float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=50)
+    p.add_argument("--max-iter", type=_positive_int, default=50)
 
     p = sub.add_parser("pga", help="cohort -> model JSON + coefficients CSV")
     p.add_argument("inputs", nargs="+")

@@ -1,5 +1,5 @@
-"""Closed-form kernels for rotations, 2x2 symmetric-positive-definite
-matrices, and the 3x3 polar decomposition.
+"""Closed-form kernels for rotations and 2x2 symmetric-positive-definite
+matrices, and a Newton iteration for the 3x3 polar decomposition.
 
 All functions are pure and accept stacked inputs: an argument documented as
 ``(3, 3)`` may be ``(..., 3, 3)`` and the operation maps over the leading
@@ -16,6 +16,16 @@ from .errors import ConditioningError, CutLocusError, OrientationError
 _TINY_ANGLE = 1e-8
 _NEAR_PI = 1e-3
 _PI_MARGIN = 1e-12
+
+# Newton polar iteration: it converges quadratically, so a step that moves
+# no matrix by more than _POLAR_STEP_TOL leaves it about _POLAR_STEP_TOL**2
+# from the limit. Scaled Newton takes six or seven steps even at a
+# singular-value ratio of 1e-16; _POLAR_MAX_ITER only catches non-finite
+# input. Below _COFACTOR_MIN_DET = |det X| / |X|_F^3 the closed-form
+# cofactor inverse loses its accuracy and an LU inverse is used instead.
+_POLAR_STEP_TOL = 1e-9
+_POLAR_MAX_ITER = 30
+_COFACTOR_MIN_DET = 1e-8
 
 
 def skew(xi):
@@ -208,6 +218,53 @@ def spd2_distance(U, V):
     return np.linalg.norm(diff, axis=(-2, -1))
 
 
+def _cofactors(X):
+    """Cofactor matrices and determinants of 3x3 matrices stored as the
+    rows ``(9, n)`` of their row-major entries."""
+    a, b, c, d, e, f, g, h, i = X
+    C = np.stack((
+        e * i - f * h, f * g - d * i, d * h - e * g,
+        c * h - b * i, a * i - c * g, b * g - a * h,
+        b * f - c * e, c * d - a * f, a * e - b * d,
+    ))
+    return C, a * C[0] + b * C[1] + c * C[2]
+
+
+def polar_rotation(M):
+    """Rotation factor of the polar decomposition of ``(..., 3, 3)`` input.
+
+    Scaled Newton iteration ``X <- (zeta X + X^-T / zeta) / 2`` with the
+    Frobenius-norm scaling ``zeta = (|X^-1|_F / |X|_F)^(1/2)`` (Higham,
+    1986), on closed-form cofactor inverses. Every matrix must have a
+    positive determinant; callers check it, since the error they raise
+    depends on what the matrices mean.
+
+    Raises
+    ------
+    ConditioningError
+        If the iteration does not settle (non-finite input).
+    """
+    M = np.asarray(M, dtype=float)
+    X = M.reshape(-1, 9).T.copy()
+    for _ in range(_POLAR_MAX_ITER):
+        C, det = _cofactors(X)
+        norm2 = np.einsum("kn,kn->n", X, X)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Y = C / det
+        weak = np.abs(det) < _COFACTOR_MIN_DET * norm2**1.5
+        if np.any(weak):
+            inv = np.linalg.inv(X[:, weak].T.reshape(-1, 3, 3))
+            Y[:, weak] = np.swapaxes(inv, -1, -2).reshape(-1, 9).T
+        zeta = np.sqrt(np.sqrt(np.einsum("kn,kn->n", Y, Y) / norm2))
+        X, previous = 0.5 * (zeta * X + Y / zeta), X
+        step = X - previous
+        if np.all(np.einsum("kn,kn->n", step, step) <= _POLAR_STEP_TOL**2):
+            return X.T.reshape(M.shape)
+    raise ConditioningError(
+        f"polar iteration did not settle within {_POLAR_MAX_ITER} steps"
+    )
+
+
 def polar3(D, min_rel_sigma=1e-10):
     """Polar decomposition ``D = R @ U`` with ``R`` a proper rotation.
 
@@ -221,7 +278,7 @@ def polar3(D, min_rel_sigma=1e-10):
     Returns
     -------
     R : ndarray
-        Rotation factors ``(..., 3, 3)``.
+        Rotation factors ``(..., 3, 3)``, from :func:`polar_rotation`.
     U : ndarray
         Symmetric positive-definite stretch factors ``(..., 3, 3)``.
 
@@ -240,17 +297,22 @@ def polar3(D, min_rel_sigma=1e-10):
         raise OrientationError(
             f"non-positive determinant {det.reshape(-1)[idx]:.17g} at index {idx}"
         )
-    W, sigma, Vt = np.linalg.svd(D)
-    rel = sigma[..., -1] / sigma[..., 0]
-    if np.any(rel < min_rel_sigma):
-        idx = int(np.argmin(rel.reshape(-1)))
-        raise ConditioningError(
-            f"singular value ratio {rel.reshape(-1)[idx]:.3g} below "
-            f"{min_rel_sigma:g} at index {idx}"
-        )
-    # det D > 0 and sigma > 0 imply det(W Vt) = +1, so R is proper.
-    R = W @ Vt
-    U = np.einsum("...ki,...k,...kj->...ij", Vt, sigma, Vt)
+    # det D > 0, so the orthogonal polar factor is proper.
+    R = polar_rotation(D)
+    RtD = np.swapaxes(R, -1, -2) @ D
+    U = 0.5 * (RtD + np.swapaxes(RtD, -1, -2))
+    # The singular values of D are the eigenvalues of U. Only matrices whose
+    # lower bound det / |D|_F^3 <= sigma_min / sigma_max falls short of
+    # min_rel_sigma need them.
+    bound = det / np.einsum("...ij,...ij->...", D, D) ** 1.5
+    suspect = np.flatnonzero(bound < min_rel_sigma)
+    if suspect.size:
+        w = np.linalg.eigvalsh(U.reshape(-1, 3, 3)[suspect])
+        rel = w[:, 0] / w[:, -1]
+        worst = int(np.argmin(rel))
+        if rel[worst] < min_rel_sigma:
+            raise ConditioningError(
+                f"singular value ratio {rel[worst]:.3g} below "
+                f"{min_rel_sigma:g} at index {int(suspect[worst])}"
+            )
     return R, U
-
-

@@ -8,10 +8,18 @@ deformation gradients and the gradients prescribed by the representation,
 where ``R_{j->i} = R_j F_j C_ji F_i^T`` transports a neighbor rotation
 across the shared edge. Minimization alternates a closed-form Procrustes
 fit of the rotations (local step) with a sparse linear solve for the
-vertex positions (global step); both steps are exact block minimizers, so
-the energy never increases. A spanning-tree propagation of the seed
-rotation provides the warm start and is already exact for integrable
-inputs.
+vertex positions (global step); both are exact block minimizers. A
+spanning-tree propagation of the seed rotation provides the warm start and
+is already exact for integrable inputs.
+
+The alternation is a fixed-point iteration on the stacked positions, and
+Anderson acceleration (Peng et al., 2018, *Anderson Acceleration for
+Geometry Optimization and Physics Simulation*) extrapolates each plain
+step from the last few. An accelerated point is kept only if its energy
+after its own rotation fit is strictly below that of the plain step, and
+that fit then serves as the next local step; otherwise the plain step is
+taken and the history cleared. This safeguard is what keeps the energy
+non-increasing.
 
 To keep the global step quadratic, the out-of-plane column of each
 deformation gradient is carried by an auxiliary per-triangle point (the
@@ -21,6 +29,7 @@ data while non-integrable mismatch is spread smoothly by the solve.
 """
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +37,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ConditioningError
+from .liegroups import polar_rotation
 from .mesh import TriangleMesh
 from .representation import _check_binding
 
@@ -37,6 +47,9 @@ _FLOOR_FACTOR = 1e-24
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
 
+#: Residual differences kept by the Anderson acceleration.
+_AA_WINDOW = 5
+
 
 def embed_stretch(ref, i, stretch2):
     """Lift a tangential 2x2 stretch of triangle ``i`` back to 3x3.
@@ -44,19 +57,15 @@ def embed_stretch(ref, i, stretch2):
     The normal direction gets unit stretch, matching the convention that
     deformation gradients map unit normal to unit normal.
     """
-    F = ref.frames[i]
-    padded = np.zeros((3, 3))
-    padded[:2, :2] = stretch2
-    padded[2, 2] = 1.0
-    return F @ padded @ F.T
+    return _embed_stretches(ref, stretch2, i)
 
 
-def _embed_stretches(ref, stretches):
-    m = stretches.shape[0]
-    padded = np.zeros((m, 3, 3))
-    padded[:, :2, :2] = stretches
-    padded[:, 2, 2] = 1.0
-    F = ref.frames
+def _embed_stretches(ref, stretches, triangles=slice(None)):
+    stretches = np.asarray(stretches, dtype=float)
+    padded = np.zeros(stretches.shape[:-2] + (3, 3))
+    padded[..., :2, :2] = stretches
+    padded[..., 2, 2] = 1.0
+    F = ref.frames[triangles]
     return F @ padded @ np.swapaxes(F, -1, -2)
 
 
@@ -183,6 +192,16 @@ def prefactor(ref):
     return PoissonSystem(ref)
 
 
+def _scatter_sum(index, values, size):
+    """Sum the rows of ``values`` into ``size`` bins by ``index``."""
+    width = int(np.prod(values.shape[1:]))
+    flat = values.reshape(index.size, width)
+    bins = (index[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(bins, weights=flat.ravel(), minlength=size * width)
+    # bincount returns integers when there is nothing to count.
+    return sums.astype(float, copy=False).reshape((size,) + values.shape[1:])
+
+
 class _EdgeTerms:
     """Directed-edge arrays shared by energy, local and global step."""
 
@@ -210,17 +229,18 @@ class _EdgeTerms:
     def residuals(self, D, R):
         diff = D[self.dst] - R[self.src] @ self.prescribed
         sq = np.sum(diff * diff, axis=(-2, -1))
-        out = np.zeros(self.counts.shape[0])
-        np.add.at(out, self.dst, sq)
+        out = _scatter_sum(self.dst, sq, self.counts.shape[0])
         return out / np.maximum(self.counts, 1)
 
     def rotation_fits(self, D, current):
-        """Closed-form Procrustes update of all rotations at once."""
-        M = np.zeros((self.counts.shape[0], 3, 3))
+        """Closed-form Procrustes update of all rotations at once.
+
+        Triangles without neighbors keep their ``current`` rotation.
+        """
         terms = self.weights[:, None, None] * (
             D[self.dst] @ np.swapaxes(self.prescribed, -1, -2)
         )
-        np.add.at(M, self.src, terms)
+        M = _scatter_sum(self.src, terms, self.counts.shape[0])
 
         det = np.linalg.det(M)
         bad = (det <= 0.0) & ~self.isolated
@@ -232,18 +252,14 @@ class _EdgeTerms:
             )
         if np.any(self.isolated):
             M[self.isolated] = current[self.isolated]
-        W, _, Vt = np.linalg.svd(M)
-        R = W @ Vt
-        flip = np.linalg.det(R) < 0.0
-        if np.any(flip):
-            W = W.copy()
-            W[flip, :, -1] *= -1.0
-            R = W @ Vt
+        # det M > 0, so the polar factor is a proper rotation.
+        R = polar_rotation(M)
+        if np.any(self.isolated):
+            R[self.isolated] = current[self.isolated]
         return R
 
     def global_targets(self, R, stretches3):
-        B = np.zeros_like(R)
-        np.add.at(B, self.dst, R[self.src] @ self.prescribed)
+        B = _scatter_sum(self.dst, R[self.src] @ self.prescribed, R.shape[0])
         B /= np.maximum(self.counts, 1)[:, None, None]
         if np.any(self.isolated):
             B[self.isolated] = R[self.isolated] @ stretches3[self.isolated]
@@ -301,25 +317,50 @@ def reconstruct(ref, rep, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, system=Non
     energy = terms.energy(D, R)
     report.energies.append(energy)
 
+    # Anderson acceleration of the fixed point X -> G(X) = global(local(X)):
+    # the differences of the last residuals f = G(X) - X and of the images
+    # G(X), and the last (f, G(X)) pair for the next differences.
+    dF = deque(maxlen=_AA_WINDOW)
+    dG = deque(maxlen=_AA_WINDOW)
+    last = None
+    fitted = False  # R is already the rotation fit of D
+
     floor = _FLOOR_FACTOR * ref.total_area
-    for iteration in range(1, max_iter + 1):
+    report.converged = energy <= floor
+    while not report.converged and report.iterations < max_iter:
         previous = energy
-        if previous <= floor:
-            report.converged = True
-            break
-
-        R = terms.rotation_fits(D, R)
-        report.energies.append(terms.energy(D, R))
-
-        X = system.solve(terms.global_targets(R, stretches3))
-        D = system.gradients(X)
-        energy = terms.energy(D, R)
+        if not fitted:
+            R = terms.rotation_fits(D, R)
+            energy = terms.energy(D, R)
         report.energies.append(energy)
-        report.iterations = iteration
 
-        if energy <= floor or previous - energy <= tol * previous:
-            report.converged = True
-            break
+        G = system.solve(terms.global_targets(R, stretches3))
+        f = G - X
+        X, D, fitted = G, system.gradients(G), False
+        energy = terms.energy(D, R)
+        if last is not None:
+            dF.append((f - last[0]).ravel())
+            dG.append((G - last[1]).ravel())
+        last = f, G
+
+        if dF:
+            gamma = np.linalg.lstsq(np.column_stack(dF), f.ravel(), rcond=None)[0]
+            candidate = G - (np.column_stack(dG) @ gamma).reshape(G.shape)
+            D_c = system.gradients(candidate)
+            # A candidate without a proper rotation fit is rejected.
+            try:
+                R_c = terms.rotation_fits(D_c, R)
+                energy_c = terms.energy(D_c, R_c)
+            except ConditioningError:
+                energy_c = np.inf
+            if energy_c < energy:
+                X, D, R, energy, fitted = candidate, D_c, R_c, energy_c, True
+            else:
+                dF.clear()
+                dG.clear()
+        report.energies.append(energy)
+        report.iterations += 1
+        report.converged = energy <= floor or previous - energy <= tol * previous
 
     report.residuals = terms.residuals(D, R)
     report.rotations = R

@@ -70,7 +70,16 @@ def frechet_mean(reps, tol=DEFAULT_MEAN_TOL, max_iter=DEFAULT_MEAN_MAX_ITER):
     Iterates until the summed logs at the candidate have norm below
     ``tol``. The stretch part is exact after the first step; the rotation
     part needs a handful of iterations for realistic spreads.
+
+    Raises
+    ------
+    ValueError
+        If ``max_iter`` is below 1.
+    ConvergenceError
+        If the residual is still above ``tol`` after ``max_iter`` steps.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     _check_same_reference(reps)
     n = len(reps)
     mu = reps[0]

@@ -72,6 +72,41 @@ class TestRoundtrip:
         )
         assert out.exists()
 
+    def test_exact_input_converged_without_iterations(self, workspace, capsys):
+        rep = workspace / "exact_rep.json"
+        assert main([
+            "encode", "--reference", str(workspace / "ref.obj"),
+            "--input", str(workspace / "shape_2.obj"), "--out", str(rep),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "reconstruct", "--reference", str(workspace / "ref.obj"),
+            "--input", str(rep), "--out", str(workspace / "exact_back.obj"),
+            "--max-iter", "0",
+        ]) == 0
+        captured = capsys.readouterr()
+        assert "in 0 iterations, converged=True" in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("command, value", [
+        ("reconstruct", "-1"), ("reconstruct", "two"),
+        ("mean", "0"), ("mean", "-1"),
+    ])
+    def test_invalid_max_iter_rejected(self, workspace, capsys, command, value):
+        ref = str(workspace / "ref.obj")
+        if command == "reconstruct":
+            args = ["reconstruct", "--reference", ref, "--input", "rep.json",
+                    "--out", str(workspace / "never.obj")]
+        else:
+            args = ["mean", ref, ref, "--reference", ref,
+                    "--out-rep", str(workspace / "never.json"),
+                    "--out-mesh", str(workspace / "never.obj")]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--max-iter", value])
+        assert exc.value.code == 2
+        assert "--max-iter" in capsys.readouterr().err
+        assert not (workspace / "never.obj").exists()
+
     def test_converged_reconstruction_is_quiet(self, workspace, capsys):
         rep = workspace / "quiet_rep.json"
         assert main([

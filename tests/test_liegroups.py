@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shapeforms.errors import ConditioningError, CutLocusError, OrientationError
 from shapeforms.liegroups import (
     polar3,
+    polar_rotation,
     skew,
     so3_angle,
     so3_distance,
@@ -267,3 +270,76 @@ class TestPolar3:
     def test_near_singular_rejected(self):
         with pytest.raises((ConditioningError, OrientationError)):
             polar3(np.diag([1.0, 1.0, 1e-14]))
+
+
+# A random proper rotation, from an axis-angle vector inside the ball of
+# radius pi.
+axis_angles = st.lists(
+    st.floats(-1.8, 1.8, allow_nan=False), min_size=3, max_size=3
+).map(np.array)
+
+
+def with_spectrum(u, v, sigma):
+    """The matrix ``U diag(sigma) V^T`` for the rotations of ``u`` and ``v``."""
+    return so3_exp(u) @ np.diag(sigma) @ so3_exp(v).T
+
+
+# Singular values (1, s2, s3) with s3 from 1 down to just above the 1e-10
+# that polar3 accepts, and s2 in between.
+spectra = st.tuples(
+    st.floats(0.0, 1.0), st.floats(0.0, 9.999), st.floats(-3.0, 3.0)
+).map(lambda t: 10.0 ** t[2] * np.array([1.0, 10.0 ** (-t[0] * t[1]), 10.0 ** -t[1]]))
+
+
+class TestPolarRotation:
+    @given(axis_angles, axis_angles, spectra)
+    def test_matches_svd(self, u, v, sigma):
+        D = with_spectrum(u, v, sigma)
+        W, sv, Vt = np.linalg.svd(D)
+        R = polar_rotation(D)
+        assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-14
+        assert np.linalg.det(R) > 0.0
+        # The polar rotation moves by up to eps * s1 / (s2 + s3).
+        scale = sv[0] / (sv[1] + sv[2])
+        assert np.max(np.abs(R - W @ Vt)) < 1e-13 * scale
+
+    @given(axis_angles, axis_angles, spectra)
+    def test_polar3_reassembles(self, u, v, sigma):
+        D = with_spectrum(u, v, sigma)
+        R, U = polar3(D)
+        assert np.array_equal(U, U.T)
+        assert np.max(np.abs(R @ U - D)) < 1e-13 * sigma[0]
+        w = np.linalg.eigvalsh(U)
+        assert np.max(np.abs(np.sort(w) - np.sort(sigma))) < 1e-13 * sigma[0]
+
+    def test_stacked_shapes(self):
+        rng = np.random.default_rng(19)
+        M = rng.normal(size=(2, 4, 3, 3)) * 0.1 + np.eye(3)
+        R = polar_rotation(M)
+        assert R.shape == M.shape
+        for idx in np.ndindex(2, 4):
+            assert np.allclose(R[idx], polar_rotation(M[idx]), atol=1e-15)
+
+    @given(axis_angles, axis_angles, spectra)
+    def test_non_positive_determinant_raises(self, u, v, sigma):
+        D = with_spectrum(u, v, sigma)
+        with pytest.raises(OrientationError):
+            polar3(D @ np.diag([1.0, 1.0, -1.0]))
+        with pytest.raises(OrientationError):
+            polar3(D @ np.diag([1.0, 1.0, 0.0]))
+
+    @given(axis_angles, axis_angles, st.floats(0.0, 1.0))
+    def test_polar3_conditioning_threshold(self, u, v, t):
+        # s2 anywhere between s3 and s1; only the ratio s3 / s1 counts.
+        for factor, rejected in ((1.0 - 1e-3, True), (1.0 + 1e-3, False)):
+            s3 = 1e-10 * factor
+            D = with_spectrum(u, v, np.array([1.0, s3 ** (1.0 - t), s3]))
+            if rejected:
+                with pytest.raises(ConditioningError):
+                    polar3(D)
+            else:
+                polar3(D)
+
+    def test_non_finite_input_raises(self):
+        with pytest.raises(ConditioningError):
+            polar_rotation(np.full((3, 3), np.nan))

@@ -3,6 +3,8 @@ import time
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shapeforms.errors import ConditioningError
 from shapeforms.liegroups import so3_exp
@@ -16,7 +18,12 @@ from shapeforms.reconstruction import (
 )
 from shapeforms.reference import build_reference, deformation_gradients
 from shapeforms.representation import ShapeRep, encode
-from shapeforms.synthetic import icosphere, pipe_pair, smooth_deformation
+from shapeforms.synthetic import (
+    ellipsoid_cohort,
+    icosphere,
+    pipe_pair,
+    smooth_deformation,
+)
 from shapeforms.liegroups import spd2_exp
 
 
@@ -144,6 +151,23 @@ class TestLocalStep:
         # Zero gradients make every Procrustes target singular.
         with pytest.raises(ConditioningError):
             local_step(ref, rep, np.zeros_like(decomp.gradients))
+
+    def test_reversed_gradients_raise(self, ref):
+        # Negated gradients negate every Procrustes target, det M < 0.
+        rep, decomp = encode(ref, smooth_deformation(ref.mesh, seed=4))
+        with pytest.raises(ConditioningError):
+            local_step(ref, rep, -decomp.gradients)
+
+    @given(st.lists(st.floats(-1.8, 1.8), min_size=3, max_size=3))
+    def test_isolated_triangle_keeps_rotation(self, xi):
+        from shapeforms.mesh import TriangleMesh
+
+        vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        single = build_reference(TriangleMesh(vertices, np.array([[0, 1, 2]])))
+        rep, decomp = encode(single, single.mesh)
+        current = so3_exp(np.array([xi]))
+        R = local_step(single, rep, decomp.gradients, current)
+        assert np.array_equal(R, current)
 
     def test_against_brute_force(self, ref):
         # The closed form must match brute-force minimization over the
@@ -290,3 +314,66 @@ class TestReconstruct:
         mesh, report = reconstruct(ref, rep)
         assert rigid_rms(mesh, helix) < 1e-6 * helix.bbox_diagonal
         assert report.iterations <= 2
+
+    def test_exact_input_converged_without_iterations(self, ref, system):
+        rep, _ = encode(ref, smooth_deformation(ref.mesh, seed=3))
+        _, report = reconstruct(ref, rep, max_iter=0, system=system)
+        assert report.energies[-1] <= 1e-24 * ref.total_area
+        assert report.iterations == 0
+        assert report.converged
+
+    def test_one_iteration_is_one_plain_step(self, ref, system):
+        # Acceleration needs two residuals, so the first round is the plain
+        # local step followed by the global solve.
+        from shapeforms.reconstruction import _EdgeTerms, _embed_stretches
+
+        base, _ = encode(ref, smooth_deformation(ref.mesh, seed=17))
+        rep = perturbed_rep(ref, base, seed=18)
+        _, report = reconstruct(ref, rep, max_iter=1, system=system)
+
+        stretches3 = _embed_stretches(ref, rep.stretches)
+        terms = _EdgeTerms(ref, rep, stretches3)
+        R = init_rotations(ref, rep)
+        X = system.solve(terms.global_targets(R, stretches3))
+        R = terms.rotation_fits(system.gradients(X), R)
+        X = system.solve(terms.global_targets(R, stretches3))
+        assert report.iterations == 1
+        assert not report.converged
+        assert len(report.energies) == 3
+        assert np.array_equal(report.rotations, R)
+        assert np.array_equal(report.positions, X)
+        assert report.energies[-1] == terms.energy(system.gradients(X), R)
+
+
+class TestDecode:
+    """Reconstruction of a PGA mean, which no mesh realizes exactly."""
+
+    @pytest.fixture(scope="class")
+    def decoded(self):
+        from shapeforms.statistics import frechet_mean
+
+        cohort = ellipsoid_cohort(12, seed=0, subdivisions=3)
+        ref = build_reference(cohort[0])
+        mean = frechet_mean([encode(ref, m)[0] for m in cohort])
+        _, report = reconstruct(ref, mean)
+        return ref, mean, report
+
+    def test_converges_within_default_limit(self, decoded):
+        _, _, report = decoded
+        assert report.converged
+
+    def test_energy_non_increasing(self, decoded):
+        _, _, report = decoded
+        E = np.array(report.energies)
+        assert len(E) == 2 * report.iterations + 1
+        assert np.all(E[1:] <= E[:-1] * (1 + 1e-12))
+
+    def test_final_energy_matches_final_state(self, decoded):
+        from shapeforms.reconstruction import _EdgeTerms, _embed_stretches
+
+        ref, mean, report = decoded
+        stretches3 = _embed_stretches(ref, mean.stretches)
+        terms = _EdgeTerms(ref, mean, stretches3)
+        D = prefactor(ref).gradients(report.positions)
+        recomputed = terms.energy(D, report.rotations)
+        assert report.energies[-1] == pytest.approx(recomputed, rel=1e-12)

@@ -81,6 +81,11 @@ class TestFrechetMean:
         with pytest.raises(ConvergenceError):
             frechet_mean(cohort, tol=1e-16, max_iter=1)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_no_iterations_rejected(self, ref, cohort, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            frechet_mean(cohort, max_iter=max_iter)
+
     def test_rigid_motion_of_inputs_invariance(self, ref):
         from shapeforms.liegroups import so3_exp
 
