@@ -125,7 +125,7 @@ def build_parser():
                    help="classifier trained on the full data, as JSON")
     p.add_argument("--shares", type=_share_list,
                    default=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
-    p.add_argument("--draws", type=int, default=200)
+    p.add_argument("--draws", type=_positive_int, default=200)
     p.add_argument("--reg", type=_positive_float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
 

@@ -19,20 +19,40 @@ from .statistics import PGAModel, coefficients, pga, sample, synthesize
 
 DEFAULT_SVM_ITERATIONS = 600
 DEFAULT_CV_DRAWS = 200
+#: Byte budget of one stacked per-draw array in ``monte_carlo_cv``. Draws
+#: are trained in as few blocks as keep each array below it; a block this
+#: small stays in a core's L2 cache over all the iterations.
+_SVM_BLOCK_BYTES = 2**20
 
 
 # ---------------------------------------------------------------------------
 # model quality measures
 
 
-def _vertex_rms_aligned(a, b):
-    P = a - a.mean(axis=0)
-    Q = b - b.mean(axis=0)
-    H = P.T @ Q
-    U, _, Vt = np.linalg.svd(H)
-    S = np.diag([1.0, 1.0, np.sign(np.linalg.det(Vt.T @ U.T))])
-    R = Vt.T @ S @ U.T
-    return float(np.sqrt(np.mean(np.sum((P @ R.T - Q) ** 2, axis=1))))
+def _align_to(target, configs):
+    """Rigidly align ``configs`` to ``target`` (Kabsch, proper rotations only).
+
+    Both are ``(V, 3)`` vertex arrays or stacks ``(..., V, 3)`` that
+    broadcast against each other, so one call aligns a whole cohort with
+    one batched SVD. Each configuration is rotated about its centroid and
+    placed at its target's centroid.
+    """
+    P = configs - configs.mean(axis=-2, keepdims=True)
+    centroid = target.mean(axis=-2, keepdims=True)
+    Q = target - centroid
+    U, _, Vt = np.linalg.svd(np.swapaxes(P, -1, -2) @ Q)
+    V = np.swapaxes(Vt, -1, -2)
+    Ut = np.swapaxes(U, -1, -2)
+    flip = np.ones(V.shape[:-1])
+    flip[..., 2] = np.sign(np.linalg.det(V @ Ut))
+    R = (V * flip[..., None, :]) @ Ut
+    return P @ np.swapaxes(R, -1, -2) + centroid
+
+
+def _aligned_rms(target, configs):
+    """Vertex RMS distance of ``configs`` to ``target`` after rigid alignment."""
+    residual = _align_to(target, configs) - target
+    return np.sqrt(np.mean(np.sum(residual**2, axis=-1), axis=-1))
 
 
 def _truncated(model, modes):
@@ -70,15 +90,13 @@ def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrin
         return total / len(draws)
     if metric == "vertex":
         system = prefactor(ref)
-        train_meshes = [
+        train_meshes = np.stack([
             reconstruct(ref, t, system=system)[0].vertices for t in training
-        ]
+        ])
         total = 0.0
         for drawn in draws:
             mesh, _ = reconstruct(ref, drawn, system=system)
-            total += min(
-                _vertex_rms_aligned(mesh.vertices, tv) for tv in train_meshes
-            )
+            total += float(np.min(_aligned_rms(train_meshes, mesh.vertices)))
         return total / len(draws)
     raise ValueError(f"unknown metric {metric!r}")
 
@@ -117,8 +135,8 @@ def generalization_curve(ref, reps, max_modes=None, params=None, metric="intrins
                 )
             else:
                 mesh_p, _ = reconstruct(ref, projected, system=system)
-                errors[i, modes - 1] = _vertex_rms_aligned(
-                    mesh_p.vertices, mesh_h.vertices
+                errors[i, modes - 1] = _aligned_rms(
+                    mesh_h.vertices, mesh_p.vertices
                 )
     return errors.mean(axis=0)
 
@@ -244,13 +262,57 @@ class ClassifierModel:
         )
 
 
+def _train_stack(X, y, reg, n_iterations):
+    """Train one linear SVM per draw of stacked splits, all at once.
+
+    ``X`` is ``(draws, n, d)`` raw features and ``y`` the ``(draws, n)``
+    labels in {-1, +1}. Each draw is centered by its own mean and divided
+    by its own pooled scale, then minimizes ``0.5 / reg * |w|^2 + mean
+    hinge`` by full-batch subgradient descent with ``1/(alpha t)`` steps
+    (Pegasos, Shalev-Shwartz et al. 2007) and averaging over the last half
+    of the iterations. The bias is not regularized. Returns the
+    standardized weights ``(draws, d)`` and bias ``(draws,)``, the means
+    ``(draws, d)`` and the pooled scales ``(draws,)``.
+    """
+    if n_iterations < 2:
+        raise ValueError(f"n_iterations must be at least 2, got {n_iterations}")
+    draws, n, d = X.shape
+    mean = X.mean(axis=1)
+    centered = X - mean[:, None, :]
+    # One pooled scale: relative variances between modes are informative
+    # and must survive normalization.
+    pooled = np.sqrt(np.mean(centered**2, axis=(1, 2)))
+    scale = np.where(pooled > 0.0, pooled, 1.0)
+    # Label-signed rows with a ones column for the bias, so the margins
+    # and the hinge subgradient are one batched product each.
+    A = np.empty((draws, n, d + 1))
+    A[..., :d] = centered / scale[:, None, None] * y[..., None]
+    A[..., d] = y
+    alpha = 1.0 / reg
+    penalized = np.ones(d + 1)
+    penalized[d] = 0.0
+    v = np.zeros((draws, d + 1))
+    v_sum = np.zeros_like(v)
+    tail = n_iterations // 2
+    for t in range(1, n_iterations + 1):
+        active = (A @ v[..., None])[..., 0] < 1.0
+        hinge = (active[:, None, :].astype(float) @ A)[:, 0] / n
+        v = v - 1.0 / (alpha * t) * (alpha * penalized * v - hinge)
+        if t > n_iterations - tail:
+            v_sum += v
+    v = v_sum / tail
+    return v[:, :d], v[:, d], mean, scale
+
+
 def train_svm(features, labels, reg=1.0, n_iterations=DEFAULT_SVM_ITERATIONS):
     """Soft-margin linear SVM via deterministic full-batch subgradient descent.
 
     Minimizes ``0.5 / reg * |w|^2 + mean hinge`` on centered,
-    globally-scaled features with a ``1/t`` step size and tail averaging.
-    Duplicating rows or rescaling all features leaves the decision rule
-    unchanged.
+    globally-scaled features with a ``1/t`` step size and tail averaging
+    over the last ``n_iterations // 2`` steps (``n_iterations`` must be at
+    least 2). Duplicating rows or rescaling all features leaves the
+    decision rule unchanged. This is the one-draw case of the kernel that
+    ``monte_carlo_cv`` trains its draws with.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -259,40 +321,12 @@ def train_svm(features, labels, reg=1.0, n_iterations=DEFAULT_SVM_ITERATIONS):
     classes = np.unique(y)
     if not np.array_equal(classes, [-1.0, 1.0]):
         raise ValueError(f"labels must contain both classes -1 and +1, got {classes}")
-
-    mean = X.mean(axis=0)
-    centered = X - mean
-    # One pooled scale: relative variances between modes are informative
-    # and must survive normalization.
-    pooled = float(np.sqrt(np.mean(centered**2)))
-    std = np.full(X.shape[1], pooled if pooled > 0.0 else 1.0)
-    Z = centered / std
-
-    alpha = 1.0 / reg
-    n = Z.shape[0]
-    w = np.zeros(Z.shape[1])
-    b = 0.0
-    w_sum = np.zeros_like(w)
-    b_sum = 0.0
-    tail = n_iterations // 2
-    for t in range(1, n_iterations + 1):
-        margin = y * (Z @ w + b)
-        active = margin < 1.0
-        grad_w = alpha * w - (y[active, None] * Z[active]).sum(axis=0) / n
-        grad_b = -float(y[active].sum()) / n
-        step = 1.0 / (alpha * t)
-        w = w - step * grad_w
-        b = b - step * grad_b
-        if t > n_iterations - tail:
-            w_sum += w
-            b_sum += b
-    w = w_sum / tail
-    b = b_sum / tail
+    w, b, mean, scale = _train_stack(X[None], y[None], reg, n_iterations)
     return ClassifierModel(
-        weights_std=w,
-        bias_std=float(b),
-        feature_mean=mean,
-        feature_std=std,
+        weights_std=w[0],
+        bias_std=float(b[0]),
+        feature_mean=mean[0],
+        feature_std=np.full(X.shape[1], scale[0]),
         regularization=reg,
     )
 
@@ -303,12 +337,19 @@ def monte_carlo_cv(features, labels, train_share, draws=DEFAULT_CV_DRAWS, reg=1.
 
     Each draw trains on ``round(train_share * n_min)`` samples per class
     (``n_min`` the smaller class size) and tests on the complement.
-    Returns mean and standard deviation of the accuracy over draws.
+    Returns mean and standard deviation of the accuracy over ``draws >= 1``
+    draws. All splits are drawn first; the draws are then trained and
+    tested together by the ``train_svm`` kernel, in as few blocks as keep
+    each stacked ``(draws, rows, features)`` array under
+    ``_SVM_BLOCK_BYTES``, which bounds the memory. Neither the block size
+    nor the number of draws changes any draw's result.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=int)
     if not 0.0 < train_share < 1.0:
         raise ValueError("train_share must be in (0, 1)")
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     idx_pos = np.nonzero(y == 1)[0]
     idx_neg = np.nonzero(y == -1)[0]
     if idx_pos.size == 0 or idx_neg.size == 0:
@@ -321,15 +362,27 @@ def monte_carlo_cv(features, labels, train_share, draws=DEFAULT_CV_DRAWS, reg=1.
         )
 
     rng = np.random.default_rng(seed)
-    accuracies = np.empty(draws)
-    for d in range(draws):
+    splits = np.empty((draws, idx_pos.size + idx_neg.size), dtype=int)
+    for row in splits:
         pos = rng.permutation(idx_pos)
         neg = rng.permutation(idx_neg)
-        train = np.concatenate([pos[:k], neg[:k]])
-        test = np.concatenate([pos[k:], neg[k:]])
-        clf = train_svm(X[train], y[train], reg=reg, n_iterations=n_iterations)
-        predicted = clf.predict(X[test])
-        accuracies[d] = float(np.mean(predicted == y[test]))
+        row[:] = np.concatenate([pos[:k], neg[:k], pos[k:], neg[k:]])
+    train, test = splits[:, : 2 * k], splits[:, 2 * k:]
+
+    d = X.shape[1]
+    per_draw = X.itemsize * max(train.shape[1] * (d + 1), test.shape[1] * d)
+    block = max(1, _SVM_BLOCK_BYTES // per_draw)
+    accuracies = np.empty(draws)
+    for lo in range(0, draws, block):
+        rows = slice(lo, lo + block)
+        w, b, mean, scale = _train_stack(X[train[rows]], y[train[rows]], reg,
+                                         n_iterations)
+        # The decision rule of ClassifierModel, de-standardized per draw.
+        eta = w / scale[:, None]
+        bias = b - (w * mean / scale[:, None]).sum(axis=1)
+        decision = (X[test[rows]] @ eta[..., None])[..., 0] + bias[:, None]
+        predicted = np.where(decision >= 0.0, 1, -1)
+        accuracies[rows] = np.mean(predicted == y[test[rows]], axis=1)
     return float(accuracies.mean()), float(accuracies.std())
 
 
@@ -363,17 +416,6 @@ class PDMModel:
         return self.components.shape[0]
 
 
-def _align_to(target, vertices):
-    """Rigidly align ``vertices`` to ``target`` (both centered copies)."""
-    P = vertices - vertices.mean(axis=0)
-    Q = target - target.mean(axis=0)
-    H = P.T @ Q
-    U, _, Vt = np.linalg.svd(H)
-    S = np.diag([1.0, 1.0, np.sign(np.linalg.det(Vt.T @ U.T))])
-    R = Vt.T @ S @ U.T
-    return P @ R.T + target.mean(axis=0)
-
-
 def pdm_fit(meshes, tol=1e-10, max_iter=100):
     """Point-distribution model: generalized Procrustes + PCA.
 
@@ -385,17 +427,16 @@ def pdm_fit(meshes, tol=1e-10, max_iter=100):
     for mesh in meshes[1:]:
         if not np.array_equal(mesh.triangles, triangles):
             raise ReferenceMismatchError("meshes have different combinatorics")
-    configs = [m.vertices - m.vertices.mean(axis=0) for m in meshes]
+    configs = np.stack([m.vertices - m.vertices.mean(axis=0) for m in meshes])
     mean = configs[0].copy()
     for _ in range(max_iter):
-        aligned = [_align_to(mean, c) for c in configs]
-        new_mean = np.mean(aligned, axis=0)
+        new_mean = _align_to(mean, configs).mean(axis=0)
         new_mean -= new_mean.mean(axis=0)
         if np.max(np.abs(new_mean - mean)) < tol:
             mean = new_mean
             break
         mean = new_mean
-    aligned = np.stack([_align_to(mean, c) for c in configs])
+    aligned = _align_to(mean, configs)
 
     n = aligned.shape[0]
     flat = aligned.reshape(n, -1)

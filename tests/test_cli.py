@@ -331,6 +331,19 @@ class TestExtendedFlags:
         payload = json.loads(clf_path.read_text())
         assert "weights_std" in payload and "feature_std" in payload
 
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_invalid_draws_rejected(self, workspace, capsys, value):
+        out = workspace / "never.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "classify", "--features", str(workspace / "features.csv"),
+                "--labels", str(workspace / "labels.csv"),
+                "--out", str(out), "--draws", value,
+            ])
+        assert exc.value.code == 2
+        assert "--draws" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_identical_invocations_identical_bytes(self, workspace):

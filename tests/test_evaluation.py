@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from shapeforms import evaluation
 from shapeforms.evaluation import (
     ClassifierModel,
+    _aligned_rms,
+    _align_to,
     accuracy_curve,
     compactness,
     discriminating_path,
@@ -220,6 +223,98 @@ class TestSvm:
         assert back.bias == pytest.approx(clf.bias)
 
 
+def reference_train_svm(X, y, reg=1.0, n_iterations=600):
+    """The per-draw subgradient loop that the batched kernel replaced."""
+    mean = X.mean(axis=0)
+    centered = X - mean
+    pooled = float(np.sqrt(np.mean(centered**2)))
+    std = np.full(X.shape[1], pooled if pooled > 0.0 else 1.0)
+    Z = centered / std
+    alpha = 1.0 / reg
+    n = Z.shape[0]
+    w = np.zeros(Z.shape[1])
+    b = 0.0
+    w_sum = np.zeros_like(w)
+    b_sum = 0.0
+    tail = n_iterations // 2
+    for t in range(1, n_iterations + 1):
+        margin = y * (Z @ w + b)
+        active = margin < 1.0
+        grad_w = alpha * w - (y[active, None] * Z[active]).sum(axis=0) / n
+        grad_b = -float(y[active].sum()) / n
+        step = 1.0 / (alpha * t)
+        w = w - step * grad_w
+        b = b - step * grad_b
+        if t > n_iterations - tail:
+            w_sum += w
+            b_sum += b
+    return ClassifierModel(w_sum / tail, float(b_sum / tail), mean, std, reg)
+
+
+def reference_monte_carlo_cv(X, y, share, draws, seed=0):
+    """Monte-Carlo cross-validation one draw after another."""
+    idx_pos = np.nonzero(y == 1)[0]
+    idx_neg = np.nonzero(y == -1)[0]
+    k = max(int(round(share * min(idx_pos.size, idx_neg.size))), 1)
+    rng = np.random.default_rng(seed)
+    accuracies = np.empty(draws)
+    for d in range(draws):
+        pos = rng.permutation(idx_pos)
+        neg = rng.permutation(idx_neg)
+        train = np.concatenate([pos[:k], neg[:k]])
+        test = np.concatenate([pos[k:], neg[k:]])
+        clf = reference_train_svm(X[train], y[train].astype(float))
+        accuracies[d] = np.mean(clf.predict(X[test]) == y[test])
+    return float(accuracies.mean()), float(accuracies.std())
+
+
+class TestBatchedSvm:
+    """The batched kernel against the per-draw loop it replaced."""
+
+    @pytest.mark.parametrize("share", [0.2, 0.6])
+    @pytest.mark.parametrize("budget", [1, 10_000, None])
+    def test_cv_matches_per_draw_loop(self, monkeypatch, share, budget):
+        # Overlapping classes, so hinge terms stay active to the end. A
+        # budget of one byte trains every draw in its own block, 10 kB
+        # three or four draws per block with a shorter last one, and the
+        # default all 23 draws in one block.
+        X, y = toy_blobs(n_per_class=25, separation=0.6, dims=12, seed=12)
+        if budget is not None:
+            monkeypatch.setattr(evaluation, "_SVM_BLOCK_BYTES", budget)
+        expected = reference_monte_carlo_cv(X, y, share, draws=23, seed=4)
+        assert expected[0] < 0.95
+        assert monte_carlo_cv(X, y, share, draws=23, seed=4) == expected
+
+    @pytest.mark.parametrize("seed", [13, 14])
+    def test_train_svm_matches_per_draw_loop(self, seed):
+        X, y = toy_blobs(n_per_class=30, separation=0.6, dims=9, seed=seed)
+        clf = train_svm(X, y)
+        expected = reference_train_svm(X, y.astype(float))
+        assert np.mean(expected.predict(X) == y) < 1.0
+        np.testing.assert_allclose(clf.weights_std, expected.weights_std,
+                                   rtol=1e-12, atol=0.0)
+        assert clf.bias_std == expected.bias_std
+        assert np.array_equal(clf.feature_mean, expected.feature_mean)
+        assert np.array_equal(clf.feature_std, expected.feature_std)
+        assert np.array_equal(clf.predict(X), expected.predict(X))
+
+    def test_two_iterations_average_the_last(self):
+        X, y = toy_blobs(seed=15)
+        clf = train_svm(X, y, n_iterations=2)
+        expected = reference_train_svm(X, y.astype(float), n_iterations=2)
+        assert np.all(np.isfinite(clf.weights_std))
+        np.testing.assert_allclose(clf.weights_std, expected.weights_std,
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n_iterations", [1, 0, -3])
+    def test_too_few_iterations_rejected(self, n_iterations):
+        X, y = toy_blobs(seed=16)
+        with pytest.raises(ValueError, match="n_iterations"):
+            train_svm(X, y, n_iterations=n_iterations)
+        with pytest.raises(ValueError, match="n_iterations"):
+            monte_carlo_cv(X, y, 0.5, draws=3, n_iterations=n_iterations)
+
+
 class TestMonteCarloCV:
     def test_separable_high_accuracy(self):
         X, y = toy_blobs(n_per_class=30, seed=5)
@@ -256,6 +351,62 @@ class TestMonteCarloCV:
         with pytest.raises(ValueError):
             monte_carlo_cv(X, y, train_share=0.95, draws=5)
 
+    @pytest.mark.parametrize("draws", [0, -1])
+    def test_no_draws_rejected(self, draws):
+        X, y = toy_blobs(seed=17)
+        with pytest.raises(ValueError, match="draws"):
+            monte_carlo_cv(X, y, 0.5, draws=draws)
+        with pytest.raises(ValueError, match="draws"):
+            accuracy_curve(X, y, [0.5], draws=draws)
+
+
+def reference_align(target, vertices):
+    """Kabsch alignment of one configuration, as written before stacking."""
+    P = vertices - vertices.mean(axis=0)
+    Q = target - target.mean(axis=0)
+    U, _, Vt = np.linalg.svd(P.T @ Q)
+    S = np.diag([1.0, 1.0, np.sign(np.linalg.det(Vt.T @ U.T))])
+    R = Vt.T @ S @ U.T
+    return P @ R.T + target.mean(axis=0)
+
+
+def moved_copies(vertices, count, seed):
+    rng = np.random.default_rng(seed)
+    copies = []
+    for _ in range(count):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        R = so3_exp(axis * rng.uniform(0.0, 3.0))
+        noise = rng.normal(size=vertices.shape, scale=0.05)
+        copies.append((vertices + noise) @ R.T + rng.normal(size=3, scale=4.0))
+    return np.stack(copies)
+
+
+class TestKabsch:
+    def test_stack_matches_one_at_a_time(self, ref):
+        target = ref.mesh.vertices
+        configs = moved_copies(target, 5, seed=40)
+        expected = np.stack([reference_align(target, c) for c in configs])
+        assert np.array_equal(_align_to(target, configs), expected)
+
+    def test_rms_against_stacked_targets(self, ref):
+        config = smooth_deformation(ref.mesh, seed=41).vertices
+        targets = moved_copies(ref.mesh.vertices, 4, seed=42)
+        expected = [
+            np.sqrt(np.mean(np.sum((reference_align(t, config) - t) ** 2, axis=1)))
+            for t in targets
+        ]
+        np.testing.assert_allclose(_aligned_rms(targets, config), expected,
+                                   rtol=1e-12, atol=0.0)
+
+    def test_rigid_copy_aligns_but_mirror_image_does_not(self, ref):
+        target = smooth_deformation(ref.mesh, seed=43).vertices
+        copy = target @ so3_exp(np.array([0.3, -1.2, 0.7])).T + 2.0
+        mirrored = target * np.array([1.0, 1.0, -1.0])
+        rms = _aligned_rms(target, np.stack([copy, mirrored]))
+        assert rms[0] < 1e-12
+        assert rms[1] > 1e-3
+
 
 class TestPdm:
     def test_two_shapes_one_component(self, ref):
@@ -288,8 +439,6 @@ class TestPdm:
         for mesh in meshes:
             coeffs = pdm_coefficients(model, mesh)
             rebuilt = pdm_synthesize(model, coeffs)
-            from shapeforms.evaluation import _align_to
-
             aligned = _align_to(
                 model.mean_vertices, mesh.vertices - mesh.vertices.mean(axis=0)
             )
