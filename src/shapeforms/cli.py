@@ -65,7 +65,7 @@ def build_parser():
     p = sub.add_parser("interpolate", help="geodesic between two meshes")
     p.add_argument("inputs", nargs=2, metavar=("A", "B"))
     p.add_argument("--reference", required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_positive_int, required=True)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("mean", help="cohort -> mean representation + mesh")
@@ -97,7 +97,7 @@ def build_parser():
     p = sub.add_parser("sample", help="draw random shapes from a model")
     p.add_argument("--reference", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--meshes", action="store_true",
@@ -134,10 +134,10 @@ def build_parser():
     p.add_argument("--reference", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--omega", type=_positive_float, default=None)
-    p.add_argument("--n-samples", type=int, default=1000)
+    p.add_argument("--n-samples", type=_positive_int, default=1000)
     p.add_argument("--metric", choices=["intrinsic", "vertex"], default="intrinsic")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-modes", type=int, default=None)
+    p.add_argument("--max-modes", type=_positive_int, default=None)
 
     p = sub.add_parser("diagnose",
                        help="relative transition-rotation angle histogram")
@@ -145,7 +145,7 @@ def build_parser():
     p.add_argument("--reference", default=None,
                    help="defaults to the first input mesh")
     p.add_argument("--out", required=True)
-    p.add_argument("--bins", type=int, default=36)
+    p.add_argument("--bins", type=_positive_int, default=36)
 
     p = sub.add_parser("gen-synthetic", help="write seeded synthetic data")
     p.add_argument("--kind", required=True,

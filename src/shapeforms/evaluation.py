@@ -79,6 +79,8 @@ def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrin
     """
     if not training:
         raise ValueError("training set is empty")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     truncated = _truncated(model, modes)
     draws = sample(truncated, n_samples, seed=seed)
     if metric == "intrinsic":
@@ -114,6 +116,8 @@ def generalization_curve(ref, reps, max_modes=None, params=None, metric="intrins
     # plateaus because no further coefficients exist.
     if max_modes is None:
         max_modes = len(reps) - 2
+    if max_modes < 1:
+        raise ValueError(f"max_modes must be at least 1, got {max_modes}")
 
     if metric not in ("intrinsic", "vertex"):
         raise ValueError(f"unknown metric {metric!r}")
@@ -182,8 +186,14 @@ class MetricsReport:
 def metrics_report(ref, reps, params=None, n_samples=1000, metric="intrinsic", seed=0,
                    max_modes=None):
     """Evaluate all three quality measures on a cohort."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if max_modes is not None and max_modes < 1:
+        raise ValueError(f"max_modes must be at least 1, got {max_modes}")
     kwargs = {} if params is None else {"params": params}
     model = pga(ref, reps, **kwargs)
+    if model.n_modes == 0:
+        raise ValueError("the shapes do not vary: the model has no modes")
     cap = model.n_modes if max_modes is None else min(max_modes, model.n_modes)
     mode_counts = np.arange(1, cap + 1)
     spec = np.array(

@@ -84,24 +84,36 @@ def so3_angle(R):
     return np.arctan2(sin_theta, cos_theta)
 
 
+def _check_cut_locus(theta, item):
+    """Raise :class:`CutLocusError` if an angle is within ``_PI_MARGIN`` of
+    pi, naming the flat index of the largest angle as ``item``."""
+    theta = np.reshape(theta, -1)
+    if np.any(theta >= np.pi - _PI_MARGIN):
+        idx = int(np.argmax(theta))
+        raise CutLocusError(
+            f"{item} {idx} is at the cut locus: rotation angle "
+            f"{theta[idx]:.17g} is within {_PI_MARGIN:g} of pi"
+        )
+
+
 def so3_log(R):
     """Axis-angle vector of the rotation ``R``.
 
     Requires the rotation angle to be strictly below pi; at the cut locus
     the logarithm is ambiguous and a :class:`CutLocusError` is raised.
     """
+    return _so3_log(R, "rotation")
+
+
+def _so3_log(R, item):
+    """:func:`so3_log` naming a cut-locus rotation as ``item``."""
     R = np.asarray(R, dtype=float)
     squeeze = R.ndim == 2
     R = R.reshape((-1, 3, 3)) if squeeze else R
     flat = R.reshape((-1, 3, 3))
 
     theta = so3_angle(flat)
-    if np.any(theta >= np.pi - _PI_MARGIN):
-        idx = int(np.argmax(theta))
-        raise CutLocusError(
-            f"rotation angle {theta[idx]:.17g} is within {_PI_MARGIN:g} of pi; "
-            "logarithm is ambiguous"
-        )
+    _check_cut_locus(theta, item)
 
     vee = unskew(flat)
     small = theta < _TINY_ANGLE
@@ -147,8 +159,7 @@ def so3_distance(Q, R):
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
     theta = so3_angle(np.swapaxes(Q, -1, -2) @ R)
-    if np.any(theta >= np.pi - _PI_MARGIN):
-        raise CutLocusError("relative rotation at the cut locus (angle pi)")
+    _check_cut_locus(theta, "relative rotation")
     return np.sqrt(2.0) * theta
 
 
@@ -191,15 +202,17 @@ def _sym2_apply(A, fn):
     return np.einsum("...ik,...k,...jk->...ij", V, fw, V)
 
 
-def spd2_log(U):
-    """Matrix logarithm of symmetric positive-definite ``(..., 2, 2)`` input."""
-    U = np.asarray(U, dtype=float)
-    w, V = _sym2_eig(U)
+def _positive_log(w):
     if np.any(w <= 0.0):
         raise ConditioningError(
             f"matrix is not positive-definite (min eigenvalue {w.min():.17g})"
         )
-    return np.einsum("...ik,...k,...jk->...ij", V, np.log(w), V)
+    return np.log(w)
+
+
+def spd2_log(U):
+    """Matrix logarithm of symmetric positive-definite ``(..., 2, 2)`` input."""
+    return _sym2_apply(U, _positive_log)
 
 
 def spd2_exp(X):

@@ -93,18 +93,12 @@ class TriangleMesh:
             raise MeshTopologyError("mesh has no triangles")
         if self.triangles.min() < 0 or self.triangles.max() >= self.n_vertices:
             raise MeshTopologyError("triangle index out of range")
-        if np.any(
-            (self.triangles[:, 0] == self.triangles[:, 1])
-            | (self.triangles[:, 1] == self.triangles[:, 2])
-            | (self.triangles[:, 0] == self.triangles[:, 2])
-        ):
-            bad = int(
-                np.nonzero(
-                    (self.triangles[:, 0] == self.triangles[:, 1])
-                    | (self.triangles[:, 1] == self.triangles[:, 2])
-                    | (self.triangles[:, 0] == self.triangles[:, 2])
-                )[0][0]
-            )
+        tri = self.triangles
+        repeated = (
+            (tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2]) | (tri[:, 0] == tri[:, 2])
+        )
+        if np.any(repeated):
+            bad = int(np.flatnonzero(repeated)[0])
             raise DegenerateGeometryError(f"triangle {bad} repeats a vertex")
 
         areas = self.triangle_areas()
@@ -116,9 +110,9 @@ class TriangleMesh:
                 f"{threshold:.3g}"
             )
 
-        # Consistent winding: no directed edge may appear twice, and each
-        # undirected edge belongs to at most two triangles.
-        tri = self.triangles
+        # Consistent winding: no directed edge may appear twice. Then no
+        # undirected edge can touch more than two triangles either, since
+        # two of any three would traverse it in the same direction.
         directed = np.concatenate(
             [tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]], axis=0
         )
@@ -127,27 +121,42 @@ class TriangleMesh:
             raise MeshTopologyError(
                 "duplicated directed edge: non-manifold or inconsistent winding"
             )
-        lo = directed.min(axis=1)
-        hi = directed.max(axis=1)
-        ukeys = lo * self.n_vertices + hi
-        order = np.argsort(ukeys)
-        ukeys = ukeys[order]
-        if np.any(ukeys[2:] == ukeys[:-2]):
-            raise MeshTopologyError("edge shared by more than two triangles")
 
-        # Dual-graph connectivity over the triangle pairs of shared edges;
-        # row ``k`` of ``directed`` belongs to triangle ``k % m``.
-        shared = np.flatnonzero(ukeys[1:] == ukeys[:-1])
-        tri_ids = order % m
+        pairs, _ = _dual_edges(tri, self.n_vertices)
         dual = scipy.sparse.coo_matrix(
-            (np.ones(shared.size), (tri_ids[shared], tri_ids[shared + 1])),
-            shape=(m, m),
+            (np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(m, m)
         )
         n_components, _ = connected_components(dual, directed=False)
         if n_components > 1:
             raise MeshTopologyError(
                 f"dual graph has {n_components} components; expected a single one"
             )
+
+
+def _dual_edges(triangles, n_vertices):
+    """Edges shared by two triangles of a mesh with consistent winding.
+
+    Returns ``(pairs, shared)``: the ``(E, 2)`` triangle indices ``i < j``
+    and the ``(E, 2)`` vertex indices ``lo < hi`` of each shared edge, in
+    ascending order of its key ``lo * n_vertices + hi``.
+    """
+    m = triangles.shape[0]
+    corners = np.concatenate(
+        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]], axis=0
+    )
+    lo = corners.min(axis=1)
+    hi = corners.max(axis=1)
+    keys = lo * n_vertices + hi
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    # The two rows of a shared edge are adjacent in key order; row ``k`` of
+    # ``corners`` belongs to triangle ``k % m``.
+    run = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+    first, second = order[run], order[run + 1]
+    a, b = first % m, second % m
+    pairs = np.stack((np.minimum(a, b), np.maximum(a, b)), axis=1)
+    shared = np.stack((lo[first], hi[first]), axis=1)
+    return pairs, shared
 
 
 def unique_edges(triangles):

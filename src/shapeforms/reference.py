@@ -10,9 +10,11 @@ deformation gradients.
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import breadth_first_order, shortest_path
 
 from .errors import DegenerateGeometryError, MeshTopologyError
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, _dual_edges
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,9 @@ class ReferenceGeometry:
         Per-triangle arrays of adjacent triangle indices, ascending.
     spanning_tree : ndarray
         ``(m - 1, 2)`` dual-graph tree edges ``(parent, child)`` in
-        breadth-first visit order from seed triangle 0.
+        breadth-first visit order from seed triangle 0: the
+        ``scipy.sparse.csgraph.breadth_first_order`` of the dual adjacency
+        in CSR form, whose rows list the ``neighbors`` in ascending order.
     tree_edge_indices : ndarray
         ``(m - 1,)`` inner-edge index of each spanning-tree edge.
     tree_depths : ndarray
@@ -126,26 +130,40 @@ def build_reference(mesh):
 
     The frame convention and the breadth-first spanning tree from triangle
     0 (neighbors visited in ascending index order) are fixed so that equal
-    input bytes give equal outputs.
+    input bytes give equal outputs. The tree is the csgraph breadth-first
+    order over the CSR dual adjacency, and its depths are the unweighted
+    shortest-path distances from triangle 0.
     """
     m = mesh.n_triangles
     frames = triangle_frames(mesh)
     tri_areas = mesh.triangle_areas()
     total_area = float(tri_areas.sum())
 
-    inner_edges, shared = _inner_edges(mesh)
+    pairs, shared = _dual_edges(mesh.triangles, mesh.n_vertices)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    inner_edges, shared = pairs[order], shared[order]
     edge_keys = inner_edges[:, 0] * m + inner_edges[:, 1]
     edge_areas = (tri_areas[inner_edges[:, 0]] + tri_areas[inner_edges[:, 1]]) / 3.0
     total_edge_area = float(edge_areas.sum())
 
-    neighbors = [[] for _ in range(m)]
-    for i, j in inner_edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    neighbors = tuple(np.array(sorted(n), dtype=np.int64) for n in neighbors)
-    neighbor_counts = np.array([len(n) for n in neighbors], dtype=np.int64)
+    # Symmetric dual adjacency as CSR rows in ascending neighbor order.
+    src = np.concatenate((inner_edges[:, 0], inner_edges[:, 1]))
+    dst = np.concatenate((inner_edges[:, 1], inner_edges[:, 0]))
+    dst = dst[np.lexsort((dst, src))]
+    neighbor_counts = np.bincount(src, minlength=m)
+    indptr = np.concatenate(([0], np.cumsum(neighbor_counts)))
+    neighbors = tuple(np.split(dst, indptr[1:-1]))
+    adjacency = scipy.sparse.csr_matrix((np.ones(dst.size), dst, indptr), shape=(m, m))
 
-    tree, tree_depths = _bfs_tree(m, neighbors, seed=0)
+    # Breadth-first from triangle 0 over the ascending CSR rows; a validated
+    # mesh has a connected dual graph, so every triangle is reached.
+    visit, parent = breadth_first_order(
+        adjacency, 0, directed=True, return_predecessors=True
+    )
+    children = visit[1:].astype(np.int64)
+    tree = np.stack((parent[children].astype(np.int64), children), axis=1)
+    depth = shortest_path(adjacency, directed=True, unweighted=True, indices=0)
+    tree_depths = depth[children].astype(np.int64)
     tree_edge_indices = np.searchsorted(
         edge_keys, tree.min(axis=1) * m + tree.max(axis=1)
     )
@@ -173,63 +191,6 @@ def build_reference(mesh):
         seed_triangle=0,
         content_hash=mesh.content_hash(),
     )
-
-
-def _inner_edges(mesh):
-    tri = mesh.triangles
-    m = mesh.n_triangles
-    nv = mesh.n_vertices
-    corner = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]], axis=0)
-    tri_ids = np.concatenate([np.arange(m)] * 3)
-    lo = corner.min(axis=1)
-    hi = corner.max(axis=1)
-    keys = lo * nv + hi
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    tri_ids = tri_ids[order]
-    lo, hi = lo[order], hi[order]
-
-    pairs = []
-    shared = []
-    pos = 0
-    total = keys.size
-    while pos < total:
-        end = pos + 1
-        while end < total and keys[end] == keys[pos]:
-            end += 1
-        if end - pos == 2:
-            a, b = int(tri_ids[pos]), int(tri_ids[pos + 1])
-            pairs.append((min(a, b), max(a, b)))
-            shared.append((int(lo[pos]), int(hi[pos])))
-        pos = end
-    if pairs:
-        pairs = np.array(pairs, dtype=np.int64)
-        shared = np.array(shared, dtype=np.int64)
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        return pairs[order], shared[order]
-    return np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2), dtype=np.int64)
-
-
-def _bfs_tree(m, neighbors, seed):
-    visited = np.zeros(m, dtype=bool)
-    visited[seed] = True
-    depth = [0] * m
-    queue = [seed]
-    edges = []
-    head = 0
-    while head < len(queue):
-        current = queue[head]
-        head += 1
-        for nb in neighbors[current]:
-            if not visited[nb]:
-                visited[nb] = True
-                depth[nb] = depth[current] + 1
-                edges.append((current, int(nb)))
-                queue.append(int(nb))
-    if not visited.all():
-        raise MeshTopologyError("dual graph is disconnected")
-    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    return edges, np.array(depth, dtype=np.int64)[edges[:, 1]]
 
 
 def deformation_gradients(ref, mesh):

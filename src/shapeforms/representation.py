@@ -24,12 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutLocusError, ReferenceMismatchError
+from .errors import ReferenceMismatchError
 from .liegroups import (
+    _check_cut_locus,
+    _so3_log,
     polar3,
     so3_angle,
     so3_exp,
-    so3_log,
     spd2_exp,
     spd2_log,
 )
@@ -37,8 +38,6 @@ from .reference import deformation_gradients
 
 #: Default commensuration weight; larger values emphasize curvature.
 DEFAULT_OMEGA = 10.0
-
-_PI_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -231,7 +230,11 @@ def _relative_angles(rot_a, rot_b):
 
 
 def rep_distance(ref, s, t, params=DistanceParams()):
-    """Weighted geodesic distance between two representations."""
+    """Weighted geodesic distance between two representations.
+
+    Raises :class:`CutLocusError`, naming the worst edge, if two transition
+    rotations differ by an angle at pi.
+    """
     _check_binding(ref, s)
     _check_pair(s, t)
     omega = params.omega
@@ -239,8 +242,7 @@ def rep_distance(ref, s, t, params=DistanceParams()):
     total = 0.0
     if ref.n_inner_edges:
         theta = _relative_angles(s.rotations, t.rotations)
-        if np.any(theta >= np.pi - _PI_MARGIN):
-            raise CutLocusError("edge rotations differ by an angle at pi")
+        _check_cut_locus(theta, "edge")
         rot_sq = 2.0 * theta**2  # squared Frobenius norm of the skew logarithm
         total += omega**3 / ref.total_edge_area * float(ref.edge_areas @ rot_sq)
 
@@ -251,9 +253,13 @@ def rep_distance(ref, s, t, params=DistanceParams()):
 
 
 def rep_log(base, s):
-    """Right-translated logarithm of ``s`` at ``base``, componentwise."""
+    """Right-translated logarithm of ``s`` at ``base``, componentwise.
+
+    Raises :class:`CutLocusError`, naming the worst edge, if two transition
+    rotations differ by an angle at pi.
+    """
     _check_pair(base, s)
-    rot_part = so3_log(s.rotations @ np.swapaxes(base.rotations, -1, -2))
+    rot_part = _so3_log(s.rotations @ np.swapaxes(base.rotations, -1, -2), "edge")
     rot_part = rot_part.reshape(-1, 3)
     stretch_part = spd2_log(s.stretches) - spd2_log(base.stretches)
     return TangentRep(rot_part, stretch_part, base.content_hash())

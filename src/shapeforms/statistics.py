@@ -53,15 +53,18 @@ def mean_residual(mu, reps):
     and symmetric components); the metric weights only rescale it by a
     bounded factor, so the zero test is equivalent.
     """
-    total_rot = np.zeros((mu.n_edges, 3))
-    total_spd = np.zeros((mu.n_triangles, 2, 2))
+    return _summed_log(mu, reps)[1]
+
+
+def _summed_log(mu, reps):
+    """Sum of the logs of ``reps`` at ``mu`` and its :func:`mean_residual`."""
+    total = TangentRep.zero(mu)
     for rep in reps:
-        v = rep_log(mu, rep)
-        total_rot += v.rot_part
-        total_spd += v.stretch_part
-    return float(
-        np.sqrt(2.0 * np.sum(total_rot**2) + np.sum(total_spd**2))
+        total = total + rep_log(mu, rep)
+    residual = float(
+        np.sqrt(2.0 * np.sum(total.rot_part**2) + np.sum(total.stretch_part**2))
     )
+    return total, residual
 
 
 def frechet_mean(reps, tol=DEFAULT_MEAN_TOL, max_iter=DEFAULT_MEAN_MAX_ITER):
@@ -86,12 +89,7 @@ def frechet_mean(reps, tol=DEFAULT_MEAN_TOL, max_iter=DEFAULT_MEAN_MAX_ITER):
     if n == 1:
         return mu
     for _ in range(max_iter):
-        total = TangentRep.zero(mu)
-        for rep in reps:
-            total = total + rep_log(mu, rep)
-        residual = float(
-            np.sqrt(2.0 * np.sum(total.rot_part**2) + np.sum(total.stretch_part**2))
-        )
+        total, residual = _summed_log(mu, reps)
         if residual < tol:
             return mu
         mu = rep_exp(mu, (1.0 / n) * total)

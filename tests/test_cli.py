@@ -345,6 +345,34 @@ class TestExtendedFlags:
         assert not out.exists()
 
 
+class TestCountOptions:
+    @pytest.mark.parametrize("command, flag", [
+        ("metrics", "--n-samples"), ("metrics", "--max-modes"),
+        ("interpolate", "--steps"), ("sample", "--count"), ("diagnose", "--bins"),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_invalid_count_rejected(self, workspace, capsys, command, flag, value):
+        ref = str(workspace / "ref.obj")
+        shapes = [str(workspace / f"shape_{k}.obj") for k in range(3)]
+        out = workspace / "never"
+        args = {
+            "metrics": ["metrics", *shapes, "--reference", ref, "--out", str(out)],
+            "interpolate": ["interpolate", *shapes[:2], "--reference", ref,
+                            "--out-dir", str(out)],
+            "sample": ["sample", "--reference", ref, "--model", "model.json",
+                       "--out-dir", str(out)],
+            "diagnose": ["diagnose", *shapes[:2], "--out", str(out)],
+        }[command]
+        required = {"interpolate": "--steps", "sample": "--count"}
+        if command in required and required[command] != flag:
+            args += [required[command], "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + [flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_identical_invocations_identical_bytes(self, workspace):
         a = workspace / "rep_a.json"

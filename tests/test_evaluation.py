@@ -108,6 +108,11 @@ class TestSpecificity:
         with pytest.raises(ValueError):
             specificity(ref, model, [])
 
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_no_samples_rejected(self, ref, cohort, model, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be at least 1"):
+            specificity(ref, model, cohort, n_samples=n_samples)
+
 
 class TestGeneralization:
     def test_single_direction_family_recovered(self, ref, cohort):
@@ -130,6 +135,11 @@ class TestGeneralization:
         reps = stretch_only_cohort(ref, 5, seed=4)
         curve = generalization_curve(ref, reps)
         assert curve[-1] <= curve.min() + 1e-9
+
+    @pytest.mark.parametrize("max_modes", [0, -1])
+    def test_no_modes_rejected(self, ref, cohort, max_modes):
+        with pytest.raises(ValueError, match="max_modes must be at least 1"):
+            generalization_curve(ref, cohort, max_modes=max_modes)
 
 
 class TestCompactness:
@@ -174,6 +184,19 @@ class TestMetricsReport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "modes,specificity,generalization,compactness"
         assert len(lines) == report.modes.size + 1
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_samples": 0}, "n_samples must be at least 1"),
+        ({"max_modes": 0}, "max_modes must be at least 1"),
+        ({"max_modes": -1}, "max_modes must be at least 1"),
+    ])
+    def test_empty_curves_rejected(self, ref, cohort, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            metrics_report(ref, cohort, **kwargs)
+
+    def test_identical_shapes_rejected(self, ref, cohort):
+        with pytest.raises(ValueError, match="the model has no modes"):
+            metrics_report(ref, [cohort[0]] * 4, n_samples=2)
 
 
 def toy_blobs(n_per_class=20, separation=5.0, dims=4, seed=0):

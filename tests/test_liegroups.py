@@ -103,6 +103,12 @@ class TestSo3Log:
         with pytest.raises(CutLocusError):
             so3_log(R)
 
+    def test_cut_locus_error_names_worst_rotation(self):
+        R = np.stack([rot_z(0.5), rot_z(1.0), rot_z(np.pi)])
+        with pytest.raises(CutLocusError, match=r"^rotation 2 is at the cut locus: "
+                           r"rotation angle 3\.14159"):
+            so3_log(R)
+
     def test_against_matrix_logarithm(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -112,6 +118,13 @@ class TestSo3Log:
 
 
 class TestSo3Distance:
+    def test_half_turn_is_cut_locus(self):
+        Q = np.stack([rot_z(0.3), rot_z(0.3)])
+        R = np.stack([rot_z(1.0), rot_z(0.3 + np.pi)])
+        with pytest.raises(CutLocusError, match=r"^relative rotation 1 is at the "
+                           r"cut locus: rotation angle 3\.14159"):
+            so3_distance(Q, R)
+
     def test_zero_on_diagonal(self):
         rng = np.random.default_rng(6)
         Q = random_rotation(rng)

@@ -9,7 +9,7 @@ from shapeforms.errors import (
 from shapeforms.liegroups import so3_exp
 from shapeforms.mesh import TriangleMesh, load_mesh, save_mesh
 from shapeforms.reference import build_reference, deformation_gradients
-from shapeforms.synthetic import icosphere
+from shapeforms.synthetic import cylinder_patch, icosphere
 
 
 @pytest.fixture
@@ -62,6 +62,21 @@ class TestTriangleMesh:
         )
         with pytest.raises(MeshTopologyError, match="2 components"):
             TriangleMesh(vertices, np.array([[0, 1, 2], [3, 4, 5]]))
+
+    @pytest.mark.parametrize("flip", [False, True], ids=["fan", "reversed-fan"])
+    def test_edge_of_three_triangles_rejected(self, flip):
+        # Three triangles on edge (0, 1): two of them traverse it the same way.
+        vertices = np.array(
+            [
+                [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1.0, 0.0],
+                [0.5, -1.0, 0.0], [0.5, 0.0, 1.0],
+            ]
+        )
+        triangles = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+        if flip:
+            triangles = triangles[:, ::-1]
+        with pytest.raises(MeshTopologyError, match="duplicated directed edge"):
+            TriangleMesh(vertices, triangles)
 
     def test_normals_unit(self, tetrahedron):
         normals = tetrahedron.triangle_normals()
@@ -150,6 +165,131 @@ class TestMeshIO:
         save_mesh(tetrahedron, p1)
         save_mesh(tetrahedron, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def loop_inner_edges(mesh):
+    """Inner edges and their shared vertices by a walk over sorted edge keys."""
+    tri = mesh.triangles
+    m = mesh.n_triangles
+    nv = mesh.n_vertices
+    corner = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]], axis=0)
+    tri_ids = np.concatenate([np.arange(m)] * 3)
+    lo = corner.min(axis=1)
+    hi = corner.max(axis=1)
+    keys = lo * nv + hi
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    tri_ids = tri_ids[order]
+    lo, hi = lo[order], hi[order]
+
+    pairs = []
+    shared = []
+    pos = 0
+    total = keys.size
+    while pos < total:
+        end = pos + 1
+        while end < total and keys[end] == keys[pos]:
+            end += 1
+        if end - pos == 2:
+            a, b = int(tri_ids[pos]), int(tri_ids[pos + 1])
+            pairs.append((min(a, b), max(a, b)))
+            shared.append((int(lo[pos]), int(hi[pos])))
+        pos = end
+    if pairs:
+        pairs = np.array(pairs, dtype=np.int64)
+        shared = np.array(shared, dtype=np.int64)
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        return pairs[order], shared[order]
+    return np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2), dtype=np.int64)
+
+
+def loop_neighbors(m, inner_edges):
+    neighbors = [[] for _ in range(m)]
+    for i, j in inner_edges:
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    neighbors = tuple(np.array(sorted(n), dtype=np.int64) for n in neighbors)
+    return neighbors, np.array([len(n) for n in neighbors], dtype=np.int64)
+
+
+def loop_bfs_tree(m, neighbors, seed):
+    """Breadth-first tree with a queue, neighbors visited in list order."""
+    visited = np.zeros(m, dtype=bool)
+    visited[seed] = True
+    depth = [0] * m
+    queue = [seed]
+    edges = []
+    head = 0
+    while head < len(queue):
+        current = queue[head]
+        head += 1
+        for nb in neighbors[current]:
+            if not visited[nb]:
+                visited[nb] = True
+                depth[nb] = depth[current] + 1
+                edges.append((current, int(nb)))
+                queue.append(int(nb))
+    assert visited.all()
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return edges, np.array(depth, dtype=np.int64)[edges[:, 1]]
+
+
+def _permuted_icosphere():
+    # Shuffled triangles give a visit order unlike the subdivision order.
+    mesh = icosphere(2)
+    order = np.random.default_rng(11).permutation(mesh.n_triangles)
+    return TriangleMesh(mesh.vertices, mesh.triangles[order])
+
+
+def _doubled_triangle():
+    # Both sides of one triangle: the two triangles share all three edges.
+    vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    return TriangleMesh(vertices, np.array([[0, 1, 2], [0, 2, 1]]))
+
+
+def assert_bit_equal(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+
+
+class TestReferenceMatchesLoops:
+    @pytest.mark.parametrize(
+        "make_mesh",
+        [
+            lambda: icosphere(3),
+            lambda: cylinder_patch(n_u=8, n_v=12),
+            lambda: TriangleMesh(
+                np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                np.array([[0, 1, 2]]),
+            ),
+            _permuted_icosphere,
+            _doubled_triangle,
+        ],
+        ids=["icosphere-3", "cylinder-patch", "single-triangle",
+             "permuted-icosphere", "doubled-triangle"],
+    )
+    def test_adjacency_and_tree_bit_equal(self, make_mesh):
+        mesh = make_mesh()
+        ref = build_reference(mesh)
+        m = mesh.n_triangles
+        inner_edges, shared = loop_inner_edges(mesh)
+        neighbors, counts = loop_neighbors(m, inner_edges)
+        tree, depths = loop_bfs_tree(m, neighbors, seed=0)
+
+        assert_bit_equal(ref.inner_edges, inner_edges)
+        assert_bit_equal(ref.edge_shared_vertices, shared)
+        assert_bit_equal(ref.edge_keys, inner_edges[:, 0] * m + inner_edges[:, 1])
+        assert len(ref.neighbors) == m
+        for got, want in zip(ref.neighbors, neighbors):
+            assert_bit_equal(got, want)
+        assert_bit_equal(ref.neighbor_counts, counts)
+        assert_bit_equal(ref.spanning_tree, tree)
+        assert_bit_equal(ref.tree_depths, depths)
+        assert_bit_equal(
+            ref.tree_edge_indices,
+            np.searchsorted(ref.edge_keys, tree.min(axis=1) * m + tree.max(axis=1)),
+        )
 
 
 class TestReference:

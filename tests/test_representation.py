@@ -278,10 +278,12 @@ class TestCutLocus:
         axis = np.array([1.0, 0.0, 0.0])
         flipped[0] = so3_exp(axis * np.pi) @ flipped[0]
         t = ShapeRep(flipped, s.stretches, s.reference_hash)
-        with pytest.raises(CutLocusError):
+        with pytest.raises(CutLocusError, match=r"^edge 0 is at the cut locus"):
             rep_log(s, t)
-        with pytest.raises(CutLocusError):
+        with pytest.raises(CutLocusError, match=r"^edge 0 is at the cut locus"):
             rep_distance(ref, s, t)
+        with pytest.raises(CutLocusError, match=r"^edge 0 is at the cut locus"):
+            geodesic(s, t, 0.5)
 
     def test_diagnostic_still_works_at_half_turn(self, ref, deformed_reps):
         # The angle diagnostic itself stays defined at pi.
