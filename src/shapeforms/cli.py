@@ -75,7 +75,7 @@ def build_parser():
     p.add_argument("--out-mesh", required=True)
     p.add_argument("--out-reference", default=None,
                    help="write the (possibly re-centered) reference mesh")
-    p.add_argument("--rebias", type=int, default=0,
+    p.add_argument("--rebias", type=_non_negative_int, default=0,
                    help="outer iterations re-centering the reference on the mean")
     p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.add_argument("--max-iter", type=_positive_int, default=50)
@@ -264,12 +264,14 @@ def _cmd_mean(args):
     from .statistics import frechet_mean, unbiased_reference
 
     meshes = [load_mesh(path) for path in args.inputs]
+    ref = _load_reference(args.reference)
+    mean_kwargs = {"tol": args.tol, "max_iter": args.max_iter}
     if args.rebias > 0:
-        ref, _, mu = unbiased_reference(meshes, outer_iterations=args.rebias)
+        ref, _, mu = unbiased_reference(meshes, outer_iterations=args.rebias,
+                                        reference=ref, mean_kwargs=mean_kwargs)
     else:
-        ref = _load_reference(args.reference)
         reps = [encode(ref, mesh)[0] for mesh in meshes]
-        mu = frechet_mean(reps, tol=args.tol, max_iter=args.max_iter)
+        mu = frechet_mean(reps, **mean_kwargs)
     mu.save(args.out_rep)
     mesh, report = reconstruct(ref, mu)
     save_mesh(mesh, args.out_mesh)

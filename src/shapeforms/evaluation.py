@@ -15,7 +15,13 @@ import numpy as np
 from .errors import ReferenceMismatchError
 from .reconstruction import prefactor, reconstruct
 from .representation import _write_json, rep_distance
-from .statistics import PGAModel, coefficients, pga, sample, synthesize
+from .statistics import (
+    PGAModel,
+    _sample_coefficients,
+    coefficients,
+    pga,
+    synthesize,
+)
 
 DEFAULT_SVM_ITERATIONS = 600
 DEFAULT_CV_DRAWS = 200
@@ -82,14 +88,17 @@ def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrin
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     truncated = _truncated(model, modes)
-    draws = sample(truncated, n_samples, seed=seed)
+    # The draws of sample(), synthesized one at a time so that only one
+    # sampled shape is alive at once.
+    draws = (synthesize(truncated, a)
+             for a in _sample_coefficients(truncated, n_samples, seed))
     if metric == "intrinsic":
         total = 0.0
         for drawn in draws:
             total += min(
                 rep_distance(ref, drawn, t, model.params) for t in training
             )
-        return total / len(draws)
+        return total / n_samples
     if metric == "vertex":
         system = prefactor(ref)
         train_meshes = np.stack([
@@ -99,7 +108,7 @@ def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrin
         for drawn in draws:
             mesh, _ = reconstruct(ref, drawn, system=system)
             total += float(np.min(_aligned_rms(train_meshes, mesh.vertices)))
-        return total / len(draws)
+        return total / n_samples
     raise ValueError(f"unknown metric {metric!r}")
 
 

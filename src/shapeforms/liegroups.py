@@ -150,15 +150,36 @@ def _so3_log(R, item):
     return out[0] if squeeze else out
 
 
+def relative_angle(Q, R):
+    """Rotation angle in ``[0, pi]`` of ``Q^T R``, without forming it.
+
+    The trace of ``Q^T R`` is the Frobenius product of ``Q`` and ``R``, and
+    twice its axial vector is the sum over rows ``k`` of ``R[k] x Q[k]``; both
+    come from the rows ``(9, n)`` of the row-major entries. The angle is
+    then :func:`so3_angle`'s ``arctan2(|vee|, (tr - 1) / 2)``. ``Q`` and ``R``
+    broadcast against each other. No cut-locus check: callers make it.
+    """
+    Q, R = np.broadcast_arrays(np.asarray(Q, dtype=float), np.asarray(R, dtype=float))
+    q = Q.reshape(-1, 9).T
+    r = R.reshape(-1, 9).T
+    trace = np.einsum("kn,kn->n", q, r)
+    q0, q1, q2, q3, q4, q5, q6, q7, q8 = q
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = r
+    x = (r1 * q2 - r2 * q1) + (r4 * q5 - r5 * q4) + (r7 * q8 - r8 * q7)
+    y = (r2 * q0 - r0 * q2) + (r5 * q3 - r3 * q5) + (r8 * q6 - r6 * q8)
+    z = (r0 * q1 - r1 * q0) + (r3 * q4 - r4 * q3) + (r6 * q7 - r7 * q6)
+    theta = np.arctan2(0.5 * np.sqrt(x * x + y * y + z * z), 0.5 * (trace - 1.0))
+    return theta.reshape(Q.shape[:-2])
+
+
 def so3_distance(Q, R):
     """Geodesic distance ``sqrt(2) * angle(Q^T R)`` of the bi-invariant metric.
 
     Equals the Frobenius norm of the matrix logarithm of the relative
-    rotation; raises :class:`CutLocusError` at (numerical) angle pi.
+    rotation. The angle comes from :func:`relative_angle`, so ``Q^T R`` is
+    never formed; raises :class:`CutLocusError` at (numerical) angle pi.
     """
-    Q = np.asarray(Q, dtype=float)
-    R = np.asarray(R, dtype=float)
-    theta = so3_angle(np.swapaxes(Q, -1, -2) @ R)
+    theta = relative_angle(Q, R)
     _check_cut_locus(theta, "relative rotation")
     return np.sqrt(2.0) * theta
 
@@ -197,9 +218,25 @@ def _sym2_eig(A):
 
 
 def _sym2_apply(A, fn):
+    """Apply the scalar function ``fn`` to symmetric ``(..., 2, 2)`` matrices.
+
+    With eigenvalues ``w`` and the rotation ``V = [[c, -s], [s, c]]`` of
+    :func:`_sym2_eig`, ``V diag(f) V^T`` for ``f = fn(w)`` has the entries
+    ``c^2 f0 + s^2 f1``, ``c s (f0 - f1)`` and ``s^2 f0 + c^2 f1``, formed
+    elementwise. ``fn`` maps the stacked eigenvalues ``(..., 2)``.
+    """
     w, V = _sym2_eig(A)
-    fw = fn(w)
-    return np.einsum("...ik,...k,...jk->...ij", V, fw, V)
+    f = fn(w)
+    f0, f1 = f[..., 0], f[..., 1]
+    cc = V[..., 0, 0] ** 2
+    ss = V[..., 1, 0] ** 2
+    off = V[..., 0, 0] * V[..., 1, 0] * (f0 - f1)
+    out = np.empty(V.shape)
+    out[..., 0, 0] = cc * f0 + ss * f1
+    out[..., 0, 1] = off
+    out[..., 1, 0] = off
+    out[..., 1, 1] = ss * f0 + cc * f1
+    return out
 
 
 def _positive_log(w):

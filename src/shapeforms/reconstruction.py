@@ -41,7 +41,9 @@ from .liegroups import polar_rotation
 from .mesh import TriangleMesh
 from .representation import _check_binding
 
-#: Energies below ``floor_factor * total_area`` count as exactly solvable.
+#: Energies below ``_FLOOR_FACTOR`` times the size of the prescribed
+#: gradients (the energy of a zero gradient field) count as exactly
+#: solvable: rounding in the solve leaves residuals of about that size.
 _FLOOR_FACTOR = 1e-24
 
 DEFAULT_TOL = 1e-8
@@ -221,6 +223,12 @@ class _EdgeTerms:
         self.tri_areas = ref.tri_areas
         self.isolated = counts == 0
 
+    def target_size(self):
+        """Weighted squared norm of the prescribed gradients, which is the
+        energy of a zero gradient field under any rotations."""
+        sq = np.sum(self.prescribed * self.prescribed, axis=(-2, -1))
+        return float(self.weights @ sq)
+
     def energy(self, D, R):
         diff = D[self.dst] - R[self.src] @ self.prescribed
         sq = np.sum(diff * diff, axis=(-2, -1))
@@ -325,7 +333,7 @@ def reconstruct(ref, rep, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, system=Non
     last = None
     fitted = False  # R is already the rotation fit of D
 
-    floor = _FLOOR_FACTOR * ref.total_area
+    floor = _FLOOR_FACTOR * terms.target_size()
     report.converged = energy <= floor
     while not report.converged and report.iterations < max_iter:
         previous = energy

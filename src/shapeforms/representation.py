@@ -21,6 +21,7 @@ contributions.
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .liegroups import (
     _check_cut_locus,
     _so3_log,
     polar3,
-    so3_angle,
+    relative_angle,
     so3_exp,
     spd2_exp,
     spd2_log,
@@ -51,20 +52,31 @@ class DistanceParams:
             raise ValueError(f"omega must be positive, got {self.omega}")
 
 
+def _frozen(values):
+    """A read-only copy of ``values`` as a C-contiguous float array."""
+    out = np.array(values, dtype=float, order="C")
+    out.flags.writeable = False
+    return out
+
+
 class ShapeRep:
     """Point in the product group: rotations per inner edge, stretches per
-    triangle, bound to one reference by content hash."""
+    triangle, bound to one reference by content hash.
+
+    A representation is immutable. It keeps read-only copies of the arrays
+    it is built from, so the caller's arrays stay writeable and later
+    changes to them do not reach it. That makes it safe to compute the
+    content hash and the stretch logarithms once and keep them.
+    """
 
     def __init__(self, rotations, stretches, reference_hash):
-        self.rotations = np.ascontiguousarray(rotations, dtype=float)
-        self.stretches = np.ascontiguousarray(stretches, dtype=float)
+        self.rotations = _frozen(rotations)
+        self.stretches = _frozen(stretches)
         self.reference_hash = reference_hash
         if self.rotations.ndim != 3 or self.rotations.shape[1:] != (3, 3):
             raise ValueError("rotations must have shape (E, 3, 3)")
         if self.stretches.ndim != 3 or self.stretches.shape[1:] != (2, 2):
             raise ValueError("stretches must have shape (m, 2, 2)")
-        self.rotations.flags.writeable = False
-        self.stretches.flags.writeable = False
 
     @property
     def n_edges(self):
@@ -75,11 +87,22 @@ class ShapeRep:
         return self.stretches.shape[0]
 
     def content_hash(self):
+        return self._content_hash
+
+    @cached_property
+    def _content_hash(self):
         h = hashlib.sha256()
         h.update(self.reference_hash.encode())
         h.update(self.rotations.tobytes())
         h.update(self.stretches.tobytes())
         return h.hexdigest()
+
+    @cached_property
+    def log_stretches(self):
+        """Read-only ``spd2_log(stretches)``, computed on first use."""
+        logs = spd2_log(self.stretches)
+        logs.flags.writeable = False
+        return logs
 
     def save(self, path, omega=None):
         """Write the representation as JSON.
@@ -225,10 +248,6 @@ def encode(ref, mesh):
     return rep, DeformationDecomposition(D, R, U3, frames)
 
 
-def _relative_angles(rot_a, rot_b):
-    return so3_angle(np.swapaxes(rot_a, -1, -2) @ rot_b)
-
-
 def rep_distance(ref, s, t, params=DistanceParams()):
     """Weighted geodesic distance between two representations.
 
@@ -241,12 +260,12 @@ def rep_distance(ref, s, t, params=DistanceParams()):
 
     total = 0.0
     if ref.n_inner_edges:
-        theta = _relative_angles(s.rotations, t.rotations)
+        theta = relative_angle(s.rotations, t.rotations)
         _check_cut_locus(theta, "edge")
         rot_sq = 2.0 * theta**2  # squared Frobenius norm of the skew logarithm
         total += omega**3 / ref.total_edge_area * float(ref.edge_areas @ rot_sq)
 
-    diff = spd2_log(t.stretches) - spd2_log(s.stretches)
+    diff = t.log_stretches - s.log_stretches
     spd_sq = np.sum(diff * diff, axis=(-2, -1))
     total += omega / ref.total_area * float(ref.tri_areas @ spd_sq)
     return float(np.sqrt(total))
@@ -261,7 +280,7 @@ def rep_log(base, s):
     _check_pair(base, s)
     rot_part = _so3_log(s.rotations @ np.swapaxes(base.rotations, -1, -2), "edge")
     rot_part = rot_part.reshape(-1, 3)
-    stretch_part = spd2_log(s.stretches) - spd2_log(base.stretches)
+    stretch_part = s.log_stretches - base.log_stretches
     return TangentRep(rot_part, stretch_part, base.content_hash())
 
 
@@ -270,7 +289,7 @@ def rep_exp(base, v):
     if v.base_hash != base.content_hash():
         raise ReferenceMismatchError("tangent vector has a different base point")
     rotations = so3_exp(v.rot_part) @ base.rotations
-    stretches = spd2_exp(v.stretch_part + spd2_log(base.stretches))
+    stretches = spd2_exp(v.stretch_part + base.log_stretches)
     return ShapeRep(rotations, stretches, base.reference_hash)
 
 
@@ -305,7 +324,7 @@ def relative_rotation_angles(s, t):
     _check_pair(s, t)
     if s.n_edges == 0:
         return np.zeros(0)
-    return _relative_angles(s.rotations, t.rotations)
+    return relative_angle(s.rotations, t.rotations)
 
 
 def flatten_tangent(ref, params, v):

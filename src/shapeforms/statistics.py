@@ -61,10 +61,14 @@ def _summed_log(mu, reps):
     total = TangentRep.zero(mu)
     for rep in reps:
         total = total + rep_log(mu, rep)
-    residual = float(
+    return total, _residual(total)
+
+
+def _residual(total):
+    """Unweighted product norm of a summed log, see :func:`mean_residual`."""
+    return float(
         np.sqrt(2.0 * np.sum(total.rot_part**2) + np.sum(total.stretch_part**2))
     )
-    return total, residual
 
 
 def frechet_mean(reps, tol=DEFAULT_MEAN_TOL, max_iter=DEFAULT_MEAN_MAX_ITER):
@@ -166,16 +170,23 @@ def pga(ref, reps, mu=None, params=DistanceParams(), mean_tol=1e-6):
     """Principal geodesic analysis of ``reps`` around their mean.
 
     ``mu`` must be the Fréchet mean (checked through the residual of the
-    summed logs); it is computed when not supplied. Eigenvalues below
-    ``EIGENVALUE_CUTOFF`` times the largest are discarded as numerical
-    rank noise.
+    summed logs); it is computed when not supplied. Each log at ``mu`` is
+    taken once and serves both the residual and the Gram matrix.
+    Eigenvalues below ``EIGENVALUE_CUTOFF`` times the largest are discarded
+    as numerical rank noise.
     """
     _check_same_reference(reps)
     if mu is None:
         mu = frechet_mean(reps)
     elif mu.reference_hash != reps[0].reference_hash:
         raise ReferenceMismatchError("mean uses a different reference")
-    residual = mean_residual(mu, reps)
+    total = TangentRep.zero(mu)
+    vectors = []
+    for rep in reps:
+        v = rep_log(mu, rep)
+        total = total + v
+        vectors.append(flatten_tangent(ref, params, v))
+    residual = _residual(total)
     if residual > mean_tol * max(len(reps), 1):
         raise ValueError(
             f"supplied base point is not the mean (log-sum residual {residual:.3g})"
@@ -183,9 +194,7 @@ def pga(ref, reps, mu=None, params=DistanceParams(), mean_tol=1e-6):
 
     n = len(reps)
     base_hash = mu.content_hash()
-    vectors = np.stack(
-        [flatten_tangent(ref, params, rep_log(mu, rep)) for rep in reps]
-    )
+    vectors = np.stack(vectors)
     gram = vectors @ vectors.T
     eigvals, eigvecs = np.linalg.eigh(gram)
     order = np.argsort(eigvals)[::-1]
@@ -243,34 +252,40 @@ def synthesize(model, coeffs):
 
 def sample(model, count, seed, n_modes=None):
     """Draw shapes from the model's Gaussian coefficient distribution."""
+    return [synthesize(model, a)
+            for a in _sample_coefficients(model, count, seed, n_modes)]
+
+
+def _sample_coefficients(model, count, seed, n_modes=None):
+    """The ``(count, n_modes)`` coefficient draws behind :func:`sample`."""
     if n_modes is None:
         n_modes = model.n_modes
     rng = np.random.default_rng(seed)
     std = np.sqrt(model.variances[:n_modes])
-    draws = rng.standard_normal(size=(count, n_modes)) * std
-    return [synthesize(model, a) for a in draws]
+    return rng.standard_normal(size=(count, n_modes)) * std
 
 
 def unbiased_reference(meshes, params=DistanceParams(), outer_iterations=2,
-                       reconstruct_kwargs=None):
+                       reconstruct_kwargs=None, reference=None, mean_kwargs=None):
     """Re-center the reference on the cohort mean.
 
-    Starting from the first mesh as reference, alternates: encode the
-    cohort, compute the mean, reconstruct the mean shape, and promote it
-    to the new reference. Returns ``(ref, reps, mean_rep)`` of the final
-    round, in which the reference agrees with the cohort mean.
+    Starting from ``reference`` (by default the first mesh as reference),
+    alternates: encode the cohort, compute the mean, reconstruct the mean
+    shape, and promote it to the new reference. ``mean_kwargs`` go to every
+    :func:`frechet_mean` call and ``reconstruct_kwargs`` to every
+    reconstruction. Returns ``(ref, reps, mean_rep)`` of the final round,
+    in which the reference agrees with the cohort mean.
     """
     from .reconstruction import reconstruct
 
     kwargs = reconstruct_kwargs or {}
-    ref = build_reference(meshes[0])
-    reps = None
-    mu = None
+    mean_kwargs = mean_kwargs or {}
+    ref = build_reference(meshes[0]) if reference is None else reference
     for _ in range(outer_iterations):
         reps = [encode(ref, mesh)[0] for mesh in meshes]
-        mu = frechet_mean(reps)
+        mu = frechet_mean(reps, **mean_kwargs)
         mean_mesh, _ = reconstruct(ref, mu, **kwargs)
         ref = build_reference(mean_mesh)
     reps = [encode(ref, mesh)[0] for mesh in meshes]
-    mu = frechet_mean(reps)
+    mu = frechet_mean(reps, **mean_kwargs)
     return ref, reps, mu

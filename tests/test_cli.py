@@ -296,6 +296,48 @@ class TestExtendedFlags:
             < 0.1 * rigid_rms(original_ref, mean_mesh)
         )
 
+    def _rebias_mean(self, workspace, name, *extra):
+        out_rep = workspace / f"{name}.json"
+        assert main([
+            "mean", *[str(workspace / f"shape_{k}.obj") for k in range(3)],
+            "--out-rep", str(out_rep), "--out-mesh", str(workspace / f"{name}.obj"),
+            "--rebias", "1", *extra,
+        ]) == 0
+        return out_rep.read_bytes()
+
+    def test_rebias_honors_reference_and_mean_settings(self, workspace):
+        ref = str(workspace / "ref.obj")
+        first = self._rebias_mean(workspace, "rb_ref", "--reference", ref)
+        other = self._rebias_mean(workspace, "rb_other", "--reference",
+                                  str(workspace / "shape_3.obj"))
+        loose = self._rebias_mean(workspace, "rb_loose", "--reference", ref,
+                                  "--tol", "1e-2")
+        assert other != first
+        assert loose != first
+        assert self._rebias_mean(workspace, "rb_again", "--reference", ref) == first
+
+    def test_rebias_honors_max_iter(self, workspace, capsys):
+        assert main([
+            "mean", *[str(workspace / f"shape_{k}.obj") for k in range(3)],
+            "--reference", str(workspace / "ref.obj"),
+            "--out-rep", str(workspace / "rb_short.json"),
+            "--out-mesh", str(workspace / "rb_short.obj"),
+            "--rebias", "1", "--max-iter", "1",
+        ]) == 1
+        assert "within 1 steps" in capsys.readouterr().err
+
+    def test_negative_rebias_rejected(self, workspace, capsys):
+        out = workspace / "never_rb.json"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "mean", *[str(workspace / f"shape_{k}.obj") for k in range(3)],
+                "--reference", str(workspace / "ref.obj"), "--out-rep", str(out),
+                "--out-mesh", str(workspace / "never_rb.obj"), "--rebias", "-1",
+            ])
+        assert exc.value.code == 2
+        assert "--rebias" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sample_with_meshes(self, workspace):
         sample_dir = workspace / "samples_mesh"
         assert main([

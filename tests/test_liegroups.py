@@ -6,8 +6,13 @@ from hypothesis import strategies as st
 
 from shapeforms.errors import ConditioningError, CutLocusError, OrientationError
 from shapeforms.liegroups import (
+    _NEAR_PI,
+    _PI_MARGIN,
+    _TINY_ANGLE,
+    _sym2_apply,
     polar3,
     polar_rotation,
+    relative_angle,
     skew,
     so3_angle,
     so3_distance,
@@ -356,3 +361,123 @@ class TestPolarRotation:
     def test_non_finite_input_raises(self):
         with pytest.raises(ConditioningError):
             polar_rotation(np.full((3, 3), np.nan))
+
+
+EPS = np.finfo(float).eps
+
+# Unit vectors from their polar and azimuthal angles.
+unit_axes = st.tuples(st.floats(0.0, np.pi), st.floats(-np.pi, np.pi)).map(
+    lambda t: np.array([np.sin(t[0]) * np.cos(t[1]), np.sin(t[0]) * np.sin(t[1]),
+                        np.cos(t[0])])
+)
+# Eigenvector angles, largest eigenvalues 1e-6 .. 1e6 and condition numbers
+# 1 .. 1e12, as base-10 exponents.
+eigvec_angles = st.floats(-np.pi, np.pi)
+magnitudes = st.floats(-6.0, 6.0)
+log_conditions = st.floats(0.0, 12.0)
+
+
+def sym2(phi, w0, w1):
+    """The symmetric matrix with eigenvalues ``w0``, ``w1`` and the first
+    eigenvector at angle ``phi``."""
+    c, s = np.cos(phi), np.sin(phi)
+    V = np.array([[c, -s], [s, c]])
+    A = V @ np.diag([w0, w1]) @ V.T
+    return 0.5 * (A + A.T)
+
+
+def eigh_apply(A, fn):
+    w, W = np.linalg.eigh(A)
+    return (W * fn(w)) @ W.T
+
+
+def assert_matches_eigh_log(A):
+    """The closed form against ``eigh`` within the forward error of the
+    matrix logarithm: a perturbation of eps |A| moves log A by up to
+    eps |A| / w_min, that is eps times the condition number."""
+    out = _sym2_apply(A, np.log)
+    assert out[0, 1] == out[1, 0]
+    w = np.linalg.eigvalsh(A)
+    bound = 8.0 * EPS * (w[-1] / w[0] + np.max(np.abs(np.log(w))))
+    assert np.max(np.abs(out - eigh_apply(A, np.log))) <= bound
+
+
+class TestSym2Apply:
+    @given(eigvec_angles, magnitudes, log_conditions)
+    def test_log_matches_eigh(self, phi, mag, log_cond):
+        w0 = 10.0**mag
+        assert_matches_eigh_log(sym2(phi, w0, w0 / 10.0**log_cond))
+
+    @given(eigvec_angles, magnitudes, st.floats(0.0, 1e-8))
+    def test_near_isotropic_log_matches_eigh(self, phi, mag, spread):
+        w0 = 10.0**mag
+        assert_matches_eigh_log(sym2(phi, w0, w0 * (1.0 - spread)))
+
+    @given(magnitudes, log_conditions, st.booleans())
+    def test_diagonal_stays_diagonal(self, mag, log_cond, ascending):
+        w = np.array([10.0**mag, 10.0 ** (mag - log_cond)])
+        A = np.diag(w[::-1] if ascending else w)
+        out = _sym2_apply(A, np.log)
+        assert out[0, 1] == 0.0 and out[1, 0] == 0.0
+        assert_matches_eigh_log(A)
+
+    @given(magnitudes)
+    def test_isotropic_is_exact(self, mag):
+        lam = 10.0**mag
+        out = _sym2_apply(lam * np.eye(2), np.log)
+        assert np.array_equal(out, np.log(lam) * np.eye(2))
+
+    @given(eigvec_angles, magnitudes, log_conditions)
+    def test_identity_function_rebuilds_input(self, phi, mag, log_cond):
+        w0 = 10.0**mag
+        A = sym2(phi, w0, w0 / 10.0**log_cond)
+        assert np.max(np.abs(_sym2_apply(A, lambda w: w) - A)) <= 8.0 * EPS * w0
+
+    def test_random_stack_matches_eigh(self):
+        rng = np.random.default_rng(20)
+        X = rng.normal(size=(200, 2, 2))
+        A = X @ np.swapaxes(X, -1, -2) + 1e-3 * np.eye(2)
+        out = _sym2_apply(A, np.log)
+        assert out.shape == A.shape
+        for a, o in zip(A, out):
+            assert np.array_equal(o, _sym2_apply(a, np.log))
+            assert_matches_eigh_log(a)
+
+
+class TestRelativeAngle:
+    """``relative_angle(Q, R)`` against ``so3_angle(Q^T R)`` in every branch
+    regime of the rotation kernels."""
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, _TINY_ANGLE),
+        (_TINY_ANGLE, np.pi - _NEAR_PI),
+        (np.pi - _NEAR_PI, np.pi - 1e3 * _PI_MARGIN),
+    ], ids=["tiny", "main", "near_pi"])
+    @given(axis_angles, unit_axes, st.floats(0.0, 1.0))
+    def test_matches_so3_angle(self, lo, hi, u, axis, t):
+        Q = so3_exp(u)
+        R = Q @ so3_exp((lo + t * (hi - lo)) * axis)
+        theta = relative_angle(Q, R)
+        assert abs(theta - so3_angle(Q.T @ R)) <= 8.0 * EPS
+        assert theta < np.pi - _PI_MARGIN
+
+    @given(axis_angles, unit_axes)
+    def test_half_turn_raises_like_so3_angle(self, u, axis):
+        Q = so3_exp(u)
+        R = Q @ so3_exp(np.pi * axis)
+        assert so3_angle(Q.T @ R) >= np.pi - _PI_MARGIN
+        assert relative_angle(Q, R) >= np.pi - _PI_MARGIN
+        Qs = np.stack([Q, Q, Q])
+        Rs = np.stack([Q, R, Q @ so3_exp(0.5 * axis)])
+        with pytest.raises(CutLocusError, match=r"^relative rotation 1 is at the "
+                           r"cut locus: rotation angle 3\.14159"):
+            so3_distance(Qs, Rs)
+
+    def test_broadcast_shapes(self):
+        rng = np.random.default_rng(21)
+        Q = random_rotation(rng)
+        R = so3_exp(rng.normal(size=(2, 4, 3)))
+        theta = relative_angle(Q, R)
+        assert theta.shape == (2, 4)
+        assert np.max(np.abs(theta - so3_angle(Q.T @ R))) <= 8.0 * EPS
+        assert relative_angle(np.eye(3), R[0, 0]).shape == ()

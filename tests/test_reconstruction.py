@@ -322,6 +322,19 @@ class TestReconstruct:
         assert report.iterations == 0
         assert report.converged
 
+    def test_rounding_noise_is_not_iterated_on(self):
+        # This integrable input starts at energy 1.8e-23, above a floor of
+        # 1e-24 times the bare area (1.26e-23) but far below the size of
+        # its prescribed gradients; on the bare-area floor rounding noise
+        # kept it iterating for 7 rounds (C1 allows at most 2).
+        ref = build_reference(icosphere(5))
+        target = smooth_deformation(ref.mesh, seed=1773941156)
+        rep, _ = encode(ref, target)
+        mesh, report = reconstruct(ref, rep)
+        assert report.converged
+        assert report.iterations <= 2
+        assert rigid_rms(mesh, target) < 1e-6 * target.bbox_diagonal
+
     def test_one_iteration_is_one_plain_step(self, ref, system):
         # Acceleration needs two residuals, so the first round is the plain
         # local step followed by the global solve.

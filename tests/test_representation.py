@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shapeforms.errors import ReferenceMismatchError
-from shapeforms.liegroups import so3_exp
+from shapeforms.liegroups import so3_exp, spd2_log
 from shapeforms.mesh import TriangleMesh
 from shapeforms.reference import build_reference
 from shapeforms.representation import (
@@ -323,6 +323,54 @@ class TestSerialization:
         json.dump(payload, expected)
         expected.write("\n")
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+class TestCaches:
+    """A representation copies what it is built from, so its cached hash
+    and stretch logarithms cannot go stale."""
+
+    def _built_from_caller_arrays(self, deformed_reps):
+        rep = deformed_reps[0]
+        rotations = rep.rotations.copy()
+        stretches = rep.stretches.copy()
+        return ShapeRep(rotations, stretches, rep.reference_hash), rotations, stretches
+
+    def test_caller_arrays_stay_writeable(self, deformed_reps):
+        built, rotations, stretches = self._built_from_caller_arrays(deformed_reps)
+        assert rotations.flags.writeable and stretches.flags.writeable
+        assert not built.rotations.flags.writeable
+        assert not built.stretches.flags.writeable
+        assert not np.shares_memory(built.rotations, rotations)
+        assert not np.shares_memory(built.stretches, stretches)
+
+    def test_caller_mutation_does_not_reach_caches(self, deformed_reps):
+        built, rotations, stretches = self._built_from_caller_arrays(deformed_reps)
+        expected = (built.rotations.copy(), built.stretches.copy(),
+                    built.content_hash(), built.log_stretches.copy())
+        rotations[:] = np.eye(3)
+        stretches[:] = 2.0 * np.eye(2)
+        assert np.array_equal(built.rotations, expected[0])
+        assert np.array_equal(built.stretches, expected[1])
+        assert built.content_hash() == expected[2]
+        assert np.array_equal(built.log_stretches, expected[3])
+        assert built.content_hash() == deformed_reps[0].content_hash()
+
+    def test_log_stretches_read_only_and_exact(self, deformed_reps):
+        rep = deformed_reps[1]
+        logs = rep.log_stretches
+        assert not logs.flags.writeable
+        with pytest.raises(ValueError):
+            logs[0, 0, 0] = 1.0
+        assert np.array_equal(logs, spd2_log(rep.stretches))
+        assert rep.log_stretches is logs
+
+    def test_content_hash_matches_fresh_digest(self, deformed_reps):
+        rep = deformed_reps[2]
+        first = rep.content_hash()
+        fresh = ShapeRep(rep.rotations, rep.stretches, rep.reference_hash)
+        assert fresh.content_hash() == first == rep.content_hash()
+        other = ShapeRep(rep.rotations, 2.0 * rep.stretches, rep.reference_hash)
+        assert other.content_hash() != first
 
 
 class TestRefinement:
