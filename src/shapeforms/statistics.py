@@ -265,8 +265,8 @@ def _sample_coefficients(model, count, seed, n_modes=None):
     return rng.standard_normal(size=(count, n_modes)) * std
 
 
-def unbiased_reference(meshes, params=DistanceParams(), outer_iterations=2,
-                       reconstruct_kwargs=None, reference=None, mean_kwargs=None):
+def unbiased_reference(meshes, outer_iterations=2, reconstruct_kwargs=None,
+                       reference=None, mean_kwargs=None):
     """Re-center the reference on the cohort mean.
 
     Starting from ``reference`` (by default the first mesh as reference),

@@ -3,11 +3,14 @@ import time
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given
+import scipy.sparse
+import scipy.sparse.linalg
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapeforms.errors import ConditioningError
 from shapeforms.liegroups import so3_exp
+from shapeforms.mesh import TriangleMesh
 from shapeforms.reconstruction import (
     EnergyReport,
     embed_stretch,
@@ -19,6 +22,7 @@ from shapeforms.reconstruction import (
 from shapeforms.reference import build_reference, deformation_gradients
 from shapeforms.representation import ShapeRep, encode
 from shapeforms.synthetic import (
+    cylinder_patch,
     ellipsoid_cohort,
     icosphere,
     pipe_pair,
@@ -217,7 +221,92 @@ def _log_of(R):
     return so3_log(R)
 
 
+def _full_system_solve(ref, targets):
+    """The global step on the full ``(n_vertices + m)`` system: one unknown
+    per vertex and one normal-tip point per triangle, all factored together
+    with vertex 0 pinned. This is the solve ``PoissonSystem`` did before it
+    eliminated the tips, kept as the reference it must match."""
+    mesh = ref.mesh
+    m = mesh.n_triangles
+    nv = mesh.n_vertices
+    H = ref.grad_inverses
+    tri = mesh.triangles
+    rows = (3 * np.arange(m)[:, None] + np.arange(3)[None, :]).ravel()
+    data = [H[:, 0, :].ravel(), H[:, 1, :].ravel(), H[:, 2, :].ravel(),
+            -H.sum(axis=1).ravel()]
+    cols = [np.repeat(tri[:, 1], 3), np.repeat(tri[:, 2], 3),
+            np.repeat(nv + np.arange(m), 3), np.repeat(tri[:, 0], 3)]
+    G = scipy.sparse.coo_matrix(
+        (np.concatenate(data), (np.tile(rows, 4), np.concatenate(cols))),
+        shape=(3 * m, nv + m),
+    ).tocsr()
+    weights = np.repeat(ref.tri_areas, 3)
+    K = (G.T @ scipy.sparse.diags(weights) @ G).tocsc()
+    lu = scipy.sparse.linalg.splu(K[1:, 1:])
+    rhs = G.T @ (weights[:, None] * targets.transpose(0, 2, 1).reshape(-1, 3))
+    X = np.zeros((nv + m, 3))
+    X[1:] = lu.solve(rhs[1:])
+    X += mesh.vertices.mean(axis=0) - X[:nv].mean(axis=0)
+    return X
+
+
+def _single_triangle():
+    vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    return TriangleMesh(vertices, np.array([[0, 1, 2]]))
+
+
+def _shuffled_icosphere():
+    # Shuffled vertices and triangles: vertex 0, the pinned one, and the
+    # factor ordering differ from the subdivision order.
+    mesh = icosphere(2)
+    rng = np.random.default_rng(21)
+    new_index = rng.permutation(mesh.n_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new_index] = mesh.vertices
+    triangles = new_index[mesh.triangles][rng.permutation(mesh.n_triangles)]
+    return TriangleMesh(vertices, triangles)
+
+
+_SOLVE_MESHES = pytest.mark.parametrize(
+    "make_mesh",
+    [lambda: icosphere(3), lambda: cylinder_patch(n_u=8, n_v=12),
+     _single_triangle, _shuffled_icosphere],
+    ids=["icosphere-3", "cylinder-patch", "single-triangle", "shuffled-icosphere"],
+)
+
+
 class TestPoissonSystem:
+    @_SOLVE_MESHES
+    def test_matches_full_system_solve(self, make_mesh):
+        ref = build_reference(make_mesh())
+        system = prefactor(ref)
+        nv = ref.mesh.n_vertices
+        rng = np.random.default_rng(ref.n_triangles)
+        for scale in (0.1, 1.0):
+            targets = np.eye(3) + rng.normal(size=(ref.n_triangles, 3, 3), scale=scale)
+            expected = _full_system_solve(ref, targets)
+            X = system.solve(targets)
+            assert X.shape == (nv + ref.n_triangles, 3)
+            for part in (slice(None, nv), slice(nv, None)):
+                size = np.abs(expected[part]).max()
+                assert np.abs(X[part] - expected[part]).max() <= 1e-12 * size
+
+    @_SOLVE_MESHES
+    def test_tip_block_is_diagonal(self, make_mesh):
+        # Tip i enters only triangle i's gradient rows, so no two tips share
+        # a row of G and K = G^T W G couples no two tips.
+        ref = build_reference(make_mesh())
+        system = prefactor(ref)
+        nv = system.n_vertices
+        G = system._G
+        K = (G.T @ scipy.sparse.diags(system._weights) @ G).tocsc()
+        tips = K[nv:, nv:].tocoo()
+        off = tips.row != tips.col
+        assert not np.any(tips.data[off])
+        diagonal = tips.diagonal()
+        assert diagonal.shape == (ref.n_triangles,)
+        assert np.all(diagonal > 0.0)
+
     def test_affine_exactness_on_plane(self):
         from shapeforms.mesh import TriangleMesh
 
@@ -356,6 +445,33 @@ class TestReconstruct:
         assert np.array_equal(report.rotations, R)
         assert np.array_equal(report.positions, X)
         assert report.energies[-1] == terms.energy(system.gradients(X), R)
+
+
+class TestRigidMotion:
+    """Encode a rigidly moved mesh and reconstruct it (C1 under motion)."""
+
+    @pytest.fixture(scope="class")
+    def target(self, ref):
+        return smooth_deformation(ref.mesh, seed=23, rotate=False)
+
+    @settings(max_examples=25)
+    @given(
+        st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+        st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+    )
+    def test_encode_invariant_and_reconstruction_exact(
+        self, ref, system, target, xi, shift
+    ):
+        moved = target.transformed(rotation=so3_exp(np.array(xi)),
+                                   translation=np.array(shift))
+        base, _ = encode(ref, target)
+        rep, _ = encode(ref, moved)
+        assert np.max(np.abs(rep.rotations - base.rotations)) < 1e-10
+        assert np.max(np.abs(rep.stretches - base.stretches)) < 1e-10
+
+        mesh, report = reconstruct(ref, rep, system=system)
+        assert rigid_rms(mesh, moved) < 1e-6 * moved.bbox_diagonal
+        assert report.iterations <= 2
 
 
 class TestDecode:
