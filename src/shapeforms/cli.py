@@ -153,9 +153,9 @@ def build_parser():
                             "cylinder-patch", "hemisphere", "blob"])
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=20,
+    p.add_argument("--count", type=_positive_int, default=20,
                    help="shapes per cohort (cohort kinds only)")
-    p.add_argument("--subdivisions", type=int, default=2)
+    p.add_argument("--subdivisions", type=_non_negative_int, default=2)
 
     return parser
 
@@ -465,6 +465,9 @@ def _cmd_gen_synthetic(args):
     from . import synthetic
     from .mesh import save_mesh
 
+    if args.kind == "two-class-cohort" and args.count < 2:
+        raise ValueError(
+            f"a two-class cohort needs --count 2 or more, got {args.count}")
     os.makedirs(args.out_dir, exist_ok=True)
     out = args.out_dir
     if args.kind == "pipe-pair":

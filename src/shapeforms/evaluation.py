@@ -13,11 +13,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReferenceMismatchError
+from .liegroups import _log_entries
 from .reconstruction import prefactor, reconstruct
-from .representation import _write_json, rep_distance
+from .representation import (
+    DistanceParams,
+    _check_binding,
+    _check_pair,
+    _coordinate_weights,
+    _coordinates,
+    _tangent_distances,
+    _write_json,
+)
 from .statistics import (
-    PGAModel,
+    DEFAULT_MEAN_MAX_ITER,
+    DEFAULT_MEAN_TOL,
+    DEFAULT_PGA_MEAN_TOL,
+    _blocks,
+    _check_same_reference,
+    _log_mean,
+    _mean_entries,
+    _mean_logs,
+    _mode_count,
+    _principal_modes,
+    _relative_entries,
     _sample_coefficients,
+    _stretch_logs,
     coefficients,
     pga,
     synthesize,
@@ -61,55 +81,107 @@ def _aligned_rms(target, configs):
     return np.sqrt(np.mean(np.sum(residual**2, axis=-1), axis=-1))
 
 
-def _truncated(model, modes):
-    if modes is None:
-        return model
-    if modes > model.n_modes:
-        raise ValueError(f"requested {modes} of {model.n_modes} modes")
-    return PGAModel(
-        mean=model.mean,
-        modes=model.modes[:modes],
-        variances=model.variances[:modes],
-        params=model.params,
-        reference_hash=model.reference_hash,
-    )
-
-
 def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrinsic",
                 seed=0):
     """Mean distance of model samples to their nearest training shape.
 
     ``metric="intrinsic"`` measures in representation space; ``metric="vertex"``
     reconstructs meshes and measures vertex RMS after rigid alignment (a
-    pragmatic stand-in for physically based surface distances).
+    pragmatic stand-in for physically based surface distances). ``modes``
+    (default all) leading modes are sampled.
+
+    The intrinsic distances are taken in tangent coordinates at the model
+    mean, so no sampled shape is formed. Draws are measured against all
+    training shapes at once, in blocks whose per-draw arrays stay under
+    ``_BLOCK_BYTES``.
     """
     if not training:
         raise ValueError("training set is empty")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    truncated = _truncated(model, modes)
-    # The draws of sample(), synthesized one at a time so that only one
-    # sampled shape is alive at once.
-    draws = (synthesize(truncated, a)
-             for a in _sample_coefficients(truncated, n_samples, seed))
+    if metric not in ("intrinsic", "vertex"):
+        raise ValueError(f"unknown metric {metric!r}")
+    n_modes = model.n_modes if modes is None else _mode_count(model, modes)
+    draws = _sample_coefficients(model, n_samples, seed, n_modes)
     if metric == "intrinsic":
+        mu = model.mean
+        _check_binding(ref, mu)
+        for t in training:
+            _check_pair(mu, t)
+        relative = _relative_entries(training, _mean_entries(mu))
+        stretch_logs = _stretch_logs(training, mu.log_stretches).reshape(
+            len(training), -1)
+        weights = _coordinate_weights(ref, model.params)
+        matrix = model._mode_matrix[:n_modes]
         total = 0.0
-        for drawn in draws:
-            total += min(
-                rep_distance(ref, drawn, t, model.params) for t in training
-            )
+        for block in _blocks(n_samples, 8 * max(relative[0].size, stretch_logs.size)):
+            vectors = draws[block] @ matrix
+            d = _tangent_distances(vectors[:, None, :], relative, stretch_logs, weights)
+            total += float(np.sum(np.min(d, axis=1)))
         return total / n_samples
-    if metric == "vertex":
-        system = prefactor(ref)
-        train_meshes = np.stack([
-            reconstruct(ref, t, system=system)[0].vertices for t in training
-        ])
-        total = 0.0
-        for drawn in draws:
-            mesh, _ = reconstruct(ref, drawn, system=system)
-            total += float(np.min(_aligned_rms(train_meshes, mesh.vertices)))
-        return total / n_samples
-    raise ValueError(f"unknown metric {metric!r}")
+    system = prefactor(ref)
+    train_meshes = np.stack([
+        reconstruct(ref, t, system=system)[0].vertices for t in training
+    ])
+    total = 0.0
+    for a in draws:
+        mesh, _ = reconstruct(ref, synthesize(model, a), system=system)
+        total += float(np.min(_aligned_rms(train_meshes, mesh.vertices)))
+    return total / n_samples
+
+
+def _intrinsic_generalization(ref, reps, max_modes, params):
+    """Leave-one-out errors ``(n, max_modes)`` of :func:`generalization_curve`
+    in the intrinsic metric, in tangent coordinates at each fold's mean.
+
+    Each fold's rotation mean starts from the full cohort's, and its
+    log-Euclidean stretch mean is the exact downdate ``(n mean - L_i) /
+    (n - 1)`` of the full cohort's.
+    """
+    _check_same_reference(reps)
+    _check_binding(ref, reps[0])
+    n = len(reps)
+    log_mean = _log_mean(reps)
+    full_mean = _mean_logs(reps, _mean_entries(reps[0]), log_mean, log_mean,
+                           DEFAULT_MEAN_TOL, DEFAULT_MEAN_MAX_ITER)[0]
+    errors = np.zeros((n, max_modes))
+    for i, held_out in enumerate(reps):
+        fold_log_mean = (n * log_mean - held_out.log_stretches) / (n - 1)
+        errors[i] = _fold_errors(ref, params, reps[:i] + reps[i + 1:], held_out,
+                                 full_mean, fold_log_mean, max_modes)
+    return errors
+
+
+def _fold_model(ref, params, rest, start, log_mean):
+    """Mean rotation entries and mode matrix of the model of ``rest``."""
+    mu, _, rot_logs, stretch_logs = _mean_logs(
+        rest, start, log_mean, log_mean, DEFAULT_MEAN_TOL, DEFAULT_MEAN_MAX_ITER)
+    return mu, _principal_modes(ref, params, rot_logs, stretch_logs,
+                                DEFAULT_PGA_MEAN_TOL)[1]
+
+
+def _fold_errors(ref, params, rest, held_out, start, log_mean, max_modes):
+    """Distances of ``held_out`` to its projections with ``1 .. max_modes``
+    modes of the model of ``rest``, whose rotation mean is sought from the
+    entries ``start`` and whose stretch log mean is ``log_mean``.
+
+    The projections are measured in tangent coordinates at the mean, in
+    blocks under ``_BLOCK_BYTES``; mode counts past the model's repeat its
+    last error.
+    """
+    mu, matrix = _fold_model(ref, params, rest, start, log_mean)
+    relative = _relative_entries([held_out], mu)[:, 0]
+    stretch_log = held_out.log_stretches - log_mean
+    weights = _coordinate_weights(ref, params)
+    a = matrix @ (weights * _coordinates(_log_entries(relative, "edge"), stretch_log))
+    used = np.minimum(np.arange(1, max_modes + 1), a.size)
+    distinct = np.unique(used)
+    d = np.empty(distinct.size)
+    for block in _blocks(distinct.size, 8 * max(relative.size, matrix.shape[1])):
+        prefixes = a * (np.arange(a.size) < distinct[block, None])
+        d[block] = _tangent_distances(prefixes @ matrix, relative,
+                                      stretch_log.reshape(-1), weights)
+    return d[np.searchsorted(distinct, used)]
 
 
 def generalization_curve(ref, reps, max_modes=None, params=None, metric="intrinsic"):
@@ -130,27 +202,22 @@ def generalization_curve(ref, reps, max_modes=None, params=None, metric="intrins
 
     if metric not in ("intrinsic", "vertex"):
         raise ValueError(f"unknown metric {metric!r}")
-    system = prefactor(ref) if metric == "vertex" else None
+    if metric == "intrinsic":
+        params = DistanceParams() if params is None else params
+        return _intrinsic_generalization(ref, reps, max_modes, params).mean(axis=0)
+    system = prefactor(ref)
     errors = np.zeros((len(reps), max_modes))
     for i, held_out in enumerate(reps):
         rest = [r for k, r in enumerate(reps) if k != i]
         kwargs = {} if params is None else {"params": params}
         model = pga(ref, rest, **kwargs)
         a = coefficients(ref, model, held_out)
-        if metric == "vertex":
-            mesh_h, _ = reconstruct(ref, held_out, system=system)
+        mesh_h, _ = reconstruct(ref, held_out, system=system)
         for modes in range(1, max_modes + 1):
             used = min(modes, model.n_modes)
             projected = synthesize(model, a[:used])
-            if metric == "intrinsic":
-                errors[i, modes - 1] = rep_distance(
-                    ref, projected, held_out, model.params
-                )
-            else:
-                mesh_p, _ = reconstruct(ref, projected, system=system)
-                errors[i, modes - 1] = _aligned_rms(
-                    mesh_h.vertices, mesh_p.vertices
-                )
+            mesh_p, _ = reconstruct(ref, projected, system=system)
+            errors[i, modes - 1] = _aligned_rms(mesh_h.vertices, mesh_p.vertices)
     return errors.mean(axis=0)
 
 
@@ -164,8 +231,7 @@ def generalization(ref, reps, modes, params=None, metric="intrinsic"):
 
 def compactness(model, modes):
     """Cumulative share of variance captured by the first ``modes`` modes."""
-    if modes > model.n_modes:
-        raise ValueError(f"requested {modes} of {model.n_modes} modes")
+    modes = _mode_count(model, modes)
     total = float(np.sum(model.variances))
     if total == 0.0:
         return 1.0

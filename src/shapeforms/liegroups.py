@@ -54,13 +54,64 @@ def unskew(K):
     )
 
 
+def _entries(R):
+    """The row-major entries ``(9, ...)`` of ``(..., 3, 3)`` matrices.
+
+    A view of contiguous input: entry ``k`` of every matrix is one strided
+    row, so the rotation kernels below work on whole stacks with
+    elementwise arithmetic and never loop over 3x3 pairs.
+    """
+    R = np.asarray(R, dtype=float)
+    return np.moveaxis(R.reshape(R.shape[:-2] + (9,)), -1, 0)
+
+
+def _matrices(e):
+    """Inverse of :func:`_entries`: C-contiguous ``(..., 3, 3)`` matrices."""
+    return np.ascontiguousarray(np.moveaxis(e, 0, -1)).reshape(e.shape[1:] + (3, 3))
+
+
+def _times_transpose(s, b):
+    """Entries of ``S @ B^T`` from the entries of ``S`` and ``B``.
+
+    Entry ``(i, j)`` is the dot product of row ``i`` of ``S`` with row ``j``
+    of ``B``. The leading shapes broadcast without copying either operand.
+    """
+    out = np.empty((9,) + np.broadcast_shapes(s.shape[1:], b.shape[1:]))
+    for i in range(3):
+        for j in range(3):
+            out[3 * i + j] = (s[3 * i] * b[3 * j] + s[3 * i + 1] * b[3 * j + 1]
+                              + s[3 * i + 2] * b[3 * j + 2])
+    return out
+
+
+def _times(a, b):
+    """Entries of ``A @ B`` from the entries of ``A`` and ``B``; the leading
+    shapes broadcast."""
+    out = np.empty((9,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    for i in range(3):
+        for j in range(3):
+            out[3 * i + j] = (a[3 * i] * b[j] + a[3 * i + 1] * b[3 + j]
+                              + a[3 * i + 2] * b[6 + j])
+    return out
+
+
 def so3_exp(xi):
     """Rotation matrix for the axis-angle vector ``xi``.
 
     Rodrigues' formula with a series fallback for small angles, so the
     map is smooth through ``xi = 0``.
     """
+    return _matrices(_exp_entries(xi))
+
+
+def _exp_entries(xi):
+    """:func:`so3_exp` as entries ``(9, ...)``.
+
+    Rodrigues' formula ``I + a K + b K^2`` written out entry by entry, with
+    ``K^2 = xi xi^T - |xi|^2 I``, so neither ``K`` nor ``K @ K`` is formed.
+    """
     xi = np.asarray(xi, dtype=float)
+    x, y, z = np.moveaxis(xi, -1, 0)
     theta = np.linalg.norm(xi, axis=-1)
     t2 = theta * theta
     small = theta < _TINY_ANGLE
@@ -70,18 +121,33 @@ def so3_exp(xi):
         b = np.where(
             small, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / np.where(small, 1.0, t2)
         )
-    K = skew(xi)
-    eye = np.broadcast_to(np.eye(3), K.shape)
-    return eye + a[..., None, None] * K + b[..., None, None] * (K @ K)
+    xx, yy, zz = x * x, y * y, z * z
+    bxy, bxz, byz = b * (x * y), b * (x * z), b * (y * z)
+    ax, ay, az = a * x, a * y, a * z
+    out = np.empty((9,) + theta.shape)
+    out[0] = 1.0 - b * (yy + zz)
+    out[1] = bxy - az
+    out[2] = bxz + ay
+    out[3] = bxy + az
+    out[4] = 1.0 - b * (xx + zz)
+    out[5] = byz - ax
+    out[6] = bxz - ay
+    out[7] = byz + ax
+    out[8] = 1.0 - b * (xx + yy)
+    return out
+
+
+def _angle_entries(e):
+    """Rotation angle and half the antisymmetric part from the entries."""
+    vee = 0.5 * np.stack((e[7] - e[5], e[2] - e[6], e[3] - e[1]))
+    sin_theta = np.sqrt(vee[0] * vee[0] + vee[1] * vee[1] + vee[2] * vee[2])
+    cos_theta = 0.5 * ((e[0] + e[4] + e[8]) - 1.0)
+    return np.arctan2(sin_theta, cos_theta), vee
 
 
 def so3_angle(R):
     """Rotation angle in ``[0, pi]`` of ``R``, stable near both endpoints."""
-    R = np.asarray(R, dtype=float)
-    vee = unskew(R)
-    sin_theta = np.linalg.norm(vee, axis=-1)
-    cos_theta = 0.5 * (np.trace(R, axis1=-2, axis2=-1) - 1.0)
-    return np.arctan2(sin_theta, cos_theta)
+    return _angle_entries(_entries(R))[0]
 
 
 def _check_cut_locus(theta, item):
@@ -96,43 +162,53 @@ def _check_cut_locus(theta, item):
         )
 
 
+def _check_each(theta, item):
+    """:func:`_check_cut_locus` on each row ``theta[..., :]`` in turn.
+
+    For a stack of per-shape angles, this names the worst edge of the
+    first shape at the cut locus, as a loop over the shapes would.
+    """
+    if np.any(theta >= np.pi - _PI_MARGIN):
+        for row in np.reshape(theta, (-1, np.shape(theta)[-1])):
+            _check_cut_locus(row, item)
+
+
 def so3_log(R):
     """Axis-angle vector of the rotation ``R``.
 
     Requires the rotation angle to be strictly below pi; at the cut locus
     the logarithm is ambiguous and a :class:`CutLocusError` is raised.
     """
-    return _so3_log(R, "rotation")
+    return _log_entries(_entries(R), "rotation")
 
 
-def _so3_log(R, item):
-    """:func:`so3_log` naming a cut-locus rotation as ``item``."""
-    R = np.asarray(R, dtype=float)
-    squeeze = R.ndim == 2
-    R = R.reshape((-1, 3, 3)) if squeeze else R
-    flat = R.reshape((-1, 3, 3))
+def _log_entries(e, item, check=_check_cut_locus):
+    """Axis-angle vectors ``(..., 3)`` of the rotations with entries
+    ``(9, ...)``; ``check(theta, item)`` guards the cut locus.
 
-    theta = so3_angle(flat)
-    _check_cut_locus(theta, item)
+    The angle and the axial vector come straight from the entries; only
+    rotations within ``_NEAR_PI`` of pi are rebuilt as matrices.
+    """
+    shape = e.shape[1:]
+    e = e.reshape(9, -1)
+    theta, vee = _angle_entries(e)
+    check(theta.reshape(shape), item)
 
-    vee = unskew(flat)
     small = theta < _TINY_ANGLE
     near_pi = theta > np.pi - _NEAR_PI
-    main = ~small & ~near_pi
-
-    out = np.empty_like(vee)
     # theta / sin(theta) ~ 1 + theta^2/6 for small theta
-    t2 = theta[small] ** 2
-    out[small] = vee[small] * (1.0 + t2 / 6.0)[..., None]
     with np.errstate(invalid="ignore", divide="ignore"):
-        factor = theta[main] / np.sin(theta[main])
-    out[main] = vee[main] * factor[..., None]
+        factor = np.where(small, 1.0 + theta**2 / 6.0, theta / np.sin(theta))
+    out = np.empty((theta.size, 3))
+    out[:, 0] = vee[0] * factor
+    out[:, 1] = vee[1] * factor
+    out[:, 2] = vee[2] * factor
 
     if np.any(near_pi):
         # Diagonal-based axis: a_i^2 = (R_ii - cos)/(1 - cos) is well
         # conditioned near pi, where the antisymmetric part degenerates.
         for i in np.nonzero(near_pi)[0]:
-            Ri = flat[i]
+            Ri = e[:, i].reshape(3, 3)
             c = np.cos(theta[i])
             d = np.clip((np.diag(Ri) - c) / (1.0 - c), 0.0, None)
             k = int(np.argmax(d))
@@ -142,34 +218,37 @@ def _so3_log(R, item):
                 if j != k:
                     axis[j] = (Ri[j, k] + Ri[k, j]) / (2.0 * (1.0 - c) * axis[k])
             axis /= np.linalg.norm(axis)
-            if np.dot(axis, vee[i]) < 0.0:
+            if np.dot(axis, vee[:, i]) < 0.0:
                 axis = -axis
             out[i] = theta[i] * axis
 
-    out = out.reshape(R.shape[:-2] + (3,))
-    return out[0] if squeeze else out
+    return out.reshape(shape + (3,))
 
 
 def relative_angle(Q, R):
     """Rotation angle in ``[0, pi]`` of ``Q^T R``, without forming it.
 
-    The trace of ``Q^T R`` is the Frobenius product of ``Q`` and ``R``, and
-    twice its axial vector is the sum over rows ``k`` of ``R[k] x Q[k]``; both
-    come from the rows ``(9, n)`` of the row-major entries. The angle is
-    then :func:`so3_angle`'s ``arctan2(|vee|, (tr - 1) / 2)``. ``Q`` and ``R``
-    broadcast against each other. No cut-locus check: callers make it.
+    ``Q`` and ``R`` broadcast against each other; neither is copied to the
+    common shape. No cut-locus check: callers make it.
     """
-    Q, R = np.broadcast_arrays(np.asarray(Q, dtype=float), np.asarray(R, dtype=float))
-    q = Q.reshape(-1, 9).T
-    r = R.reshape(-1, 9).T
-    trace = np.einsum("kn,kn->n", q, r)
+    return _relative_angle_entries(_entries(Q), _entries(R))
+
+
+def _relative_angle_entries(q, r):
+    """:func:`relative_angle` from the entries ``(9, ...)`` of ``Q`` and ``R``.
+
+    The trace of ``Q^T R`` is the Frobenius product of ``Q`` and ``R``, and
+    twice its axial vector is the sum over rows ``k`` of ``R[k] x Q[k]``.
+    The angle is then :func:`so3_angle`'s ``arctan2(|vee|, (tr - 1) / 2)``.
+    """
     q0, q1, q2, q3, q4, q5, q6, q7, q8 = q
     r0, r1, r2, r3, r4, r5, r6, r7, r8 = r
+    trace = (q0 * r0 + q1 * r1 + q2 * r2) + (q3 * r3 + q4 * r4 + q5 * r5) + (
+        q6 * r6 + q7 * r7 + q8 * r8)
     x = (r1 * q2 - r2 * q1) + (r4 * q5 - r5 * q4) + (r7 * q8 - r8 * q7)
     y = (r2 * q0 - r0 * q2) + (r5 * q3 - r3 * q5) + (r8 * q6 - r6 * q8)
     z = (r0 * q1 - r1 * q0) + (r3 * q4 - r4 * q3) + (r6 * q7 - r7 * q6)
-    theta = np.arctan2(0.5 * np.sqrt(x * x + y * y + z * z), 0.5 * (trace - 1.0))
-    return theta.reshape(Q.shape[:-2])
+    return np.arctan2(0.5 * np.sqrt(x * x + y * y + z * z), 0.5 * (trace - 1.0))
 
 
 def so3_distance(Q, R):

@@ -28,7 +28,12 @@ import numpy as np
 from .errors import ReferenceMismatchError
 from .liegroups import (
     _check_cut_locus,
-    _so3_log,
+    _check_each,
+    _entries,
+    _exp_entries,
+    _log_entries,
+    _relative_angle_entries,
+    _times_transpose,
     polar3,
     relative_angle,
     so3_exp,
@@ -103,6 +108,17 @@ class ShapeRep:
         logs = spd2_log(self.stretches)
         logs.flags.writeable = False
         return logs
+
+    @classmethod
+    def _from_log_stretches(cls, rotations, log_stretches, reference_hash):
+        """The representation with stretches ``spd2_exp(log_stretches)``.
+
+        It keeps a copy of ``log_stretches`` as its :attr:`log_stretches`
+        instead of taking the logarithm of the rounded exponentials again.
+        """
+        rep = cls(rotations, spd2_exp(log_stretches), reference_hash)
+        rep.__dict__["log_stretches"] = _frozen(log_stretches)
+        return rep
 
     def save(self, path, omega=None):
         """Write the representation as JSON.
@@ -278,8 +294,8 @@ def rep_log(base, s):
     rotations differ by an angle at pi.
     """
     _check_pair(base, s)
-    rot_part = _so3_log(s.rotations @ np.swapaxes(base.rotations, -1, -2), "edge")
-    rot_part = rot_part.reshape(-1, 3)
+    relative = _times_transpose(_entries(s.rotations), _entries(base.rotations))
+    rot_part = _log_entries(relative, "edge")
     stretch_part = s.log_stretches - base.log_stretches
     return TangentRep(rot_part, stretch_part, base.content_hash())
 
@@ -297,16 +313,9 @@ def rep_inner(ref, params, v, w):
     """Metric inner product of two tangent vectors at a shared base."""
     if v.base_hash != w.base_hash:
         raise ReferenceMismatchError("tangent vectors have different base points")
-    omega = params.omega
-    total = 0.0
-    if ref.n_inner_edges:
-        # Skew matrices built from axis vectors have squared Frobenius
-        # norm 2 |xi|^2, hence the factor two.
-        rot_dot = 2.0 * np.sum(v.rot_part * w.rot_part, axis=-1)
-        total += omega**3 / ref.total_edge_area * float(ref.edge_areas @ rot_dot)
-    spd_dot = np.sum(v.stretch_part * w.stretch_part, axis=(-2, -1))
-    total += omega / ref.total_area * float(ref.tri_areas @ spd_dot)
-    return float(total)
+    x = _coordinates(v.rot_part, v.stretch_part)
+    y = _coordinates(w.rot_part, w.stretch_part)
+    return float((_coordinate_weights(ref, params) * x) @ y)
 
 
 def rep_norm(ref, params, v):
@@ -370,3 +379,61 @@ def unflatten_tangent(ref, params, vec, base_hash):
     stretch[:, 1, 0] = stretch[:, 0, 1]
     stretch[:, 1, 1] = sym[:, 2]
     return TangentRep(rot, stretch, base_hash)
+
+
+def _coordinates(rot_part, stretch_part):
+    """Tangent coordinates: rotation parts ``(..., E, 3)`` and stretch parts
+    ``(..., m, 2, 2)`` as one ``(..., 3E + 4m)`` array."""
+    lead = rot_part.shape[:-2]
+    return np.concatenate(
+        (rot_part.reshape(lead + (-1,)), stretch_part.reshape(lead + (-1,))), axis=-1
+    )
+
+
+def _split_coordinates(coords, n_edges):
+    """Inverse of :func:`_coordinates` for ``n_edges`` inner edges."""
+    lead = coords.shape[:-1]
+    split = 3 * n_edges
+    return (coords[..., :split].reshape(lead + (n_edges, 3)),
+            coords[..., split:].reshape(lead + (-1, 2, 2)))
+
+
+def _coordinate_weights(ref, params):
+    """Metric weights ``w`` of the :func:`_coordinates`: the inner product
+    :func:`rep_inner` of two tangent vectors is ``sum(w * x * y)`` over their
+    coordinates ``x`` and ``y``."""
+    omega = params.omega
+    rot = np.zeros(0)
+    if ref.n_inner_edges:
+        # Skew matrices built from axis vectors have squared Frobenius
+        # norm 2 |xi|^2, hence the factor two.
+        rot = np.repeat(2.0 * omega**3 / ref.total_edge_area * ref.edge_areas, 3)
+    spd = np.repeat(omega / ref.total_area * ref.tri_areas, 4)
+    return np.concatenate((rot, spd))
+
+
+def _tangent_distances(vectors, relative, stretch_logs, weights):
+    """Distances of the shapes ``exp_mu(v)`` to target shapes ``t``, all
+    given in tangent coordinates at one base ``mu``.
+
+    ``vectors`` are the :func:`_coordinates` ``(..., 3E + 4m)`` of the
+    ``v``, and ``weights`` their :func:`_coordinate_weights`. A target
+    enters through the entries ``relative`` ``(9, ..., E)`` of ``t mu^T``
+    and its stretch logs ``(..., 4m)`` at ``mu``; the leading shapes
+    broadcast. The angle between ``exp(v_e) mu_e`` and ``t_e`` is that of
+    the conjugate ``exp(v_e)^T t_e mu_e^T``, and the stretch distance is the
+    flat difference of the logs at ``mu``, so no shape is formed. As
+    :func:`rep_distance`, it raises :class:`CutLocusError` naming the worst
+    edge of the first pair at the cut locus.
+    """
+    n_edges = relative.shape[-1]
+    split = 3 * n_edges
+    squared = 0.0
+    if n_edges:
+        rot = vectors[..., :split].reshape(vectors.shape[:-1] + (n_edges, 3))
+        theta = _relative_angle_entries(_exp_entries(rot), relative)
+        _check_each(theta, "edge")
+        # The rotation coordinates of an edge share its weight.
+        squared = (theta * theta) @ weights[:split:3]
+    diff = stretch_logs - vectors[..., split:]
+    return np.sqrt(squared + (diff * diff) @ weights[split:])

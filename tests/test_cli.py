@@ -414,6 +414,52 @@ class TestCountOptions:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["ellipsoid-cohort", "two-class-cohort"])
+    @pytest.mark.parametrize("value, message", [
+        ("0", "0 is not positive"), ("-2", "-2 is not positive"),
+        ("two", "invalid _positive_int value"),
+    ])
+    def test_gen_synthetic_invalid_count_rejected(self, workspace, capsys, kind,
+                                                  value, message):
+        out = workspace / "never_cohort"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-synthetic", "--kind", kind, "--out-dir", str(out),
+                  "--count", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--count" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, message", [
+        ("-1", "-1 is negative"), ("two", "invalid _non_negative_int value"),
+    ])
+    def test_gen_synthetic_invalid_subdivisions_rejected(self, workspace, capsys,
+                                                         value, message):
+        out = workspace / "never_subdivided"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-synthetic", "--kind", "ellipsoid-cohort", "--out-dir", str(out),
+                  "--count", "2", "--subdivisions", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--subdivisions" in err and message in err
+        assert not out.exists()
+
+    def test_two_class_cohort_needs_two_shapes(self, workspace, capsys):
+        out = workspace / "never_two_class"
+        assert main(["gen-synthetic", "--kind", "two-class-cohort", "--out-dir",
+                     str(out), "--count", "1"]) == 1
+        assert "error:usage: a two-class cohort needs --count 2 or more, got 1" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_synthetic_zero_subdivisions_accepted(self, workspace, capsys):
+        out = workspace / "coarse_cohort"
+        assert main(["gen-synthetic", "--kind", "ellipsoid-cohort", "--out-dir",
+                     str(out), "--count", "2", "--subdivisions", "0"]) == 0
+        assert "wrote 2 ellipsoids" in capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == ["shape_000.obj",
+                                                         "shape_001.obj"]
+
 
 class TestDeterminism:
     def test_identical_invocations_identical_bytes(self, workspace):

@@ -108,6 +108,12 @@ class TestSpecificity:
         with pytest.raises(ValueError):
             specificity(ref, model, [])
 
+    @pytest.mark.parametrize("modes", [-1, -5])
+    def test_negative_mode_count_rejected(self, ref, cohort, model, modes):
+        with pytest.raises(ValueError,
+                           match=f"mode count must not be negative, got {modes}"):
+            specificity(ref, model, cohort, n_samples=2, modes=modes)
+
     @pytest.mark.parametrize("n_samples", [0, -1])
     def test_no_samples_rejected(self, ref, cohort, model, n_samples):
         with pytest.raises(ValueError, match="n_samples must be at least 1"):
@@ -165,6 +171,14 @@ class TestCompactness:
             reference_hash=model.reference_hash,
         )
         assert compactness(toy, 1) == pytest.approx(0.8)
+
+    def test_negative_mode_count_rejected(self, model):
+        with pytest.raises(ValueError, match="mode count must not be negative, got -1"):
+            compactness(model, -1)
+
+    def test_excess_mode_count_rejected(self, model):
+        with pytest.raises(ValueError, match=f"requested {model.n_modes + 1} of"):
+            compactness(model, model.n_modes + 1)
 
     def test_non_decreasing_ending_at_one(self, model):
         curve = [compactness(model, k) for k in range(1, model.n_modes + 1)]

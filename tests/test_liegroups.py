@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from shapeforms.errors import ConditioningError, CutLocusError, OrientationError
 from shapeforms.liegroups import (
@@ -481,3 +482,74 @@ class TestRelativeAngle:
         assert theta.shape == (2, 4)
         assert np.max(np.abs(theta - so3_angle(Q.T @ R))) <= 8.0 * EPS
         assert relative_angle(np.eye(3), R[0, 0]).shape == ()
+
+
+# Angles in each regime of the rotation kernels: the series branch (down to
+# zero), the main branch, and the diagonal-based branch up to 1e3 times the
+# cut-locus margin from pi, log-spaced towards both ends.
+regime_angles = st.one_of(
+    st.just(0.0),
+    st.floats(-20.0, np.log10(_TINY_ANGLE), exclude_max=True).map(lambda u: 10.0**u),
+    st.floats(_TINY_ANGLE, np.pi - _NEAR_PI),
+    st.floats(np.log10(1e3 * _PI_MARGIN), np.log10(_NEAR_PI), exclude_max=True).map(
+        lambda u: np.pi - 10.0**u),
+)
+rotation_vectors = st.tuples(unit_axes, regime_angles).map(lambda p: p[1] * p[0])
+
+
+def log_tolerance(theta):
+    """Bound on the relative error of ``so3_log`` at angle ``theta``: the main
+    branch divides by ``sin(theta)``, which loses accuracy towards pi; the
+    diagonal-based branch beyond it does not."""
+    if theta > np.pi - _NEAR_PI:
+        return 1e-12
+    return 8.0 * EPS / np.sin(np.clip(theta, np.pi / 2, np.pi - _NEAR_PI))
+
+
+class TestSo3AgainstScipy:
+    """``so3_exp`` and ``so3_log`` against ``scipy.spatial.transform.Rotation``
+    in every branch regime, one at a time and stacked."""
+
+    @given(rotation_vectors)
+    def test_exp_matches_rotation_matrix(self, xi):
+        expected = Rotation.from_rotvec(xi).as_matrix()
+        assert np.max(np.abs(so3_exp(xi) - expected)) <= 8.0 * EPS
+
+    @given(rotation_vectors)
+    def test_log_matches_rotation_vector(self, xi):
+        R = Rotation.from_rotvec(xi).as_matrix()
+        expected = Rotation.from_matrix(R).as_rotvec()
+        theta = np.linalg.norm(expected)
+        err = np.max(np.abs(so3_log(R) - expected))
+        assert err <= log_tolerance(theta) * max(theta, np.finfo(float).tiny)
+
+    @given(st.lists(rotation_vectors, min_size=1, max_size=12))
+    def test_stacked_match_single(self, vectors):
+        xi = np.stack(vectors)
+        R = so3_exp(xi)
+        assert R.shape == (len(vectors), 3, 3)
+        logs = so3_log(R)
+        for k, v in enumerate(vectors):
+            assert np.array_equal(R[k], so3_exp(v))
+            assert np.array_equal(logs[k], so3_log(R[k]))
+        expected = Rotation.from_rotvec(xi).as_matrix()
+        assert np.max(np.abs(R - expected)) <= 8.0 * EPS
+        grid = so3_exp(xi.reshape(1, -1, 3))
+        assert grid.shape == (1, len(vectors), 3, 3)
+        assert np.array_equal(grid[0], R)
+
+    @given(st.lists(rotation_vectors, min_size=1, max_size=8), unit_axes,
+           st.integers(0, 8))
+    def test_cut_locus_names_the_half_turn(self, vectors, axis, position):
+        R = list(Rotation.from_rotvec(np.stack(vectors)).as_matrix())
+        position = min(position, len(R))
+        R.insert(position, Rotation.from_rotvec(np.pi * axis).as_matrix())
+        with pytest.raises(CutLocusError, match=rf"^rotation {position} is at the "
+                           r"cut locus: rotation angle 3\.14159"):
+            so3_log(np.stack(R))
+
+    def test_cut_locus_names_the_flat_index_of_a_grid(self):
+        R = so3_exp(np.full((2, 3, 3), 0.1))
+        R[1, 2] = rot_z(np.pi)
+        with pytest.raises(CutLocusError, match=r"^rotation 5 is at the cut locus"):
+            so3_log(R)

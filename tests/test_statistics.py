@@ -54,6 +54,10 @@ class TestFrechetMean:
         mu = frechet_mean(cohort, tol=1e-10)
         assert mean_residual(mu, cohort) < 1e-10
 
+    def test_residual_needs_shapes(self, cohort):
+        with pytest.raises(ValueError, match="need at least one representation"):
+            mean_residual(cohort[0], [])
+
     def test_two_shape_mean_is_midpoint(self, ref, cohort):
         s, t = cohort[0], cohort[1]
         mu = frechet_mean([s, t])
@@ -201,6 +205,25 @@ class TestSampling:
         b = sample(model, 3, seed=7)
         for x, y in zip(a, b):
             assert np.array_equal(x.rotations, y.rotations)
+
+    def test_negative_mode_count_rejected(self, model):
+        with pytest.raises(ValueError, match="mode count must not be negative, got -1"):
+            sample(model, 2, seed=0, n_modes=-1)
+
+    def test_excess_mode_count_rejected(self, model):
+        with pytest.raises(ValueError, match=f"requested {model.n_modes + 1} of"):
+            sample(model, 2, seed=0, n_modes=model.n_modes + 1)
+
+    def test_negative_count_rejected(self, model):
+        with pytest.raises(ValueError,
+                           match="sample count must not be negative, got -1"):
+            sample(model, -1, seed=0)
+        assert sample(model, 0, seed=0) == []
+
+    def test_leading_modes_only(self, ref, model):
+        for rep in sample(model, 3, seed=4, n_modes=1):
+            a = coefficients(ref, model, rep)
+            assert np.max(np.abs(a[1:])) < 1e-10
 
     def test_coefficient_variances_match(self, ref, model):
         reps = sample(model, 600, seed=1)
