@@ -7,7 +7,6 @@ over class-balanced splits; a point-distribution model (rigid Procrustes
 alignment plus vertex PCA) serves as the baseline feature extractor.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .representation import (
     _check_binding,
     _check_pair,
     _coordinate_weights,
-    _coordinates,
+    _read_json,
     _tangent_distances,
     _write_json,
 )
@@ -171,16 +170,17 @@ def _fold_errors(ref, params, rest, held_out, start, log_mean, max_modes):
     """
     mu, matrix = _fold_model(ref, params, rest, start, log_mean)
     relative = _relative_entries([held_out], mu)[:, 0]
-    stretch_log = held_out.log_stretches - log_mean
+    stretch_log = (held_out.log_stretches - log_mean).reshape(-1)
     weights = _coordinate_weights(ref, params)
-    a = matrix @ (weights * _coordinates(_log_entries(relative, "edge"), stretch_log))
+    v = np.concatenate((_log_entries(relative, "edge").reshape(-1), stretch_log))
+    a = matrix @ (weights * v)
     used = np.minimum(np.arange(1, max_modes + 1), a.size)
     distinct = np.unique(used)
     d = np.empty(distinct.size)
     for block in _blocks(distinct.size, 8 * max(relative.size, matrix.shape[1])):
         prefixes = a * (np.arange(a.size) < distinct[block, None])
-        d[block] = _tangent_distances(prefixes @ matrix, relative,
-                                      stretch_log.reshape(-1), weights)
+        d[block] = _tangent_distances(prefixes @ matrix, relative, stretch_log,
+                                      weights)
     return d[np.searchsorted(distinct, used)]
 
 
@@ -336,8 +336,7 @@ class ClassifierModel:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+        payload = _read_json(path)
         return cls(
             weights_std=np.array(payload["weights_std"], dtype=float),
             bias_std=float(payload["bias_std"]),

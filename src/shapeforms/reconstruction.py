@@ -228,8 +228,7 @@ class _EdgeTerms:
     ``energy``, ``residuals`` and ``global_targets`` all need the
     prescribed gradients carried by a rotation field,
     ``transported(R) = R[src] @ prescribed``. Each takes that product as
-    ``carried`` when the caller already holds it, so one rotation field
-    costs one product.
+    ``carried``, so one rotation field costs one product.
     """
 
     def __init__(self, ref, rep, stretches3):
@@ -259,17 +258,15 @@ class _EdgeTerms:
         rotation of its source triangle."""
         return R[self.src] @ self.prescribed
 
-    def _squared_mismatch(self, D, R, carried):
-        if carried is None:
-            carried = self.transported(R)
+    def _squared_mismatch(self, D, carried):
         diff = D[self.dst] - carried
         return np.sum(diff * diff, axis=(-2, -1))
 
-    def energy(self, D, R, carried=None):
-        return float(self.weights @ self._squared_mismatch(D, R, carried))
+    def energy(self, D, carried):
+        return float(self.weights @ self._squared_mismatch(D, carried))
 
-    def residuals(self, D, R, carried=None):
-        sq = self._squared_mismatch(D, R, carried)
+    def residuals(self, D, carried):
+        sq = self._squared_mismatch(D, carried)
         out = _scatter_sum(self.dst, sq, self.counts.shape[0])
         return out / np.maximum(self.counts, 1)
 
@@ -299,9 +296,7 @@ class _EdgeTerms:
             R[self.isolated] = current[self.isolated]
         return R
 
-    def global_targets(self, R, stretches3, carried=None):
-        if carried is None:
-            carried = self.transported(R)
+    def global_targets(self, R, stretches3, carried):
         B = _scatter_sum(self.dst, carried, R.shape[0])
         B /= np.maximum(self.counts, 1)[:, None, None]
         if np.any(self.isolated):
@@ -358,7 +353,7 @@ def reconstruct(ref, rep, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, system=Non
     X = system.solve(terms.global_targets(R, stretches3, P))
     D = system.gradients(X)
     report = EnergyReport()
-    energy = terms.energy(D, R, P)
+    energy = terms.energy(D, P)
     report.energies.append(energy)
 
     # Anderson acceleration of the fixed point X -> G(X) = global(local(X)):
@@ -376,13 +371,13 @@ def reconstruct(ref, rep, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, system=Non
         if not fitted:
             R = terms.rotation_fits(D, R)
             P = terms.transported(R)
-            energy = terms.energy(D, R, P)
+            energy = terms.energy(D, P)
         report.energies.append(energy)
 
         G = system.solve(terms.global_targets(R, stretches3, P))
         f = G - X
         X, D, fitted = G, system.gradients(G), False
-        energy = terms.energy(D, R, P)
+        energy = terms.energy(D, P)
         if last is not None:
             dF.append((f - last[0]).ravel())
             dG.append((G - last[1]).ravel())
@@ -396,7 +391,7 @@ def reconstruct(ref, rep, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, system=Non
             try:
                 R_c = terms.rotation_fits(D_c, R)
                 P_c = terms.transported(R_c)
-                energy_c = terms.energy(D_c, R_c, P_c)
+                energy_c = terms.energy(D_c, P_c)
             except ConditioningError:
                 energy_c = np.inf
             if energy_c < energy:
@@ -409,7 +404,7 @@ def reconstruct(ref, rep, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, system=Non
         report.iterations += 1
         report.converged = energy <= floor or previous - energy <= tol * previous
 
-    report.residuals = terms.residuals(D, R, P)
+    report.residuals = terms.residuals(D, P)
     report.rotations = R
     report.positions = X
     mesh = TriangleMesh(X[: system.n_vertices], ref.mesh.triangles)

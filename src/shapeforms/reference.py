@@ -41,13 +41,14 @@ class ReferenceGeometry:
         ``(E,)`` edge weights ``(A_i + A_j) / 3``.
     edge_shared_vertices : ndarray
         ``(E, 2)`` endpoint vertex indices of each shared edge.
-    neighbors : tuple
-        Per-triangle arrays of adjacent triangle indices, ascending.
+    neighbor_counts : ndarray
+        ``(m,)`` number of triangles adjacent to each triangle.
     spanning_tree : ndarray
         ``(m - 1, 2)`` dual-graph tree edges ``(parent, child)`` in
         breadth-first visit order from seed triangle 0: the
         ``scipy.sparse.csgraph.breadth_first_order`` of the dual adjacency
-        in CSR form, whose rows list the ``neighbors`` in ascending order.
+        in CSR form, whose rows list the adjacent triangles in ascending
+        order.
     tree_edge_indices : ndarray
         ``(m - 1,)`` inner-edge index of each spanning-tree edge.
     tree_depths : ndarray
@@ -67,7 +68,6 @@ class ReferenceGeometry:
     edge_areas: np.ndarray
     total_edge_area: float
     edge_shared_vertices: np.ndarray
-    neighbors: tuple
     neighbor_counts: np.ndarray
     spanning_tree: np.ndarray
     tree_edge_indices: np.ndarray
@@ -152,7 +152,6 @@ def build_reference(mesh):
     dst = dst[np.lexsort((dst, src))]
     neighbor_counts = np.bincount(src, minlength=m)
     indptr = np.concatenate(([0], np.cumsum(neighbor_counts)))
-    neighbors = tuple(np.split(dst, indptr[1:-1]))
     adjacency = scipy.sparse.csr_matrix((np.ones(dst.size), dst, indptr), shape=(m, m))
 
     # Breadth-first from triangle 0 over the ascending CSR rows; a validated
@@ -182,7 +181,6 @@ def build_reference(mesh):
         edge_areas=edge_areas,
         total_edge_area=total_edge_area,
         edge_shared_vertices=shared,
-        neighbors=neighbors,
         neighbor_counts=neighbor_counts,
         spanning_tree=tree,
         tree_edge_indices=tree_edge_indices,

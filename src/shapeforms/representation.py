@@ -16,6 +16,13 @@ with the reference triangle areas ``A_i``, edge weights
 ``A_ij = (A_i + A_j) / 3``, their totals ``A`` and ``A_E``, and a positive
 commensuration weight ``omega`` balancing curvature against metric
 contributions.
+
+A tangent vector at a shape is one element of the product Lie algebra:
+an axis-angle vector per inner edge and a symmetric 2x2 matrix per
+triangle. :class:`TangentRep` holds it as one flat array of ``3E + 4m``
+coordinates, the ``E`` axis-angle vectors first and then the ``m``
+row-major 2x2 matrices, so statistics on tangent vectors are plain linear
+algebra on these coordinates.
 """
 
 import hashlib
@@ -121,27 +128,53 @@ class ShapeRep:
         return rep
 
     def save(self, path, omega=None):
-        """Write the representation as JSON.
-
-        Rotations are stored as 9 row-major floats, stretches as the
-        ``(U11, U12, U22)`` triple, in reference edge/triangle order.
-        """
-        payload = {
-            "reference_hash": self.reference_hash,
-            "rotations": self.rotations.reshape(-1, 9).tolist(),
-            "stretches": _sym_to_triples(self.stretches),
-        }
+        """Write the representation as JSON, see :func:`_shape_payload`."""
+        payload = {"reference_hash": self.reference_hash, **_shape_payload(self)}
         if omega is not None:
             payload["omega"] = float(omega)
         _write_json(path, payload)
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        rotations = np.array(payload["rotations"], dtype=float).reshape(-1, 3, 3)
-        stretches = _triples_to_sym(np.array(payload["stretches"], dtype=float))
-        return cls(rotations, stretches, payload["reference_hash"])
+        payload = _read_json(path)
+        return _shape_from_payload(payload, payload["reference_hash"])
+
+
+def _shape_payload(rep):
+    """The ``{rotations, stretches}`` JSON payload of a shape.
+
+    Rotations are stored as 9 row-major floats, stretches as the
+    ``(U11, U12, U22)`` triple, in reference edge/triangle order.
+    """
+    return {"rotations": rep.rotations.reshape(-1, 9).tolist(),
+            "stretches": _sym_to_triples(rep.stretches).tolist()}
+
+
+def _shape_from_payload(payload, reference_hash):
+    """Inverse of :func:`_shape_payload`, bound to ``reference_hash``."""
+    rotations = np.array(payload["rotations"], dtype=float).reshape(-1, 3, 3)
+    stretches = _triples_to_sym(np.array(payload["stretches"], dtype=float))
+    return ShapeRep(rotations, stretches, reference_hash)
+
+
+def _tangent_payload(v):
+    """The ``{rot_part, stretch_part}`` JSON payload of a tangent vector:
+    3 floats per inner edge and the ``(X11, X12, X22)`` triple per triangle."""
+    return {"rot_part": v.rot_part.tolist(),
+            "stretch_part": _sym_to_triples(v.stretch_part).tolist()}
+
+
+def _tangent_from_payload(payload, base_hash):
+    """Inverse of :func:`_tangent_payload`, at the base ``base_hash``."""
+    rot_part = np.array(payload["rot_part"], dtype=float).reshape(-1, 3)
+    stretch_part = _triples_to_sym(np.array(payload["stretch_part"], dtype=float))
+    return TangentRep(rot_part, stretch_part, base_hash)
+
+
+def _read_json(path):
+    """The payload of a JSON file written by :func:`_write_json`."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def _write_json(path, payload):
@@ -156,18 +189,13 @@ def _write_json(path, payload):
 
 
 def _sym_to_triples(sym):
-    """``(n, 2, 2)`` symmetric matrices as ``(X11, X12, X22)`` lists."""
-    return sym.reshape(-1, 4)[:, [0, 1, 3]].tolist()
+    """``(n, 2, 2)`` symmetric matrices as ``(n, 3)`` rows ``(X11, X12, X22)``."""
+    return sym.reshape(-1, 4)[:, [0, 1, 3]]
 
 
 def _triples_to_sym(triples):
     """Inverse of :func:`_sym_to_triples` on an ``(n, 3)`` array."""
-    out = np.empty((triples.shape[0], 2, 2))
-    out[:, 0, 0] = triples[:, 0]
-    out[:, 0, 1] = triples[:, 1]
-    out[:, 1, 0] = triples[:, 1]
-    out[:, 1, 1] = triples[:, 2]
-    return out
+    return triples[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -186,40 +214,54 @@ class TangentRep:
 
     Rotational entries are axis-angle vectors per inner edge (of the
     right-translated group logarithm), stretch entries symmetric 2x2
-    matrices per triangle.
+    matrices per triangle. The vector is its ``coordinates``, one
+    C-contiguous ``(3E + 4m,)`` array with the rotation parts first;
+    ``rot_part`` ``(E, 3)`` and ``stretch_part`` ``(m, 2, 2)`` are views of
+    it.
     """
 
     def __init__(self, rot_part, stretch_part, base_hash):
-        self.rot_part = np.ascontiguousarray(rot_part, dtype=float)
-        self.stretch_part = np.ascontiguousarray(stretch_part, dtype=float)
+        rot_part = np.asarray(rot_part, dtype=float)
+        self.coordinates = np.concatenate(
+            (rot_part.reshape(-1), np.asarray(stretch_part, dtype=float).reshape(-1)))
+        self.n_edges = rot_part.shape[0]
         self.base_hash = base_hash
+
+    @classmethod
+    def _from_coordinates(cls, coordinates, n_edges, base_hash):
+        """The vector with ``coordinates``, kept without a copy when they are
+        a C-contiguous float array."""
+        v = cls.__new__(cls)
+        v.coordinates = np.ascontiguousarray(coordinates, dtype=float)
+        v.n_edges = n_edges
+        v.base_hash = base_hash
+        return v
+
+    @property
+    def rot_part(self):
+        return self.coordinates[: 3 * self.n_edges].reshape(self.n_edges, 3)
+
+    @property
+    def stretch_part(self):
+        return self.coordinates[3 * self.n_edges:].reshape(-1, 2, 2)
 
     def __add__(self, other):
         if self.base_hash != other.base_hash:
             raise ReferenceMismatchError("tangent vectors have different base points")
-        return TangentRep(
-            self.rot_part + other.rot_part,
-            self.stretch_part + other.stretch_part,
-            self.base_hash,
-        )
+        return TangentRep._from_coordinates(
+            self.coordinates + other.coordinates, self.n_edges, self.base_hash)
 
     def __mul__(self, scalar):
-        return TangentRep(
-            self.rot_part * scalar, self.stretch_part * scalar, self.base_hash
-        )
+        return TangentRep._from_coordinates(
+            self.coordinates * scalar, self.n_edges, self.base_hash)
 
     __rmul__ = __mul__
 
-    def copy(self):
-        return TangentRep(self.rot_part.copy(), self.stretch_part.copy(), self.base_hash)
-
     @classmethod
     def zero(cls, base):
-        return cls(
-            np.zeros((base.n_edges, 3)),
-            np.zeros((base.n_triangles, 2, 2)),
-            base.content_hash(),
-        )
+        return cls._from_coordinates(
+            np.zeros(3 * base.n_edges + 4 * base.n_triangles), base.n_edges,
+            base.content_hash())
 
 
 def _check_binding(ref, rep):
@@ -313,9 +355,7 @@ def rep_inner(ref, params, v, w):
     """Metric inner product of two tangent vectors at a shared base."""
     if v.base_hash != w.base_hash:
         raise ReferenceMismatchError("tangent vectors have different base points")
-    x = _coordinates(v.rot_part, v.stretch_part)
-    y = _coordinates(w.rot_part, w.stretch_part)
-    return float((_coordinate_weights(ref, params) * x) @ y)
+    return float((_coordinate_weights(ref, params) * v.coordinates) @ w.coordinates)
 
 
 def rep_norm(ref, params, v):
@@ -349,14 +389,7 @@ def flatten_tangent(ref, params, v):
         w_rot = np.sqrt(2.0 * omega**3 / ref.total_edge_area * ref.edge_areas)
         parts.append((v.rot_part * w_rot[:, None]).reshape(-1))
     w_spd = np.sqrt(omega / ref.total_area * ref.tri_areas)
-    sym = np.stack(
-        (
-            v.stretch_part[:, 0, 0],
-            np.sqrt(2.0) * v.stretch_part[:, 0, 1],
-            v.stretch_part[:, 1, 1],
-        ),
-        axis=-1,
-    )
+    sym = _sym_to_triples(v.stretch_part) * [1.0, np.sqrt(2.0), 1.0]
     parts.append((sym * w_spd[:, None]).reshape(-1))
     return np.concatenate(parts)
 
@@ -373,35 +406,14 @@ def unflatten_tangent(ref, params, vec, base_hash):
         offset = 3 * E
     w_spd = np.sqrt(omega / ref.total_area * ref.tri_areas)
     sym = vec[offset:].reshape(-1, 3) / w_spd[:, None]
-    stretch = np.empty((sym.shape[0], 2, 2))
-    stretch[:, 0, 0] = sym[:, 0]
-    stretch[:, 0, 1] = sym[:, 1] / np.sqrt(2.0)
-    stretch[:, 1, 0] = stretch[:, 0, 1]
-    stretch[:, 1, 1] = sym[:, 2]
-    return TangentRep(rot, stretch, base_hash)
-
-
-def _coordinates(rot_part, stretch_part):
-    """Tangent coordinates: rotation parts ``(..., E, 3)`` and stretch parts
-    ``(..., m, 2, 2)`` as one ``(..., 3E + 4m)`` array."""
-    lead = rot_part.shape[:-2]
-    return np.concatenate(
-        (rot_part.reshape(lead + (-1,)), stretch_part.reshape(lead + (-1,))), axis=-1
-    )
-
-
-def _split_coordinates(coords, n_edges):
-    """Inverse of :func:`_coordinates` for ``n_edges`` inner edges."""
-    lead = coords.shape[:-1]
-    split = 3 * n_edges
-    return (coords[..., :split].reshape(lead + (n_edges, 3)),
-            coords[..., split:].reshape(lead + (-1, 2, 2)))
+    sym[:, 1] /= np.sqrt(2.0)
+    return TangentRep(rot, _triples_to_sym(sym), base_hash)
 
 
 def _coordinate_weights(ref, params):
-    """Metric weights ``w`` of the :func:`_coordinates`: the inner product
+    """Metric weights ``w`` of the tangent coordinates: the inner product
     :func:`rep_inner` of two tangent vectors is ``sum(w * x * y)`` over their
-    coordinates ``x`` and ``y``."""
+    ``coordinates`` ``x`` and ``y``."""
     omega = params.omega
     rot = np.zeros(0)
     if ref.n_inner_edges:
@@ -416,8 +428,8 @@ def _tangent_distances(vectors, relative, stretch_logs, weights):
     """Distances of the shapes ``exp_mu(v)`` to target shapes ``t``, all
     given in tangent coordinates at one base ``mu``.
 
-    ``vectors`` are the :func:`_coordinates` ``(..., 3E + 4m)`` of the
-    ``v``, and ``weights`` their :func:`_coordinate_weights`. A target
+    ``vectors`` are the :class:`TangentRep` coordinates ``(..., 3E + 4m)``
+    of the ``v``, and ``weights`` their :func:`_coordinate_weights`. A target
     enters through the entries ``relative`` ``(9, ..., E)`` of ``t mu^T``
     and its stretch logs ``(..., 4m)`` at ``mu``; the leading shapes
     broadcast. The angle between ``exp(v_e) mu_e`` and ``t_e`` is that of

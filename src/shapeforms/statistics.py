@@ -19,12 +19,12 @@ Principal modes come from the eigendecomposition of the Gram matrix of the
 logs at the mean (Fletcher et al., "Principal geodesic analysis for the
 study of nonlinear statistics of shape", 2004), reusing the logs of the
 mean's last step. They have unit metric length, so mode coefficients are
-plain inner products. A model keeps its modes as the rows of one
-``(k, 3E + 4m)`` matrix of tangent coordinates, so projecting a shape and
-synthesizing one take one matrix product each.
+plain inner products. A tangent vector is its ``(3E + 4m)`` coordinates
+(see :class:`TangentRep`), and a model keeps its modes as the rows of one
+``(k, 3E + 4m)`` matrix of them, so projecting a shape and synthesizing
+one take one matrix product each.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +47,11 @@ from .representation import (
     ShapeRep,
     TangentRep,
     _coordinate_weights,
-    _coordinates,
-    _split_coordinates,
-    _sym_to_triples,
-    _triples_to_sym,
+    _read_json,
+    _shape_from_payload,
+    _shape_payload,
+    _tangent_from_payload,
+    _tangent_payload,
     _write_json,
     encode,
     rep_exp,
@@ -252,14 +253,12 @@ class PGAModel:
         base_hash = self.mean.content_hash()
         if any(mode.base_hash != base_hash for mode in self.modes):
             raise ReferenceMismatchError("a mode is not a tangent vector at the mean")
-        split = 3 * self.mean.n_edges
-        matrix = np.empty((len(self.modes), split + 4 * self.mean.n_triangles))
-        for row, mode in zip(matrix, self.modes):
-            row[:split] = mode.rot_part.reshape(-1)
-            row[split:] = mode.stretch_part.reshape(-1)
+        n_edges = self.mean.n_edges
+        matrix = np.array([mode.coordinates for mode in self.modes], dtype=float)
+        matrix = matrix.reshape(-1, 3 * n_edges + 4 * self.mean.n_triangles)
         matrix.flags.writeable = False
         # The modes become read-only views of the matrix rows.
-        modes = tuple(TangentRep(*_split_coordinates(row, self.mean.n_edges), base_hash)
+        modes = tuple(TangentRep._from_coordinates(row, n_edges, base_hash)
                       for row in matrix)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "variances", np.asarray(self.variances, dtype=float))
@@ -274,39 +273,20 @@ class PGAModel:
             "reference_hash": self.reference_hash,
             "omega": self.params.omega,
             "variances": self.variances.tolist(),
-            "mean": {
-                "rotations": self.mean.rotations.reshape(-1, 9).tolist(),
-                "stretches": _sym_to_triples(self.mean.stretches),
-            },
-            "modes": [
-                {
-                    "rot_part": mode.rot_part.tolist(),
-                    "stretch_part": _sym_to_triples(mode.stretch_part),
-                }
-                for mode in self.modes
-            ],
+            "mean": _shape_payload(self.mean),
+            "modes": [_tangent_payload(mode) for mode in self.modes],
         }
         _write_json(path, payload)
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        rotations = np.array(payload["mean"]["rotations"], dtype=float).reshape(
-            -1, 3, 3
-        )
-        triples = np.array(payload["mean"]["stretches"], dtype=float)
-        stretches = _triples_to_sym(triples)
-        mean = ShapeRep(rotations, stretches, payload["reference_hash"])
+        payload = _read_json(path)
+        mean = _shape_from_payload(payload["mean"], payload["reference_hash"])
         base_hash = mean.content_hash()
-        modes = []
-        for entry in payload["modes"]:
-            rot = np.array(entry["rot_part"], dtype=float).reshape(-1, 3)
-            spd = _triples_to_sym(np.array(entry["stretch_part"], dtype=float))
-            modes.append(TangentRep(rot, spd, base_hash))
         return cls(
             mean=mean,
-            modes=modes,
+            modes=[_tangent_from_payload(entry, base_hash)
+                   for entry in payload["modes"]],
             variances=np.array(payload["variances"], dtype=float),
             params=DistanceParams(payload["omega"]),
             reference_hash=payload["reference_hash"],
@@ -377,8 +357,7 @@ def pga(ref, reps, mu=None, params=DistanceParams(), mean_tol=DEFAULT_PGA_MEAN_T
         raise ReferenceMismatchError("mean uses a different reference")
     mu, variances, matrix = _mean_and_modes(ref, reps, mu, params, mean_tol)
     base_hash = mu.content_hash()
-    modes = [TangentRep(*_split_coordinates(row, mu.n_edges), base_hash)
-             for row in matrix]
+    modes = [TangentRep._from_coordinates(row, mu.n_edges, base_hash) for row in matrix]
     return PGAModel(
         mean=mu,
         modes=modes,
@@ -393,9 +372,7 @@ def coefficients(ref, model, rep):
     if rep.reference_hash != model.reference_hash:
         raise ReferenceMismatchError("representation uses a different reference")
     v = rep_log(model.mean, rep)
-    weighted = _coordinate_weights(ref, model.params) * _coordinates(
-        v.rot_part, v.stretch_part)
-    return model._mode_matrix @ weighted
+    return model._mode_matrix @ (_coordinate_weights(ref, model.params) * v.coordinates)
 
 
 def synthesize(model, coeffs):
@@ -410,8 +387,8 @@ def synthesize(model, coeffs):
         )
     v = coeffs @ model._mode_matrix[: coeffs.size]
     mean = model.mean
-    rot_part, stretch_part = _split_coordinates(v, mean.n_edges)
-    return rep_exp(mean, TangentRep(rot_part, stretch_part, mean.content_hash()))
+    return rep_exp(mean, TangentRep._from_coordinates(v, mean.n_edges,
+                                                      mean.content_hash()))
 
 
 def _mode_count(model, modes):

@@ -385,7 +385,7 @@ class TestReconstruct:
         D = system.gradients(report.positions)
         R = terms.rotation_fits(D, report.rotations)
         assert np.max(np.abs(R - report.rotations)) < 1e-8
-        X = system.solve(terms.global_targets(R, stretches3))
+        X = system.solve(terms.global_targets(R, stretches3, terms.transported(R)))
         moved = np.max(np.linalg.norm(X[: mesh.n_vertices] - mesh.vertices, axis=1))
         assert moved < 1e-8 * mesh.bbox_diagonal
 
@@ -436,15 +436,16 @@ class TestReconstruct:
         stretches3 = _embed_stretches(ref, rep.stretches)
         terms = _EdgeTerms(ref, rep, stretches3)
         R = init_rotations(ref, rep)
-        X = system.solve(terms.global_targets(R, stretches3))
+        X = system.solve(terms.global_targets(R, stretches3, terms.transported(R)))
         R = terms.rotation_fits(system.gradients(X), R)
-        X = system.solve(terms.global_targets(R, stretches3))
+        X = system.solve(terms.global_targets(R, stretches3, terms.transported(R)))
         assert report.iterations == 1
         assert not report.converged
         assert len(report.energies) == 3
         assert np.array_equal(report.rotations, R)
         assert np.array_equal(report.positions, X)
-        assert report.energies[-1] == terms.energy(system.gradients(X), R)
+        assert report.energies[-1] == terms.energy(system.gradients(X),
+                                                    terms.transported(R))
 
 
 class TestRigidMotion:
@@ -504,5 +505,5 @@ class TestDecode:
         stretches3 = _embed_stretches(ref, mean.stretches)
         terms = _EdgeTerms(ref, mean, stretches3)
         D = prefactor(ref).gradients(report.positions)
-        recomputed = terms.energy(D, report.rotations)
+        recomputed = terms.energy(D, terms.transported(report.rotations))
         assert report.energies[-1] == pytest.approx(recomputed, rel=1e-12)

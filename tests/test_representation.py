@@ -21,6 +21,7 @@ from shapeforms.representation import (
     rep_exp,
     rep_inner,
     rep_log,
+    _coordinate_weights,
     rep_norm,
     unflatten_tangent,
 )
@@ -323,6 +324,100 @@ class TestSerialization:
         json.dump(payload, expected)
         expected.write("\n")
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_save_bytes_of_a_fixed_rep(self, tmp_path):
+        rotations = np.array([[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]])
+        stretches = np.array([[[1.5, 0.1], [0.1, 2.0]], [[1.0, 0.0], [0.0, 1.0]]])
+        path = tmp_path / "rep.json"
+        ShapeRep(rotations, stretches, "abc").save(path, omega=2.5)
+        assert path.read_bytes() == (
+            b'{"reference_hash": "abc", '
+            b'"rotations": [[0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0]], '
+            b'"stretches": [[1.5, 0.1, 2.0], [1.0, 0.0, 1.0]], "omega": 2.5}\n'
+        )
+        back = ShapeRep.load(path)
+        assert np.array_equal(back.rotations, rotations)
+        assert np.array_equal(back.stretches, stretches)
+
+
+def single_triangle_reference():
+    vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.2, 0.9, 0.0]])
+    return build_reference(TriangleMesh(vertices, np.array([[0, 1, 2]])))
+
+
+def random_tangent(rng, base):
+    rot = rng.normal(size=(base.n_edges, 3))
+    sym = rng.normal(size=(base.n_triangles, 2, 2))
+    return TangentRep(rot, sym + np.swapaxes(sym, -1, -2), base.content_hash())
+
+
+class TestTangentLayout:
+    """A tangent vector is one coordinate array; its parts are views."""
+
+    @pytest.fixture(params=["icosphere-1", "single-triangle"])
+    def layout_ref(self, request, ref):
+        return ref if request.param == "icosphere-1" else single_triangle_reference()
+
+    def test_parts_are_views_of_coordinates(self, ref, deformed_reps):
+        v = rep_log(deformed_reps[0], deformed_reps[1])
+        E, m = ref.n_inner_edges, ref.n_triangles
+        assert v.coordinates.shape == (3 * E + 4 * m,)
+        assert v.coordinates.flags.c_contiguous
+        assert v.rot_part.shape == (E, 3) and v.stretch_part.shape == (m, 2, 2)
+        assert np.shares_memory(v.rot_part, v.coordinates)
+        assert np.shares_memory(v.stretch_part, v.coordinates)
+        assert np.array_equal(v.coordinates[: 3 * E], v.rot_part.reshape(-1))
+        assert np.array_equal(v.coordinates[3 * E:], v.stretch_part.reshape(-1))
+        v.stretch_part[1, 0, 1] = 7.0
+        assert v.coordinates[3 * E + 4 + 1] == 7.0
+
+    def test_constructor_copies_the_parts(self, ref, deformed_reps):
+        rot = np.ones((ref.n_inner_edges, 3))
+        spd = np.ones((ref.n_triangles, 2, 2))
+        v = TangentRep(rot, spd, "h")
+        assert not np.shares_memory(v.coordinates, rot)
+        assert not np.shares_memory(v.coordinates, spd)
+        assert np.array_equal(v.rot_part, rot) and np.array_equal(v.stretch_part, spd)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_arithmetic_bit_equal_to_parts(self, layout_ref, seed):
+        rng = np.random.default_rng(seed)
+        base = encode(layout_ref, layout_ref.mesh)[0]
+        v, w = random_tangent(rng, base), random_tangent(rng, base)
+        c = rng.normal()
+        for got, rot, spd in (
+            (v + w, v.rot_part + w.rot_part, v.stretch_part + w.stretch_part),
+            (c * v, v.rot_part * c, v.stretch_part * c),
+            (v * c, v.rot_part * c, v.stretch_part * c),
+        ):
+            assert got.base_hash == base.content_hash()
+            assert np.array_equal(got.rot_part, rot)
+            assert np.array_equal(got.stretch_part, spd)
+        zero = TangentRep.zero(base)
+        assert zero.rot_part.shape == (layout_ref.n_inner_edges, 3)
+        assert zero.stretch_part.shape == (layout_ref.n_triangles, 2, 2)
+        assert not np.any(zero.coordinates)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_inner_bit_equal_to_parts(self, layout_ref, seed):
+        rng = np.random.default_rng(seed)
+        params = DistanceParams(omega=3.0)
+        base = encode(layout_ref, layout_ref.mesh)[0]
+        v, w = random_tangent(rng, base), random_tangent(rng, base)
+
+        def parts(u):
+            return np.concatenate((u.rot_part.reshape(-1), u.stretch_part.reshape(-1)))
+
+        weights = _coordinate_weights(layout_ref, params)
+        got = rep_inner(layout_ref, params, v, w)
+        assert got == float((weights * parts(v)) @ parts(w))
+        omega = params.omega
+        by_parts = omega / layout_ref.total_area * float(
+            layout_ref.tri_areas @ np.sum(v.stretch_part * w.stretch_part, axis=(1, 2)))
+        if layout_ref.n_inner_edges:
+            by_parts += 2.0 * omega**3 / layout_ref.total_edge_area * float(
+                layout_ref.edge_areas @ np.sum(v.rot_part * w.rot_part, axis=1))
+        assert got == pytest.approx(by_parts, rel=1e-12)
 
 
 class TestCaches:

@@ -246,6 +246,28 @@ class TestSerializationAndRebias:
         s2 = synthesize(back, a)
         assert np.allclose(s1.rotations, s2.rotations, atol=1e-15)
 
+    def test_model_save_load_save_bytes_identical(self, model, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        model.save(first)
+        back = PGAModel.load(first)
+        back.save(second)
+        assert second.read_bytes() == first.read_bytes()
+        assert np.array_equal(back._mode_matrix, model._mode_matrix)
+        assert np.array_equal(back.variances, model.variances)
+        assert back.mean.content_hash() == model.mean.content_hash()
+
+    def test_modes_are_read_only_views_of_the_mode_matrix(self, model, tmp_path):
+        model.save(tmp_path / "model.json")
+        for m in (model, PGAModel.load(tmp_path / "model.json")):
+            assert m.n_modes > 0
+            for k, mode in enumerate(m.modes):
+                assert np.shares_memory(mode.coordinates, m._mode_matrix)
+                assert np.array_equal(mode.coordinates, m._mode_matrix[k])
+            for part in (m.modes[0].coordinates, m.modes[0].rot_part,
+                         m.modes[0].stretch_part):
+                with pytest.raises(ValueError):
+                    part.reshape(-1)[0] = 1.0
+
     def test_unbiased_reference_converges_to_mean(self, ref):
         meshes = [
             smooth_deformation(ref.mesh, seed=s, stretch=0.08, wave_amplitude=0.03)
