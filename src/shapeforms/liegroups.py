@@ -22,7 +22,8 @@ _PI_MARGIN = 1e-12
 # from the limit. Scaled Newton takes six or seven steps even at a
 # singular-value ratio of 1e-16; _POLAR_MAX_ITER only catches non-finite
 # input. Below _COFACTOR_MIN_DET = |det X| / |X|_F^3 the closed-form
-# cofactor inverse loses its accuracy and an LU inverse is used instead.
+# cofactor inverse and determinant lose their accuracy, and LU is used
+# instead.
 _POLAR_STEP_TOL = 1e-9
 _POLAR_MAX_ITER = 30
 _COFACTOR_MIN_DET = 1e-8
@@ -39,19 +40,6 @@ def skew(xi):
     K[..., 2, 0] = -xi[..., 1]
     K[..., 2, 1] = xi[..., 0]
     return K
-
-
-def unskew(K):
-    """Inverse of :func:`skew`; uses the antisymmetric part of ``K``."""
-    K = np.asarray(K, dtype=float)
-    return 0.5 * np.stack(
-        (
-            K[..., 2, 1] - K[..., 1, 2],
-            K[..., 0, 2] - K[..., 2, 0],
-            K[..., 1, 0] - K[..., 0, 1],
-        ),
-        axis=-1,
-    )
 
 
 def _entries(R):
@@ -347,16 +335,35 @@ def spd2_distance(U, V):
     return np.linalg.norm(diff, axis=(-2, -1))
 
 
-def _cofactors(X):
-    """Cofactor matrices and determinants of 3x3 matrices stored as the
-    rows ``(9, n)`` of their row-major entries."""
+def _det_entries(entries):
+    """Determinants of 3x3 matrices from their row-major entries ``(9, ...)``.
+
+    Cofactor expansion along the first row is accurate to a few ulps of
+    ``|X|_F^3``. Below ``_COFACTOR_MIN_DET`` times that, an LU determinant
+    is taken instead, so that nearly singular matrices keep their sign.
+    """
+    a, b, c, d, e, f, g, h, i = entries
+    det = a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
+    norm2 = np.einsum("k...,k...->...", entries, entries)
+    weak = np.abs(det) < _COFACTOR_MIN_DET * norm2**1.5
+    if np.any(weak):
+        det = np.array(det)
+        det[weak] = np.linalg.det(np.moveaxis(entries, 0, -1)[weak].reshape(-1, 3, 3))
+    return det
+
+
+def _cofactors(X, C):
+    """Write the cofactor matrices of the 3x3 matrices with row-major
+    entries ``X`` ``(9, n)`` into ``C`` and return their determinants."""
     a, b, c, d, e, f, g, h, i = X
-    C = np.stack((
-        e * i - f * h, f * g - d * i, d * h - e * g,
-        c * h - b * i, a * i - c * g, b * g - a * h,
-        b * f - c * e, c * d - a * f, a * e - b * d,
-    ))
-    return C, a * C[0] + b * C[1] + c * C[2]
+    for k, (p, q, r, s) in enumerate((
+        (e, i, f, h), (f, g, d, i), (d, h, e, g),
+        (c, h, b, i), (a, i, c, g), (b, g, a, h),
+        (b, f, c, e), (c, d, a, f), (a, e, b, d),
+    )):
+        np.multiply(p, q, out=C[k])
+        C[k] -= r * s
+    return a * C[0] + b * C[1] + c * C[2]
 
 
 def polar_rotation(M):
@@ -375,20 +382,27 @@ def polar_rotation(M):
     """
     M = np.asarray(M, dtype=float)
     X = M.reshape(-1, 9).T.copy()
+    # Y holds the cofactors, X^-T, then the next iterate; X the iterate,
+    # then minus the step. They swap roles after every step.
+    Y = np.empty_like(X)
+    scaled = np.empty_like(X)
     for _ in range(_POLAR_MAX_ITER):
-        C, det = _cofactors(X)
+        det = _cofactors(X, Y)
         norm2 = np.einsum("kn,kn->n", X, X)
         with np.errstate(divide="ignore", invalid="ignore"):
-            Y = C / det
+            Y /= det
         weak = np.abs(det) < _COFACTOR_MIN_DET * norm2**1.5
         if np.any(weak):
             inv = np.linalg.inv(X[:, weak].T.reshape(-1, 3, 3))
             Y[:, weak] = np.swapaxes(inv, -1, -2).reshape(-1, 9).T
         zeta = np.sqrt(np.sqrt(np.einsum("kn,kn->n", Y, Y) / norm2))
-        X, previous = 0.5 * (zeta * X + Y / zeta), X
-        step = X - previous
-        if np.all(np.einsum("kn,kn->n", step, step) <= _POLAR_STEP_TOL**2):
-            return X.T.reshape(M.shape)
+        Y /= zeta
+        Y += np.multiply(zeta, X, out=scaled)
+        Y *= 0.5
+        X -= Y
+        if np.all(np.einsum("kn,kn->n", X, X) <= _POLAR_STEP_TOL**2):
+            return Y.T.reshape(M.shape)
+        X, Y = Y, X
     raise ConditioningError(
         f"polar iteration did not settle within {_POLAR_MAX_ITER} steps"
     )
@@ -420,7 +434,7 @@ def polar3(D, min_rel_sigma=1e-10):
         If singular values are too spread for a reliable factorization.
     """
     D = np.asarray(D, dtype=float)
-    det = np.linalg.det(D)
+    det = _det_entries(_entries(D))
     if np.any(det <= 0.0):
         idx = int(np.argmin(det.reshape(-1)))
         raise OrientationError(

@@ -12,6 +12,18 @@ vertex positions (global step); both are exact block minimizers. A
 spanning-tree propagation of the seed rotation provides the warm start and
 is already exact for integrable inputs.
 
+Over the directed edges ``e = (src -> dst)`` this is, with ``G X`` the
+deformation-gradient columns of the stacked positions as rows ``3i + c``,
+``gidx_e`` the three rows of ``dst`` and ``Rt`` the stacked ``R_i^T``,
+
+    E(X, R) = sum_e w_e |(G X)[gidx_e] - (B Rt)_e|^2.
+
+The sparse ``(3E x 3m)`` operator ``B`` holds the prescribed gradient
+``Q_e = F_src C_e F_dst^T U_dst`` at the columns of ``src``. One iteration
+polar-decomposes the blocks of ``B^T (w * (G X)[gidx])`` (local step),
+solves against ``G^T`` times the ``dst``-sum of ``w * (B Rt)`` (global
+step) and reads the energy off the residual rows.
+
 The alternation is a fixed-point iteration on the stacked positions, and
 Anderson acceleration (Peng et al., 2018, *Anderson Acceleration for
 Geometry Optimization and Physics Simulation*) extrapolates each plain
@@ -29,7 +41,6 @@ data while non-integrable mismatch is spread smoothly by the solve.
 """
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +48,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ConditioningError
-from .liegroups import polar_rotation
+from .liegroups import _det_entries, _entries, polar_rotation
 from .mesh import TriangleMesh
 from .representation import _check_binding
 
@@ -57,17 +68,14 @@ def embed_stretch(ref, i, stretch2):
     """Lift a tangential 2x2 stretch of triangle ``i`` back to 3x3.
 
     The normal direction gets unit stretch, matching the convention that
-    deformation gradients map unit normal to unit normal.
+    deformation gradients map unit normal to unit normal. ``i`` may also
+    select several triangles, with their stretches stacked to match.
     """
-    return _embed_stretches(ref, stretch2, i)
-
-
-def _embed_stretches(ref, stretches, triangles=slice(None)):
-    stretches = np.asarray(stretches, dtype=float)
-    padded = np.zeros(stretches.shape[:-2] + (3, 3))
-    padded[..., :2, :2] = stretches
+    stretch2 = np.asarray(stretch2, dtype=float)
+    padded = np.zeros(stretch2.shape[:-2] + (3, 3))
+    padded[..., :2, :2] = stretch2
     padded[..., 2, 2] = 1.0
-    F = ref.frames[triangles]
+    F = ref.frames[i]
     return F @ padded @ np.swapaxes(F, -1, -2)
 
 
@@ -111,6 +119,11 @@ class EnergyReport:
     residuals: np.ndarray = None
     rotations: np.ndarray = None
     positions: np.ndarray = None
+
+
+def _rows(D):
+    """Stack the columns of ``(m, 3, 3)`` matrices as the rows ``3i + c``."""
+    return np.ascontiguousarray(np.swapaxes(D, -1, -2)).reshape(-1, 3)
 
 
 class PoissonSystem:
@@ -191,9 +204,12 @@ class PoissonSystem:
             ``(n_vertices + m, 3)`` stacked vertex positions and normal-tip
             points, vertex barycenter pinned to the reference barycenter.
         """
+        return self._solve_weighted(self._weights[:, None] * _rows(targets))
+
+    def _solve_weighted(self, weighted):
+        """:meth:`solve` for area-weighted target rows laid out as ``G X``."""
         nv = self.n_vertices
-        rows = targets.transpose(0, 2, 1).reshape(-1, 3)
-        rhs = self._G.T @ (self._weights[:, None] * rows)
+        rhs = self._G.T @ weighted
         rhs_v, rhs_t = rhs[:nv], rhs[nv:]
         reduced = rhs_v - self._kvt @ (rhs_t / self._ktt[:, None])
         X = np.zeros((rhs.shape[0], 3))
@@ -202,9 +218,13 @@ class PoissonSystem:
         X += self._barycenter - X[:nv].mean(axis=0)
         return X
 
+    def gradient_rows(self, X):
+        """``G X``: row ``3i + c`` is column ``c`` of triangle ``i``'s gradient."""
+        return self._G @ X
+
     def gradients(self, X):
         """Deformation gradients of stacked positions ``X``."""
-        return (self._G @ X).reshape(self.n_triangles, 3, 3).transpose(0, 2, 1)
+        return self.gradient_rows(X).reshape(self.n_triangles, 3, 3).transpose(0, 2, 1)
 
 
 def prefactor(ref):
@@ -212,75 +232,80 @@ def prefactor(ref):
     return PoissonSystem(ref)
 
 
-def _scatter_sum(index, values, size):
-    """Sum the rows of ``values`` into ``size`` bins by ``index``."""
-    width = int(np.prod(values.shape[1:]))
-    flat = values.reshape(index.size, width)
-    bins = (index[:, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(bins, weights=flat.ravel(), minlength=size * width)
-    # bincount returns integers when there is nothing to count.
-    return sums.astype(float, copy=False).reshape((size,) + values.shape[1:])
-
-
 class _EdgeTerms:
-    """Directed-edge arrays shared by energy, local and global step.
+    """The directed-edge coupling of one representation as one operator.
 
-    ``energy``, ``residuals`` and ``global_targets`` all need the
-    prescribed gradients carried by a rotation field,
-    ``transported(R) = R[src] @ prescribed``. Each takes that product as
-    ``carried``, so one rotation field costs one product.
+    Row ``3e + c`` of the CSR matrix ``B`` holds column ``c`` of ``Q_e`` at
+    the columns ``3 src_e + r``; ``B.data`` is the only copy of the
+    prescribed gradients. Rotations travel as transposes ``Rt``, gradients
+    as the edge rows ``Dg = (G X)[gidx]``, and ``carried(Rt) = B @ Rt`` is
+    formed once per rotation field.
     """
 
-    def __init__(self, ref, rep, stretches3):
+    def __init__(self, ref, rep):
         src, dst, edge_idx, forward = ref.directed_edges()
-        self.src = src
-        self.dst = dst
-        C = rep.rotations[edge_idx]
-        backward = ~forward
-        C[backward] = np.swapaxes(C[backward], -1, -2)
+        m, n = ref.n_triangles, src.size
         F = ref.frames
-        transport = F[src] @ C @ np.swapaxes(F[dst], -1, -2)
-        self.prescribed = transport @ stretches3[dst]
-        counts = ref.neighbor_counts
-        self.weights = ref.tri_areas[dst] / counts[dst]
-        self.counts = counts
-        self.tri_areas = ref.tri_areas
-        self.isolated = counts == 0
+        Ft = np.ascontiguousarray(np.swapaxes(F, -1, -2))
+        # U_i F_i = F_i diag(S_i, 1) for the embedded stretch U_i.
+        UF = F.copy()
+        UF[..., :2] = F[..., :2] @ rep.stretches
+        # C_e^T: the stored transition rotation transposed on forward edges,
+        # as stored on backward ones.
+        Qt = rep.rotations[edge_idx]
+        Qt[forward] = np.swapaxes(Qt[forward], -1, -2)
+        # The blocks Q_e^T = U_dst F_dst C_e^T F_src^T, in place of C_e^T,
+        # are B's data in row order.
+        np.matmul(UF[dst] @ Qt, Ft[src], out=Qt)
+        columns = np.empty((n, 3, 3), dtype=np.int32)
+        columns[...] = 3 * src[:, None, None] + np.arange(3)
+        self.B = scipy.sparse.csr_matrix(
+            (Qt.reshape(-1), columns.reshape(-1),
+             np.arange(0, 9 * n + 1, 3, dtype=np.int32)), shape=(3 * n, 3 * m))
+        self.dst = dst
+        self.gidx = (3 * dst[:, None] + np.arange(3)).reshape(-1).astype(np.int32)
+        self.counts = counts = ref.neighbor_counts
+        self.weights = np.repeat(ref.tri_areas[dst] / counts[dst], 3)
+        # The weighted dst-sum of edge rows: one entry per column.
+        self._to_dst = scipy.sparse.csc_matrix(
+            (self.weights, self.gidx, np.arange(3 * n + 1, dtype=np.int32)),
+            shape=(3 * m, 3 * n)
+        )
+        self.isolated = iso = counts == 0
+        # A_i U_i of triangles without neighbors (global target R_i U_i).
+        self._isolated_targets = ref.tri_areas[iso, None, None] * (UF[iso] @ Ft[iso])
+
+    def _weighted_norm2(self, rows):
+        return float(np.einsum("i,ij,ij->", self.weights, rows, rows))
 
     def target_size(self):
         """Weighted squared norm of the prescribed gradients, which is the
         energy of a zero gradient field under any rotations."""
-        sq = np.sum(self.prescribed * self.prescribed, axis=(-2, -1))
-        return float(self.weights @ sq)
+        return self._weighted_norm2(self.B.data.reshape(-1, 3))
 
-    def transported(self, R):
-        """The prescribed gradient of every directed edge carried by the
-        rotation of its source triangle."""
-        return R[self.src] @ self.prescribed
+    def gather(self, rows):
+        """The rows ``(G X)[gidx]`` of every edge's ``dst`` gradient."""
+        return np.take(rows, self.gidx, axis=0)
 
-    def _squared_mismatch(self, D, carried):
-        diff = D[self.dst] - carried
-        return np.sum(diff * diff, axis=(-2, -1))
+    def carried(self, Rt):
+        """``B @ Rt``: each prescribed gradient carried by its source's rotation."""
+        return self.B @ Rt.reshape(-1, 3)
 
-    def energy(self, D, carried):
-        return float(self.weights @ self._squared_mismatch(D, carried))
+    def energy(self, Dg, carried):
+        return self._weighted_norm2(Dg - carried)
 
-    def residuals(self, D, carried):
-        sq = self._squared_mismatch(D, carried)
-        out = _scatter_sum(self.dst, sq, self.counts.shape[0])
+    def residuals(self, Dg, carried):
+        diff = Dg - carried
+        sq = np.einsum("ij,ij->i", diff, diff).reshape(-1, 3).sum(axis=1)
+        out = np.bincount(self.dst, weights=sq, minlength=self.counts.size)
         return out / np.maximum(self.counts, 1)
 
-    def rotation_fits(self, D, current):
-        """Closed-form Procrustes update of all rotations at once.
-
-        Triangles without neighbors keep their ``current`` rotation.
-        """
-        terms = self.weights[:, None, None] * (
-            D[self.dst] @ np.swapaxes(self.prescribed, -1, -2)
-        )
-        M = _scatter_sum(self.src, terms, self.counts.shape[0])
-
-        det = np.linalg.det(M)
+    def rotation_fits(self, Dg, current):
+        """Closed-form Procrustes fit of all ``Rt`` at once: the polar
+        factors of the blocks ``M_i^T`` of ``B^T (w * Dg)``. Triangles
+        without neighbors keep their ``current`` transposed rotation."""
+        Mt = (self.B.T @ (self.weights[:, None] * Dg)).reshape(-1, 3, 3)
+        det = _det_entries(_entries(Mt))
         bad = (det <= 0.0) & ~self.isolated
         if np.any(bad):
             idx = int(np.nonzero(bad)[0][0])
@@ -288,20 +313,20 @@ class _EdgeTerms:
                 f"rotation fit for triangle {idx} is singular (det "
                 f"{det[idx]:.3g})"
             )
-        if np.any(self.isolated):
-            M[self.isolated] = current[self.isolated]
+        Mt[self.isolated] = current[self.isolated]
         # det M > 0, so the polar factor is a proper rotation.
-        R = polar_rotation(M)
-        if np.any(self.isolated):
-            R[self.isolated] = current[self.isolated]
-        return R
+        Rt = polar_rotation(Mt)
+        Rt[self.isolated] = current[self.isolated]
+        return Rt
 
-    def global_targets(self, R, stretches3, carried):
-        B = _scatter_sum(self.dst, carried, R.shape[0])
-        B /= np.maximum(self.counts, 1)[:, None, None]
-        if np.any(self.isolated):
-            B[self.isolated] = R[self.isolated] @ stretches3[self.isolated]
-        return B
+    def global_rows(self, Rt, carried):
+        """Area-weighted target rows of the global step: the weighted
+        ``dst``-sum of the carried rows, and ``R_i U_i`` for triangles
+        without neighbors."""
+        rows = self._to_dst @ carried
+        iso = self.isolated  # the rows of R U are those of (R U)^T = U Rt
+        rows.reshape(-1, 3, 3)[iso] = self._isolated_targets @ Rt[iso]
+        return rows
 
 
 def local_step(ref, rep, gradients, rotations=None):
@@ -311,11 +336,12 @@ def local_step(ref, rep, gradients, rotations=None):
     ``rotations`` is only consulted for triangles without neighbors.
     """
     _check_binding(ref, rep)
-    stretches3 = _embed_stretches(ref, rep.stretches)
-    terms = _EdgeTerms(ref, rep, stretches3)
+    terms = _EdgeTerms(ref, rep)
     if rotations is None:
         rotations = np.broadcast_to(np.eye(3), (ref.n_triangles, 3, 3))
-    return terms.rotation_fits(np.asarray(gradients, dtype=float), rotations)
+    Dg = terms.gather(_rows(np.asarray(gradients, dtype=float)))
+    Rt = terms.rotation_fits(Dg, np.swapaxes(rotations, -1, -2))
+    return np.swapaxes(Rt, -1, -2)
 
 
 def reconstruct(ref, rep, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, system=None):
@@ -344,68 +370,78 @@ def reconstruct(ref, rep, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, system=Non
     _check_binding(ref, rep)
     if system is None:
         system = prefactor(ref)
+    # The alternation's edge arrays are freed before the mesh is validated.
+    report = _alternate(ref, rep, tol, max_iter, system)
+    mesh = TriangleMesh(report.positions[: system.n_vertices], ref.mesh.triangles)
+    return mesh, report
 
-    stretches3 = _embed_stretches(ref, rep.stretches)
-    terms = _EdgeTerms(ref, rep, stretches3)
-    R = init_rotations(ref, rep)
-    P = terms.transported(R)  # always the product of the current R
 
-    X = system.solve(terms.global_targets(R, stretches3, P))
-    D = system.gradients(X)
-    report = EnergyReport()
-    energy = terms.energy(D, P)
-    report.energies.append(energy)
+def _alternate(ref, rep, tol, max_iter, system):
+    terms = _EdgeTerms(ref, rep)
+    Rt = np.ascontiguousarray(np.swapaxes(init_rotations(ref, rep), -1, -2))
+    P = terms.carried(Rt)  # always the carried rows of the current Rt
+
+    X = system._solve_weighted(terms.global_rows(Rt, P))
+    Dg = terms.gather(system.gradient_rows(X))
+    energy = terms.energy(Dg, P)
+    report = EnergyReport(energies=[energy])
 
     # Anderson acceleration of the fixed point X -> G(X) = global(local(X)):
-    # the differences of the last residuals f = G(X) - X and of the images
-    # G(X), and the last (f, G(X)) pair for the next differences.
-    dF = deque(maxlen=_AA_WINDOW)
-    dG = deque(maxlen=_AA_WINDOW)
+    # rings of the differences of the residuals f = G(X) - X and of G(X), the
+    # pairs put in since the last clear, and the last (f, G(X)) pair.
+    dF = dG = None
+    pairs = 0
     last = None
-    fitted = False  # R is already the rotation fit of D
+    fitted = False  # Rt is already the rotation fit of Dg
 
     floor = _FLOOR_FACTOR * terms.target_size()
     report.converged = energy <= floor
     while not report.converged and report.iterations < max_iter:
         previous = energy
         if not fitted:
-            R = terms.rotation_fits(D, R)
-            P = terms.transported(R)
-            energy = terms.energy(D, P)
+            Rt = terms.rotation_fits(Dg, Rt)
+            P = terms.carried(Rt)
+            energy = terms.energy(Dg, P)
         report.energies.append(energy)
 
-        G = system.solve(terms.global_targets(R, stretches3, P))
+        G = system._solve_weighted(terms.global_rows(Rt, P))
         f = G - X
-        X, D, fitted = G, system.gradients(G), False
-        energy = terms.energy(D, P)
+        X, Dg, fitted = G, terms.gather(system.gradient_rows(G)), False
+        energy = terms.energy(Dg, P)
         if last is not None:
-            dF.append((f - last[0]).ravel())
-            dG.append((G - last[1]).ravel())
+            if dF is None:  # only an iterating solve needs the rings
+                dF, dG = np.empty((2, _AA_WINDOW, X.size))
+            k = pairs % _AA_WINDOW
+            np.subtract(f.reshape(-1), last[0].reshape(-1), out=dF[k])
+            np.subtract(G.reshape(-1), last[1].reshape(-1), out=dG[k])
+            pairs += 1
         last = f, G
 
-        if dF:
-            gamma = np.linalg.lstsq(np.column_stack(dF), f.ravel(), rcond=None)[0]
-            candidate = G - (np.column_stack(dG) @ gamma).reshape(G.shape)
-            D_c = system.gradients(candidate)
+        if pairs:
+            held = min(pairs, _AA_WINDOW)
+            A = dF[:held]
+            # lstsq on the small normal equations still handles a rank-
+            # deficient history.
+            gamma = np.linalg.lstsq(A @ A.T, A @ f.reshape(-1), rcond=None)[0]
+            candidate = G - (gamma @ dG[:held]).reshape(G.shape)
+            Dg_c = terms.gather(system.gradient_rows(candidate))
             # A candidate without a proper rotation fit is rejected.
             try:
-                R_c = terms.rotation_fits(D_c, R)
-                P_c = terms.transported(R_c)
-                energy_c = terms.energy(D_c, P_c)
+                Rt_c = terms.rotation_fits(Dg_c, Rt)
+                P_c = terms.carried(Rt_c)
+                energy_c = terms.energy(Dg_c, P_c)
             except ConditioningError:
                 energy_c = np.inf
             if energy_c < energy:
-                X, D, R, P, energy = candidate, D_c, R_c, P_c, energy_c
+                X, Dg, Rt, P, energy = candidate, Dg_c, Rt_c, P_c, energy_c
                 fitted = True
             else:
-                dF.clear()
-                dG.clear()
+                pairs = 0
         report.energies.append(energy)
         report.iterations += 1
         report.converged = energy <= floor or previous - energy <= tol * previous
 
-    report.residuals = terms.residuals(D, P)
-    report.rotations = R
+    report.residuals = terms.residuals(Dg, P)
+    report.rotations = np.ascontiguousarray(np.swapaxes(Rt, -1, -2))
     report.positions = X
-    mesh = TriangleMesh(X[: system.n_vertices], ref.mesh.triangles)
-    return mesh, report
+    return report

@@ -376,40 +376,6 @@ def relative_rotation_angles(s, t):
     return relative_angle(s.rotations, t.rotations)
 
 
-def flatten_tangent(ref, params, v):
-    """Isometric embedding of a tangent vector into flat coordinates.
-
-    The Euclidean inner product of two embedded vectors equals
-    :func:`rep_inner`, which turns Gram matrices and projections into
-    plain linear algebra.
-    """
-    omega = params.omega
-    parts = []
-    if ref.n_inner_edges:
-        w_rot = np.sqrt(2.0 * omega**3 / ref.total_edge_area * ref.edge_areas)
-        parts.append((v.rot_part * w_rot[:, None]).reshape(-1))
-    w_spd = np.sqrt(omega / ref.total_area * ref.tri_areas)
-    sym = _sym_to_triples(v.stretch_part) * [1.0, np.sqrt(2.0), 1.0]
-    parts.append((sym * w_spd[:, None]).reshape(-1))
-    return np.concatenate(parts)
-
-
-def unflatten_tangent(ref, params, vec, base_hash):
-    """Inverse of :func:`flatten_tangent`."""
-    omega = params.omega
-    E = ref.n_inner_edges
-    rot = np.zeros((E, 3))
-    offset = 0
-    if E:
-        w_rot = np.sqrt(2.0 * omega**3 / ref.total_edge_area * ref.edge_areas)
-        rot = vec[: 3 * E].reshape(E, 3) / w_rot[:, None]
-        offset = 3 * E
-    w_spd = np.sqrt(omega / ref.total_area * ref.tri_areas)
-    sym = vec[offset:].reshape(-1, 3) / w_spd[:, None]
-    sym[:, 1] /= np.sqrt(2.0)
-    return TangentRep(rot, _triples_to_sym(sym), base_hash)
-
-
 def _coordinate_weights(ref, params):
     """Metric weights ``w`` of the tangent coordinates: the inner product
     :func:`rep_inner` of two tangent vectors is ``sum(w * x * y)`` over their

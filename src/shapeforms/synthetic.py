@@ -224,22 +224,6 @@ def cylinder_patch(n_u=20, n_v=30, radius=1.0, height=2.0, wedge=1.5 * np.pi):
     return TriangleMesh(vertices, np.array(faces, dtype=np.int64))
 
 
-def analytic_cylinder_development(n_u=20, n_v=30, radius=1.0, height=2.0,
-                                  wedge=1.5 * np.pi):
-    """Exact development of :func:`cylinder_patch` into the plane.
-
-    The chordal cylinder is intrinsically flat; unrolling it face by face
-    places ring ``j`` at ``x = j * chord`` where ``chord`` is the chord
-    length between adjacent rings. Returned vertices match the patch's
-    vertex order.
-    """
-    chord = 2.0 * radius * np.sin(0.5 * wedge / n_v)
-    us = np.linspace(0.0, height, n_u + 1)
-    xs = chord * np.arange(n_v + 1)
-    uu, xx = np.meshgrid(us, xs, indexing="ij")
-    return np.stack([xx, uu], axis=-1).reshape(-1, 2)
-
-
 def hemisphere_patch(n_rings=10, n_around=24, radius=1.0, cap_angle=0.45 * np.pi):
     """Spherical cap around the +z pole, open along its boundary ring."""
     vertices = [np.array([0.0, 0.0, radius])]

@@ -8,11 +8,12 @@ from shapeforms.mesh import TriangleMesh
 from shapeforms.reference import build_reference
 from shapeforms.representation import encode
 from shapeforms.synthetic import (
-    analytic_cylinder_development,
     cylinder_patch,
     hemisphere_patch,
     icosphere,
 )
+
+from helpers import analytic_cylinder_development
 
 
 def planar_two_triangles():

@@ -10,6 +10,8 @@ from shapeforms.liegroups import (
     _NEAR_PI,
     _PI_MARGIN,
     _TINY_ANGLE,
+    _det_entries,
+    _entries,
     _sym2_apply,
     polar3,
     polar_rotation,
@@ -23,8 +25,9 @@ from shapeforms.liegroups import (
     spd2_exp,
     spd2_log,
     spd2_mul,
-    unskew,
 )
+
+from helpers import unskew
 
 
 def random_rotation(rng, max_angle=np.pi - 1e-3):
@@ -365,6 +368,31 @@ class TestPolarRotation:
 
 
 EPS = np.finfo(float).eps
+
+class TestDetEntries:
+    @given(axis_angles, axis_angles, spectra, st.integers(0, 2**32 - 1))
+    def test_matches_lu_determinant(self, u, v, sigma, seed):
+        # Conditioned, nearly singular, singular and negative-determinant
+        # matrices in one stack, each within 1e-12 |D|_F^3 of LU.
+        rng = np.random.default_rng(seed)
+        D = with_spectrum(u, v, sigma)
+        stack = np.stack((
+            D,
+            D @ np.diag([1.0, 1.0, -1.0]),
+            with_spectrum(u, v, sigma * [1.0, 1.0, 0.0]),
+            rng.normal(size=(3, 3)),
+            rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3.0, 3.0),
+        ))
+        det = _det_entries(_entries(stack))
+        expected = np.linalg.det(stack)
+        size = np.linalg.norm(stack, axis=(-2, -1)) ** 3
+        assert det.shape == (5,)
+        assert np.all(np.abs(det - expected) <= 1e-12 * size)
+        assert np.all(np.sign(det[:2]) == [1.0, -1.0])
+
+    def test_single_matrix(self):
+        assert _det_entries(_entries(np.diag([2.0, 3.0, -0.5]))) == -3.0
+
 
 # Unit vectors from their polar and azimuthal angles.
 unit_axes = st.tuples(st.floats(0.0, np.pi), st.floats(-np.pi, np.pi)).map(

@@ -14,7 +14,6 @@ from shapeforms.representation import (
     ShapeRep,
     TangentRep,
     encode,
-    flatten_tangent,
     geodesic,
     relative_rotation_angles,
     rep_distance,
@@ -23,9 +22,10 @@ from shapeforms.representation import (
     rep_log,
     _coordinate_weights,
     rep_norm,
-    unflatten_tangent,
 )
 from shapeforms.synthetic import icosphere, smooth_deformation
+
+from helpers import flatten_tangent, unflatten_tangent
 
 
 @pytest.fixture(scope="module")

@@ -19,11 +19,9 @@ from shapeforms.representation import (
     ShapeRep,
     TangentRep,
     encode,
-    flatten_tangent,
     rep_distance,
     rep_exp,
     rep_log,
-    unflatten_tangent,
 )
 from shapeforms.statistics import (
     EIGENVALUE_CUTOFF,
@@ -35,6 +33,8 @@ from shapeforms.statistics import (
     synthesize,
 )
 from shapeforms.synthetic import icosphere, smooth_deformation
+
+from helpers import flatten_tangent, unflatten_tangent
 
 #: Agreement of the stacked code with the per-shape references.
 REL = 1e-12
