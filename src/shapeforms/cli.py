@@ -3,13 +3,49 @@
 Every subcommand is a file-in/file-out pipeline and is deterministic given
 its ``--seed``; numeric output is printed with 17 significant digits so
 identical invocations produce byte-identical files. Errors are reported on
-stderr as ``error:<category>: message`` with a nonzero exit code.
+stderr as ``error:<category>: message`` with a nonzero exit code. Each
+mesh written from a reconstruction that stopped at its iteration limit
+(including a flattening) gets one ``warning:`` line on stderr; the file is
+still written and the exit code stays 0.
+
+Option defaults are the library's own constants, so a command and the
+function it calls agree unless a flag says otherwise.
 """
 
 import argparse
 import csv
+import json
 import os
 import sys
+
+import numpy as np
+
+from . import synthetic
+from .errors import ShapeFormsError
+from .evaluation import DEFAULT_CV_DRAWS, accuracy_curve, metrics_report, train_svm
+from .flattening import flatten
+from .mesh import load_mesh, save_mesh
+from .reconstruction import DEFAULT_MAX_ITER, DEFAULT_TOL, prefactor, reconstruct
+from .reference import build_reference
+from .representation import (
+    DEFAULT_OMEGA,
+    DistanceParams,
+    ShapeRep,
+    encode,
+    geodesic,
+    relative_rotation_angles,
+)
+from .statistics import (
+    DEFAULT_MEAN_MAX_ITER,
+    DEFAULT_MEAN_TOL,
+    PGAModel,
+    coefficients,
+    frechet_mean,
+    pga,
+    sample,
+    synthesize,
+    unbiased_reference,
+)
 
 
 def _positive_float(text):
@@ -53,14 +89,13 @@ def build_parser():
     p.add_argument("--reference", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--omega", type=_positive_float, default=None)
 
     p = sub.add_parser("reconstruct", help="representation JSON -> mesh")
     p.add_argument("--reference", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tol", type=_positive_float, default=1e-8)
-    p.add_argument("--max-iter", type=_non_negative_int, default=100)
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
+    p.add_argument("--max-iter", type=_non_negative_int, default=DEFAULT_MAX_ITER)
 
     p = sub.add_parser("interpolate", help="geodesic between two meshes")
     p.add_argument("inputs", nargs=2, metavar=("A", "B"))
@@ -73,19 +108,19 @@ def build_parser():
     p.add_argument("--reference", required=True)
     p.add_argument("--out-rep", required=True)
     p.add_argument("--out-mesh", required=True)
-    p.add_argument("--out-reference", default=None,
+    p.add_argument("--out-reference",
                    help="write the (possibly re-centered) reference mesh")
     p.add_argument("--rebias", type=_non_negative_int, default=0,
                    help="outer iterations re-centering the reference on the mean")
-    p.add_argument("--tol", type=_positive_float, default=1e-10)
-    p.add_argument("--max-iter", type=_positive_int, default=50)
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_MEAN_TOL)
+    p.add_argument("--max-iter", type=_positive_int, default=DEFAULT_MEAN_MAX_ITER)
 
     p = sub.add_parser("pga", help="cohort -> model JSON + coefficients CSV")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--reference", required=True)
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-coeffs", required=True)
-    p.add_argument("--omega", type=_positive_float, default=None)
+    p.add_argument("--omega", type=_positive_float, default=DEFAULT_OMEGA)
 
     p = sub.add_parser("synthesize", help="coefficients -> mesh")
     p.add_argument("--reference", required=True)
@@ -106,8 +141,8 @@ def build_parser():
     p = sub.add_parser("flatten", help="reference mesh -> planar OBJ + report")
     p.add_argument("--reference", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--report", default=None)
-    p.add_argument("--scalars", default=None,
+    p.add_argument("--report")
+    p.add_argument("--scalars",
                    help="text file with one value per vertex, passed through "
                    "as an extra OBJ vertex column")
 
@@ -121,11 +156,11 @@ def build_parser():
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--out-model", default=None,
+    p.add_argument("--out-model",
                    help="classifier trained on the full data, as JSON")
     p.add_argument("--shares", type=_share_list,
                    default=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
-    p.add_argument("--draws", type=_positive_int, default=200)
+    p.add_argument("--draws", type=_positive_int, default=DEFAULT_CV_DRAWS)
     p.add_argument("--reg", type=_positive_float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
 
@@ -133,24 +168,21 @@ def build_parser():
     p.add_argument("inputs", nargs="+")
     p.add_argument("--reference", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--omega", type=_positive_float, default=None)
+    p.add_argument("--omega", type=_positive_float, default=DEFAULT_OMEGA)
     p.add_argument("--n-samples", type=_positive_int, default=1000)
     p.add_argument("--metric", choices=["intrinsic", "vertex"], default="intrinsic")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-modes", type=_positive_int, default=None)
+    p.add_argument("--max-modes", type=_positive_int)
 
     p = sub.add_parser("diagnose",
                        help="relative transition-rotation angle histogram")
     p.add_argument("inputs", nargs=2, metavar=("A", "B"))
-    p.add_argument("--reference", default=None,
-                   help="defaults to the first input mesh")
+    p.add_argument("--reference", help="defaults to the first input mesh")
     p.add_argument("--out", required=True)
     p.add_argument("--bins", type=_positive_int, default=36)
 
     p = sub.add_parser("gen-synthetic", help="write seeded synthetic data")
-    p.add_argument("--kind", required=True,
-                   choices=["pipe-pair", "ellipsoid-cohort", "two-class-cohort",
-                            "cylinder-patch", "hemisphere", "blob"])
+    p.add_argument("--kind", required=True, choices=list(_SYNTHETIC))
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_positive_int, default=20,
@@ -162,14 +194,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-
-    import json
-
-    from .errors import ShapeFormsError
-
-    handler = _COMMANDS[args.command]
     try:
-        handler(args)
+        _COMMANDS[args.command](args)
     except ShapeFormsError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)
         return 1
@@ -186,16 +212,12 @@ def main(argv=None):
 
 
 def _load_reference(path):
-    from .mesh import load_mesh
-    from .reference import build_reference
-
     return build_reference(load_mesh(path))
 
 
-def _params(omega):
-    from .representation import DistanceParams
-
-    return DistanceParams(omega) if omega is not None else DistanceParams()
+def _encode_all(ref, paths):
+    """The representations of the meshes at ``paths``, in order."""
+    return [encode(ref, load_mesh(path))[0] for path in paths]
 
 
 def _fmt(value):
@@ -203,82 +225,64 @@ def _fmt(value):
 
 
 def _warn_unconverged(report, path):
-    """One stderr line when the reconstruction written to ``path`` stopped
-    before meeting its tolerance."""
+    """One stderr line when the mesh written to ``path`` comes from a
+    reconstruction that stopped before meeting its tolerance."""
     if not report.converged:
         print(f"warning: {path}: reconstruction did not converge in "
               f"{report.iterations} iterations", file=sys.stderr)
 
 
-def _cmd_encode(args):
-    from .mesh import load_mesh
-    from .representation import encode
+def _write_reconstruction(ref, rep, path, **kwargs):
+    """Reconstruct ``rep``, write the mesh to ``path`` and warn if the
+    solve did not converge; ``kwargs`` go to :func:`reconstruct`."""
+    mesh, report = reconstruct(ref, rep, **kwargs)
+    save_mesh(mesh, path)
+    _warn_unconverged(report, path)
+    return report
 
+
+def _cmd_encode(args):
     ref = _load_reference(args.reference)
     rep, _ = encode(ref, load_mesh(args.input))
-    rep.save(args.out, omega=args.omega)
+    rep.save(args.out)
     print(f"encoded {args.input}: {rep.n_edges} edge rotations, "
           f"{rep.n_triangles} stretches")
 
 
 def _cmd_reconstruct(args):
-    from .mesh import save_mesh
-    from .reconstruction import reconstruct
-    from .representation import ShapeRep
-
     ref = _load_reference(args.reference)
-    rep = ShapeRep.load(args.input)
-    mesh, report = reconstruct(ref, rep, tol=args.tol, max_iter=args.max_iter)
-    save_mesh(mesh, args.out)
-    _warn_unconverged(report, args.out)
+    report = _write_reconstruction(ref, ShapeRep.load(args.input), args.out,
+                                   tol=args.tol, max_iter=args.max_iter)
     print(f"reconstructed in {report.iterations} iterations, "
           f"converged={report.converged}, "
           f"final energy {_fmt(report.energies[-1])}")
 
 
 def _cmd_interpolate(args):
-    import numpy as np
-
-    from .mesh import load_mesh, save_mesh
-    from .reconstruction import prefactor, reconstruct
-    from .representation import encode, geodesic
-
     ref = _load_reference(args.reference)
-    rep_a, _ = encode(ref, load_mesh(args.inputs[0]))
-    rep_b, _ = encode(ref, load_mesh(args.inputs[1]))
+    rep_a, rep_b = _encode_all(ref, args.inputs)
     os.makedirs(args.out_dir, exist_ok=True)
     system = prefactor(ref)
     for k, lam in enumerate(np.linspace(0.0, 1.0, args.steps)):
-        rep = geodesic(rep_a, rep_b, lam)
-        mesh, report = reconstruct(ref, rep, system=system)
         path = os.path.join(args.out_dir, f"interp_{k:03d}.obj")
-        save_mesh(mesh, path)
-        _warn_unconverged(report, path)
+        _write_reconstruction(ref, geodesic(rep_a, rep_b, lam), path, system=system)
     print(f"wrote {args.steps} meshes to {args.out_dir}")
 
 
 def _cmd_mean(args):
-    from .mesh import load_mesh, save_mesh
-    from .reconstruction import reconstruct
-    from .representation import encode
-    from .statistics import frechet_mean, unbiased_reference
-
-    meshes = [load_mesh(path) for path in args.inputs]
     ref = _load_reference(args.reference)
     mean_kwargs = {"tol": args.tol, "max_iter": args.max_iter}
     if args.rebias > 0:
+        meshes = [load_mesh(path) for path in args.inputs]
         ref, _, mu = unbiased_reference(meshes, outer_iterations=args.rebias,
                                         reference=ref, mean_kwargs=mean_kwargs)
     else:
-        reps = [encode(ref, mesh)[0] for mesh in meshes]
-        mu = frechet_mean(reps, **mean_kwargs)
+        mu = frechet_mean(_encode_all(ref, args.inputs), **mean_kwargs)
     mu.save(args.out_rep)
-    mesh, report = reconstruct(ref, mu)
-    save_mesh(mesh, args.out_mesh)
-    _warn_unconverged(report, args.out_mesh)
+    _write_reconstruction(ref, mu, args.out_mesh)
     if args.out_reference is not None:
         save_mesh(ref.mesh, args.out_reference)
-    print(f"mean of {len(meshes)} shapes written to {args.out_rep}")
+    print(f"mean of {len(args.inputs)} shapes written to {args.out_rep}")
 
 
 def _write_coeff_csv(path, names, rows):
@@ -291,15 +295,9 @@ def _write_coeff_csv(path, names, rows):
 
 
 def _cmd_pga(args):
-    import numpy as np
-
-    from .mesh import load_mesh
-    from .representation import encode
-    from .statistics import coefficients, pga
-
     ref = _load_reference(args.reference)
-    reps = [encode(ref, load_mesh(path))[0] for path in args.inputs]
-    model = pga(ref, reps, params=_params(args.omega))
+    reps = _encode_all(ref, args.inputs)
+    model = pga(ref, reps, params=DistanceParams(args.omega))
     model.save(args.out_model)
     rows = np.stack([coefficients(ref, model, rep) for rep in reps])
     _write_coeff_csv(args.out_coeffs, args.inputs, rows)
@@ -307,52 +305,35 @@ def _cmd_pga(args):
 
 
 def _cmd_synthesize(args):
-    from .mesh import save_mesh
-    from .reconstruction import reconstruct
-    from .statistics import PGAModel, synthesize
-
     ref = _load_reference(args.reference)
     model = PGAModel.load(args.model)
     coeffs = [float(x) for x in args.coeffs.split(",") if x]
-    rep = synthesize(model, coeffs)
-    mesh, report = reconstruct(ref, rep)
-    save_mesh(mesh, args.out)
-    _warn_unconverged(report, args.out)
+    _write_reconstruction(ref, synthesize(model, coeffs), args.out)
     print(f"synthesized shape written to {args.out}")
 
 
 def _cmd_sample(args):
-    from .mesh import save_mesh
-    from .reconstruction import prefactor, reconstruct
-    from .statistics import PGAModel, sample
-
     ref = _load_reference(args.reference)
     model = PGAModel.load(args.model)
     reps = sample(model, args.count, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     system = prefactor(ref) if args.meshes else None
     for k, rep in enumerate(reps):
-        rep.save(os.path.join(args.out_dir, f"sample_{k:03d}.json"))
+        stem = os.path.join(args.out_dir, f"sample_{k:03d}")
+        rep.save(stem + ".json")
         if args.meshes:
-            mesh, report = reconstruct(ref, rep, system=system)
-            path = os.path.join(args.out_dir, f"sample_{k:03d}.obj")
-            save_mesh(mesh, path)
-            _warn_unconverged(report, path)
+            _write_reconstruction(ref, rep, stem + ".obj", system=system)
     print(f"wrote {args.count} samples to {args.out_dir}")
 
 
 def _cmd_flatten(args):
-    import numpy as np
-
-    from .flattening import flatten
-    from .mesh import save_mesh
-
     ref = _load_reference(args.reference)
     scalars = None
     if args.scalars is not None:
         scalars = np.loadtxt(args.scalars, dtype=float).reshape(-1)
     mesh, report = flatten(ref)
     save_mesh(mesh, args.out, vertex_scalars=scalars)
+    _warn_unconverged(report, args.out)
     if args.report is not None:
         report.save(args.report)
     print(f"flattened: max edge distortion {_fmt(report.max_edge_distortion)}, "
@@ -360,25 +341,14 @@ def _cmd_flatten(args):
 
 
 def _cmd_features(args):
-    import numpy as np
-
-    from .mesh import load_mesh
-    from .representation import encode
-    from .statistics import PGAModel, coefficients
-
     ref = _load_reference(args.reference)
     model = PGAModel.load(args.model)
-    rows = []
-    for path in args.inputs:
-        rep, _ = encode(ref, load_mesh(path))
-        rows.append(coefficients(ref, model, rep))
+    rows = [coefficients(ref, model, rep) for rep in _encode_all(ref, args.inputs)]
     _write_coeff_csv(args.out, args.inputs, np.stack(rows))
     print(f"wrote {len(rows)} feature rows to {args.out}")
 
 
 def _read_feature_csv(path):
-    import numpy as np
-
     names, rows = [], []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -404,10 +374,6 @@ def _read_label_csv(path):
 
 
 def _cmd_classify(args):
-    import numpy as np
-
-    from .evaluation import accuracy_curve, train_svm
-
     _, features = _read_feature_csv(args.features)
     labels = np.array(_read_label_csv(args.labels), dtype=int)
     if labels.shape[0] != features.shape[0]:
@@ -428,31 +394,20 @@ def _cmd_classify(args):
 
 
 def _cmd_metrics(args):
-    from .evaluation import metrics_report
-    from .mesh import load_mesh
-    from .representation import encode
-
     ref = _load_reference(args.reference)
-    reps = [encode(ref, load_mesh(path))[0] for path in args.inputs]
     report = metrics_report(
-        ref, reps, params=_params(args.omega), n_samples=args.n_samples,
-        metric=args.metric, seed=args.seed, max_modes=args.max_modes,
+        ref, _encode_all(ref, args.inputs), params=DistanceParams(args.omega),
+        n_samples=args.n_samples, metric=args.metric, seed=args.seed,
+        max_modes=args.max_modes,
     )
     report.write_csv(args.out)
     print(f"metrics over {report.modes.size} mode counts written to {args.out}")
 
 
 def _cmd_diagnose(args):
-    import numpy as np
-
-    from .mesh import load_mesh
-    from .representation import encode, relative_rotation_angles
-
     ref_path = args.reference if args.reference is not None else args.inputs[0]
     ref = _load_reference(ref_path)
-    rep_a, _ = encode(ref, load_mesh(args.inputs[0]))
-    rep_b, _ = encode(ref, load_mesh(args.inputs[1]))
-    angles = relative_rotation_angles(rep_a, rep_b)
+    angles = relative_rotation_angles(*_encode_all(ref, args.inputs))
     counts, edges = np.histogram(angles, bins=args.bins, range=(0.0, np.pi))
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("bin_lo,bin_hi,count\n")
@@ -461,61 +416,54 @@ def _cmd_diagnose(args):
     print(f"max_angle {_fmt(float(angles.max()) if angles.size else 0.0)}")
 
 
-def _cmd_gen_synthetic(args):
-    from . import synthetic
-    from .mesh import save_mesh
+def _numbered(prefix, meshes):
+    return {f"{prefix}_{k:03d}.obj": mesh for k, mesh in enumerate(meshes)}
 
+
+def _two_class_cohort(args):
+    half = args.count // 2
+    plain = synthetic.ellipsoid_cohort(half, seed=args.seed,
+                                       subdivisions=args.subdivisions)
+    bumped = synthetic.ellipsoid_cohort(
+        args.count - half, seed=args.seed + 1,
+        subdivisions=args.subdivisions, bump_amplitude=(0.15, 0.3),
+    )
+    return {**_numbered("class_neg", plain), **_numbered("class_pos", bumped)}
+
+
+#: ``gen-synthetic`` kinds: what the summary line calls the data, and the
+#: ``{file name: mesh}`` it writes.
+_SYNTHETIC = {
+    "pipe-pair": ("pipe pair", lambda args: dict(zip(
+        ("pipe_cylinder.obj", "pipe_helix.obj"), synthetic.pipe_pair()))),
+    "ellipsoid-cohort": ("{count} ellipsoids", lambda args: _numbered(
+        "shape", synthetic.ellipsoid_cohort(args.count, seed=args.seed,
+                                            subdivisions=args.subdivisions))),
+    "two-class-cohort": ("two-class cohort ({count} shapes)", _two_class_cohort),
+    "cylinder-patch": ("cylinder patch", lambda args: {
+        "cylinder_patch.obj": synthetic.cylinder_patch()}),
+    "hemisphere": ("hemisphere patch", lambda args: {
+        "hemisphere.obj": synthetic.hemisphere_patch()}),
+    "blob": ("blob", lambda args: {"blob.obj": synthetic.blob(seed=args.seed)}),
+}
+
+
+def _cmd_gen_synthetic(args):
     if args.kind == "two-class-cohort" and args.count < 2:
         raise ValueError(
             f"a two-class cohort needs --count 2 or more, got {args.count}")
+    what, make = _SYNTHETIC[args.kind]
+    meshes = make(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    out = args.out_dir
-    if args.kind == "pipe-pair":
-        cylinder, helix = synthetic.pipe_pair()
-        save_mesh(cylinder, os.path.join(out, "pipe_cylinder.obj"))
-        save_mesh(helix, os.path.join(out, "pipe_helix.obj"))
-        print(f"wrote pipe pair to {out}")
-    elif args.kind == "ellipsoid-cohort":
-        meshes = synthetic.ellipsoid_cohort(
-            args.count, seed=args.seed, subdivisions=args.subdivisions
-        )
-        for k, mesh in enumerate(meshes):
-            save_mesh(mesh, os.path.join(out, f"shape_{k:03d}.obj"))
-        print(f"wrote {args.count} ellipsoids to {out}")
-    elif args.kind == "two-class-cohort":
-        half = args.count // 2
-        plain = synthetic.ellipsoid_cohort(
-            half, seed=args.seed, subdivisions=args.subdivisions
-        )
-        bumped = synthetic.ellipsoid_cohort(
-            args.count - half, seed=args.seed + 1,
-            subdivisions=args.subdivisions, bump_amplitude=(0.15, 0.3),
-        )
-        names, labels = [], []
-        for k, mesh in enumerate(plain):
-            name = f"class_neg_{k:03d}.obj"
-            save_mesh(mesh, os.path.join(out, name))
-            names.append(name)
-            labels.append(-1)
-        for k, mesh in enumerate(bumped):
-            name = f"class_pos_{k:03d}.obj"
-            save_mesh(mesh, os.path.join(out, name))
-            names.append(name)
-            labels.append(1)
-        with open(os.path.join(out, "labels.csv"), "w", encoding="utf-8") as handle:
+    for name, mesh in meshes.items():
+        save_mesh(mesh, os.path.join(args.out_dir, name))
+    if args.kind == "two-class-cohort":
+        with open(os.path.join(args.out_dir, "labels.csv"), "w",
+                  encoding="utf-8") as handle:
             handle.write("shape,label\n")
-            for name, label in zip(names, labels):
-                handle.write(f"{name},{label}\n")
-        print(f"wrote two-class cohort ({args.count} shapes) to {out}")
-    elif args.kind == "cylinder-patch":
-        save_mesh(synthetic.cylinder_patch(), os.path.join(out, "cylinder_patch.obj"))
-        print(f"wrote cylinder patch to {out}")
-    elif args.kind == "hemisphere":
-        save_mesh(synthetic.hemisphere_patch(), os.path.join(out, "hemisphere.obj"))
-        print(f"wrote hemisphere patch to {out}")
-    elif args.kind == "blob":
-        save_mesh(synthetic.blob(seed=args.seed), os.path.join(out, "blob.obj"))
-        print(f"wrote blob to {out}")
+            for name in meshes:
+                handle.write(f"{name},{1 if name.startswith('class_pos') else -1}\n")
+    print(f"wrote {what.format(count=args.count)} to {args.out_dir}")
 
 
 _COMMANDS = {

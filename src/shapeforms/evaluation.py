@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ReferenceMismatchError
+from .errors import ConvergenceError, ReferenceMismatchError
 from .liegroups import _log_entries
 from .reconstruction import prefactor, reconstruct
 from .representation import (
@@ -184,7 +184,8 @@ def _fold_errors(ref, params, rest, held_out, start, log_mean, max_modes):
     return d[np.searchsorted(distinct, used)]
 
 
-def generalization_curve(ref, reps, max_modes=None, params=None, metric="intrinsic"):
+def generalization_curve(ref, reps, max_modes=None, params=DistanceParams(),
+                         metric="intrinsic"):
     """Leave-one-out reconstruction error per mode count.
 
     Each fold fits mean and modes on the remaining shapes, projects the
@@ -203,14 +204,12 @@ def generalization_curve(ref, reps, max_modes=None, params=None, metric="intrins
     if metric not in ("intrinsic", "vertex"):
         raise ValueError(f"unknown metric {metric!r}")
     if metric == "intrinsic":
-        params = DistanceParams() if params is None else params
         return _intrinsic_generalization(ref, reps, max_modes, params).mean(axis=0)
     system = prefactor(ref)
     errors = np.zeros((len(reps), max_modes))
     for i, held_out in enumerate(reps):
         rest = [r for k, r in enumerate(reps) if k != i]
-        kwargs = {} if params is None else {"params": params}
-        model = pga(ref, rest, **kwargs)
+        model = pga(ref, rest, params=params)
         a = coefficients(ref, model, held_out)
         mesh_h, _ = reconstruct(ref, held_out, system=system)
         for modes in range(1, max_modes + 1):
@@ -221,7 +220,7 @@ def generalization_curve(ref, reps, max_modes=None, params=None, metric="intrins
     return errors.mean(axis=0)
 
 
-def generalization(ref, reps, modes, params=None, metric="intrinsic"):
+def generalization(ref, reps, modes, params=DistanceParams(), metric="intrinsic"):
     """Leave-one-out error for one mode count."""
     return float(
         generalization_curve(ref, reps, max_modes=modes, params=params,
@@ -258,15 +257,14 @@ class MetricsReport:
                 )
 
 
-def metrics_report(ref, reps, params=None, n_samples=1000, metric="intrinsic", seed=0,
-                   max_modes=None):
+def metrics_report(ref, reps, params=DistanceParams(), n_samples=1000,
+                   metric="intrinsic", seed=0, max_modes=None):
     """Evaluate all three quality measures on a cohort."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if max_modes is not None and max_modes < 1:
         raise ValueError(f"max_modes must be at least 1, got {max_modes}")
-    kwargs = {} if params is None else {"params": params}
-    model = pga(ref, reps, **kwargs)
+    model = pga(ref, reps, params=params)
     if model.n_modes == 0:
         raise ValueError("the shapes do not vary: the model has no modes")
     cap = model.n_modes if max_modes is None else min(max_modes, model.n_modes)
@@ -503,10 +501,19 @@ class PDMModel:
 def pdm_fit(meshes, tol=1e-10, max_iter=100):
     """Point-distribution model: generalized Procrustes + PCA.
 
-    Rigid alignment only (no scaling), iterated to stationarity of the
-    mean configuration; principal components with nonzero variance are
-    retained.
+    Rigid alignment only (no scaling), iterated until no coordinate of the
+    mean configuration moves by ``tol`` or more in a round; principal
+    components with nonzero variance are retained.
+
+    Raises
+    ------
+    ValueError
+        If ``max_iter`` is below 1.
+    ConvergenceError
+        If the mean still moves after ``max_iter`` rounds.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     triangles = meshes[0].triangles
     for mesh in meshes[1:]:
         if not np.array_equal(mesh.triangles, triangles):
@@ -516,10 +523,15 @@ def pdm_fit(meshes, tol=1e-10, max_iter=100):
     for _ in range(max_iter):
         new_mean = _align_to(mean, configs).mean(axis=0)
         new_mean -= new_mean.mean(axis=0)
-        if np.max(np.abs(new_mean - mean)) < tol:
-            mean = new_mean
-            break
+        change = np.max(np.abs(new_mean - mean))
         mean = new_mean
+        if change < tol:
+            break
+    else:
+        raise ConvergenceError(
+            f"Procrustes mean did not reach {tol:g} within {max_iter} rounds "
+            f"(last change {change:.3g})"
+        )
     aligned = _align_to(mean, configs)
 
     n = aligned.shape[0]

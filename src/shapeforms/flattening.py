@@ -29,11 +29,15 @@ class FlatteningReport:
     to the bounding-box diagonal before the residual coordinate is
     dropped. Edge distortions are relative length changes against the
     reference; area distortions relative triangle-area changes.
+    ``iterations`` and ``converged`` are those of the reconstruction that
+    produced the chart; :meth:`save` writes only the distortions.
     """
 
     planarity_residual: float
     edge_distortions: np.ndarray
     area_distortions: np.ndarray
+    iterations: int
+    converged: bool
 
     @property
     def max_edge_distortion(self):
@@ -117,14 +121,16 @@ def flatten(ref, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, system=None):
     (TriangleMesh, FlatteningReport)
         The flattened mesh with its third coordinate set to zero (the
         chart puts the seed triangle into the z = 0 plane with its first
-        frame axis along +x), plus the distortion report.
+        frame axis along +x), plus the distortion report. A chart whose
+        reconstruction stopped at ``max_iter`` is still returned, with
+        ``report.converged`` false.
     """
     if not ref.has_boundary:
         raise MeshTopologyError(
             "closed surface: flattening needs an open mesh, provide a cut"
         )
     rep = flat_projection(ref)
-    mesh, _ = reconstruct(ref, rep, tol=tol, max_iter=max_iter, system=system)
+    mesh, solve = reconstruct(ref, rep, tol=tol, max_iter=max_iter, system=system)
 
     # Seed chart: its reference frame becomes the coordinate frame.
     seed_frame = ref.frames[ref.seed_triangle]
@@ -151,5 +157,7 @@ def flatten(ref, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, system=None):
         planarity_residual=planarity,
         edge_distortions=edge_distortions,
         area_distortions=area_distortions,
+        iterations=solve.iterations,
+        converged=solve.converged,
     )
     return flat_mesh, report

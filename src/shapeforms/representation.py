@@ -127,15 +127,15 @@ class ShapeRep:
         rep.__dict__["log_stretches"] = _frozen(log_stretches)
         return rep
 
-    def save(self, path, omega=None):
+    def save(self, path):
         """Write the representation as JSON, see :func:`_shape_payload`."""
-        payload = {"reference_hash": self.reference_hash, **_shape_payload(self)}
-        if omega is not None:
-            payload["omega"] = float(omega)
-        _write_json(path, payload)
+        _write_json(path, {"reference_hash": self.reference_hash,
+                           **_shape_payload(self)})
 
     @classmethod
     def load(cls, path):
+        """Read a file written by :meth:`save`; other keys, such as the
+        ``omega`` that older files carry, are ignored."""
         payload = _read_json(path)
         return _shape_from_payload(payload, payload["reference_hash"])
 

@@ -1,9 +1,25 @@
+import functools
+import glob
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from shapeforms import cli
 from shapeforms.cli import main
+from shapeforms.flattening import flatten
 from shapeforms.mesh import load_mesh, save_mesh
-from shapeforms.synthetic import cylinder_patch, icosphere, smooth_deformation
+from shapeforms.synthetic import (
+    cylinder_patch,
+    hemisphere_patch,
+    icosphere,
+    smooth_deformation,
+)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+WARNING = re.compile(r"warning: .+: reconstruction did not converge in \d+ iterations")
 
 
 def rigid_rms(a, b):
@@ -227,6 +243,21 @@ class TestModelPipeline:
         last = lines[-1].split(",")
         assert float(last[3]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_metrics_in_vertex_distance(self, workspace):
+        out = workspace / "metrics_vertex.csv"
+        inputs = [str(workspace / f"shape_{k}.obj") for k in range(4)]
+        assert main([
+            "metrics", *inputs,
+            "--reference", str(workspace / "ref.obj"),
+            "--out", str(out), "--metric", "vertex", "--n-samples", "4",
+        ]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "modes,specificity,generalization,compactness"
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert rows.shape[0] >= 1
+        assert np.all(np.isfinite(rows))
+        assert rows[-1, 3] == pytest.approx(1.0, abs=1e-12)
+
 
 class TestFlattenDiagnoseSynthetic:
     def test_flatten_with_report(self, workspace):
@@ -239,6 +270,28 @@ class TestFlattenDiagnoseSynthetic:
         flat = load_mesh(out)
         assert np.allclose(flat.vertices[:, 2], 0.0)
         assert report.exists()
+
+    def test_flatten_converged_is_quiet(self, workspace, capsys):
+        capsys.readouterr()
+        assert main([
+            "flatten", "--reference", str(workspace / "patch.obj"),
+            "--out", str(workspace / "flat_quiet.obj"),
+        ]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_unconverged_flatten_warns(self, workspace, capsys, monkeypatch):
+        hemisphere = workspace / "hemisphere.obj"
+        save_mesh(hemisphere_patch(), hemisphere)
+        monkeypatch.setattr(cli, "flatten", functools.partial(flatten, max_iter=1))
+        out = workspace / "flat_short.obj"
+        capsys.readouterr()
+        assert main([
+            "flatten", "--reference", str(hemisphere), "--out", str(out),
+        ]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {out}: reconstruction did not converge in 1 iterations\n"
+        )
+        assert out.exists()
 
     def test_flatten_closed_surface_error(self, workspace, capsys):
         code = main([
@@ -488,3 +541,28 @@ class TestDeterminism:
             assert result.returncode == 0, result.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def readme_cli_commands():
+    """The ``shapeforms`` command lines of the README's CLI section, with
+    backslash continuations joined."""
+    section = README.read_text(encoding="utf-8").split("## Command-line interface")[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines
+            if line.strip() and not line.lstrip().startswith("#")]
+
+
+class TestReadme:
+    def test_cli_block_runs(self, tmp_path, monkeypatch, capsys):
+        commands = readme_cli_commands()
+        assert len(commands) >= 10
+        monkeypatch.chdir(tmp_path)
+        for words in commands:
+            assert words[0] == "shapeforms"
+            argv = []
+            for word in words[1:]:
+                argv += sorted(glob.glob(word)) if glob.has_magic(word) else [word]
+            assert main(argv) == 0, (words, capsys.readouterr().err)
+        for line in capsys.readouterr().err.splitlines():
+            assert WARNING.fullmatch(line), line

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shapeforms import evaluation
+from shapeforms.errors import ConvergenceError
 from shapeforms.evaluation import (
     ClassifierModel,
     _aligned_rms,
@@ -127,6 +128,14 @@ class TestGeneralization:
         reps = [rep_exp(mu, a * direction) for a in (-1.0, -0.5, 0.1, 0.6, 1.2)]
         value = generalization(ref, reps, modes=1)
         assert value < 1e-6
+
+    def test_single_direction_family_recovered_in_vertices(self, ref, cohort):
+        mu = frechet_mean(cohort)
+        direction = rep_log(mu, cohort[1])
+        reps = [rep_exp(mu, a * direction) for a in (-1.0, -0.5, 0.1, 0.6, 1.2)]
+        curve = generalization_curve(ref, reps, max_modes=2, metric="vertex")
+        assert curve.shape == (2,)
+        assert np.all(curve < 1e-9)
 
     def test_identical_shapes_zero(self, ref, cohort):
         reps = [cohort[0]] * 4
@@ -453,6 +462,13 @@ class TestPdm:
         ]
         model = pdm_fit(meshes)
         assert model.n_modes == 1
+
+    def test_unconverged_procrustes_raises(self, ref):
+        meshes = [smooth_deformation(ref.mesh, seed=s) for s in (33, 34, 35, 36)]
+        with pytest.raises(ConvergenceError, match="within 1 rounds"):
+            pdm_fit(meshes, max_iter=1)
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            pdm_fit(meshes, max_iter=0)
 
     def test_rigid_copies_have_no_variance(self, ref):
         rng = np.random.default_rng(11)

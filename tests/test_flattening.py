@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from shapeforms.errors import MeshTopologyError
 from shapeforms.flattening import flat_projection, flatten, unfold_rotation
 from shapeforms.liegroups import so3_exp
 from shapeforms.mesh import TriangleMesh
+from shapeforms.reconstruction import DEFAULT_MAX_ITER
 from shapeforms.reference import build_reference
 from shapeforms.representation import encode
 from shapeforms.synthetic import (
@@ -168,6 +171,26 @@ class TestFlatten:
         )
         naive = float(np.mean(np.abs(proj_len - ref_len) / ref_len))
         assert report.mean_edge_distortion < naive
+
+    def test_iteration_limit_is_reported(self):
+        ref = build_reference(hemisphere_patch())
+        _, report = flatten(ref)
+        assert report.converged is True
+        assert 1 < report.iterations <= DEFAULT_MAX_ITER
+        flat_mesh, report = flatten(ref, max_iter=1)
+        assert report.converged is False
+        assert report.iterations == 1
+        assert flat_mesh.n_vertices == ref.mesh.n_vertices
+
+    def test_report_file_holds_only_distortions(self, tmp_path):
+        _, report = flatten(build_reference(cylinder_patch(n_u=5, n_v=8)))
+        assert report.converged is True
+        path = tmp_path / "flat.json"
+        report.save(path)
+        assert list(json.loads(path.read_text())) == [
+            "planarity_residual", "max_edge_distortion", "mean_edge_distortion",
+            "max_area_distortion", "edge_distortions", "area_distortions",
+        ]
 
     def test_closed_surface_rejected(self):
         ref = build_reference(icosphere(1))

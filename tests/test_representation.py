@@ -300,7 +300,7 @@ class TestSerialization:
     def test_json_roundtrip(self, ref, deformed_reps, tmp_path):
         rep = deformed_reps[0]
         path = tmp_path / "rep.json"
-        rep.save(path, omega=10.0)
+        rep.save(path)
         back = ShapeRep.load(path)
         assert back.reference_hash == rep.reference_hash
         assert np.array_equal(back.rotations, rep.rotations)
@@ -310,7 +310,7 @@ class TestSerialization:
     def test_save_bytes_match_streamed_encoder(self, deformed_reps, tmp_path):
         rep = deformed_reps[0]
         path = tmp_path / "rep.json"
-        rep.save(path, omega=2.5)
+        rep.save(path)
         payload = {
             "reference_hash": rep.reference_hash,
             "rotations": [[float(x) for x in C.reshape(-1)] for C in rep.rotations],
@@ -318,7 +318,6 @@ class TestSerialization:
                 [float(U[0, 0]), float(U[0, 1]), float(U[1, 1])]
                 for U in rep.stretches
             ],
-            "omega": 2.5,
         }
         expected = io.StringIO()
         json.dump(payload, expected)
@@ -329,15 +328,30 @@ class TestSerialization:
         rotations = np.array([[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]])
         stretches = np.array([[[1.5, 0.1], [0.1, 2.0]], [[1.0, 0.0], [0.0, 1.0]]])
         path = tmp_path / "rep.json"
-        ShapeRep(rotations, stretches, "abc").save(path, omega=2.5)
+        ShapeRep(rotations, stretches, "abc").save(path)
         assert path.read_bytes() == (
             b'{"reference_hash": "abc", '
             b'"rotations": [[0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0]], '
-            b'"stretches": [[1.5, 0.1, 2.0], [1.0, 0.0, 1.0]], "omega": 2.5}\n'
+            b'"stretches": [[1.5, 0.1, 2.0], [1.0, 0.0, 1.0]]}\n'
         )
         back = ShapeRep.load(path)
         assert np.array_equal(back.rotations, rotations)
         assert np.array_equal(back.stretches, stretches)
+
+    def test_load_ignores_an_omega_key(self, tmp_path):
+        # Files written before ``save`` lost its ``omega`` argument carry
+        # the key; it never took part in loading.
+        path = tmp_path / "rep.json"
+        path.write_bytes(
+            b'{"reference_hash": "abc", '
+            b'"rotations": [[0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0]], '
+            b'"stretches": [[1.5, 0.1, 2.0]], "omega": 2.5}\n'
+        )
+        back = ShapeRep.load(path)
+        assert back.reference_hash == "abc"
+        assert np.array_equal(back.rotations[0], [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
+                                                  [0.0, 0.0, 1.0]])
+        assert np.array_equal(back.stretches[0], [[1.5, 0.1], [0.1, 2.0]])
 
 
 def single_triangle_reference():
