@@ -98,7 +98,7 @@ def build_parser():
     p.add_argument("--max-iter", type=_non_negative_int, default=DEFAULT_MAX_ITER)
 
     p = sub.add_parser("interpolate", help="geodesic between two meshes")
-    p.add_argument("inputs", nargs=2, metavar=("A", "B"))
+    p.add_argument("inputs", nargs=2, metavar="MESH")
     p.add_argument("--reference", required=True)
     p.add_argument("--steps", type=_positive_int, required=True)
     p.add_argument("--out-dir", required=True)
@@ -176,7 +176,7 @@ def build_parser():
 
     p = sub.add_parser("diagnose",
                        help="relative transition-rotation angle histogram")
-    p.add_argument("inputs", nargs=2, metavar=("A", "B"))
+    p.add_argument("inputs", nargs=2, metavar="MESH")
     p.add_argument("--reference", help="defaults to the first input mesh")
     p.add_argument("--out", required=True)
     p.add_argument("--bins", type=_positive_int, default=36)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ReferenceMismatchError
 from .liegroups import _log_entries
-from .reconstruction import prefactor, reconstruct
+from .reconstruction import _converged_mesh, prefactor, reconstruct
 from .representation import (
     DistanceParams,
     _check_binding,
@@ -26,7 +26,6 @@ from .representation import (
 from .statistics import (
     DEFAULT_MEAN_MAX_ITER,
     DEFAULT_MEAN_TOL,
-    DEFAULT_PGA_MEAN_TOL,
     _blocks,
     _check_same_reference,
     _log_mean,
@@ -86,8 +85,9 @@ def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrin
 
     ``metric="intrinsic"`` measures in representation space; ``metric="vertex"``
     reconstructs meshes and measures vertex RMS after rigid alignment (a
-    pragmatic stand-in for physically based surface distances). ``modes``
-    (default all) leading modes are sampled.
+    pragmatic stand-in for physically based surface distances); a
+    reconstruction that does not converge raises ``ConvergenceError``.
+    ``modes`` (default all) leading modes are sampled.
 
     The intrinsic distances are taken in tangent coordinates at the model
     mean, so no sampled shape is formed. Draws are measured against all
@@ -120,11 +120,14 @@ def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrin
         return total / n_samples
     system = prefactor(ref)
     train_meshes = np.stack([
-        reconstruct(ref, t, system=system)[0].vertices for t in training
+        _converged_mesh(reconstruct(ref, t, system=system),
+                        f"training shape {k}").vertices
+        for k, t in enumerate(training)
     ])
     total = 0.0
-    for a in draws:
-        mesh, _ = reconstruct(ref, synthesize(model, a), system=system)
+    for k, a in enumerate(draws):
+        mesh = _converged_mesh(reconstruct(ref, synthesize(model, a), system=system),
+                               f"specificity sample {k}")
         total += float(np.min(_aligned_rms(train_meshes, mesh.vertices)))
     return total / n_samples
 
@@ -155,8 +158,7 @@ def _fold_model(ref, params, rest, start, log_mean):
     """Mean rotation entries and mode matrix of the model of ``rest``."""
     mu, _, rot_logs, stretch_logs = _mean_logs(
         rest, start, log_mean, log_mean, DEFAULT_MEAN_TOL, DEFAULT_MEAN_MAX_ITER)
-    return mu, _principal_modes(ref, params, rot_logs, stretch_logs,
-                                DEFAULT_PGA_MEAN_TOL)[1]
+    return mu, _principal_modes(ref, params, rot_logs, stretch_logs)[1]
 
 
 def _fold_errors(ref, params, rest, held_out, start, log_mean, max_modes):
@@ -190,7 +192,9 @@ def generalization_curve(ref, reps, max_modes=None, params=DistanceParams(),
 
     Each fold fits mean and modes on the remaining shapes, projects the
     held-out shape, and measures the distance of the projection to it.
-    Returns an array indexed by mode count ``1 .. max_modes``.
+    Returns an array indexed by mode count ``1 .. max_modes``. With
+    ``metric="vertex"`` a reconstruction that does not converge raises
+    ``ConvergenceError``.
     """
     if len(reps) < 3:
         raise ValueError("need at least three shapes for leave-one-out")
@@ -211,11 +215,13 @@ def generalization_curve(ref, reps, max_modes=None, params=DistanceParams(),
         rest = [r for k, r in enumerate(reps) if k != i]
         model = pga(ref, rest, params=params)
         a = coefficients(ref, model, held_out)
-        mesh_h, _ = reconstruct(ref, held_out, system=system)
+        mesh_h = _converged_mesh(reconstruct(ref, held_out, system=system),
+                                 f"held-out shape {i}")
         for modes in range(1, max_modes + 1):
             used = min(modes, model.n_modes)
             projected = synthesize(model, a[:used])
-            mesh_p, _ = reconstruct(ref, projected, system=system)
+            mesh_p = _converged_mesh(reconstruct(ref, projected, system=system),
+                                     f"shape {i} projected on {used} modes")
             errors[i, modes - 1] = _aligned_rms(mesh_h.vertices, mesh_p.vertices)
     return errors.mean(axis=0)
 
@@ -386,6 +392,19 @@ def _train_stack(X, y, reg, n_iterations):
     return v[:, :d], v[:, d], mean, scale
 
 
+def _svm_data(features, labels):
+    """``features`` as an ``(n, d)`` float array and ``labels`` as ``n``
+    floats, which hold both classes -1 and +1 and no other value."""
+    X = np.asarray(features, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+        raise ValueError("features must be (n, d) with one label per row")
+    classes = np.unique(y)
+    if not np.array_equal(classes, [-1.0, 1.0]):
+        raise ValueError(f"labels must contain both classes -1 and +1, got {classes}")
+    return X, y
+
+
 def train_svm(features, labels, reg=1.0, n_iterations=DEFAULT_SVM_ITERATIONS):
     """Soft-margin linear SVM via deterministic full-batch subgradient descent.
 
@@ -396,13 +415,7 @@ def train_svm(features, labels, reg=1.0, n_iterations=DEFAULT_SVM_ITERATIONS):
     decision rule unchanged. This is the one-draw case of the kernel that
     ``monte_carlo_cv`` trains its draws with.
     """
-    X = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValueError("features must be (n, d) with one label per row")
-    classes = np.unique(y)
-    if not np.array_equal(classes, [-1.0, 1.0]):
-        raise ValueError(f"labels must contain both classes -1 and +1, got {classes}")
+    X, y = _svm_data(features, labels)
     w, b, mean, scale = _train_stack(X[None], y[None], reg, n_iterations)
     return ClassifierModel(
         weights_std=w[0],
@@ -424,18 +437,16 @@ def monte_carlo_cv(features, labels, train_share, draws=DEFAULT_CV_DRAWS, reg=1.
     tested together by the ``train_svm`` kernel, in as few blocks as keep
     each stacked ``(draws, rows, features)`` array under
     ``_SVM_BLOCK_BYTES``, which bounds the memory. Neither the block size
-    nor the number of draws changes any draw's result.
+    nor the number of draws changes any draw's result. The labels are
+    checked as by ``train_svm``: -1 and +1, both present.
     """
-    X = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=int)
     if not 0.0 < train_share < 1.0:
         raise ValueError("train_share must be in (0, 1)")
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
+    X, y = _svm_data(features, labels)
     idx_pos = np.nonzero(y == 1)[0]
     idx_neg = np.nonzero(y == -1)[0]
-    if idx_pos.size == 0 or idx_neg.size == 0:
-        raise ValueError("both classes must be present")
     k = int(round(train_share * min(idx_pos.size, idx_neg.size)))
     k = max(k, 1)
     if k >= idx_pos.size or k >= idx_neg.size:
@@ -567,7 +578,8 @@ def discriminating_path(ref, model, clf, steps, value_range, system=None):
 
     The de-standardized weight vector is normalized in coefficient space
     and sampled at ``steps`` equidistant scales within ``value_range``;
-    each coefficient vector is synthesized and reconstructed.
+    each coefficient vector is synthesized and reconstructed. A
+    reconstruction that does not converge raises ``ConvergenceError``.
     """
     eta = np.asarray(clf.eta, dtype=float)
     norm = float(np.linalg.norm(eta))
@@ -582,9 +594,8 @@ def discriminating_path(ref, model, clf, steps, value_range, system=None):
     scales = np.linspace(lo, hi, steps)
     if system is None:
         system = prefactor(ref)
-    meshes = []
-    for c in scales:
-        rep = synthesize(model, c * direction)
-        mesh, _ = reconstruct(ref, rep, system=system)
-        meshes.append(mesh)
-    return meshes
+    return [
+        _converged_mesh(reconstruct(ref, synthesize(model, c * direction),
+                                    system=system), f"discriminating path step {k}")
+        for k, c in enumerate(scales)
+    ]

@@ -28,6 +28,10 @@ _POLAR_STEP_TOL = 1e-9
 _POLAR_MAX_ITER = 30
 _COFACTOR_MIN_DET = 1e-8
 
+# polar3 rejects a matrix whose singular values spread by more than
+# 1 / _MIN_REL_SIGMA.
+_MIN_REL_SIGMA = 1e-10
+
 
 def skew(xi):
     """Map vectors ``(..., 3)`` to skew-symmetric matrices ``(..., 3, 3)``."""
@@ -408,15 +412,13 @@ def polar_rotation(M):
     )
 
 
-def polar3(D, min_rel_sigma=1e-10):
+def polar3(D):
     """Polar decomposition ``D = R @ U`` with ``R`` a proper rotation.
 
     Parameters
     ----------
     D : array_like
         Matrices ``(..., 3, 3)`` with positive determinant.
-    min_rel_sigma : float
-        Smallest admissible ratio of extreme singular values.
 
     Returns
     -------
@@ -431,7 +433,8 @@ def polar3(D, min_rel_sigma=1e-10):
         If any determinant is non-positive (the deformation is not an
         orientation-preserving embedding).
     ConditioningError
-        If singular values are too spread for a reliable factorization.
+        If the smallest singular value of a matrix falls below
+        ``_MIN_REL_SIGMA`` times its largest.
     """
     D = np.asarray(D, dtype=float)
     det = _det_entries(_entries(D))
@@ -446,16 +449,16 @@ def polar3(D, min_rel_sigma=1e-10):
     U = 0.5 * (RtD + np.swapaxes(RtD, -1, -2))
     # The singular values of D are the eigenvalues of U. Only matrices whose
     # lower bound det / |D|_F^3 <= sigma_min / sigma_max falls short of
-    # min_rel_sigma need them.
+    # _MIN_REL_SIGMA need them.
     bound = det / np.einsum("...ij,...ij->...", D, D) ** 1.5
-    suspect = np.flatnonzero(bound < min_rel_sigma)
+    suspect = np.flatnonzero(bound < _MIN_REL_SIGMA)
     if suspect.size:
         w = np.linalg.eigvalsh(U.reshape(-1, 3, 3)[suspect])
         rel = w[:, 0] / w[:, -1]
         worst = int(np.argmin(rel))
-        if rel[worst] < min_rel_sigma:
+        if rel[worst] < _MIN_REL_SIGMA:
             raise ConditioningError(
                 f"singular value ratio {rel[worst]:.3g} below "
-                f"{min_rel_sigma:g} at index {int(suspect[worst])}"
+                f"{_MIN_REL_SIGMA:g} at index {int(suspect[worst])}"
             )
     return R, U

@@ -3,7 +3,8 @@
 Meshes are oriented 2-manifolds: counter-clockwise winding defines the
 outward normal, every edge touches at most two triangles, and the dual
 graph of triangles is a single connected component. These properties are
-checked on construction since everything downstream relies on them.
+checked on construction since everything downstream relies on them. A
+mesh file's suffix, ``.obj`` or ``.off`` in any case, chooses its format.
 """
 
 import hashlib
@@ -170,119 +171,108 @@ def unique_edges(triangles):
     return np.unique(np.stack([lo, hi], axis=1), axis=0)
 
 
-def load_mesh(path, fmt=None):
-    """Read a mesh from an OBJ or OFF file.
-
-    The format is taken from the file suffix unless ``fmt`` ("obj"/"off")
-    is given. Vertex order is preserved.
-    """
-    path = str(path)
-    if fmt is None:
-        lower = path.lower()
-        if lower.endswith(".obj"):
-            fmt = "obj"
-        elif lower.endswith(".off"):
-            fmt = "off"
-        else:
-            raise MeshFormatError("cannot infer format from suffix", path=path)
-    if fmt == "obj":
-        return _read_obj(path)
-    if fmt == "off":
-        return _read_off(path)
-    raise MeshFormatError(f"unknown format {fmt!r}", path=path)
-
-
-def save_mesh(mesh, path, fmt=None, vertex_scalars=None):
-    """Write ``mesh`` as OBJ or OFF text with full float precision.
-
-    ``vertex_scalars`` (OBJ only) appends one extra column to each vertex
-    line, e.g. for thickness maps picked up by downstream visualization.
-    """
-    path = str(path)
-    if fmt is None:
-        lower = path.lower()
-        fmt = "obj" if lower.endswith(".obj") else "off" if lower.endswith(".off") else None
-    if fmt == "obj":
-        _write_obj(mesh, path, vertex_scalars)
-    elif fmt == "off":
-        if vertex_scalars is not None:
-            raise MeshFormatError("vertex scalars are only supported for OBJ", path=path)
-        _write_off(mesh, path)
-    else:
+def _suffix(path):
+    """The format of ``path``: its suffix ``".obj"`` or ``".off"``, any case."""
+    suffix = path.lower()[-4:]
+    if suffix not in (".obj", ".off"):
         raise MeshFormatError("cannot infer format from suffix", path=path)
+    return suffix
 
 
-def _read_obj(path):
-    vertices = []
-    faces = []
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise MeshFormatError(str(exc), path=path) from exc
-    with handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            tag = parts[0]
-            if tag == "v":
-                if len(parts) < 4:
-                    raise MeshFormatError("vertex needs 3 coordinates", path, lineno)
-                try:
-                    vertices.append([float(x) for x in parts[1:4]])
-                except ValueError as exc:
-                    raise MeshFormatError(f"bad coordinate: {exc}", path, lineno)
-            elif tag == "f":
-                if len(parts) != 4:
-                    raise MeshFormatError(
-                        f"only triangular faces are supported (got {len(parts) - 1} corners)",
-                        path,
-                        lineno,
-                    )
-                idx = []
-                for token in parts[1:]:
-                    head = token.split("/")[0]
-                    try:
-                        value = int(head)
-                    except ValueError as exc:
-                        raise MeshFormatError(f"bad face index {token!r}", path, lineno)
-                    if value <= 0:
-                        raise MeshFormatError(
-                            f"face index {value} is not positive (OBJ is 1-based)",
-                            path,
-                            lineno,
-                        )
-                    idx.append(value - 1)
-                faces.append(idx)
-            # Other OBJ keywords (vn, vt, o, g, s, usemtl, ...) are ignored.
-    if not vertices:
-        raise MeshFormatError("no vertices found", path=path)
-    try:
-        return TriangleMesh(np.array(vertices), np.array(faces, dtype=np.int64))
-    except (MeshTopologyError, DegenerateGeometryError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+def load_mesh(path):
+    """Read a mesh from an OBJ or OFF file, chosen by the file suffix.
 
-
-def _read_off(path):
+    Vertex order is preserved. A parse error is a ``MeshFormatError`` with
+    its line number where one applies; an invalid mesh's error names the path.
+    """
+    path = str(path)
+    read = _read_obj if _suffix(path) == ".obj" else _read_off
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise MeshFormatError(str(exc), path=path) from exc
+    vertices, triangles = read(lines, path)
+    try:
+        return TriangleMesh(vertices, triangles)
+    except (MeshTopologyError, DegenerateGeometryError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
-    tokens = []  # (lineno, token) stream with comments stripped
+
+def save_mesh(mesh, path, vertex_scalars=None):
+    """Write ``mesh`` as OBJ or OFF text, chosen by the file suffix, with
+    full float precision.
+
+    ``vertex_scalars`` (OBJ only) appends one extra column to each vertex
+    line, e.g. for thickness maps picked up by downstream visualization.
+    """
+    path = str(path)
+    obj = _suffix(path) == ".obj"
+    tails = [""] * mesh.n_vertices
+    if vertex_scalars is not None:
+        if not obj:
+            raise MeshFormatError("vertex scalars are only supported for OBJ", path=path)
+        vertex_scalars = np.asarray(vertex_scalars, dtype=float)
+        if vertex_scalars.shape != (mesh.n_vertices,):
+            raise MeshFormatError(f"expected {mesh.n_vertices} vertex scalars, "
+                                  f"got shape {vertex_scalars.shape}", path=path)
+        tails = [f" {s:.17g}" for s in vertex_scalars.tolist()]
+    # OBJ tags its lines and counts from 1; OFF starts with its counts.
+    prefix, face, base = ("v ", "f", 1) if obj else ("", "3", 0)
+    with open(path, "w", encoding="utf-8") as handle:
+        if not obj:
+            handle.write(f"OFF\n{mesh.n_vertices} {mesh.n_triangles} 0\n")
+        for (x, y, z), tail in zip(mesh.vertices.tolist(), tails):
+            handle.write(f"{prefix}{x:.17g} {y:.17g} {z:.17g}{tail}\n")
+        for a, b, c in (mesh.triangles + base).tolist():
+            handle.write(f"{face} {a} {b} {c}\n")
+
+
+def _read_obj(lines, path):
+    """Vertex and face arrays of OBJ text. Comments are whole lines."""
+    vertices, faces = [], []
     for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if text:
-            for token in text.split():
-                tokens.append((lineno, token))
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] == "v":
+            if len(parts) < 4:
+                raise MeshFormatError("vertex needs 3 coordinates", path, lineno)
+            try:
+                vertices.append([float(x) for x in parts[1:4]])
+            except ValueError as exc:
+                raise MeshFormatError(f"bad coordinate: {exc}", path, lineno)
+        elif parts[0] == "f":
+            if len(parts) != 4:
+                raise MeshFormatError("only triangular faces are supported "
+                                      f"(got {len(parts) - 1} corners)", path, lineno)
+            idx = []
+            for token in parts[1:]:
+                try:
+                    value = int(token.split("/")[0])
+                except ValueError:
+                    raise MeshFormatError(f"bad face index {token!r}", path, lineno)
+                if value <= 0:
+                    raise MeshFormatError(f"face index {value} is not positive "
+                                          "(OBJ is 1-based)", path, lineno)
+                idx.append(value - 1)
+            faces.append(idx)
+        # Other OBJ keywords (vn, vt, o, g, s, usemtl, ...) are ignored.
+    if not vertices:
+        raise MeshFormatError("no vertices found", path=path)
+    return np.array(vertices), np.array(faces, dtype=np.int64)
+
+
+def _read_off(lines, path):
+    """Vertex and face arrays of OFF text. Comments run from ``#`` to the
+    end of the line; the header's edge count is not read."""
+    # The (lineno, token) stream with comments stripped.
+    tokens = [(lineno, token) for lineno, raw in enumerate(lines, start=1)
+              for token in raw.split("#", 1)[0].split()]
     if not tokens:
         raise MeshFormatError("empty file", path=path)
-
-    pos = 0
-    if tokens[0][1].upper() == "OFF":
-        pos = 1
+    pos = 1 if tokens[0][1].upper() == "OFF" else 0
 
     def take(count, what):
         nonlocal pos
@@ -314,45 +304,11 @@ def _read_off(path):
         except ValueError:
             raise MeshFormatError("bad face corner count", path, lineno)
         if corners != 3:
-            raise MeshFormatError(
-                f"only triangular faces are supported (got {corners})", path, lineno
-            )
+            raise MeshFormatError("only triangular faces are supported "
+                                  f"(got {corners})", path, lineno)
         chunk = take(3, f"face {i}")
         try:
             faces[i] = [int(t) for _, t in chunk]
         except ValueError:
             raise MeshFormatError("bad face index", path, chunk[0][0])
-
-    try:
-        return TriangleMesh(vertices, faces)
-    except (MeshTopologyError, DegenerateGeometryError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
-
-
-def _write_obj(mesh, path, vertex_scalars=None):
-    if vertex_scalars is not None:
-        vertex_scalars = np.asarray(vertex_scalars, dtype=float)
-        if vertex_scalars.shape != (mesh.n_vertices,):
-            raise MeshFormatError(
-                f"expected {mesh.n_vertices} vertex scalars, "
-                f"got shape {vertex_scalars.shape}",
-                path=path,
-            )
-    with open(path, "w", encoding="utf-8") as handle:
-        for i, v in enumerate(mesh.vertices):
-            line = f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}"
-            if vertex_scalars is not None:
-                line += f" {vertex_scalars[i]:.17g}"
-            handle.write(line + "\n")
-        for t in mesh.triangles:
-            handle.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
-
-
-def _write_off(mesh, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("OFF\n")
-        handle.write(f"{mesh.n_vertices} {mesh.n_triangles} 0\n")
-        for v in mesh.vertices:
-            handle.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for t in mesh.triangles:
-            handle.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+    return vertices, faces

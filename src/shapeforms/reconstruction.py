@@ -47,7 +47,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import ConditioningError
+from .errors import ConditioningError, ConvergenceError
 from .liegroups import _det_entries, _entries, polar_rotation
 from .mesh import TriangleMesh
 from .representation import _check_binding
@@ -374,6 +374,16 @@ def reconstruct(ref, rep, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, system=Non
     report = _alternate(ref, rep, tol, max_iter, system)
     mesh = TriangleMesh(report.positions[: system.n_vertices], ref.mesh.triangles)
     return mesh, report
+
+
+def _converged_mesh(result, what):
+    """The mesh of a :func:`reconstruct` ``result``, or ``ConvergenceError``
+    naming the solve by ``what`` when it stopped short of its tolerance."""
+    mesh, report = result
+    if not report.converged:
+        raise ConvergenceError(f"reconstruction of {what} did not converge in "
+                               f"{report.iterations} iterations")
+    return mesh
 
 
 def _alternate(ref, rep, tol, max_iter, system):

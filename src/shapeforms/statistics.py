@@ -41,6 +41,7 @@ from .liegroups import (
     spd2_exp,
     spd2_log,
 )
+from .reconstruction import _converged_mesh, reconstruct
 from .reference import build_reference
 from .representation import (
     DistanceParams,
@@ -60,7 +61,7 @@ from .representation import (
 
 DEFAULT_MEAN_TOL = 1e-10
 DEFAULT_MEAN_MAX_ITER = 50
-#: Default bound on the residual of a supplied mean, per shape.
+#: Bound on the log-sum residual of a mean supplied to ``pga``, per shape.
 DEFAULT_PGA_MEAN_TOL = 1e-6
 
 #: Relative eigenvalue cutoff separating true modes from rank noise.
@@ -293,17 +294,17 @@ class PGAModel:
         )
 
 
-def _principal_modes(ref, params, rot_logs, stretch_logs, mean_tol):
+def _principal_modes(ref, params, rot_logs, stretch_logs):
     """Variances ``(k,)`` and mode matrix ``(k, 3E + 4m)`` of the stacked
     logs at a mean.
 
-    The summed logs must vanish (residual at most ``mean_tol`` per shape).
-    Eigenvalues below ``EIGENVALUE_CUTOFF`` times the largest are
-    discarded as numerical rank noise, and at most ``n - 1`` modes kept.
+    The summed logs must vanish (residual at most ``DEFAULT_PGA_MEAN_TOL``
+    per shape). Eigenvalues below ``EIGENVALUE_CUTOFF`` times the largest
+    are discarded as numerical rank noise, and at most ``n - 1`` modes kept.
     """
     n = rot_logs.shape[0]
     residual = _residual(rot_logs.sum(axis=0), stretch_logs.sum(axis=0))
-    if residual > mean_tol * max(n, 1):
+    if residual > DEFAULT_PGA_MEAN_TOL * max(n, 1):
         raise ValueError(
             f"supplied base point is not the mean (log-sum residual {residual:.3g})"
         )
@@ -331,7 +332,7 @@ def _principal_modes(ref, params, rot_logs, stretch_logs, mean_tol):
     return eigvals[kept] / n, modes
 
 
-def _mean_and_modes(ref, reps, mu, params, mean_tol):
+def _mean_and_modes(ref, reps, mu, params):
     """The mean of ``reps`` (``mu``, or computed when it is ``None``) with
     the variances and mode matrix of :func:`_principal_modes`."""
     if mu is None:
@@ -340,22 +341,22 @@ def _mean_and_modes(ref, reps, mu, params, mean_tol):
     else:
         rot_logs = _rotation_logs(reps, _mean_entries(mu))
         stretch_logs = _stretch_logs(reps, mu.log_stretches)
-    return (mu,) + _principal_modes(ref, params, rot_logs, stretch_logs, mean_tol)
+    return (mu,) + _principal_modes(ref, params, rot_logs, stretch_logs)
 
 
-def pga(ref, reps, mu=None, params=DistanceParams(), mean_tol=DEFAULT_PGA_MEAN_TOL):
+def pga(ref, reps, mu=None, params=DistanceParams()):
     """Principal geodesic analysis of ``reps`` around their mean.
 
-    ``mu`` must be the Fréchet mean (checked through the residual of the
-    summed logs); when it is not supplied, it is computed and the logs of
-    its last step serve the analysis. Eigenvalues below
+    ``mu`` must be the Fréchet mean (the residual of the summed logs is at
+    most ``DEFAULT_PGA_MEAN_TOL`` per shape); when it is not supplied, it
+    is computed and the logs of its last step serve the analysis. Eigenvalues below
     ``EIGENVALUE_CUTOFF`` times the largest are discarded as numerical rank
     noise.
     """
     _check_same_reference(reps)
     if mu is not None and mu.reference_hash != reps[0].reference_hash:
         raise ReferenceMismatchError("mean uses a different reference")
-    mu, variances, matrix = _mean_and_modes(ref, reps, mu, params, mean_tol)
+    mu, variances, matrix = _mean_and_modes(ref, reps, mu, params)
     base_hash = mu.content_hash()
     modes = [TangentRep._from_coordinates(row, mu.n_edges, base_hash) for row in matrix]
     return PGAModel(
@@ -425,27 +426,27 @@ def _sample_coefficients(model, count, seed, n_modes=None):
     return rng.standard_normal(size=(count, n_modes)) * std
 
 
-def unbiased_reference(meshes, outer_iterations=2, reconstruct_kwargs=None,
-                       reference=None, mean_kwargs=None):
+def unbiased_reference(meshes, outer_iterations=2, reference=None, mean_kwargs=None):
     """Re-center the reference on the cohort mean.
 
     Starting from ``reference`` (by default the first mesh as reference),
     alternates: encode the cohort, compute the mean, reconstruct the mean
     shape, and promote it to the new reference. ``mean_kwargs`` go to every
-    :func:`frechet_mean` call and ``reconstruct_kwargs`` to every
-    reconstruction. Returns ``(ref, reps, mean_rep)`` of the final round,
-    in which the reference agrees with the cohort mean.
-    """
-    from .reconstruction import reconstruct
+    :func:`frechet_mean` call. Returns ``(ref, reps, mean_rep)`` of the
+    final round, in which the reference agrees with the cohort mean.
 
-    kwargs = reconstruct_kwargs or {}
+    Raises
+    ------
+    ConvergenceError
+        If a mean or a reconstruction of the mean does not converge.
+    """
     mean_kwargs = mean_kwargs or {}
     ref = build_reference(meshes[0]) if reference is None else reference
-    for _ in range(outer_iterations):
+    for k in range(outer_iterations):
         reps = [encode(ref, mesh)[0] for mesh in meshes]
         mu = frechet_mean(reps, **mean_kwargs)
-        mean_mesh, _ = reconstruct(ref, mu, **kwargs)
-        ref = build_reference(mean_mesh)
+        ref = build_reference(_converged_mesh(reconstruct(ref, mu),
+                                              f"the mean in round {k + 1}"))
     reps = [encode(ref, mesh)[0] for mesh in meshes]
     mu = frechet_mean(reps, **mean_kwargs)
     return ref, reps, mu

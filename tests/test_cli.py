@@ -514,6 +514,24 @@ class TestCountOptions:
                                                          "shape_001.obj"]
 
 
+class TestUsage:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_renders(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage:")
+
+    def test_missing_positional_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["interpolate", "a"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: shapeforms interpolate")
+        assert "the following arguments are required" in err
+        assert "Traceback" not in err
+
+
 class TestDeterminism:
     def test_identical_invocations_identical_bytes(self, workspace):
         a = workspace / "rep_a.json"

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from shapeforms.evaluation import (
     train_svm,
 )
 from shapeforms.liegroups import so3_exp
+from shapeforms.reconstruction import reconstruct
 from shapeforms.reference import build_reference
 from shapeforms.representation import (
     DistanceParams,
@@ -51,6 +54,12 @@ def cohort(ref):
 @pytest.fixture(scope="module")
 def model(ref, cohort):
     return pga(ref, cohort)
+
+
+def unconverged_reconstruct(monkeypatch):
+    """Let every reconstruction of the evaluation module stop after one round."""
+    monkeypatch.setattr(evaluation, "reconstruct",
+                        functools.partial(reconstruct, max_iter=1))
 
 
 def stretch_only_cohort(ref, count, seed, scale=0.25):
@@ -105,6 +114,13 @@ class TestSpecificity:
         )
         assert value > 0.0
 
+    def test_unconverged_vertex_metric_raises(self, ref, cohort, model, monkeypatch):
+        unconverged_reconstruct(monkeypatch)
+        with pytest.raises(ConvergenceError,
+                           match="reconstruction of specificity sample 0 did not "
+                                 "converge in 1 iterations"):
+            specificity(ref, model, cohort[:3], n_samples=2, metric="vertex", seed=1)
+
     def test_empty_training_rejected(self, ref, model):
         with pytest.raises(ValueError):
             specificity(ref, model, [])
@@ -136,6 +152,12 @@ class TestGeneralization:
         curve = generalization_curve(ref, reps, max_modes=2, metric="vertex")
         assert curve.shape == (2,)
         assert np.all(curve < 1e-9)
+
+    def test_unconverged_vertex_metric_raises(self, ref, cohort, monkeypatch):
+        unconverged_reconstruct(monkeypatch)
+        with pytest.raises(ConvergenceError,
+                           match="reconstruction of shape 0 projected on 1 modes"):
+            generalization_curve(ref, cohort[:4], max_modes=1, metric="vertex")
 
     def test_identical_shapes_zero(self, ref, cohort):
         reps = [cohort[0]] * 4
@@ -258,6 +280,13 @@ class TestSvm:
         X, y = toy_blobs(seed=3)
         with pytest.raises(ValueError):
             train_svm(X, np.ones_like(y))
+
+    def test_third_label_rejected(self):
+        X, y = toy_blobs(seed=3)
+        y[:2] = 2
+        with pytest.raises(ValueError, match=r"labels must contain both classes "
+                                             r"-1 and \+1, got \[-1\.  1\.  2\.\]"):
+            train_svm(X, y)
 
     def test_json_roundtrip(self, tmp_path):
         X, y = toy_blobs(seed=4)
@@ -397,6 +426,14 @@ class TestMonteCarloCV:
         with pytest.raises(ValueError):
             monte_carlo_cv(X, y, train_share=0.95, draws=5)
 
+    def test_third_label_rejected(self):
+        X, y = toy_blobs(seed=3)
+        y[:2] = 2
+        with pytest.raises(ValueError, match="labels must contain both classes"):
+            monte_carlo_cv(X, y, 0.5, draws=5)
+        with pytest.raises(ValueError, match="labels must contain both classes"):
+            accuracy_curve(X, y, [0.5], draws=5)
+
     @pytest.mark.parametrize("draws", [0, -1])
     def test_no_draws_rejected(self, draws):
         X, y = toy_blobs(seed=17)
@@ -514,6 +551,13 @@ class TestDiscriminatingPath:
 
         mean_mesh, _ = reconstruct(ref, model.mean)
         assert np.max(np.abs(meshes[0].vertices - mean_mesh.vertices)) < 1e-9
+
+    def test_unconverged_step_raises(self, ref, model, trained, monkeypatch):
+        _, _, clf = trained
+        unconverged_reconstruct(monkeypatch)
+        with pytest.raises(ConvergenceError,
+                           match="reconstruction of discriminating path step 0"):
+            discriminating_path(ref, model, clf, steps=2, value_range=(-0.5, 0.5))
 
     def test_symmetric_scales_differ(self, ref, model, trained):
         _, _, clf = trained

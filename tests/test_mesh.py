@@ -166,6 +166,84 @@ class TestMeshIO:
         save_mesh(tetrahedron, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_unknown_suffix_rejected(self, tmp_path, tetrahedron):
+        path = tmp_path / "tet.stl"
+        with pytest.raises(MeshFormatError, match="cannot infer format from suffix"):
+            save_mesh(tetrahedron, path)
+        assert not path.exists()
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+        with pytest.raises(MeshFormatError, match="cannot infer format from suffix"):
+            load_mesh(path)
+
+    def test_upper_case_suffix(self, tmp_path, tetrahedron):
+        path = tmp_path / "TET.OBJ"
+        save_mesh(tetrahedron, path)
+        assert path.read_text().startswith("v ")
+        back = load_mesh(path)
+        assert np.array_equal(back.vertices, tetrahedron.vertices)
+        assert np.array_equal(back.triangles, tetrahedron.triangles)
+
+    def test_obj_comments_and_ignored_keywords(self, tmp_path):
+        path = tmp_path / "extras.obj"
+        path.write_text(
+            "# exported mesh\no triangle\ng group\ns off\n"
+            "v 0 0 0\nv 1 0 0\n  # indented comment\nv 0 1 0\n"
+            "vn 0 0 1\nvt 0 0\n\nf 1/1/1 2/2/1 3/3/1\n"
+        )
+        mesh = load_mesh(path)
+        assert mesh.n_vertices == 3
+        assert mesh.triangles.tolist() == [[0, 1, 2]]
+
+    @pytest.mark.parametrize(
+        "vertex_line, message",
+        [("v 0 x 0", "bad coordinate"), ("v 0 1", "vertex needs 3 coordinates")],
+        ids=["bad-coordinate", "two-coordinates"],
+    )
+    def test_obj_bad_vertex_line_number(self, tmp_path, vertex_line, message):
+        path = tmp_path / "bad.obj"
+        path.write_text(f"v 0 0 0\n# comment\nv 1 0 0\n{vertex_line}\nf 1 2 3\n")
+        with pytest.raises(MeshFormatError, match=message) as excinfo:
+            load_mesh(path)
+        assert excinfo.value.line == 4
+
+    def test_obj_without_vertices_rejected(self, tmp_path):
+        path = tmp_path / "faces.obj"
+        path.write_text("# no vertices\nf 1 2 3\n")
+        with pytest.raises(MeshFormatError, match="no vertices found") as excinfo:
+            load_mesh(path)
+        assert excinfo.value.line is None
+
+    def test_off_vertex_split_over_lines(self, tmp_path):
+        path = tmp_path / "split.off"
+        path.write_text("OFF\n3 1 0\n0 0\n0 1 0 0\n0 1 0\n3 0 1 2\n")
+        mesh = load_mesh(path)
+        assert mesh.vertices.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+
+    def test_off_bad_coordinate_line_number(self, tmp_path):
+        path = tmp_path / "bad.off"
+        path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 y 0\n3 0 1 2\n")
+        with pytest.raises(MeshFormatError, match="bad vertex coordinate") as excinfo:
+            load_mesh(path)
+        assert excinfo.value.line == 5
+
+    def test_off_only_comments_is_empty(self, tmp_path):
+        path = tmp_path / "comments.off"
+        path.write_text("# nothing\n   # but comments\n\n")
+        with pytest.raises(MeshFormatError, match="empty file"):
+            load_mesh(path)
+
+    def test_vertex_scalars_rejected_for_off(self, tmp_path, tetrahedron):
+        path = tmp_path / "scal.off"
+        with pytest.raises(MeshFormatError, match="only supported for OBJ"):
+            save_mesh(tetrahedron, path, vertex_scalars=np.arange(4.0))
+        assert not path.exists()
+
+    def test_vertex_scalars_wrong_length_rejected(self, tmp_path, tetrahedron):
+        path = tmp_path / "scal.obj"
+        with pytest.raises(MeshFormatError, match="expected 4 vertex scalars"):
+            save_mesh(tetrahedron, path, vertex_scalars=np.arange(3.0))
+        assert not path.exists()
+
 
 def loop_inner_edges(mesh):
     """Inner edges and their shared vertices by a walk over sorted edge keys."""

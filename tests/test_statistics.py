@@ -1,6 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
+from shapeforms import statistics
+from shapeforms.errors import ConvergenceError
+from shapeforms.reconstruction import reconstruct
 from shapeforms.reference import build_reference
 from shapeforms.representation import (
     DistanceParams,
@@ -282,3 +287,15 @@ class TestSerializationAndRebias:
             [rep_distance(new_ref, identity_rep, r) for r in reps]
         )
         assert d < 0.05 * spread
+
+    def test_unconverged_mean_reconstruction_raises(self, ref, monkeypatch):
+        meshes = [
+            smooth_deformation(ref.mesh, seed=s, stretch=0.08, wave_amplitude=0.03)
+            for s in range(4)
+        ]
+        monkeypatch.setattr(statistics, "reconstruct",
+                            functools.partial(reconstruct, max_iter=1))
+        with pytest.raises(ConvergenceError,
+                           match="reconstruction of the mean in round 1 did not "
+                                 "converge in 1 iterations"):
+            unbiased_reference(meshes, outer_iterations=2)
