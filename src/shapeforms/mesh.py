@@ -19,6 +19,9 @@ from .errors import DegenerateGeometryError, MeshFormatError, MeshTopologyError
 # squared bounding-box diagonal.
 DEGENERATE_AREA_FACTOR = 1e-12
 
+# The largest face index a file may give: triangles are stored as int64.
+_MAX_INDEX = np.iinfo(np.int64).max
+
 
 class TriangleMesh:
     """Immutable triangle mesh given by vertex positions and a face list.
@@ -190,7 +193,7 @@ def load_mesh(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MeshFormatError(str(exc), path=path) from exc
     vertices, triangles = read(lines, path)
     try:
@@ -256,6 +259,9 @@ def _read_obj(lines, path):
                 if value <= 0:
                     raise MeshFormatError(f"face index {value} is not positive "
                                           "(OBJ is 1-based)", path, lineno)
+                if value > _MAX_INDEX:
+                    raise MeshFormatError(f"face index {value} is out of range",
+                                          path, lineno)
                 idx.append(value - 1)
             faces.append(idx)
         # Other OBJ keywords (vn, vt, o, g, s, usemtl, ...) are ignored.
@@ -287,6 +293,15 @@ def _read_off(lines, path):
         n_vertices, n_faces = int(header[0][1]), int(header[1][1])
     except ValueError:
         raise MeshFormatError("bad count line", path, header[0][0])
+    if n_vertices < 0 or n_faces < 0:
+        raise MeshFormatError("negative count", path, header[0][0])
+    # A vertex takes 3 tokens and a triangle 4: refuse counts the file
+    # cannot hold before allocating for them.
+    needed, held = 3 * n_vertices + 4 * n_faces, len(tokens) - pos
+    if needed > held:
+        raise MeshFormatError(f"{n_vertices} vertices and {n_faces} faces need "
+                              f"{needed} tokens, the file holds {held}",
+                              path, header[0][0])
 
     vertices = np.empty((n_vertices, 3))
     for i in range(n_vertices):
@@ -311,4 +326,6 @@ def _read_off(lines, path):
             faces[i] = [int(t) for _, t in chunk]
         except ValueError:
             raise MeshFormatError("bad face index", path, chunk[0][0])
+        except OverflowError:
+            raise MeshFormatError("face index out of range", path, chunk[0][0])
     return vertices, faces

@@ -63,6 +63,9 @@ DEFAULT_MAX_ITER = 100
 #: Residual differences kept by the Anderson acceleration.
 _AA_WINDOW = 5
 
+#: Parts of at most this many vertices end the nested dissection.
+_LEAF_SIZE = 32
+
 
 def embed_stretch(ref, i, stretch2):
     """Lift a tangential 2x2 stretch of triangle ``i`` back to 3x3.
@@ -135,15 +138,23 @@ class PoissonSystem:
     solve; the returned positions are then shifted so the vertex barycenter
     matches the reference barycenter.
 
-    Only the vertex unknowns are factored. The normal-tip point of triangle
-    ``i`` enters only that triangle's three gradient rows, so the tip block
-    ``Ktt`` of ``K = G^T W G`` is exactly diagonal. The tips are therefore
-    eliminated first: the Schur complement ``S = Kvv - Kvt Ktt^-1 Ktv``
-    couples only vertices that already share a triangle, so it has the
-    sparsity pattern of ``Kvv``, and after each vertex solve the tips follow
+    Only the vertex unknowns are factored. The unknowns of triangle ``i``
+    are its three vertices and its normal-tip point, and its element matrix
+    is the ``4 x 4`` block ``A_i g_i^T g_i`` of its gradient rows ``g_i``.
+    The tip enters no other element, so it is eliminated inside its own:
+    the vertex Schur complement ``S = Kvv - Kvt Ktt^-1 Ktv`` of
+    ``K = G^T W G`` is the sum of the ``3 x 3`` element Schur complements,
+    and is assembled as such without forming ``K``. ``S`` couples only
+    vertices that share a triangle. After each vertex solve the tips follow
     from one diagonal back-substitution. This is the same minimizer as the
     full ``(n_vertices + m)`` system up to rounding, at a fraction of its
     fill.
+
+    The factor order is a nested dissection of the reference vertex
+    coordinates (George, 1973; Lipton, Rose and Tarjan, 1979), see
+    :func:`_dissection_order`. ``S`` is symmetric positive definite, so
+    SuperLU factors it in that order without pivoting. ``factor_seconds``
+    is the time of the ordering plus the factorization.
     """
 
     def __init__(self, ref):
@@ -154,38 +165,67 @@ class PoissonSystem:
         self.n_triangles = m
         self._barycenter = mesh.vertices.mean(axis=0)
 
-        H = ref.grad_inverses  # rows: coefficients of (e1, e2, tip - v0)
+        # Row 3i + c of G holds column c of the coefficients of (v0, v1, v2,
+        # tip) in triangle i's gradient: -(h1 + h2 + h3), h1, h2 and h3 for
+        # the rows h_k of H, which are those of (e1, e2, tip - v0).
+        H = ref.grad_inverses
         tri = mesh.triangles
-        rows = (3 * np.arange(m)[:, None] + np.arange(3)[None, :]).ravel()
-
-        data = []
-        cols = []
-        for k, col_idx in ((0, tri[:, 1]), (1, tri[:, 2])):
-            data.append(H[:, k, :].ravel())
-            cols.append(np.repeat(col_idx, 3))
-        data.append(H[:, 2, :].ravel())
-        cols.append(np.repeat(nv + np.arange(m), 3))
-        data.append(-H.sum(axis=1).ravel())
-        cols.append(np.repeat(tri[:, 0], 3))
-
-        G = scipy.sparse.coo_matrix(
-            (
-                np.concatenate(data),
-                (np.tile(rows, 4), np.concatenate(cols)),
-            ),
+        coefficients = np.empty((m, 3, 4))
+        coefficients[..., 1:] = np.swapaxes(H, 1, 2)
+        coefficients[..., 0] = -(H[:, 0] + H[:, 1] + H[:, 2])
+        unknowns = np.column_stack((tri, nv + np.arange(m)))
+        self._G = scipy.sparse.csr_matrix(
+            (coefficients.reshape(-1), np.repeat(unknowns, 3, axis=0).reshape(-1),
+             np.arange(0, 12 * m + 1, 4)),
             shape=(3 * m, nv + m),
-        ).tocsr()
-        self._G = G
-
+        )
         self._weights = np.repeat(ref.tri_areas, 3)
-        K = (G.T @ scipy.sparse.diags(self._weights) @ G).tocsc()
+
+        # The element matrix A_i g_i^T g_i in terms of the Gram entries
+        # g_jk = h_j . h_k. Its tip row is A (-(g13 + g23 + g33), g13, g23,
+        # g33); eliminating the tip leaves A C^T N C on (v0, v1, v2), with
+        # C = [[-1, 1, 0], [-1, 0, 1]] and N_jk = g_jk - g_j3 g_k3 / g33.
+        area = ref.tri_areas
+        h1, h2, h3 = H[:, 0], H[:, 1], H[:, 2]
+        g11, g12, g22, g13, g23, g33 = (
+            np.einsum("ij,ij->i", x, y)
+            for x, y in ((h1, h1), (h1, h2), (h2, h2), (h1, h3), (h2, h3), (h3, h3))
+        )
+        self._ktt = area * g33
+        tip_rows = area[:, None] * np.stack((-(g13 + g23 + g33), g13, g23), axis=1)
+        # Ktv has row i = the vertex part of element i's tip row; Kvt is its
+        # transpose.
+        self._ktv = scipy.sparse.csr_matrix(
+            (tip_rows.reshape(-1), tri.reshape(-1), np.arange(0, 3 * m + 1, 3)),
+            shape=(m, nv),
+        )
+        self._kvt = self._ktv.T.tocsr()
+        n11 = area * (g11 - g13 * g13 / g33)
+        n12 = area * (g12 - g13 * g23 / g33)
+        n22 = area * (g22 - g23 * g23 / g33)
+        s01, s02 = -(n11 + n12), -(n12 + n22)
+        schur = np.stack((n11 + 2.0 * n12 + n22, s01, s02,
+                          s01, n11, n12,
+                          s02, n12, n22), axis=1)
+
         start = time.perf_counter()
-        self._ktt = K[nv:, nv:].diagonal()
-        self._kvt = K[:nv, nv:].tocsr()
-        self._ktv = K[nv:, :nv].tocsr()
-        S = K[:nv, :nv] - self._kvt @ scipy.sparse.diags(1.0 / self._ktt) @ self._ktv
+        # Vertex 0 is pinned; the others are factored in dissection order.
+        order = _dissection_order(mesh.vertices, tri)
+        self._order = order = order[order != 0]
+        rank = np.full(nv, -1)
+        rank[order] = np.arange(nv - 1)
+        rows = np.repeat(rank[tri], 3, axis=1).reshape(-1)
+        cols = np.tile(rank[tri], (1, 3)).reshape(-1)
+        kept = (rows >= 0) & (cols >= 0)
+        S = scipy.sparse.csc_matrix(
+            (schur.reshape(-1)[kept], (rows[kept], cols[kept])),
+            shape=(nv - 1, nv - 1),
+        )
         try:
-            self._lu = scipy.sparse.linalg.splu(S.tocsc()[1:, 1:])
+            self._lu = scipy.sparse.linalg.splu(
+                S, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
+            )
         except RuntimeError as exc:
             raise ConditioningError(f"global system factorization failed: {exc}")
         self.factor_seconds = time.perf_counter() - start
@@ -213,7 +253,7 @@ class PoissonSystem:
         rhs_v, rhs_t = rhs[:nv], rhs[nv:]
         reduced = rhs_v - self._kvt @ (rhs_t / self._ktt[:, None])
         X = np.zeros((rhs.shape[0], 3))
-        X[1:nv] = self._lu.solve(reduced[1:])
+        X[self._order] = self._lu.solve(reduced[self._order])
         X[nv:] = (rhs_t - self._ktv @ X[:nv]) / self._ktt[:, None]
         X += self._barycenter - X[:nv].mean(axis=0)
         return X
@@ -225,6 +265,69 @@ class PoissonSystem:
     def gradients(self, X):
         """Deformation gradients of stacked positions ``X``."""
         return self.gradient_rows(X).reshape(self.n_triangles, 3, 3).transpose(0, 2, 1)
+
+
+def _dissection_order(points, triangles):
+    """Nested-dissection order of the vertices of a triangle mesh.
+
+    Every part with more than ``_LEAF_SIZE`` vertices is sorted along its
+    widest coordinate and split at the median. The low-side vertices with a
+    high-side neighbor form its separator, which no edge crosses once it is
+    removed. A part takes the positions of its low half, then of its high
+    half, then of its separator; the vertices of a leaf or a separator keep
+    their sorted order. Each level splits all of its parts at once.
+    """
+    n = points.shape[0]
+    # The triangle sides a -> b between vertices still to place.
+    a = triangles.reshape(-1)
+    b = triangles[:, [1, 2, 0]].reshape(-1)
+    side = np.zeros(n, dtype=np.int8)  # 1 low, 2 high, 0 placed
+    position = np.empty(n, dtype=np.int64)
+    # The vertices still to place, part after part, with each part's size
+    # and first position.
+    live, sizes, offsets = np.arange(n), np.array([n]), np.array([0])
+    while live.size:
+        starts = np.cumsum(sizes) - sizes
+        run = np.repeat(np.arange(sizes.size), sizes)
+        leaf = sizes[run] <= _LEAF_SIZE
+        position[live[leaf]] = (offsets - starts)[run[leaf]] + np.flatnonzero(leaf)
+        big = sizes > _LEAF_SIZE
+        live, sizes, offsets = live[~leaf], sizes[big], offsets[big]
+        if not live.size:
+            break
+        parts = np.arange(sizes.size)
+        starts = np.cumsum(sizes) - sizes
+        label = np.repeat(parts, sizes)
+        xyz = points[live]
+        low = np.minimum.reduceat(xyz, starts, axis=0)
+        extent = np.maximum.reduceat(xyz, starts, axis=0) - low
+        axis = np.argmax(extent, axis=1)
+        width = extent[parts, axis]
+        # Part label plus the coordinate scaled into [0, 1/2]: one sort key.
+        scale = 0.5 / np.where(width > 0.0, width, 1.0)
+        coord = xyz[np.arange(live.size), axis[label]] - low[parts, axis][label]
+        live = live[np.argsort(label + coord * scale[label])]
+        n_high = sizes - sizes // 2
+        upper = np.arange(live.size) - starts[label] >= (sizes - n_high)[label]
+        side[live] = 1 + upper
+        side_a, side_b = side[a], side[b]
+        cut = np.zeros(n, dtype=bool)
+        cut[a[(side_a == 1) & (side_b == 2)]] = True
+        cut[b[(side_a == 2) & (side_b == 1)]] = True
+        inside = (side_a > 0) & (side_b > 0)
+        a, b = a[inside], b[inside]
+        side[live] = 0
+        cut = cut[live]
+        n_cut = np.bincount(label[cut], minlength=sizes.size)
+        n_low = sizes - n_high - n_cut
+        first = (offsets + n_low + n_high - np.cumsum(n_cut) + n_cut)[label[cut]]
+        position[live[cut]] = first + np.arange(first.size)
+        live = live[~cut]
+        sizes = np.stack((n_low, n_high), axis=1).reshape(-1)
+        offsets = np.stack((offsets, offsets + n_low), axis=1).reshape(-1)
+    order = np.empty(n, dtype=np.int64)
+    order[position] = np.arange(n)
+    return order
 
 
 def prefactor(ref):

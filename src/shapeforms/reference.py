@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.csgraph import breadth_first_order, shortest_path
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import DegenerateGeometryError, MeshTopologyError
 from .mesh import TriangleMesh, _dual_edges
@@ -56,7 +56,8 @@ class ReferenceGeometry:
         non-decreasing; the edges of one depth form a contiguous run.
     grad_inverses : ndarray
         ``(m, 3, 3)`` inverses of ``[e1, e2, n]`` used by
-        :func:`deformation_gradients`.
+        :func:`deformation_gradients`, in closed form: the rows are
+        ``(e2 x n) / |e1 x e2|``, ``(n x e1) / |e1 x e2|`` and ``n``.
     """
 
     mesh: TriangleMesh
@@ -116,15 +117,6 @@ class ReferenceGeometry:
         raise MeshTopologyError(f"triangles {i} and {j} do not share an edge")
 
 
-def triangle_frames(mesh):
-    """Edge-aligned orthonormal frames with the unit normal last."""
-    e1, _ = mesh.edge_vectors()
-    normal = mesh.triangle_normals()
-    t1 = e1 / np.linalg.norm(e1, axis=1, keepdims=True)
-    t2 = np.cross(normal, t1)
-    return np.stack((t1, t2, normal), axis=-1)
-
-
 def build_reference(mesh):
     """Precompute all reference-shape quantities for ``mesh``.
 
@@ -132,24 +124,35 @@ def build_reference(mesh):
     0 (neighbors visited in ascending index order) are fixed so that equal
     input bytes give equal outputs. The tree is the csgraph breadth-first
     order over the CSR dual adjacency, and its depths are the unweighted
-    shortest-path distances from triangle 0.
+    distances from triangle 0.
     """
     m = mesh.n_triangles
-    frames = triangle_frames(mesh)
-    tri_areas = mesh.triangle_areas()
+    # One edge-vector pass gives the areas, normals, frames and inverses.
+    e1, e2 = mesh.edge_vectors()
+    cross = np.cross(e1, e2)
+    norms = np.linalg.norm(cross, axis=1)
+    tri_areas = 0.5 * norms
     total_area = float(tri_areas.sum())
+    normal = cross / norms[:, None]
+    t1 = e1 / np.linalg.norm(e1, axis=1, keepdims=True)
+    frames = np.stack((t1, np.cross(normal, t1), normal), axis=-1)
+    # The rows of [e1, e2, n]^-1: its determinant is (e1 x e2) . n = |e1 x e2|.
+    grad_inverses = np.stack(
+        (np.cross(e2, normal) / norms[:, None],
+         np.cross(normal, e1) / norms[:, None], normal), axis=1
+    )
 
     pairs, shared = _dual_edges(mesh.triangles, mesh.n_vertices)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    inner_edges, shared = pairs[order], shared[order]
-    edge_keys = inner_edges[:, 0] * m + inner_edges[:, 1]
+    keys = pairs[:, 0] * m + pairs[:, 1]
+    order = np.argsort(keys, kind="stable")
+    inner_edges, shared, edge_keys = pairs[order], shared[order], keys[order]
     edge_areas = (tri_areas[inner_edges[:, 0]] + tri_areas[inner_edges[:, 1]]) / 3.0
     total_edge_area = float(edge_areas.sum())
 
     # Symmetric dual adjacency as CSR rows in ascending neighbor order.
     src = np.concatenate((inner_edges[:, 0], inner_edges[:, 1]))
     dst = np.concatenate((inner_edges[:, 1], inner_edges[:, 0]))
-    dst = dst[np.lexsort((dst, src))]
+    dst = dst[np.argsort(src * m + dst)]
     neighbor_counts = np.bincount(src, minlength=m)
     indptr = np.concatenate(([0], np.cumsum(neighbor_counts)))
     adjacency = scipy.sparse.csr_matrix((np.ones(dst.size), dst, indptr), shape=(m, m))
@@ -161,15 +164,18 @@ def build_reference(mesh):
     )
     children = visit[1:].astype(np.int64)
     tree = np.stack((parent[children].astype(np.int64), children), axis=1)
-    depth = shortest_path(adjacency, directed=True, unweighted=True, indices=0)
-    tree_depths = depth[children].astype(np.int64)
+    # Depths by pointer jumping: hops[i] counts the tree edges from i up to
+    # up[i], and each round doubles the reach until all point at the seed.
+    up = np.maximum(parent, 0)
+    hops = np.ones(m, dtype=np.int64)
+    hops[0] = 0
+    while np.any(up):
+        hops += hops[up]
+        up = up[up]
+    tree_depths = hops[children]
     tree_edge_indices = np.searchsorted(
         edge_keys, tree.min(axis=1) * m + tree.max(axis=1)
     )
-
-    e1, e2 = mesh.edge_vectors()
-    basis = np.stack((e1, e2, mesh.triangle_normals()), axis=-1)
-    grad_inverses = np.linalg.inv(basis)
 
     return ReferenceGeometry(
         mesh=mesh,

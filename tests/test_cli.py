@@ -157,6 +157,28 @@ class TestRoundtrip:
         assert "error:format" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "name, content",
+        [("big_index.obj", b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999999\n"),
+         ("big_index.off", b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999999\n"),
+         ("latin1.obj", b"# caf\xe9\nv 0 0 0\n"),
+         ("negative.off", b"OFF\n-3 1 0\n0 0 0\n"),
+         ("huge.off", b"OFF\n1000000000000000 1 0\n0 0 0\n")],
+        ids=["obj-index", "off-index", "non-utf8", "negative-count", "huge-count"],
+    )
+    def test_unreadable_mesh_is_a_format_error(self, workspace, capsys, name, content):
+        bad = workspace / name
+        bad.write_bytes(content)
+        code = main([
+            "encode", "--reference", str(bad),
+            "--input", str(workspace / "shape_0.obj"), "--out", str(workspace / "x.json"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:format: ")
+        assert str(bad) in err
+
+
 class TestInterpolate:
     def test_three_steps_middle_is_mean(self, workspace):
         out_dir = workspace / "interp"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shapeforms.errors import (
     DegenerateGeometryError,
@@ -7,7 +9,7 @@ from shapeforms.errors import (
     MeshTopologyError,
 )
 from shapeforms.liegroups import so3_exp
-from shapeforms.mesh import TriangleMesh, load_mesh, save_mesh
+from shapeforms.mesh import DEGENERATE_AREA_FACTOR, TriangleMesh, load_mesh, save_mesh
 from shapeforms.reference import build_reference, deformation_gradients
 from shapeforms.synthetic import cylinder_patch, icosphere
 
@@ -231,6 +233,60 @@ class TestMeshIO:
         path.write_text("# nothing\n   # but comments\n\n")
         with pytest.raises(MeshFormatError, match="empty file"):
             load_mesh(path)
+
+    @pytest.mark.parametrize(
+        "name, text, line",
+        [("big.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999999\n", 4),
+         ("big.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999999\n",
+          6),
+         ("negative.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n"
+          "3 0 1 -99999999999999999999999\n", 6)],
+        ids=["obj", "off", "off-negative"],
+    )
+    def test_face_index_beyond_64_bits(self, tmp_path, name, text, line):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(MeshFormatError, match="out of range") as excinfo:
+            load_mesh(path)
+        assert excinfo.value.line == line
+
+    @pytest.mark.parametrize("suffix", [".obj", ".off"])
+    def test_non_utf8_byte_rejected(self, tmp_path, suffix):
+        path = tmp_path / f"latin1{suffix}"
+        path.write_bytes(b"# caf\xe9\nv 0 0 0\n")
+        with pytest.raises(MeshFormatError, match="can't decode") as excinfo:
+            load_mesh(path)
+        assert excinfo.value.path == str(path)
+        assert str(path) in str(excinfo.value)
+
+    @pytest.mark.parametrize("counts", ["-1 1 0", "3 -2 0"])
+    def test_off_negative_count_rejected(self, tmp_path, counts):
+        path = tmp_path / "negative.off"
+        path.write_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+        with pytest.raises(MeshFormatError, match="negative count") as excinfo:
+            load_mesh(path)
+        assert excinfo.value.line == 2
+
+    @pytest.mark.parametrize(
+        "counts, needed",
+        [("3 2 0", 17), ("4 1 0", 16), (f"{10**15} 1 0", 3 * 10**15 + 4),
+         (f"3 {10**18} 0", 9 + 4 * 10**18)],
+        ids=["one-face-short", "one-vertex-short", "huge-vertex-count", "huge-face-count"],
+    )
+    def test_off_counts_beyond_file_rejected(self, tmp_path, monkeypatch, counts, needed):
+        # The counts are refused before any array is sized by them.
+        import shapeforms.mesh as mesh_module
+
+        def no_empty(*args, **kwargs):
+            raise AssertionError("np.empty called")
+
+        path = tmp_path / "short.off"
+        path.write_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+        monkeypatch.setattr(mesh_module.np, "empty", no_empty)
+        with pytest.raises(MeshFormatError, match=f"need {needed} tokens, the file "
+                                                  "holds 13") as excinfo:
+            load_mesh(path)
+        assert excinfo.value.line == 2
 
     def test_vertex_scalars_rejected_for_off(self, tmp_path, tetrahedron):
         path = tmp_path / "scal.off"
@@ -493,3 +549,43 @@ class TestDeformationGradients:
         other = icosphere(2)
         with pytest.raises(MeshTopologyError):
             deformation_gradients(ref, other)
+
+
+class TestGradInverses:
+    """The closed-form inverses of ``[e1, e2, n]`` on single triangles, from
+    equilateral down to needles at the degenerate-area threshold, at any
+    scale, position and orientation. The bounds scale with the condition
+    number of the dimensionless basis ``[e1 / L, e2 / L, n]``, ``L`` the
+    bounding-box diagonal: that is what limits any inverse in floating
+    point, ``np.linalg.inv`` included."""
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+        st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+        st.floats(-3.0, 3.0),
+        st.floats(np.log10(DEGENERATE_AREA_FACTOR), 0.0),
+        st.floats(-0.5, 1.5),
+    )
+    def test_inverse_of_edge_basis(self, axis_angle, offset, log_scale, log_aspect,
+                                   shift):
+        frame = so3_exp(np.array(axis_angle))
+        along, across = frame[:, 0], frame[:, 1]
+        corners = np.array([np.zeros(3), along, shift * along + 10**log_aspect * across])
+        try:
+            mesh = TriangleMesh(np.array(offset) + 10**log_scale * corners, [[0, 1, 2]])
+        except DegenerateGeometryError:
+            assume(False)
+        ref = build_reference(mesh)
+        e1, e2 = mesh.edge_vectors()
+        cross = np.cross(e1, e2)[0]
+        basis = np.stack((e1[0], e2[0], cross / np.linalg.norm(cross)), axis=-1)
+        H = ref.grad_inverses[0]
+        units = np.array([mesh.bbox_diagonal, mesh.bbox_diagonal, 1.0])
+        bound = 8.0 * np.finfo(float).eps * np.linalg.cond(basis / units)
+
+        assert np.abs((units[:, None] * H) @ (basis / units) - np.eye(3)).max() <= bound
+        inverse = units[:, None] * np.linalg.inv(basis)
+        assert np.abs(units[:, None] * H - inverse).max() <= bound * np.abs(inverse).max()
+        identity = deformation_gradients(ref, mesh)[0]
+        assert np.abs(identity - np.eye(3)).max() <= max(1e-12, bound)

@@ -12,8 +12,10 @@ from shapeforms.errors import ConditioningError
 from shapeforms.liegroups import polar_rotation, so3_exp
 from shapeforms.mesh import TriangleMesh
 from shapeforms.reconstruction import (
+    _LEAF_SIZE,
     EnergyReport,
     _EdgeTerms,
+    _dissection_order,
     _rows,
     embed_stretch,
     init_rotations,
@@ -272,8 +274,10 @@ def _shuffled_icosphere():
 _SOLVE_MESHES = pytest.mark.parametrize(
     "make_mesh",
     [lambda: icosphere(3), lambda: cylinder_patch(n_u=8, n_v=12),
-     _single_triangle, _shuffled_icosphere],
-    ids=["icosphere-3", "cylinder-patch", "single-triangle", "shuffled-icosphere"],
+     _single_triangle, _shuffled_icosphere, lambda: pipe_pair()[0],
+     lambda: icosphere(0)],
+    ids=["icosphere-3", "cylinder-patch", "single-triangle", "shuffled-icosphere",
+         "thin-pipe", "below-leaf-size"],
 )
 
 
@@ -418,6 +422,33 @@ class TestPoissonSystem:
             for part in (slice(None, nv), slice(nv, None)):
                 size = np.abs(expected[part]).max()
                 assert np.abs(X[part] - expected[part]).max() <= 1e-12 * size
+
+    @_SOLVE_MESHES
+    def test_factor_keeps_dissection_order(self, make_mesh):
+        # S is SPD, so SuperLU neither pivots nor reorders: the factor order
+        # is the dissection order of every vertex but the pinned one.
+        ref = build_reference(make_mesh())
+        system = prefactor(ref)
+        nv = ref.mesh.n_vertices
+        order = _dissection_order(ref.mesh.vertices, ref.mesh.triangles)
+        assert np.array_equal(np.sort(order), np.arange(nv))
+        if nv <= _LEAF_SIZE:
+            assert np.array_equal(order, np.arange(nv))
+        assert np.array_equal(system._order, order[order != 0])
+        identity = np.arange(nv - 1)
+        assert np.array_equal(system._lu.perm_r, identity)
+        assert np.array_equal(system._lu.perm_c, identity)
+
+    def test_repeated_prefactor_is_bit_identical(self):
+        ref = build_reference(icosphere(3))
+        targets = np.eye(3) + np.random.default_rng(5).normal(
+            size=(ref.n_triangles, 3, 3), scale=0.1)
+        first, second = prefactor(ref).solve(targets), prefactor(ref).solve(targets)
+        assert np.array_equal(first, second)
+
+    def test_fill_on_icosphere_5(self):
+        lu = prefactor(build_reference(icosphere(5)))._lu
+        assert lu.L.nnz + lu.U.nnz <= 1_000_000
 
     @_SOLVE_MESHES
     def test_tip_block_is_diagonal(self, make_mesh):
