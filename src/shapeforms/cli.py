@@ -15,6 +15,7 @@ function it calls agree unless a flag says otherwise.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -50,8 +51,8 @@ from .statistics import (
 
 def _positive_float(text):
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"{text} is not positive")
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"{text} is not positive and finite")
     return value
 
 

@@ -124,6 +124,11 @@ def flatten(ref, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, system=None):
         frame axis along +x), plus the distortion report. A chart whose
         reconstruction stopped at ``max_iter`` is still returned, with
         ``report.converged`` false.
+
+    Raises
+    ------
+    ValueError
+        If ``tol`` or ``max_iter`` is invalid, as for :func:`reconstruct`.
     """
     if not ref.has_boundary:
         raise MeshTopologyError(

@@ -25,13 +25,21 @@ solves against ``G^T`` times the ``dst``-sum of ``w * (B Rt)`` (global
 step) and reads the energy off the residual rows.
 
 The alternation is a fixed-point iteration on the stacked positions, and
-Anderson acceleration (Peng et al., 2018, *Anderson Acceleration for
+Anderson acceleration (Walker and Ni, 2011, *Anderson acceleration for
+fixed-point iterations*; Peng et al., 2018, *Anderson Acceleration for
 Geometry Optimization and Physics Simulation*) extrapolates each plain
-step from the last few. An accelerated point is kept only if its energy
-after its own rotation fit is strictly below that of the plain step, and
-that fit then serves as the next local step; otherwise the plain step is
-taken and the history cleared. This safeguard is what keeps the energy
-non-increasing.
+step from the last ``_AA_WINDOW`` (12) differences of residuals and
+steps. These sit in rings next to the Gram matrix of the residual
+differences, of which each new difference computes one row, so an
+iteration costs three products of a ring with a vector rather than a
+fresh Gram matrix. An accelerated point is kept only if its energy after
+its own rotation fit is strictly below the current iterate's energy after
+its rotation fit, and that fit then serves as the next local step.
+Otherwise the plain step is taken, its energy evaluated, and the history
+cleared; so the plain step's gradients are only gathered when no
+candidate is kept. Both ways keep the energy non-increasing: a kept
+candidate is below the fitted energy, and the global step, an exact
+minimizer, never raises it.
 
 To keep the global step quadratic, the out-of-plane column of each
 deformation gradient is carried by an auxiliary per-triangle point (the
@@ -40,6 +48,7 @@ is exactly the deformed unit normal, so nothing changes for integrable
 data while non-integrable mismatch is spread smoothly by the solve.
 """
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -61,7 +70,7 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
 
 #: Residual differences kept by the Anderson acceleration.
-_AA_WINDOW = 5
+_AA_WINDOW = 12
 
 #: Parts of at most this many vertices end the nested dissection.
 _LEAF_SIZE = 32
@@ -119,6 +128,8 @@ class EnergyReport:
     energies: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
+    #: Anderson candidates refused, each of which cost a plain step on top.
+    rejected: int = 0
     residuals: np.ndarray = None
     rotations: np.ndarray = None
     positions: np.ndarray = None
@@ -378,27 +389,29 @@ class _EdgeTerms:
         # A_i U_i of triangles without neighbors (global target R_i U_i).
         self._isolated_targets = ref.tri_areas[iso, None, None] * (UF[iso] @ Ft[iso])
 
-    def _weighted_norm2(self, rows):
+    def weighted_norm2(self, rows):
         return float(np.einsum("i,ij,ij->", self.weights, rows, rows))
 
     def target_size(self):
         """Weighted squared norm of the prescribed gradients, which is the
         energy of a zero gradient field under any rotations."""
-        return self._weighted_norm2(self.B.data.reshape(-1, 3))
+        return self.weighted_norm2(self.B.data.reshape(-1, 3))
 
-    def gather(self, rows):
+    def gather(self, rows, out=None):
         """The rows ``(G X)[gidx]`` of every edge's ``dst`` gradient."""
-        return np.take(rows, self.gidx, axis=0)
+        # gidx is in range by construction, and "raise" would buffer ``out``.
+        return np.take(rows, self.gidx, axis=0, out=out, mode="clip")
 
     def carried(self, Rt):
         """``B @ Rt``: each prescribed gradient carried by its source's rotation."""
         return self.B @ Rt.reshape(-1, 3)
 
     def energy(self, Dg, carried):
-        return self._weighted_norm2(Dg - carried)
+        return self.weighted_norm2(Dg - carried)
 
-    def residuals(self, Dg, carried):
-        diff = Dg - carried
+    def residuals(self, diff):
+        """Per-triangle mean squared mismatch of the residual rows
+        ``diff = Dg - carried``, over the edges into each triangle."""
         sq = np.einsum("ij,ij->i", diff, diff).reshape(-1, 3).sum(axis=1)
         out = np.bincount(self.dst, weights=sq, minlength=self.counts.size)
         return out / np.maximum(self.counts, 1)
@@ -469,7 +482,17 @@ def reconstruct(ref, rep, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, system=Non
         The reconstructed mesh (vertex barycenter at the reference
         barycenter, orientation fixed by the seed triangle) and the energy
         trace. The energy sequence is non-increasing.
+
+    Raises
+    ------
+    ValueError
+        If ``tol`` is not positive and finite or ``max_iter`` is not a
+        non-negative integer.
     """
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
+        raise ValueError(f"max_iter must be a non-negative integer, got {max_iter}")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     _check_binding(ref, rep)
     if system is None:
         system = prefactor(ref)
@@ -477,6 +500,57 @@ def reconstruct(ref, rep, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, system=Non
     report = _alternate(ref, rep, tol, max_iter, system)
     mesh = TriangleMesh(report.positions[: system.n_vertices], ref.mesh.triangles)
     return mesh, report
+
+
+class _AndersonHistory:
+    """The last ``_AA_WINDOW`` differences of Anderson acceleration.
+
+    Rings hold the differences ``dF`` of successive residuals
+    ``f = G(X) - X`` and ``dG`` of successive plain steps ``G(X)``, with
+    the Gram matrix ``dF dF^T`` kept beside them: overwriting slot ``k``
+    computes only its row. The slots in use are ``[:held]``, filled in
+    order since the last :meth:`clear`, so a mix costs two products with
+    a ring and the push one, each ``held x n``. Only an iterating solve
+    pushes a second pair and so allocates the rings.
+    """
+
+    def __init__(self):
+        self.dF = self.dG = self.gram = None
+        self.pairs = 0  # differences pushed since the last clear
+        self._last = None  # the last (f, G) pushed
+
+    @property
+    def held(self):
+        return min(self.pairs, _AA_WINDOW)
+
+    def push(self, f, G):
+        """Record the residual ``f`` and the plain step ``G`` of an iterate."""
+        f, G = f.reshape(-1), G.reshape(-1)
+        if self._last is not None:
+            if self.dF is None:
+                self.dF, self.dG = np.empty((2, _AA_WINDOW, f.size))
+                self.gram = np.empty((_AA_WINDOW, _AA_WINDOW))
+            k = self.pairs % _AA_WINDOW
+            np.subtract(f, self._last[0], out=self.dF[k])
+            np.subtract(G, self._last[1], out=self.dG[k])
+            self.pairs += 1
+            held = self.held
+            self.gram[k, :held] = self.gram[:held, k] = self.dF[:held] @ self.dF[k]
+        self._last = f, G
+
+    def clear(self):
+        """Drop the differences; the last pair still starts the next one."""
+        self.pairs = 0
+
+    def mix(self, f, G):
+        """The accelerated point ``G - gamma dG`` for the residual ``f`` and
+        plain step ``G`` just pushed, with ``gamma`` minimizing
+        ``|f - gamma dF|``. ``lstsq`` on the small normal equations still
+        handles a rank-deficient history."""
+        held = self.held
+        gamma = np.linalg.lstsq(self.gram[:held, :held],
+                                self.dF[:held] @ f.reshape(-1), rcond=None)[0]
+        return G - (gamma @ self.dG[:held]).reshape(G.shape)
 
 
 def _converged_mesh(result, what):
@@ -499,13 +573,11 @@ def _alternate(ref, rep, tol, max_iter, system):
     energy = terms.energy(Dg, P)
     report = EnergyReport(energies=[energy])
 
-    # Anderson acceleration of the fixed point X -> G(X) = global(local(X)):
-    # rings of the differences of the residuals f = G(X) - X and of G(X), the
-    # pairs put in since the last clear, and the last (f, G(X)) pair.
-    dF = dG = None
-    pairs = 0
-    last = None
-    fitted = False  # Rt is already the rotation fit of Dg
+    # Anderson acceleration of the fixed point X -> G(X) = global(local(X)).
+    history = _AndersonHistory()
+    # The last step kept a candidate: Rt is fitted to it, and Dg holds its
+    # residual rows rather than its gradient rows.
+    fitted = False
 
     floor = _FLOOR_FACTOR * terms.target_size()
     report.converged = energy <= floor
@@ -519,42 +591,37 @@ def _alternate(ref, rep, tol, max_iter, system):
 
         G = system._solve_weighted(terms.global_rows(Rt, P))
         f = G - X
-        X, Dg, fitted = G, terms.gather(system.gradient_rows(G)), False
-        energy = terms.energy(Dg, P)
-        if last is not None:
-            if dF is None:  # only an iterating solve needs the rings
-                dF, dG = np.empty((2, _AA_WINDOW, X.size))
-            k = pairs % _AA_WINDOW
-            np.subtract(f.reshape(-1), last[0].reshape(-1), out=dF[k])
-            np.subtract(G.reshape(-1), last[1].reshape(-1), out=dG[k])
-            pairs += 1
-        last = f, G
-
-        if pairs:
-            held = min(pairs, _AA_WINDOW)
-            A = dF[:held]
-            # lstsq on the small normal equations still handles a rank-
-            # deficient history.
-            gamma = np.linalg.lstsq(A @ A.T, A @ f.reshape(-1), rcond=None)[0]
-            candidate = G - (gamma @ dG[:held]).reshape(G.shape)
-            Dg_c = terms.gather(system.gradient_rows(candidate))
-            # A candidate without a proper rotation fit is rejected.
+        history.push(f, G)
+        fitted = False
+        # Rt is fitted to Dg, so Dg's buffer takes the next point's rows.
+        if history.held:
+            candidate = history.mix(f, G)
+            terms.gather(system.gradient_rows(candidate), out=Dg)
             try:
-                Rt_c = terms.rotation_fits(Dg_c, Rt)
-                P_c = terms.carried(Rt_c)
-                energy_c = terms.energy(Dg_c, P_c)
-            except ConditioningError:
+                Rt_c = terms.rotation_fits(Dg, Rt)
+            except ConditioningError:  # no proper rotation fit: rejected
                 energy_c = np.inf
-            if energy_c < energy:
-                X, Dg, Rt, P, energy = candidate, Dg_c, Rt_c, P_c, energy_c
-                fitted = True
             else:
-                pairs = 0
+                P_c = terms.carried(Rt_c)
+                # Fitted, the candidate's rows are read again only as its
+                # residual rows, so they turn into those in place.
+                energy_c = terms.weighted_norm2(np.subtract(Dg, P_c, out=Dg))
+            fitted = energy_c < energy
+            if fitted:
+                X, Rt, P, energy = candidate, Rt_c, P_c, energy_c
+            else:
+                history.clear()
+                report.rejected += 1
+            Rt_c = P_c = None  # a refused fit is freed before the plain step
+        if not fitted:  # no candidate kept: take the plain step
+            X = G
+            terms.gather(system.gradient_rows(G), out=Dg)
+            energy = terms.energy(Dg, P)
         report.energies.append(energy)
         report.iterations += 1
         report.converged = energy <= floor or previous - energy <= tol * previous
 
-    report.residuals = terms.residuals(Dg, P)
+    report.residuals = terms.residuals(Dg if fitted else Dg - P)
     report.rotations = np.ascontiguousarray(np.swapaxes(Rt, -1, -2))
     report.positions = X
     return report

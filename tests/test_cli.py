@@ -123,6 +123,17 @@ class TestRoundtrip:
         assert "--max-iter" in capsys.readouterr().err
         assert not (workspace / "never.obj").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-0.5", "nan", "inf"])
+    def test_invalid_tol_rejected(self, workspace, capsys, value):
+        out = workspace / "never.obj"
+        with pytest.raises(SystemExit) as exc:
+            main(["reconstruct", "--reference", str(workspace / "ref.obj"),
+                  "--input", "rep.json", "--out", str(out), "--tol", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--tol" in err and f"{value} is not positive and finite" in err
+        assert not out.exists()
+
     def test_converged_reconstruction_is_quiet(self, workspace, capsys):
         rep = workspace / "quiet_rep.json"
         assert main([

@@ -182,6 +182,17 @@ class TestFlatten:
         assert report.iterations == 1
         assert flat_mesh.n_vertices == ref.mesh.n_vertices
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(max_iter=-3), "max_iter must be a non-negative integer, got -3"),
+        (dict(max_iter=2.5), "max_iter must be a non-negative integer, got 2.5"),
+        (dict(tol=-1.0), "tol must be positive and finite, got -1.0"),
+        (dict(tol=float("nan")), "tol must be positive and finite, got nan"),
+    ])
+    def test_invalid_limits_rejected(self, kwargs, message):
+        ref = build_reference(cylinder_patch(n_u=5, n_v=8))
+        with pytest.raises(ValueError, match=message):
+            flatten(ref, **kwargs)
+
     def test_report_file_holds_only_distortions(self, tmp_path):
         _, report = flatten(build_reference(cylinder_patch(n_u=5, n_v=8)))
         assert report.converged is True

@@ -12,8 +12,10 @@ from shapeforms.errors import ConditioningError
 from shapeforms.liegroups import polar_rotation, so3_exp
 from shapeforms.mesh import TriangleMesh
 from shapeforms.reconstruction import (
+    _AA_WINDOW,
     _LEAF_SIZE,
     EnergyReport,
+    _AndersonHistory,
     _EdgeTerms,
     _dissection_order,
     _rows,
@@ -24,7 +26,7 @@ from shapeforms.reconstruction import (
     reconstruct,
 )
 from shapeforms.reference import build_reference, deformation_gradients
-from shapeforms.representation import ShapeRep, encode
+from shapeforms.representation import ShapeRep, encode, geodesic
 from shapeforms.synthetic import (
     cylinder_patch,
     ellipsoid_cohort,
@@ -602,6 +604,86 @@ class TestReconstruct:
             terms.gather(system.gradient_rows(X)), terms.carried(Rt))
 
 
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_residuals_after_plain_and_accelerated_steps(self, ref, system, max_iter):
+        # The first step is a plain one, the next two keep their candidates;
+        # the report's residuals are those of its final state either way.
+        base, _ = encode(ref, smooth_deformation(ref.mesh, seed=17))
+        rep = perturbed_rep(ref, base, seed=18)
+        _, report = reconstruct(ref, rep, max_iter=max_iter, system=system)
+        assert report.iterations == max_iter and report.rejected == 0
+        reference = PerEdgeTerms(ref, rep)
+        expected = reference.residuals(system.gradients(report.positions),
+                                       reference.transported(report.rotations))
+        assert _relative_error(report.residuals, expected) <= 1e-12
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(max_iter=-3), "max_iter must be a non-negative integer, got -3"),
+        (dict(max_iter=2.5), "max_iter must be a non-negative integer, got 2.5"),
+        (dict(max_iter="3"), "max_iter must be a non-negative integer, got 3"),
+        (dict(tol=-1.0), "tol must be positive and finite, got -1.0"),
+        (dict(tol=0.0), "tol must be positive and finite, got 0.0"),
+        (dict(tol=float("nan")), "tol must be positive and finite, got nan"),
+        (dict(tol=float("inf")), "tol must be positive and finite, got inf"),
+    ])
+    def test_invalid_limits_rejected(self, ref, system, kwargs, message):
+        rep, _ = encode(ref, ref.mesh)
+        with pytest.raises(ValueError, match=message):
+            reconstruct(ref, rep, system=system, **kwargs)
+
+    def test_numpy_integer_limit_accepted(self, ref, system):
+        base, _ = encode(ref, smooth_deformation(ref.mesh, seed=17))
+        rep = perturbed_rep(ref, base, seed=18)
+        _, report = reconstruct(ref, rep, max_iter=np.int64(2), system=system)
+        assert report.iterations == 2
+
+
+class TestAndersonHistory:
+    """The rings and the incremental Gram matrix against a direct solve."""
+
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_points=st.integers(8, 20),
+        steps=st.integers(_AA_WINDOW + 2, 3 * _AA_WINDOW),
+        clears=st.sets(st.integers(0, 3 * _AA_WINDOW), max_size=3),
+    )
+    def test_gram_and_mix_match_direct_lstsq(self, seed, n_points, steps, clears):
+        rng = np.random.default_rng(seed)
+        history = _AndersonHistory()
+        # The pairs since the last clear, the pair before it included.
+        fs, Gs = [], []
+        wrapped = False
+        for step in range(steps):
+            f, G = rng.normal(size=(2, n_points, 3))
+            history.push(f, G)
+            fs.append(f.reshape(-1))
+            Gs.append(G.reshape(-1))
+            held = history.held
+            assert held == min(len(fs) - 1, _AA_WINDOW)
+            wrapped |= len(fs) - 1 > _AA_WINDOW
+            if held:
+                dF = history.dF[:held]
+                gram = history.gram[:held, :held]
+                # Rounding of a dot product scales with the norms of its
+                # factors, not with its value.
+                error = np.max(np.abs(gram - dF @ dF.T))
+                assert error <= 1e-13 * np.max(np.diag(gram))
+
+                stacked_f = np.diff(fs[-held - 1:], axis=0)
+                stacked_g = np.diff(Gs[-held - 1:], axis=0)
+                gamma = np.linalg.lstsq(stacked_f.T, fs[-1], rcond=None)[0]
+                expected = G - (gamma @ stacked_g).reshape(G.shape)
+                got = history.mix(f, G)
+                assert got.shape == G.shape
+                assert np.max(np.abs(got - expected)) < 1e-11 * np.max(np.abs(G))
+            if step in clears:
+                history.clear()
+                assert history.held == 0
+                fs, Gs = fs[-1:], Gs[-1:]
+        assert wrapped or clears
+
+
 class TestRigidMotion:
     """Encode a rigidly moved mesh and reconstruct it (C1 under motion)."""
 
@@ -646,15 +728,14 @@ class TestDecode:
         _, report = reconstruct(ref, mean)
         return ref, mean, report
 
-    def test_work_per_iteration(self, cohort_mean, monkeypatch):
-        # One factored solve for the initial global step and one per
-        # iteration; at most a plain and an accelerated rotation fit per
-        # iteration. A hidden extra solve or fit breaks these counts.
+    @staticmethod
+    def _count_work(ref, rep, monkeypatch):
+        """The report of ``reconstruct(ref, rep)`` and its counts of
+        factored solves, gradient products and polar decompositions."""
         import shapeforms.reconstruction as reconstruction
 
-        ref, mean = cohort_mean
         system = prefactor(ref)
-        calls = {"solve": 0, "polar": 0}
+        calls = {"solve": 0, "gradient_rows": 0, "polar": 0}
 
         class CountingLU:
             def __init__(self, lu):
@@ -668,12 +749,50 @@ class TestDecode:
             calls["polar"] += 1
             return polar_rotation(M)
 
+        gradient_rows = system.gradient_rows
+
+        def counting_gradient_rows(X):
+            calls["gradient_rows"] += 1
+            return gradient_rows(X)
+
         system._lu = CountingLU(system._lu)
+        system.gradient_rows = counting_gradient_rows
         monkeypatch.setattr(reconstruction, "polar_rotation", counting_polar)
-        _, report = reconstruct(ref, mean, system=system)
+        _, report = reconstruct(ref, rep, system=system)
+        return report, calls
+
+    @staticmethod
+    def _check_work(report, calls):
+        # One factored solve for the initial global step and one per
+        # iteration. One gradient product for the initial solve and one per
+        # iteration, for the candidate or for the plain step, plus the plain
+        # step's after each refused candidate. At most one rotation fit per
+        # candidate and one per iteration that follows a plain step. A
+        # hidden extra solve, product or fit breaks these counts.
         assert report.iterations > 0
         assert calls["solve"] == report.iterations + 1
+        assert calls["gradient_rows"] == report.iterations + 1 + report.rejected
+        assert calls["polar"] <= report.iterations + 1 + report.rejected
         assert calls["polar"] <= 2 * report.iterations
+
+    def test_work_per_iteration(self, cohort_mean, monkeypatch):
+        report, calls = self._count_work(*cohort_mean, monkeypatch)
+        self._check_work(report, calls)
+
+    def test_work_per_iteration_with_rejections(self, monkeypatch):
+        cylinder, helix = pipe_pair(n_along=20, n_around=8)
+        ref = build_reference(cylinder)
+        rep = geodesic(encode(ref, cylinder)[0], encode(ref, helix)[0], 0.5)
+        report, calls = self._count_work(ref, rep, monkeypatch)
+        assert report.rejected > 0
+        self._check_work(report, calls)
+
+    def test_acceleration_keeps_its_iteration_count(self, decoded):
+        # The 12-deep Anderson history converges here in 21 iterations,
+        # the 5-deep one took 27.
+        _, _, report = decoded
+        assert report.converged
+        assert report.iterations <= 23
 
     def test_converges_within_default_limit(self, decoded):
         _, _, report = decoded
