@@ -12,21 +12,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ReferenceMismatchError
-from .liegroups import _log_entries
-from .reconstruction import _converged_mesh, prefactor, reconstruct
+from .liegroups import _entries, _log_entries, _matrices
+from .reconstruction import _check_stopping, _converged_mesh, prefactor, reconstruct
 from .representation import (
     DistanceParams,
+    ShapeRep,
+    TangentRep,
     _check_binding,
     _check_pair,
     _coordinate_weights,
     _read_json,
     _tangent_distances,
     _write_json,
+    rep_exp,
 )
 from .statistics import (
     DEFAULT_MEAN_MAX_ITER,
     DEFAULT_MEAN_TOL,
     _blocks,
+    _check_count,
     _check_same_reference,
     _log_mean,
     _mean_entries,
@@ -36,7 +40,6 @@ from .statistics import (
     _relative_entries,
     _sample_coefficients,
     _stretch_logs,
-    coefficients,
     pga,
     synthesize,
 )
@@ -79,79 +82,86 @@ def _aligned_rms(target, configs):
     return np.sqrt(np.mean(np.sum(residual**2, axis=-1), axis=-1))
 
 
+def _vertex_targets(ref, reps, metric):
+    """``None`` for ``metric="intrinsic"``; for ``"vertex"``, the system of
+    ``ref`` and the vertices ``(n, V, 3)`` of ``reps``, each reconstructed once."""
+    if metric not in ("intrinsic", "vertex"):
+        raise ValueError(f"unknown metric {metric!r}")
+    if metric == "intrinsic":
+        return None
+    system = prefactor(ref)
+    return system, np.stack([_converged_mesh(reconstruct(ref, t, system=system),
+                                             f"training shape {k}").vertices
+                             for k, t in enumerate(reps)])
+
+
+def _distances(ref, mean, a, matrix, targets, weights, meshes, label):
+    """Yield row slices of ``a`` with the distances ``(b, n)`` of the shapes
+    ``exp_mu(a @ matrix)`` to ``n`` targets, or ``(b,)`` to one target.
+
+    ``mean`` is ``mu`` as rotation entries ``(9, E)``, stretch logs and
+    reference hash; ``targets`` the relative entries ``(9, [n,] E)`` and
+    stretch logs ``([n,] 4m)`` at ``mu``. With ``meshes`` ``None`` this is
+    :func:`_tangent_distances` in blocks whose per-row arrays stay under
+    ``_BLOCK_BYTES``; else each row is reconstructed on the system of
+    :func:`_vertex_targets` (``ConvergenceError`` names ``label(k)``) and
+    measured by :func:`_aligned_rms` against the target vertices.
+    """
+    relative, stretch_logs = targets
+    if meshes is None:
+        item_bytes = 8 * max(9 * relative.shape[-1], matrix.shape[1],
+                             relative[0].size, stretch_logs.size)
+        axes = tuple(range(1, stretch_logs.ndim))  # one per target axis
+        for block in _blocks(len(a), item_bytes):
+            vectors = np.expand_dims(a[block] @ matrix, axes)
+            yield block, _tangent_distances(vectors, relative, stretch_logs, weights)
+        return
+    system, vertices = meshes
+    mu = ShapeRep._from_log_stretches(_matrices(mean[0]), mean[1], mean[2])
+    for k, row in enumerate(a):
+        v = TangentRep._from_coordinates(row @ matrix, mu.n_edges, mu.content_hash())
+        mesh = _converged_mesh(reconstruct(ref, rep_exp(mu, v), system=system),
+                               label(k))
+        yield slice(k, k + 1), _aligned_rms(vertices, mesh.vertices)[None]
+
+
 def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrinsic",
                 seed=0):
     """Mean distance of model samples to their nearest training shape.
 
-    ``metric="intrinsic"`` measures in representation space; ``metric="vertex"``
-    reconstructs meshes and measures vertex RMS after rigid alignment (a
-    pragmatic stand-in for physically based surface distances); a
-    reconstruction that does not converge raises ``ConvergenceError``.
-    ``modes`` (default all) leading modes are sampled.
-
-    The intrinsic distances are taken in tangent coordinates at the model
-    mean, so no sampled shape is formed. Draws are measured against all
-    training shapes at once, in blocks whose per-draw arrays stay under
-    ``_BLOCK_BYTES``.
+    ``modes`` (default all) leading modes are sampled. One path serves both
+    metrics, which choose only the distance: ``"intrinsic"`` measures in
+    tangent coordinates at the model mean, forming no sampled shape;
+    ``"vertex"`` reconstructs each training shape and each sample once and
+    measures vertex RMS after rigid alignment (a pragmatic stand-in for
+    physically based surface distances), raising ``ConvergenceError`` for
+    a reconstruction that does not converge.
     """
     if not training:
         raise ValueError("training set is empty")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    if metric not in ("intrinsic", "vertex"):
-        raise ValueError(f"unknown metric {metric!r}")
+    _check_count("n_samples", n_samples, 1)
     n_modes = model.n_modes if modes is None else _mode_count(model, modes)
+    return _specificity(ref, model, training, n_samples, n_modes, seed,
+                        _vertex_targets(ref, training, metric))
+
+
+def _specificity(ref, model, training, n_samples, n_modes, seed, meshes):
+    """:func:`specificity`, with the :func:`_vertex_targets` of ``training``."""
+    mu = model.mean
+    _check_binding(ref, mu)
+    for t in training:
+        _check_pair(mu, t)
+    # A view of the entries: a contiguous copy would stay alive for all draws.
+    mean = (_entries(mu.rotations), mu.log_stretches, mu.reference_hash)
+    targets = (_relative_entries(training, _mean_entries(mu)),
+               _stretch_logs(training, mu.log_stretches).reshape(len(training), -1))
     draws = _sample_coefficients(model, n_samples, seed, n_modes)
-    if metric == "intrinsic":
-        mu = model.mean
-        _check_binding(ref, mu)
-        for t in training:
-            _check_pair(mu, t)
-        relative = _relative_entries(training, _mean_entries(mu))
-        stretch_logs = _stretch_logs(training, mu.log_stretches).reshape(
-            len(training), -1)
-        weights = _coordinate_weights(ref, model.params)
-        matrix = model._mode_matrix[:n_modes]
-        total = 0.0
-        for block in _blocks(n_samples, 8 * max(relative[0].size, stretch_logs.size)):
-            vectors = draws[block] @ matrix
-            d = _tangent_distances(vectors[:, None, :], relative, stretch_logs, weights)
-            total += float(np.sum(np.min(d, axis=1)))
-        return total / n_samples
-    system = prefactor(ref)
-    train_meshes = np.stack([
-        _converged_mesh(reconstruct(ref, t, system=system),
-                        f"training shape {k}").vertices
-        for k, t in enumerate(training)
-    ])
     total = 0.0
-    for k, a in enumerate(draws):
-        mesh = _converged_mesh(reconstruct(ref, synthesize(model, a), system=system),
-                               f"specificity sample {k}")
-        total += float(np.min(_aligned_rms(train_meshes, mesh.vertices)))
+    for _, d in _distances(ref, mean, draws, model._mode_matrix[:n_modes], targets,
+                           _coordinate_weights(ref, model.params), meshes,
+                           lambda k: f"specificity sample {k}"):
+        total += float(np.sum(np.min(d, axis=1)))
     return total / n_samples
-
-
-def _intrinsic_generalization(ref, reps, max_modes, params):
-    """Leave-one-out errors ``(n, max_modes)`` of :func:`generalization_curve`
-    in the intrinsic metric, in tangent coordinates at each fold's mean.
-
-    Each fold's rotation mean starts from the full cohort's, and its
-    log-Euclidean stretch mean is the exact downdate ``(n mean - L_i) /
-    (n - 1)`` of the full cohort's.
-    """
-    _check_same_reference(reps)
-    _check_binding(ref, reps[0])
-    n = len(reps)
-    log_mean = _log_mean(reps)
-    full_mean = _mean_logs(reps, _mean_entries(reps[0]), log_mean, log_mean,
-                           DEFAULT_MEAN_TOL, DEFAULT_MEAN_MAX_ITER)[0]
-    errors = np.zeros((n, max_modes))
-    for i, held_out in enumerate(reps):
-        fold_log_mean = (n * log_mean - held_out.log_stretches) / (n - 1)
-        errors[i] = _fold_errors(ref, params, reps[:i] + reps[i + 1:], held_out,
-                                 full_mean, fold_log_mean, max_modes)
-    return errors
 
 
 def _fold_model(ref, params, rest, start, log_mean):
@@ -161,77 +171,70 @@ def _fold_model(ref, params, rest, start, log_mean):
     return mu, _principal_modes(ref, params, rot_logs, stretch_logs)[1]
 
 
-def _fold_errors(ref, params, rest, held_out, start, log_mean, max_modes):
-    """Distances of ``held_out`` to its projections with ``1 .. max_modes``
-    modes of the model of ``rest``, whose rotation mean is sought from the
-    entries ``start`` and whose stretch log mean is ``log_mean``.
-
-    The projections are measured in tangent coordinates at the mean, in
-    blocks under ``_BLOCK_BYTES``; mode counts past the model's repeat its
-    last error.
-    """
-    mu, matrix = _fold_model(ref, params, rest, start, log_mean)
-    relative = _relative_entries([held_out], mu)[:, 0]
-    stretch_log = (held_out.log_stretches - log_mean).reshape(-1)
-    weights = _coordinate_weights(ref, params)
-    v = np.concatenate((_log_entries(relative, "edge").reshape(-1), stretch_log))
-    a = matrix @ (weights * v)
-    used = np.minimum(np.arange(1, max_modes + 1), a.size)
-    distinct = np.unique(used)
-    d = np.empty(distinct.size)
-    for block in _blocks(distinct.size, 8 * max(relative.size, matrix.shape[1])):
-        prefixes = a * (np.arange(a.size) < distinct[block, None])
-        d[block] = _tangent_distances(prefixes @ matrix, relative, stretch_log,
-                                      weights)
-    return d[np.searchsorted(distinct, used)]
-
-
 def generalization_curve(ref, reps, max_modes=None, params=DistanceParams(),
                          metric="intrinsic"):
     """Leave-one-out reconstruction error per mode count.
 
     Each fold fits mean and modes on the remaining shapes, projects the
     held-out shape, and measures the distance of the projection to it.
-    Returns an array indexed by mode count ``1 .. max_modes``. With
-    ``metric="vertex"`` a reconstruction that does not converge raises
-    ``ConvergenceError``.
+    Returns an array indexed by mode count ``1 .. max_modes``. One fold
+    loop serves both metrics, which choose only the distance as in
+    :func:`specificity`; ``"vertex"`` reconstructs each shape and each
+    distinct projection once.
     """
     if len(reps) < 3:
         raise ValueError("need at least three shapes for leave-one-out")
-    # Folds expose at most len(reps) - 2 modes; beyond that the curve
-    # plateaus because no further coefficients exist.
+    # Folds expose at most len(reps) - 2 modes; later counts repeat the last.
     if max_modes is None:
         max_modes = len(reps) - 2
-    if max_modes < 1:
-        raise ValueError(f"max_modes must be at least 1, got {max_modes}")
+    _check_count("max_modes", max_modes, 1)
+    return _generalization(ref, reps, max_modes, params,
+                           _vertex_targets(ref, reps, metric))
 
-    if metric not in ("intrinsic", "vertex"):
-        raise ValueError(f"unknown metric {metric!r}")
-    if metric == "intrinsic":
-        return _intrinsic_generalization(ref, reps, max_modes, params).mean(axis=0)
-    system = prefactor(ref)
-    errors = np.zeros((len(reps), max_modes))
+
+def _generalization(ref, reps, max_modes, params, meshes):
+    """:func:`generalization_curve`, with the :func:`_vertex_targets` of ``reps``.
+
+    A fold's rotation mean is sought from the full cohort's, and its stretch
+    log mean is the exact downdate ``(n mean - L_i) / (n - 1)``. Only the
+    distinct prefixes of the held-out coefficients are measured.
+    """
+    _check_same_reference(reps)
+    _check_binding(ref, reps[0])
+    n = len(reps)
+    log_mean = _log_mean(reps)
+    full_mean = _mean_logs(reps, _mean_entries(reps[0]), log_mean, log_mean,
+                           DEFAULT_MEAN_TOL, DEFAULT_MEAN_MAX_ITER)[0]
+    weights = _coordinate_weights(ref, params)
+    errors = np.zeros((n, max_modes))
     for i, held_out in enumerate(reps):
-        rest = [r for k, r in enumerate(reps) if k != i]
-        model = pga(ref, rest, params=params)
-        a = coefficients(ref, model, held_out)
-        mesh_h = _converged_mesh(reconstruct(ref, held_out, system=system),
-                                 f"held-out shape {i}")
-        for modes in range(1, max_modes + 1):
-            used = min(modes, model.n_modes)
-            projected = synthesize(model, a[:used])
-            mesh_p = _converged_mesh(reconstruct(ref, projected, system=system),
-                                     f"shape {i} projected on {used} modes")
-            errors[i, modes - 1] = _aligned_rms(mesh_h.vertices, mesh_p.vertices)
+        fold_log_mean = (n * log_mean - held_out.log_stretches) / (n - 1)
+        mu, matrix = _fold_model(ref, params, reps[:i] + reps[i + 1:], full_mean,
+                                 fold_log_mean)
+        relative = _relative_entries([held_out], mu)[:, 0]
+        stretch_logs = (held_out.log_stretches - fold_log_mean).reshape(-1)
+        v = np.concatenate((_log_entries(relative, "edge").reshape(-1), stretch_logs))
+        a = matrix @ (weights * v)
+        used = np.minimum(np.arange(1, max_modes + 1), a.size)
+        distinct = np.unique(used)
+        prefixes = a * (np.arange(a.size) < distinct[:, None])
+        fold_meshes = None if meshes is None else (meshes[0], meshes[1][i])
+        d = np.empty(distinct.size)
+        for block, dist in _distances(
+                ref, (mu, fold_log_mean, held_out.reference_hash), prefixes, matrix,
+                (relative, stretch_logs), weights, fold_meshes,
+                lambda k: f"shape {i} projected on {distinct[k]} modes"):
+            d[block] = dist
+        errors[i] = d[np.searchsorted(distinct, used)]
+        # The next fold's mean iteration runs without this fold's arrays.
+        del mu, matrix, relative, v, a, prefixes
     return errors.mean(axis=0)
 
 
 def generalization(ref, reps, modes, params=DistanceParams(), metric="intrinsic"):
     """Leave-one-out error for one mode count."""
-    return float(
-        generalization_curve(ref, reps, max_modes=modes, params=params,
-                             metric=metric)[modes - 1]
-    )
+    return float(generalization_curve(ref, reps, max_modes=modes, params=params,
+                                      metric=metric)[modes - 1])
 
 
 def compactness(model, modes):
@@ -265,29 +268,25 @@ class MetricsReport:
 
 def metrics_report(ref, reps, params=DistanceParams(), n_samples=1000,
                    metric="intrinsic", seed=0, max_modes=None):
-    """Evaluate all three quality measures on a cohort."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    if max_modes is not None and max_modes < 1:
-        raise ValueError(f"max_modes must be at least 1, got {max_modes}")
+    """Evaluate all three quality measures on a cohort; in the vertex
+    metric each training shape is reconstructed once for all of them."""
+    _check_count("n_samples", n_samples, 1)
+    if max_modes is not None:
+        _check_count("max_modes", max_modes, 1)
+    if len(reps) < 3:
+        raise ValueError("need at least three shapes for leave-one-out")
     model = pga(ref, reps, params=params)
     if model.n_modes == 0:
         raise ValueError("the shapes do not vary: the model has no modes")
     cap = model.n_modes if max_modes is None else min(max_modes, model.n_modes)
     mode_counts = np.arange(1, cap + 1)
-    spec = np.array(
-        [
-            specificity(ref, model, reps, n_samples=n_samples, modes=int(k),
-                        metric=metric, seed=seed)
-            for k in mode_counts
-        ]
-    )
-    gen = generalization_curve(ref, reps, max_modes=cap, params=model.params,
-                               metric=metric)
+    meshes = _vertex_targets(ref, reps, metric)
+    spec = np.array([_specificity(ref, model, reps, n_samples, int(k), seed, meshes)
+                     for k in mode_counts])
+    gen = _generalization(ref, reps, cap, model.params, meshes)
     comp = np.array([compactness(model, int(k)) for k in mode_counts])
-    return MetricsReport(
-        modes=mode_counts, specificity=spec, generalization=gen, compactness=comp
-    )
+    return MetricsReport(modes=mode_counts, specificity=spec, generalization=gen,
+                         compactness=comp)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +361,7 @@ def _train_stack(X, y, reg, n_iterations):
     standardized weights ``(draws, d)`` and bias ``(draws,)``, the means
     ``(draws, d)`` and the pooled scales ``(draws,)``.
     """
-    if n_iterations < 2:
-        raise ValueError(f"n_iterations must be at least 2, got {n_iterations}")
+    _check_count("n_iterations", n_iterations, 2)
     draws, n, d = X.shape
     mean = X.mean(axis=1)
     centered = X - mean[:, None, :]
@@ -442,8 +440,7 @@ def monte_carlo_cv(features, labels, train_share, draws=DEFAULT_CV_DRAWS, reg=1.
     """
     if not 0.0 < train_share < 1.0:
         raise ValueError("train_share must be in (0, 1)")
-    if draws < 1:
-        raise ValueError(f"draws must be at least 1, got {draws}")
+    _check_count("draws", draws, 1)
     X, y = _svm_data(features, labels)
     idx_pos = np.nonzero(y == 1)[0]
     idx_neg = np.nonzero(y == -1)[0]
@@ -519,12 +516,12 @@ def pdm_fit(meshes, tol=1e-10, max_iter=100):
     Raises
     ------
     ValueError
-        If ``max_iter`` is below 1.
+        If ``tol`` is not positive and finite or ``max_iter`` is not a
+        positive integer.
     ConvergenceError
         If the mean still moves after ``max_iter`` rounds.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    _check_stopping(tol, max_iter, 1)
     triangles = meshes[0].triangles
     for mesh in meshes[1:]:
         if not np.array_equal(mesh.triangles, triangles):

@@ -460,6 +460,16 @@ def local_step(ref, rep, gradients, rotations=None):
     return np.swapaxes(Rt, -1, -2)
 
 
+def _check_stopping(tol, max_iter, least):
+    """Raise ``ValueError`` unless ``tol`` is positive and finite and
+    ``max_iter`` is an integer of at least ``least`` (0 or 1)."""
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= least):
+        kind = "non-negative" if least == 0 else "positive"
+        raise ValueError(f"max_iter must be a {kind} integer, got {max_iter}")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def reconstruct(ref, rep, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, system=None):
     """Solve the inverse problem for ``rep``.
 
@@ -489,10 +499,7 @@ def reconstruct(ref, rep, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, system=Non
         If ``tol`` is not positive and finite or ``max_iter`` is not a
         non-negative integer.
     """
-    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
-        raise ValueError(f"max_iter must be a non-negative integer, got {max_iter}")
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_stopping(tol, max_iter, 0)
     _check_binding(ref, rep)
     if system is None:
         system = prefactor(ref)

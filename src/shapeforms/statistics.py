@@ -25,6 +25,7 @@ plain inner products. A tangent vector is its ``(3E + 4m)`` coordinates
 one take one matrix product each.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ from .liegroups import (
     spd2_exp,
     spd2_log,
 )
-from .reconstruction import _converged_mesh, reconstruct
+from .reconstruction import _check_stopping, _converged_mesh, reconstruct
 from .reference import build_reference
 from .representation import (
     DistanceParams,
@@ -217,12 +218,12 @@ def frechet_mean(reps, tol=DEFAULT_MEAN_TOL, max_iter=DEFAULT_MEAN_MAX_ITER):
     Raises
     ------
     ValueError
-        If ``max_iter`` is below 1.
+        If ``tol`` is not positive and finite or ``max_iter`` is not a
+        positive integer.
     ConvergenceError
         If the residual is still above ``tol`` after ``max_iter`` steps.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    _check_stopping(tol, max_iter, 1)
     _check_same_reference(reps)
     return _mean_and_logs(reps, tol, max_iter)[0]
 
@@ -392,10 +393,19 @@ def synthesize(model, coeffs):
                                                       mean.content_hash()))
 
 
+def _check_count(name, value, least):
+    """Raise ``ValueError`` unless the count ``value`` is an integer
+    (``numbers.Integral``) of at least ``least``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        bound = "must not be negative" if least == 0 else f"must be at least {least}"
+        raise ValueError(f"{name} {bound}, got {value}")
+
+
 def _mode_count(model, modes):
     """``modes`` checked as a number of the model's leading modes."""
-    if modes < 0:
-        raise ValueError(f"mode count must not be negative, got {modes}")
+    _check_count("mode count", modes, 0)
     if modes > model.n_modes:
         raise ValueError(f"requested {modes} of {model.n_modes} modes")
     return int(modes)
@@ -409,8 +419,8 @@ def sample(model, count, seed, n_modes=None):
     Raises
     ------
     ValueError
-        If ``count`` is negative, or ``n_modes`` negative or above the
-        model's mode count.
+        If ``count`` is not a non-negative integer, or ``n_modes`` not an
+        integer from 0 to the model's mode count.
     """
     return [synthesize(model, a)
             for a in _sample_coefficients(model, count, seed, n_modes)]
@@ -418,8 +428,7 @@ def sample(model, count, seed, n_modes=None):
 
 def _sample_coefficients(model, count, seed, n_modes=None):
     """The ``(count, n_modes)`` coefficient draws behind :func:`sample`."""
-    if count < 0:
-        raise ValueError(f"sample count must not be negative, got {count}")
+    _check_count("sample count", count, 0)
     n_modes = model.n_modes if n_modes is None else _mode_count(model, n_modes)
     rng = np.random.default_rng(seed)
     std = np.sqrt(model.variances[:n_modes])

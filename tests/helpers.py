@@ -69,3 +69,16 @@ def analytic_cylinder_development(n_u=20, n_v=30, radius=1.0, height=2.0,
     xs = chord * np.arange(n_v + 1)
     uu, xx = np.meshgrid(us, xs, indexing="ij")
     return np.stack([xx, uu], axis=-1).reshape(-1, 2)
+
+
+#: Stopping rules that ``frechet_mean`` and ``pdm_fit`` refuse, which take
+#: at least one step, with the start of the ``ValueError`` message.
+INVALID_STOPPING_RULES = [
+    (dict(max_iter=0), "max_iter must be a positive integer, got 0"),
+    (dict(max_iter=-3), "max_iter must be a positive integer, got -3"),
+    (dict(max_iter=2.5), "max_iter must be a positive integer, got 2.5"),
+    (dict(tol=-1.0), "tol must be positive and finite, got -1.0"),
+    (dict(tol=0.0), "tol must be positive and finite, got 0.0"),
+    (dict(tol=float("nan")), "tol must be positive and finite, got nan"),
+    (dict(tol=float("inf")), "tol must be positive and finite, got inf"),
+]

@@ -576,6 +576,17 @@ class TestDeterminism:
             ]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("metric", ["intrinsic", "vertex"])
+    def test_metrics_identical_bytes(self, workspace, metric):
+        inputs = [str(workspace / f"shape_{k}.obj") for k in range(4)]
+        outs = [workspace / f"metrics_{metric}_{run}.csv" for run in ("a", "b")]
+        for out in outs:
+            assert main([
+                "metrics", *inputs, "--reference", str(workspace / "ref.obj"),
+                "--metric", metric, "--n-samples", "5", "--out", str(out),
+            ]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_identical_bytes_across_processes(self, workspace):
         import subprocess
         import sys

@@ -36,6 +36,8 @@ from shapeforms.representation import (
 from shapeforms.statistics import PGAModel, coefficients, frechet_mean, pga
 from shapeforms.synthetic import icosphere, smooth_deformation
 
+from helpers import INVALID_STOPPING_RULES
+
 
 @pytest.fixture(scope="module")
 def ref():
@@ -136,6 +138,19 @@ class TestSpecificity:
         with pytest.raises(ValueError, match="n_samples must be at least 1"):
             specificity(ref, model, cohort, n_samples=n_samples)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"modes": 1.5}, "mode count must be an integer, got 1.5"),
+        ({"n_samples": 2.5}, "n_samples must be an integer, got 2.5"),
+    ])
+    def test_fractional_counts_rejected(self, ref, cohort, model, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            specificity(ref, model, cohort, **{"n_samples": 2, **kwargs})
+
+    def test_numpy_integer_counts_accepted(self, ref, cohort, model):
+        value = specificity(ref, model, cohort, n_samples=np.int64(3),
+                            modes=np.int64(2), seed=4)
+        assert value == specificity(ref, model, cohort, n_samples=3, modes=2, seed=4)
+
 
 class TestGeneralization:
     def test_single_direction_family_recovered(self, ref, cohort):
@@ -178,6 +193,17 @@ class TestGeneralization:
         with pytest.raises(ValueError, match="max_modes must be at least 1"):
             generalization_curve(ref, cohort, max_modes=max_modes)
 
+    def test_fractional_mode_count_rejected(self, ref, cohort):
+        with pytest.raises(ValueError, match="max_modes must be an integer, got 1.5"):
+            generalization_curve(ref, cohort, max_modes=1.5)
+        with pytest.raises(ValueError, match="max_modes must be an integer, got 1.5"):
+            generalization(ref, cohort, modes=1.5)
+
+    def test_fewer_than_three_shapes_rejected(self, ref, cohort):
+        for measure in (generalization_curve, metrics_report):
+            with pytest.raises(ValueError, match="need at least three shapes"):
+                measure(ref, cohort[:2])
+
 
 class TestCompactness:
     def test_full_count_is_one(self, model):
@@ -211,6 +237,11 @@ class TestCompactness:
         with pytest.raises(ValueError, match=f"requested {model.n_modes + 1} of"):
             compactness(model, model.n_modes + 1)
 
+    def test_fractional_mode_count_rejected(self, model):
+        with pytest.raises(ValueError, match="mode count must be an integer, got 1.9"):
+            compactness(model, 1.9)
+        assert compactness(model, np.int64(1)) == compactness(model, 1)
+
     def test_non_decreasing_ending_at_one(self, model):
         curve = [compactness(model, k) for k in range(1, model.n_modes + 1)]
         assert np.all(np.diff(curve) >= -1e-15)
@@ -236,6 +267,14 @@ class TestMetricsReport:
         ({"max_modes": -1}, "max_modes must be at least 1"),
     ])
     def test_empty_curves_rejected(self, ref, cohort, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            metrics_report(ref, cohort, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_samples": 2.5}, "n_samples must be an integer, got 2.5"),
+        ({"max_modes": 1.5}, "max_modes must be an integer, got 1.5"),
+    ])
+    def test_fractional_counts_rejected(self, ref, cohort, kwargs, message):
         with pytest.raises(ValueError, match=message):
             metrics_report(ref, cohort, **kwargs)
 
@@ -389,6 +428,11 @@ class TestBatchedSvm:
         with pytest.raises(ValueError, match="n_iterations"):
             monte_carlo_cv(X, y, 0.5, draws=3, n_iterations=n_iterations)
 
+    def test_fractional_iterations_rejected(self):
+        X, y = toy_blobs(seed=16)
+        with pytest.raises(ValueError, match="n_iterations must be an integer, got 2.5"):
+            train_svm(X, y, n_iterations=2.5)
+
 
 class TestMonteCarloCV:
     def test_separable_high_accuracy(self):
@@ -441,6 +485,15 @@ class TestMonteCarloCV:
             monte_carlo_cv(X, y, 0.5, draws=draws)
         with pytest.raises(ValueError, match="draws"):
             accuracy_curve(X, y, [0.5], draws=draws)
+
+    def test_fractional_draws_rejected(self):
+        X, y = toy_blobs(seed=17)
+        with pytest.raises(ValueError, match="draws must be an integer, got 1.5"):
+            monte_carlo_cv(X, y, 0.5, draws=1.5)
+        with pytest.raises(ValueError, match="draws must be an integer, got 1.5"):
+            accuracy_curve(X, y, [0.5], draws=1.5)
+        assert monte_carlo_cv(X, y, 0.5, draws=np.int64(3)) == \
+            monte_carlo_cv(X, y, 0.5, draws=3)
 
 
 def reference_align(target, vertices):
@@ -504,8 +557,14 @@ class TestPdm:
         meshes = [smooth_deformation(ref.mesh, seed=s) for s in (33, 34, 35, 36)]
         with pytest.raises(ConvergenceError, match="within 1 rounds"):
             pdm_fit(meshes, max_iter=1)
-        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        with pytest.raises(ValueError, match="max_iter must be a positive integer, got 0"):
             pdm_fit(meshes, max_iter=0)
+
+    @pytest.mark.parametrize("kwargs, message", INVALID_STOPPING_RULES)
+    def test_invalid_limits_rejected(self, ref, kwargs, message):
+        meshes = [smooth_deformation(ref.mesh, seed=s) for s in (33, 34, 35)]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pdm_fit(meshes, **kwargs)
 
     def test_rigid_copies_have_no_variance(self, ref):
         rng = np.random.default_rng(11)

@@ -4,15 +4,24 @@ their per-shape definitions.
 The references below take one shape at a time through ``rep_log``,
 ``rep_exp`` and ``rep_distance``, as the library did before it stacked a
 cohort: the fixed-point mean from ``reps[0]``, PGA on ``flatten_tangent``
-vectors, and each quality measure through sampled or projected shapes.
+vectors, and each quality measure through sampled or projected shapes. The
+vertex-metric references reconstruct every sampled or projected shape
+through ``synthesize`` and ``reconstruct``, with the folds fitted by ``pga``.
 """
 
 import numpy as np
 import pytest
 
+from shapeforms import evaluation
 from shapeforms.errors import ConvergenceError, CutLocusError
-from shapeforms.evaluation import generalization_curve, specificity
+from shapeforms.evaluation import (
+    _aligned_rms,
+    generalization_curve,
+    metrics_report,
+    specificity,
+)
 from shapeforms.liegroups import so3_exp
+from shapeforms.reconstruction import prefactor, reconstruct
 from shapeforms.reference import build_reference
 from shapeforms.representation import (
     DistanceParams,
@@ -38,6 +47,9 @@ from helpers import flatten_tangent, unflatten_tangent
 
 #: Agreement of the stacked code with the per-shape references.
 REL = 1e-12
+#: Agreement in the vertex metric, where fold means start elsewhere and
+#: every distance passes through a reconstruction.
+VERTEX_REL = 1e-9
 
 
 def rel_diff(a, b):
@@ -118,6 +130,38 @@ def loop_specificity(ref, model, training, n_samples, modes, seed):
         drawn = loop_synthesize(model.mean, model.modes[:k], a)
         total += min(rep_distance(ref, drawn, t, model.params) for t in training)
     return total / n_samples
+
+
+def loop_vertex_specificity(ref, model, training, n_samples, modes, seed):
+    """Each draw synthesized, reconstructed and aligned to every training
+    shape's reconstruction."""
+    system = prefactor(ref)
+    targets = np.stack([reconstruct(ref, t, system=system)[0].vertices
+                        for t in training])
+    k = model.n_modes if modes is None else modes
+    rng = np.random.default_rng(seed)
+    draws = rng.standard_normal(size=(n_samples, k)) * np.sqrt(model.variances[:k])
+    total = 0.0
+    for a in draws:
+        mesh, _ = reconstruct(ref, synthesize(model, a), system=system)
+        total += float(np.min(_aligned_rms(targets, mesh.vertices)))
+    return total / n_samples
+
+
+def loop_vertex_generalization(ref, reps, max_modes, params):
+    """Per fold: ``pga`` of the rest, ``coefficients`` of the held-out
+    shape, and each projection synthesized and reconstructed."""
+    system = prefactor(ref)
+    errors = np.zeros((len(reps), max_modes))
+    for i, held_out in enumerate(reps):
+        model = pga(ref, reps[:i] + reps[i + 1:], params=params)
+        a = coefficients(ref, model, held_out)
+        target, _ = reconstruct(ref, held_out, system=system)
+        for k in range(1, max_modes + 1):
+            used = min(k, model.n_modes)
+            mesh, _ = reconstruct(ref, synthesize(model, a[:used]), system=system)
+            errors[i, k - 1] = _aligned_rms(target.vertices, mesh.vertices)
+    return errors.mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,3 +308,43 @@ class TestQualityMeasuresAgainstLoops:
             loop_specificity(ref, still, reps[2:], 2, None, seed=0)
         with pytest.raises(CutLocusError, match=r"^edge 3 is at the cut locus"):
             specificity(ref, still, reps[2:], n_samples=2)
+
+
+class TestVertexMetricAgainstLoops:
+    @pytest.mark.parametrize("modes", [None, 2])
+    def test_specificity(self, ref, cohort, model, modes):
+        value = specificity(ref, model, cohort, n_samples=4, modes=modes,
+                            metric="vertex", seed=3)
+        expected = loop_vertex_specificity(ref, model, cohort, 4, modes, seed=3)
+        assert value == pytest.approx(expected, rel=VERTEX_REL)
+
+    def test_generalization_plateau(self, ref, cohort, model):
+        # Folds of five shapes have three modes; counts four and five repeat.
+        curve = generalization_curve(ref, cohort[:5], max_modes=5,
+                                     params=model.params, metric="vertex")
+        expected = loop_vertex_generalization(ref, cohort[:5], 5, model.params)
+        assert rel_diff(curve, expected) < VERTEX_REL
+        assert curve[4] == curve[3] == curve[2]
+
+    def test_report(self, ref, cohort, model):
+        report = metrics_report(ref, cohort, n_samples=3, metric="vertex", seed=6)
+        spec = [loop_vertex_specificity(ref, model, cohort, 3, int(k), seed=6)
+                for k in report.modes]
+        gen = loop_vertex_generalization(ref, cohort, report.modes.size, model.params)
+        assert rel_diff(report.specificity, spec) < VERTEX_REL
+        assert rel_diff(report.generalization, gen) < VERTEX_REL
+
+    def test_report_reconstructs_each_shape_once(self, ref, cohort, monkeypatch):
+        hashes = []
+
+        def counted(ref_, rep, **kwargs):
+            hashes.append(rep.content_hash())
+            return reconstruct(ref_, rep, **kwargs)
+
+        monkeypatch.setattr(evaluation, "reconstruct", counted)
+        report = metrics_report(ref, cohort, n_samples=3, metric="vertex")
+        n = len(cohort)
+        assert len(hashes) == len(set(hashes))
+        # The training shapes, the draws per mode count, and the distinct
+        # projections of each fold, whose models have n - 2 modes.
+        assert len(hashes) == n + 3 * report.modes.size + n * (n - 2)

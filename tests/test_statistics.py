@@ -30,6 +30,8 @@ from shapeforms.statistics import (
 )
 from shapeforms.synthetic import icosphere, smooth_deformation
 
+from helpers import INVALID_STOPPING_RULES
+
 
 @pytest.fixture(scope="module")
 def ref():
@@ -94,6 +96,15 @@ class TestFrechetMean:
     def test_no_iterations_rejected(self, ref, cohort, max_iter):
         with pytest.raises(ValueError, match="max_iter"):
             frechet_mean(cohort, max_iter=max_iter)
+
+    @pytest.mark.parametrize("kwargs, message", INVALID_STOPPING_RULES)
+    def test_invalid_limits_rejected(self, cohort, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            frechet_mean(cohort, **kwargs)
+
+    def test_numpy_integer_limit_accepted(self, cohort):
+        mu = frechet_mean(cohort, max_iter=np.int64(50))
+        assert np.array_equal(mu.rotations, frechet_mean(cohort).rotations)
 
     def test_rigid_motion_of_inputs_invariance(self, ref):
         from shapeforms.liegroups import so3_exp
@@ -218,6 +229,17 @@ class TestSampling:
     def test_excess_mode_count_rejected(self, model):
         with pytest.raises(ValueError, match=f"requested {model.n_modes + 1} of"):
             sample(model, 2, seed=0, n_modes=model.n_modes + 1)
+
+    @pytest.mark.parametrize("count, n_modes, message", [
+        (2, 2.7, "mode count must be an integer, got 2.7"),
+        (2.5, None, "sample count must be an integer, got 2.5"),
+    ])
+    def test_fractional_counts_rejected(self, model, count, n_modes, message):
+        with pytest.raises(ValueError, match=message):
+            sample(model, count, seed=0, n_modes=n_modes)
+
+    def test_numpy_integer_counts_accepted(self, model):
+        assert len(sample(model, np.int64(2), seed=0, n_modes=np.int64(1))) == 2
 
     def test_negative_count_rejected(self, model):
         with pytest.raises(ValueError,
