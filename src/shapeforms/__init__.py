@@ -33,26 +33,15 @@ from .evaluation import (
     monte_carlo_cv,
     pdm_coefficients,
     pdm_fit,
-    pdm_synthesize,
     specificity,
     train_svm,
 )
-from .flattening import FlatteningReport, flat_projection, flatten, unfold_rotation
-from .liegroups import (
-    polar3,
-    so3_distance,
-    so3_exp,
-    so3_log,
-    spd2_distance,
-    spd2_exp,
-    spd2_log,
-    spd2_mul,
-)
+from .flattening import FlatteningReport, flat_projection, flatten
+from .liegroups import polar3, so3_exp, so3_log, spd2_exp, spd2_log
 from .mesh import TriangleMesh, load_mesh, save_mesh, unique_edges
 from .reconstruction import (
     EnergyReport,
     PoissonSystem,
-    embed_stretch,
     init_rotations,
     local_step,
     prefactor,
@@ -70,9 +59,7 @@ from .representation import (
     relative_rotation_angles,
     rep_distance,
     rep_exp,
-    rep_inner,
     rep_log,
-    rep_norm,
 )
 from .statistics import (
     PGAModel,

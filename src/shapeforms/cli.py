@@ -32,6 +32,7 @@ from .representation import (
     DEFAULT_OMEGA,
     DistanceParams,
     ShapeRep,
+    _encode_stack,
     encode,
     geodesic,
     relative_rotation_angles,
@@ -40,7 +41,7 @@ from .statistics import (
     DEFAULT_MEAN_MAX_ITER,
     DEFAULT_MEAN_TOL,
     PGAModel,
-    coefficients,
+    _coefficient_rows,
     frechet_mean,
     pga,
     sample,
@@ -217,8 +218,8 @@ def _load_reference(path):
 
 
 def _encode_all(ref, paths):
-    """The representations of the meshes at ``paths``, in order."""
-    return [encode(ref, load_mesh(path))[0] for path in paths]
+    """The representations of the meshes at ``paths``, encoded as one stack."""
+    return _encode_stack(ref, [load_mesh(path) for path in paths])[0]
 
 
 def _fmt(value):
@@ -300,8 +301,7 @@ def _cmd_pga(args):
     reps = _encode_all(ref, args.inputs)
     model = pga(ref, reps, params=DistanceParams(args.omega))
     model.save(args.out_model)
-    rows = np.stack([coefficients(ref, model, rep) for rep in reps])
-    _write_coeff_csv(args.out_coeffs, args.inputs, rows)
+    _write_coeff_csv(args.out_coeffs, args.inputs, _coefficient_rows(ref, model, reps))
     print(f"model with {model.n_modes} modes written to {args.out_model}")
 
 
@@ -344,8 +344,8 @@ def _cmd_flatten(args):
 def _cmd_features(args):
     ref = _load_reference(args.reference)
     model = PGAModel.load(args.model)
-    rows = [coefficients(ref, model, rep) for rep in _encode_all(ref, args.inputs)]
-    _write_coeff_csv(args.out, args.inputs, np.stack(rows))
+    rows = _coefficient_rows(ref, model, _encode_all(ref, args.inputs))
+    _write_coeff_csv(args.out, args.inputs, rows)
     print(f"wrote {len(rows)} feature rows to {args.out}")
 
 

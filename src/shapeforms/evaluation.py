@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ReferenceMismatchError
-from .liegroups import _entries, _log_entries, _matrices
+from .liegroups import _entries, _matrices
 from .reconstruction import _check_stopping, _converged_mesh, prefactor, reconstruct
 from .representation import (
     DistanceParams,
@@ -37,6 +37,7 @@ from .statistics import (
     _mean_logs,
     _mode_count,
     _principal_modes,
+    _project,
     _relative_entries,
     _sample_coefficients,
     _stretch_logs,
@@ -141,20 +142,27 @@ def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrin
         raise ValueError("training set is empty")
     _check_count("n_samples", n_samples, 1)
     n_modes = model.n_modes if modes is None else _mode_count(model, modes)
-    return _specificity(ref, model, training, n_samples, n_modes, seed,
-                        _vertex_targets(ref, training, metric))
+    return _specificity(ref, model, _specificity_targets(ref, model, training),
+                        n_samples, n_modes, seed, _vertex_targets(ref, training, metric))
 
 
-def _specificity(ref, model, training, n_samples, n_modes, seed, meshes):
-    """:func:`specificity`, with the :func:`_vertex_targets` of ``training``."""
+def _specificity_targets(ref, model, training):
+    """The training shapes as :func:`_distances` targets at the model mean:
+    their relative entries ``(9, n, E)`` and stretch logs ``(n, 4m)``."""
     mu = model.mean
     _check_binding(ref, mu)
     for t in training:
         _check_pair(mu, t)
+    return (_relative_entries(training, _mean_entries(mu)),
+            _stretch_logs(training, mu.log_stretches).reshape(len(training), -1))
+
+
+def _specificity(ref, model, targets, n_samples, n_modes, seed, meshes):
+    """:func:`specificity` on the :func:`_specificity_targets` and the
+    :func:`_vertex_targets` of the training shapes."""
+    mu = model.mean
     # A view of the entries: a contiguous copy would stay alive for all draws.
     mean = (_entries(mu.rotations), mu.log_stretches, mu.reference_hash)
-    targets = (_relative_entries(training, _mean_entries(mu)),
-               _stretch_logs(training, mu.log_stretches).reshape(len(training), -1))
     draws = _sample_coefficients(model, n_samples, seed, n_modes)
     total = 0.0
     for _, d in _distances(ref, mean, draws, model._mode_matrix[:n_modes], targets,
@@ -211,10 +219,9 @@ def _generalization(ref, reps, max_modes, params, meshes):
         fold_log_mean = (n * log_mean - held_out.log_stretches) / (n - 1)
         mu, matrix = _fold_model(ref, params, reps[:i] + reps[i + 1:], full_mean,
                                  fold_log_mean)
+        a = _project([held_out], (mu, fold_log_mean), matrix, weights)[0]
         relative = _relative_entries([held_out], mu)[:, 0]
         stretch_logs = (held_out.log_stretches - fold_log_mean).reshape(-1)
-        v = np.concatenate((_log_entries(relative, "edge").reshape(-1), stretch_logs))
-        a = matrix @ (weights * v)
         used = np.minimum(np.arange(1, max_modes + 1), a.size)
         distinct = np.unique(used)
         prefixes = a * (np.arange(a.size) < distinct[:, None])
@@ -227,7 +234,7 @@ def _generalization(ref, reps, max_modes, params, meshes):
             d[block] = dist
         errors[i] = d[np.searchsorted(distinct, used)]
         # The next fold's mean iteration runs without this fold's arrays.
-        del mu, matrix, relative, v, a, prefixes
+        del mu, matrix, relative, a, prefixes
     return errors.mean(axis=0)
 
 
@@ -281,8 +288,10 @@ def metrics_report(ref, reps, params=DistanceParams(), n_samples=1000,
     cap = model.n_modes if max_modes is None else min(max_modes, model.n_modes)
     mode_counts = np.arange(1, cap + 1)
     meshes = _vertex_targets(ref, reps, metric)
-    spec = np.array([_specificity(ref, model, reps, n_samples, int(k), seed, meshes)
+    targets = _specificity_targets(ref, model, reps)
+    spec = np.array([_specificity(ref, model, targets, n_samples, int(k), seed, meshes)
                      for k in mode_counts])
+    del targets  # the folds below run without them
     gen = _generalization(ref, reps, cap, model.params, meshes)
     comp = np.array([compactness(model, int(k)) for k in mode_counts])
     return MetricsReport(modes=mode_counts, specificity=spec, generalization=gen,
@@ -557,13 +566,6 @@ def pdm_coefficients(model, mesh):
     aligned = _align_to(model.mean_vertices, mesh.vertices - mesh.vertices.mean(axis=0))
     centered = aligned.reshape(-1) - model.mean_vertices.reshape(-1)
     return model.components @ centered
-
-
-def pdm_synthesize(model, coeffs):
-    """Vertex configuration for a PDM coefficient vector."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    flat = model.mean_vertices.reshape(-1) + coeffs @ model.components[: coeffs.size]
-    return flat.reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -83,18 +83,6 @@ def _unfold_rotations(ref, e, i, j):
     return so3_exp(axis * angle[:, None])
 
 
-def unfold_rotation(ref, edge):
-    """Rotation about the shared edge folding triangle ``j`` into the
-    plane of triangle ``i`` for the inner edge ``(i, j)``.
-
-    Maps the normal of ``j`` onto the normal of ``i``; coplanar neighbors
-    give the identity, and swapping the pair gives the transpose.
-    """
-    i, j = edge
-    e = ref.edge_index(i, j)
-    return _unfold_rotations(ref, [e], [i], [j])[0]
-
-
 def flat_projection(ref):
     """Closest-flat representation of the reference.
 

@@ -243,18 +243,6 @@ def _relative_angle_entries(q, r):
     return np.arctan2(0.5 * np.sqrt(x * x + y * y + z * z), 0.5 * (trace - 1.0))
 
 
-def so3_distance(Q, R):
-    """Geodesic distance ``sqrt(2) * angle(Q^T R)`` of the bi-invariant metric.
-
-    Equals the Frobenius norm of the matrix logarithm of the relative
-    rotation. The angle comes from :func:`relative_angle`, so ``Q^T R`` is
-    never formed; raises :class:`CutLocusError` at (numerical) angle pi.
-    """
-    theta = relative_angle(Q, R)
-    _check_cut_locus(theta, "relative rotation")
-    return np.sqrt(2.0) * theta
-
-
 def _sym2_eig(A):
     """Closed-form eigendecomposition of symmetric ``(..., 2, 2)`` matrices.
 
@@ -328,17 +316,6 @@ def spd2_exp(X):
     return _sym2_apply(X, np.exp)
 
 
-def spd2_mul(U, V):
-    """Commutative group product ``exp(log U + log V)`` on SPD matrices."""
-    return spd2_exp(spd2_log(U) + spd2_log(V))
-
-
-def spd2_distance(U, V):
-    """Flat distance ``|log V - log U|_F`` of the log-Euclidean structure."""
-    diff = spd2_log(V) - spd2_log(U)
-    return np.linalg.norm(diff, axis=(-2, -1))
-
-
 def _det_entries(entries):
     """Determinants of 3x3 matrices from their row-major entries ``(9, ...)``.
 
@@ -379,6 +356,10 @@ def polar_rotation(M):
     positive determinant; callers check it, since the error they raise
     depends on what the matrices mean.
 
+    A stack stops when all its matrices have settled. With two or more
+    leading axes, such as ``(shapes, triangles)``, each stack along the last
+    one keeps the iterate at which it settled: the bits of a call on it alone.
+
     Raises
     ------
     ConditioningError
@@ -390,6 +371,12 @@ def polar_rotation(M):
     # then minus the step. They swap roles after every step.
     Y = np.empty_like(X)
     scaled = np.empty_like(X)
+    size = M.shape[-3] if M.ndim > 3 else 0
+    several = 0 < size < X.shape[1]
+    if several:
+        # The iterates of the stacks that settle before the last ones.
+        early = np.empty((9, X.shape[1] // size, size))
+        kept = np.zeros(early.shape[1], dtype=bool)
     for _ in range(_POLAR_MAX_ITER):
         det = _cofactors(X, Y)
         norm2 = np.einsum("kn,kn->n", X, X)
@@ -404,8 +391,15 @@ def polar_rotation(M):
         Y += np.multiply(zeta, X, out=scaled)
         Y *= 0.5
         X -= Y
-        if np.all(np.einsum("kn,kn->n", X, X) <= _POLAR_STEP_TOL**2):
+        small = np.einsum("kn,kn->n", X, X) <= _POLAR_STEP_TOL**2
+        if np.all(small):
+            if several:
+                Y.reshape(early.shape)[:, kept] = early[:, kept]
             return Y.T.reshape(M.shape)
+        if several:
+            settled = np.all(small.reshape(early.shape[1:]), axis=1) & ~kept
+            early[:, settled] = Y.reshape(early.shape)[:, settled]
+            kept |= settled
         X, Y = Y, X
     raise ConditioningError(
         f"polar iteration did not settle within {_POLAR_MAX_ITER} steps"
@@ -435,13 +429,17 @@ def polar3(D):
     ConditioningError
         If the smallest singular value of a matrix falls below
         ``_MIN_REL_SIGMA`` times its largest.
+
+    Either error names the worst matrix by its index over the leading
+    axes of ``D``.
     """
     D = np.asarray(D, dtype=float)
     det = _det_entries(_entries(D))
     if np.any(det <= 0.0):
         idx = int(np.argmin(det.reshape(-1)))
         raise OrientationError(
-            f"non-positive determinant {det.reshape(-1)[idx]:.17g} at index {idx}"
+            f"non-positive determinant {det.reshape(-1)[idx]:.17g} at index "
+            f"{_stack_index(idx, det.shape)}"
         )
     # det D > 0, so the orthogonal polar factor is proper.
     R = polar_rotation(D)
@@ -458,7 +456,12 @@ def polar3(D):
         worst = int(np.argmin(rel))
         if rel[worst] < _MIN_REL_SIGMA:
             raise ConditioningError(
-                f"singular value ratio {rel[worst]:.3g} below "
-                f"{_MIN_REL_SIGMA:g} at index {int(suspect[worst])}"
+                f"singular value ratio {rel[worst]:.3g} below {_MIN_REL_SIGMA:g} "
+                f"at index {_stack_index(int(suspect[worst]), det.shape)}"
             )
     return R, U
+
+
+def _stack_index(flat, shape):
+    """``flat`` as an index of the leading ``shape``, a tuple for two axes or more."""
+    return flat if len(shape) <= 1 else tuple(map(int, np.unravel_index(flat, shape)))

@@ -76,21 +76,6 @@ _AA_WINDOW = 12
 _LEAF_SIZE = 32
 
 
-def embed_stretch(ref, i, stretch2):
-    """Lift a tangential 2x2 stretch of triangle ``i`` back to 3x3.
-
-    The normal direction gets unit stretch, matching the convention that
-    deformation gradients map unit normal to unit normal. ``i`` may also
-    select several triangles, with their stretches stacked to match.
-    """
-    stretch2 = np.asarray(stretch2, dtype=float)
-    padded = np.zeros(stretch2.shape[:-2] + (3, 3))
-    padded[..., :2, :2] = stretch2
-    padded[..., 2, 2] = 1.0
-    F = ref.frames[i]
-    return F @ padded @ np.swapaxes(F, -1, -2)
-
-
 def init_rotations(ref, rep):
     """Warm-start rotation field from spanning-tree propagation.
 

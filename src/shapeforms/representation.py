@@ -285,25 +285,37 @@ def _check_pair(s, t):
 def encode(ref, mesh):
     """Encode ``mesh`` relative to ``ref``.
 
-    Returns the representation together with the per-triangle
-    decomposition it was derived from. The stretch of triangle ``i`` is
-    the upper-left 2x2 block of the frame-expressed polar stretch; the
-    transition rotation of inner edge ``(i, j)`` relates the induced
-    frames, ``C_ij = F_i^T F_j``.
+    Returns the representation together with the per-triangle decomposition
+    it was derived from: the one-mesh case of :func:`_encode_stack`.
     """
-    D = deformation_gradients(ref, mesh)
+    reps, parts = _encode_stack(ref, [mesh])
+    return reps[0], DeformationDecomposition(*(part[0] for part in parts))
+
+
+def _encode_stack(ref, meshes):
+    """Encode ``meshes`` relative to ``ref`` in one pass.
+
+    The stretch of triangle ``i`` is the upper-left 2x2 block of the
+    frame-expressed polar stretch; the transition rotation of inner edge
+    ``(i, j)`` relates the induced frames, ``C_ij = F_i^T F_j``. One
+    :func:`polar3` call factors the ``(n, m, 3, 3)`` gradients of all
+    meshes, so its errors name the index ``(shape, triangle)``. Returns the
+    representations and the stacked gradients, polar factors and frames.
+    """
+    D = np.empty((len(meshes), ref.n_triangles, 3, 3))
+    for k, mesh in enumerate(meshes):
+        D[k] = deformation_gradients(ref, mesh)
     R, U3 = polar3(D)
     F_ref = ref.frames
-    local = np.swapaxes(F_ref, -1, -2) @ U3 @ F_ref
-    block = local[:, :2, :2]
-    stretches = np.ascontiguousarray(0.5 * (block + np.swapaxes(block, -1, -2)))
+    block = (np.swapaxes(F_ref, -1, -2) @ U3 @ F_ref)[..., :2, :2]
+    stretches = 0.5 * (block + np.swapaxes(block, -1, -2))
 
     frames = R @ F_ref
     ei, ej = ref.inner_edges[:, 0], ref.inner_edges[:, 1]
-    rotations = np.swapaxes(frames[ei], -1, -2) @ frames[ej]
+    rotations = np.swapaxes(frames[:, ei], -1, -2) @ frames[:, ej]
 
-    rep = ShapeRep(rotations, stretches, ref.content_hash)
-    return rep, DeformationDecomposition(D, R, U3, frames)
+    reps = [ShapeRep(r, s, ref.content_hash) for r, s in zip(rotations, stretches)]
+    return reps, (D, R, U3, frames)
 
 
 def rep_distance(ref, s, t, params=DistanceParams()):
@@ -351,17 +363,6 @@ def rep_exp(base, v):
     return ShapeRep(rotations, stretches, base.reference_hash)
 
 
-def rep_inner(ref, params, v, w):
-    """Metric inner product of two tangent vectors at a shared base."""
-    if v.base_hash != w.base_hash:
-        raise ReferenceMismatchError("tangent vectors have different base points")
-    return float((_coordinate_weights(ref, params) * v.coordinates) @ w.coordinates)
-
-
-def rep_norm(ref, params, v):
-    return float(np.sqrt(max(rep_inner(ref, params, v, v), 0.0)))
-
-
 def geodesic(s, t, lam):
     """Point at parameter ``lam`` on the geodesic from ``s`` to ``t``."""
     return rep_exp(s, float(lam) * rep_log(s, t))
@@ -377,8 +378,8 @@ def relative_rotation_angles(s, t):
 
 
 def _coordinate_weights(ref, params):
-    """Metric weights ``w`` of the tangent coordinates: the inner product
-    :func:`rep_inner` of two tangent vectors is ``sum(w * x * y)`` over their
+    """Metric weights ``w`` of the tangent coordinates: the metric inner
+    product of two tangent vectors is ``sum(w * x * y)`` over their
     ``coordinates`` ``x`` and ``y``."""
     omega = params.omega
     rot = np.zeros(0)

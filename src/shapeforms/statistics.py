@@ -21,8 +21,14 @@ study of nonlinear statistics of shape", 2004), reusing the logs of the
 mean's last step. They have unit metric length, so mode coefficients are
 plain inner products. A tangent vector is its ``(3E + 4m)`` coordinates
 (see :class:`TangentRep`), and a model keeps its modes as the rows of one
-``(k, 3E + 4m)`` matrix of them, so projecting a shape and synthesizing
-one take one matrix product each.
+``(k, 3E + 4m)`` matrix of them, so synthesizing a shape takes one matrix
+product.
+
+Projection onto modes has one path, :func:`_project`: the stacked logs of
+the shapes at the mean, weighted, times the mode matrix, one coefficient
+row per shape. :func:`coefficients` is its one-shape case; the CLI's
+``pga --out-coeffs`` and ``features`` project a whole cohort through it,
+and the leave-one-out generalization each held-out shape.
 """
 
 import numbers
@@ -49,15 +55,14 @@ from .representation import (
     ShapeRep,
     TangentRep,
     _coordinate_weights,
+    _encode_stack,
     _read_json,
     _shape_from_payload,
     _shape_payload,
     _tangent_from_payload,
     _tangent_payload,
     _write_json,
-    encode,
     rep_exp,
-    rep_log,
 )
 
 DEFAULT_MEAN_TOL = 1e-10
@@ -117,14 +122,20 @@ def _blocks(count, item_bytes):
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
+def _relative_blocks(reps, mu_entries):
+    """Yield slices of ``reps`` in blocks under ``_BLOCK_BYTES``, each with
+    the entries ``(9, b, E)`` of the block's relative rotations ``C mu^T``
+    for the rotations ``mu`` with entries ``mu_entries`` ``(9, E)``."""
+    for block in _blocks(len(reps), 72 * mu_entries.shape[1]):
+        yield block, _times_transpose(_stacked_entries(reps[block]), mu_entries)
+
+
 def _relative_entries(reps, mu_entries):
-    """Entries ``(9, n, E)`` of the relative rotations ``C mu^T`` of
-    ``reps``, for the rotations ``mu`` with entries ``mu_entries``
-    ``(9, E)``, formed in blocks of shapes under ``_BLOCK_BYTES``."""
-    n_edges = mu_entries.shape[1]
-    out = np.empty((9, len(reps), n_edges))
-    for block in _blocks(len(reps), 72 * n_edges):
-        out[:, block] = _times_transpose(_stacked_entries(reps[block]), mu_entries)
+    """Entries ``(9, n, E)`` of the relative rotations of all ``reps``, see
+    :func:`_relative_blocks`."""
+    out = np.empty((9, len(reps), mu_entries.shape[1]))
+    for block, entries in _relative_blocks(reps, mu_entries):
+        out[:, block] = entries
     return out
 
 
@@ -132,15 +143,13 @@ def _rotation_logs(reps, mu_entries):
     """Rotation parts ``(n, E, 3)`` of the logs of ``reps`` at the rotations
     with entries ``mu_entries`` ``(9, E)``.
 
-    The shapes are stacked in blocks under ``_BLOCK_BYTES``, so one batched
-    logarithm covers a block. As when :func:`rep_log` takes one shape at a
-    time, a cut-locus error names the worst edge of the first shape at it.
+    One batched logarithm covers a block of :func:`_relative_blocks`. As
+    when :func:`rep_log` takes one shape at a time, a cut-locus error names
+    the worst edge of the first shape at it.
     """
-    n_edges = mu_entries.shape[1]
-    out = np.empty((len(reps), n_edges, 3))
-    for block in _blocks(len(reps), 72 * n_edges):
-        out[block] = _log_entries(_relative_entries(reps[block], mu_entries), "edge",
-                                  check=_check_each)
+    out = np.empty((len(reps), mu_entries.shape[1], 3))
+    for block, entries in _relative_blocks(reps, mu_entries):
+        out[block] = _log_entries(entries, "edge", check=_check_each)
     return out
 
 
@@ -369,12 +378,36 @@ def pga(ref, reps, mu=None, params=DistanceParams()):
     )
 
 
-def coefficients(ref, model, rep):
-    """Mode coefficients of ``rep``: inner products with the modes."""
-    if rep.reference_hash != model.reference_hash:
+def _project(reps, mean, matrix, weights):
+    """Coefficient rows ``(n, k)`` of ``reps`` on the modes in the rows of
+    ``matrix`` ``(k, 3E + 4m)``.
+
+    ``mean`` is the base as rotation entries ``(9, E)`` and stretch logs,
+    ``weights`` the :func:`_coordinate_weights`. A stack of ``(1, 3E + 4m)``
+    rows times the mode matrix is one matrix-vector product per row, so a
+    row has the same bits whether its shape is projected alone or in a
+    cohort, which one ``(n, 3E + 4m)`` matrix product would not keep.
+    """
+    n = len(reps)
+    logs = np.concatenate((_rotation_logs(reps, mean[0]).reshape(n, -1),
+                           _stretch_logs(reps, mean[1]).reshape(n, -1)), axis=1)
+    logs *= weights
+    return (logs[:, None, :] @ matrix.T)[:, 0]
+
+
+def _coefficient_rows(ref, model, reps):
+    """Mode coefficients ``(n, k)`` of ``reps`` in ``model``, see :func:`_project`."""
+    if any(rep.reference_hash != model.reference_hash for rep in reps):
         raise ReferenceMismatchError("representation uses a different reference")
-    v = rep_log(model.mean, rep)
-    return model._mode_matrix @ (_coordinate_weights(ref, model.params) * v.coordinates)
+    mu = model.mean
+    return _project(reps, (_mean_entries(mu), mu.log_stretches), model._mode_matrix,
+                    _coordinate_weights(ref, model.params))
+
+
+def coefficients(ref, model, rep):
+    """Mode coefficients of ``rep``: inner products with the modes, the
+    one-shape case of :func:`_coefficient_rows`."""
+    return _coefficient_rows(ref, model, [rep])[0]
 
 
 def synthesize(model, coeffs):
@@ -452,10 +485,10 @@ def unbiased_reference(meshes, outer_iterations=2, reference=None, mean_kwargs=N
     mean_kwargs = mean_kwargs or {}
     ref = build_reference(meshes[0]) if reference is None else reference
     for k in range(outer_iterations):
-        reps = [encode(ref, mesh)[0] for mesh in meshes]
+        reps = _encode_stack(ref, meshes)[0]
         mu = frechet_mean(reps, **mean_kwargs)
         ref = build_reference(_converged_mesh(reconstruct(ref, mu),
                                               f"the mean in round {k + 1}"))
-    reps = [encode(ref, mesh)[0] for mesh in meshes]
+    reps = _encode_stack(ref, meshes)[0]
     mu = frechet_mean(reps, **mean_kwargs)
     return ref, reps, mu

@@ -1,9 +1,76 @@
-"""Helpers that only the tests use: exact references and inverse maps the
-library itself does not need."""
+"""Helpers that only the tests use: exact references, inverse maps and
+group operations the library itself does not need, built on its
+primitives."""
 
 import numpy as np
 
-from shapeforms.representation import TangentRep, _sym_to_triples, _triples_to_sym
+from shapeforms.errors import ReferenceMismatchError
+from shapeforms.flattening import _unfold_rotations
+from shapeforms.liegroups import _check_cut_locus, relative_angle, spd2_exp, spd2_log
+from shapeforms.mesh import TriangleMesh
+from shapeforms.representation import (
+    TangentRep,
+    _coordinate_weights,
+    _sym_to_triples,
+    _triples_to_sym,
+)
+
+
+def so3_distance(Q, R):
+    """Geodesic distance ``sqrt(2) * angle(Q^T R)`` of the bi-invariant
+    metric on rotations, the Frobenius norm of the logarithm of ``Q^T R``;
+    raises ``CutLocusError`` at (numerical) angle pi."""
+    theta = relative_angle(Q, R)
+    _check_cut_locus(theta, "relative rotation")
+    return np.sqrt(2.0) * theta
+
+
+def spd2_mul(U, V):
+    """Commutative log-Euclidean group product ``exp(log U + log V)``."""
+    return spd2_exp(spd2_log(U) + spd2_log(V))
+
+
+def spd2_distance(U, V):
+    """Flat distance ``|log V - log U|_F`` of the log-Euclidean structure."""
+    return np.linalg.norm(spd2_log(V) - spd2_log(U), axis=(-2, -1))
+
+
+def rep_inner(ref, params, v, w):
+    """Metric inner product of two tangent vectors at a shared base."""
+    if v.base_hash != w.base_hash:
+        raise ReferenceMismatchError("tangent vectors have different base points")
+    return float((_coordinate_weights(ref, params) * v.coordinates) @ w.coordinates)
+
+
+def rep_norm(ref, params, v):
+    """Metric norm of a tangent vector."""
+    return float(np.sqrt(max(rep_inner(ref, params, v, v), 0.0)))
+
+
+def embed_stretch(ref, i, stretch2):
+    """Lift the tangential 2x2 stretches of triangles ``i`` to 3x3, with unit
+    stretch along the normal."""
+    stretch2 = np.asarray(stretch2, dtype=float)
+    padded = np.zeros(stretch2.shape[:-2] + (3, 3))
+    padded[..., :2, :2] = stretch2
+    padded[..., 2, 2] = 1.0
+    F = ref.frames[i]
+    return F @ padded @ np.swapaxes(F, -1, -2)
+
+
+def unfold_rotation(ref, edge):
+    """Rotation about the shared edge folding triangle ``j`` into the plane
+    of triangle ``i`` for the inner edge ``(i, j)``."""
+    i, j = edge
+    return _unfold_rotations(ref, [ref.edge_index(i, j)], [i], [j])[0]
+
+
+def pdm_synthesize(model, coeffs):
+    """Vertex configuration ``(V, 3)`` of a point-distribution model for a
+    coefficient vector."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    flat = model.mean_vertices.reshape(-1) + coeffs @ model.components[: coeffs.size]
+    return flat.reshape(-1, 3)
 
 
 def unskew(K):
@@ -24,7 +91,7 @@ def flatten_tangent(ref, params, v):
     """Isometric embedding of a tangent vector into flat coordinates.
 
     The Euclidean inner product of two embedded vectors equals
-    :func:`shapeforms.representation.rep_inner`, which turns Gram matrices
+    :func:`rep_inner`, which turns Gram matrices
     and projections into plain linear algebra.
     """
     omega = params.omega
@@ -52,6 +119,25 @@ def unflatten_tangent(ref, params, vec, base_hash):
     sym = vec[offset:].reshape(-1, 3) / w_spd[:, None]
     sym[:, 1] /= np.sqrt(2.0)
     return TangentRep(rot, _triples_to_sym(sym), base_hash)
+
+
+def needle_mesh(mesh, triangle, length=100.0):
+    """``mesh`` with the last vertex of ``triangle`` moved ``length`` along
+    the line through its other two and off it by ``2e-11 length^2``.
+
+    The triangle becomes a needle whose deformation gradient has a
+    singular-value ratio of about ``1e-11``: below the ``1e-10`` that
+    ``polar3`` accepts, while its area stays above the degenerate-triangle
+    threshold of ``deformation_gradients``.
+    """
+    a, b, p = mesh.triangles[triangle]
+    vertices = mesh.vertices.copy()
+    u = vertices[b] - vertices[a]
+    u /= np.linalg.norm(u)
+    off = np.cross(u, np.cross(vertices[p] - vertices[a], u))
+    off /= np.linalg.norm(off)
+    vertices[p] = vertices[a] + length * u + 2e-11 * length**2 * off
+    return TriangleMesh(vertices, mesh.triangles)
 
 
 def analytic_cylinder_development(n_u=20, n_v=30, radius=1.0, height=2.0,

@@ -21,16 +21,7 @@ from shapeforms.evaluation import (
     specificity,
 )
 from shapeforms.flattening import flatten
-from shapeforms.liegroups import (
-    polar3,
-    so3_distance,
-    so3_exp,
-    so3_log,
-    spd2_distance,
-    spd2_exp,
-    spd2_log,
-    spd2_mul,
-)
+from shapeforms.liegroups import polar3, so3_exp, so3_log, spd2_exp, spd2_log
 from shapeforms.reference import build_reference, deformation_gradients
 from shapeforms.reconstruction import prefactor, reconstruct
 from shapeforms.representation import (
@@ -42,7 +33,6 @@ from shapeforms.representation import (
     relative_rotation_angles,
     rep_distance,
     rep_exp,
-    rep_inner,
     rep_log,
 )
 from shapeforms.statistics import (
@@ -63,7 +53,13 @@ from shapeforms.synthetic import (
     smooth_deformation,
 )
 
-from helpers import analytic_cylinder_development
+from helpers import (
+    analytic_cylinder_development,
+    rep_inner,
+    so3_distance,
+    spd2_distance,
+    spd2_mul,
+)
 
 
 def criterion(ident, name):

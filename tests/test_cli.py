@@ -7,16 +7,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shapeforms import cli
+from shapeforms import cli, representation
 from shapeforms.cli import main
 from shapeforms.flattening import flatten
+from shapeforms.liegroups import polar3
 from shapeforms.mesh import load_mesh, save_mesh
+from shapeforms.reference import build_reference
+from shapeforms.representation import encode
+from shapeforms.statistics import PGAModel, coefficients
 from shapeforms.synthetic import (
     cylinder_patch,
     hemisphere_patch,
     icosphere,
     smooth_deformation,
 )
+
+from helpers import needle_mesh
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 WARNING = re.compile(r"warning: .+: reconstruction did not converge in \d+ iterations")
@@ -245,6 +251,52 @@ class TestModelPipeline:
         lines = accuracy.read_text().splitlines()
         assert lines[0] == "share,mean_accuracy,std_accuracy"
         assert len(lines) == 2
+
+    def test_coefficient_csvs_hold_library_coefficients(self, workspace, tmp_path,
+                                                        monkeypatch):
+        polar_calls = []
+
+        def counted(D):
+            polar_calls.append(np.shape(D))
+            return polar3(D)
+
+        monkeypatch.setattr(representation, "polar3", counted)
+        inputs = [str(workspace / f"shape_{k}.obj") for k in range(4)]
+        reference = str(workspace / "ref.obj")
+        model_path, coeffs, features = (tmp_path / name for name in (
+            "model.json", "coeffs.csv", "features.csv"))
+        assert main(["pga", *inputs, "--reference", reference,
+                     "--out-model", str(model_path), "--out-coeffs", str(coeffs)]) == 0
+        # The cohort is one stack; the reference mesh encodes nothing.
+        assert polar_calls == [(4, 80, 3, 3)]
+        assert main(["features", *inputs, "--reference", reference,
+                     "--model", str(model_path), "--out", str(features)]) == 0
+        assert len(polar_calls) == 2
+        monkeypatch.undo()
+
+        # The loaded model, whose mean's stretch logs are those of its
+        # rounded stretches, is the one behind features.csv.
+        ref = build_reference(load_mesh(reference))
+        model = PGAModel.load(model_path)
+        expected = [coefficients(ref, model, encode(ref, load_mesh(path))[0])
+                    for path in inputs]
+        names, rows = cli._read_feature_csv(features)
+        assert names == inputs
+        assert np.array_equal(rows, expected)
+        names, rows = cli._read_feature_csv(coeffs)
+        assert names == inputs
+        assert np.allclose(rows, expected, rtol=1e-12, atol=0.0)
+
+    def test_ill_conditioned_shape_named(self, workspace, tmp_path, capsys):
+        save_mesh(needle_mesh(icosphere(1), 7), tmp_path / "needle.obj")
+        inputs = [str(workspace / "shape_0.obj"), str(workspace / "shape_1.obj"),
+                  str(tmp_path / "needle.obj"), str(workspace / "shape_2.obj")]
+        assert main(["pga", *inputs, "--reference", str(workspace / "ref.obj"),
+                     "--out-model", str(tmp_path / "model.json"),
+                     "--out-coeffs", str(tmp_path / "coeffs.csv")]) == 1
+        assert re.fullmatch(r"error:conditioning: singular value ratio \S+ below "
+                            r"1e-10 at index \(2, 7\)\n", capsys.readouterr().err)
+        assert not (tmp_path / "model.json").exists()
 
     def test_synthesize_and_sample(self, workspace):
         model = workspace / "model.json"

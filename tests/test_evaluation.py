@@ -18,7 +18,6 @@ from shapeforms.evaluation import (
     monte_carlo_cv,
     pdm_coefficients,
     pdm_fit,
-    pdm_synthesize,
     specificity,
     train_svm,
 )
@@ -36,7 +35,7 @@ from shapeforms.representation import (
 from shapeforms.statistics import PGAModel, coefficients, frechet_mean, pga
 from shapeforms.synthetic import icosphere, smooth_deformation
 
-from helpers import INVALID_STOPPING_RULES
+from helpers import INVALID_STOPPING_RULES, pdm_synthesize
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +280,15 @@ class TestMetricsReport:
     def test_identical_shapes_rejected(self, ref, cohort):
         with pytest.raises(ValueError, match="the model has no modes"):
             metrics_report(ref, [cohort[0]] * 4, n_samples=2)
+
+    def test_specificity_column_bit_equal_to_specificity(self, ref, cohort):
+        params = DistanceParams(omega=4.0)
+        report = metrics_report(ref, cohort, params=params, n_samples=9, seed=3)
+        model = pga(ref, cohort, params=params)
+        expected = [specificity(ref, model, cohort, n_samples=9, modes=int(k), seed=3)
+                    for k in report.modes]
+        assert report.modes.size == model.n_modes > 1
+        assert report.specificity.tolist() == expected
 
 
 def toy_blobs(n_per_class=20, separation=5.0, dims=4, seed=0):

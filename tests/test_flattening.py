@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shapeforms.errors import MeshTopologyError
-from shapeforms.flattening import flat_projection, flatten, unfold_rotation
+from shapeforms.flattening import flat_projection, flatten
 from shapeforms.liegroups import so3_exp
 from shapeforms.mesh import TriangleMesh
 from shapeforms.reconstruction import DEFAULT_MAX_ITER
@@ -16,7 +16,7 @@ from shapeforms.synthetic import (
     icosphere,
 )
 
-from helpers import analytic_cylinder_development
+from helpers import analytic_cylinder_development, unfold_rotation
 
 
 def planar_two_triangles():

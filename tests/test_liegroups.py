@@ -18,16 +18,13 @@ from shapeforms.liegroups import (
     relative_angle,
     skew,
     so3_angle,
-    so3_distance,
     so3_exp,
     so3_log,
-    spd2_distance,
     spd2_exp,
     spd2_log,
-    spd2_mul,
 )
 
-from helpers import unskew
+from helpers import so3_distance, spd2_distance, spd2_mul, unskew
 
 
 def random_rotation(rng, max_angle=np.pi - 1e-3):
@@ -240,6 +237,31 @@ class TestSpd2:
 
 
 class TestPolar3:
+    def test_stack_of_stacks_settles_per_stack(self):
+        # Three stacks whose iterations settle after different step counts.
+        rng = np.random.default_rng(30)
+        stacks = np.stack([
+            np.eye(3) + 1e-3 * rng.normal(size=(6, 3, 3)),
+            rng.normal(size=(6, 3, 3)) + 3.0 * np.eye(3),
+            np.diag([1e4, 1.0, 1e-3]) @ so3_exp(rng.normal(size=(6, 3))),
+        ])
+        R = polar_rotation(stacks)
+        for k, stack in enumerate(stacks):
+            assert np.array_equal(R[k], polar_rotation(stack))
+        nested = polar_rotation(stacks.reshape(1, 3, 6, 3, 3))
+        assert np.array_equal(nested[0], R)
+
+    def test_stacked_errors_name_the_index(self):
+        D = np.broadcast_to(np.eye(3), (2, 4, 3, 3)).copy()
+        D[1, 2, 2, 2] = -1.0
+        with pytest.raises(OrientationError, match=r"at index \(1, 2\)$"):
+            polar3(D)
+        with pytest.raises(OrientationError, match=r"at index 6$"):
+            polar3(D.reshape(-1, 3, 3))
+        D[1, 2, 2, 2] = 1e-12
+        with pytest.raises(ConditioningError, match=r"at index \(1, 2\)$"):
+            polar3(D)
+
     def test_identity(self):
         R, U = polar3(np.eye(3))
         assert np.allclose(R, np.eye(3))

@@ -19,7 +19,6 @@ from shapeforms.reconstruction import (
     _EdgeTerms,
     _dissection_order,
     _rows,
-    embed_stretch,
     init_rotations,
     local_step,
     prefactor,
@@ -35,6 +34,8 @@ from shapeforms.synthetic import (
     smooth_deformation,
 )
 from shapeforms.liegroups import spd2_exp
+
+from helpers import embed_stretch
 
 
 @pytest.fixture(scope="module")

@@ -5,27 +5,27 @@ import json
 import numpy as np
 import pytest
 
-from shapeforms.errors import ReferenceMismatchError
-from shapeforms.liegroups import so3_exp, spd2_log
+from shapeforms import representation
+from shapeforms.errors import ConditioningError, OrientationError, ReferenceMismatchError
+from shapeforms.liegroups import polar3, so3_exp, spd2_log
 from shapeforms.mesh import TriangleMesh
-from shapeforms.reference import build_reference
+from shapeforms.reference import build_reference, deformation_gradients
 from shapeforms.representation import (
     DistanceParams,
     ShapeRep,
     TangentRep,
+    _encode_stack,
     encode,
     geodesic,
     relative_rotation_angles,
     rep_distance,
     rep_exp,
-    rep_inner,
     rep_log,
     _coordinate_weights,
-    rep_norm,
 )
 from shapeforms.synthetic import icosphere, smooth_deformation
 
-from helpers import flatten_tangent, unflatten_tangent
+from helpers import flatten_tangent, needle_mesh, rep_inner, unflatten_tangent
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +78,66 @@ class TestEncode:
         assert np.max(np.abs(decomp.rotations @ decomp.stretches3 - decomp.gradients)) < 1e-10
         gram = np.swapaxes(decomp.frames, -1, -2) @ decomp.frames
         assert np.max(np.abs(gram - np.eye(3))) < 1e-10
+
+
+class TestEncodeStack:
+    """A cohort is encoded as one stack, each shape with the bits of its own
+    ``encode``."""
+
+    @pytest.fixture(scope="class")
+    def meshes(self, ref):
+        # The reference and a scaled copy settle in the polar iteration
+        # steps before the deformed shapes do.
+        return [ref.mesh, smooth_deformation(ref.mesh, seed=4, stretch=0.3),
+                ref.mesh.transformed(scale=1.7)] + [
+            smooth_deformation(ref.mesh, seed=s, stretch=0.1, wave_amplitude=0.05)
+            for s in range(2)]
+
+    def test_one_polar_decomposition(self, ref, meshes, monkeypatch):
+        shapes = []
+
+        def counted(D):
+            shapes.append(np.shape(D))
+            return polar3(D)
+
+        monkeypatch.setattr(representation, "polar3", counted)
+        _encode_stack(ref, meshes)
+        assert shapes == [(len(meshes), ref.n_triangles, 3, 3)]
+
+    def test_each_shape_matches_its_own_encoding(self, ref, meshes):
+        reps, parts = _encode_stack(ref, meshes)
+        assert len(reps) == len(meshes)
+        for k, mesh in enumerate(meshes):
+            rep, decomp = encode(ref, mesh)
+            assert np.array_equal(reps[k].rotations, rep.rotations)
+            assert np.array_equal(reps[k].stretches, rep.stretches)
+            assert reps[k].content_hash() == rep.content_hash()
+            for stacked, single in zip(parts, (decomp.gradients, decomp.rotations,
+                                               decomp.stretches3, decomp.frames)):
+                assert np.array_equal(stacked[k], single)
+
+    def test_ill_conditioned_shape_named(self, ref, meshes):
+        cohort = meshes[:2] + [needle_mesh(ref.mesh, 7)] + meshes[2:]
+        with pytest.raises(ConditioningError, match=r"below 1e-10 at index \(2, 7\)$"):
+            _encode_stack(ref, cohort)
+        with pytest.raises(ConditioningError, match=r"below 1e-10 at index \(0, 7\)$"):
+            encode(ref, cohort[2])
+
+    def test_inverted_shape_named(self, ref, meshes, monkeypatch):
+        # The gradients of a mesh map the reference normal onto the deformed
+        # one, so their determinants are positive: invert one by hand.
+        inverted = meshes[3]
+
+        def gradients(ref_, mesh):
+            D = deformation_gradients(ref_, mesh)
+            if mesh is inverted:
+                D[11] = -D[11]
+            return D
+
+        monkeypatch.setattr(representation, "deformation_gradients", gradients)
+        with pytest.raises(OrientationError,
+                           match=r"^non-positive determinant -\S+ at index \(3, 11\)$"):
+            _encode_stack(ref, meshes)
 
 
 class TestDistance:

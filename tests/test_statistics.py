@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shapeforms import statistics
-from shapeforms.errors import ConvergenceError
+from shapeforms.errors import ConvergenceError, ReferenceMismatchError
 from shapeforms.reconstruction import reconstruct
 from shapeforms.reference import build_reference
 from shapeforms.representation import (
@@ -14,12 +14,11 @@ from shapeforms.representation import (
     geodesic,
     rep_distance,
     rep_exp,
-    rep_inner,
     rep_log,
-    rep_norm,
 )
 from shapeforms.statistics import (
     PGAModel,
+    _coefficient_rows,
     coefficients,
     frechet_mean,
     mean_residual,
@@ -30,7 +29,7 @@ from shapeforms.statistics import (
 )
 from shapeforms.synthetic import icosphere, smooth_deformation
 
-from helpers import INVALID_STOPPING_RULES
+from helpers import INVALID_STOPPING_RULES, rep_inner, rep_norm
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +201,34 @@ class TestCoefficients:
         rep = synthesize(model, c * np.eye(model.n_modes)[0])
         d = rep_distance(ref, model.mean, rep, model.params)
         assert d == pytest.approx(c, rel=1e-8)
+
+
+class TestCoefficientRows:
+    """The cohort projection that ``coefficients`` is the one-shape case of."""
+
+    def test_rows_bit_equal_to_coefficients(self, ref, cohort, model):
+        shapes = cohort + sample(model, 3, seed=5)
+        rows = _coefficient_rows(ref, model, shapes)
+        assert rows.shape == (len(shapes), model.n_modes)
+        for rep, row in zip(shapes, rows):
+            assert np.array_equal(coefficients(ref, model, rep), row)
+
+    def test_pga_identity_on_training_shapes(self, ref, cohort, model):
+        # Row i of mode k is sqrt(lambda_k) u_ik for the Gram eigenvectors u_k,
+        # which are orthonormal and orthogonal to the ones vector.
+        A = _coefficient_rows(ref, model, cohort)
+        n = len(cohort)
+        assert np.max(np.abs(A.T @ A / n - np.diag(model.variances))) < 1e-12
+        assert np.max(np.abs(A.mean(axis=0))) < 1e-12
+
+    def test_model_without_modes(self, ref, cohort):
+        model = pga(ref, [cohort[0]] * 3)
+        assert _coefficient_rows(ref, model, cohort).shape == (len(cohort), 0)
+
+    def test_other_reference_rejected(self, ref, cohort, model):
+        alien = encode(build_reference(icosphere(0)), icosphere(0))[0]
+        with pytest.raises(ReferenceMismatchError, match="different reference"):
+            _coefficient_rows(ref, model, cohort[:2] + [alien])
 
 
 class TestSampling:
