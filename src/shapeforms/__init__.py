@@ -27,7 +27,6 @@ from .evaluation import (
     accuracy_curve,
     compactness,
     discriminating_path,
-    generalization,
     generalization_curve,
     metrics_report,
     monte_carlo_cv,

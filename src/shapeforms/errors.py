@@ -40,7 +40,13 @@ class DegenerateGeometryError(ShapeFormsError):
 
 
 class OrientationError(ShapeFormsError):
-    """A deformation gradient with non-positive determinant (no embedding)."""
+    """A matrix with non-positive determinant passed to ``polar3`` directly.
+
+    ``encode`` never raises it: every deformation gradient it builds maps
+    the reference normal onto the deformed triangle's own normal and has a
+    positive determinant, so a mirrored or folded mesh encodes without
+    error.
+    """
 
     category = "orientation"
 
@@ -64,6 +70,16 @@ class ReferenceMismatchError(ShapeFormsError):
 
 
 class ConvergenceError(ShapeFormsError):
-    """An iterative solver exhausted its iteration budget."""
+    """An iterative solver exhausted its iteration budget.
+
+    For reconstructions the policy is: ``reconstruct`` and ``flatten``
+    return their mesh with ``converged`` false in the report and do not
+    raise; every library function that reconstructs internally
+    (``unbiased_reference``, ``discriminating_path`` and the vertex metric
+    of ``specificity``, ``generalization_curve`` and ``metrics_report``)
+    raises this error, naming the shape; the command line writes an
+    unconverged mesh with a warning on stderr. ``frechet_mean`` and
+    ``pdm_fit`` raise it when their iteration does not converge.
+    """
 
     category = "convergence"

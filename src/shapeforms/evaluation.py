@@ -238,12 +238,6 @@ def _generalization(ref, reps, max_modes, params, meshes):
     return errors.mean(axis=0)
 
 
-def generalization(ref, reps, modes, params=DistanceParams(), metric="intrinsic"):
-    """Leave-one-out error for one mode count."""
-    return float(generalization_curve(ref, reps, max_modes=modes, params=params,
-                                      metric=metric)[modes - 1])
-
-
 def compactness(model, modes):
     """Cumulative share of variance captured by the first ``modes`` modes."""
     modes = _mode_count(model, modes)
@@ -311,6 +305,11 @@ class ClassifierModel:
     features and drown the informative directions). ``eta`` and ``bias``
     below are de-standardized back into raw coefficient space, so the
     discriminating direction can be synthesized directly.
+
+    The fields may carry a leading axis of draws, as in
+    :func:`monte_carlo_cv`: ``weights_std``, ``feature_mean`` and
+    ``feature_std`` ``(draws, d)`` and ``bias_std`` ``(draws,)``. Each
+    draw's rule then applies to its own features ``(draws, t, d)``.
     """
 
     weights_std: np.ndarray
@@ -325,23 +324,22 @@ class ClassifierModel:
 
     @property
     def bias(self):
-        return self.bias_std - float(
-            (self.weights_std * self.feature_mean / self.feature_std).sum()
-        )
+        return self.bias_std - (
+            self.weights_std * self.feature_mean / self.feature_std).sum(axis=-1)
 
     def decision_function(self, features):
         features = np.atleast_2d(np.asarray(features, dtype=float))
-        return features @ self.eta + self.bias
+        return (features @ self.eta[..., None])[..., 0] + np.asarray(self.bias)[..., None]
 
     def predict(self, features):
         return np.where(self.decision_function(features) >= 0.0, 1, -1)
 
     def save(self, path):
         payload = {
-            "weights_std": self.weights_std.tolist(),
+            "weights_std": self.weights_std,
             "bias_std": self.bias_std,
-            "feature_mean": self.feature_mean.tolist(),
-            "feature_std": self.feature_std.tolist(),
+            "feature_mean": self.feature_mean,
+            "feature_std": self.feature_std,
             "regularization": self.regularization,
         }
         _write_json(path, payload)
@@ -367,8 +365,7 @@ def _train_stack(X, y, reg, n_iterations):
     hinge`` by full-batch subgradient descent with ``1/(alpha t)`` steps
     (Pegasos, Shalev-Shwartz et al. 2007) and averaging over the last half
     of the iterations. The bias is not regularized. Returns the
-    standardized weights ``(draws, d)`` and bias ``(draws,)``, the means
-    ``(draws, d)`` and the pooled scales ``(draws,)``.
+    :class:`ClassifierModel` of all draws, with a leading draw axis.
     """
     _check_count("n_iterations", n_iterations, 2)
     draws, n, d = X.shape
@@ -396,7 +393,9 @@ def _train_stack(X, y, reg, n_iterations):
         if t > n_iterations - tail:
             v_sum += v
     v = v_sum / tail
-    return v[:, :d], v[:, d], mean, scale
+    return ClassifierModel(weights_std=v[:, :d], bias_std=v[:, d], feature_mean=mean,
+                           feature_std=np.repeat(scale[:, None], d, axis=1),
+                           regularization=reg)
 
 
 def _svm_data(features, labels):
@@ -423,12 +422,12 @@ def train_svm(features, labels, reg=1.0, n_iterations=DEFAULT_SVM_ITERATIONS):
     ``monte_carlo_cv`` trains its draws with.
     """
     X, y = _svm_data(features, labels)
-    w, b, mean, scale = _train_stack(X[None], y[None], reg, n_iterations)
+    stack = _train_stack(X[None], y[None], reg, n_iterations)
     return ClassifierModel(
-        weights_std=w[0],
-        bias_std=float(b[0]),
-        feature_mean=mean[0],
-        feature_std=np.full(X.shape[1], scale[0]),
+        weights_std=stack.weights_std[0],
+        bias_std=float(stack.bias_std[0]),
+        feature_mean=stack.feature_mean[0],
+        feature_std=stack.feature_std[0],
         regularization=reg,
     )
 
@@ -440,9 +439,10 @@ def monte_carlo_cv(features, labels, train_share, draws=DEFAULT_CV_DRAWS, reg=1.
     Each draw trains on ``round(train_share * n_min)`` samples per class
     (``n_min`` the smaller class size) and tests on the complement.
     Returns mean and standard deviation of the accuracy over ``draws >= 1``
-    draws. All splits are drawn first; the draws are then trained and
-    tested together by the ``train_svm`` kernel, in as few blocks as keep
-    each stacked ``(draws, rows, features)`` array under
+    draws. All splits are drawn first; the draws are then trained together
+    by the ``train_svm`` kernel and tested by the one
+    :class:`ClassifierModel` of their block's draws, in as few blocks as
+    keep each stacked ``(draws, rows, features)`` array under
     ``_SVM_BLOCK_BYTES``, which bounds the memory. Neither the block size
     nor the number of draws changes any draw's result. The labels are
     checked as by ``train_svm``: -1 and +1, both present.
@@ -474,13 +474,8 @@ def monte_carlo_cv(features, labels, train_share, draws=DEFAULT_CV_DRAWS, reg=1.
     accuracies = np.empty(draws)
     for lo in range(0, draws, block):
         rows = slice(lo, lo + block)
-        w, b, mean, scale = _train_stack(X[train[rows]], y[train[rows]], reg,
-                                         n_iterations)
-        # The decision rule of ClassifierModel, de-standardized per draw.
-        eta = w / scale[:, None]
-        bias = b - (w * mean / scale[:, None]).sum(axis=1)
-        decision = (X[test[rows]] @ eta[..., None])[..., 0] + bias[:, None]
-        predicted = np.where(decision >= 0.0, 1, -1)
+        model = _train_stack(X[train[rows]], y[train[rows]], reg, n_iterations)
+        predicted = model.predict(X[test[rows]])
         accuracies[rows] = np.mean(predicted == y[test[rows]], axis=1)
     return float(accuracies.mean()), float(accuracies.std())
 
@@ -572,7 +567,7 @@ def pdm_coefficients(model, mesh):
 # discriminating direction
 
 
-def discriminating_path(ref, model, clf, steps, value_range, system=None):
+def discriminating_path(ref, model, clf, steps, value_range):
     """Meshes along the classifier's discriminating direction.
 
     The de-standardized weight vector is normalized in coefficient space
@@ -591,8 +586,7 @@ def discriminating_path(ref, model, clf, steps, value_range, system=None):
     direction = eta / norm
     lo, hi = value_range
     scales = np.linspace(lo, hi, steps)
-    if system is None:
-        system = prefactor(ref)
+    system = prefactor(ref)
     return [
         _converged_mesh(reconstruct(ref, synthesize(model, c * direction),
                                     system=system), f"discriminating path step {k}")

@@ -57,8 +57,8 @@ class FlatteningReport:
             "max_edge_distortion": self.max_edge_distortion,
             "mean_edge_distortion": self.mean_edge_distortion,
             "max_area_distortion": self.max_area_distortion,
-            "edge_distortions": self.edge_distortions.tolist(),
-            "area_distortions": self.area_distortions.tolist(),
+            "edge_distortions": self.edge_distortions,
+            "area_distortions": self.area_distortions,
         }
         _write_json(path, payload)
 

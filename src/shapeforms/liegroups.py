@@ -425,7 +425,9 @@ def polar3(D):
     ------
     OrientationError
         If any determinant is non-positive (the deformation is not an
-        orientation-preserving embedding).
+        orientation-preserving embedding). The gradients of
+        :func:`shapeforms.encode` always have a positive determinant, so
+        only a direct call meets this error.
     ConditioningError
         If the smallest singular value of a matrix falls below
         ``_MIN_REL_SIGMA`` times its largest.

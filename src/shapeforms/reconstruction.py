@@ -258,10 +258,6 @@ class PoissonSystem:
         """``G X``: row ``3i + c`` is column ``c`` of triangle ``i``'s gradient."""
         return self._G @ X
 
-    def gradients(self, X):
-        """Deformation gradients of stacked positions ``X``."""
-        return self.gradient_rows(X).reshape(self.n_triangles, 3, 3).transpose(0, 2, 1)
-
 
 def _dissection_order(points, triangles):
     """Nested-dissection order of the vertices of a triangle mesh.

@@ -34,9 +34,6 @@ class ReferenceGeometry:
     inner_edges : ndarray
         ``(E, 2)`` triangle pairs ``(i, j)`` with ``i < j``, sorted
         lexicographically.
-    edge_keys : ndarray
-        ``(E,)`` ascending keys ``i * m + j`` of ``inner_edges``, searched
-        by :meth:`edge_index`.
     edge_areas : ndarray
         ``(E,)`` edge weights ``(A_i + A_j) / 3``.
     edge_shared_vertices : ndarray
@@ -65,7 +62,6 @@ class ReferenceGeometry:
     tri_areas: np.ndarray
     total_area: float
     inner_edges: np.ndarray
-    edge_keys: np.ndarray
     edge_areas: np.ndarray
     total_edge_area: float
     edge_shared_vertices: np.ndarray
@@ -104,17 +100,6 @@ class ReferenceGeometry:
         idx = np.concatenate([np.arange(n), np.arange(n)])
         forward = np.concatenate([np.ones(n, bool), np.zeros(n, bool)])
         return src, dst, idx, forward
-
-    def edge_index(self, i, j):
-        """Position of the inner edge between triangles ``i`` and ``j``."""
-        lo, hi = min(i, j), max(i, j)
-        m = self.n_triangles
-        if 0 <= lo and hi < m:
-            key = lo * m + hi
-            e = int(np.searchsorted(self.edge_keys, key))
-            if e < self.edge_keys.size and self.edge_keys[e] == key:
-                return e
-        raise MeshTopologyError(f"triangles {i} and {j} do not share an edge")
 
 
 def build_reference(mesh):
@@ -183,7 +168,6 @@ def build_reference(mesh):
         tri_areas=tri_areas,
         total_area=total_area,
         inner_edges=inner_edges,
-        edge_keys=edge_keys,
         edge_areas=edge_areas,
         total_edge_area=total_edge_area,
         edge_shared_vertices=shared,

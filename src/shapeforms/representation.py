@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import ReferenceMismatchError
 from .liegroups import (
-    _check_cut_locus,
     _check_each,
     _entries,
     _exp_entries,
@@ -146,13 +145,20 @@ def _shape_payload(rep):
     Rotations are stored as 9 row-major floats, stretches as the
     ``(U11, U12, U22)`` triple, in reference edge/triangle order.
     """
-    return {"rotations": rep.rotations.reshape(-1, 9).tolist(),
-            "stretches": _sym_to_triples(rep.stretches).tolist()}
+    return {"rotations": rep.rotations.reshape(-1, 9),
+            "stretches": _sym_to_triples(rep.stretches)}
 
 
 def _shape_from_payload(payload, reference_hash):
-    """Inverse of :func:`_shape_payload`, bound to ``reference_hash``."""
+    """Inverse of :func:`_shape_payload`, bound to ``reference_hash``.
+
+    A payload that also holds ``log_stretches`` triples, as a model's mean
+    does, is rebuilt from those by :meth:`ShapeRep._from_log_stretches`.
+    """
     rotations = np.array(payload["rotations"], dtype=float).reshape(-1, 3, 3)
+    if "log_stretches" in payload:
+        logs = _triples_to_sym(np.array(payload["log_stretches"], dtype=float))
+        return ShapeRep._from_log_stretches(rotations, logs, reference_hash)
     stretches = _triples_to_sym(np.array(payload["stretches"], dtype=float))
     return ShapeRep(rotations, stretches, reference_hash)
 
@@ -160,8 +166,8 @@ def _shape_from_payload(payload, reference_hash):
 def _tangent_payload(v):
     """The ``{rot_part, stretch_part}`` JSON payload of a tangent vector:
     3 floats per inner edge and the ``(X11, X12, X22)`` triple per triangle."""
-    return {"rot_part": v.rot_part.tolist(),
-            "stretch_part": _sym_to_triples(v.stretch_part).tolist()}
+    return {"rot_part": v.rot_part,
+            "stretch_part": _sym_to_triples(v.stretch_part)}
 
 
 def _tangent_from_payload(payload, base_hash):
@@ -178,13 +184,14 @@ def _read_json(path):
 
 
 def _write_json(path, payload):
-    """Write ``payload`` as one line of JSON.
+    """Write ``payload`` as one line of JSON. Numpy arrays in it become
+    nested lists here, so the payload builders pass arrays as they are.
 
     ``json.dumps`` runs the C encoder; ``json.dump`` streams through the
     pure-Python one and is many times slower on large payloads.
     """
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload))
+        handle.write(json.dumps(payload, default=np.ndarray.tolist))
         handle.write("\n")
 
 
@@ -245,23 +252,11 @@ class TangentRep:
     def stretch_part(self):
         return self.coordinates[3 * self.n_edges:].reshape(-1, 2, 2)
 
-    def __add__(self, other):
-        if self.base_hash != other.base_hash:
-            raise ReferenceMismatchError("tangent vectors have different base points")
-        return TangentRep._from_coordinates(
-            self.coordinates + other.coordinates, self.n_edges, self.base_hash)
-
     def __mul__(self, scalar):
         return TangentRep._from_coordinates(
             self.coordinates * scalar, self.n_edges, self.base_hash)
 
     __rmul__ = __mul__
-
-    @classmethod
-    def zero(cls, base):
-        return cls._from_coordinates(
-            np.zeros(3 * base.n_edges + 4 * base.n_triangles), base.n_edges,
-            base.content_hash())
 
 
 def _check_binding(ref, rep):
@@ -287,6 +282,12 @@ def encode(ref, mesh):
 
     Returns the representation together with the per-triangle decomposition
     it was derived from: the one-mesh case of :func:`_encode_stack`.
+
+    Every gradient that :func:`deformation_gradients` builds maps the
+    reference normal onto the deformed triangle's own normal, so its
+    determinant is positive. A mirrored or folded mesh therefore encodes
+    without error, and :class:`OrientationError` cannot come from here;
+    a triangle too thin to factor raises :class:`ConditioningError`.
     """
     reps, parts = _encode_stack(ref, [mesh])
     return reps[0], DeformationDecomposition(*(part[0] for part in parts))
@@ -319,26 +320,15 @@ def _encode_stack(ref, meshes):
 
 
 def rep_distance(ref, s, t, params=DistanceParams()):
-    """Weighted geodesic distance between two representations.
+    """Weighted geodesic distance between two representations: the metric
+    norm of :func:`rep_log` ``(s, t)``, as the metric is bi-invariant.
 
     Raises :class:`CutLocusError`, naming the worst edge, if two transition
     rotations differ by an angle at pi.
     """
     _check_binding(ref, s)
-    _check_pair(s, t)
-    omega = params.omega
-
-    total = 0.0
-    if ref.n_inner_edges:
-        theta = relative_angle(s.rotations, t.rotations)
-        _check_cut_locus(theta, "edge")
-        rot_sq = 2.0 * theta**2  # squared Frobenius norm of the skew logarithm
-        total += omega**3 / ref.total_edge_area * float(ref.edge_areas @ rot_sq)
-
-    diff = t.log_stretches - s.log_stretches
-    spd_sq = np.sum(diff * diff, axis=(-2, -1))
-    total += omega / ref.total_area * float(ref.tri_areas @ spd_sq)
-    return float(np.sqrt(total))
+    v = rep_log(s, t).coordinates
+    return float(np.sqrt(_coordinate_weights(ref, params) @ (v * v)))
 
 
 def rep_log(base, s):

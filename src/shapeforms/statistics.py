@@ -59,6 +59,7 @@ from .representation import (
     _read_json,
     _shape_from_payload,
     _shape_payload,
+    _sym_to_triples,
     _tangent_from_payload,
     _tangent_payload,
     _write_json,
@@ -280,17 +281,24 @@ class PGAModel:
         return len(self.modes)
 
     def save(self, path):
+        """Write the model as JSON. The mean carries its stretch logs as
+        ``log_stretches`` triples beside the stretches, so that a loaded
+        model projects and synthesizes with the bits of this one."""
         payload = {
             "reference_hash": self.reference_hash,
             "omega": self.params.omega,
-            "variances": self.variances.tolist(),
-            "mean": _shape_payload(self.mean),
+            "variances": self.variances,
+            "mean": {**_shape_payload(self.mean),
+                     "log_stretches": _sym_to_triples(self.mean.log_stretches)},
             "modes": [_tangent_payload(mode) for mode in self.modes],
         }
         _write_json(path, payload)
 
     @classmethod
     def load(cls, path):
+        """Read a file written by :meth:`save`. The mean is rebuilt from its
+        stored stretch logs; files without them take the logs of the
+        stored stretches."""
         payload = _read_json(path)
         mean = _shape_from_payload(payload["mean"], payload["reference_hash"])
         base_hash = mean.content_hash()

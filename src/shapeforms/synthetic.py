@@ -67,12 +67,6 @@ def icosphere(subdivisions=2, radius=1.0):
     return TriangleMesh(vertices, np.array(faces, dtype=np.int64))
 
 
-def ellipsoid(axes=(1.0, 0.8, 0.65), subdivisions=2):
-    """Icosphere scaled per axis."""
-    sphere = icosphere(subdivisions)
-    return TriangleMesh(sphere.vertices * np.asarray(axes, dtype=float), sphere.triangles)
-
-
 def add_radial_bump(mesh, direction, amplitude, width):
     """Displace vertices radially by a Gaussian bump centered at ``direction``.
 

@@ -4,11 +4,13 @@ primitives."""
 
 import numpy as np
 
-from shapeforms.errors import ReferenceMismatchError
+from shapeforms.errors import MeshTopologyError, ReferenceMismatchError
+from shapeforms.evaluation import generalization_curve
 from shapeforms.flattening import _unfold_rotations
 from shapeforms.liegroups import _check_cut_locus, relative_angle, spd2_exp, spd2_log
 from shapeforms.mesh import TriangleMesh
 from shapeforms.representation import (
+    DistanceParams,
     TangentRep,
     _coordinate_weights,
     _sym_to_triples,
@@ -62,7 +64,44 @@ def unfold_rotation(ref, edge):
     """Rotation about the shared edge folding triangle ``j`` into the plane
     of triangle ``i`` for the inner edge ``(i, j)``."""
     i, j = edge
-    return _unfold_rotations(ref, [ref.edge_index(i, j)], [i], [j])[0]
+    return _unfold_rotations(ref, [edge_index(ref, i, j)], [i], [j])[0]
+
+
+def edge_index(ref, i, j):
+    """Position of the inner edge between triangles ``i`` and ``j`` in
+    ``ref.inner_edges``; ``MeshTopologyError`` if they share none."""
+    lo, hi = min(i, j), max(i, j)
+    hits = np.nonzero((ref.inner_edges[:, 0] == lo) & (ref.inner_edges[:, 1] == hi))[0]
+    if hits.size == 0:
+        raise MeshTopologyError(f"triangles {i} and {j} do not share an edge")
+    return int(hits[0])
+
+
+def zero_tangent(base):
+    """The zero tangent vector at the representation ``base``."""
+    return TangentRep._from_coordinates(
+        np.zeros(3 * base.n_edges + 4 * base.n_triangles), base.n_edges,
+        base.content_hash())
+
+
+def add_tangents(v, w):
+    """Sum of two tangent vectors at the same base."""
+    if v.base_hash != w.base_hash:
+        raise ReferenceMismatchError("tangent vectors have different base points")
+    return TangentRep._from_coordinates(v.coordinates + w.coordinates, v.n_edges,
+                                        v.base_hash)
+
+
+def gradients(system, X):
+    """Deformation gradients ``(m, 3, 3)`` of the stacked positions ``X`` of
+    a :class:`PoissonSystem`."""
+    return system.gradient_rows(X).reshape(system.n_triangles, 3, 3).transpose(0, 2, 1)
+
+
+def generalization(ref, reps, modes, params=DistanceParams(), metric="intrinsic"):
+    """Leave-one-out error for one mode count."""
+    return float(generalization_curve(ref, reps, max_modes=modes, params=params,
+                                      metric=metric)[modes - 1])
 
 
 def pdm_synthesize(model, coeffs):

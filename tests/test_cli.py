@@ -680,3 +680,6 @@ class TestReadme:
             assert main(argv) == 0, (words, capsys.readouterr().err)
         for line in capsys.readouterr().err.splitlines():
             assert WARNING.fullmatch(line), line
+        # The loaded model projects the cohort as the model that wrote it.
+        assert (tmp_path / "features.csv").read_bytes() == \
+            (tmp_path / "coeffs.csv").read_bytes()

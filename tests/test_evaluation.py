@@ -12,7 +12,6 @@ from shapeforms.evaluation import (
     accuracy_curve,
     compactness,
     discriminating_path,
-    generalization,
     generalization_curve,
     metrics_report,
     monte_carlo_cv,
@@ -35,7 +34,7 @@ from shapeforms.representation import (
 from shapeforms.statistics import PGAModel, coefficients, frechet_mean, pga
 from shapeforms.synthetic import icosphere, smooth_deformation
 
-from helpers import INVALID_STOPPING_RULES, pdm_synthesize
+from helpers import INVALID_STOPPING_RULES, generalization, pdm_synthesize
 
 
 @pytest.fixture(scope="module")
@@ -419,6 +418,34 @@ class TestBatchedSvm:
         assert np.array_equal(clf.feature_mean, expected.feature_mean)
         assert np.array_equal(clf.feature_std, expected.feature_std)
         assert np.array_equal(clf.predict(X), expected.predict(X))
+
+    def test_model_over_draws_decides_as_each_draw(self):
+        # monte_carlo_cv tests its draws through one ClassifierModel whose
+        # fields carry a leading draw axis.
+        X, y = toy_blobs(n_per_class=20, separation=0.6, dims=7, seed=17)
+        rng = np.random.default_rng(0)
+        models = []
+        for _ in range(3):
+            rows = np.concatenate([rng.permutation(20)[:14],
+                                   20 + rng.permutation(20)[:14]])
+            models.append(train_svm(X[rows], y[rows]))
+        stacked = ClassifierModel(
+            weights_std=np.stack([m.weights_std for m in models]),
+            bias_std=np.array([m.bias_std for m in models]),
+            feature_mean=np.stack([m.feature_mean for m in models]),
+            feature_std=np.stack([m.feature_std for m in models]),
+            regularization=1.0,
+        )
+        features = rng.normal(size=(3, 11, 7))
+        decision = stacked.decision_function(features)
+        predicted = stacked.predict(features)
+        assert decision.shape == predicted.shape == (3, 11)
+        for k, m in enumerate(models):
+            assert np.array_equal(stacked.eta[k], m.eta)
+            assert stacked.bias[k] == m.bias
+            np.testing.assert_allclose(decision[k], m.decision_function(features[k]),
+                                       rtol=1e-13, atol=1e-15)
+            assert np.array_equal(predicted[k], m.predict(features[k]))
 
     def test_two_iterations_average_the_last(self):
         X, y = toy_blobs(seed=15)

@@ -16,7 +16,7 @@ from shapeforms.synthetic import (
     icosphere,
 )
 
-from helpers import analytic_cylinder_development, unfold_rotation
+from helpers import analytic_cylinder_development, edge_index, unfold_rotation
 
 
 def planar_two_triangles():
@@ -48,7 +48,7 @@ def jittered_hemisphere(seed=4, scale=0.02):
 
 def per_edge_unfold(ref, i, j):
     """Unfolding rotation of one inner edge, computed on its own."""
-    a, b = ref.edge_shared_vertices[ref.edge_index(i, j)]
+    a, b = ref.edge_shared_vertices[edge_index(ref, i, j)]
     axis = ref.mesh.vertices[b] - ref.mesh.vertices[a]
     axis = axis / np.linalg.norm(axis)
     ni, nj = ref.frames[i, :, 2], ref.frames[j, :, 2]

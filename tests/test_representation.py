@@ -25,7 +25,14 @@ from shapeforms.representation import (
 )
 from shapeforms.synthetic import icosphere, smooth_deformation
 
-from helpers import flatten_tangent, needle_mesh, rep_inner, unflatten_tangent
+from helpers import (
+    add_tangents,
+    flatten_tangent,
+    needle_mesh,
+    rep_inner,
+    unflatten_tangent,
+    zero_tangent,
+)
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +85,25 @@ class TestEncode:
         assert np.max(np.abs(decomp.rotations @ decomp.stretches3 - decomp.gradients)) < 1e-10
         gram = np.swapaxes(decomp.frames, -1, -2) @ decomp.frames
         assert np.max(np.abs(gram - np.eye(3))) < 1e-10
+
+    @pytest.mark.parametrize("kind", ["mirrored", "folded"])
+    def test_reversed_orientation_encodes(self, ref, kind):
+        # Each gradient maps the reference normal onto its deformed
+        # triangle's own normal, so its determinant is positive even where
+        # the mesh is mirrored or folded, and encode raises nothing.
+        vertices = ref.mesh.vertices.copy()
+        if kind == "mirrored":
+            vertices[:, 0] *= -1.0
+        else:
+            # Vertex 0 moves through the centre, which folds its fan over.
+            vertices[0] *= -0.5
+        rep, decomp = encode(ref, TriangleMesh(vertices, ref.mesh.triangles))
+        assert np.all(np.linalg.det(decomp.gradients) > 0.0)
+        assert np.all(np.isfinite(rep.rotations))
+        assert np.all(np.isfinite(rep.stretches))
+        # Only a direct polar3 call meets OrientationError.
+        with pytest.raises(OrientationError, match=r"^non-positive determinant -"):
+            polar3(-decomp.gradients)
 
 
 class TestEncodeStack:
@@ -244,7 +270,7 @@ class TestLogExp:
 
     def test_exp_of_zero(self, ref, deformed_reps):
         s = deformed_reps[0]
-        out = rep_exp(s, TangentRep.zero(s))
+        out = rep_exp(s, zero_tangent(s))
         assert np.allclose(out.rotations, s.rotations, atol=1e-15)
         assert np.allclose(out.stretches, s.stretches, atol=1e-15)
 
@@ -267,14 +293,14 @@ class TestLogExp:
         s = deformed_reps[0]
         v = rep_log(s, deformed_reps[1])
         w = rep_log(s, deformed_reps[2])
-        lhs = rep_inner(ref, params, 2.0 * v + (-0.5) * w, w)
+        lhs = rep_inner(ref, params, add_tangents(2.0 * v, (-0.5) * w), w)
         rhs = 2.0 * rep_inner(ref, params, v, w) - 0.5 * rep_inner(ref, params, w, w)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_zero_inner(self, ref, deformed_reps):
         s = deformed_reps[0]
         v = rep_log(s, deformed_reps[1])
-        assert rep_inner(ref, DistanceParams(), v, TangentRep.zero(s)) == 0.0
+        assert rep_inner(ref, DistanceParams(), v, zero_tangent(s)) == 0.0
 
     def test_flatten_roundtrip(self, ref, deformed_reps):
         params = DistanceParams(2.5)
@@ -460,14 +486,14 @@ class TestTangentLayout:
         v, w = random_tangent(rng, base), random_tangent(rng, base)
         c = rng.normal()
         for got, rot, spd in (
-            (v + w, v.rot_part + w.rot_part, v.stretch_part + w.stretch_part),
+            (add_tangents(v, w), v.rot_part + w.rot_part, v.stretch_part + w.stretch_part),
             (c * v, v.rot_part * c, v.stretch_part * c),
             (v * c, v.rot_part * c, v.stretch_part * c),
         ):
             assert got.base_hash == base.content_hash()
             assert np.array_equal(got.rot_part, rot)
             assert np.array_equal(got.stretch_part, spd)
-        zero = TangentRep.zero(base)
+        zero = zero_tangent(base)
         assert zero.rot_part.shape == (layout_ref.n_inner_edges, 3)
         assert zero.stretch_part.shape == (layout_ref.n_triangles, 2, 2)
         assert not np.any(zero.coordinates)

@@ -43,7 +43,7 @@ from shapeforms.statistics import (
 )
 from shapeforms.synthetic import icosphere, smooth_deformation
 
-from helpers import flatten_tangent, unflatten_tangent
+from helpers import add_tangents, flatten_tangent, unflatten_tangent, zero_tangent
 
 #: Agreement of the stacked code with the per-shape references.
 REL = 1e-12
@@ -67,9 +67,9 @@ def loop_mean(reps, tol=1e-10, max_iter=50):
     mu = reps[0]
     n = len(reps)
     for _ in range(max_iter):
-        total = TangentRep.zero(mu)
+        total = zero_tangent(mu)
         for rep in reps:
-            total = total + rep_log(mu, rep)
+            total = add_tangents(total, rep_log(mu, rep))
         residual = np.sqrt(2.0 * np.sum(total.rot_part**2)
                            + np.sum(total.stretch_part**2))
         if residual < tol:
@@ -102,9 +102,9 @@ def loop_coefficients(ref, params, mu, modes, rep):
 
 
 def loop_synthesize(mu, modes, coeffs):
-    total = TangentRep.zero(mu)
+    total = zero_tangent(mu)
     for a, mode in zip(coeffs, modes):
-        total = total + float(a) * mode
+        total = add_tangents(total, float(a) * mode)
     return rep_exp(mu, total)
 
 

@@ -1,10 +1,12 @@
 import functools
+import json
 
 import numpy as np
 import pytest
 
 from shapeforms import statistics
 from shapeforms.errors import ConvergenceError, ReferenceMismatchError
+from shapeforms.liegroups import spd2_log
 from shapeforms.reconstruction import reconstruct
 from shapeforms.reference import build_reference
 from shapeforms.representation import (
@@ -29,7 +31,7 @@ from shapeforms.statistics import (
 )
 from shapeforms.synthetic import icosphere, smooth_deformation
 
-from helpers import INVALID_STOPPING_RULES, rep_inner, rep_norm
+from helpers import INVALID_STOPPING_RULES, add_tangents, rep_inner, rep_norm
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +131,7 @@ class TestPGA:
         model = pga(ref, [s, t])
         assert model.n_modes == 1
         mu = model.mean
-        direction = rep_log(mu, t) + (-1.0) * rep_log(mu, s)
+        direction = add_tangents(rep_log(mu, t), (-1.0) * rep_log(mu, s))
         norm = rep_norm(ref, model.params, direction)
         cosine = rep_inner(ref, model.params, model.modes[0], direction) / norm
         assert abs(abs(cosine) - 1.0) < 1e-8
@@ -309,6 +311,37 @@ class TestSerializationAndRebias:
         assert np.array_equal(back._mode_matrix, model._mode_matrix)
         assert np.array_equal(back.variances, model.variances)
         assert back.mean.content_hash() == model.mean.content_hash()
+
+    def test_loaded_model_bit_equal_to_saved_one(self, ref, cohort, model, tmp_path):
+        # The mean's stretch logs travel with the model, so a loaded model
+        # projects and synthesizes with the bits of the one that saved it.
+        path = tmp_path / "model.json"
+        model.save(path)
+        back = PGAModel.load(path)
+        assert np.array_equal(back.mean.log_stretches, model.mean.log_stretches)
+        assert np.array_equal(back.mean.stretches, model.mean.stretches)
+        assert np.array_equal(_coefficient_rows(ref, back, cohort),
+                              _coefficient_rows(ref, model, cohort))
+        for rep in cohort:
+            assert np.array_equal(coefficients(ref, back, rep),
+                                  coefficients(ref, model, rep))
+        a = np.random.default_rng(1).normal(size=model.n_modes) * 0.1
+        s1, s2 = synthesize(model, a), synthesize(back, a)
+        assert np.array_equal(s2.rotations, s1.rotations)
+        assert np.array_equal(s2.stretches, s1.stretches)
+
+    def test_file_without_stretch_logs_loads(self, model, tmp_path):
+        # Files written before the mean carried its stretch logs.
+        path = tmp_path / "model.json"
+        model.save(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        del payload["mean"]["log_stretches"]
+        path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+        back = PGAModel.load(path)
+        assert np.array_equal(back.mean.rotations, model.mean.rotations)
+        assert np.array_equal(back.mean.stretches, model.mean.stretches)
+        assert np.array_equal(back.mean.log_stretches, spd2_log(model.mean.stretches))
+        assert np.array_equal(back._mode_matrix, model._mode_matrix)
 
     def test_modes_are_read_only_views_of_the_mode_matrix(self, model, tmp_path):
         model.save(tmp_path / "model.json")
