@@ -64,7 +64,14 @@ class CutLocusError(ShapeFormsError):
 
 
 class ReferenceMismatchError(ShapeFormsError):
-    """Objects bound to different reference shapes were combined."""
+    """Objects bound to different reference shapes were combined.
+
+    Every function given a reference raises it for a shape, mean or model
+    encoded on another reference (another hash, or other sizes); functions
+    that combine shapes without a reference raise it when the shapes'
+    references differ, and ``pdm_coefficients`` for a mesh with another
+    vertex count than its model.
+    """
 
     category = "mismatch"
 

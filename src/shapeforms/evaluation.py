@@ -19,7 +19,6 @@ from .representation import (
     ShapeRep,
     TangentRep,
     _check_binding,
-    _check_pair,
     _coordinate_weights,
     _read_json,
     _tangent_distances,
@@ -31,7 +30,6 @@ from .statistics import (
     DEFAULT_MEAN_TOL,
     _blocks,
     _check_count,
-    _check_same_reference,
     _log_mean,
     _mean_entries,
     _mean_logs,
@@ -150,9 +148,7 @@ def _specificity_targets(ref, model, training):
     """The training shapes as :func:`_distances` targets at the model mean:
     their relative entries ``(9, n, E)`` and stretch logs ``(n, 4m)``."""
     mu = model.mean
-    _check_binding(ref, mu)
-    for t in training:
-        _check_pair(mu, t)
+    _check_binding(ref, mu, *training)
     return (_relative_entries(training, _mean_entries(mu)),
             _stretch_logs(training, mu.log_stretches).reshape(len(training), -1))
 
@@ -207,8 +203,7 @@ def _generalization(ref, reps, max_modes, params, meshes):
     log mean is the exact downdate ``(n mean - L_i) / (n - 1)``. Only the
     distinct prefixes of the held-out coefficients are measured.
     """
-    _check_same_reference(reps)
-    _check_binding(ref, reps[0])
+    _check_binding(ref, *reps)
     n = len(reps)
     log_mean = _log_mean(reps)
     full_mean = _mean_logs(reps, _mean_entries(reps[0]), log_mean, log_mean,
@@ -557,7 +552,16 @@ def pdm_fit(meshes, tol=1e-10, max_iter=100):
 
 
 def pdm_coefficients(model, mesh):
-    """Project a mesh onto the model components (after rigid alignment)."""
+    """Project a mesh onto the model components (after rigid alignment).
+
+    Raises :class:`ReferenceMismatchError` if the mesh has another vertex
+    count than the model.
+    """
+    if mesh.n_vertices != model.mean_vertices.shape[0]:
+        raise ReferenceMismatchError(
+            f"mesh has {mesh.n_vertices} vertices, the model "
+            f"{model.mean_vertices.shape[0]}"
+        )
     aligned = _align_to(model.mean_vertices, mesh.vertices - mesh.vertices.mean(axis=0))
     centered = aligned.reshape(-1) - model.mean_vertices.reshape(-1)
     return model.components @ centered
@@ -575,6 +579,7 @@ def discriminating_path(ref, model, clf, steps, value_range):
     each coefficient vector is synthesized and reconstructed. A
     reconstruction that does not converge raises ``ConvergenceError``.
     """
+    _check_binding(ref, model.mean)
     eta = np.asarray(clf.eta, dtype=float)
     norm = float(np.linalg.norm(eta))
     if norm == 0.0:

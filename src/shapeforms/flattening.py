@@ -108,10 +108,10 @@ def flatten(ref, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, system=None):
     -------
     (TriangleMesh, FlatteningReport)
         The flattened mesh with its third coordinate set to zero (the
-        chart puts the seed triangle into the z = 0 plane with its first
-        frame axis along +x), plus the distortion report. A chart whose
-        reconstruction stopped at ``max_iter`` is still returned, with
-        ``report.converged`` false.
+        chart puts triangle 0, the root of the spanning tree, into the
+        z = 0 plane with its first frame axis along +x), plus the
+        distortion report. A chart whose reconstruction stopped at
+        ``max_iter`` is still returned, with ``report.converged`` false.
 
     Raises
     ------
@@ -125,11 +125,9 @@ def flatten(ref, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, system=None):
     rep = flat_projection(ref)
     mesh, solve = reconstruct(ref, rep, tol=tol, max_iter=max_iter, system=system)
 
-    # Seed chart: its reference frame becomes the coordinate frame.
-    seed_frame = ref.frames[ref.seed_triangle]
-    vertices = mesh.vertices @ seed_frame
-    seed_centroid = vertices[ref.mesh.triangles[ref.seed_triangle]].mean(axis=0)
-    vertices = vertices - seed_centroid
+    # The chart of triangle 0: its reference frame becomes the coordinate frame.
+    vertices = mesh.vertices @ ref.frames[0]
+    vertices = vertices - vertices[ref.mesh.triangles[0]].mean(axis=0)
 
     planarity = float(np.abs(vertices[:, 2]).max() / ref.mesh.bbox_diagonal)
     vertices[:, 2] = 0.0

@@ -33,19 +33,6 @@ _COFACTOR_MIN_DET = 1e-8
 _MIN_REL_SIGMA = 1e-10
 
 
-def skew(xi):
-    """Map vectors ``(..., 3)`` to skew-symmetric matrices ``(..., 3, 3)``."""
-    xi = np.asarray(xi, dtype=float)
-    K = np.zeros(xi.shape[:-1] + (3, 3))
-    K[..., 0, 1] = -xi[..., 2]
-    K[..., 0, 2] = xi[..., 1]
-    K[..., 1, 0] = xi[..., 2]
-    K[..., 1, 2] = -xi[..., 0]
-    K[..., 2, 0] = -xi[..., 1]
-    K[..., 2, 1] = xi[..., 0]
-    return K
-
-
 def _entries(R):
     """The row-major entries ``(9, ...)`` of ``(..., 3, 3)`` matrices.
 
@@ -137,11 +124,6 @@ def _angle_entries(e):
     return np.arctan2(sin_theta, cos_theta), vee
 
 
-def so3_angle(R):
-    """Rotation angle in ``[0, pi]`` of ``R``, stable near both endpoints."""
-    return _angle_entries(_entries(R))[0]
-
-
 def _check_cut_locus(theta, item):
     """Raise :class:`CutLocusError` if an angle is within ``_PI_MARGIN`` of
     pi, naming the flat index of the largest angle as ``item``."""
@@ -231,7 +213,7 @@ def _relative_angle_entries(q, r):
 
     The trace of ``Q^T R`` is the Frobenius product of ``Q`` and ``R``, and
     twice its axial vector is the sum over rows ``k`` of ``R[k] x Q[k]``.
-    The angle is then :func:`so3_angle`'s ``arctan2(|vee|, (tr - 1) / 2)``.
+    The angle is then ``arctan2(|vee|, (tr - 1) / 2)``, as in :func:`_angle_entries`.
     """
     q0, q1, q2, q3, q4, q5, q6, q7, q8 = q
     r0, r1, r2, r3, r4, r5, r6, r7, r8 = r

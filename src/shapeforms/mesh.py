@@ -114,18 +114,6 @@ class TriangleMesh:
                 f"{threshold:.3g}"
             )
 
-        # Consistent winding: no directed edge may appear twice. Then no
-        # undirected edge can touch more than two triangles either, since
-        # two of any three would traverse it in the same direction.
-        directed = np.concatenate(
-            [tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]], axis=0
-        )
-        keys = directed[:, 0] * self.n_vertices + directed[:, 1]
-        if np.unique(keys).size != keys.size:
-            raise MeshTopologyError(
-                "duplicated directed edge: non-manifold or inconsistent winding"
-            )
-
         pairs, _ = _dual_edges(tri, self.n_vertices)
         dual = scipy.sparse.coo_matrix(
             (np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(m, m)
@@ -137,41 +125,55 @@ class TriangleMesh:
             )
 
 
+def _side_keys(triangles, n_vertices):
+    """Keys ``lo * n_vertices + hi`` of the ``3m`` triangle sides ``(a, b)``,
+    with ``lo, hi`` the smaller and larger of ``a, b``, and whether each
+    side runs from ``lo`` to ``hi``. Side ``k`` belongs to triangle
+    ``k % m``: the sides ``(0, 1)`` of all triangles come first, then
+    ``(1, 2)`` and ``(2, 0)``."""
+    a = triangles.T.reshape(-1)
+    b = triangles[:, [1, 2, 0]].T.reshape(-1)
+    return np.minimum(a, b) * n_vertices + np.maximum(a, b), a < b
+
+
 def _dual_edges(triangles, n_vertices):
     """Edges shared by two triangles of a mesh with consistent winding.
 
     Returns ``(pairs, shared)``: the ``(E, 2)`` triangle indices ``i < j``
     and the ``(E, 2)`` vertex indices ``lo < hi`` of each shared edge, in
     ascending order of its key ``lo * n_vertices + hi``.
+
+    Raises
+    ------
+    MeshTopologyError
+        If a directed edge occurs twice: three or more sides share an
+        undirected edge, or two sides that share one point the same way.
+        No undirected edge then touches more than two triangles, and the
+        two that share one traverse it in opposite directions.
     """
     m = triangles.shape[0]
-    corners = np.concatenate(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]], axis=0
-    )
-    lo = corners.min(axis=1)
-    hi = corners.max(axis=1)
-    keys = lo * n_vertices + hi
+    keys, forward = _side_keys(triangles, n_vertices)
     order = np.argsort(keys)
     sorted_keys = keys[order]
-    # The two rows of a shared edge are adjacent in key order; row ``k`` of
-    # ``corners`` belongs to triangle ``k % m``.
+    # The two sides of a shared edge are adjacent in key order.
     run = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
     first, second = order[run], order[run + 1]
+    if (np.any(sorted_keys[2:] == sorted_keys[:-2])
+            or np.any(forward[first] == forward[second])):
+        raise MeshTopologyError(
+            "duplicated directed edge: non-manifold or inconsistent winding"
+        )
     a, b = first % m, second % m
     pairs = np.stack((np.minimum(a, b), np.maximum(a, b)), axis=1)
-    shared = np.stack((lo[first], hi[first]), axis=1)
+    shared = np.stack(np.divmod(sorted_keys[run], n_vertices), axis=1)
     return pairs, shared
 
 
 def unique_edges(triangles):
     """All undirected edges of a triangle list as ``(E, 2)`` sorted pairs."""
-    triangles = np.asarray(triangles)
-    pairs = np.concatenate(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]], axis=0
-    )
-    lo = pairs.min(axis=1)
-    hi = pairs.max(axis=1)
-    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+    triangles = np.asarray(triangles, dtype=np.int64)
+    n = int(triangles.max(initial=0)) + 1
+    return np.stack(np.divmod(np.unique(_side_keys(triangles, n)[0]), n), axis=1)
 
 
 def _suffix(path):

@@ -79,15 +79,16 @@ _LEAF_SIZE = 32
 def init_rotations(ref, rep):
     """Warm-start rotation field from spanning-tree propagation.
 
-    The seed triangle gets the identity; along every tree edge the local
-    integrability condition determines the child from the parent. For
-    integrable representations this already reproduces the full rotation
-    field (up to the global rotation fixed at the seed).
+    Triangle 0, the root of the spanning tree, gets the identity; along
+    every tree edge the local integrability condition determines the child
+    from the parent. For integrable representations this already
+    reproduces the full rotation field (up to the global rotation fixed at
+    triangle 0).
     """
     _check_binding(ref, rep)
     m = ref.n_triangles
     R = np.empty((m, 3, 3))
-    R[ref.seed_triangle] = np.eye(3)
+    R[0] = np.eye(3)
     F = ref.frames
     parent, child = ref.spanning_tree.T
     C = rep.rotations[ref.tree_edge_indices]
@@ -471,7 +472,7 @@ def reconstruct(ref, rep, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, system=Non
     -------
     (TriangleMesh, EnergyReport)
         The reconstructed mesh (vertex barycenter at the reference
-        barycenter, orientation fixed by the seed triangle) and the energy
+        barycenter, orientation fixed by triangle 0) and the energy
         trace. The energy sequence is non-increasing.
 
     Raises

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse
 from scipy.sparse.csgraph import breadth_first_order
 
-from .errors import DegenerateGeometryError, MeshTopologyError
+from .errors import MeshTopologyError
 from .mesh import TriangleMesh, _dual_edges
 
 
@@ -42,7 +42,7 @@ class ReferenceGeometry:
         ``(m,)`` number of triangles adjacent to each triangle.
     spanning_tree : ndarray
         ``(m - 1, 2)`` dual-graph tree edges ``(parent, child)`` in
-        breadth-first visit order from seed triangle 0: the
+        breadth-first visit order from triangle 0, the root: the
         ``scipy.sparse.csgraph.breadth_first_order`` of the dual adjacency
         in CSR form, whose rows list the adjacent triangles in ascending
         order.
@@ -70,7 +70,6 @@ class ReferenceGeometry:
     tree_edge_indices: np.ndarray
     tree_depths: np.ndarray
     grad_inverses: np.ndarray
-    seed_triangle: int = 0
     content_hash: str = field(default="")
 
     @property
@@ -150,7 +149,7 @@ def build_reference(mesh):
     children = visit[1:].astype(np.int64)
     tree = np.stack((parent[children].astype(np.int64), children), axis=1)
     # Depths by pointer jumping: hops[i] counts the tree edges from i up to
-    # up[i], and each round doubles the reach until all point at the seed.
+    # up[i], and each round doubles the reach until all point at triangle 0.
     up = np.maximum(parent, 0)
     hops = np.ones(m, dtype=np.int64)
     hops[0] = 0
@@ -176,7 +175,6 @@ def build_reference(mesh):
         tree_edge_indices=tree_edge_indices,
         tree_depths=tree_depths,
         grad_inverses=grad_inverses,
-        seed_triangle=0,
         content_hash=mesh.content_hash(),
     )
 
@@ -192,18 +190,12 @@ def deformation_gradients(ref, mesh):
     ------
     MeshTopologyError
         If ``mesh`` does not share the reference triangle list.
-    DegenerateGeometryError
-        If a deformed triangle collapses.
     """
     if not np.array_equal(mesh.triangles, ref.mesh.triangles):
         raise MeshTopologyError("mesh and reference have different triangle lists")
     e1, e2 = mesh.edge_vectors()
     cross = np.cross(e1, e2)
-    norms = np.linalg.norm(cross, axis=1)
-    threshold = 1e-12 * mesh.bbox_diagonal**2
-    if np.any(0.5 * norms <= threshold):
-        bad = int(np.argmin(norms))
-        raise DegenerateGeometryError(f"deformed triangle {bad} is degenerate")
-    normals = cross / norms[:, None]
+    # A TriangleMesh has no degenerate triangle, so every norm is positive.
+    normals = cross / np.linalg.norm(cross, axis=1)[:, None]
     target = np.stack((e1, e2, normals), axis=-1)
     return target @ ref.grad_inverses

@@ -259,21 +259,31 @@ class TangentRep:
     __rmul__ = __mul__
 
 
-def _check_binding(ref, rep):
-    if rep.reference_hash != ref.content_hash:
-        raise ReferenceMismatchError(
-            "representation is bound to a different reference shape"
-        )
-    if rep.n_edges != ref.n_inner_edges or rep.n_triangles != ref.n_triangles:
-        raise ReferenceMismatchError(
-            f"representation sized ({rep.n_edges} edges, {rep.n_triangles} "
-            f"triangles) does not fit the reference ({ref.n_inner_edges}, "
-            f"{ref.n_triangles})"
-        )
+def _check_binding(ref, *shapes):
+    """Raise :class:`ReferenceMismatchError` unless every shape was encoded
+    on ``ref``: its reference hash is ``ref``'s and its sizes fit. This
+    serves every entry point that is given a reference."""
+    if not shapes:
+        raise ValueError("need at least one representation")
+    for rep in shapes:
+        if rep.reference_hash != ref.content_hash:
+            raise ReferenceMismatchError(
+                "representation is bound to a different reference shape"
+            )
+        if rep.n_edges != ref.n_inner_edges or rep.n_triangles != ref.n_triangles:
+            raise ReferenceMismatchError(
+                f"representation sized ({rep.n_edges} edges, {rep.n_triangles} "
+                f"triangles) does not fit the reference ({ref.n_inner_edges}, "
+                f"{ref.n_triangles})"
+            )
 
 
-def _check_pair(s, t):
-    if s.reference_hash != t.reference_hash:
+def _check_same_reference(*shapes):
+    """Raise :class:`ReferenceMismatchError` unless all shapes were encoded
+    on one reference; this serves the entry points without one."""
+    if not shapes:
+        raise ValueError("need at least one representation")
+    if any(rep.reference_hash != shapes[0].reference_hash for rep in shapes[1:]):
         raise ReferenceMismatchError("representations use different references")
 
 
@@ -326,8 +336,8 @@ def rep_distance(ref, s, t, params=DistanceParams()):
     Raises :class:`CutLocusError`, naming the worst edge, if two transition
     rotations differ by an angle at pi.
     """
-    _check_binding(ref, s)
-    v = rep_log(s, t).coordinates
+    _check_binding(ref, s, t)
+    v = _log_coordinates(s, t)
     return float(np.sqrt(_coordinate_weights(ref, params) @ (v * v)))
 
 
@@ -337,11 +347,17 @@ def rep_log(base, s):
     Raises :class:`CutLocusError`, naming the worst edge, if two transition
     rotations differ by an angle at pi.
     """
-    _check_pair(base, s)
+    _check_same_reference(base, s)
+    return TangentRep._from_coordinates(_log_coordinates(base, s), base.n_edges,
+                                        base.content_hash())
+
+
+def _log_coordinates(base, s):
+    """The :class:`TangentRep` coordinates of :func:`rep_log` ``(base, s)``."""
     relative = _times_transpose(_entries(s.rotations), _entries(base.rotations))
     rot_part = _log_entries(relative, "edge")
     stretch_part = s.log_stretches - base.log_stretches
-    return TangentRep(rot_part, stretch_part, base.content_hash())
+    return np.concatenate((rot_part.reshape(-1), stretch_part.reshape(-1)))
 
 
 def rep_exp(base, v):
@@ -361,7 +377,7 @@ def geodesic(s, t, lam):
 def relative_rotation_angles(s, t):
     """Per-edge rotation angles between the transition rotations of two
     shapes; the diagnostic for staying clear of the cut locus."""
-    _check_pair(s, t)
+    _check_same_reference(s, t)
     if s.n_edges == 0:
         return np.zeros(0)
     return relative_angle(s.rotations, t.rotations)

@@ -45,8 +45,6 @@ from .liegroups import (
     _matrices,
     _times,
     _times_transpose,
-    spd2_exp,
-    spd2_log,
 )
 from .reconstruction import _check_stopping, _converged_mesh, reconstruct
 from .reference import build_reference
@@ -54,6 +52,8 @@ from .representation import (
     DistanceParams,
     ShapeRep,
     TangentRep,
+    _check_binding,
+    _check_same_reference,
     _coordinate_weights,
     _encode_stack,
     _read_json,
@@ -78,15 +78,6 @@ EIGENVALUE_CUTOFF = 1e-12
 #: rotation kernels. Their temporaries come to a few times the block, so
 #: the analysis of a cohort needs little more memory than its logs.
 _BLOCK_BYTES = 2**18
-
-
-def _check_same_reference(reps):
-    if not reps:
-        raise ValueError("need at least one representation")
-    first = reps[0].reference_hash
-    for rep in reps[1:]:
-        if rep.reference_hash != first:
-            raise ReferenceMismatchError("representations use different references")
 
 
 def _stacked_entries(reps):
@@ -167,8 +158,8 @@ def mean_residual(mu, reps):
     bounded factor, so the zero test is equivalent. ``reps`` must not be
     empty.
     """
-    _check_same_reference(reps)
-    _check_same_reference([mu, reps[0]])
+    _check_same_reference(*reps)
+    _check_same_reference(mu, reps[0])
     rot_logs = _rotation_logs(reps, _mean_entries(mu))
     return _residual(rot_logs.sum(axis=0),
                      _stretch_logs(reps, mu.log_stretches).sum(axis=0))
@@ -234,7 +225,7 @@ def frechet_mean(reps, tol=DEFAULT_MEAN_TOL, max_iter=DEFAULT_MEAN_MAX_ITER):
         If the residual is still above ``tol`` after ``max_iter`` steps.
     """
     _check_stopping(tol, max_iter, 1)
-    _check_same_reference(reps)
+    _check_same_reference(*reps)
     return _mean_and_logs(reps, tol, max_iter)[0]
 
 
@@ -369,11 +360,12 @@ def pga(ref, reps, mu=None, params=DistanceParams()):
     most ``DEFAULT_PGA_MEAN_TOL`` per shape); when it is not supplied, it
     is computed and the logs of its last step serve the analysis. Eigenvalues below
     ``EIGENVALUE_CUTOFF`` times the largest are discarded as numerical rank
-    noise.
+    noise. A shape or ``mu`` encoded on another reference than ``ref``
+    raises :class:`ReferenceMismatchError`.
     """
-    _check_same_reference(reps)
-    if mu is not None and mu.reference_hash != reps[0].reference_hash:
-        raise ReferenceMismatchError("mean uses a different reference")
+    _check_binding(ref, *reps)
+    if mu is not None:
+        _check_binding(ref, mu)
     mu, variances, matrix = _mean_and_modes(ref, reps, mu, params)
     base_hash = mu.content_hash()
     modes = [TangentRep._from_coordinates(row, mu.n_edges, base_hash) for row in matrix]
@@ -405,8 +397,7 @@ def _project(reps, mean, matrix, weights):
 
 def _coefficient_rows(ref, model, reps):
     """Mode coefficients ``(n, k)`` of ``reps`` in ``model``, see :func:`_project`."""
-    if any(rep.reference_hash != model.reference_hash for rep in reps):
-        raise ReferenceMismatchError("representation uses a different reference")
+    _check_binding(ref, model.mean, *reps)
     mu = model.mean
     return _project(reps, (_mean_entries(mu), mu.log_stretches), model._mode_matrix,
                     _coordinate_weights(ref, model.params))
@@ -414,7 +405,8 @@ def _coefficient_rows(ref, model, reps):
 
 def coefficients(ref, model, rep):
     """Mode coefficients of ``rep``: inner products with the modes, the
-    one-shape case of :func:`_coefficient_rows`."""
+    one-shape case of :func:`_coefficient_rows`. A model or shape encoded
+    on another reference than ``ref`` raises :class:`ReferenceMismatchError`."""
     return _coefficient_rows(ref, model, [rep])[0]
 
 

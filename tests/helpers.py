@@ -7,7 +7,14 @@ import numpy as np
 from shapeforms.errors import MeshTopologyError, ReferenceMismatchError
 from shapeforms.evaluation import generalization_curve
 from shapeforms.flattening import _unfold_rotations
-from shapeforms.liegroups import _check_cut_locus, relative_angle, spd2_exp, spd2_log
+from shapeforms.liegroups import (
+    _angle_entries,
+    _check_cut_locus,
+    _entries,
+    relative_angle,
+    spd2_exp,
+    spd2_log,
+)
 from shapeforms.mesh import TriangleMesh
 from shapeforms.representation import (
     DistanceParams,
@@ -25,6 +32,12 @@ def so3_distance(Q, R):
     theta = relative_angle(Q, R)
     _check_cut_locus(theta, "relative rotation")
     return np.sqrt(2.0) * theta
+
+
+def so3_angle(R):
+    """Rotation angle in ``[0, pi]`` of ``R``, stable near both endpoints:
+    the angle that the library's rotation logarithm uses."""
+    return _angle_entries(_entries(R))[0]
 
 
 def spd2_mul(U, V):
@@ -112,9 +125,21 @@ def pdm_synthesize(model, coeffs):
     return flat.reshape(-1, 3)
 
 
+def skew(xi):
+    """Map vectors ``(..., 3)`` to skew-symmetric matrices ``(..., 3, 3)``."""
+    xi = np.asarray(xi, dtype=float)
+    K = np.zeros(xi.shape[:-1] + (3, 3))
+    K[..., 0, 1] = -xi[..., 2]
+    K[..., 0, 2] = xi[..., 1]
+    K[..., 1, 0] = xi[..., 2]
+    K[..., 1, 2] = -xi[..., 0]
+    K[..., 2, 0] = -xi[..., 1]
+    K[..., 2, 1] = xi[..., 0]
+    return K
+
+
 def unskew(K):
-    """Inverse of :func:`shapeforms.liegroups.skew`; uses the antisymmetric
-    part of ``K``."""
+    """Inverse of :func:`skew`; uses the antisymmetric part of ``K``."""
     K = np.asarray(K, dtype=float)
     return 0.5 * np.stack(
         (

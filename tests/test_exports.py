@@ -1,6 +1,7 @@
-"""The package exports only functions that the program itself calls."""
+"""The package has only public functions that the program itself calls."""
 
 import ast
+import importlib
 import inspect
 import pkgutil
 from pathlib import Path
@@ -108,3 +109,20 @@ def test_every_synthetic_generator_has_a_caller():
                  if not name.startswith("_") and inspect.isfunction(value)
                  and value.__module__ == synthetic.__name__]
     assert _uncalled(functions, _sources(), own_module_counts=True) == []
+
+
+def test_every_public_function_has_a_caller():
+    # An exported function needs a caller outside its module; any other
+    # public function, such as ``cli.build_parser``, one anywhere.
+    used = _sources()
+    uncalled = []
+    for module in sorted(MODULES - {"shapeforms"}):
+        namespace = vars(importlib.import_module(module))
+        functions = [(name, value) for name, value in namespace.items()
+                     if not name.startswith("_") and inspect.isfunction(value)
+                     and value.__module__ == module]
+        exported = [item for item in functions if item[0] in shapeforms.__all__]
+        internal = [item for item in functions if item[0] not in shapeforms.__all__]
+        uncalled += _uncalled(exported, used, own_module_counts=False)
+        uncalled += _uncalled(internal, used, own_module_counts=True)
+    assert uncalled == []

@@ -16,15 +16,13 @@ from shapeforms.liegroups import (
     polar3,
     polar_rotation,
     relative_angle,
-    skew,
-    so3_angle,
     so3_exp,
     so3_log,
     spd2_exp,
     spd2_log,
 )
 
-from helpers import so3_distance, spd2_distance, spd2_mul, unskew
+from helpers import skew, so3_angle, so3_distance, spd2_distance, spd2_mul, unskew
 
 
 def random_rotation(rng, max_angle=np.pi - 1e-3):

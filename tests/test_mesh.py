@@ -9,7 +9,14 @@ from shapeforms.errors import (
     MeshTopologyError,
 )
 from shapeforms.liegroups import so3_exp
-from shapeforms.mesh import DEGENERATE_AREA_FACTOR, TriangleMesh, load_mesh, save_mesh
+from shapeforms.mesh import (
+    DEGENERATE_AREA_FACTOR,
+    TriangleMesh,
+    _dual_edges,
+    load_mesh,
+    save_mesh,
+    unique_edges,
+)
 from shapeforms.reference import build_reference, deformation_gradients
 from shapeforms.synthetic import cylinder_patch, icosphere
 
@@ -81,6 +88,35 @@ class TestTriangleMesh:
             triangles = triangles[:, ::-1]
         with pytest.raises(MeshTopologyError, match="duplicated directed edge"):
             TriangleMesh(vertices, triangles)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_directed_edge_rule_matches_directed_keys(self, seed):
+        # Drop, reverse and repeat triangles of a closed mesh: the one key
+        # sort refuses the list exactly when a directed edge repeats.
+        rng = np.random.default_rng(seed)
+        tri = icosphere(1).triangles
+        tri = tri[rng.random(len(tri)) < rng.choice([0.7, 1.0])]
+        if seed % 3 == 0:
+            tri = tri[:, ::-1]
+        flip = rng.choice(len(tri), size=rng.integers(0, 3), replace=False)
+        tri[flip] = tri[flip, ::-1]
+        extra = tri[rng.choice(len(tri), size=rng.integers(0, 2))]
+        tri = np.concatenate((tri, extra[:, :: rng.choice([1, -1])]))
+        directed = np.concatenate((tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]))
+        keys = directed[:, 0] * 42 + directed[:, 1]
+        if np.unique(keys).size == keys.size:
+            _dual_edges(tri, 42)
+        else:
+            with pytest.raises(MeshTopologyError, match="duplicated directed edge"):
+                _dual_edges(tri, 42)
+
+    @pytest.mark.parametrize("mesh", [icosphere(2), cylinder_patch(n_u=8, n_v=12)],
+                             ids=["icosphere-2", "cylinder-patch"])
+    def test_unique_edges_are_the_sorted_rows(self, mesh):
+        tri = mesh.triangles
+        rows = np.sort(np.concatenate((tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]])),
+                       axis=1)
+        assert_bit_equal(unique_edges(tri), np.unique(rows, axis=0))
 
     def test_normals_unit(self, tetrahedron):
         normals = tetrahedron.triangle_normals()
@@ -474,7 +510,7 @@ class TestReference:
         tree = ref.spanning_tree
         pairs = ref.inner_edges[ref.tree_edge_indices]
         assert np.array_equal(pairs, np.sort(tree, axis=1))
-        depth = {ref.seed_triangle: 0}
+        depth = {0: 0}
         for (parent, child), d in zip(tree, ref.tree_depths):
             depth[int(child)] = depth[int(parent)] + 1
             assert d == depth[int(child)]

@@ -122,7 +122,7 @@ class TestInitRotations:
         rep = perturbed_rep(ref, rep, seed=6)
         F = ref.frames
         expected = np.empty((ref.n_triangles, 3, 3))
-        expected[ref.seed_triangle] = np.eye(3)
+        expected[0] = np.eye(3)
         for parent, child in ref.spanning_tree:
             C = rep.rotations[edge_index(ref, int(parent), int(child))]
             if parent > child:

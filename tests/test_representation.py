@@ -236,6 +236,15 @@ class TestDistance:
         with pytest.raises(ReferenceMismatchError):
             rep_distance(ref, deformed_reps[0], alien)
 
+    def test_norm_of_the_log_without_hashing(self, ref, deformed_reps):
+        # Fresh shapes: neither has computed its content hash yet.
+        s, t = (ShapeRep(rep.rotations, rep.stretches, rep.reference_hash)
+                for rep in deformed_reps[:2])
+        d = rep_distance(ref, s, t)
+        assert "_content_hash" not in vars(s) and "_content_hash" not in vars(t)
+        v = rep_log(s, t).coordinates
+        assert d == float(np.sqrt(_coordinate_weights(ref, DistanceParams()) @ (v * v)))
+
     def test_against_dense_matrix_log_oracle(self, ref, deformed_reps):
         # Independent evaluation: dense matrix logarithms and explicit
         # summation of the weighted squared terms.
