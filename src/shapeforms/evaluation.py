@@ -46,8 +46,9 @@ from .statistics import (
 DEFAULT_SVM_ITERATIONS = 600
 DEFAULT_CV_DRAWS = 200
 #: Byte budget of one stacked per-draw array in ``monte_carlo_cv``. Draws
-#: are trained in as few blocks as keep each array below it; a block this
-#: small stays in a core's L2 cache over all the iterations.
+#: are trained in as few blocks as keep each array below it. The iterations
+#: read only the stacked Grams, which a block this small keeps in a core's
+#: L2 cache over all of them.
 _SVM_BLOCK_BYTES = 2**20
 
 
@@ -356,11 +357,19 @@ def _train_stack(X, y, reg, n_iterations):
 
     ``X`` is ``(draws, n, d)`` raw features and ``y`` the ``(draws, n)``
     labels in {-1, +1}. Each draw is centered by its own mean and divided
-    by its own pooled scale, then minimizes ``0.5 / reg * |w|^2 + mean
-    hinge`` by full-batch subgradient descent with ``1/(alpha t)`` steps
-    (Pegasos, Shalev-Shwartz et al. 2007) and averaging over the last half
-    of the iterations. The bias is not regularized. Returns the
-    :class:`ClassifierModel` of all draws, with a leading draw axis.
+    by its own pooled scale. On the objective ``0.5 / reg * |w|^2 + mean
+    hinge``, with the bias not regularized, it takes ``n_iterations``
+    full-batch subgradient steps of size ``1/(alpha t)`` (Pegasos,
+    Shalev-Shwartz et al. 2007) and averages the iterates of the last half.
+    It stops there and measures no optimality gap.
+
+    The steps run in the ``n``-dimensional dual. With ``Z`` the
+    label-signed rows and ``c_t`` the count of steps in which each row was
+    active, ``w_t = Z^T c_t / (alpha n t)``, so ``alpha n t`` times the
+    margins are ``[K | alpha n y] @ [c_t; t b_t]`` with ``K = Z Z^T``. A
+    step costs ``n (n + 1)`` per draw; ``d`` enters only in forming ``K``
+    and in reading out the weights. Returns the :class:`ClassifierModel`
+    of all draws, with a leading draw axis.
     """
     _check_count("n_iterations", n_iterations, 2)
     draws, n, d = X.shape
@@ -370,25 +379,34 @@ def _train_stack(X, y, reg, n_iterations):
     # and must survive normalization.
     pooled = np.sqrt(np.mean(centered**2, axis=(1, 2)))
     scale = np.where(pooled > 0.0, pooled, 1.0)
-    # Label-signed rows with a ones column for the bias, so the margins
-    # and the hinge subgradient are one batched product each.
-    A = np.empty((draws, n, d + 1))
-    A[..., :d] = centered / scale[:, None, None] * y[..., None]
-    A[..., d] = y
+    Z = centered / scale[:, None, None] * y[..., None]
     alpha = 1.0 / reg
-    penalized = np.ones(d + 1)
-    penalized[d] = 0.0
-    v = np.zeros((draws, d + 1))
-    v_sum = np.zeros_like(v)
+    gram = np.empty((draws, n, n + 1))
+    gram[..., :n] = Z @ np.swapaxes(Z, 1, 2)
+    gram[..., n] = alpha * n * y
+    u = np.zeros((draws, n + 1))  # [c_t; t b_t]
+    c = u[:, :n]
+    b = np.zeros(draws)
+    c_sum = np.zeros((draws, n))
+    b_sum = np.zeros(draws)
+    margins = np.empty((draws, n))  # alpha n t times the margins of step t
     tail = n_iterations // 2
+    active = np.ones((draws, n))  # the margins of v_0 = 0 are all 0
     for t in range(1, n_iterations + 1):
-        active = (A @ v[..., None])[..., 0] < 1.0
-        hinge = (active[:, None, :].astype(float) @ A)[:, 0] / n
-        v = v - 1.0 / (alpha * t) * (alpha * penalized * v - hinge)
+        c += active
+        # The signed count of active rows is an exact integer sum, so the
+        # bias takes the primal subgradient step bit for bit.
+        signed = (active[:, None, :] @ y[..., None])[:, 0, 0]
+        b = b + 1.0 / (alpha * t) * (signed / n)
+        u[:, n] = t * b
         if t > n_iterations - tail:
-            v_sum += v
-    v = v_sum / tail
-    return ClassifierModel(weights_std=v[:, :d], bias_std=v[:, d], feature_mean=mean,
+            c_sum += c / t
+            b_sum += b
+        np.matmul(gram, u[..., None], out=margins[..., None])
+        np.less(margins, alpha * n * t, out=active)
+    weights = (c_sum[:, None, :] @ Z)[:, 0] / (alpha * n * tail)
+    return ClassifierModel(weights_std=weights, bias_std=b_sum / tail,
+                           feature_mean=mean,
                            feature_std=np.repeat(scale[:, None], d, axis=1),
                            regularization=reg)
 
@@ -409,10 +427,14 @@ def _svm_data(features, labels):
 def train_svm(features, labels, reg=1.0, n_iterations=DEFAULT_SVM_ITERATIONS):
     """Soft-margin linear SVM via deterministic full-batch subgradient descent.
 
-    Minimizes ``0.5 / reg * |w|^2 + mean hinge`` on centered,
-    globally-scaled features with a ``1/t`` step size and tail averaging
-    over the last ``n_iterations // 2`` steps (``n_iterations`` must be at
-    least 2). Duplicating rows or rescaling all features leaves the
+    Takes ``n_iterations`` (at least 2) subgradient steps with a ``1/t``
+    step size on ``0.5 / reg * |w|^2 + mean hinge`` over centered,
+    globally-scaled features, and averages the iterates of the last
+    ``n_iterations // 2`` steps. It stops after those steps and reports no
+    optimality gap, so the result approximates the minimizer to an unknown
+    degree. Each step costs ``n (n + 1)`` for ``n`` rows; the feature count
+    ``d`` enters only in forming the rows' Gram matrix and reading out the
+    weights. Duplicating rows or rescaling all features leaves the
     decision rule unchanged. This is the one-draw case of the kernel that
     ``monte_carlo_cv`` trains its draws with.
     """
@@ -437,10 +459,12 @@ def monte_carlo_cv(features, labels, train_share, draws=DEFAULT_CV_DRAWS, reg=1.
     draws. All splits are drawn first; the draws are then trained together
     by the ``train_svm`` kernel and tested by the one
     :class:`ClassifierModel` of their block's draws, in as few blocks as
-    keep each stacked ``(draws, rows, features)`` array under
-    ``_SVM_BLOCK_BYTES``, which bounds the memory. Neither the block size
-    nor the number of draws changes any draw's result. The labels are
-    checked as by ``train_svm``: -1 and +1, both present.
+    keep each stacked array under ``_SVM_BLOCK_BYTES``, which bounds the
+    memory: the features ``(draws, rows, d)`` of the training and of the
+    test rows, and the Grams ``(draws, n, n + 1)`` of the ``n`` training
+    rows. Neither the block size nor the number of draws changes any
+    draw's result. The labels are checked as by ``train_svm``: -1 and +1,
+    both present.
     """
     if not 0.0 < train_share < 1.0:
         raise ValueError("train_share must be in (0, 1)")
@@ -464,7 +488,8 @@ def monte_carlo_cv(features, labels, train_share, draws=DEFAULT_CV_DRAWS, reg=1.
     train, test = splits[:, : 2 * k], splits[:, 2 * k:]
 
     d = X.shape[1]
-    per_draw = X.itemsize * max(train.shape[1] * (d + 1), test.shape[1] * d)
+    n = train.shape[1]
+    per_draw = X.itemsize * max(n * max(d, n + 1), test.shape[1] * d)
     block = max(1, _SVM_BLOCK_BYTES // per_draw)
     accuracies = np.empty(draws)
     for lo in range(0, draws, block):

@@ -243,7 +243,8 @@ class PGAModel:
     Raises
     ------
     ReferenceMismatchError
-        If a mode is not a tangent vector at ``mean``.
+        If a mode is not a tangent vector at ``mean``, or if
+        ``reference_hash`` is not the reference of ``mean``.
     """
 
     mean: ShapeRep
@@ -253,6 +254,10 @@ class PGAModel:
     reference_hash: str
 
     def __post_init__(self):
+        if self.reference_hash != self.mean.reference_hash:
+            raise ReferenceMismatchError(
+                f"model reference {self.reference_hash!r} is not its mean's "
+                f"{self.mean.reference_hash!r}")
         base_hash = self.mean.content_hash()
         if any(mode.base_hash != base_hash for mode in self.modes):
             raise ReferenceMismatchError("a mode is not a tangent vector at the mean")

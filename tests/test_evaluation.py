@@ -392,23 +392,51 @@ def reference_monte_carlo_cv(X, y, share, draws, seed=0):
 class TestBatchedSvm:
     """The batched kernel against the per-draw loop it replaced."""
 
-    @pytest.mark.parametrize("share", [0.2, 0.6])
-    @pytest.mark.parametrize("budget", [1, 10_000, None])
-    def test_cv_matches_per_draw_loop(self, monkeypatch, share, budget):
-        # Overlapping classes, so hinge terms stay active to the end. A
-        # budget of one byte trains every draw in its own block, 10 kB
-        # three or four draws per block with a shorter last one, and the
-        # default all 23 draws in one block.
-        X, y = toy_blobs(n_per_class=25, separation=0.6, dims=12, seed=12)
+    @staticmethod
+    def check_cv(monkeypatch, X, y, share, budget):
+        """``monte_carlo_cv`` against the per-draw loop under a block budget;
+        each block's stacked Grams fit it unless the block is one draw."""
         if budget is not None:
             monkeypatch.setattr(evaluation, "_SVM_BLOCK_BYTES", budget)
+        blocks = []
+        train_stack = evaluation._train_stack
+
+        def recording(X, y, reg, n_iterations):
+            blocks.append(X.shape)
+            return train_stack(X, y, reg, n_iterations)
+
+        monkeypatch.setattr(evaluation, "_train_stack", recording)
         expected = reference_monte_carlo_cv(X, y, share, draws=23, seed=4)
         assert expected[0] < 0.95
         assert monte_carlo_cv(X, y, share, draws=23, seed=4) == expected
+        assert sum(draws for draws, _, _ in blocks) == 23
+        for draws, n, _ in blocks:
+            # The stacked Grams (draws, n, n + 1) are what the steps read.
+            assert draws == 1 or draws * n * (n + 1) * 8 <= evaluation._SVM_BLOCK_BYTES
 
-    @pytest.mark.parametrize("seed", [13, 14])
-    def test_train_svm_matches_per_draw_loop(self, seed):
-        X, y = toy_blobs(n_per_class=30, separation=0.6, dims=9, seed=seed)
+    @pytest.mark.parametrize("share", [0.2, 0.6])
+    @pytest.mark.parametrize("budget", [1, 10_000, 30_000, None])
+    def test_cv_matches_per_draw_loop(self, monkeypatch, share, budget):
+        # Overlapping classes, so hinge terms stay active to the end. A
+        # budget of one byte trains every draw in its own block; 10 kB two
+        # draws per block at share 0.2 and one at 0.6, where the Gram of the
+        # 30 training rows alone takes 7.4 kB; 30 kB seven and four, with a
+        # shorter last block; and the default all 23 draws in one block.
+        X, y = toy_blobs(n_per_class=25, separation=0.6, dims=12, seed=12)
+        self.check_cv(monkeypatch, X, y, share, budget)
+
+    @pytest.mark.parametrize("share", [0.2, 0.6])
+    @pytest.mark.parametrize("budget", [1, 30_000, None])
+    def test_cv_matches_per_draw_loop_wide_features(self, monkeypatch, share, budget):
+        # As in C9, the features outnumber the training rows.
+        X, y = toy_blobs(n_per_class=10, separation=0.6, dims=40, seed=12)
+        self.check_cv(monkeypatch, X, y, share, budget)
+
+    @pytest.mark.parametrize("n_per_class, dims, seed",
+                             [(30, 9, 13), (30, 9, 14), (10, 40, 13), (300, 3, 14)],
+                             ids=["13", "14", "features>rows", "rows>>features"])
+    def test_train_svm_matches_per_draw_loop(self, n_per_class, dims, seed):
+        X, y = toy_blobs(n_per_class=n_per_class, separation=0.6, dims=dims, seed=seed)
         clf = train_svm(X, y)
         expected = reference_train_svm(X, y.astype(float))
         assert np.mean(expected.predict(X) == y) < 1.0

@@ -7,6 +7,7 @@ differ. Each table row is run with a foreign cohort from a reference with
 moved vertices (same sizes, another hash) and from one of another size.
 """
 
+import dataclasses
 import inspect
 from types import SimpleNamespace
 
@@ -120,3 +121,9 @@ def test_pdm_coefficients_rejects_another_vertex_count(data):
     mesh = smooth_deformation(icosphere(2), seed=0)
     with pytest.raises(ReferenceMismatchError, match="mesh has 162 vertices, the model 42"):
         pdm_coefficients(model, mesh)
+
+
+def test_model_reference_is_its_means(data):
+    # Saved, such a model would load with its mean bound to the wrong hash.
+    with pytest.raises(ReferenceMismatchError, match="model reference 'other'"):
+        dataclasses.replace(data.model, reference_hash="other")
