@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ReferenceMismatchError
-from .liegroups import _entries, _matrices
+from .liegroups import _entries, _matrices, _quaternions
 from .reconstruction import _check_stopping, _converged_mesh, prefactor, reconstruct
 from .representation import (
     DistanceParams,
@@ -100,16 +100,17 @@ def _distances(ref, mean, a, matrix, targets, weights, meshes, label):
     ``exp_mu(a @ matrix)`` to ``n`` targets, or ``(b,)`` to one target.
 
     ``mean`` is ``mu`` as rotation entries ``(9, E)``, stretch logs and
-    reference hash; ``targets`` the relative entries ``(9, [n,] E)`` and
-    stretch logs ``([n,] 4m)`` at ``mu``. With ``meshes`` ``None`` this is
-    :func:`_tangent_distances` in blocks whose per-row arrays stay under
-    ``_BLOCK_BYTES``; else each row is reconstructed on the system of
+    reference hash; ``targets`` the unit quaternions ``(4, [n,] E)`` of the
+    relative rotations and the stretch logs ``([n,] 4m)`` at ``mu``. With
+    ``meshes`` ``None`` this is :func:`_tangent_distances` in blocks whose
+    per-row arrays, such as the ``4E`` quaternion entries of a sample, stay
+    under ``_BLOCK_BYTES``; else each row is reconstructed on the system of
     :func:`_vertex_targets` (``ConvergenceError`` names ``label(k)``) and
     measured by :func:`_aligned_rms` against the target vertices.
     """
     relative, stretch_logs = targets
     if meshes is None:
-        item_bytes = 8 * max(9 * relative.shape[-1], matrix.shape[1],
+        item_bytes = 8 * max(4 * relative.shape[-1], matrix.shape[1],
                              relative[0].size, stretch_logs.size)
         axes = tuple(range(1, stretch_logs.ndim))  # one per target axis
         for block in _blocks(len(a), item_bytes):
@@ -147,10 +148,11 @@ def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrin
 
 def _specificity_targets(ref, model, training):
     """The training shapes as :func:`_distances` targets at the model mean:
-    their relative entries ``(9, n, E)`` and stretch logs ``(n, 4m)``."""
+    the unit quaternions ``(4, n, E)`` of their relative rotations and their
+    stretch logs ``(n, 4m)``."""
     mu = model.mean
     _check_binding(ref, mu, *training)
-    return (_relative_entries(training, _mean_entries(mu)),
+    return (_quaternions(_relative_entries(training, _mean_entries(mu))),
             _stretch_logs(training, mu.log_stretches).reshape(len(training), -1))
 
 
@@ -216,7 +218,7 @@ def _generalization(ref, reps, max_modes, params, meshes):
         mu, matrix = _fold_model(ref, params, reps[:i] + reps[i + 1:], full_mean,
                                  fold_log_mean)
         a = _project([held_out], (mu, fold_log_mean), matrix, weights)[0]
-        relative = _relative_entries([held_out], mu)[:, 0]
+        relative = _quaternions(_relative_entries([held_out], mu)[:, 0])
         stretch_logs = (held_out.log_stretches - fold_log_mean).reshape(-1)
         used = np.minimum(np.arange(1, max_modes + 1), a.size)
         distinct = np.unique(used)

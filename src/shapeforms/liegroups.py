@@ -5,6 +5,12 @@ All functions are pure and accept stacked inputs: an argument documented as
 ``(3, 3)`` may be ``(..., 3, 3)`` and the operation maps over the leading
 axes. Rotations follow the axis-angle convention where a tangent vector
 ``xi`` encodes the rotation by angle ``|xi|`` about ``xi / |xi|``.
+
+Internally, stacked rotations are row-major entries ``(9, ...)``, and the
+rotation distances (relative angles) are measured on unit quaternions
+``(4, ...)``, scalar part first: one relative-angle kernel,
+:func:`_quaternion_angle`, serves :func:`relative_angle` and the distances
+of model quality analysis, whose targets are quaternions ``(4, [n,] E)``.
 """
 
 import numpy as np
@@ -202,27 +208,109 @@ def _log_entries(e, item, check=_check_cut_locus):
 def relative_angle(Q, R):
     """Rotation angle in ``[0, pi]`` of ``Q^T R``, without forming it.
 
-    ``Q`` and ``R`` broadcast against each other; neither is copied to the
-    common shape. No cut-locus check: callers make it.
+    Measured on the unit quaternions ``(4, ...)`` of ``Q`` and ``R`` by
+    :func:`_quaternion_angle`. ``Q`` and ``R`` broadcast against each other;
+    each is converted at its own shape and neither is copied to the common
+    shape. No cut-locus check: callers make it.
     """
-    return _relative_angle_entries(_entries(Q), _entries(R))
+    return _quaternion_angle(_quaternions(_entries(Q)), _quaternions(_entries(R)))
 
 
-def _relative_angle_entries(q, r):
-    """:func:`relative_angle` from the entries ``(9, ...)`` of ``Q`` and ``R``.
+def _quaternions(e):
+    """Unit quaternions ``(4, ...)``, scalar first, of the rotations with
+    entries ``(9, ...)``.
 
-    The trace of ``Q^T R`` is the Frobenius product of ``Q`` and ``R``, and
-    twice its axial vector is the sum over rows ``k`` of ``R[k] x Q[k]``.
-    The angle is then ``arctan2(|vee|, (tr - 1) / 2)``, as in :func:`_angle_entries`.
+    The scalar part ``sqrt(1 + tr) / 2`` is the pivot wherever
+    ``1 + tr >= 1``, that is for angles up to 2 pi / 3, where it is at least
+    1/2. The rest pivot on the vector component of their largest diagonal
+    entry (Shepperd, "Quaternion from rotation matrix", 1978), which is then
+    the largest component and so at least 1/2 too. Every scalar part is
+    non-negative.
     """
-    q0, q1, q2, q3, q4, q5, q6, q7, q8 = q
-    r0, r1, r2, r3, r4, r5, r6, r7, r8 = r
-    trace = (q0 * r0 + q1 * r1 + q2 * r2) + (q3 * r3 + q4 * r4 + q5 * r5) + (
-        q6 * r6 + q7 * r7 + q8 * r8)
-    x = (r1 * q2 - r2 * q1) + (r4 * q5 - r5 * q4) + (r7 * q8 - r8 * q7)
-    y = (r2 * q0 - r0 * q2) + (r5 * q3 - r3 * q5) + (r8 * q6 - r6 * q8)
-    z = (r0 * q1 - r1 * q0) + (r3 * q4 - r4 * q3) + (r6 * q7 - r7 * q6)
-    return np.arctan2(0.5 * np.sqrt(x * x + y * y + z * z), 0.5 * (trace - 1.0))
+    shape = e.shape[1:]
+    e = e.reshape(9, -1)
+    trace = e[0] + e[4] + e[8]
+    out = np.empty((4, trace.size))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.sqrt(1.0 + trace, out=out[0])
+        out[0] *= 0.5
+        four_w = 4.0 * out[0]
+        np.divide(e[7] - e[5], four_w, out=out[1])
+        np.divide(e[2] - e[6], four_w, out=out[2])
+        np.divide(e[3] - e[1], four_w, out=out[3])
+    rest = np.flatnonzero(trace < 0.0)
+    if rest.size:
+        out[:, rest] = _shepperd(e[:, rest], trace[rest])
+    return out.reshape((4,) + shape)
+
+
+def _shepperd(e, trace):
+    """:func:`_quaternions` of rotations with entries ``(9, n)`` and traces
+    ``trace``, pivoting on the largest diagonal entry of each.
+
+    With ``k`` its index and ``(k, i, j)`` cyclic, component ``k`` of the
+    vector part is ``sqrt(1 + 2 R_kk - tr) / 2``, and the others follow from
+    the symmetric and antisymmetric parts of ``R``.
+    """
+    pivot = np.argmax(e[[0, 4, 8]], axis=0)
+    out = np.empty((4, e.shape[1]))
+    for k in range(3):
+        sel = pivot == k
+        i, j = (k + 1) % 3, (k + 2) % 3
+        r = e[:, sel]
+        v = 0.5 * np.sqrt(1.0 + 2.0 * r[4 * k] - trace[sel])
+        four_v = 4.0 * v
+        q = np.empty((4, v.size))
+        q[0] = (r[3 * j + i] - r[3 * i + j]) / four_v
+        q[1 + k] = v
+        q[1 + i] = (r[3 * i + k] + r[3 * k + i]) / four_v
+        q[1 + j] = (r[3 * j + k] + r[3 * k + j]) / four_v
+        # q and -q are the same rotation; keep the scalar part non-negative.
+        q *= np.where(q[0] < 0.0, -1.0, 1.0)
+        out[:, sel] = q
+    return out
+
+
+def _exp_quaternions(xi):
+    """Unit quaternions ``(4, ...)`` of the rotations ``so3_exp(xi)`` for
+    axis-angle vectors ``(..., 3)``: ``(cos(t/2), sin(t/2)/t * xi)`` with
+    ``t = |xi|``, and the series ``1/2 - t^2/48`` of ``sin(t/2)/t`` below
+    ``_TINY_ANGLE``. The scalar part is negative for ``t > pi``.
+    """
+    xi = np.asarray(xi, dtype=float)
+    x, y, z = np.moveaxis(xi, -1, 0)
+    theta = np.sqrt(x * x + y * y + z * z)
+    small = theta < _TINY_ANGLE
+    half = 0.5 * theta
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = np.where(small, 0.5 - theta * theta / 48.0,
+                     np.sin(half) / np.where(small, 1.0, theta))
+    out = np.empty((4,) + theta.shape)
+    # out[k, ...] stays an array, also for a single vector.
+    np.cos(half, out=out[0, ...])
+    np.multiply(s, x, out=out[1, ...])
+    np.multiply(s, y, out=out[2, ...])
+    np.multiply(s, z, out=out[3, ...])
+    return out
+
+
+def _quaternion_angle(a, p):
+    """Rotation angle in ``[0, pi]`` between the rotations with quaternions
+    ``a`` and ``p`` ``(4, ...)``; their leading shapes broadcast.
+
+    The relative rotation ``A^T P`` has the quaternion ``a* p``, whose
+    scalar part is the dot product ``a . p``. Its angle is
+    ``2 arctan2(|vec(a* p)|, |a . p|)``: the absolute value makes ``q`` and
+    ``-q`` the same rotation, and the arctangent stays accurate near 0 and
+    near pi.
+    """
+    aw, ax, ay, az = a
+    pw, px, py, pz = p
+    dot = aw * pw + ax * px + ay * py + az * pz
+    x = (aw * px - pw * ax) - (ay * pz - az * py)
+    y = (aw * py - pw * ay) - (az * px - ax * pz)
+    z = (aw * pz - pw * az) - (ax * py - ay * px)
+    return 2.0 * np.arctan2(np.sqrt(x * x + y * y + z * z), np.abs(dot))
 
 
 def _sym2_eig(A):

@@ -36,9 +36,9 @@ from .errors import ReferenceMismatchError
 from .liegroups import (
     _check_each,
     _entries,
-    _exp_entries,
+    _exp_quaternions,
     _log_entries,
-    _relative_angle_entries,
+    _quaternion_angle,
     _times_transpose,
     polar3,
     relative_angle,
@@ -403,20 +403,21 @@ def _tangent_distances(vectors, relative, stretch_logs, weights):
 
     ``vectors`` are the :class:`TangentRep` coordinates ``(..., 3E + 4m)``
     of the ``v``, and ``weights`` their :func:`_coordinate_weights`. A target
-    enters through the entries ``relative`` ``(9, ..., E)`` of ``t mu^T``
-    and its stretch logs ``(..., 4m)`` at ``mu``; the leading shapes
-    broadcast. The angle between ``exp(v_e) mu_e`` and ``t_e`` is that of
-    the conjugate ``exp(v_e)^T t_e mu_e^T``, and the stretch distance is the
-    flat difference of the logs at ``mu``, so no shape is formed. As
-    :func:`rep_distance`, it raises :class:`CutLocusError` naming the worst
-    edge of the first pair at the cut locus.
+    enters through the unit quaternions ``relative`` ``(4, ..., E)`` of
+    ``t mu^T`` and its stretch logs ``(..., 4m)`` at ``mu``; the leading
+    shapes broadcast. The angle between ``exp(v_e) mu_e`` and ``t_e`` is that
+    of the conjugate ``exp(v_e)^T t_e mu_e^T``, measured on the quaternions
+    of ``exp(v_e)``, and the stretch distance is the flat difference of the
+    logs at ``mu``, so no shape is formed. As :func:`rep_distance`, it
+    raises :class:`CutLocusError` naming the worst edge of the first pair at
+    the cut locus.
     """
     n_edges = relative.shape[-1]
     split = 3 * n_edges
     squared = 0.0
     if n_edges:
         rot = vectors[..., :split].reshape(vectors.shape[:-1] + (n_edges, 3))
-        theta = _relative_angle_entries(_exp_entries(rot), relative)
+        theta = _quaternion_angle(_exp_quaternions(rot), relative)
         _check_each(theta, "edge")
         # The rotation coordinates of an edge share its weight.
         squared = (theta * theta) @ weights[:split:3]

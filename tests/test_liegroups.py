@@ -12,6 +12,10 @@ from shapeforms.liegroups import (
     _TINY_ANGLE,
     _det_entries,
     _entries,
+    _exp_entries,
+    _exp_quaternions,
+    _quaternion_angle,
+    _quaternions,
     _sym2_apply,
     polar3,
     polar_rotation,
@@ -601,3 +605,87 @@ class TestSo3AgainstScipy:
         R[1, 2] = rot_z(np.pi)
         with pytest.raises(CutLocusError, match=r"^rotation 5 is at the cut locus"):
             so3_log(R)
+
+
+# Angles in each regime of the quaternion kernels: the series branch of
+# _exp_quaternions, the scalar pivot of _quaternions up to 2 pi / 3, the
+# largest-diagonal pivot beyond it, the last _NEAR_PI before pi, and, for
+# the exponential alone, angles beyond pi.
+quaternion_regimes = pytest.mark.parametrize("lo, hi", [
+    (0.0, _TINY_ANGLE),
+    (_TINY_ANGLE, 2.0 * np.pi / 3.0),
+    (2.0 * np.pi / 3.0, np.pi - _NEAR_PI),
+    (np.pi - _NEAR_PI, np.pi),
+    (np.pi, 2.5 * np.pi),
+], ids=["tiny", "scalar_pivot", "diagonal_pivot", "near_pi", "beyond_pi"])
+
+
+def unit_norm_error(q):
+    return abs(float(np.sum(q * q)) - 1.0)
+
+
+class TestQuaternions:
+    """``_quaternions``, ``_exp_quaternions`` and ``_quaternion_angle`` in
+    every branch regime, against each other and the matrix kernels."""
+
+    @quaternion_regimes
+    @given(unit_axes, st.floats(0.0, 1.0))
+    def test_exp_matches_converted_matrix(self, lo, hi, axis, t):
+        xi = (lo + t * (hi - lo)) * axis
+        q = _exp_quaternions(xi)
+        r = _quaternions(_exp_entries(xi))
+        assert q.shape == r.shape == (4,)
+        assert unit_norm_error(q) <= 8.0 * EPS
+        assert unit_norm_error(r) <= 8.0 * EPS
+        # q and -q are the same rotation; the conversion keeps w >= 0.
+        assert min(np.max(np.abs(q - r)), np.max(np.abs(q + r))) <= 4.0 * EPS
+        assert r[0] >= 0.0
+        theta = np.linalg.norm(xi)
+        folded = abs(theta - 2.0 * np.pi * np.round(theta / (2.0 * np.pi)))
+        identity = np.array([1.0, 0.0, 0.0, 0.0])
+        for quaternion in (q, r):
+            angle = _quaternion_angle(identity, quaternion)
+            assert abs(angle - folded) <= 8.0 * EPS * max(1.0, theta)
+
+    @quaternion_regimes
+    @given(axis_angles, unit_axes, st.floats(0.0, 1.0))
+    def test_either_sign_gives_the_same_angle(self, lo, hi, u, axis, t):
+        a = _exp_quaternions(u)
+        p = _exp_quaternions(u + (lo + t * (hi - lo)) * axis)
+        theta = _quaternion_angle(a, p)
+        assert 0.0 <= theta <= np.pi
+        for sa, sp in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+            assert _quaternion_angle(sa * a, sp * p) == theta
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_half_turn_about_a_coordinate_axis(self, k):
+        R = -np.eye(3)
+        R[k, k] = 1.0
+        expected = np.zeros(4)
+        expected[1 + k] = 1.0
+        assert np.array_equal(_quaternions(_entries(R)), expected)
+        assert relative_angle(np.eye(3), R) == np.pi
+        assert relative_angle(R, np.eye(3)) == np.pi
+
+    @given(unit_axes)
+    def test_half_turn_about_any_axis(self, axis):
+        R = 2.0 * np.outer(axis, axis) - np.eye(3)
+        q = _quaternions(_entries(R))
+        assert unit_norm_error(q) <= 8.0 * EPS
+        expected = np.concatenate(([0.0], axis))
+        assert min(np.max(np.abs(q - expected)), np.max(np.abs(q + expected))) <= 4.0 * EPS
+        assert relative_angle(np.eye(3), R) >= np.pi - _PI_MARGIN
+        assert _quaternion_angle(q, _exp_quaternions(np.pi * axis)) <= 8.0 * EPS
+
+    @given(st.lists(rotation_vectors, min_size=1, max_size=12))
+    def test_stack_matches_single(self, vectors):
+        # One stack mixes rotations of both pivots of _quaternions.
+        R = so3_exp(np.stack(vectors))
+        q = _quaternions(_entries(R))
+        xq = _exp_quaternions(np.stack(vectors))
+        assert q.shape == xq.shape == (4, len(vectors))
+        for k, v in enumerate(vectors):
+            assert np.array_equal(q[:, k], _quaternions(_entries(R[k])))
+            assert np.array_equal(xq[:, k], _exp_quaternions(v))
+        grid = _quaternions(_entries(R.reshape(1, -1, 3, 3)))
+        assert np.array_equal(grid[:, 0], q)

@@ -6,8 +6,20 @@ import numpy as np
 import pytest
 
 from shapeforms import representation
-from shapeforms.errors import ConditioningError, OrientationError, ReferenceMismatchError
-from shapeforms.liegroups import polar3, so3_exp, spd2_log
+from shapeforms.errors import (
+    ConditioningError,
+    CutLocusError,
+    OrientationError,
+    ReferenceMismatchError,
+)
+from shapeforms.liegroups import (
+    _entries,
+    _quaternions,
+    _times_transpose,
+    polar3,
+    so3_exp,
+    spd2_log,
+)
 from shapeforms.mesh import TriangleMesh
 from shapeforms.reference import build_reference, deformation_gradients
 from shapeforms.representation import (
@@ -15,6 +27,7 @@ from shapeforms.representation import (
     ShapeRep,
     TangentRep,
     _encode_stack,
+    _tangent_distances,
     encode,
     geodesic,
     relative_rotation_angles,
@@ -362,6 +375,66 @@ class TestDiagnostics:
         a = relative_rotation_angles(deformed_reps[0], deformed_reps[1])
         assert np.all(a >= 0.0)
         assert np.all(a < np.pi)
+
+
+class TestTangentDistances:
+    """``_tangent_distances`` on a stacked samples x targets block against
+    ``rep_distance`` of each formed sample ``exp_mu(v)`` to each target."""
+
+    @staticmethod
+    def block(ref, mu, params, vectors, targets):
+        """The distances of the samples ``exp_mu(v)`` ``(b, n)`` to ``n``
+        targets, from the quaternions of ``t mu^T`` and the stretch logs at
+        ``mu``."""
+        relative = _times_transpose(
+            np.stack([_entries(t.rotations) for t in targets], axis=1),
+            _entries(mu.rotations))
+        stretch_logs = np.stack([t.log_stretches - mu.log_stretches
+                                 for t in targets]).reshape(len(targets), -1)
+        return _tangent_distances(vectors[:, None, :], _quaternions(relative),
+                                  stretch_logs, _coordinate_weights(ref, params))
+
+    @staticmethod
+    def samples(mu, count, seed):
+        rng = np.random.default_rng(seed)
+        return 0.3 * np.stack([random_tangent(rng, mu).coordinates
+                               for _ in range(count)])
+
+    @staticmethod
+    def formed(mu, coordinates):
+        return rep_exp(mu, TangentRep._from_coordinates(coordinates, mu.n_edges,
+                                                        mu.content_hash()))
+
+    def test_block_matches_rep_distance(self, ref, deformed_reps):
+        mu = deformed_reps[0]
+        params = DistanceParams(2.5)
+        vectors = self.samples(mu, 4, seed=5)
+        got = self.block(ref, mu, params, vectors, deformed_reps)
+        assert got.shape == (4, len(deformed_reps))
+        expected = np.array([[rep_distance(ref, self.formed(mu, v), t, params)
+                              for t in deformed_reps] for v in vectors])
+        assert np.max(np.abs(got - expected) / expected) < 1e-13
+
+    def test_half_turn_names_the_edge_of_the_first_sample(self, ref, deformed_reps):
+        mu = deformed_reps[0]
+        params = DistanceParams()
+        vectors = self.samples(mu, 4, seed=6)
+        rot = vectors[:, :3 * mu.n_edges].reshape(4, mu.n_edges, 3)
+        half_turn = so3_exp(np.array([0.0, 0.6, 0.8]) * np.pi)
+        targets = list(deformed_reps)
+        # Sample 1 is a half-turn from target 2 on edge 5, and sample 3 from
+        # target 0 on edge 2; the pair of sample 1 comes first.
+        for sample, target, edge in ((1, 2, 5), (3, 0, 2)):
+            rotations = targets[target].rotations.copy()
+            rotations[edge] = so3_exp(rot[sample, edge]) @ half_turn @ mu.rotations[edge]
+            targets[target] = ShapeRep(rotations, targets[target].stretches,
+                                       targets[target].reference_hash)
+        with pytest.raises(CutLocusError, match=r"^edge 5 is at the cut locus"):
+            self.block(ref, mu, params, vectors, targets)
+        with pytest.raises(CutLocusError, match=r"^edge 5 is at the cut locus"):
+            rep_distance(ref, self.formed(mu, vectors[1]), targets[2], params)
+        with pytest.raises(CutLocusError, match=r"^edge 2 is at the cut locus"):
+            self.block(ref, mu, params, vectors[2:], targets)
 
 
 class TestCutLocus:
