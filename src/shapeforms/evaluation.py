@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ReferenceMismatchError
-from .liegroups import _entries, _matrices, _quaternions
+from .liegroups import _entries, _matrices, _quaternion_log, _quaternion_product
 from .reconstruction import _check_stopping, _converged_mesh, prefactor, reconstruct
 from .representation import (
     DistanceParams,
@@ -31,12 +31,13 @@ from .statistics import (
     _blocks,
     _check_count,
     _log_mean,
-    _mean_entries,
     _mean_logs,
+    _mean_quaternions,
     _mode_count,
     _principal_modes,
     _project,
-    _relative_entries,
+    _quaternion_stack,
+    _relative_blocks,
     _sample_coefficients,
     _stretch_logs,
     pga,
@@ -148,12 +149,15 @@ def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrin
 
 def _specificity_targets(ref, model, training):
     """The training shapes as :func:`_distances` targets at the model mean:
-    the unit quaternions ``(4, n, E)`` of their relative rotations and their
-    stretch logs ``(n, 4m)``."""
+    the unit quaternions ``(4, n, E)`` of their relative rotations, the
+    products written block by block over the shapes' own quaternions, and
+    their stretch logs ``(n, 4m)``."""
     mu = model.mean
     _check_binding(ref, mu, *training)
-    return (_quaternions(_relative_entries(training, _mean_entries(mu))),
-            _stretch_logs(training, mu.log_stretches).reshape(len(training), -1))
+    quats = _quaternion_stack(training)
+    for block, relative in _relative_blocks(quats, model._mean_quaternions):
+        quats[:, block] = relative
+    return quats, _stretch_logs(training, mu.log_stretches).reshape(len(training), -1)
 
 
 def _specificity(ref, model, targets, n_samples, n_modes, seed, meshes):
@@ -169,13 +173,6 @@ def _specificity(ref, model, targets, n_samples, n_modes, seed, meshes):
                            lambda k: f"specificity sample {k}"):
         total += float(np.sum(np.min(d, axis=1)))
     return total / n_samples
-
-
-def _fold_model(ref, params, rest, start, log_mean):
-    """Mean rotation entries and mode matrix of the model of ``rest``."""
-    mu, _, rot_logs, stretch_logs = _mean_logs(
-        rest, start, log_mean, log_mean, DEFAULT_MEAN_TOL, DEFAULT_MEAN_MAX_ITER)
-    return mu, _principal_modes(ref, params, rot_logs, stretch_logs)[1]
 
 
 def generalization_curve(ref, reps, max_modes=None, params=DistanceParams(),
@@ -205,29 +202,49 @@ def _generalization(ref, reps, max_modes, params, meshes):
     A fold's rotation mean is sought from the full cohort's, and its stretch
     log mean is the exact downdate ``(n mean - L_i) / (n - 1)``. Only the
     distinct prefixes of the held-out coefficients are measured.
+
+    The quaternions of the shapes and their logs at the full mean are each
+    held once, in the order of fold 0, ``1, ..., n - 1, 0``. Fold ``i > 0``
+    swaps columns ``i - 1`` and ``n - 1``, after which the first ``n - 1``
+    columns are its shapes in their own order and the last is the held-out
+    one. The first pass of a fold's mean would be taken at the full mean, so
+    it reads the full mean's last-pass logs of its shapes instead. The
+    held-out shape's relative quaternion at the fold mean is formed once; its
+    log is projected and it is the target of the distances.
     """
     _check_binding(ref, *reps)
     n = len(reps)
     log_mean = _log_mean(reps)
-    full_mean = _mean_logs(reps, _mean_entries(reps[0]), log_mean, log_mean,
-                           DEFAULT_MEAN_TOL, DEFAULT_MEAN_MAX_ITER)[0]
+    quats = _quaternion_stack(reps[1:] + reps[:1])
+    full_mean, _, logs = _mean_logs(
+        quats, (_entries(reps[0].rotations), _mean_quaternions(reps[0])), log_mean,
+        log_mean, DEFAULT_MEAN_TOL, DEFAULT_MEAN_MAX_ITER)
     weights = _coordinate_weights(ref, params)
     errors = np.zeros((n, max_modes))
     for i, held_out in enumerate(reps):
+        if i:
+            quats[:, [i - 1, n - 1]] = quats[:, [n - 1, i - 1]]
+            logs[[i - 1, n - 1]] = logs[[n - 1, i - 1]]
+        rest = reps[:i] + reps[i + 1:]
         fold_log_mean = (n * log_mean - held_out.log_stretches) / (n - 1)
-        mu, matrix = _fold_model(ref, params, reps[:i] + reps[i + 1:], full_mean,
-                                 fold_log_mean)
-        a = _project([held_out], (mu, fold_log_mean), matrix, weights)[0]
-        relative = _quaternions(_relative_entries([held_out], mu)[:, 0])
-        stretch_logs = (held_out.log_stretches - fold_log_mean).reshape(-1)
+        mu, _, rot_logs = _mean_logs(quats[:, :-1], full_mean, fold_log_mean,
+                                     fold_log_mean, DEFAULT_MEAN_TOL,
+                                     DEFAULT_MEAN_MAX_ITER, logs=logs[:-1])
+        matrix = _principal_modes(weights, rot_logs,
+                                  _stretch_logs(rest, fold_log_mean))[1]
+        del rot_logs  # the distances below run without the fold's logs
+        relative = _quaternion_product(quats[:, -1], mu[1], conjugate=True)
+        stretch_logs = held_out.log_stretches - fold_log_mean
+        a = _project(_quaternion_log(relative, "edge")[None], stretch_logs[None],
+                     matrix, weights)[0]
         used = np.minimum(np.arange(1, max_modes + 1), a.size)
         distinct = np.unique(used)
         prefixes = a * (np.arange(a.size) < distinct[:, None])
         fold_meshes = None if meshes is None else (meshes[0], meshes[1][i])
         d = np.empty(distinct.size)
         for block, dist in _distances(
-                ref, (mu, fold_log_mean, held_out.reference_hash), prefixes, matrix,
-                (relative, stretch_logs), weights, fold_meshes,
+                ref, (mu[0], fold_log_mean, held_out.reference_hash), prefixes, matrix,
+                (relative, stretch_logs.reshape(-1)), weights, fold_meshes,
                 lambda k: f"shape {i} projected on {distinct[k]} modes"):
             d[block] = dist
         errors[i] = d[np.searchsorted(distinct, used)]

@@ -6,11 +6,18 @@ All functions are pure and accept stacked inputs: an argument documented as
 axes. Rotations follow the axis-angle convention where a tangent vector
 ``xi`` encodes the rotation by angle ``|xi|`` about ``xi / |xi|``.
 
-Internally, stacked rotations are row-major entries ``(9, ...)``, and the
-rotation distances (relative angles) are measured on unit quaternions
-``(4, ...)``, scalar part first: one relative-angle kernel,
-:func:`_quaternion_angle`, serves :func:`relative_angle` and the distances
-of model quality analysis, whose targets are quaternions ``(4, [n,] E)``.
+Internally, the matrix kernels (:func:`so3_exp`, :func:`so3_log`, the
+polar decomposition) read stacked rotations as row-major entries
+``(9, ...)``. Everything that relates one rotation to another works on unit
+quaternions ``(4, ...)``, scalar part first, converted once from the
+entries by :func:`_quaternions`:
+
+- :func:`_quaternion_angle` measures every rotation distance, for
+  :func:`relative_angle` and the distances of model quality analysis, whose
+  targets are quaternions ``(4, [n,] E)``;
+- :func:`_quaternion_log` takes every logarithm of a shape at a base, on the
+  relative quaternions ``q * conj(q_mu)`` of :func:`_quaternion_product`,
+  which also makes every mean update ``exp(xi) mu``.
 """
 
 import numpy as np
@@ -53,31 +60,6 @@ def _entries(R):
 def _matrices(e):
     """Inverse of :func:`_entries`: C-contiguous ``(..., 3, 3)`` matrices."""
     return np.ascontiguousarray(np.moveaxis(e, 0, -1)).reshape(e.shape[1:] + (3, 3))
-
-
-def _times_transpose(s, b):
-    """Entries of ``S @ B^T`` from the entries of ``S`` and ``B``.
-
-    Entry ``(i, j)`` is the dot product of row ``i`` of ``S`` with row ``j``
-    of ``B``. The leading shapes broadcast without copying either operand.
-    """
-    out = np.empty((9,) + np.broadcast_shapes(s.shape[1:], b.shape[1:]))
-    for i in range(3):
-        for j in range(3):
-            out[3 * i + j] = (s[3 * i] * b[3 * j] + s[3 * i + 1] * b[3 * j + 1]
-                              + s[3 * i + 2] * b[3 * j + 2])
-    return out
-
-
-def _times(a, b):
-    """Entries of ``A @ B`` from the entries of ``A`` and ``B``; the leading
-    shapes broadcast."""
-    out = np.empty((9,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
-    for i in range(3):
-        for j in range(3):
-            out[3 * i + j] = (a[3 * i] * b[j] + a[3 * i + 1] * b[3 + j]
-                              + a[3 * i + 2] * b[6 + j])
-    return out
 
 
 def so3_exp(xi):
@@ -291,6 +273,81 @@ def _exp_quaternions(xi):
     np.multiply(s, x, out=out[1, ...])
     np.multiply(s, y, out=out[2, ...])
     np.multiply(s, z, out=out[3, ...])
+    return out
+
+
+def _quaternion_entries(q):
+    """Row-major entries ``(9, ...)`` of the rotations with quaternions
+    ``q`` ``(4, ...)``: ``R = I + s (w [v]_x + [v]_x^2)`` with
+    ``s = 2 / |q|^2``, a rotation also when ``q`` is off unit norm by
+    rounding."""
+    w, x, y, z = q
+    s = 2.0 / (w * w + x * x + y * y + z * z)
+    sx, sy, sz = s * x, s * y, s * z
+    wx, wy, wz = w * sx, w * sy, w * sz
+    xx, xy, xz = x * sx, x * sy, x * sz
+    yy, yz, zz = y * sy, y * sz, z * sz
+    out = np.empty((9,) + np.shape(w))
+    out[0] = 1.0 - (yy + zz)
+    out[1] = xy - wz
+    out[2] = xz + wy
+    out[3] = xy + wz
+    out[4] = 1.0 - (xx + zz)
+    out[5] = yz - wx
+    out[6] = xz - wy
+    out[7] = yz + wx
+    out[8] = 1.0 - (xx + yy)
+    return out
+
+
+def _quaternion_product(a, b, conjugate=False):
+    """Quaternions ``(4, ...)`` of the rotations ``A B``, or of ``A B^T``
+    with ``conjugate``, from the quaternions ``a`` and ``b`` ``(4, ...)`` of
+    ``A`` and ``B``; the leading shapes broadcast, and neither operand is
+    copied to the common shape.
+
+    ``A B`` is ``a b`` and ``A B^T`` is ``a conj(b)``, whose vector part has
+    the sign of ``b``'s flipped. The scalar part of the result may be
+    negative. The vector part sums ``w v' + w' v`` and ``v x v'`` apart, so
+    that for ``a conj(a)`` each cancels exactly: the relative rotation of a
+    rotation to itself is exactly the identity, with a zero logarithm.
+    """
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    if conjugate:
+        bx, by, bz = -bx, -by, -bz
+    out = np.empty((4,) + np.broadcast_shapes(np.shape(aw), np.shape(bw)))
+    out[0] = aw * bw - ax * bx - ay * by - az * bz
+    out[1] = (aw * bx + bw * ax) + (ay * bz - az * by)
+    out[2] = (aw * by + bw * ay) + (az * bx - ax * bz)
+    out[3] = (aw * bz + bw * az) + (ax * by - ay * bx)
+    return out
+
+
+def _quaternion_log(q, item, check=_check_cut_locus):
+    """Axis-angle vectors ``(..., 3)`` of the rotations with unit
+    quaternions ``q`` ``(4, ...)``; ``check(theta, item)`` guards the cut
+    locus, as in :func:`_log_entries`.
+
+    The angle is ``theta = 2 arctan2(|v|, |w|)`` of the scalar part ``w`` and
+    the vector part ``v``, accurate near 0 and near pi, and the vector is
+    ``theta v / |v|``, its sign flipped where ``w < 0``: ``q`` and ``-q`` are
+    the same rotation. Below ``_TINY_ANGLE`` the factor ``theta / |v|`` takes
+    its series ``2 + theta^2 / 12``. The axis ``v / |v|`` stays well
+    conditioned up to pi, so no branch rebuilds it there.
+    """
+    w, x, y, z = q
+    norm = np.sqrt(x * x + y * y + z * z)
+    theta = 2.0 * np.arctan2(norm, np.abs(w))
+    check(theta, item)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        factor = np.divide(theta, norm, out=np.empty(np.shape(w)))
+    small = theta < _TINY_ANGLE
+    if np.any(small):
+        factor[small] = 2.0 + theta[small] * theta[small] / 12.0
+    np.copysign(factor, w, out=factor)
+    out = np.empty(np.shape(w) + (3,))
+    np.multiply(factor, q[1:], out=np.moveaxis(out, -1, 0))
     return out
 
 

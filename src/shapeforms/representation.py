@@ -37,9 +37,10 @@ from .liegroups import (
     _check_each,
     _entries,
     _exp_quaternions,
-    _log_entries,
     _quaternion_angle,
-    _times_transpose,
+    _quaternion_log,
+    _quaternion_product,
+    _quaternions,
     polar3,
     relative_angle,
     so3_exp,
@@ -354,8 +355,10 @@ def rep_log(base, s):
 
 def _log_coordinates(base, s):
     """The :class:`TangentRep` coordinates of :func:`rep_log` ``(base, s)``."""
-    relative = _times_transpose(_entries(s.rotations), _entries(base.rotations))
-    rot_part = _log_entries(relative, "edge")
+    relative = _quaternion_product(_quaternions(_entries(s.rotations)),
+                                   _quaternions(_entries(base.rotations)),
+                                   conjugate=True)
+    rot_part = _quaternion_log(relative, "edge")
     stretch_part = s.log_stretches - base.log_stretches
     return np.concatenate((rot_part.reshape(-1), stretch_part.reshape(-1)))
 

@@ -2,18 +2,23 @@
 
 A cohort is handled stacked: its logs at a base form one ``(n, E, 3)`` and
 one ``(n, m, 2, 2)`` array, built from the cached
-``ShapeRep.log_stretches`` and from the transition rotations. These pass
-through the elementwise kernels of :mod:`liegroups` as the row-major
-entries ``(9, b, E)`` of blocks of ``b`` shapes, stacked under
-``_BLOCK_BYTES`` so that the temporaries stay small.
+``ShapeRep.log_stretches`` and from the transition rotations. Each call
+converts the transition rotations of every shape once to unit quaternions,
+one ``(4, n, E)`` array (32 E bytes a shape). A pass over the cohort takes
+the relative quaternions ``q conj(q_mu)`` of blocks of ``b`` shapes,
+``(4, b, E)`` under ``_BLOCK_BYTES`` so that the temporaries stay small,
+and their logarithms, all with the elementwise kernels of
+:mod:`liegroups`. A base's logs are always taken at the quaternions of its
+own rotation matrices.
 
 The mean is the Riemannian center of mass. Its stretch part is the
 closed-form log-Euclidean mean, the average of the stretch logarithms
 (Arsigny et al., "Log-Euclidean metrics for fast and simple calculus on
 diffusion tensors", 2006). Its rotation part is the fixed point of
 ``mu <- exp(mean_i log(C_i mu^T)) mu``, each step taking the logs of the
-whole cohort block by block; it converges for well-localized data (all
-relative transition rotations away from angle pi).
+whole cohort block by block and making the update one quaternion product;
+it converges for well-localized data (all relative transition rotations
+away from angle pi).
 
 Principal modes come from the eigendecomposition of the Gram matrix of the
 logs at the mean (Fletcher et al., "Principal geodesic analysis for the
@@ -40,11 +45,12 @@ from .errors import ConvergenceError, ReferenceMismatchError
 from .liegroups import (
     _check_each,
     _entries,
-    _exp_entries,
-    _log_entries,
+    _exp_quaternions,
     _matrices,
-    _times,
-    _times_transpose,
+    _quaternion_entries,
+    _quaternion_log,
+    _quaternion_product,
+    _quaternions,
 )
 from .reconstruction import _check_stopping, _converged_mesh, reconstruct
 from .reference import build_reference
@@ -80,17 +86,21 @@ EIGENVALUE_CUTOFF = 1e-12
 _BLOCK_BYTES = 2**18
 
 
-def _stacked_entries(reps):
-    """The rotation entries ``(9, n, E)`` of ``reps``, stacked contiguously."""
-    entries = np.empty((9, len(reps), reps[0].n_edges))
-    for i, rep in enumerate(reps):
-        entries[:, i] = _entries(rep.rotations)
-    return entries
+def _quaternion_stack(reps):
+    """The unit quaternions ``(4, n, E)`` of the rotations of ``reps``,
+    converted by :func:`_quaternions` once, in blocks of shapes whose
+    stacked rotations stay under ``_BLOCK_BYTES``."""
+    out = np.empty((4, len(reps), reps[0].n_edges))
+    for block in _blocks(len(reps), 72 * reps[0].n_edges):
+        out[:, block] = _quaternions(
+            _entries(np.stack([rep.rotations for rep in reps[block]])))
+    return out
 
 
-def _mean_entries(mu):
-    """The rotation entries ``(9, E)`` of ``mu``, contiguous."""
-    return np.ascontiguousarray(_entries(mu.rotations))
+def _mean_quaternions(mu):
+    """The unit quaternions ``(4, E)`` of the rotations of ``mu``, at which
+    every log of a shape at ``mu`` is taken."""
+    return _quaternions(_entries(mu.rotations))
 
 
 def _stretch_logs(reps, mu_logs):
@@ -114,34 +124,28 @@ def _blocks(count, item_bytes):
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def _relative_blocks(reps, mu_entries):
-    """Yield slices of ``reps`` in blocks under ``_BLOCK_BYTES``, each with
-    the entries ``(9, b, E)`` of the block's relative rotations ``C mu^T``
-    for the rotations ``mu`` with entries ``mu_entries`` ``(9, E)``."""
-    for block in _blocks(len(reps), 72 * mu_entries.shape[1]):
-        yield block, _times_transpose(_stacked_entries(reps[block]), mu_entries)
+def _relative_blocks(quats, mu_q):
+    """Yield slices of the shapes with quaternions ``quats`` ``(4, n, E)``
+    in blocks under ``_BLOCK_BYTES``, each with the quaternions
+    ``(4, b, E)`` of the block's relative rotations ``C mu^T``, the products
+    ``q conj(mu_q)`` for the rotations ``mu`` with quaternions ``mu_q``
+    ``(4, E)``."""
+    for block in _blocks(quats.shape[1], 32 * quats.shape[2]):
+        yield block, _quaternion_product(quats[:, block], mu_q, conjugate=True)
 
 
-def _relative_entries(reps, mu_entries):
-    """Entries ``(9, n, E)`` of the relative rotations of all ``reps``, see
-    :func:`_relative_blocks`."""
-    out = np.empty((9, len(reps), mu_entries.shape[1]))
-    for block, entries in _relative_blocks(reps, mu_entries):
-        out[:, block] = entries
-    return out
+def _rotation_logs(quats, mu_q):
+    """Rotation parts ``(n, E, 3)`` of the logs at the rotations with
+    quaternions ``mu_q`` ``(4, E)`` of the shapes with quaternions ``quats``
+    ``(4, n, E)``: one pass over a cohort.
 
-
-def _rotation_logs(reps, mu_entries):
-    """Rotation parts ``(n, E, 3)`` of the logs of ``reps`` at the rotations
-    with entries ``mu_entries`` ``(9, E)``.
-
-    One batched logarithm covers a block of :func:`_relative_blocks`. As
-    when :func:`rep_log` takes one shape at a time, a cut-locus error names
-    the worst edge of the first shape at it.
+    One batched :func:`_quaternion_log` covers a block of
+    :func:`_relative_blocks`. As when :func:`rep_log` takes one shape at a
+    time, a cut-locus error names the worst edge of the first shape at it.
     """
-    out = np.empty((len(reps), mu_entries.shape[1], 3))
-    for block, entries in _relative_blocks(reps, mu_entries):
-        out[block] = _log_entries(entries, "edge", check=_check_each)
+    out = np.empty(quats.shape[1:] + (3,))
+    for block, relative in _relative_blocks(quats, mu_q):
+        out[block] = _quaternion_log(relative, "edge", check=_check_each)
     return out
 
 
@@ -160,31 +164,43 @@ def mean_residual(mu, reps):
     """
     _check_same_reference(*reps)
     _check_same_reference(mu, reps[0])
-    rot_logs = _rotation_logs(reps, _mean_entries(mu))
+    rot_logs = _rotation_logs(_quaternion_stack(reps), _mean_quaternions(mu))
     return _residual(rot_logs.sum(axis=0),
                      _stretch_logs(reps, mu.log_stretches).sum(axis=0))
 
 
-def _mean_logs(reps, mu_entries, mu_logs, log_mean, tol, max_iter):
-    """Fixed-point iteration for the Fréchet mean of ``reps``.
+def _mean_logs(quats, mu, mu_logs, log_mean, tol, max_iter, logs=None):
+    """Fixed-point iteration for the Fréchet mean of the shapes with the
+    quaternions ``quats`` ``(4, n, E)``.
 
-    The iteration starts at the rotations with entries ``mu_entries``
-    ``(9, E)`` and the stretch logarithms ``mu_logs``; after the first step
-    the stretch part is the closed-form ``log_mean``, which must be the mean
-    of the stretch logarithms of ``reps``. It stops when the
-    summed logs have :func:`mean_residual` below ``tol``. Returns the mean's
-    rotation entries and stretch logarithms and the logs ``(n, E, 3)`` and
-    ``(n, m, 2, 2)`` of ``reps`` at the mean.
+    The iteration starts at the rotations ``mu``, their entries ``(9, E)``
+    and quaternions ``(4, E)``, and at the stretch logarithms ``mu_logs``;
+    after the first step the stretch part is the closed-form ``log_mean``,
+    which must be the mean of the stretch logarithms of the shapes. The
+    first pass reads the rotation logs ``(n, E, 3)`` of the shapes at the
+    start from ``logs`` when they are given. It stops when the summed logs
+    have :func:`mean_residual` below ``tol``.
+
+    A step is one quaternion product, ``exp(mean log) mu``. The next pass is
+    taken at the quaternions of that product's rotation matrices, so that
+    the logs of the last pass are the logs at the mean's own matrices.
+    Returns the mean's rotation entries and quaternions, its stretch
+    logarithms and the rotation logs ``(n, E, 3)`` of the shapes at it.
     """
-    n = len(reps)
+    n = quats.shape[1]
+    rot_logs = logs
     for _ in range(max_iter):
-        rot_logs = _rotation_logs(reps, mu_entries)
+        if rot_logs is None:
+            rot_logs = _rotation_logs(quats, mu[1])
         rot_total = rot_logs.sum(axis=0)
         # The stretch logs sum to n (log_mean - mu_logs).
         residual = _residual(rot_total, n * (log_mean - mu_logs))
         if residual < tol:
-            return mu_entries, mu_logs, rot_logs, _stretch_logs(reps, mu_logs)
-        mu_entries = _times(_exp_entries((1.0 / n) * rot_total), mu_entries)
+            return mu, mu_logs, rot_logs
+        rot_logs = None  # the next pass runs without this one's logs
+        entries = _quaternion_entries(
+            _quaternion_product(_exp_quaternions((1.0 / n) * rot_total), mu[1]))
+        mu = entries, _quaternions(entries)
         mu_logs = log_mean
     raise ConvergenceError(
         f"mean iteration did not reach {tol:g} within {max_iter} steps "
@@ -200,13 +216,13 @@ def _mean_and_logs(reps, tol, max_iter):
     other mean keeps the log-Euclidean mean as its ``log_stretches``.
     """
     start = reps[0]
-    mu_entries, mu_logs, rot_logs, stretch_logs = _mean_logs(
-        reps, _mean_entries(start), start.log_stretches, _log_mean(reps), tol,
-        max_iter)
+    (entries, _), mu_logs, rot_logs = _mean_logs(
+        _quaternion_stack(reps), (_entries(start.rotations), _mean_quaternions(start)),
+        start.log_stretches, _log_mean(reps), tol, max_iter)
     if mu_logs is not start.log_stretches:
-        start = ShapeRep._from_log_stretches(_matrices(mu_entries), mu_logs,
+        start = ShapeRep._from_log_stretches(_matrices(entries), mu_logs,
                                              start.reference_hash)
-    return start, rot_logs, stretch_logs
+    return start, rot_logs, _stretch_logs(reps, mu_logs)
 
 
 def frechet_mean(reps, tol=DEFAULT_MEAN_TOL, max_iter=DEFAULT_MEAN_MAX_ITER):
@@ -238,7 +254,10 @@ class PGAModel:
     in descending order. The model is immutable: at construction it stacks
     the modes' tangent coordinates once into a read-only ``(k, 3E + 4m)``
     mode matrix, which :func:`coefficients` and :func:`synthesize` use, and
-    ``modes`` becomes a tuple of views of its rows.
+    ``modes`` becomes a tuple of views of its rows. It also converts the
+    mean's stored rotation matrices once to the quaternions at which
+    :func:`coefficients` takes every log, so a loaded, a supplied and a
+    computed mean project alike.
 
     Raises
     ------
@@ -271,6 +290,7 @@ class PGAModel:
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "variances", np.asarray(self.variances, dtype=float))
         object.__setattr__(self, "_mode_matrix", matrix)
+        object.__setattr__(self, "_mean_quaternions", _mean_quaternions(self.mean))
 
     @property
     def n_modes(self):
@@ -308,9 +328,10 @@ class PGAModel:
         )
 
 
-def _principal_modes(ref, params, rot_logs, stretch_logs):
+def _principal_modes(weights, rot_logs, stretch_logs):
     """Variances ``(k,)`` and mode matrix ``(k, 3E + 4m)`` of the stacked
-    logs at a mean.
+    logs at a mean, in the metric of the :func:`_coordinate_weights`
+    ``weights``.
 
     The summed logs must vanish (residual at most ``DEFAULT_PGA_MEAN_TOL``
     per shape). Eigenvalues below ``EIGENVALUE_CUTOFF`` times the largest
@@ -325,7 +346,6 @@ def _principal_modes(ref, params, rot_logs, stretch_logs):
     # The Gram matrix part by part, so the logs are never concatenated.
     n_edges = rot_logs.shape[1]
     parts = (rot_logs.reshape(n, -1), stretch_logs.reshape(n, -1))
-    weights = _coordinate_weights(ref, params)
     gram = (parts[0] * weights[: 3 * n_edges]) @ parts[0].T
     gram += (parts[1] * weights[3 * n_edges:]) @ parts[1].T
     eigvals, eigvecs = np.linalg.eigh(gram)
@@ -353,9 +373,10 @@ def _mean_and_modes(ref, reps, mu, params):
         mu, rot_logs, stretch_logs = _mean_and_logs(
             reps, DEFAULT_MEAN_TOL, DEFAULT_MEAN_MAX_ITER)
     else:
-        rot_logs = _rotation_logs(reps, _mean_entries(mu))
+        rot_logs = _rotation_logs(_quaternion_stack(reps), _mean_quaternions(mu))
         stretch_logs = _stretch_logs(reps, mu.log_stretches)
-    return (mu,) + _principal_modes(ref, params, rot_logs, stretch_logs)
+    return (mu,) + _principal_modes(_coordinate_weights(ref, params), rot_logs,
+                                    stretch_logs)
 
 
 def pga(ref, reps, mu=None, params=DistanceParams()):
@@ -383,19 +404,20 @@ def pga(ref, reps, mu=None, params=DistanceParams()):
     )
 
 
-def _project(reps, mean, matrix, weights):
-    """Coefficient rows ``(n, k)`` of ``reps`` on the modes in the rows of
-    ``matrix`` ``(k, 3E + 4m)``.
+def _project(rot_logs, stretch_logs, matrix, weights):
+    """Coefficient rows ``(n, k)`` of shapes on the modes in the rows of
+    ``matrix`` ``(k, 3E + 4m)``, from their rotation and stretch logs
+    ``(n, E, 3)`` and ``(n, m, 2, 2)`` at the model's mean.
 
-    ``mean`` is the base as rotation entries ``(9, E)`` and stretch logs,
-    ``weights`` the :func:`_coordinate_weights`. A stack of ``(1, 3E + 4m)``
-    rows times the mode matrix is one matrix-vector product per row, so a
-    row has the same bits whether its shape is projected alone or in a
-    cohort, which one ``(n, 3E + 4m)`` matrix product would not keep.
+    ``weights`` are the :func:`_coordinate_weights`. A stack of
+    ``(1, 3E + 4m)`` rows times the mode matrix is one matrix-vector
+    product per row, so a row has the same bits whether its shape is
+    projected alone or in a cohort, which one ``(n, 3E + 4m)`` matrix
+    product would not keep.
     """
-    n = len(reps)
-    logs = np.concatenate((_rotation_logs(reps, mean[0]).reshape(n, -1),
-                           _stretch_logs(reps, mean[1]).reshape(n, -1)), axis=1)
+    n = len(rot_logs)
+    logs = np.concatenate((rot_logs.reshape(n, -1), stretch_logs.reshape(n, -1)),
+                          axis=1)
     logs *= weights
     return (logs[:, None, :] @ matrix.T)[:, 0]
 
@@ -403,8 +425,8 @@ def _project(reps, mean, matrix, weights):
 def _coefficient_rows(ref, model, reps):
     """Mode coefficients ``(n, k)`` of ``reps`` in ``model``, see :func:`_project`."""
     _check_binding(ref, model.mean, *reps)
-    mu = model.mean
-    return _project(reps, (_mean_entries(mu), mu.log_stretches), model._mode_matrix,
+    return _project(_rotation_logs(_quaternion_stack(reps), model._mean_quaternions),
+                    _stretch_logs(reps, model.mean.log_stretches), model._mode_matrix,
                     _coordinate_weights(ref, model.params))
 
 

@@ -40,6 +40,17 @@ def so3_angle(R):
     return _angle_entries(_entries(R))[0]
 
 
+def times_transpose(s, b):
+    """Row-major entries ``(9, ...)`` of ``S @ B^T`` from the entries of
+    ``S`` and ``B``; the leading shapes broadcast."""
+    out = np.empty((9,) + np.broadcast_shapes(s.shape[1:], b.shape[1:]))
+    for i in range(3):
+        for j in range(3):
+            out[3 * i + j] = (s[3 * i] * b[3 * j] + s[3 * i + 1] * b[3 * j + 1]
+                              + s[3 * i + 2] * b[3 * j + 2])
+    return out
+
+
 def spd2_mul(U, V):
     """Commutative log-Euclidean group product ``exp(log U + log V)``."""
     return spd2_exp(spd2_log(U) + spd2_log(V))

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from shapeforms import evaluation
+from shapeforms import evaluation, statistics
 from shapeforms.errors import ConvergenceError
 from shapeforms.evaluation import (
     ClassifierModel,
@@ -171,6 +171,26 @@ class TestGeneralization:
         with pytest.raises(ConvergenceError,
                            match="reconstruction of shape 0 projected on 1 modes"):
             generalization_curve(ref, cohort[:4], max_modes=1, metric="vertex")
+
+    def test_rotation_log_passes(self, monkeypatch):
+        # Six shapes of 5,120 triangles: 3 passes for the full mean, then 2
+        # for each fold's mean. A fold's first step reads the full mean's
+        # last pass, and the held-out shape's log comes from its one relative
+        # quaternion, so no fold passes at the full mean or over one shape.
+        sphere = icosphere(4)
+        ref = build_reference(sphere)
+        reps = [encode(ref, smooth_deformation(sphere, seed=seed))[0]
+                for seed in range(6)]
+        calls = []
+        passes = statistics._rotation_logs
+
+        def counted(*args):
+            calls.append(args)
+            return passes(*args)
+
+        monkeypatch.setattr(statistics, "_rotation_logs", counted)
+        generalization_curve(ref, reps)
+        assert len(calls) == 3 + 6 * 2
 
     def test_identical_shapes_zero(self, ref, cohort):
         reps = [cohort[0]] * 4

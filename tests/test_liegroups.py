@@ -10,11 +10,16 @@ from shapeforms.liegroups import (
     _NEAR_PI,
     _PI_MARGIN,
     _TINY_ANGLE,
+    _check_each,
     _det_entries,
     _entries,
     _exp_entries,
     _exp_quaternions,
+    _log_entries,
     _quaternion_angle,
+    _quaternion_entries,
+    _quaternion_log,
+    _quaternion_product,
     _quaternions,
     _sym2_apply,
     polar3,
@@ -26,7 +31,15 @@ from shapeforms.liegroups import (
     spd2_log,
 )
 
-from helpers import skew, so3_angle, so3_distance, spd2_distance, spd2_mul, unskew
+from helpers import (
+    skew,
+    so3_angle,
+    so3_distance,
+    spd2_distance,
+    spd2_mul,
+    times_transpose,
+    unskew,
+)
 
 
 def random_rotation(rng, max_angle=np.pi - 1e-3):
@@ -689,3 +702,100 @@ class TestQuaternions:
             assert np.array_equal(xq[:, k], _exp_quaternions(v))
         grid = _quaternions(_entries(R.reshape(1, -1, 3, 3)))
         assert np.array_equal(grid[:, 0], q)
+
+
+def extended_log(P):
+    """Rotation logarithm of the nearly orthogonal ``P`` ``(3, 3)`` in
+    ``np.longdouble``: its quaternion from Shepperd's largest pivot,
+    normalized, then ``2 arctan2(|v|, |w|) sign(w) v / |v|``."""
+    P = np.asarray(P, dtype=np.longdouble)
+    trace = P[0, 0] + P[1, 1] + P[2, 2]
+    q = np.empty(4, dtype=np.longdouble)
+    k = int(np.argmax(np.array([trace, P[0, 0], P[1, 1], P[2, 2]])))
+    if k == 0:
+        q[0] = np.sqrt(1 + trace) / 2
+        q[1:] = np.array([P[2, 1] - P[1, 2], P[0, 2] - P[2, 0],
+                          P[1, 0] - P[0, 1]]) / (4 * q[0])
+    else:
+        i = k - 1
+        j, l = (i + 1) % 3, (i + 2) % 3
+        q[1 + i] = np.sqrt(1 + 2 * P[i, i] - trace) / 2
+        q[0] = (P[l, j] - P[j, l]) / (4 * q[1 + i])
+        q[1 + j] = (P[j, i] + P[i, j]) / (4 * q[1 + i])
+        q[1 + l] = (P[l, i] + P[i, l]) / (4 * q[1 + i])
+    q /= np.sqrt(np.sum(q * q))
+    norm = np.sqrt(np.sum(q[1:] * q[1:]))
+    if norm == 0:
+        return np.zeros(3, dtype=np.longdouble)
+    return 2 * np.arctan2(norm, abs(q[0])) * np.sign(q[0]) * q[1:] / norm
+
+
+class TestQuaternionLog:
+    """``_quaternion_log`` of the relative quaternions ``q conj(q_mu)`` of
+    :func:`_quaternion_product`, in every branch regime up to 1e3 times the
+    cut-locus margin from pi: against an extended-precision reference and
+    against ``so3_log`` of the relative matrix."""
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, _TINY_ANGLE),
+        (_TINY_ANGLE, np.pi - _NEAR_PI),
+        (np.pi - _NEAR_PI, np.pi - 1e3 * _PI_MARGIN),
+    ], ids=["tiny", "main", "near_pi"])
+    @given(axis_angles, unit_axes, st.floats(0.0, 1.0))
+    def test_matches_extended_precision_and_so3_log(self, lo, hi, u, axis, t):
+        theta = lo + t * (hi - lo)
+        Q = so3_exp(u)
+        R = so3_exp(theta * axis) @ Q
+        q = _quaternion_product(_quaternions(_entries(R)), _quaternions(_entries(Q)),
+                                conjugate=True)
+        log = _quaternion_log(q, "edge")
+        assert log.shape == (3,)
+        exact = extended_log(R.astype(np.longdouble) @ Q.T.astype(np.longdouble))
+        assert np.max(np.abs(log - exact)) <= 16.0 * EPS
+        # so3_log divides by sin(theta) up to pi - _NEAR_PI, which costs it
+        # accuracy towards pi; the half-angle form does not.
+        matrix = so3_log(R @ Q.T)
+        bound = 16.0 * EPS / np.sin(np.clip(theta, np.pi / 2, np.pi - _NEAR_PI))
+        assert np.max(np.abs(log - matrix)) <= bound
+        # q and -q are the same rotation.
+        assert np.array_equal(_quaternion_log(-q, "edge"), log)
+
+    @given(axis_angles)
+    def test_rotation_relative_to_itself_has_zero_log(self, u):
+        q = _quaternions(_entries(so3_exp(u)))
+        relative = _quaternion_product(q, q, conjugate=True)
+        assert np.all(relative[1:] == 0.0)
+        assert np.all(_quaternion_log(relative, "edge") == 0.0)
+
+    @given(axis_angles, axis_angles)
+    def test_product_composes_rotations(self, u, v):
+        A, B = so3_exp(u), so3_exp(v)
+        a, b = _quaternions(_entries(A)), _quaternions(_entries(B))
+        for conjugate, expected in ((False, A @ B), (True, A @ B.T)):
+            entries = _quaternion_entries(_quaternion_product(a, b, conjugate))
+            assert np.max(np.abs(entries - _entries(expected))) <= 8.0 * EPS
+        # The matrix of a quaternion off unit norm is still its rotation.
+        for scale in (0.5, 1.0 + 1e-9, 3.0):
+            assert np.max(np.abs(_quaternion_entries(scale * a) - _entries(A))) <= 8.0 * EPS
+
+    @given(st.integers(0, 2**32 - 1), unit_axes, st.integers(0, 2),
+           st.integers(0, 3), st.integers(1, 3))
+    def test_cut_locus_names_the_edge_the_matrix_kernel_names(self, seed, axis, shape,
+                                                              edge, offset):
+        rng = np.random.default_rng(seed)
+        mu = so3_exp(rng.uniform(-1.8, 1.8, (4, 3)))
+        C = so3_exp(rng.uniform(-0.5, 0.5, (3, 4, 3))) @ mu
+        # Shape `shape` is a half-turn from mu at `edge` and within the
+        # margin at `other`; the last shape is a half-turn at `other`.
+        other = (edge + offset) % 4
+        C[shape, edge] = so3_exp(np.pi * axis) @ mu[edge]
+        C[shape, other] = so3_exp((np.pi - 1e-13) * axis) @ mu[other]
+        if shape < 2:
+            C[2, other] = so3_exp(np.pi * axis) @ mu[other]
+        relative = _quaternion_product(_quaternions(_entries(C)),
+                                       _quaternions(_entries(mu)), conjugate=True)
+        with pytest.raises(CutLocusError, match=rf"^edge {edge} is at the cut locus"):
+            _quaternion_log(relative, "edge", check=_check_each)
+        with pytest.raises(CutLocusError, match=rf"^edge {edge} is at the cut locus"):
+            _log_entries(times_transpose(_entries(C), _entries(mu)), "edge",
+                         check=_check_each)

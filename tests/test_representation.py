@@ -15,7 +15,6 @@ from shapeforms.errors import (
 from shapeforms.liegroups import (
     _entries,
     _quaternions,
-    _times_transpose,
     polar3,
     so3_exp,
     spd2_log,
@@ -43,6 +42,7 @@ from helpers import (
     flatten_tangent,
     needle_mesh,
     rep_inner,
+    times_transpose,
     unflatten_tangent,
     zero_tangent,
 )
@@ -386,7 +386,7 @@ class TestTangentDistances:
         """The distances of the samples ``exp_mu(v)`` ``(b, n)`` to ``n``
         targets, from the quaternions of ``t mu^T`` and the stretch logs at
         ``mu``."""
-        relative = _times_transpose(
+        relative = times_transpose(
             np.stack([_entries(t.rotations) for t in targets], axis=1),
             _entries(mu.rotations))
         stretch_logs = np.stack([t.log_stretches - mu.log_stretches

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from shapeforms import statistics
-from shapeforms.errors import ConvergenceError, ReferenceMismatchError
-from shapeforms.liegroups import spd2_log
+from shapeforms.errors import ConvergenceError, CutLocusError, ReferenceMismatchError
+from shapeforms.liegroups import so3_exp, spd2_log
 from shapeforms.reconstruction import reconstruct
 from shapeforms.reference import build_reference
 from shapeforms.representation import (
     DistanceParams,
+    ShapeRep,
     TangentRep,
     encode,
     geodesic,
@@ -86,6 +87,26 @@ class TestFrechetMean:
         mu = frechet_mean(cohort)
         mu_perm = frechet_mean(list(reversed(cohort)))
         assert rep_distance(ref, mu, mu_perm) < 1e-9
+
+    def test_cut_locus_names_the_worst_edge_of_the_first_shape(self, cohort):
+        mu = cohort[0]
+        reps = list(cohort)
+        half_turn = so3_exp(np.array([0.0, 0.6, 0.8]) * np.pi)
+        near_half_turn = so3_exp(np.array([0.0, 0.6, 0.8]) * (np.pi - 1e-13))
+        # Shape 2 is a half-turn from mu on edge 7 and within the margin on
+        # edge 3; shape 4 is a half-turn on edge 1.
+        for k, changes in ((2, ((7, half_turn), (3, near_half_turn))),
+                           (4, ((1, half_turn),))):
+            rotations = reps[k].rotations.copy()
+            for edge, turn in changes:
+                rotations[edge] = turn @ mu.rotations[edge]
+            reps[k] = ShapeRep(rotations, reps[k].stretches, reps[k].reference_hash)
+        with pytest.raises(CutLocusError, match=r"^edge 7 is at the cut locus"):
+            mean_residual(mu, reps)
+        with pytest.raises(CutLocusError, match=r"^edge 7 is at the cut locus"):
+            rep_log(mu, reps[2])
+        with pytest.raises(CutLocusError, match=r"^edge 1 is at the cut locus"):
+            mean_residual(mu, reps[3:])
 
     def test_non_convergence_raises(self, ref, cohort):
         from shapeforms.errors import ConvergenceError
@@ -163,6 +184,17 @@ class TestPGA:
             a = coefficients(ref, model, rep)
             back = synthesize(model, a)
             assert rep_distance(ref, back, rep, model.params) < 1e-8
+
+    def test_supplied_mean_gives_the_computed_model(self, ref, cohort):
+        computed = pga(ref, cohort)
+        supplied = pga(ref, cohort, mu=frechet_mean(cohort))
+        for name in ("rotations", "stretches", "log_stretches"):
+            assert np.array_equal(getattr(supplied.mean, name),
+                                  getattr(computed.mean, name))
+        assert np.array_equal(supplied._mode_matrix, computed._mode_matrix)
+        assert np.array_equal(supplied.variances, computed.variances)
+        assert np.array_equal(_coefficient_rows(ref, supplied, cohort),
+                              _coefficient_rows(ref, computed, cohort))
 
     def test_wrong_mean_rejected(self, ref, cohort):
         with pytest.raises(ValueError):
