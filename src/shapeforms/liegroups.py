@@ -234,10 +234,14 @@ def _shepperd(e, trace):
     vector part is ``sqrt(1 + 2 R_kk - tr) / 2``, and the others follow from
     the symmetric and antisymmetric parts of ``R``.
     """
-    pivot = np.argmax(e[[0, 4, 8]], axis=0)
+    d0, d1, d2 = e[0], e[4], e[8]
+    # The first largest diagonal entry, as np.argmax picks it.
+    pivot = np.where((d0 >= d1) & (d0 >= d2), 0, np.where(d1 >= d2, 1, 2))
     out = np.empty((4, e.shape[1]))
     for k in range(3):
         sel = pivot == k
+        if not sel.any():
+            continue
         i, j = (k + 1) % 3, (k + 2) % 3
         r = e[:, sel]
         v = 0.5 * np.sqrt(1.0 + 2.0 * r[4 * k] - trace[sel])

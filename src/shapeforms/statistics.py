@@ -92,8 +92,11 @@ def _quaternion_stack(reps):
     stacked rotations stay under ``_BLOCK_BYTES``."""
     out = np.empty((4, len(reps), reps[0].n_edges))
     for block in _blocks(len(reps), 72 * reps[0].n_edges):
-        out[:, block] = _quaternions(
-            _entries(np.stack([rep.rotations for rep in reps[block]])))
+        group = reps[block]
+        # A shape that fills a block alone is converted without a copy.
+        rotations = (group[0].rotations[None] if len(group) == 1
+                     else np.stack([rep.rotations for rep in group]))
+        out[:, block] = _quaternions(_entries(rotations))
     return out
 
 
@@ -106,7 +109,9 @@ def _mean_quaternions(mu):
 def _stretch_logs(reps, mu_logs):
     """Stretch parts ``(n, m, 2, 2)`` of the logs of ``reps`` at the stretch
     logarithms ``mu_logs``."""
-    return np.stack([rep.log_stretches for rep in reps]) - mu_logs
+    logs = np.stack([rep.log_stretches for rep in reps])
+    logs -= mu_logs
+    return logs
 
 
 def _log_mean(reps):
