@@ -423,6 +423,8 @@ def _tangent_distances(vectors, relative, stretch_logs, weights):
         theta = _quaternion_angle(_exp_quaternions(rot), relative)
         _check_each(theta, "edge")
         # The rotation coordinates of an edge share its weight.
-        squared = (theta * theta) @ weights[:split:3]
+        theta *= theta
+        squared = theta @ weights[:split:3]
     diff = stretch_logs - vectors[..., split:]
-    return np.sqrt(squared + (diff * diff) @ weights[split:])
+    diff *= diff
+    return np.sqrt(squared + diff @ weights[split:])
