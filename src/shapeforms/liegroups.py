@@ -6,16 +6,16 @@ All functions are pure and accept stacked inputs: an argument documented as
 axes. Rotations follow the axis-angle convention where a tangent vector
 ``xi`` encodes the rotation by angle ``|xi|`` about ``xi / |xi|``.
 
-Internally, the matrix kernels (:func:`so3_exp`, :func:`so3_log`, the
-polar decomposition) read stacked rotations as row-major entries
-``(9, ...)``. Everything that relates one rotation to another works on unit
-quaternions ``(4, ...)``, scalar part first, converted once from the
-entries by :func:`_quaternions`:
+Internally, the matrix kernels (:func:`so3_exp`, the polar decomposition)
+read stacked rotations as row-major entries ``(9, ...)``. Every angle and
+every logarithm of a rotation works on unit quaternions ``(4, ...)``, scalar
+part first, converted once from the entries by :func:`_quaternions`:
 
 - :func:`_quaternion_angle` measures every rotation distance, for
   :func:`relative_angle` and the distances of model quality analysis, whose
   targets are quaternions ``(4, [n,] E)``;
-- :func:`_quaternion_log` takes every logarithm of a shape at a base, on the
+- :func:`_quaternion_log` takes every rotation logarithm: that of
+  :func:`so3_log`, and every logarithm of a shape at a base, on the
   relative quaternions ``q * conj(q_mu)`` of :func:`_quaternion_product`,
   which also makes every mean update ``exp(xi) mu``.
 """
@@ -24,10 +24,10 @@ import numpy as np
 
 from .errors import ConditioningError, CutLocusError, OrientationError
 
-# Branch thresholds: Taylor series below _TINY_ANGLE, eigenvector-based axis
-# extraction above pi - _NEAR_PI, hard error within _PI_MARGIN of pi.
+# Branch thresholds: Taylor series below _TINY_ANGLE, hard error within
+# _PI_MARGIN of pi. Near pi the quaternion's vector part gives the axis, so
+# no branch rebuilds it there.
 _TINY_ANGLE = 1e-8
-_NEAR_PI = 1e-3
 _PI_MARGIN = 1e-12
 
 # Newton polar iteration: it converges quadratically, so a step that moves
@@ -104,14 +104,6 @@ def _exp_entries(xi):
     return out
 
 
-def _angle_entries(e):
-    """Rotation angle and half the antisymmetric part from the entries."""
-    vee = 0.5 * np.stack((e[7] - e[5], e[2] - e[6], e[3] - e[1]))
-    sin_theta = np.sqrt(vee[0] * vee[0] + vee[1] * vee[1] + vee[2] * vee[2])
-    cos_theta = 0.5 * ((e[0] + e[4] + e[8]) - 1.0)
-    return np.arctan2(sin_theta, cos_theta), vee
-
-
 def _check_cut_locus(theta, item):
     """Raise :class:`CutLocusError` if an angle is within ``_PI_MARGIN`` of
     pi, naming the flat index of the largest angle as ``item``."""
@@ -138,53 +130,12 @@ def _check_each(theta, item):
 def so3_log(R):
     """Axis-angle vector of the rotation ``R``.
 
-    Requires the rotation angle to be strictly below pi; at the cut locus
-    the logarithm is ambiguous and a :class:`CutLocusError` is raised.
+    Taken on the unit quaternion of ``R`` by :func:`_quaternion_log`, which
+    stays accurate to a few ulps of the angle from 0 up to pi. Requires the
+    rotation angle to be strictly below pi; at the cut locus the logarithm
+    is ambiguous and a :class:`CutLocusError` is raised.
     """
-    return _log_entries(_entries(R), "rotation")
-
-
-def _log_entries(e, item, check=_check_cut_locus):
-    """Axis-angle vectors ``(..., 3)`` of the rotations with entries
-    ``(9, ...)``; ``check(theta, item)`` guards the cut locus.
-
-    The angle and the axial vector come straight from the entries; only
-    rotations within ``_NEAR_PI`` of pi are rebuilt as matrices.
-    """
-    shape = e.shape[1:]
-    e = e.reshape(9, -1)
-    theta, vee = _angle_entries(e)
-    check(theta.reshape(shape), item)
-
-    small = theta < _TINY_ANGLE
-    near_pi = theta > np.pi - _NEAR_PI
-    # theta / sin(theta) ~ 1 + theta^2/6 for small theta
-    with np.errstate(invalid="ignore", divide="ignore"):
-        factor = np.where(small, 1.0 + theta**2 / 6.0, theta / np.sin(theta))
-    out = np.empty((theta.size, 3))
-    out[:, 0] = vee[0] * factor
-    out[:, 1] = vee[1] * factor
-    out[:, 2] = vee[2] * factor
-
-    if np.any(near_pi):
-        # Diagonal-based axis: a_i^2 = (R_ii - cos)/(1 - cos) is well
-        # conditioned near pi, where the antisymmetric part degenerates.
-        for i in np.nonzero(near_pi)[0]:
-            Ri = e[:, i].reshape(3, 3)
-            c = np.cos(theta[i])
-            d = np.clip((np.diag(Ri) - c) / (1.0 - c), 0.0, None)
-            k = int(np.argmax(d))
-            axis = np.empty(3)
-            axis[k] = np.sqrt(d[k])
-            for j in range(3):
-                if j != k:
-                    axis[j] = (Ri[j, k] + Ri[k, j]) / (2.0 * (1.0 - c) * axis[k])
-            axis /= np.linalg.norm(axis)
-            if np.dot(axis, vee[:, i]) < 0.0:
-                axis = -axis
-            out[i] = theta[i] * axis
-
-    return out.reshape(shape + (3,))
+    return _quaternion_log(_quaternions(_entries(R)), "rotation")
 
 
 def relative_angle(Q, R):
@@ -331,7 +282,7 @@ def _quaternion_product(a, b, conjugate=False):
 def _quaternion_log(q, item, check=_check_cut_locus):
     """Axis-angle vectors ``(..., 3)`` of the rotations with unit
     quaternions ``q`` ``(4, ...)``; ``check(theta, item)`` guards the cut
-    locus, as in :func:`_log_entries`.
+    locus, by default with :func:`_check_cut_locus`.
 
     The angle is ``theta = 2 arctan2(|v|, |w|)`` of the scalar part ``w`` and
     the vector part ``v``, accurate near 0 and near pi, and the vector is

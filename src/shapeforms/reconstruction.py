@@ -49,7 +49,6 @@ data while non-integrable mismatch is spread smoothly by the solve.
 """
 
 import numbers
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,8 +149,7 @@ class PoissonSystem:
     The factor order is a nested dissection of the reference vertex
     coordinates (George, 1973; Lipton, Rose and Tarjan, 1979), see
     :func:`_dissection_order`. ``S`` is symmetric positive definite, so
-    SuperLU factors it in that order without pivoting. ``factor_seconds``
-    is the time of the ordering plus the factorization.
+    SuperLU factors it in that order without pivoting.
     """
 
     def __init__(self, ref):
@@ -205,7 +203,6 @@ class PoissonSystem:
                           s01, n11, n12,
                           s02, n12, n22), axis=1)
 
-        start = time.perf_counter()
         # Vertex 0 is pinned; the others are factored in dissection order.
         order = _dissection_order(mesh.vertices, tri)
         self._order = order = order[order != 0]
@@ -225,7 +222,6 @@ class PoissonSystem:
             )
         except RuntimeError as exc:
             raise ConditioningError(f"global system factorization failed: {exc}")
-        self.factor_seconds = time.perf_counter() - start
 
     def solve(self, targets):
         """Positions minimizing the weighted gradient mismatch.

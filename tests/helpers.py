@@ -8,9 +8,7 @@ from shapeforms.errors import MeshTopologyError, ReferenceMismatchError
 from shapeforms.evaluation import generalization_curve
 from shapeforms.flattening import _unfold_rotations
 from shapeforms.liegroups import (
-    _angle_entries,
     _check_cut_locus,
-    _entries,
     relative_angle,
     spd2_exp,
     spd2_log,
@@ -35,9 +33,16 @@ def so3_distance(Q, R):
 
 
 def so3_angle(R):
-    """Rotation angle in ``[0, pi]`` of ``R``, stable near both endpoints:
-    the angle that the library's rotation logarithm uses."""
-    return _angle_entries(_entries(R))[0]
+    """Rotation angle in ``[0, pi]`` of ``(..., 3, 3)`` rotations ``R``, a
+    test-only reference independent of the library's quaternion kernels:
+    ``arctan2`` of the norm of the axial vector of the antisymmetric part,
+    ``sin(theta)``, against ``cos(theta) = (tr R - 1) / 2``."""
+    R = np.asarray(R, dtype=float)
+    x = 0.5 * (R[..., 2, 1] - R[..., 1, 2])
+    y = 0.5 * (R[..., 0, 2] - R[..., 2, 0])
+    z = 0.5 * (R[..., 1, 0] - R[..., 0, 1])
+    cos_theta = 0.5 * ((R[..., 0, 0] + R[..., 1, 1] + R[..., 2, 2]) - 1.0)
+    return np.arctan2(np.sqrt(x * x + y * y + z * z), cos_theta)
 
 
 def times_transpose(s, b):

@@ -111,18 +111,31 @@ def test_every_synthetic_generator_has_a_caller():
     assert _uncalled(functions, _sources(), own_module_counts=True) == []
 
 
+def _module_functions(private):
+    """The public or the private functions defined at module level in each
+    module of the package other than __init__."""
+    functions = []
+    for module in sorted(MODULES - {"shapeforms"}):
+        namespace = vars(importlib.import_module(module))
+        functions += [(name, value) for name, value in namespace.items()
+                      if name.startswith("_") == private and not name.startswith("__")
+                      and inspect.isfunction(value) and value.__module__ == module]
+    return functions
+
+
 def test_every_public_function_has_a_caller():
     # An exported function needs a caller outside its module; any other
     # public function, such as ``cli.build_parser``, one anywhere.
     used = _sources()
-    uncalled = []
-    for module in sorted(MODULES - {"shapeforms"}):
-        namespace = vars(importlib.import_module(module))
-        functions = [(name, value) for name, value in namespace.items()
-                     if not name.startswith("_") and inspect.isfunction(value)
-                     and value.__module__ == module]
-        exported = [item for item in functions if item[0] in shapeforms.__all__]
-        internal = [item for item in functions if item[0] not in shapeforms.__all__]
-        uncalled += _uncalled(exported, used, own_module_counts=False)
-        uncalled += _uncalled(internal, used, own_module_counts=True)
-    assert uncalled == []
+    functions = _module_functions(private=False)
+    exported = [item for item in functions if item[0] in shapeforms.__all__]
+    internal = [item for item in functions if item[0] not in shapeforms.__all__]
+    assert (_uncalled(exported, used, own_module_counts=False)
+            + _uncalled(internal, used, own_module_counts=True)) == []
+
+
+def test_every_private_function_has_a_reader_in_the_program():
+    # A private module-level function needs a reader in the library, the
+    # demos or the benchmark; one that only the tests read is dead code.
+    assert _uncalled(_module_functions(private=True), _sources(),
+                     own_module_counts=True) == []

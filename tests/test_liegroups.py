@@ -7,7 +7,6 @@ from scipy.spatial.transform import Rotation
 
 from shapeforms.errors import ConditioningError, CutLocusError, OrientationError
 from shapeforms.liegroups import (
-    _NEAR_PI,
     _PI_MARGIN,
     _TINY_ANGLE,
     _check_each,
@@ -15,7 +14,6 @@ from shapeforms.liegroups import (
     _entries,
     _exp_entries,
     _exp_quaternions,
-    _log_entries,
     _quaternion_angle,
     _quaternion_entries,
     _quaternion_log,
@@ -37,7 +35,6 @@ from helpers import (
     so3_distance,
     spd2_distance,
     spd2_mul,
-    times_transpose,
     unskew,
 )
 
@@ -405,6 +402,9 @@ class TestPolarRotation:
 
 
 EPS = np.finfo(float).eps
+# The last stretch before pi, tested as a regime of its own: there the
+# rotation's antisymmetric part vanishes and the axis must come from the rest.
+NEAR_PI = 1e-3
 
 class TestDetEntries:
     @given(axis_angles, axis_angles, spectra, st.integers(0, 2**32 - 1))
@@ -516,8 +516,8 @@ class TestRelativeAngle:
 
     @pytest.mark.parametrize("lo, hi", [
         (0.0, _TINY_ANGLE),
-        (_TINY_ANGLE, np.pi - _NEAR_PI),
-        (np.pi - _NEAR_PI, np.pi - 1e3 * _PI_MARGIN),
+        (_TINY_ANGLE, np.pi - NEAR_PI),
+        (np.pi - NEAR_PI, np.pi - 1e3 * _PI_MARGIN),
     ], ids=["tiny", "main", "near_pi"])
     @given(axis_angles, unit_axes, st.floats(0.0, 1.0))
     def test_matches_so3_angle(self, lo, hi, u, axis, t):
@@ -550,25 +550,16 @@ class TestRelativeAngle:
 
 
 # Angles in each regime of the rotation kernels: the series branch (down to
-# zero), the main branch, and the diagonal-based branch up to 1e3 times the
+# zero), the main branch, and the last NEAR_PI before pi up to 1e3 times the
 # cut-locus margin from pi, log-spaced towards both ends.
 regime_angles = st.one_of(
     st.just(0.0),
     st.floats(-20.0, np.log10(_TINY_ANGLE), exclude_max=True).map(lambda u: 10.0**u),
-    st.floats(_TINY_ANGLE, np.pi - _NEAR_PI),
-    st.floats(np.log10(1e3 * _PI_MARGIN), np.log10(_NEAR_PI), exclude_max=True).map(
+    st.floats(_TINY_ANGLE, np.pi - NEAR_PI),
+    st.floats(np.log10(1e3 * _PI_MARGIN), np.log10(NEAR_PI), exclude_max=True).map(
         lambda u: np.pi - 10.0**u),
 )
 rotation_vectors = st.tuples(unit_axes, regime_angles).map(lambda p: p[1] * p[0])
-
-
-def log_tolerance(theta):
-    """Bound on the relative error of ``so3_log`` at angle ``theta``: the main
-    branch divides by ``sin(theta)``, which loses accuracy towards pi; the
-    diagonal-based branch beyond it does not."""
-    if theta > np.pi - _NEAR_PI:
-        return 1e-12
-    return 8.0 * EPS / np.sin(np.clip(theta, np.pi / 2, np.pi - _NEAR_PI))
 
 
 class TestSo3AgainstScipy:
@@ -586,7 +577,28 @@ class TestSo3AgainstScipy:
         expected = Rotation.from_matrix(R).as_rotvec()
         theta = np.linalg.norm(expected)
         err = np.max(np.abs(so3_log(R) - expected))
-        assert err <= log_tolerance(theta) * max(theta, np.finfo(float).tiny)
+        # The half-angle form is accurate relative to the angle in every
+        # regime, near pi too.
+        assert err <= 8.0 * EPS * max(theta, np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("angles", [
+        lambda rng, n: 10.0 ** rng.uniform(-20.0, np.log10(_TINY_ANGLE), n),
+        lambda rng, n: rng.uniform(_TINY_ANGLE, np.pi - NEAR_PI, n),
+        lambda rng, n: np.pi - 10.0 ** rng.uniform(np.log10(1e3 * _PI_MARGIN),
+                                                   np.log10(NEAR_PI), n),
+    ], ids=["tiny", "main", "near_pi"])
+    def test_log_matches_rotation_vector_on_a_seeded_stack(self, angles):
+        # Ten thousand rotations per regime reach the angles where a log
+        # that divides by sin(theta) loses its accuracy, which a hundred
+        # drawn examples may miss.
+        rng = np.random.default_rng(23)
+        axes = rng.normal(size=(10_000, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        R = Rotation.from_rotvec(angles(rng, len(axes))[:, None] * axes).as_matrix()
+        expected = Rotation.from_matrix(R).as_rotvec()
+        theta = np.linalg.norm(expected, axis=1)
+        err = np.max(np.abs(so3_log(R) - expected), axis=1)
+        assert np.all(err <= 8.0 * EPS * theta)
 
     @given(st.lists(rotation_vectors, min_size=1, max_size=12))
     def test_stacked_match_single(self, vectors):
@@ -622,13 +634,13 @@ class TestSo3AgainstScipy:
 
 # Angles in each regime of the quaternion kernels: the series branch of
 # _exp_quaternions, the scalar pivot of _quaternions up to 2 pi / 3, the
-# largest-diagonal pivot beyond it, the last _NEAR_PI before pi, and, for
+# largest-diagonal pivot beyond it, the last NEAR_PI before pi, and, for
 # the exponential alone, angles beyond pi.
 quaternion_regimes = pytest.mark.parametrize("lo, hi", [
     (0.0, _TINY_ANGLE),
     (_TINY_ANGLE, 2.0 * np.pi / 3.0),
-    (2.0 * np.pi / 3.0, np.pi - _NEAR_PI),
-    (np.pi - _NEAR_PI, np.pi),
+    (2.0 * np.pi / 3.0, np.pi - NEAR_PI),
+    (np.pi - NEAR_PI, np.pi),
     (np.pi, 2.5 * np.pi),
 ], ids=["tiny", "scalar_pivot", "diagonal_pivot", "near_pi", "beyond_pi"])
 
@@ -738,8 +750,8 @@ class TestQuaternionLog:
 
     @pytest.mark.parametrize("lo, hi", [
         (0.0, _TINY_ANGLE),
-        (_TINY_ANGLE, np.pi - _NEAR_PI),
-        (np.pi - _NEAR_PI, np.pi - 1e3 * _PI_MARGIN),
+        (_TINY_ANGLE, np.pi - NEAR_PI),
+        (np.pi - NEAR_PI, np.pi - 1e3 * _PI_MARGIN),
     ], ids=["tiny", "main", "near_pi"])
     @given(axis_angles, unit_axes, st.floats(0.0, 1.0))
     def test_matches_extended_precision_and_so3_log(self, lo, hi, u, axis, t):
@@ -752,11 +764,9 @@ class TestQuaternionLog:
         assert log.shape == (3,)
         exact = extended_log(R.astype(np.longdouble) @ Q.T.astype(np.longdouble))
         assert np.max(np.abs(log - exact)) <= 16.0 * EPS
-        # so3_log divides by sin(theta) up to pi - _NEAR_PI, which costs it
-        # accuracy towards pi; the half-angle form does not.
-        matrix = so3_log(R @ Q.T)
-        bound = 16.0 * EPS / np.sin(np.clip(theta, np.pi / 2, np.pi - _NEAR_PI))
-        assert np.max(np.abs(log - matrix)) <= bound
+        # so3_log takes the same half-angle form on the quaternion of the
+        # rounded product R Q^T, so it agrees as closely in every regime.
+        assert np.max(np.abs(log - so3_log(R @ Q.T))) <= 16.0 * EPS
         # q and -q are the same rotation.
         assert np.array_equal(_quaternion_log(-q, "edge"), log)
 
@@ -796,6 +806,3 @@ class TestQuaternionLog:
                                        _quaternions(_entries(mu)), conjugate=True)
         with pytest.raises(CutLocusError, match=rf"^edge {edge} is at the cut locus"):
             _quaternion_log(relative, "edge", check=_check_each)
-        with pytest.raises(CutLocusError, match=rf"^edge {edge} is at the cut locus"):
-            _log_entries(times_transpose(_entries(C), _entries(mu)), "edge",
-                         check=_check_each)

@@ -488,7 +488,7 @@ class TestPoissonSystem:
     def test_factor_once_solve_many(self, ref):
         start = time.perf_counter()
         system = prefactor(build_reference(icosphere(3)))
-        factor_time = max(time.perf_counter() - start, system.factor_seconds)
+        factor_time = time.perf_counter() - start
 
         rng = np.random.default_rng(0)
         targets = np.broadcast_to(np.eye(3), (system.n_triangles, 3, 3)).copy()
