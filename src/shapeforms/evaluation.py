@@ -12,7 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ReferenceMismatchError
-from .liegroups import _entries, _matrices, _quaternion_log, _quaternion_product
+from .liegroups import (
+    _matrices,
+    _quaternion_entries,
+    _quaternion_log,
+    _quaternion_product,
+)
 from .reconstruction import _check_stopping, _converged_mesh, prefactor, reconstruct
 from .representation import (
     DistanceParams,
@@ -32,12 +37,10 @@ from .statistics import (
     _check_count,
     _log_mean,
     _mean_logs,
-    _mean_quaternions,
     _mode_count,
     _principal_modes,
     _project,
     _quaternion_stack,
-    _relative_blocks,
     _sample_coefficients,
     _stretch_logs,
     pga,
@@ -100,12 +103,12 @@ def _distances(ref, mean, a, matrix, targets, weights, meshes, label):
     """Yield row slices of ``a`` with the distances ``(b, n)`` of the shapes
     ``exp_mu(a @ matrix)`` to ``n`` targets, or ``(b,)`` to one target.
 
-    ``mean`` is ``mu`` as rotation entries ``(9, E)``, stretch logs and
-    reference hash; ``targets`` the unit quaternions ``(4, [n,] E)`` of the
-    relative rotations and the stretch logs ``([n,] 4m)`` at ``mu``. With
-    ``meshes`` ``None`` this is :func:`_tangent_distances` in blocks whose
-    per-row arrays, such as the ``4E`` quaternion entries of a sample, stay
-    under ``_BLOCK_BYTES``; else each row is reconstructed on the system of
+    ``targets`` are the unit quaternions ``(4, [n,] E)`` of the relative
+    rotations and the stretch logs ``([n,] 4m)`` at ``mu``. With ``meshes``
+    ``None`` this is :func:`_tangent_distances` in blocks whose per-row
+    arrays, such as the ``4E`` quaternion entries of a sample, stay under
+    ``_BLOCK_BYTES``, and ``mean`` may be ``None``; else ``mean`` is ``mu``
+    as a :class:`ShapeRep`, each row is reconstructed on the system of
     :func:`_vertex_targets` (``ConvergenceError`` names ``label(k)``) and
     measured by :func:`_aligned_rms` against the target vertices.
     """
@@ -119,10 +122,10 @@ def _distances(ref, mean, a, matrix, targets, weights, meshes, label):
             yield block, _tangent_distances(vectors, relative, stretch_logs, weights)
         return
     system, vertices = meshes
-    mu = ShapeRep._from_log_stretches(_matrices(mean[0]), mean[1], mean[2])
     for k, row in enumerate(a):
-        v = TangentRep._from_coordinates(row @ matrix, mu.n_edges, mu.content_hash())
-        mesh = _converged_mesh(reconstruct(ref, rep_exp(mu, v), system=system),
+        v = TangentRep._from_coordinates(row @ matrix, mean.n_edges,
+                                         mean.content_hash())
+        mesh = _converged_mesh(reconstruct(ref, rep_exp(mean, v), system=system),
                                label(k))
         yield slice(k, k + 1), _aligned_rms(vertices, mesh.vertices)[None]
 
@@ -149,27 +152,26 @@ def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrin
 
 def _specificity_targets(ref, model, training):
     """The training shapes as :func:`_distances` targets at the model mean:
-    the unit quaternions ``(4, n, E)`` of their relative rotations, the
-    products written block by block over the shapes' own quaternions, and
-    their stretch logs ``(n, 4m)``."""
+    the unit quaternions ``(4, n, E)`` of their relative rotations, each
+    product of a shape's held quaternions written straight into the array,
+    and their stretch logs ``(n, 4m)``."""
     mu = model.mean
     _check_binding(ref, mu, *training)
-    quats = _quaternion_stack(training)
-    for block, relative in _relative_blocks(quats, model._mean_quaternions):
-        quats[:, block] = relative
-    return quats, _stretch_logs(training, mu.log_stretches).reshape(len(training), -1)
+    relative = np.empty((4, len(training), mu.n_edges))
+    for k, rep in enumerate(training):
+        relative[:, k] = _quaternion_product(rep.quaternions, mu.quaternions,
+                                             conjugate=True)
+    stretch_logs = _stretch_logs(training, mu.log_stretches)
+    return relative, stretch_logs.reshape(len(training), -1)
 
 
 def _specificity(ref, model, targets, n_samples, n_modes, seed, meshes):
     """:func:`specificity` on the :func:`_specificity_targets` and the
     :func:`_vertex_targets` of the training shapes."""
-    mu = model.mean
-    # A view of the entries: a contiguous copy would stay alive for all draws.
-    mean = (_entries(mu.rotations), mu.log_stretches, mu.reference_hash)
     draws = _sample_coefficients(model, n_samples, seed, n_modes)
     total = 0.0
-    for _, d in _distances(ref, mean, draws, model._mode_matrix[:n_modes], targets,
-                           _coordinate_weights(ref, model.params), meshes,
+    for _, d in _distances(ref, model.mean, draws, model._mode_matrix[:n_modes],
+                           targets, _coordinate_weights(ref, model.params), meshes,
                            lambda k: f"specificity sample {k}"):
         total += float(np.sum(np.min(d, axis=1)))
     return total / n_samples
@@ -216,9 +218,8 @@ def _generalization(ref, reps, max_modes, params, meshes):
     n = len(reps)
     log_mean = _log_mean(reps)
     quats = _quaternion_stack(reps[1:] + reps[:1])
-    full_mean, _, logs = _mean_logs(
-        quats, (_entries(reps[0].rotations), _mean_quaternions(reps[0])), log_mean,
-        log_mean, DEFAULT_MEAN_TOL, DEFAULT_MEAN_MAX_ITER)
+    full_mean, _, logs = _mean_logs(quats, reps[0].quaternions, log_mean, log_mean,
+                                    DEFAULT_MEAN_TOL, DEFAULT_MEAN_MAX_ITER)
     weights = _coordinate_weights(ref, params)
     errors = np.zeros((n, max_modes))
     for i, held_out in enumerate(reps):
@@ -233,23 +234,28 @@ def _generalization(ref, reps, max_modes, params, meshes):
         matrix = _principal_modes(weights, rot_logs,
                                   _stretch_logs(rest, fold_log_mean))[1]
         del rot_logs  # the distances below run without the fold's logs
-        relative = _quaternion_product(quats[:, -1], mu[1], conjugate=True)
+        relative = _quaternion_product(quats[:, -1], mu, conjugate=True)
         stretch_logs = held_out.log_stretches - fold_log_mean
         a = _project(_quaternion_log(relative, "edge")[None], stretch_logs[None],
                      matrix, weights)[0]
         used = np.minimum(np.arange(1, max_modes + 1), a.size)
         distinct = np.unique(used)
         prefixes = a * (np.arange(a.size) < distinct[:, None])
-        fold_meshes = None if meshes is None else (meshes[0], meshes[1][i])
+        fold_meshes = fold_mean = None
+        if meshes is not None:
+            fold_meshes = meshes[0], meshes[1][i]
+            fold_mean = ShapeRep._from_log_stretches(
+                _matrices(_quaternion_entries(mu)), fold_log_mean,
+                held_out.reference_hash)
         d = np.empty(distinct.size)
         for block, dist in _distances(
-                ref, (mu[0], fold_log_mean, held_out.reference_hash), prefixes, matrix,
+                ref, fold_mean, prefixes, matrix,
                 (relative, stretch_logs.reshape(-1)), weights, fold_meshes,
                 lambda k: f"shape {i} projected on {distinct[k]} modes"):
             d[block] = dist
         errors[i] = d[np.searchsorted(distinct, used)]
         # The next fold's mean iteration runs without this fold's arrays.
-        del mu, matrix, relative, a, prefixes
+        del mu, matrix, relative, a, prefixes, fold_mean
     return errors.mean(axis=0)
 
 

@@ -9,7 +9,8 @@ axes. Rotations follow the axis-angle convention where a tangent vector
 Internally, the matrix kernels (:func:`so3_exp`, the polar decomposition)
 read stacked rotations as row-major entries ``(9, ...)``. Every angle and
 every logarithm of a rotation works on unit quaternions ``(4, ...)``, scalar
-part first, converted once from the entries by :func:`_quaternions`:
+part first, converted once from the entries by :func:`_quaternions`; a
+shape holds those of its rotations as ``ShapeRep.quaternions``:
 
 - :func:`_quaternion_angle` measures every rotation distance, for
   :func:`relative_angle` and the distances of model quality analysis, whose

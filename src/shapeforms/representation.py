@@ -78,7 +78,8 @@ class ShapeRep:
     A representation is immutable. It keeps read-only copies of the arrays
     it is built from, so the caller's arrays stay writeable and later
     changes to them do not reach it. That makes it safe to compute the
-    content hash and the stretch logarithms once and keep them.
+    content hash, the stretch logarithms and the unit quaternions of the
+    rotations once and keep them.
     """
 
     def __init__(self, rotations, stretches, reference_hash):
@@ -115,6 +116,16 @@ class ShapeRep:
         logs = spd2_log(self.stretches)
         logs.flags.writeable = False
         return logs
+
+    @cached_property
+    def quaternions(self):
+        """Read-only unit quaternions ``(4, E)`` of ``rotations``, computed
+        on first use and never written to a file. Every log of the shape at
+        a base, and of a shape at it, reads them, so each shape is
+        converted once."""
+        quats = _quaternions(_entries(self.rotations))
+        quats.flags.writeable = False
+        return quats
 
     @classmethod
     def _from_log_stretches(cls, rotations, log_stretches, reference_hash):
@@ -355,9 +366,7 @@ def rep_log(base, s):
 
 def _log_coordinates(base, s):
     """The :class:`TangentRep` coordinates of :func:`rep_log` ``(base, s)``."""
-    relative = _quaternion_product(_quaternions(_entries(s.rotations)),
-                                   _quaternions(_entries(base.rotations)),
-                                   conjugate=True)
+    relative = _quaternion_product(s.quaternions, base.quaternions, conjugate=True)
     rot_part = _quaternion_log(relative, "edge")
     stretch_part = s.log_stretches - base.log_stretches
     return np.concatenate((rot_part.reshape(-1), stretch_part.reshape(-1)))

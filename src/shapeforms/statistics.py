@@ -2,14 +2,14 @@
 
 A cohort is handled stacked: its logs at a base form one ``(n, E, 3)`` and
 one ``(n, m, 2, 2)`` array, built from the cached
-``ShapeRep.log_stretches`` and from the transition rotations. Each call
-converts the transition rotations of every shape once to unit quaternions,
-one ``(4, n, E)`` array (32 E bytes a shape). A pass over the cohort takes
-the relative quaternions ``q conj(q_mu)`` of blocks of ``b`` shapes,
-``(4, b, E)`` under ``_BLOCK_BYTES`` so that the temporaries stay small,
-and their logarithms, all with the elementwise kernels of
-:mod:`liegroups`. A base's logs are always taken at the quaternions of its
-own rotation matrices.
+``ShapeRep.log_stretches`` and ``ShapeRep.quaternions``. Each shape is
+converted once and holds the unit quaternions of its transition rotations
+(32 E bytes); a call stacks them into one ``(4, n, E)`` array. A pass over
+the cohort takes the relative quaternions ``q conj(q_mu)`` of blocks of
+``b`` shapes, ``(4, b, E)`` under ``_BLOCK_BYTES`` so that the temporaries
+stay small, and their logarithms, all with the elementwise kernels of
+:mod:`liegroups`. The logs at a shape are always taken at its held
+quaternions, those of its own rotation matrices.
 
 The mean is the Riemannian center of mass. Its stretch part is the
 closed-form log-Euclidean mean, the average of the stretch logarithms
@@ -18,7 +18,10 @@ diffusion tensors", 2006). Its rotation part is the fixed point of
 ``mu <- exp(mean_i log(C_i mu^T)) mu``, each step taking the logs of the
 whole cohort block by block and making the update one quaternion product;
 it converges for well-localized data (all relative transition rotations
-away from angle pi).
+away from angle pi). The steps stay on quaternions; a mean returned as a
+shape is stored as the matrices of the last product and its final pass is
+taken at their quaternions, so a computed, a supplied and a reloaded mean
+give the same model.
 
 Principal modes come from the eigendecomposition of the Gram matrix of the
 logs at the mean (Fletcher et al., "Principal geodesic analysis for the
@@ -44,13 +47,11 @@ import numpy as np
 from .errors import ConvergenceError, ReferenceMismatchError
 from .liegroups import (
     _check_each,
-    _entries,
     _exp_quaternions,
     _matrices,
     _quaternion_entries,
     _quaternion_log,
     _quaternion_product,
-    _quaternions,
 )
 from .reconstruction import _check_stopping, _converged_mesh, reconstruct
 from .reference import build_reference
@@ -87,23 +88,9 @@ _BLOCK_BYTES = 2**18
 
 
 def _quaternion_stack(reps):
-    """The unit quaternions ``(4, n, E)`` of the rotations of ``reps``,
-    converted by :func:`_quaternions` once, in blocks of shapes whose
-    stacked rotations stay under ``_BLOCK_BYTES``."""
-    out = np.empty((4, len(reps), reps[0].n_edges))
-    for block in _blocks(len(reps), 72 * reps[0].n_edges):
-        group = reps[block]
-        # A shape that fills a block alone is converted without a copy.
-        rotations = (group[0].rotations[None] if len(group) == 1
-                     else np.stack([rep.rotations for rep in group]))
-        out[:, block] = _quaternions(_entries(rotations))
-    return out
-
-
-def _mean_quaternions(mu):
-    """The unit quaternions ``(4, E)`` of the rotations of ``mu``, at which
-    every log of a shape at ``mu`` is taken."""
-    return _quaternions(_entries(mu.rotations))
+    """The held ``ShapeRep.quaternions`` of ``reps`` stacked into one
+    writeable ``(4, n, E)`` array."""
+    return np.stack([rep.quaternions for rep in reps], axis=1)
 
 
 def _stretch_logs(reps, mu_logs):
@@ -129,27 +116,19 @@ def _blocks(count, item_bytes):
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def _relative_blocks(quats, mu_q):
-    """Yield slices of the shapes with quaternions ``quats`` ``(4, n, E)``
-    in blocks under ``_BLOCK_BYTES``, each with the quaternions
-    ``(4, b, E)`` of the block's relative rotations ``C mu^T``, the products
-    ``q conj(mu_q)`` for the rotations ``mu`` with quaternions ``mu_q``
-    ``(4, E)``."""
-    for block in _blocks(quats.shape[1], 32 * quats.shape[2]):
-        yield block, _quaternion_product(quats[:, block], mu_q, conjugate=True)
-
-
 def _rotation_logs(quats, mu_q):
     """Rotation parts ``(n, E, 3)`` of the logs at the rotations with
     quaternions ``mu_q`` ``(4, E)`` of the shapes with quaternions ``quats``
     ``(4, n, E)``: one pass over a cohort.
 
-    One batched :func:`_quaternion_log` covers a block of
-    :func:`_relative_blocks`. As when :func:`rep_log` takes one shape at a
-    time, a cut-locus error names the worst edge of the first shape at it.
+    The relative quaternions ``q conj(mu_q)`` and their logs are taken in
+    blocks of shapes under ``_BLOCK_BYTES``. As when :func:`rep_log` takes
+    one shape at a time, a cut-locus error names the worst edge of the first
+    shape at it.
     """
     out = np.empty(quats.shape[1:] + (3,))
-    for block, relative in _relative_blocks(quats, mu_q):
+    for block in _blocks(quats.shape[1], 32 * quats.shape[2]):
+        relative = _quaternion_product(quats[:, block], mu_q, conjugate=True)
         out[block] = _quaternion_log(relative, "edge", check=_check_each)
     return out
 
@@ -169,43 +148,40 @@ def mean_residual(mu, reps):
     """
     _check_same_reference(*reps)
     _check_same_reference(mu, reps[0])
-    rot_logs = _rotation_logs(_quaternion_stack(reps), _mean_quaternions(mu))
+    rot_logs = _rotation_logs(_quaternion_stack(reps), mu.quaternions)
     return _residual(rot_logs.sum(axis=0),
                      _stretch_logs(reps, mu.log_stretches).sum(axis=0))
 
 
-def _mean_logs(quats, mu, mu_logs, log_mean, tol, max_iter, logs=None):
+def _mean_logs(quats, mu_q, mu_logs, log_mean, tol, max_iter, logs=None):
     """Fixed-point iteration for the Fréchet mean of the shapes with the
     quaternions ``quats`` ``(4, n, E)``.
 
-    The iteration starts at the rotations ``mu``, their entries ``(9, E)``
-    and quaternions ``(4, E)``, and at the stretch logarithms ``mu_logs``;
-    after the first step the stretch part is the closed-form ``log_mean``,
-    which must be the mean of the stretch logarithms of the shapes. The
-    first pass reads the rotation logs ``(n, E, 3)`` of the shapes at the
-    start from ``logs`` when they are given. It stops when the summed logs
-    have :func:`mean_residual` below ``tol``.
+    The iteration starts at the rotations with quaternions ``mu_q``
+    ``(4, E)`` and at the stretch logarithms ``mu_logs``; after the first
+    step the stretch part is the closed-form ``log_mean``, which must be
+    the mean of the stretch logarithms of the shapes. The first pass reads
+    the rotation logs ``(n, E, 3)`` of the shapes at the start from ``logs``
+    when they are given. It stops when the summed logs have
+    :func:`mean_residual` below ``tol``.
 
-    A step is one quaternion product, ``exp(mean log) mu``. The next pass is
-    taken at the quaternions of that product's rotation matrices, so that
-    the logs of the last pass are the logs at the mean's own matrices.
-    Returns the mean's rotation entries and quaternions, its stretch
-    logarithms and the rotation logs ``(n, E, 3)`` of the shapes at it.
+    A step is one quaternion product, ``exp(mean log) mu_q``, and the next
+    pass is taken at that product. Returns the mean's quaternions (``mu_q``
+    itself when no step was made), its stretch logarithms and the rotation
+    logs ``(n, E, 3)`` of the shapes at it.
     """
     n = quats.shape[1]
     rot_logs = logs
     for _ in range(max_iter):
         if rot_logs is None:
-            rot_logs = _rotation_logs(quats, mu[1])
+            rot_logs = _rotation_logs(quats, mu_q)
         rot_total = rot_logs.sum(axis=0)
         # The stretch logs sum to n (log_mean - mu_logs).
         residual = _residual(rot_total, n * (log_mean - mu_logs))
         if residual < tol:
-            return mu, mu_logs, rot_logs
+            return mu_q, mu_logs, rot_logs
         rot_logs = None  # the next pass runs without this one's logs
-        entries = _quaternion_entries(
-            _quaternion_product(_exp_quaternions((1.0 / n) * rot_total), mu[1]))
-        mu = entries, _quaternions(entries)
+        mu_q = _quaternion_product(_exp_quaternions((1.0 / n) * rot_total), mu_q)
         mu_logs = log_mean
     raise ConvergenceError(
         f"mean iteration did not reach {tol:g} within {max_iter} steps "
@@ -218,16 +194,23 @@ def _mean_and_logs(reps, tol, max_iter):
     stretch logs ``(n, E, 3)``, ``(n, m, 2, 2)`` of ``reps`` at it.
 
     ``reps[0]`` itself is returned when it already passes the test. Any
-    other mean keeps the log-Euclidean mean as its ``log_stretches``.
+    other mean is the shape with the rotation matrices of the iteration's
+    last product and the log-Euclidean mean as its ``log_stretches``. The
+    iteration runs once more from that shape's own ``quaternions``, normally
+    one pass and no step, so the logs returned are taken at its matrices.
     """
-    start = reps[0]
-    (entries, _), mu_logs, rot_logs = _mean_logs(
-        _quaternion_stack(reps), (_entries(start.rotations), _mean_quaternions(start)),
-        start.log_stretches, _log_mean(reps), tol, max_iter)
-    if mu_logs is not start.log_stretches:
-        start = ShapeRep._from_log_stretches(_matrices(entries), mu_logs,
-                                             start.reference_hash)
-    return start, rot_logs, _stretch_logs(reps, mu_logs)
+    quats, log_mean = _quaternion_stack(reps), _log_mean(reps)
+    mu = reps[0]
+    for _ in range(max_iter):
+        mu_q, mu_logs, rot_logs = _mean_logs(quats, mu.quaternions, mu.log_stretches,
+                                             log_mean, tol, max_iter)
+        if mu_q is mu.quaternions:
+            return mu, rot_logs, _stretch_logs(reps, mu_logs)
+        mu = ShapeRep._from_log_stretches(_matrices(_quaternion_entries(mu_q)),
+                                          mu_logs, mu.reference_hash)
+    raise ConvergenceError(
+        f"mean iteration did not settle on stored rotation matrices within "
+        f"{max_iter} rounds")
 
 
 def frechet_mean(reps, tol=DEFAULT_MEAN_TOL, max_iter=DEFAULT_MEAN_MAX_ITER):
@@ -259,10 +242,10 @@ class PGAModel:
     in descending order. The model is immutable: at construction it stacks
     the modes' tangent coordinates once into a read-only ``(k, 3E + 4m)``
     mode matrix, which :func:`coefficients` and :func:`synthesize` use, and
-    ``modes`` becomes a tuple of views of its rows. It also converts the
-    mean's stored rotation matrices once to the quaternions at which
-    :func:`coefficients` takes every log, so a loaded, a supplied and a
-    computed mean project alike.
+    ``modes`` becomes a tuple of views of its rows. :func:`coefficients`
+    takes every log at the mean's held ``quaternions``, those of its stored
+    rotation matrices, so a loaded, a supplied and a computed mean project
+    alike.
 
     Raises
     ------
@@ -295,7 +278,6 @@ class PGAModel:
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "variances", np.asarray(self.variances, dtype=float))
         object.__setattr__(self, "_mode_matrix", matrix)
-        object.__setattr__(self, "_mean_quaternions", _mean_quaternions(self.mean))
 
     @property
     def n_modes(self):
@@ -378,7 +360,7 @@ def _mean_and_modes(ref, reps, mu, params):
         mu, rot_logs, stretch_logs = _mean_and_logs(
             reps, DEFAULT_MEAN_TOL, DEFAULT_MEAN_MAX_ITER)
     else:
-        rot_logs = _rotation_logs(_quaternion_stack(reps), _mean_quaternions(mu))
+        rot_logs = _rotation_logs(_quaternion_stack(reps), mu.quaternions)
         stretch_logs = _stretch_logs(reps, mu.log_stretches)
     return (mu,) + _principal_modes(_coordinate_weights(ref, params), rot_logs,
                                     stretch_logs)
@@ -430,7 +412,7 @@ def _project(rot_logs, stretch_logs, matrix, weights):
 def _coefficient_rows(ref, model, reps):
     """Mode coefficients ``(n, k)`` of ``reps`` in ``model``, see :func:`_project`."""
     _check_binding(ref, model.mean, *reps)
-    return _project(_rotation_logs(_quaternion_stack(reps), model._mean_quaternions),
+    return _project(_rotation_logs(_quaternion_stack(reps), model.mean.quaternions),
                     _stretch_logs(reps, model.mean.log_stretches), model._mode_matrix,
                     _coordinate_weights(ref, model.params))
 

@@ -1,10 +1,12 @@
 import functools
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from shapeforms import statistics
+from shapeforms import liegroups, statistics
+from shapeforms.evaluation import generalization_curve, specificity
 from shapeforms.errors import ConvergenceError, CutLocusError, ReferenceMismatchError
 from shapeforms.liegroups import so3_exp, spd2_log
 from shapeforms.reconstruction import reconstruct
@@ -413,3 +415,72 @@ class TestSerializationAndRebias:
                            match="reconstruction of the mean in round 1 did not "
                                  "converge in 1 iterations"):
             unbiased_reference(meshes, outer_iterations=2)
+
+
+class TestHeldQuaternions:
+    def test_each_shape_converted_once(self, ref, cohort, monkeypatch):
+        # Fresh shapes, so that no conversion is cached on them yet.
+        reps = [ShapeRep(r.rotations, r.stretches, r.reference_hash) for r in cohort]
+        converted = []
+
+        def counting(e):
+            converted.append(e)
+            return convert(e)
+
+        convert = liegroups._quaternions
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("shapeforms")
+                    and getattr(module, "_quaternions", None) is convert):
+                monkeypatch.setattr(module, "_quaternions", counting)
+
+        mu = frechet_mean(reps)
+        model = pga(ref, reps, mu=mu)
+        for modes in (1, 2):
+            specificity(ref, model, reps, n_samples=5, modes=modes)
+        generalization_curve(ref, reps)
+        for rep in reps:
+            coefficients(ref, model, rep)
+
+        counts = [sum(np.shares_memory(e, shape.rotations) for e in converted)
+                  for shape in reps + [mu]]
+        assert counts == [1] * len(reps) + [1]
+        assert len(converted) == len(reps) + 1
+
+    def test_held_quaternions_are_read_only(self, cohort):
+        rep = cohort[0]
+        quats = rep.quaternions
+        assert quats.shape == (4, rep.n_edges)
+        assert rep.quaternions is quats
+        with pytest.raises(ValueError):
+            quats[0, 0] = 1.0
+        assert np.array_equal(quats, liegroups._quaternions(
+            liegroups._entries(rep.rotations)))
+
+
+class TestStoredMean:
+    def test_reloaded_mean_gives_the_computed_model(self, ref, cohort, tmp_path):
+        computed = pga(ref, cohort)
+        computed.save(tmp_path / "model.json")
+        loaded = PGAModel.load(tmp_path / "model.json").mean
+        supplied = pga(ref, cohort, mu=loaded)
+        assert np.array_equal(supplied._mode_matrix, computed._mode_matrix)
+        assert np.array_equal(supplied.variances, computed.variances)
+        assert np.array_equal(_coefficient_rows(ref, supplied, cohort),
+                              _coefficient_rows(ref, computed, cohort))
+
+    def test_shape_file_keeps_the_rotation_logs_of_the_mean(self, cohort, tmp_path):
+        # A shape file stores the rotation matrices, whose quaternions every
+        # log at the mean is taken at; its stretch logs are taken again
+        # from the stored stretches.
+        mu = frechet_mean(cohort)
+        mu.save(tmp_path / "mean.json")
+        loaded = ShapeRep.load(tmp_path / "mean.json")
+        assert np.array_equal(loaded.quaternions, mu.quaternions)
+        for rep in cohort:
+            assert np.array_equal(rep_log(loaded, rep).rot_part,
+                                  rep_log(mu, rep).rot_part)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12])
+    def test_residual_at_the_returned_matrices_below_tolerance(self, cohort, tol):
+        mu = frechet_mean(cohort, tol=tol)
+        assert mean_residual(mu, cohort) < tol
