@@ -125,8 +125,23 @@ def ellipsoid_cohort(
     return meshes
 
 
-def _tube_from_centerline(points, radius, n_around, cap_orientation=True):
-    """Open tube around a polyline using parallel-transport frames."""
+def _outward(mesh, inside=np.zeros((1, 3))):
+    """``mesh`` with its triangles reversed if most of their normals point
+    towards the nearest of the points ``inside`` ``(k, 3)``, the origin by
+    default."""
+    centers = mesh.vertices[mesh.triangles].mean(axis=1)
+    nearest = inside[np.argmin(
+        np.linalg.norm(centers[:, None, :] - inside[None, :, :], axis=2), axis=1
+    )]
+    outward = np.einsum("ij,ij->i", mesh.triangle_normals(), centers - nearest)
+    if np.mean(outward > 0) < 0.5:
+        return TriangleMesh(mesh.vertices, mesh.triangles[:, [0, 2, 1]])
+    return mesh
+
+
+def _tube_from_centerline(points, radius, n_around):
+    """Open tube around a polyline using parallel-transport frames, its
+    normals pointing away from the centerline."""
     points = np.asarray(points, dtype=float)
     k = points.shape[0]
     tangents = np.gradient(points, axis=0)
@@ -163,17 +178,7 @@ def _tube_from_centerline(points, radius, n_around, cap_orientation=True):
             d = (i + 1) * n_around + (j + 1) % n_around
             faces.append((a, b, d))
             faces.append((a, d, c))
-    mesh = TriangleMesh(vertices, np.array(faces, dtype=np.int64))
-    if cap_orientation:
-        # Normals should point away from the centerline.
-        centers = mesh.vertices[mesh.triangles].mean(axis=1)
-        nearest = points[np.argmin(
-            np.linalg.norm(centers[:, None, :] - points[None, :, :], axis=2), axis=1
-        )]
-        outward = np.einsum("ij,ij->i", mesh.triangle_normals(), centers - nearest)
-        if np.mean(outward > 0) < 0.5:
-            mesh = TriangleMesh(mesh.vertices, mesh.triangles[:, [0, 2, 1]])
-    return mesh
+    return _outward(TriangleMesh(vertices, np.array(faces, dtype=np.int64)), points)
 
 
 def pipe_pair(n_along=50, n_around=12, radius=0.5, length=10.0,
@@ -218,11 +223,13 @@ def cylinder_patch(n_u=20, n_v=30, radius=1.0, height=2.0, wedge=1.5 * np.pi):
     return TriangleMesh(vertices, np.array(faces, dtype=np.int64))
 
 
-def hemisphere_patch(n_rings=10, n_around=24, radius=1.0, cap_angle=0.45 * np.pi):
-    """Spherical cap around the +z pole, open along its boundary ring."""
+def _capped_rings(phis, n_around, radius):
+    """Vertices and triangles of a sphere of ``radius`` around the +z pole
+    out to the polar angles ``phis``: the pole, a ring of ``n_around``
+    points at each angle, the fan of triangles around the pole and a strip
+    of two triangles a quad between consecutive rings."""
     vertices = [np.array([0.0, 0.0, radius])]
-    for i in range(1, n_rings + 1):
-        phi = cap_angle * i / n_rings
+    for phi in phis:
         for j in range(n_around):
             theta = 2.0 * np.pi * j / n_around
             vertices.append(
@@ -231,10 +238,8 @@ def hemisphere_patch(n_rings=10, n_around=24, radius=1.0, cap_angle=0.45 * np.pi
                     [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)]
                 )
             )
-    faces = []
-    for j in range(n_around):
-        faces.append((0, 1 + j, 1 + (j + 1) % n_around))
-    for i in range(n_rings - 1):
+    faces = [(0, 1 + j, 1 + (j + 1) % n_around) for j in range(n_around)]
+    for i in range(len(phis) - 1):
         base = 1 + i * n_around
         nxt = base + n_around
         for j in range(n_around):
@@ -244,13 +249,14 @@ def hemisphere_patch(n_rings=10, n_around=24, radius=1.0, cap_angle=0.45 * np.pi
             d = nxt + (j + 1) % n_around
             faces.append((a, c, d))
             faces.append((a, d, b))
-    mesh = TriangleMesh(np.array(vertices), np.array(faces, dtype=np.int64))
-    # Outward orientation (away from the sphere center).
-    centers = mesh.vertices[mesh.triangles].mean(axis=1)
-    outward = np.einsum("ij,ij->i", mesh.triangle_normals(), centers)
-    if np.mean(outward > 0) < 0.5:
-        mesh = TriangleMesh(mesh.vertices, mesh.triangles[:, [0, 2, 1]])
-    return mesh
+    return vertices, faces
+
+
+def hemisphere_patch(n_rings=10, n_around=24, radius=1.0, cap_angle=0.45 * np.pi):
+    """Spherical cap around the +z pole, open along its boundary ring."""
+    phis = [cap_angle * i / n_rings for i in range(1, n_rings + 1)]
+    vertices, faces = _capped_rings(phis, n_around, radius)
+    return _outward(TriangleMesh(np.array(vertices), np.array(faces, dtype=np.int64)))
 
 
 def uv_sphere(n_rings=33, n_segments=32, radius=1.0):
@@ -259,42 +265,14 @@ def uv_sphere(n_rings=33, n_segments=32, radius=1.0):
     Triangle count is ``2 * n_segments * (n_rings - 1)``; the defaults give
     2048 triangles.
     """
-    vertices = [np.array([0.0, 0.0, radius])]
-    for i in range(1, n_rings):
-        phi = np.pi * i / n_rings
-        for j in range(n_segments):
-            theta = 2.0 * np.pi * j / n_segments
-            vertices.append(
-                radius
-                * np.array(
-                    [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)]
-                )
-            )
+    phis = [np.pi * i / n_rings for i in range(1, n_rings)]
+    vertices, faces = _capped_rings(phis, n_segments, radius)
     south = len(vertices)
     vertices.append(np.array([0.0, 0.0, -radius]))
-
-    faces = []
-    for j in range(n_segments):
-        faces.append((0, 1 + j, 1 + (j + 1) % n_segments))
-    for i in range(n_rings - 2):
-        base = 1 + i * n_segments
-        nxt = base + n_segments
-        for j in range(n_segments):
-            a = base + j
-            b = base + (j + 1) % n_segments
-            c = nxt + j
-            d = nxt + (j + 1) % n_segments
-            faces.append((a, c, d))
-            faces.append((a, d, b))
     last = 1 + (n_rings - 2) * n_segments
     for j in range(n_segments):
         faces.append((south, last + (j + 1) % n_segments, last + j))
-    mesh = TriangleMesh(np.array(vertices), np.array(faces, dtype=np.int64))
-    centers = mesh.vertices[mesh.triangles].mean(axis=1)
-    outward = np.einsum("ij,ij->i", mesh.triangle_normals(), centers)
-    if np.mean(outward > 0) < 0.5:
-        mesh = TriangleMesh(mesh.vertices, mesh.triangles[:, [0, 2, 1]])
-    return mesh
+    return _outward(TriangleMesh(np.array(vertices), np.array(faces, dtype=np.int64)))
 
 
 def blob(seed=0, n_rings=33, n_segments=32, axes=(1.7, 0.9, 0.8), n_bumps=6,
