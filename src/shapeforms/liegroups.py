@@ -6,19 +6,21 @@ All functions are pure and accept stacked inputs: an argument documented as
 axes. Rotations follow the axis-angle convention where a tangent vector
 ``xi`` encodes the rotation by angle ``|xi|`` about ``xi / |xi|``.
 
-Internally, the matrix kernels (:func:`so3_exp`, the polar decomposition)
-read stacked rotations as row-major entries ``(9, ...)``. Every angle and
-every logarithm of a rotation works on unit quaternions ``(4, ...)``, scalar
-part first, converted once from the entries by :func:`_quaternions`; a
-shape holds those of its rotations as ``ShapeRep.quaternions``:
+Internally, only the polar decomposition computes on the row-major entries
+``(9, ...)`` of stacked matrices. The exponential, the logarithm and every
+angle of a rotation work on unit quaternions ``(4, ...)``, scalar part
+first; a shape holds those of its rotations as ``ShapeRep.quaternions``,
+converted once from the entries by :func:`_quaternions`:
 
-- :func:`_quaternion_angle` measures every rotation distance, for
-  :func:`relative_angle` and the distances of model quality analysis, whose
-  targets are quaternions ``(4, [n,] E)``;
+- :func:`_exp_quaternions` takes every rotation exponential: that of
+  :func:`so3_exp`, whose matrices :func:`_quaternion_entries` forms, and of
+  every mean update ``exp(xi) mu``;
 - :func:`_quaternion_log` takes every rotation logarithm: that of
   :func:`so3_log`, and every logarithm of a shape at a base, on the
-  relative quaternions ``q * conj(q_mu)`` of :func:`_quaternion_product`,
-  which also makes every mean update ``exp(xi) mu``.
+  relative quaternions ``q * conj(q_mu)`` of :func:`_quaternion_product`;
+- :func:`_quaternion_angle` measures every rotation distance, for the
+  relative rotation angles of two shapes and the distances of model quality
+  analysis, whose targets are quaternions ``(4, [n,] E)``.
 """
 
 import numpy as np
@@ -64,45 +66,11 @@ def _matrices(e):
 
 
 def so3_exp(xi):
-    """Rotation matrix for the axis-angle vector ``xi``.
-
-    Rodrigues' formula with a series fallback for small angles, so the
-    map is smooth through ``xi = 0``.
-    """
-    return _matrices(_exp_entries(xi))
-
-
-def _exp_entries(xi):
-    """:func:`so3_exp` as entries ``(9, ...)``.
-
-    Rodrigues' formula ``I + a K + b K^2`` written out entry by entry, with
-    ``K^2 = xi xi^T - |xi|^2 I``, so neither ``K`` nor ``K @ K`` is formed.
-    """
-    xi = np.asarray(xi, dtype=float)
-    x, y, z = np.moveaxis(xi, -1, 0)
-    theta = np.linalg.norm(xi, axis=-1)
-    t2 = theta * theta
-    small = theta < _TINY_ANGLE
-    # sin(t)/t and (1-cos(t))/t^2 with their series at t=0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = np.where(small, 1.0 - t2 / 6.0, np.sin(theta) / np.where(small, 1.0, theta))
-        b = np.where(
-            small, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / np.where(small, 1.0, t2)
-        )
-    xx, yy, zz = x * x, y * y, z * z
-    bxy, bxz, byz = b * (x * y), b * (x * z), b * (y * z)
-    ax, ay, az = a * x, a * y, a * z
-    out = np.empty((9,) + theta.shape)
-    out[0] = 1.0 - b * (yy + zz)
-    out[1] = bxy - az
-    out[2] = bxz + ay
-    out[3] = bxy + az
-    out[4] = 1.0 - b * (xx + zz)
-    out[5] = byz - ax
-    out[6] = bxz - ay
-    out[7] = byz + ax
-    out[8] = 1.0 - b * (xx + yy)
-    return out
+    """Rotation matrix for the axis-angle vector ``xi``: the matrix of its
+    unit quaternion :func:`_exp_quaternions`, whose series fallback for
+    small angles makes the map smooth through ``xi = 0``, where it is
+    exactly the identity."""
+    return _matrices(_quaternion_entries(_exp_quaternions(xi)))
 
 
 def _check_cut_locus(theta, item):
@@ -137,17 +105,6 @@ def so3_log(R):
     is ambiguous and a :class:`CutLocusError` is raised.
     """
     return _quaternion_log(_quaternions(_entries(R)), "rotation")
-
-
-def relative_angle(Q, R):
-    """Rotation angle in ``[0, pi]`` of ``Q^T R``, without forming it.
-
-    Measured on the unit quaternions ``(4, ...)`` of ``Q`` and ``R`` by
-    :func:`_quaternion_angle`. ``Q`` and ``R`` broadcast against each other;
-    each is converted at its own shape and neither is copied to the common
-    shape. No cut-locus check: callers make it.
-    """
-    return _quaternion_angle(_quaternions(_entries(Q)), _quaternions(_entries(R)))
 
 
 def _quaternions(e):
@@ -326,54 +283,39 @@ def _quaternion_angle(a, p):
     return 2.0 * np.arctan2(np.sqrt(x * x + y * y + z * z), np.abs(dot))
 
 
-def _sym2_eig(A):
-    """Closed-form eigendecomposition of symmetric ``(..., 2, 2)`` matrices.
+def _sym2_apply(A, fn):
+    """Apply the scalar function ``fn`` to symmetric ``(..., 2, 2)`` matrices.
 
-    Returns ``(w, V)`` with eigenvalues ``w[..., 0] >= w[..., 1]`` and
-    eigenvectors in the columns of ``V``.
+    The eigenvalues are ``w = h +- r`` with ``h`` the mean of the diagonal,
+    ``d`` half its difference and ``r = hypot(d, b)`` for the off-diagonal
+    ``b``. The first eigenvector ``(c, s)`` is the normalized, numerically
+    larger column of ``A - w[1] I``, and ``(1, 0)`` for isotropic input.
+    ``V diag(f) V^T`` for ``f = fn(w)`` and ``V = [[c, -s], [s, c]]`` has
+    the entries ``c^2 f0 + s^2 f1``, ``c s (f0 - f1)`` and
+    ``s^2 f0 + c^2 f1``, formed elementwise. ``fn`` maps the stacked
+    eigenvalues ``(..., 2)``.
     """
     A = np.asarray(A, dtype=float)
     a = A[..., 0, 0]
     b = 0.5 * (A[..., 0, 1] + A[..., 1, 0])
-    c = A[..., 1, 1]
-    h = 0.5 * (a + c)
-    d = 0.5 * (a - c)
+    h = 0.5 * (a + A[..., 1, 1])
+    d = 0.5 * (a - A[..., 1, 1])
     r = np.hypot(d, b)
+    f = fn(np.stack((h + r, h - r), axis=-1))
+    f0, f1 = f[..., 0], f[..., 1]
 
-    w = np.stack((h + r, h - r), axis=-1)
-
-    # First eigenvector from the numerically larger column of A - w2*I.
     v0 = np.where(d >= 0.0, d + r, b)
     v1 = np.where(d >= 0.0, b, r - d)
     norm = np.hypot(v0, v1)
     isotropic = norm <= 0.0
     safe = np.where(isotropic, 1.0, norm)
-    v0 = np.where(isotropic, 1.0, v0 / safe)
-    v1 = np.where(isotropic, 0.0, v1 / safe)
+    c = np.where(isotropic, 1.0, v0 / safe)
+    s = np.where(isotropic, 0.0, v1 / safe)
 
-    V = np.empty(A.shape)
-    V[..., 0, 0] = v0
-    V[..., 1, 0] = v1
-    V[..., 0, 1] = -v1
-    V[..., 1, 1] = v0
-    return w, V
-
-
-def _sym2_apply(A, fn):
-    """Apply the scalar function ``fn`` to symmetric ``(..., 2, 2)`` matrices.
-
-    With eigenvalues ``w`` and the rotation ``V = [[c, -s], [s, c]]`` of
-    :func:`_sym2_eig`, ``V diag(f) V^T`` for ``f = fn(w)`` has the entries
-    ``c^2 f0 + s^2 f1``, ``c s (f0 - f1)`` and ``s^2 f0 + c^2 f1``, formed
-    elementwise. ``fn`` maps the stacked eigenvalues ``(..., 2)``.
-    """
-    w, V = _sym2_eig(A)
-    f = fn(w)
-    f0, f1 = f[..., 0], f[..., 1]
-    cc = V[..., 0, 0] ** 2
-    ss = V[..., 1, 0] ** 2
-    off = V[..., 0, 0] * V[..., 1, 0] * (f0 - f1)
-    out = np.empty(V.shape)
+    cc = c**2
+    ss = s**2
+    off = c * s * (f0 - f1)
+    out = np.empty(A.shape)
     out[..., 0, 0] = cc * f0 + ss * f1
     out[..., 0, 1] = off
     out[..., 1, 0] = off

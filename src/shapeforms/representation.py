@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ReferenceMismatchError
+from .errors import MeshFormatError, ReferenceMismatchError
 from .liegroups import (
     _check_each,
     _entries,
@@ -42,7 +42,6 @@ from .liegroups import (
     _quaternion_product,
     _quaternions,
     polar3,
-    relative_angle,
     so3_exp,
     spd2_exp,
     spd2_log,
@@ -146,9 +145,10 @@ class ShapeRep:
     @classmethod
     def load(cls, path):
         """Read a file written by :meth:`save`; other keys, such as the
-        ``omega`` that older files carry, are ignored."""
+        ``omega`` that older files carry, are ignored. Invalid values raise
+        :class:`MeshFormatError`, see :func:`_shape_from_payload`."""
         payload = _read_json(path)
-        return _shape_from_payload(payload, payload["reference_hash"])
+        return _shape_from_payload(payload, payload["reference_hash"], path)
 
 
 def _shape_payload(rep):
@@ -161,18 +161,67 @@ def _shape_payload(rep):
             "stretches": _sym_to_triples(rep.stretches)}
 
 
-def _shape_from_payload(payload, reference_hash):
+#: Largest entry of ``|R^T R - I|`` that a stored rotation may have.
+_ROTATION_TOL = 1e-9
+
+
+def _shape_from_payload(payload, reference_hash, path):
     """Inverse of :func:`_shape_payload`, bound to ``reference_hash``.
 
     A payload that also holds ``log_stretches`` triples, as a model's mean
     does, is rebuilt from those by :meth:`ShapeRep._from_log_stretches`.
+    Raises :class:`MeshFormatError` for the file ``path``, naming the first
+    bad edge or triangle: for a rotation that is not finite, has an entry
+    of ``|R^T R - I|`` above ``_ROTATION_TOL`` or ``det R <= 0``, for a
+    stretch triple that is not finite and positive-definite, and for a
+    stretch-log triple that is not finite.
     """
-    rotations = np.array(payload["rotations"], dtype=float).reshape(-1, 3, 3)
+    rows = np.array(payload["rotations"], dtype=float).reshape(-1, 9)
+    _check_rotations(np.ascontiguousarray(rows.T), path)
+    rotations = rows.reshape(-1, 3, 3)
     if "log_stretches" in payload:
-        logs = _triples_to_sym(np.array(payload["log_stretches"], dtype=float))
-        return ShapeRep._from_log_stretches(rotations, logs, reference_hash)
-    stretches = _triples_to_sym(np.array(payload["stretches"], dtype=float))
-    return ShapeRep(rotations, stretches, reference_hash)
+        logs = np.array(payload["log_stretches"], dtype=float)
+        _check_finite(logs, path, "the stretch log of triangle")
+        return ShapeRep._from_log_stretches(rotations, _triples_to_sym(logs),
+                                            reference_hash)
+    triples = np.array(payload["stretches"], dtype=float)
+    u11, u12, u22 = triples.T
+    with np.errstate(invalid="ignore", over="ignore"):
+        spd = np.isfinite(triples).all(axis=1) & (u11 > 0.0) & (u11 * u22 > u12 * u12)
+    _refuse(spd, path, lambda k: f"stretch of triangle {k} is not a finite "
+            f"positive-definite matrix: {triples[k].tolist()}")
+    return ShapeRep(rotations, _triples_to_sym(triples), reference_hash)
+
+
+def _check_rotations(e, path):
+    """:func:`_refuse` the matrices with row-major entries ``e`` ``(9, E)``
+    that are no rotations, elementwise: an entry of ``R^T R`` is the dot
+    product of two columns, and ``det R`` a cofactor expansion. NaN fails
+    every comparison, so a non-finite matrix is refused with the rest."""
+    worst = np.zeros(e.shape[1])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for p, q in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+            gram = e[p] * e[q] + e[3 + p] * e[3 + q] + e[6 + p] * e[6 + q]
+            np.maximum(worst, np.abs(gram - 1.0 if p == q else gram), out=worst)
+        a, b, c, d, f, g, h, i, j = e
+        det = a * (f * j - g * i) + b * (g * h - d * j) + c * (d * i - f * h)
+    _refuse((worst <= _ROTATION_TOL) & (det > 0.0), path, lambda k: (
+        f"rotation of edge {k} is not a finite rotation: max |R^T R - I| = "
+        f"{worst[k]:.3g} (at most {_ROTATION_TOL:g}), det R = {det[k]:.17g}"))
+
+
+def _check_finite(values, path, what):
+    """:func:`_refuse` the rows of ``values`` ``(n, k)`` that hold a
+    non-finite value, naming them as ``what`` and the row index."""
+    _refuse(np.isfinite(values).all(axis=1), path,
+            lambda k: f"{what} {k} holds a non-finite value")
+
+
+def _refuse(ok, path, message):
+    """Raise :class:`MeshFormatError` for the file ``path`` with
+    ``message(k)`` for the first index ``k`` where ``ok`` is false."""
+    if not ok.all():
+        raise MeshFormatError(message(int(np.argmin(ok))), path=path)
 
 
 def _tangent_payload(v):
@@ -182,11 +231,17 @@ def _tangent_payload(v):
             "stretch_part": _sym_to_triples(v.stretch_part)}
 
 
-def _tangent_from_payload(payload, base_hash):
-    """Inverse of :func:`_tangent_payload`, at the base ``base_hash``."""
+def _tangent_from_payload(payload, base_hash, path, name):
+    """Inverse of :func:`_tangent_payload`, at the base ``base_hash``.
+
+    Raises :class:`MeshFormatError` for the file ``path`` if a value is not
+    finite, naming the vector ``name`` and the edge or triangle.
+    """
     rot_part = np.array(payload["rot_part"], dtype=float).reshape(-1, 3)
-    stretch_part = _triples_to_sym(np.array(payload["stretch_part"], dtype=float))
-    return TangentRep(rot_part, stretch_part, base_hash)
+    triples = np.array(payload["stretch_part"], dtype=float)
+    _check_finite(rot_part, path, f"{name} at edge")
+    _check_finite(triples, path, f"{name} at triangle")
+    return TangentRep(rot_part, _triples_to_sym(triples), base_hash)
 
 
 def _read_json(path):
@@ -390,9 +445,7 @@ def relative_rotation_angles(s, t):
     """Per-edge rotation angles between the transition rotations of two
     shapes; the diagnostic for staying clear of the cut locus."""
     _check_same_reference(s, t)
-    if s.n_edges == 0:
-        return np.zeros(0)
-    return relative_angle(s.rotations, t.rotations)
+    return _quaternion_angle(s.quaternions, t.quaternions)
 
 
 def _coordinate_weights(ref, params):

@@ -20,8 +20,10 @@ whole cohort block by block and making the update one quaternion product;
 it converges for well-localized data (all relative transition rotations
 away from angle pi). The steps stay on quaternions; a mean returned as a
 shape is stored as the matrices of the last product and its final pass is
-taken at their quaternions, so a computed, a supplied and a reloaded mean
-give the same model.
+taken at their quaternions. So a computed mean, the same mean supplied, and
+the mean of a reloaded model file give the same model, bit for bit. A shape
+file stores no stretch logs: a mean reloaded from one takes the logs of
+its stored stretches, and gives the same model only up to rounding.
 
 Principal modes come from the eigendecomposition of the Gram matrix of the
 logs at the mean (Fletcher et al., "Principal geodesic analysis for the
@@ -60,6 +62,7 @@ from .representation import (
     ShapeRep,
     TangentRep,
     _check_binding,
+    _check_finite,
     _check_same_reference,
     _coordinate_weights,
     _encode_stack,
@@ -301,15 +304,19 @@ class PGAModel:
     def load(cls, path):
         """Read a file written by :meth:`save`. The mean is rebuilt from its
         stored stretch logs; files without them take the logs of the
-        stored stretches."""
+        stored stretches. Invalid values, such as a non-finite mode entry
+        or a mean rotation that is not one, raise :class:`MeshFormatError`
+        (see :func:`_shape_from_payload`)."""
         payload = _read_json(path)
-        mean = _shape_from_payload(payload["mean"], payload["reference_hash"])
+        mean = _shape_from_payload(payload["mean"], payload["reference_hash"], path)
         base_hash = mean.content_hash()
+        variances = np.array(payload["variances"], dtype=float)
+        _check_finite(variances.reshape(-1, 1), path, "variance")
         return cls(
             mean=mean,
-            modes=[_tangent_from_payload(entry, base_hash)
-                   for entry in payload["modes"]],
-            variances=np.array(payload["variances"], dtype=float),
+            modes=[_tangent_from_payload(entry, base_hash, path, f"mode {k}")
+                   for k, entry in enumerate(payload["modes"])],
+            variances=variances,
             params=DistanceParams(payload["omega"]),
             reference_hash=payload["reference_hash"],
         )

@@ -9,7 +9,9 @@ from shapeforms.evaluation import generalization_curve
 from shapeforms.flattening import _unfold_rotations
 from shapeforms.liegroups import (
     _check_cut_locus,
-    relative_angle,
+    _entries,
+    _quaternion_angle,
+    _quaternions,
     spd2_exp,
     spd2_log,
 )
@@ -21,6 +23,14 @@ from shapeforms.representation import (
     _sym_to_triples,
     _triples_to_sym,
 )
+
+
+def relative_angle(Q, R):
+    """Rotation angle in ``[0, pi]`` of ``Q^T R``, without forming it:
+    ``_quaternion_angle`` of the unit quaternions of ``Q`` and ``R``, each
+    converted at its own shape. ``Q`` and ``R`` broadcast against each
+    other. No cut-locus check."""
+    return _quaternion_angle(_quaternions(_entries(Q)), _quaternions(_entries(R)))
 
 
 def so3_distance(Q, R):

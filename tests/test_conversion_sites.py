@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     ("representation.py", "ShapeRep.quaternions"),
     ("liegroups.py", "so3_log"),
-    ("liegroups.py", "relative_angle"),
 }
 
 

@@ -12,7 +12,6 @@ from shapeforms.liegroups import (
     _check_each,
     _det_entries,
     _entries,
-    _exp_entries,
     _exp_quaternions,
     _quaternion_angle,
     _quaternion_entries,
@@ -22,7 +21,6 @@ from shapeforms.liegroups import (
     _sym2_apply,
     polar3,
     polar_rotation,
-    relative_angle,
     so3_exp,
     so3_log,
     spd2_exp,
@@ -30,6 +28,7 @@ from shapeforms.liegroups import (
 )
 
 from helpers import (
+    relative_angle,
     skew,
     so3_angle,
     so3_distance,
@@ -58,7 +57,8 @@ def rot_z(angle):
 
 class TestSo3Exp:
     def test_zero_gives_identity(self):
-        assert np.allclose(so3_exp(np.zeros(3)), np.eye(3))
+        assert np.array_equal(so3_exp(np.zeros(3)), np.eye(3))
+        assert np.array_equal(so3_exp(np.zeros((2, 3))), np.stack([np.eye(3)] * 2))
 
     def test_quarter_turn_about_z(self):
         R = so3_exp(np.array([0.0, 0.0, np.pi / 2]))
@@ -562,6 +562,23 @@ regime_angles = st.one_of(
 rotation_vectors = st.tuples(unit_axes, regime_angles).map(lambda p: p[1] * p[0])
 
 
+def extended_exp(xi):
+    """Rotation matrices ``(..., 3, 3)`` of the axis-angle vectors ``xi`` in
+    ``np.longdouble``: Rodrigues' formula ``I + a K + b K^2`` with
+    ``a = sin(t)/t`` and ``b = (1 - cos(t))/t^2``, and their limits at 0."""
+    x = np.asarray(xi, dtype=np.longdouble)
+    t = np.sqrt(np.sum(x * x, axis=-1))
+    nonzero = t > 0
+    safe = np.where(nonzero, t, 1)
+    a = np.where(nonzero, np.sin(t) / safe, 1)
+    b = np.where(nonzero, (1 - np.cos(t)) / (safe * safe), 0.5)
+    K = np.zeros(x.shape[:-1] + (3, 3), dtype=np.longdouble)
+    K[..., 0, 1], K[..., 0, 2], K[..., 1, 2] = -x[..., 2], x[..., 1], -x[..., 0]
+    K[..., 1, 0], K[..., 2, 0], K[..., 2, 1] = x[..., 2], -x[..., 1], x[..., 0]
+    return (np.eye(3, dtype=np.longdouble) + a[..., None, None] * K
+            + b[..., None, None] * (K @ K))
+
+
 class TestSo3AgainstScipy:
     """``so3_exp`` and ``so3_log`` against ``scipy.spatial.transform.Rotation``
     in every branch regime, one at a time and stacked."""
@@ -599,6 +616,25 @@ class TestSo3AgainstScipy:
         theta = np.linalg.norm(expected, axis=1)
         err = np.max(np.abs(so3_log(R) - expected), axis=1)
         assert np.all(err <= 8.0 * EPS * theta)
+
+    @pytest.mark.parametrize("angles", [
+        lambda rng, n: 10.0 ** rng.uniform(-20.0, np.log10(_TINY_ANGLE), n),
+        lambda rng, n: rng.uniform(_TINY_ANGLE, np.pi - NEAR_PI, n),
+        lambda rng, n: np.pi - 10.0 ** rng.uniform(np.log10(1e3 * _PI_MARGIN),
+                                                   np.log10(NEAR_PI), n),
+    ], ids=["tiny", "main", "near_pi"])
+    def test_exp_matches_rotation_matrix_on_a_seeded_stack(self, angles):
+        # Ten thousand vectors per regime reach the worst rounding of each
+        # entry and of the orthogonality, which a hundred drawn examples
+        # may miss. Both are measured in extended precision.
+        rng = np.random.default_rng(1)
+        axes = rng.normal(size=(10_000, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        xi = angles(rng, len(axes))[:, None] * axes
+        R = so3_exp(xi).astype(np.longdouble)
+        assert np.max(np.abs(R - extended_exp(xi))) <= 4.0 * EPS
+        gram = np.swapaxes(R, -1, -2) @ R
+        assert np.max(np.abs(gram - np.eye(3, dtype=np.longdouble))) <= 8.0 * EPS
 
     @given(st.lists(rotation_vectors, min_size=1, max_size=12))
     def test_stacked_match_single(self, vectors):
@@ -658,7 +694,7 @@ class TestQuaternions:
     def test_exp_matches_converted_matrix(self, lo, hi, axis, t):
         xi = (lo + t * (hi - lo)) * axis
         q = _exp_quaternions(xi)
-        r = _quaternions(_exp_entries(xi))
+        r = _quaternions(_entries(so3_exp(xi)))
         assert q.shape == r.shape == (4,)
         assert unit_norm_error(q) <= 8.0 * EPS
         assert unit_norm_error(r) <= 8.0 * EPS

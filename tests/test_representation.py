@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from shapeforms import representation
 from shapeforms.errors import (
     ConditioningError,
     CutLocusError,
+    MeshFormatError,
     OrientationError,
     ReferenceMismatchError,
 )
@@ -520,6 +522,67 @@ class TestSerialization:
         assert np.array_equal(back.rotations[0], [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
                                                   [0.0, 0.0, 1.0]])
         assert np.array_equal(back.stretches[0], [[1.5, 0.1], [0.1, 2.0]])
+
+
+def _rewritten(rep, tmp_path, edit):
+    """The path of ``rep``'s shape file after ``edit`` changed its payload."""
+    path = tmp_path / "rep.json"
+    rep.save(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(payload)
+    path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    return path
+
+
+def _set_rotation(edge, matrix):
+    return lambda p: p["rotations"].__setitem__(edge, np.ravel(matrix).tolist())
+
+
+def _set_stretch(triangle, triple):
+    return lambda p: p["stretches"].__setitem__(triangle, list(triple))
+
+
+class TestLoadValidation:
+    """A shape file with invalid values is refused on load, naming the
+    file and the first bad edge or triangle."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (_set_rotation(5, np.diag([2.0, 1.0, 1.0])),
+         r"rotation of edge 5 is not a finite rotation: max \|R\^T R - I\| = 3 "),
+        (_set_rotation(0, np.diag([-1.0, 1.0, 1.0])),
+         r"rotation of edge 0 is not a finite rotation: .*det R = -1$"),
+        (_set_rotation(3, so3_exp([0.1, 0.2, 0.3]) + 1e-8),
+         r"rotation of edge 3 is not a finite rotation"),
+        (_set_rotation(7, np.full((3, 3), np.nan)),
+         r"rotation of edge 7 is not a finite rotation: max \|R\^T R - I\| = nan"),
+        (_set_rotation(2, [np.inf, 0, 0, 0, 1, 0, 0, 0, 1]),
+         r"rotation of edge 2 is not a finite rotation"),
+        (_set_stretch(4, (-1.0, 0.0, 1.0)),
+         r"stretch of triangle 4 is not a finite positive-definite matrix"),
+        (_set_stretch(9, (1.0, 2.0, 1.0)),
+         r"stretch of triangle 9 is not a finite positive-definite matrix"),
+        (_set_stretch(1, (np.inf, 0.0, 1.0)),
+         r"stretch of triangle 1 is not a finite positive-definite matrix"),
+        (_set_stretch(6, (1.0, np.nan, 1.0)),
+         r"stretch of triangle 6 is not a finite positive-definite matrix"),
+    ], ids=["scaled", "reflection", "off_by_1e-8", "nan_rotation", "inf_rotation",
+            "negative_stretch", "indefinite_stretch", "inf_stretch", "nan_stretch"])
+    def test_invalid_values_are_refused(self, deformed_reps, tmp_path, edit, message):
+        path = _rewritten(deformed_reps[0], tmp_path, edit)
+        with pytest.raises(MeshFormatError, match=rf"^{re.escape(str(path))}: {message}") \
+                as excinfo:
+            ShapeRep.load(path)
+        assert excinfo.value.path == path
+        assert excinfo.value.category == "format"
+
+    def test_rounded_rotations_load(self, deformed_reps, tmp_path):
+        # A rotation off orthogonality by rounding, well below the 1e-9
+        # tolerance, loads unchanged.
+        rep = deformed_reps[0]
+        nudged = rep.rotations[5] * (1.0 + 1e-12)
+        back = ShapeRep.load(_rewritten(rep, tmp_path, _set_rotation(5, nudged)))
+        assert np.array_equal(back.rotations[5], nudged)
+        assert np.array_equal(back.stretches, rep.stretches)
 
 
 def single_triangle_reference():

@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -7,7 +8,12 @@ import pytest
 
 from shapeforms import liegroups, statistics
 from shapeforms.evaluation import generalization_curve, specificity
-from shapeforms.errors import ConvergenceError, CutLocusError, ReferenceMismatchError
+from shapeforms.errors import (
+    ConvergenceError,
+    CutLocusError,
+    MeshFormatError,
+    ReferenceMismatchError,
+)
 from shapeforms.liegroups import so3_exp, spd2_log
 from shapeforms.reconstruction import reconstruct
 from shapeforms.reference import build_reference
@@ -377,6 +383,30 @@ class TestSerializationAndRebias:
         assert np.array_equal(back.mean.log_stretches, spd2_log(model.mean.stretches))
         assert np.array_equal(back._mode_matrix, model._mode_matrix)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p["modes"][1]["rot_part"][4].__setitem__(2, float("nan")),
+         r"mode 1 at edge 4 holds a non-finite value"),
+        (lambda p: p["modes"][0]["stretch_part"][7].__setitem__(0, float("inf")),
+         r"mode 0 at triangle 7 holds a non-finite value"),
+        (lambda p: p["variances"].__setitem__(2, float("nan")),
+         r"variance 2 holds a non-finite value"),
+        (lambda p: p["mean"]["log_stretches"][3].__setitem__(1, float("-inf")),
+         r"the stretch log of triangle 3 holds a non-finite value"),
+        (lambda p: p["mean"]["rotations"].__setitem__(6, [2.0, 0, 0, 0, 1, 0, 0, 0, 1]),
+         r"rotation of edge 6 is not a finite rotation"),
+    ], ids=["mode_edge", "mode_triangle", "variance", "stretch_log", "mean_rotation"])
+    def test_invalid_model_file_is_refused(self, model, tmp_path, edit, message):
+        path = tmp_path / "model.json"
+        model.save(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+        with pytest.raises(MeshFormatError, match=rf"^{re.escape(str(path))}: {message}") \
+                as excinfo:
+            PGAModel.load(path)
+        assert excinfo.value.path == path
+        assert excinfo.value.category == "format"
+
     def test_modes_are_read_only_views_of_the_mode_matrix(self, model, tmp_path):
         model.save(tmp_path / "model.json")
         for m in (model, PGAModel.load(tmp_path / "model.json")):
@@ -479,6 +509,26 @@ class TestStoredMean:
         for rep in cohort:
             assert np.array_equal(rep_log(loaded, rep).rot_part,
                                   rep_log(mu, rep).rot_part)
+
+    def test_shape_file_mean_gives_the_computed_model_up_to_rounding(
+            self, ref, cohort, tmp_path):
+        # A shape file stores no stretch logs, so the reloaded mean's are
+        # spd2_log(spd2_exp(log mean)), equal to the computed ones only up
+        # to rounding; a model file carries them and reproduces the bits
+        # (test_reloaded_mean_gives_the_computed_model). The supplied model
+        # agrees within 32 EPS relative to the largest entry.
+        computed = pga(ref, cohort)
+        computed.mean.save(tmp_path / "mean.json")
+        supplied = pga(ref, cohort, mu=ShapeRep.load(tmp_path / "mean.json"))
+        bound = 32.0 * np.finfo(float).eps
+
+        def relative(a, b):
+            return np.max(np.abs(a - b)) / np.max(np.abs(a))
+
+        assert relative(computed._mode_matrix, supplied._mode_matrix) <= bound
+        assert relative(computed.variances, supplied.variances) <= bound
+        assert relative(_coefficient_rows(ref, computed, cohort),
+                        _coefficient_rows(ref, supplied, cohort)) <= bound
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12])
     def test_residual_at_the_returned_matrices_below_tolerance(self, cohort, tol):
