@@ -156,7 +156,9 @@ def build_parser():
 
     p = sub.add_parser("classify", help="features + labels -> accuracy CSV")
     p.add_argument("--features", required=True)
-    p.add_argument("--labels", required=True)
+    p.add_argument("--labels", required=True,
+                   help="CSV with a shape,label header; row k labels feature "
+                        "row k and names its shape or the shape's file name")
     p.add_argument("--out", required=True)
     p.add_argument("--out-model",
                    help="classifier trained on the full data, as JSON")
@@ -363,24 +365,34 @@ def _read_feature_csv(path):
 
 
 def _read_label_csv(path):
-    labels = []
+    """The shape names and labels of a CSV with a ``shape,label`` header."""
+    names, labels = [], []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader)
-        if not header or header[-1] != "label":
-            raise ValueError(f"{path}: expected a '...,label' header")
+        if len(header) < 2 or header[0] != "shape" or header[-1] != "label":
+            raise ValueError(f"{path}: expected a 'shape,label' header")
         for record in reader:
+            names.append(record[0])
             labels.append(int(record[-1]))
-    return labels
+    return names, labels
 
 
 def _cmd_classify(args):
-    _, features = _read_feature_csv(args.features)
-    labels = np.array(_read_label_csv(args.labels), dtype=int)
+    names, features = _read_feature_csv(args.features)
+    label_names, labels = _read_label_csv(args.labels)
+    labels = np.array(labels, dtype=int)
     if labels.shape[0] != features.shape[0]:
         raise ValueError(
             f"{features.shape[0]} feature rows but {labels.shape[0]} labels"
         )
+    # Rows pair by position; each label row names its feature row's shape,
+    # by the name or by its final path component.
+    for line, (name, label_name) in enumerate(zip(names, label_names), start=2):
+        if label_name not in (name, os.path.basename(name)):
+            raise ValueError(
+                f"{args.labels}:{line}: label row names shape {label_name!r}, "
+                f"but line {line} of {args.features} is shape {name!r}")
     rows = accuracy_curve(features, labels, args.shares, draws=args.draws,
                           reg=args.reg, seed=args.seed)
     with open(args.out, "w", encoding="utf-8") as handle:

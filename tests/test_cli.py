@@ -1,5 +1,6 @@
 import functools
 import glob
+import json
 import re
 import shlex
 from pathlib import Path
@@ -64,6 +65,25 @@ class TestRoundtrip:
         original = load_mesh(workspace / "shape_0.obj")
         back = load_mesh(out)
         assert rigid_rms(back, original) < 1e-6 * original.bbox_diagonal
+
+    def test_shape_file_that_is_no_shape_refused(self, workspace, capsys):
+        rep = workspace / "scaled_rep.json"
+        assert main([
+            "encode", "--reference", str(workspace / "ref.obj"),
+            "--input", str(workspace / "shape_0.obj"), "--out", str(rep),
+        ]) == 0
+        payload = json.loads(rep.read_text())
+        payload["rotations"][5] = [2.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+        rep.write_text(json.dumps(payload) + "\n")
+        capsys.readouterr()
+        out = workspace / "refused_rep.obj"
+        assert main([
+            "reconstruct", "--reference", str(workspace / "ref.obj"),
+            "--input", str(rep), "--out", str(out),
+        ]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error:format: {rep}: rotation of edge 5 is not a finite rotation")
+        assert not out.exists()
 
     def test_unconverged_reconstruction_warns(self, workspace, capsys):
         # A PGA sample is not integrable, so one iteration cannot converge.
@@ -510,6 +530,55 @@ class TestExtendedFlags:
 
         payload = json.loads(clf_path.read_text())
         assert "weights_std" in payload and "feature_std" in payload
+
+    @staticmethod
+    def _classify_inputs(root):
+        """A features CSV of eight shapes named by their paths, and a labels
+        CSV that names them by file name, in the same order."""
+        rng = np.random.default_rng(0)
+        names = [f"cohort/shape_{k}.obj" for k in range(8)]
+        features = root / "features.csv"
+        features.write_text("shape,mode_1,mode_2\n" + "".join(
+            f"{name},{x:.17g},{y:.17g}\n" for name, (x, y)
+            in zip(names, rng.normal(size=(8, 2)))))
+        labels = root / "labels.csv"
+        labels.write_text("shape,label\n" + "".join(
+            f"shape_{k}.obj,{1 if k % 2 else -1}\n" for k in range(8)))
+        return features, labels
+
+    def _classify(self, features, labels, out):
+        return main(["classify", "--features", str(features), "--labels", str(labels),
+                     "--out", str(out), "--shares", "0.5", "--draws", "2"])
+
+    def test_reordered_labels_refused(self, tmp_path, capsys):
+        # Rows pair by position; a labels file in another order would
+        # silently give every shape another shape's label.
+        features, labels = self._classify_inputs(tmp_path)
+        rows = labels.read_text().splitlines()
+        labels.write_text("\n".join([rows[0], rows[2], rows[1], *rows[3:]]) + "\n")
+        out = tmp_path / "never.csv"
+        assert self._classify(features, labels, out) == 1
+        assert capsys.readouterr().err == (
+            f"error:usage: {labels}:2: label row names shape 'shape_1.obj', but line 2 "
+            f"of {features} is shape 'cohort/shape_0.obj'\n")
+        assert not out.exists()
+
+    def test_labels_may_name_the_feature_rows_in_full(self, tmp_path):
+        features, labels = self._classify_inputs(tmp_path)
+        assert self._classify(features, labels, tmp_path / "by_file_name.csv") == 0
+        full = tmp_path / "full_names.csv"
+        full.write_text(labels.read_text().replace("shape_", "cohort/shape_"))
+        assert self._classify(features, full, tmp_path / "by_path.csv") == 0
+        assert ((tmp_path / "by_path.csv").read_bytes()
+                == (tmp_path / "by_file_name.csv").read_bytes())
+
+    def test_labels_without_a_shape_column_refused(self, tmp_path, capsys):
+        features, labels = self._classify_inputs(tmp_path)
+        labels.write_text("label\n" + "".join(
+            f"{1 if k % 2 else -1}\n" for k in range(8)))
+        assert self._classify(features, labels, tmp_path / "never.csv") == 1
+        assert capsys.readouterr().err == (
+            f"error:usage: {labels}: expected a 'shape,label' header\n")
 
     @pytest.mark.parametrize("value", ["0", "-1", "two"])
     def test_invalid_draws_rejected(self, workspace, capsys, value):
