@@ -13,10 +13,13 @@ import numpy as np
 
 from .errors import ConvergenceError, ReferenceMismatchError
 from .liegroups import (
+    _PI_MARGIN,
+    _exp_quaternions,
     _matrices,
     _quaternion_entries,
     _quaternion_log,
     _quaternion_product,
+    _rotation_angle,
 )
 from .reconstruction import _check_stopping, _converged_mesh, prefactor, reconstruct
 from .representation import (
@@ -25,6 +28,7 @@ from .representation import (
     TangentRep,
     _check_binding,
     _coordinate_weights,
+    _exp_distances,
     _read_json,
     _tangent_distances,
     _write_json,
@@ -100,26 +104,25 @@ def _vertex_targets(ref, reps, metric):
 
 
 def _distances(ref, mean, a, matrix, targets, weights, meshes, label):
-    """Yield row slices of ``a`` with the distances ``(b, n)`` of the shapes
-    ``exp_mu(a @ matrix)`` to ``n`` targets, or ``(b,)`` to one target.
+    """Yield row slices of ``a`` with the distances ``(b, [n])`` of the shapes
+    ``exp_mu(a @ matrix)`` to their target.
 
-    ``targets`` are the unit quaternions ``(4, [n,] E)`` of the relative
-    rotations and the stretch logs ``([n,] 4m)`` at ``mu``. With ``meshes``
-    ``None`` this is :func:`_tangent_distances` in blocks whose per-row
-    arrays, such as the ``4E`` quaternion entries of a sample, stay under
-    ``_BLOCK_BYTES``, and ``mean`` may be ``None``; else ``mean`` is ``mu``
-    as a :class:`ShapeRep`, each row is reconstructed on the system of
+    With ``meshes`` ``None``, the target is one shape: ``targets`` are the
+    unit quaternions ``(4, E)`` of its relative rotations and its stretch
+    logs ``(4m,)`` at ``mu``, ``mean`` may be ``None``, and the distances
+    ``(b,)`` are :func:`_tangent_distances` in blocks whose per-row arrays,
+    such as the ``4E`` quaternion entries of a sample, stay under
+    ``_BLOCK_BYTES``. Else ``targets`` are not read, ``mean`` is ``mu`` as
+    a :class:`ShapeRep`, each row is reconstructed on the system of
     :func:`_vertex_targets` (``ConvergenceError`` names ``label(k)``) and
-    measured by :func:`_aligned_rms` against the target vertices.
+    measured by :func:`_aligned_rms` against the ``[n]`` target vertices.
     """
-    relative, stretch_logs = targets
     if meshes is None:
-        item_bytes = 8 * max(4 * relative.shape[-1], matrix.shape[1],
-                             relative[0].size, stretch_logs.size)
-        axes = tuple(range(1, stretch_logs.ndim))  # one per target axis
+        relative, stretch_logs = targets
+        item_bytes = 8 * max(4 * relative.shape[-1], matrix.shape[1])
         for block in _blocks(len(a), item_bytes):
-            vectors = np.expand_dims(a[block] @ matrix, axes)
-            yield block, _tangent_distances(vectors, relative, stretch_logs, weights)
+            yield block, _tangent_distances(a[block] @ matrix, relative,
+                                            stretch_logs, weights)
         return
     system, vertices = meshes
     for k, row in enumerate(a):
@@ -128,6 +131,98 @@ def _distances(ref, mean, a, matrix, targets, weights, meshes, label):
         mesh = _converged_mesh(reconstruct(ref, rep_exp(mean, v), system=system),
                                label(k))
         yield slice(k, k + 1), _aligned_rms(vertices, mesh.vertices)[None]
+
+
+def _pair_distances(quaternions, stretches, rows, cols, targets, weights,
+                    item_bytes):
+    """:func:`_exp_distances` of the pairs of sample ``rows[k]``, with the
+    quaternions ``(4, b, E)`` of its rotations and its ``stretches``
+    ``(b, 4m)``, and target ``cols[k]``, in blocks of pairs whose arrays of
+    ``item_bytes`` each stay under ``_BLOCK_BYTES``."""
+    relative, stretch_logs, _ = targets
+    out = np.empty(len(rows))
+    for block in _blocks(len(rows), item_bytes):
+        i, t = rows[block], cols[block]
+        out[block] = _exp_distances(quaternions[:, i], stretches[i], relative[:, t],
+                                    stretch_logs[t], weights)
+    return out
+
+
+def _nearest_distances(a, matrix, targets, weights):
+    """Yield, block by block of rows of ``a``, the distances ``(b,)`` of the
+    shapes ``exp_mu(a @ matrix)`` to their nearest target: the smallest of
+    their :func:`_tangent_distances` to the :func:`_specificity_targets`,
+    found by an exact search that measures only the targets that can be
+    the nearest, as triangle-inequality pruning does for k-means (Elkan,
+    "Using the triangle inequality to accelerate k-means", 2003). Each
+    sample's rotations are exponentiated once, for all of its pairs.
+
+    A sample's tangent vector ``xi`` has the edge angles ``phi = |xi_e|``,
+    and a target's relative rotations at ``mu`` the angles ``theta_t``. By
+    the triangle inequality of the bi-invariant angle metric, the angle
+    between the sample's and the target's rotation of an edge lies between
+    ``|phi - theta_t|`` and ``phi + theta_t``, for ``phi < pi``. So the
+    squared distance to ``t`` is at least ``LB_t^2 = sum w (phi -
+    theta_t)^2 + |stretch difference|^2``, whose stretch part is exact; both
+    parts expand into products over the coordinates. The target with the
+    smallest bound is measured exactly, then every target whose bound is
+    within a rounding margin of that distance. The margin scales with the
+    magnitudes that enter the bound, ``D`` coordinates to some ``EPS``
+    each, so every other target's computed distance is at least the
+    smallest one, and the minimum is over the same exact distances as a
+    search of all targets.
+
+    A sample whose upper bound ``phi + theta_t`` on some edge reaches
+    ``pi - 2 _PI_MARGIN`` for some target may be at the cut locus, or have
+    ``|xi_e| >= pi``; it is measured against every target in order, so
+    that the first sample at the cut locus raises the ``CutLocusError`` of
+    the exhaustive search, naming the same edge. The second margin covers
+    the rounding of the angles. Blocks of samples, and of the pairs each
+    exact pass measures, are sized by a sample's own arrays under
+    ``_BLOCK_BYTES``: its ``D`` coordinates and the ``4E`` quaternion
+    entries of its rotations.
+    """
+    relative, stretch_logs, theta = targets
+    n_edges = theta.shape[1]
+    split = 3 * n_edges
+    rot_w, stretch_w = weights[:split:3], weights[split:]
+    target_sq = (theta * theta) @ rot_w + (stretch_logs * stretch_logs) @ stretch_w
+    reach = np.max(theta, axis=1, initial=0.0)
+    limit = np.pi - 2.0 * _PI_MARGIN
+    slack = (matrix.shape[1] + 64) * np.finfo(float).eps
+    item_bytes = 8 * max(4 * n_edges, matrix.shape[1])
+    for block in _blocks(len(a), item_bytes):
+        vectors = a[block] @ matrix
+        rot = vectors[:, :split].reshape(len(vectors), n_edges, 3)
+        quaternions = _exp_quaternions(rot)
+        x, y, z = np.moveaxis(rot, -1, 0)
+        phi = np.sqrt(x * x + y * y + z * z)
+        w_phi = phi * rot_w
+        stretch = vectors[:, split:]
+        w_stretch = stretch * stretch_w
+        scale = (np.einsum("be,be->b", w_phi, phi)
+                 + np.einsum("bc,bc->b", w_stretch, stretch))[:, None] + target_sq
+        bound = scale - 2.0 * (w_phi @ theta.T + w_stretch @ stretch_logs.T)
+        nearest = np.empty(len(vectors))
+        pruned = np.ones(len(vectors), dtype=bool)
+        peak = np.max(phi, axis=1, initial=0.0)
+        # A NaN fails each comparison and takes the exhaustive search.
+        for k in np.flatnonzero(~np.all(peak[:, None] + reach < limit, axis=1)):
+            if not np.all(phi[k] + theta < limit):
+                nearest[k] = np.min(_exp_distances(quaternions[:, k], stretch[k],
+                                                   relative, stretch_logs, weights))
+                pruned[k] = False
+        rows = np.flatnonzero(pruned)
+        first = np.argmin(bound[rows], axis=1)
+        nearest[rows] = _pair_distances(quaternions, stretch, rows, first, targets,
+                                        weights, item_bytes)
+        best_sq = nearest[rows, None] ** 2
+        near = bound[rows] <= best_sq + slack * (scale[rows] + best_sq)
+        near[np.arange(len(rows)), first] = False
+        i, t = np.nonzero(near)
+        np.minimum.at(nearest, rows[i], _pair_distances(
+            quaternions, stretch, rows[i], t, targets, weights, item_bytes))
+        yield nearest
 
 
 def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrinsic",
@@ -141,6 +236,14 @@ def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrin
     measures vertex RMS after rigid alignment (a pragmatic stand-in for
     physically based surface distances), raising ``ConvergenceError`` for
     a reconstruction that does not converge.
+
+    The intrinsic nearest shape is found by an exact search: lower bounds
+    from the triangle inequality of the angle metric leave the rotation
+    angle kernel only the training shapes that a sample can be nearest to,
+    and the minimum is over the same exact distances as a search of all of
+    them (a sum over a different count of rows may round them differently,
+    by an ulp). A ``CutLocusError`` is raised as by that search, for the
+    first sample at the cut locus of any training shape, nearest or not.
     """
     if not training:
         raise ValueError("training set is empty")
@@ -151,10 +254,11 @@ def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrin
 
 
 def _specificity_targets(ref, model, training):
-    """The training shapes as :func:`_distances` targets at the model mean:
-    the unit quaternions ``(4, n, E)`` of their relative rotations, each
-    product of a shape's held quaternions written straight into the array,
-    and their stretch logs ``(n, 4m)``."""
+    """The training shapes as :func:`_nearest_distances` targets at the
+    model mean: the unit quaternions ``(4, n, E)`` of their relative
+    rotations, each product of a shape's held quaternions written straight
+    into the array, their stretch logs ``(n, 4m)``, and the angles
+    ``(n, E)`` of those relative rotations."""
     mu = model.mean
     _check_binding(ref, mu, *training)
     relative = np.empty((4, len(training), mu.n_edges))
@@ -162,18 +266,27 @@ def _specificity_targets(ref, model, training):
         relative[:, k] = _quaternion_product(rep.quaternions, mu.quaternions,
                                              conjugate=True)
     stretch_logs = _stretch_logs(training, mu.log_stretches)
-    return relative, stretch_logs.reshape(len(training), -1)
+    return (relative, stretch_logs.reshape(len(training), -1),
+            _rotation_angle(relative))
 
 
 def _specificity(ref, model, targets, n_samples, n_modes, seed, meshes):
     """:func:`specificity` on the :func:`_specificity_targets` and the
-    :func:`_vertex_targets` of the training shapes."""
+    :func:`_vertex_targets` of the training shapes: the intrinsic nearest
+    distances by :func:`_nearest_distances`, the vertex ones as the
+    smallest of all :func:`_distances`."""
     draws = _sample_coefficients(model, n_samples, seed, n_modes)
+    matrix = model._mode_matrix[:n_modes]
+    weights = _coordinate_weights(ref, model.params)
+    if meshes is None:
+        nearest = _nearest_distances(draws, matrix, targets, weights)
+    else:
+        nearest = (np.min(d, axis=1) for _, d in _distances(
+            ref, model.mean, draws, matrix, None, weights, meshes,
+            lambda k: f"specificity sample {k}"))
     total = 0.0
-    for _, d in _distances(ref, model.mean, draws, model._mode_matrix[:n_modes],
-                           targets, _coordinate_weights(ref, model.params), meshes,
-                           lambda k: f"specificity sample {k}"):
-        total += float(np.sum(np.min(d, axis=1)))
+    for d in nearest:
+        total += float(np.sum(d))
     return total / n_samples
 
 

@@ -20,7 +20,8 @@ converted once from the entries by :func:`_quaternions`:
   relative quaternions ``q * conj(q_mu)`` of :func:`_quaternion_product`;
 - :func:`_quaternion_angle` measures every rotation distance, for the
   relative rotation angles of two shapes and the distances of model quality
-  analysis, whose targets are quaternions ``(4, [n,] E)``.
+  analysis, whose targets are quaternions ``(4, [n,] E)``; its last step,
+  :func:`_rotation_angle`, gives the angles of those targets themselves.
 """
 
 import numpy as np
@@ -280,7 +281,15 @@ def _quaternion_angle(a, p):
     x = (aw * px - pw * ax) - (ay * pz - az * py)
     y = (aw * py - pw * ay) - (az * px - ax * pz)
     z = (aw * pz - pw * az) - (ax * py - ay * px)
-    return 2.0 * np.arctan2(np.sqrt(x * x + y * y + z * z), np.abs(dot))
+    return _rotation_angle((dot, x, y, z))
+
+
+def _rotation_angle(q):
+    """Rotation angle in ``[0, pi]`` of the rotations with quaternions ``q``
+    ``(4, ...)``, of any norm: ``2 arctan2(|vec q|, |w|)``, the angle of
+    :func:`_quaternion_angle` between ``q`` and the identity."""
+    w, x, y, z = q
+    return 2.0 * np.arctan2(np.sqrt(x * x + y * y + z * z), np.abs(w))
 
 
 def _sym2_apply(A, fn):

@@ -470,23 +470,36 @@ def _tangent_distances(vectors, relative, stretch_logs, weights):
     of the ``v``, and ``weights`` their :func:`_coordinate_weights`. A target
     enters through the unit quaternions ``relative`` ``(4, ..., E)`` of
     ``t mu^T`` and its stretch logs ``(..., 4m)`` at ``mu``; the leading
-    shapes broadcast. The angle between ``exp(v_e) mu_e`` and ``t_e`` is that
-    of the conjugate ``exp(v_e)^T t_e mu_e^T``, measured on the quaternions
-    of ``exp(v_e)``, and the stretch distance is the flat difference of the
-    logs at ``mu``, so no shape is formed. As :func:`rep_distance`, it
-    raises :class:`CutLocusError` naming the worst edge of the first pair at
-    the cut locus.
+    shapes broadcast. This is :func:`_exp_distances` of the quaternions of
+    the rotations ``exp(v_e)``.
     """
     n_edges = relative.shape[-1]
     split = 3 * n_edges
+    rot = vectors[..., :split].reshape(vectors.shape[:-1] + (n_edges, 3))
+    return _exp_distances(_exp_quaternions(rot), vectors[..., split:], relative,
+                          stretch_logs, weights)
+
+
+def _exp_distances(quaternions, stretches, relative, stretch_logs, weights):
+    """:func:`_tangent_distances` of the shapes ``exp_mu(v)`` whose rotations
+    ``exp(v_e)`` have the unit quaternions ``(4, ..., E)`` and whose stretch
+    coordinates are ``stretches`` ``(..., 4m)``.
+
+    The angle between ``exp(v_e) mu_e`` and ``t_e`` is that of the conjugate
+    ``exp(v_e)^T t_e mu_e^T``, measured on the quaternions of ``exp(v_e)``,
+    and the stretch distance is the flat difference of the logs at ``mu``,
+    so no shape is formed. As :func:`rep_distance`, it raises
+    :class:`CutLocusError` naming the worst edge of the first pair at the
+    cut locus.
+    """
+    split = 3 * relative.shape[-1]
     squared = 0.0
-    if n_edges:
-        rot = vectors[..., :split].reshape(vectors.shape[:-1] + (n_edges, 3))
-        theta = _quaternion_angle(_exp_quaternions(rot), relative)
+    if split:
+        theta = _quaternion_angle(quaternions, relative)
         _check_each(theta, "edge")
         # The rotation coordinates of an edge share its weight.
         theta *= theta
         squared = theta @ weights[:split:3]
-    diff = stretch_logs - vectors[..., split:]
+    diff = stretch_logs - stretches
     diff *= diff
     return np.sqrt(squared + diff @ weights[split:])

@@ -50,6 +50,18 @@ def workspace(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def model_file(workspace):
+    """The ``pga`` model of the workspace's four shapes, written once for the
+    tests that read a model, so that each of them also runs alone."""
+    path = workspace / "fixture_model.json"
+    inputs = [str(workspace / f"shape_{k}.obj") for k in range(4)]
+    assert main(["pga", *inputs, "--reference", str(workspace / "ref.obj"),
+                 "--out-model", str(path),
+                 "--out-coeffs", str(workspace / "fixture_coeffs.csv")]) == 0
+    return path
+
+
 class TestRoundtrip:
     def test_encode_reconstruct(self, workspace, capsys):
         rep = workspace / "rep.json"
@@ -318,8 +330,8 @@ class TestModelPipeline:
                             r"1e-10 at index \(2, 7\)\n", capsys.readouterr().err)
         assert not (tmp_path / "model.json").exists()
 
-    def test_synthesize_and_sample(self, workspace):
-        model = workspace / "model.json"
+    def test_synthesize_and_sample(self, workspace, model_file):
+        model = model_file
         out = workspace / "synth.obj"
         assert main([
             "synthesize", "--reference", str(workspace / "ref.obj"),
@@ -496,11 +508,11 @@ class TestExtendedFlags:
         assert "--rebias" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_sample_with_meshes(self, workspace):
+    def test_sample_with_meshes(self, workspace, model_file):
         sample_dir = workspace / "samples_mesh"
         assert main([
             "sample", "--reference", str(workspace / "ref.obj"),
-            "--model", str(workspace / "model.json"), "--count", "2",
+            "--model", str(model_file), "--count", "2",
             "--seed", "3", "--out-dir", str(sample_dir), "--meshes",
         ]) == 0
         assert len(list(sample_dir.glob("sample_*.obj"))) == 2
@@ -518,12 +530,12 @@ class TestExtendedFlags:
         assert len(first) == 5
         assert first[-1] == "2.5"
 
-    def test_classify_writes_model(self, workspace):
-        clf_path = workspace / "clf.json"
+    def test_classify_writes_model(self, tmp_path):
+        features, labels = self._classify_inputs(tmp_path)
+        clf_path = tmp_path / "clf.json"
         assert main([
-            "classify", "--features", str(workspace / "features.csv"),
-            "--labels", str(workspace / "labels.csv"),
-            "--out", str(workspace / "acc2.csv"), "--shares", "0.5",
+            "classify", "--features", str(features), "--labels", str(labels),
+            "--out", str(tmp_path / "acc2.csv"), "--shares", "0.5",
             "--draws", "2", "--out-model", str(clf_path),
         ]) == 0
         import json

@@ -3,8 +3,8 @@ import functools
 import numpy as np
 import pytest
 
-from shapeforms import evaluation, statistics
-from shapeforms.errors import ConvergenceError
+from shapeforms import evaluation, representation, statistics
+from shapeforms.errors import ConvergenceError, CutLocusError
 from shapeforms.evaluation import (
     ClassifierModel,
     _aligned_rms,
@@ -25,6 +25,7 @@ from shapeforms.reconstruction import reconstruct
 from shapeforms.reference import build_reference
 from shapeforms.representation import (
     DistanceParams,
+    ShapeRep,
     TangentRep,
     encode,
     rep_distance,
@@ -35,6 +36,8 @@ from shapeforms.statistics import PGAModel, coefficients, frechet_mean, pga
 from shapeforms.synthetic import icosphere, smooth_deformation
 
 from helpers import INVALID_STOPPING_RULES, generalization, pdm_synthesize
+
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +151,86 @@ class TestSpecificity:
         value = specificity(ref, model, cohort, n_samples=np.int64(3),
                             modes=np.int64(2), seed=4)
         assert value == specificity(ref, model, cohort, n_samples=3, modes=2, seed=4)
+
+
+def exhaustive_nearest(ref, model, training, n_samples, modes, seed):
+    """The distances of the samples of ``specificity`` to every training
+    shape by one ``_tangent_distances`` call, and their smallest ones."""
+    targets = evaluation._specificity_targets(ref, model, training)
+    draws = statistics._sample_coefficients(model, n_samples, seed, modes)
+    vectors = draws @ model._mode_matrix[:modes]
+    weights = representation._coordinate_weights(ref, model.params)
+    every = representation._tangent_distances(vectors[:, None], *targets[:2], weights)
+    return every.min(axis=1), targets, draws, weights
+
+
+class TestNearestSearch:
+    """The pruned search for the nearest training shape against the
+    exhaustive one over all of them."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("modes", [1, 3, 5])
+    def test_pruning_changes_no_answer(self, ref, cohort, model, monkeypatch, seed,
+                                       modes):
+        expected, targets, draws, weights = exhaustive_nearest(
+            ref, model, cohort, 40, modes, seed)
+        measured = []
+
+        def counting(*args):
+            d = exact(*args)
+            measured.append(d.size)
+            return d
+
+        exact = evaluation._exp_distances
+        monkeypatch.setattr(evaluation, "_exp_distances", counting)
+        # All samples in one block, then one sample per block.
+        pairs = []
+        for budget in (statistics._BLOCK_BYTES, 1):
+            monkeypatch.setattr(statistics, "_BLOCK_BYTES", budget)
+            measured.clear()
+            nearest = np.concatenate(list(evaluation._nearest_distances(
+                draws, model._mode_matrix[:modes], targets, weights)))
+            # A dot product over another count of rows may round by an ulp.
+            assert np.max(np.abs(nearest - expected) / expected) <= 2 * EPS
+            pairs.append(sum(measured))
+        # Each sample is measured exactly at least once, and fewer than all
+        # of its targets reach the angle kernel, in blocks of any size.
+        assert pairs[0] == pairs[1]
+        assert len(draws) <= pairs[0] < len(draws) * len(cohort)
+
+    def test_specificity_is_the_mean_nearest_distance(self, ref, cohort, model):
+        expected = exhaustive_nearest(ref, model, cohort, 25, 2, 4)[0]
+        value = specificity(ref, model, cohort, n_samples=25, modes=2, seed=4)
+        assert value == pytest.approx(np.mean(expected), rel=4 * EPS)
+
+    def test_cut_locus_of_a_far_target_raises_as_the_exhaustive_search(
+            self, ref, cohort, model):
+        # A training shape far from every sample, with one edge turned by pi
+        # at the mean: the search never needs its distance, and still raises
+        # the error of the search over all shapes, for its first sample.
+        mu = model.mean
+        rotations = mu.rotations.copy()
+        rotations[3] = so3_exp(np.pi * np.array([0.0, 0.6, 0.8])) @ rotations[3]
+        far = ShapeRep(rotations, 9.0 * mu.stretches, mu.reference_hash)
+        # Modes in the stretches only, so that every sample keeps the mean's
+        # rotations and the turned edge stays at pi from them.
+        still = [TangentRep(np.zeros_like(m.rot_part), m.stretch_part,
+                            m.base_hash) for m in model.modes[:2]]
+        stretchy = PGAModel(mean=mu, modes=still, variances=model.variances[:2],
+                            params=model.params, reference_hash=model.reference_hash)
+        training = cohort[:3] + [far] + cohort[3:]
+        with pytest.raises(CutLocusError) as exhaustive_error:
+            exhaustive_nearest(ref, stretchy, training, 5, 2, 0)
+        assert str(exhaustive_error.value).startswith("edge 3 is at the cut locus")
+        with pytest.raises(CutLocusError) as error:
+            specificity(ref, stretchy, training, n_samples=5, seed=0)
+        assert str(error.value) == str(exhaustive_error.value)
+        # Turned by pi / 2 instead, the far shape is nearest to no sample.
+        rotations[3] = so3_exp(0.5 * np.pi * np.array([0.0, 0.6, 0.8])) @ mu.rotations[3]
+        training[3] = ShapeRep(rotations, far.stretches, mu.reference_hash)
+        assert specificity(ref, stretchy, training, n_samples=5, seed=0) == \
+            pytest.approx(specificity(ref, stretchy, cohort, n_samples=5, seed=0),
+                          rel=4 * EPS)
 
 
 class TestGeneralization:

@@ -18,6 +18,7 @@ from shapeforms.liegroups import (
     _quaternion_log,
     _quaternion_product,
     _quaternions,
+    _rotation_angle,
     _sym2_apply,
     polar3,
     polar_rotation,
@@ -547,6 +548,47 @@ class TestRelativeAngle:
         assert theta.shape == (2, 4)
         assert np.max(np.abs(theta - so3_angle(Q.T @ R))) <= 8.0 * EPS
         assert relative_angle(np.eye(3), R[0, 0]).shape == ()
+
+
+
+ANGLE_REGIMES = {
+    "tiny": (0.0, _TINY_ANGLE),
+    "main": (_TINY_ANGLE, np.pi - NEAR_PI),
+    "near_pi": (np.pi - NEAR_PI, np.pi - 1e3 * _PI_MARGIN),
+}
+
+
+class TestAngleBounds:
+    """The per-edge bounds of the nearest-target search of ``specificity``:
+    a sample ``exp(xi) mu`` and a target ``t`` at the angle ``theta`` from
+    ``mu`` are ``| |xi| - theta | <= angle <= |xi| + theta`` apart, for
+    ``|xi| < pi``. As the search does, the angles are taken with
+    ``_quaternion_angle`` on the relative quaternion ``t conj(mu)``, with
+    each of ``|xi|`` and ``theta`` in each regime of the kernels, and
+    ``theta`` by ``_rotation_angle``."""
+
+    @pytest.mark.parametrize("target_regime", ANGLE_REGIMES)
+    @pytest.mark.parametrize("sample_regime", ANGLE_REGIMES)
+    @given(axis_angles, unit_axes, unit_axes, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_reverse_and_forward_triangle_inequality(
+            self, sample_regime, target_regime, u, axis, target_axis, s, t):
+        lo, hi = ANGLE_REGIMES[sample_regime]
+        xi = (lo + s * (hi - lo)) * axis
+        lo, hi = ANGLE_REGIMES[target_regime]
+        mu = _exp_quaternions(u)
+        target = _quaternion_product(_exp_quaternions((lo + t * (hi - lo)) * target_axis),
+                                     mu)
+        relative = _quaternion_product(target, mu, conjugate=True)
+        theta = _rotation_angle(relative)
+        assert theta == _quaternion_angle(np.array([1.0, 0.0, 0.0, 0.0]), relative)
+        phi = np.linalg.norm(xi)
+        angle = _quaternion_angle(_exp_quaternions(xi), relative)
+        # Both angles are accurate relative to the rotations' own size.
+        slack = 8.0 * EPS * (phi + theta)
+        assert abs(phi - theta) - slack <= angle <= phi + theta + slack
+        # The conjugate form is the angle between the sample and the target.
+        sample = _quaternion_product(_exp_quaternions(xi), mu)
+        assert abs(_quaternion_angle(sample, target) - angle) <= 8.0 * EPS
 
 
 # Angles in each regime of the rotation kernels: the series branch (down to
