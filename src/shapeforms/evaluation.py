@@ -133,21 +133,6 @@ def _distances(ref, mean, a, matrix, targets, weights, meshes, label):
         yield slice(k, k + 1), _aligned_rms(vertices, mesh.vertices)[None]
 
 
-def _pair_distances(quaternions, stretches, rows, cols, targets, weights,
-                    item_bytes):
-    """:func:`_exp_distances` of the pairs of sample ``rows[k]``, with the
-    quaternions ``(4, b, E)`` of its rotations and its ``stretches``
-    ``(b, 4m)``, and target ``cols[k]``, in blocks of pairs whose arrays of
-    ``item_bytes`` each stay under ``_BLOCK_BYTES``."""
-    relative, stretch_logs, _ = targets
-    out = np.empty(len(rows))
-    for block in _blocks(len(rows), item_bytes):
-        i, t = rows[block], cols[block]
-        out[block] = _exp_distances(quaternions[:, i], stretches[i], relative[:, t],
-                                    stretch_logs[t], weights)
-    return out
-
-
 def _nearest_distances(a, matrix, targets, weights):
     """Yield, block by block of rows of ``a``, the distances ``(b,)`` of the
     shapes ``exp_mu(a @ matrix)`` to their nearest target: the smallest of
@@ -155,7 +140,7 @@ def _nearest_distances(a, matrix, targets, weights):
     found by an exact search that measures only the targets that can be
     the nearest, as triangle-inequality pruning does for k-means (Elkan,
     "Using the triangle inequality to accelerate k-means", 2003). Each
-    sample's rotations are exponentiated once, for all of its pairs.
+    sample's rotations are exponentiated once, for all of its targets.
 
     A sample's tangent vector ``xi`` has the edge angles ``phi = |xi_e|``,
     and a target's relative rotations at ``mu`` the angles ``theta_t``. By
@@ -164,31 +149,45 @@ def _nearest_distances(a, matrix, targets, weights):
     ``|phi - theta_t|`` and ``phi + theta_t``, for ``phi < pi``. So the
     squared distance to ``t`` is at least ``LB_t^2 = sum w (phi -
     theta_t)^2 + |stretch difference|^2``, whose stretch part is exact; both
-    parts expand into products over the coordinates. The target with the
-    smallest bound is measured exactly, then every target whose bound is
-    within a rounding margin of that distance. The margin scales with the
-    magnitudes that enter the bound, ``D`` coordinates to some ``EPS``
-    each, so every other target's computed distance is at least the
-    smallest one, and the minimum is over the same exact distances as a
-    search of all targets.
+    parts expand into products over the coordinates, formed for a block of
+    samples at once. A sample's target with the smallest bound is measured
+    exactly, then every target whose bound is within a rounding margin,
+    derived in the code, of that distance. Every other target's computed
+    distance is at least the smallest one, so the minimum is over the same
+    exact distances as a search of all targets.
 
     A sample whose upper bound ``phi + theta_t`` on some edge reaches
     ``pi - 2 _PI_MARGIN`` for some target may be at the cut locus, or have
     ``|xi_e| >= pi``; it is measured against every target in order, so
     that the first sample at the cut locus raises the ``CutLocusError`` of
     the exhaustive search, naming the same edge. The second margin covers
-    the rounding of the angles. Blocks of samples, and of the pairs each
-    exact pass measures, are sized by a sample's own arrays under
-    ``_BLOCK_BYTES``: its ``D`` coordinates and the ``4E`` quaternion
-    entries of its rotations.
+    the rounding of the angles. Blocks of samples, and of the targets a
+    sample is measured against in one call, are sized by a sample's own
+    arrays under ``_BLOCK_BYTES``: its ``D`` coordinates and the ``4E``
+    quaternion entries of its rotations.
     """
     relative, stretch_logs, theta = targets
     n_edges = theta.shape[1]
     split = 3 * n_edges
     rot_w, stretch_w = weights[:split:3], weights[split:]
     target_sq = (theta * theta) @ rot_w + (stretch_logs * stretch_logs) @ stretch_w
-    reach = np.max(theta, axis=1, initial=0.0)
+    # phi + theta_t stays below the limit at every edge and target when
+    # phi + the largest theta_t of the edge does; rounding keeps the order.
+    reach = np.max(theta, axis=0)
     limit = np.pi - 2.0 * _PI_MARGIN
+    # The rounding margin, in EPS = 2u for the unit roundoff u; a sum of D
+    # terms rounds by at most D/2 EPS of the sum of their magnitudes.
+    # - The bound sums D positive terms into the sample's and the target's
+    #   squares, whose sum is ``scale``, and D into the cross term, with
+    #   |2 cross| <= scale; so it is within (D + 4) EPS scale of its value
+    #   in the computed angles.
+    # - Each edge's computed angle is at least |phi - theta| - 8 EPS (phi +
+    #   theta) (pinned by TestAngleBounds), so its square is at least
+    #   (phi - theta)^2 - 32 EPS (phi^2 + theta^2): 32 EPS scale in all.
+    # - The exact distance and its square round by (D/2 + 4) EPS of best^2.
+    # So (D + 64) EPS (scale + best^2) covers the difference between the
+    # bound and any computed distance, and no pruned target's computed
+    # distance is below the smallest measured one.
     slack = (matrix.shape[1] + 64) * np.finfo(float).eps
     item_bytes = 8 * max(4 * n_edges, matrix.shape[1])
     for block in _blocks(len(a), item_bytes):
@@ -203,25 +202,26 @@ def _nearest_distances(a, matrix, targets, weights):
         scale = (np.einsum("be,be->b", w_phi, phi)
                  + np.einsum("bc,bc->b", w_stretch, stretch))[:, None] + target_sq
         bound = scale - 2.0 * (w_phi @ theta.T + w_stretch @ stretch_logs.T)
+        # A NaN fails the comparison and takes the exhaustive search.
+        exhaustive = ~np.all(phi + reach < limit, axis=1)
         nearest = np.empty(len(vectors))
-        pruned = np.ones(len(vectors), dtype=bool)
-        peak = np.max(phi, axis=1, initial=0.0)
-        # A NaN fails each comparison and takes the exhaustive search.
-        for k in np.flatnonzero(~np.all(peak[:, None] + reach < limit, axis=1)):
-            if not np.all(phi[k] + theta < limit):
-                nearest[k] = np.min(_exp_distances(quaternions[:, k], stretch[k],
-                                                   relative, stretch_logs, weights))
-                pruned[k] = False
-        rows = np.flatnonzero(pruned)
-        first = np.argmin(bound[rows], axis=1)
-        nearest[rows] = _pair_distances(quaternions, stretch, rows, first, targets,
-                                        weights, item_bytes)
-        best_sq = nearest[rows, None] ** 2
-        near = bound[rows] <= best_sq + slack * (scale[rows] + best_sq)
-        near[np.arange(len(rows)), first] = False
-        i, t = np.nonzero(near)
-        np.minimum.at(nearest, rows[i], _pair_distances(
-            quaternions, stretch, rows[i], t, targets, weights, item_bytes))
+        for k in range(len(vectors)):
+            q, s = quaternions[:, k], stretch[k]
+            if exhaustive[k]:
+                best, near = np.inf, np.arange(len(theta))
+            else:
+                first = np.argmin(bound[k])
+                best = _exp_distances(q, s, relative[:, first], stretch_logs[first],
+                                      weights)
+                near = np.flatnonzero(
+                    bound[k] <= best * best + slack * (scale[k] + best * best))
+                near = near[near != first]
+            # np.minimum keeps a NaN distance, as the minimum over all does.
+            for part in _blocks(len(near), item_bytes):
+                t = near[part]
+                best = np.minimum(best, np.min(_exp_distances(
+                    q, s, relative[:, t], stretch_logs[t], weights)))
+            nearest[k] = best
         yield nearest
 
 

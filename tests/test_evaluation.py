@@ -198,6 +198,58 @@ class TestNearestSearch:
         assert pairs[0] == pairs[1]
         assert len(draws) <= pairs[0] < len(draws) * len(cohort)
 
+    def test_targets_tied_within_rounding_give_the_exhaustive_minimum(self,
+                                                                       monkeypatch):
+        # One edge, 16 stretch coordinates 1024 + k 2^-30 with integer k below
+        # 2^37: their differences are exact, and so are the squares and sums
+        # of those within 2^24 steps, so the distance of a sample to its own
+        # two targets rounds once, in its square root, to the same bits in
+        # any search. The second target is the first with two entries moved
+        # by one step, at squared distances 2^-60 K and 2^-60 (K - 2) for K
+        # near 2^51: a few ulps apart, far below the rounding of the bounds,
+        # which expand the squares 1024^2 of the coordinates. Without its
+        # rounding margin the search keeps the farther of the two for some
+        # samples. With it, a sample measures its own two targets and prunes
+        # all others, among them one turned by one radian at the edge.
+        rng = np.random.default_rng(7)
+        n_samples, size = 32, 16
+        sigma = rng.integers(2**25, 2**36, size=(n_samples, size))
+        delta = rng.integers(2**23, 2**24, size=(n_samples, size))
+        delta *= rng.choice([-1, 1], size=(n_samples, size))
+        delta[:, 1] = delta[:, 0] + 2
+        moved = delta.copy()
+        moved[:, 0] += 1
+        moved[:, 1] -= 1
+        offsets = np.concatenate([np.stack([sigma + delta, sigma + moved], axis=1)
+                                  .reshape(-1, size), sigma[:1]])
+        stretch_logs = 1024.0 + offsets * 2.0**-30
+        relative = np.zeros((4, len(offsets), 1))
+        relative[0] = 1.0
+        relative[:, -1, 0] = [np.cos(0.5), np.sin(0.5), 0.0, 0.0]
+        targets = (relative, stretch_logs, evaluation._rotation_angle(relative))
+        vectors = np.concatenate([np.zeros((n_samples, 3)),
+                                  1024.0 + sigma * 2.0**-30], axis=1)
+        weights = np.ones(vectors.shape[1])
+        every = representation._tangent_distances(vectors[:, None], relative,
+                                                  stretch_logs, weights)
+        own = 2 * np.arange(n_samples)
+        first, second = every[own // 2, own], every[own // 2, own + 1]
+        assert np.all(np.argmin(every, axis=1) == own + 1)
+        assert np.all(second >= first - 4 * np.spacing(first))
+        measured = []
+
+        def counting(*args):
+            d = exact(*args)
+            measured.append(d.size)
+            return d
+
+        exact = evaluation._exp_distances
+        monkeypatch.setattr(evaluation, "_exp_distances", counting)
+        nearest = np.concatenate(list(evaluation._nearest_distances(
+            vectors, np.eye(vectors.shape[1]), targets, weights)))
+        assert np.array_equal(nearest, every.min(axis=1))
+        assert sum(measured) == 2 * n_samples
+
     def test_specificity_is_the_mean_nearest_distance(self, ref, cohort, model):
         expected = exhaustive_nearest(ref, model, cohort, 25, 2, 4)[0]
         value = specificity(ref, model, cohort, n_samples=25, modes=2, seed=4)
