@@ -15,8 +15,6 @@ from .errors import ConvergenceError, ReferenceMismatchError
 from .liegroups import (
     _PI_MARGIN,
     _exp_quaternions,
-    _matrices,
-    _quaternion_entries,
     _quaternion_log,
     _quaternion_product,
     _rotation_angle,
@@ -357,9 +355,8 @@ def _generalization(ref, reps, max_modes, params, meshes):
         fold_meshes = fold_mean = None
         if meshes is not None:
             fold_meshes = meshes[0], meshes[1][i]
-            fold_mean = ShapeRep._from_log_stretches(
-                _matrices(_quaternion_entries(mu)), fold_log_mean,
-                held_out.reference_hash)
+            fold_mean = ShapeRep._from_parts(mu, fold_log_mean,
+                                             held_out.reference_hash)
         d = np.empty(distinct.size)
         for block, dist in _distances(
                 ref, fold_mean, prefixes, matrix,

@@ -13,8 +13,9 @@ first; a shape holds those of its rotations as ``ShapeRep.quaternions``,
 converted once from the entries by :func:`_quaternions`:
 
 - :func:`_exp_quaternions` takes every rotation exponential: that of
-  :func:`so3_exp`, whose matrices :func:`_quaternion_entries` forms, and of
-  every mean update ``exp(xi) mu``;
+  :func:`so3_exp`, whose matrices :func:`_quaternion_entries` forms, as it
+  forms those of every shape, and of every mean update and geodesic step
+  ``exp(xi) mu``;
 - :func:`_quaternion_log` takes every rotation logarithm: that of
   :func:`so3_log`, and every logarithm of a shape at a base, on the
   relative quaternions ``q * conj(q_mu)`` of :func:`_quaternion_product`;

@@ -56,7 +56,13 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ConditioningError, ConvergenceError
-from .liegroups import _det_entries, _entries, polar_rotation
+from .liegroups import (
+    _det_entries,
+    _entries,
+    _matrices,
+    _quaternion_entries,
+    polar_rotation,
+)
 from .mesh import TriangleMesh
 from .representation import _check_binding
 
@@ -90,7 +96,8 @@ def init_rotations(ref, rep):
     R[0] = np.eye(3)
     F = ref.frames
     parent, child = ref.spanning_tree.T
-    C = rep.rotations[ref.tree_edge_indices]
+    # Only the tree edges' matrices, derived from the held quaternions.
+    C = _matrices(_quaternion_entries(rep.quaternions[:, ref.tree_edge_indices]))
     backward = parent > child
     C[backward] = np.swapaxes(C[backward], -1, -2)
     # Tree edges are in breadth-first order, so each depth is one
@@ -342,8 +349,8 @@ class _EdgeTerms:
         # U_i F_i = F_i diag(S_i, 1) for the embedded stretch U_i.
         UF = F.copy()
         UF[..., :2] = F[..., :2] @ rep.stretches
-        # C_e^T: the stored transition rotation transposed on forward edges,
-        # as stored on backward ones.
+        # C_e^T: the transition rotation transposed on forward edges, as it
+        # is on backward ones; the matrices are derived once, here.
         Qt = rep.rotations[edge_idx]
         Qt[forward] = np.swapaxes(Qt[forward], -1, -2)
         # The blocks Q_e^T = U_dst F_dst C_e^T F_src^T, in place of C_e^T,

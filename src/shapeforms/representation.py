@@ -17,6 +17,12 @@ with the reference triangle areas ``A_i``, edge weights
 commensuration weight ``omega`` balancing curvature against metric
 contributions.
 
+A shape holds each rotation as its unit quaternion and each stretch as
+its matrix logarithm (log-Euclidean, Arsigny et al., 2006), the forms that
+every log, mean step and distance computes on, and a shape file stores
+exactly these: ``4E + 3m`` floats, reloaded bit for bit. The matrices are
+derived on access, for reconstruction and for callers that read them.
+
 A tangent vector at a shape is one element of the product Lie algebra:
 an axis-angle vector per inner edge and a symmetric 2x2 matrix per
 triangle. :class:`TangentRep` holds it as one flat array of ``3E + 4m``
@@ -37,12 +43,13 @@ from .liegroups import (
     _check_each,
     _entries,
     _exp_quaternions,
+    _matrices,
     _quaternion_angle,
+    _quaternion_entries,
     _quaternion_log,
     _quaternion_product,
     _quaternions,
     polar3,
-    so3_exp,
     spd2_exp,
     spd2_log,
 )
@@ -63,40 +70,79 @@ class DistanceParams:
             raise ValueError(f"omega must be positive, got {self.omega}")
 
 
+def _read_only(array):
+    """``array``, flagged read-only."""
+    array.flags.writeable = False
+    return array
+
+
 def _frozen(values):
     """A read-only copy of ``values`` as a C-contiguous float array."""
-    out = np.array(values, dtype=float, order="C")
-    out.flags.writeable = False
-    return out
+    return _read_only(np.array(values, dtype=float, order="C"))
 
 
 class ShapeRep:
-    """Point in the product group: rotations per inner edge, stretches per
-    triangle, bound to one reference by content hash.
+    """Point in the product group: one rotation per inner edge and one
+    stretch per triangle, bound to one reference by content hash.
 
-    A representation is immutable. It keeps read-only copies of the arrays
-    it is built from, so the caller's arrays stay writeable and later
-    changes to them do not reach it. That makes it safe to compute the
-    content hash, the stretch logarithms and the unit quaternions of the
-    rotations once and keep them.
+    A representation holds two read-only arrays: the unit quaternions
+    ``quaternions`` ``(4, E)`` of its rotations, scalar part first, and the
+    logarithms ``log_stretches`` ``(m, 2, 2)`` of its stretches, 32 bytes an
+    edge and 32 a triangle. Every log, mean step and distance reads these
+    two forms. The matrices ``rotations`` ``(E, 3, 3)`` and ``stretches``
+    ``(m, 2, 2)`` are derived from them on each access and never held;
+    reconstruction derives them once per call.
+
+    The constructor takes the matrices, and it is the one place where
+    rotation matrices become quaternions (:func:`_quaternions` and
+    :func:`spd2_log`). Every other representation, such as an exponential,
+    a mean or a loaded file, is built from quaternions and logs by
+    :meth:`_from_parts`. A representation is immutable and keeps copies of
+    what it is built from, so later changes to the caller's arrays do not
+    reach it, and its content hash is computed once.
     """
 
     def __init__(self, rotations, stretches, reference_hash):
-        self.rotations = _frozen(rotations)
-        self.stretches = _frozen(stretches)
-        self.reference_hash = reference_hash
-        if self.rotations.ndim != 3 or self.rotations.shape[1:] != (3, 3):
+        rotations = np.asarray(rotations, dtype=float)
+        stretches = np.asarray(stretches, dtype=float)
+        if rotations.ndim != 3 or rotations.shape[1:] != (3, 3):
             raise ValueError("rotations must have shape (E, 3, 3)")
-        if self.stretches.ndim != 3 or self.stretches.shape[1:] != (2, 2):
+        if stretches.ndim != 3 or stretches.shape[1:] != (2, 2):
             raise ValueError("stretches must have shape (m, 2, 2)")
+        # Both kernels return new arrays, which the shape keeps as they are.
+        self.quaternions = _read_only(_quaternions(_entries(rotations)))
+        self.log_stretches = _read_only(spd2_log(stretches))
+        self.reference_hash = reference_hash
+
+    @classmethod
+    def _from_parts(cls, quaternions, log_stretches, reference_hash):
+        """The representation holding copies of ``quaternions`` ``(4, E)``
+        and ``log_stretches`` ``(m, 2, 2)``."""
+        rep = cls.__new__(cls)
+        rep.quaternions = _frozen(quaternions)
+        rep.log_stretches = _frozen(log_stretches)
+        rep.reference_hash = reference_hash
+        return rep
+
+    @property
+    def rotations(self):
+        """Read-only rotation matrices ``(E, 3, 3)`` of the quaternions,
+        derived on each access: about 1.3 ms at 30,720 edges."""
+        return _read_only(_matrices(_quaternion_entries(self.quaternions)))
+
+    @property
+    def stretches(self):
+        """Read-only stretches ``spd2_exp(log_stretches)`` ``(m, 2, 2)``,
+        derived on each access: about 1.2 ms at 20,480 triangles."""
+        return _read_only(spd2_exp(self.log_stretches))
 
     @property
     def n_edges(self):
-        return self.rotations.shape[0]
+        return self.quaternions.shape[1]
 
     @property
     def n_triangles(self):
-        return self.stretches.shape[0]
+        return self.log_stretches.shape[0]
 
     def content_hash(self):
         return self._content_hash
@@ -105,37 +151,9 @@ class ShapeRep:
     def _content_hash(self):
         h = hashlib.sha256()
         h.update(self.reference_hash.encode())
-        h.update(self.rotations.tobytes())
-        h.update(self.stretches.tobytes())
+        h.update(self.quaternions.tobytes())
+        h.update(self.log_stretches.tobytes())
         return h.hexdigest()
-
-    @cached_property
-    def log_stretches(self):
-        """Read-only ``spd2_log(stretches)``, computed on first use."""
-        logs = spd2_log(self.stretches)
-        logs.flags.writeable = False
-        return logs
-
-    @cached_property
-    def quaternions(self):
-        """Read-only unit quaternions ``(4, E)`` of ``rotations``, computed
-        on first use and never written to a file. Every log of the shape at
-        a base, and of a shape at it, reads them, so each shape is
-        converted once."""
-        quats = _quaternions(_entries(self.rotations))
-        quats.flags.writeable = False
-        return quats
-
-    @classmethod
-    def _from_log_stretches(cls, rotations, log_stretches, reference_hash):
-        """The representation with stretches ``spd2_exp(log_stretches)``.
-
-        It keeps a copy of ``log_stretches`` as its :attr:`log_stretches`
-        instead of taking the logarithm of the rounded exponentials again.
-        """
-        rep = cls(rotations, spd2_exp(log_stretches), reference_hash)
-        rep.__dict__["log_stretches"] = _frozen(log_stretches)
-        return rep
 
     def save(self, path):
         """Write the representation as JSON, see :func:`_shape_payload`."""
@@ -144,32 +162,59 @@ class ShapeRep:
 
     @classmethod
     def load(cls, path):
-        """Read a file written by :meth:`save`; other keys, such as the
-        ``omega`` that older files carry, are ignored. Invalid values raise
+        """Read a file written by :meth:`save`, or one of the earlier
+        rotation-matrix format; other keys, such as the ``omega`` that older
+        files carry, are ignored. Invalid values raise
         :class:`MeshFormatError`, see :func:`_shape_from_payload`."""
         payload = _read_json(path)
         return _shape_from_payload(payload, payload["reference_hash"], path)
 
 
 def _shape_payload(rep):
-    """The ``{rotations, stretches}`` JSON payload of a shape.
+    """The ``{quaternions, log_stretches}`` JSON payload of a shape.
 
-    Rotations are stored as 9 row-major floats, stretches as the
-    ``(U11, U12, U22)`` triple, in reference edge/triangle order.
+    Quaternions are stored as ``(w, x, y, z)`` rows, stretch logs as the
+    ``(L11, L12, L22)`` triple, in reference edge/triangle order: the
+    arrays the shape holds, so a reload is bit-equal.
     """
-    return {"rotations": rep.rotations.reshape(-1, 9),
-            "stretches": _sym_to_triples(rep.stretches)}
+    return {"quaternions": rep.quaternions.T,
+            "log_stretches": _sym_to_triples(rep.log_stretches)}
 
 
-#: Largest entry of ``|R^T R - I|`` that a stored rotation may have.
+#: Largest ``| |q|^2 - 1 |`` that a stored quaternion may have.
+_QUATERNION_TOL = 1e-9
+
+#: Largest entry of ``|R^T R - I|`` that a rotation of a file in the
+#: earlier format may have.
 _ROTATION_TOL = 1e-9
 
 
 def _shape_from_payload(payload, reference_hash, path):
     """Inverse of :func:`_shape_payload`, bound to ``reference_hash``.
 
-    A payload that also holds ``log_stretches`` triples, as a model's mean
-    does, is rebuilt from those by :meth:`ShapeRep._from_log_stretches`.
+    A payload without ``quaternions`` is of the earlier format and goes to
+    :func:`_legacy_shape`. Raises :class:`MeshFormatError` for the file
+    ``path``, naming the first bad edge or triangle: for a quaternion that
+    is not finite or has ``| |q|^2 - 1 |`` above ``_QUATERNION_TOL``, and
+    for a stretch-log triple that is not finite.
+    """
+    if "quaternions" not in payload:
+        return _legacy_shape(payload, reference_hash, path)
+    rows = np.array(payload["quaternions"], dtype=float).reshape(-1, 4)
+    with np.errstate(invalid="ignore", over="ignore"):
+        drift = np.abs(np.sum(rows * rows, axis=1) - 1.0)
+    _refuse(drift <= _QUATERNION_TOL, path, lambda k: (
+        f"quaternion of edge {k} is not a finite unit quaternion: "
+        f"| |q|^2 - 1 | = {drift[k]:.3g} (at most {_QUATERNION_TOL:g})"))
+    return ShapeRep._from_parts(rows.T, _log_triples(payload, path), reference_hash)
+
+
+def _legacy_shape(payload, reference_hash, path):
+    """A shape from a payload of the earlier format, through the matrix
+    constructor: row-major ``rotations``, ``(U11, U12, U22)`` stretch
+    triples ``stretches`` and, in a model's mean, ``log_stretches`` triples,
+    which the shape then holds in place of the logs of the stretches.
+
     Raises :class:`MeshFormatError` for the file ``path``, naming the first
     bad edge or triangle: for a rotation that is not finite, has an entry
     of ``|R^T R - I|`` above ``_ROTATION_TOL`` or ``det R <= 0``, for a
@@ -180,10 +225,9 @@ def _shape_from_payload(payload, reference_hash, path):
     _check_rotations(np.ascontiguousarray(rows.T), path)
     rotations = rows.reshape(-1, 3, 3)
     if "log_stretches" in payload:
-        logs = np.array(payload["log_stretches"], dtype=float)
-        _check_finite(logs, path, "the stretch log of triangle")
-        return ShapeRep._from_log_stretches(rotations, _triples_to_sym(logs),
-                                            reference_hash)
+        logs = _log_triples(payload, path)
+        rep = ShapeRep(rotations, spd2_exp(logs), reference_hash)
+        return ShapeRep._from_parts(rep.quaternions, logs, reference_hash)
     triples = np.array(payload["stretches"], dtype=float)
     u11, u12, u22 = triples.T
     with np.errstate(invalid="ignore", over="ignore"):
@@ -191,6 +235,14 @@ def _shape_from_payload(payload, reference_hash, path):
     _refuse(spd, path, lambda k: f"stretch of triangle {k} is not a finite "
             f"positive-definite matrix: {triples[k].tolist()}")
     return ShapeRep(rotations, _triples_to_sym(triples), reference_hash)
+
+
+def _log_triples(payload, path):
+    """The ``log_stretches`` triples of ``payload`` as ``(m, 2, 2)``
+    matrices, refused by :func:`_check_finite` if one is not finite."""
+    logs = np.array(payload["log_stretches"], dtype=float)
+    _check_finite(logs, path, "the stretch log of triangle")
+    return _triples_to_sym(logs)
 
 
 def _check_rotations(e, path):
@@ -428,12 +480,17 @@ def _log_coordinates(base, s):
 
 
 def rep_exp(base, v):
-    """Inverse of :func:`rep_log`: walk from ``base`` along ``v``."""
+    """Inverse of :func:`rep_log`: walk from ``base`` along ``v``.
+
+    The rotations are the quaternion products ``exp(v_e) * q_e`` and the
+    stretch logs the sums ``v_i + L_i``, so no matrix is formed, and
+    ``v = 0`` gives ``base``'s own arrays: ``exp(0)`` is ``(1, 0, 0, 0)``.
+    """
     if v.base_hash != base.content_hash():
         raise ReferenceMismatchError("tangent vector has a different base point")
-    rotations = so3_exp(v.rot_part) @ base.rotations
-    stretches = spd2_exp(v.stretch_part + base.log_stretches)
-    return ShapeRep(rotations, stretches, base.reference_hash)
+    quats = _quaternion_product(_exp_quaternions(v.rot_part), base.quaternions)
+    return ShapeRep._from_parts(quats, v.stretch_part + base.log_stretches,
+                                base.reference_hash)
 
 
 def geodesic(s, t, lam):

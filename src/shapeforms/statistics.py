@@ -1,15 +1,13 @@
 """First and second moment statistics on shape representations.
 
 A cohort is handled stacked: its logs at a base form one ``(n, E, 3)`` and
-one ``(n, m, 2, 2)`` array, built from the cached
-``ShapeRep.log_stretches`` and ``ShapeRep.quaternions``. Each shape is
-converted once and holds the unit quaternions of its transition rotations
-(32 E bytes); a call stacks them into one ``(4, n, E)`` array. A pass over
+one ``(n, m, 2, 2)`` array, built from the ``ShapeRep.log_stretches`` and
+``ShapeRep.quaternions`` that each shape holds (32 E bytes of quaternions);
+a call stacks the quaternions into one ``(4, n, E)`` array. A pass over
 the cohort takes the relative quaternions ``q conj(q_mu)`` of blocks of
 ``b`` shapes, ``(4, b, E)`` under ``_BLOCK_BYTES`` so that the temporaries
 stay small, and their logarithms, all with the elementwise kernels of
-:mod:`liegroups`. The logs at a shape are always taken at its held
-quaternions, those of its own rotation matrices.
+:mod:`liegroups`. The moments form and convert no rotation matrix.
 
 The mean is the Riemannian center of mass. Its stretch part is the
 closed-form log-Euclidean mean, the average of the stretch logarithms
@@ -18,12 +16,12 @@ diffusion tensors", 2006). Its rotation part is the fixed point of
 ``mu <- exp(mean_i log(C_i mu^T)) mu``, each step taking the logs of the
 whole cohort block by block and making the update one quaternion product;
 it converges for well-localized data (all relative transition rotations
-away from angle pi). The steps stay on quaternions; a mean returned as a
-shape is stored as the matrices of the last product and its final pass is
-taken at their quaternions. So a computed mean, the same mean supplied, and
-the mean of a reloaded model file give the same model, bit for bit. A shape
-file stores no stretch logs: a mean reloaded from one takes the logs of
-its stored stretches, and gives the same model only up to rounding.
+away from angle pi). The steps stay on quaternions, and a mean returned as
+a shape holds the quaternions of the last product, at which its final
+pass was taken, and the log-Euclidean mean. Shape and model files store
+exactly these arrays, so a computed mean, the same mean supplied, and a
+mean reloaded from a model file or a shape file give the same model, bit
+for bit.
 
 Principal modes come from the eigendecomposition of the Gram matrix of the
 logs at the mean (Fletcher et al., "Principal geodesic analysis for the
@@ -50,8 +48,6 @@ from .errors import ConvergenceError, ReferenceMismatchError
 from .liegroups import (
     _check_each,
     _exp_quaternions,
-    _matrices,
-    _quaternion_entries,
     _quaternion_log,
     _quaternion_product,
 )
@@ -69,7 +65,6 @@ from .representation import (
     _read_json,
     _shape_from_payload,
     _shape_payload,
-    _sym_to_triples,
     _tangent_from_payload,
     _tangent_payload,
     _write_json,
@@ -197,23 +192,17 @@ def _mean_and_logs(reps, tol, max_iter):
     stretch logs ``(n, E, 3)``, ``(n, m, 2, 2)`` of ``reps`` at it.
 
     ``reps[0]`` itself is returned when it already passes the test. Any
-    other mean is the shape with the rotation matrices of the iteration's
-    last product and the log-Euclidean mean as its ``log_stretches``. The
-    iteration runs once more from that shape's own ``quaternions``, normally
-    one pass and no step, so the logs returned are taken at its matrices.
+    other mean holds the quaternions of the iteration's last product and
+    the log-Euclidean mean as its ``log_stretches``, so the logs returned
+    are those at the quaternions it holds.
     """
-    quats, log_mean = _quaternion_stack(reps), _log_mean(reps)
     mu = reps[0]
-    for _ in range(max_iter):
-        mu_q, mu_logs, rot_logs = _mean_logs(quats, mu.quaternions, mu.log_stretches,
-                                             log_mean, tol, max_iter)
-        if mu_q is mu.quaternions:
-            return mu, rot_logs, _stretch_logs(reps, mu_logs)
-        mu = ShapeRep._from_log_stretches(_matrices(_quaternion_entries(mu_q)),
-                                          mu_logs, mu.reference_hash)
-    raise ConvergenceError(
-        f"mean iteration did not settle on stored rotation matrices within "
-        f"{max_iter} rounds")
+    mu_q, mu_logs, rot_logs = _mean_logs(_quaternion_stack(reps), mu.quaternions,
+                                         mu.log_stretches, _log_mean(reps), tol,
+                                         max_iter)
+    if mu_q is not mu.quaternions:
+        mu = ShapeRep._from_parts(mu_q, mu_logs, mu.reference_hash)
+    return mu, rot_logs, _stretch_logs(reps, mu_logs)
 
 
 def frechet_mean(reps, tol=DEFAULT_MEAN_TOL, max_iter=DEFAULT_MEAN_MAX_ITER):
@@ -246,9 +235,9 @@ class PGAModel:
     the modes' tangent coordinates once into a read-only ``(k, 3E + 4m)``
     mode matrix, which :func:`coefficients` and :func:`synthesize` use, and
     ``modes`` becomes a tuple of views of its rows. :func:`coefficients`
-    takes every log at the mean's held ``quaternions``, those of its stored
-    rotation matrices, so a loaded, a supplied and a computed mean project
-    alike.
+    takes every log at the mean's held ``quaternions`` and
+    ``log_stretches``, which a file stores, so a loaded, a supplied and a
+    computed mean project alike.
 
     Raises
     ------
@@ -287,26 +276,24 @@ class PGAModel:
         return len(self.modes)
 
     def save(self, path):
-        """Write the model as JSON. The mean carries its stretch logs as
-        ``log_stretches`` triples beside the stretches, so that a loaded
-        model projects and synthesizes with the bits of this one."""
+        """Write the model as JSON. The mean is the payload of a shape file,
+        its quaternions and stretch logs, so that a loaded model projects
+        and synthesizes with the bits of this one."""
         payload = {
             "reference_hash": self.reference_hash,
             "omega": self.params.omega,
             "variances": self.variances,
-            "mean": {**_shape_payload(self.mean),
-                     "log_stretches": _sym_to_triples(self.mean.log_stretches)},
+            "mean": _shape_payload(self.mean),
             "modes": [_tangent_payload(mode) for mode in self.modes],
         }
         _write_json(path, payload)
 
     @classmethod
     def load(cls, path):
-        """Read a file written by :meth:`save`. The mean is rebuilt from its
-        stored stretch logs; files without them take the logs of the
-        stored stretches. Invalid values, such as a non-finite mode entry
-        or a mean rotation that is not one, raise :class:`MeshFormatError`
-        (see :func:`_shape_from_payload`)."""
+        """Read a file written by :meth:`save`, or one whose mean is of the
+        earlier rotation-matrix format (see :func:`_shape_from_payload`).
+        Invalid values, such as a non-finite mode entry or a mean quaternion
+        off unit norm, raise :class:`MeshFormatError`."""
         payload = _read_json(path)
         mean = _shape_from_payload(payload["mean"], payload["reference_hash"], path)
         base_hash = mean.content_hash()

@@ -85,7 +85,7 @@ class TestRoundtrip:
             "--input", str(workspace / "shape_0.obj"), "--out", str(rep),
         ]) == 0
         payload = json.loads(rep.read_text())
-        payload["rotations"][5] = [2.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+        payload["quaternions"][5] = [2.0, 0.0, 0.0, 0.0]
         rep.write_text(json.dumps(payload) + "\n")
         capsys.readouterr()
         out = workspace / "refused_rep.obj"
@@ -94,7 +94,8 @@ class TestRoundtrip:
             "--input", str(rep), "--out", str(out),
         ]) == 1
         assert capsys.readouterr().err.startswith(
-            f"error:format: {rep}: rotation of edge 5 is not a finite rotation")
+            f"error:format: {rep}: quaternion of edge 5 is not a finite unit "
+            f"quaternion")
         assert not out.exists()
 
     def test_unconverged_reconstruction_warns(self, workspace, capsys):

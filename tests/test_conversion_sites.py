@@ -1,9 +1,11 @@
 """Rotation matrices become unit quaternions at one site per purpose.
 
 A shape holds the quaternions of its rotations (``ShapeRep.quaternions``),
-and every statistics, evaluation and pair path reads them; only the
-matrix-input kernels of :mod:`shapeforms.liegroups` convert their own
-arguments. A new per-call conversion of a shape's rotations fails here.
+converted by the constructor that takes matrices, through which encoding,
+flattening and files of the earlier format go; every other shape is built
+from quaternions. Only the matrix-input kernels of
+:mod:`shapeforms.liegroups` convert their own arguments. A new conversion
+of a shape's rotations fails here.
 """
 
 import ast
@@ -12,7 +14,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 ALLOWED = {
-    ("representation.py", "ShapeRep.quaternions"),
+    ("representation.py", "ShapeRep.__init__"),
     ("liegroups.py", "so3_log"),
 }
 
@@ -61,5 +63,5 @@ def test_rotations_are_converted_only_at_the_allowed_sites():
     found = {(path.name, site)
              for path in (ROOT / "src" / "shapeforms").glob("*.py")
              for site in conversion_sites(path)}
-    assert ("representation.py", "ShapeRep.quaternions") in found
+    assert ("representation.py", "ShapeRep.__init__") in found
     assert found <= ALLOWED

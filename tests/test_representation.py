@@ -1,10 +1,13 @@
 import dataclasses
+import hashlib
 import io
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shapeforms import representation
 from shapeforms.errors import (
@@ -16,9 +19,12 @@ from shapeforms.errors import (
 )
 from shapeforms.liegroups import (
     _entries,
+    _matrices,
+    _quaternion_entries,
     _quaternions,
     polar3,
     so3_exp,
+    spd2_exp,
     spd2_log,
 )
 from shapeforms.mesh import TriangleMesh
@@ -44,10 +50,18 @@ from helpers import (
     flatten_tangent,
     needle_mesh,
     rep_inner,
+    skew,
     times_transpose,
     unflatten_tangent,
     zero_tangent,
 )
+
+
+#: Largest entry of ``|rotations - R|`` for a shape built from rotation
+#: matrices ``R``: the matrices of their quaternions, measured at 6 EPS
+#: near pi and 4 EPS elsewhere.
+EPS = np.finfo(float).eps
+ROTATION_EPS = 8.0 * EPS
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +312,16 @@ class TestLogExp:
         assert np.allclose(out.rotations, s.rotations, atol=1e-15)
         assert np.allclose(out.stretches, s.stretches, atol=1e-15)
 
+    def test_exp_of_zero_times_a_vector_is_the_base_bit_for_bit(self, ref,
+                                                                deformed_reps):
+        # exp(0) is the unit quaternion (1, 0, 0, 0), and a zero vector's
+        # product with it and sum with the logs give the stored arrays.
+        s = deformed_reps[0]
+        out = rep_exp(s, 0.0 * rep_log(s, deformed_reps[1]))
+        assert out.quaternions.tobytes() == s.quaternions.tobytes()
+        assert out.log_stretches.tobytes() == s.log_stretches.tobytes()
+        assert out.content_hash() == s.content_hash()
+
     def test_roundtrip(self, ref, deformed_reps):
         s, t = deformed_reps[0], deformed_reps[1]
         back = rep_exp(s, rep_log(s, t))
@@ -473,6 +497,8 @@ class TestSerialization:
         rep.save(path)
         back = ShapeRep.load(path)
         assert back.reference_hash == rep.reference_hash
+        assert np.array_equal(back.quaternions, rep.quaternions)
+        assert np.array_equal(back.log_stretches, rep.log_stretches)
         assert np.array_equal(back.rotations, rep.rotations)
         assert np.array_equal(back.stretches, rep.stretches)
         assert back.content_hash() == rep.content_hash()
@@ -483,10 +509,10 @@ class TestSerialization:
         rep.save(path)
         payload = {
             "reference_hash": rep.reference_hash,
-            "rotations": [[float(x) for x in C.reshape(-1)] for C in rep.rotations],
-            "stretches": [
-                [float(U[0, 0]), float(U[0, 1]), float(U[1, 1])]
-                for U in rep.stretches
+            "quaternions": [[float(x) for x in q] for q in rep.quaternions.T],
+            "log_stretches": [
+                [float(L[0, 0]), float(L[0, 1]), float(L[1, 1])]
+                for L in rep.log_stretches
             ],
         }
         expected = io.StringIO()
@@ -495,18 +521,41 @@ class TestSerialization:
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_save_bytes_of_a_fixed_rep(self, tmp_path):
+        # A quarter turn about z, and the stretches diag(e, 1) and I, whose
+        # logs are exact.
+        rotations = np.array([[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]])
+        stretches = np.array([[[np.e, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
+        path = tmp_path / "rep.json"
+        rep = ShapeRep(rotations, stretches, "abc")
+        rep.save(path)
+        assert path.read_bytes() == (
+            b'{"reference_hash": "abc", '
+            b'"quaternions": [[0.7071067811865476, 0.0, 0.0, 0.7071067811865475]], '
+            b'"log_stretches": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}\n'
+        )
+        back = ShapeRep.load(path)
+        assert np.array_equal(back.quaternions, rep.quaternions)
+        assert np.array_equal(back.log_stretches, rep.log_stretches)
+        assert back.content_hash() == rep.content_hash()
+
+    def test_legacy_file_of_a_fixed_rep_loads(self, tmp_path):
+        # The bytes the earlier format wrote for this shape load through the
+        # matrix constructor, with its bits.
         rotations = np.array([[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]])
         stretches = np.array([[[1.5, 0.1], [0.1, 2.0]], [[1.0, 0.0], [0.0, 1.0]]])
         path = tmp_path / "rep.json"
-        ShapeRep(rotations, stretches, "abc").save(path)
-        assert path.read_bytes() == (
+        path.write_bytes(
             b'{"reference_hash": "abc", '
             b'"rotations": [[0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0]], '
             b'"stretches": [[1.5, 0.1, 2.0], [1.0, 0.0, 1.0]]}\n'
         )
         back = ShapeRep.load(path)
-        assert np.array_equal(back.rotations, rotations)
-        assert np.array_equal(back.stretches, stretches)
+        built = ShapeRep(rotations, stretches, "abc")
+        assert np.array_equal(back.quaternions, built.quaternions)
+        assert np.array_equal(back.log_stretches, built.log_stretches)
+        assert back.content_hash() == built.content_hash()
+        assert np.max(np.abs(back.rotations - rotations)) <= ROTATION_EPS
+        assert np.max(np.abs(back.stretches - stretches)) <= 16.0 * EPS
 
     def test_load_ignores_an_omega_key(self, tmp_path):
         # Files written before ``save`` lost its ``omega`` argument carry
@@ -518,10 +567,24 @@ class TestSerialization:
             b'"stretches": [[1.5, 0.1, 2.0]], "omega": 2.5}\n'
         )
         back = ShapeRep.load(path)
+        built = ShapeRep([[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]],
+                         [[[1.5, 0.1], [0.1, 2.0]]], "abc")
         assert back.reference_hash == "abc"
-        assert np.array_equal(back.rotations[0], [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
-                                                  [0.0, 0.0, 1.0]])
-        assert np.array_equal(back.stretches[0], [[1.5, 0.1], [0.1, 2.0]])
+        assert np.array_equal(back.quaternions, built.quaternions)
+        assert np.array_equal(back.log_stretches, built.log_stretches)
+
+
+def _legacy_file(rep, tmp_path, edit=lambda payload: None):
+    """The path of a shape file of the earlier format holding ``rep``'s
+    rotation matrices and stretch triples, after ``edit`` changed its
+    payload."""
+    path = tmp_path / "rep.json"
+    payload = {"reference_hash": rep.reference_hash,
+               "rotations": rep.rotations.reshape(-1, 9).tolist(),
+               "stretches": rep.stretches.reshape(-1, 4)[:, [0, 1, 3]].tolist()}
+    edit(payload)
+    path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    return path
 
 
 def _rewritten(rep, tmp_path, edit):
@@ -542,9 +605,31 @@ def _set_stretch(triangle, triple):
     return lambda p: p["stretches"].__setitem__(triangle, list(triple))
 
 
+def _set_quaternion(edge, q):
+    return lambda p: p["quaternions"].__setitem__(edge, list(q))
+
+
+def _scale_quaternion(edge, factor):
+    return lambda p: p["quaternions"].__setitem__(
+        edge, [factor * x for x in p["quaternions"][edge]])
+
+
+def _set_log(triangle, triple):
+    return lambda p: p["log_stretches"].__setitem__(triangle, list(triple))
+
+
+def _assert_refused(path, message):
+    with pytest.raises(MeshFormatError, match=rf"^{re.escape(str(path))}: {message}") \
+            as excinfo:
+        ShapeRep.load(path)
+    assert excinfo.value.path == path
+    assert excinfo.value.category == "format"
+
+
 class TestLoadValidation:
     """A shape file with invalid values is refused on load, naming the
-    file and the first bad edge or triangle."""
+    file and the first bad edge or triangle; these cases hold files of the
+    earlier rotation-matrix format."""
 
     @pytest.mark.parametrize("edit, message", [
         (_set_rotation(5, np.diag([2.0, 1.0, 1.0])),
@@ -568,21 +653,58 @@ class TestLoadValidation:
     ], ids=["scaled", "reflection", "off_by_1e-8", "nan_rotation", "inf_rotation",
             "negative_stretch", "indefinite_stretch", "inf_stretch", "nan_stretch"])
     def test_invalid_values_are_refused(self, deformed_reps, tmp_path, edit, message):
-        path = _rewritten(deformed_reps[0], tmp_path, edit)
-        with pytest.raises(MeshFormatError, match=rf"^{re.escape(str(path))}: {message}") \
-                as excinfo:
-            ShapeRep.load(path)
-        assert excinfo.value.path == path
-        assert excinfo.value.category == "format"
+        _assert_refused(_legacy_file(deformed_reps[0], tmp_path, edit), message)
 
     def test_rounded_rotations_load(self, deformed_reps, tmp_path):
         # A rotation off orthogonality by rounding, well below the 1e-9
+        # tolerance, loads through the matrix constructor.
+        rep = deformed_reps[0]
+        rotations = np.array(rep.rotations)
+        rotations[5] *= 1.0 + 1e-12
+        back = ShapeRep.load(_legacy_file(rep, tmp_path,
+                                          _set_rotation(5, rotations[5])))
+        built = ShapeRep(rotations, rep.stretches, rep.reference_hash)
+        assert np.array_equal(back.quaternions, built.quaternions)
+        assert np.max(np.abs(back.rotations[5] - rotations[5])) <= 2e-12
+        assert np.array_equal(back.log_stretches, spd2_log(rep.stretches))
+
+    @pytest.mark.parametrize("edit, message", [
+        (_set_quaternion(5, (2.0, 0.0, 0.0, 0.0)),
+         r"quaternion of edge 5 is not a finite unit quaternion: "
+         r"\| \|q\|\^2 - 1 \| = 3 \(at most 1e-09\)$"),
+        (_scale_quaternion(3, 1.0 + 1e-9),
+         r"quaternion of edge 3 is not a finite unit quaternion: "
+         r"\| \|q\|\^2 - 1 \| = 2e-09 "),
+        (_set_quaternion(0, (0.0, 0.0, 0.0, 0.0)),
+         r"quaternion of edge 0 is not a finite unit quaternion: "
+         r"\| \|q\|\^2 - 1 \| = 1 "),
+        (_set_quaternion(7, (np.nan, 0.0, 0.0, 0.0)),
+         r"quaternion of edge 7 is not a finite unit quaternion: "
+         r"\| \|q\|\^2 - 1 \| = nan "),
+        (_set_quaternion(2, (1.0, np.inf, 0.0, 0.0)),
+         r"quaternion of edge 2 is not a finite unit quaternion: "
+         r"\| \|q\|\^2 - 1 \| = inf "),
+        (_set_quaternion(4, (1e200, 0.0, 0.0, 0.0)),
+         r"quaternion of edge 4 is not a finite unit quaternion"),
+        (_set_log(4, (np.inf, 0.0, 1.0)),
+         r"the stretch log of triangle 4 holds a non-finite value$"),
+        (_set_log(9, (0.0, np.nan, 0.0)),
+         r"the stretch log of triangle 9 holds a non-finite value$"),
+    ], ids=["scaled", "off_by_1e-9", "zero", "nan", "inf", "overflow", "inf_log",
+            "nan_log"])
+    def test_invalid_quaternions_and_logs_are_refused(self, deformed_reps, tmp_path,
+                                                      edit, message):
+        _assert_refused(_rewritten(deformed_reps[0], tmp_path, edit), message)
+
+    def test_rounded_quaternions_load(self, deformed_reps, tmp_path):
+        # A quaternion off unit norm by rounding, well below the 1e-9
         # tolerance, loads unchanged.
         rep = deformed_reps[0]
-        nudged = rep.rotations[5] * (1.0 + 1e-12)
-        back = ShapeRep.load(_rewritten(rep, tmp_path, _set_rotation(5, nudged)))
-        assert np.array_equal(back.rotations[5], nudged)
-        assert np.array_equal(back.stretches, rep.stretches)
+        back = ShapeRep.load(_rewritten(rep, tmp_path, _scale_quaternion(5, 1.0 + 1e-12)))
+        assert np.array_equal(back.quaternions[:, 5], rep.quaternions[:, 5] * (1.0 + 1e-12))
+        assert np.array_equal(np.delete(back.quaternions, 5, axis=1),
+                              np.delete(rep.quaternions, 5, axis=1))
+        assert np.array_equal(back.log_stretches, rep.log_stretches)
 
 
 def single_triangle_reference():
@@ -666,51 +788,121 @@ class TestTangentLayout:
 
 
 class TestCaches:
-    """A representation copies what it is built from, so its cached hash
-    and stretch logarithms cannot go stale."""
+    """A representation holds copies of its quaternions and stretch logs,
+    so its cached hash cannot go stale, and it holds nothing else."""
 
     def _built_from_caller_arrays(self, deformed_reps):
         rep = deformed_reps[0]
-        rotations = rep.rotations.copy()
-        stretches = rep.stretches.copy()
+        rotations = np.array(rep.rotations)
+        stretches = np.array(rep.stretches)
         return ShapeRep(rotations, stretches, rep.reference_hash), rotations, stretches
 
     def test_caller_arrays_stay_writeable(self, deformed_reps):
         built, rotations, stretches = self._built_from_caller_arrays(deformed_reps)
         assert rotations.flags.writeable and stretches.flags.writeable
-        assert not built.rotations.flags.writeable
-        assert not built.stretches.flags.writeable
-        assert not np.shares_memory(built.rotations, rotations)
-        assert not np.shares_memory(built.stretches, stretches)
+        for held in (built.quaternions, built.log_stretches, built.rotations,
+                     built.stretches):
+            assert not held.flags.writeable
+            assert not np.shares_memory(held, rotations)
+            assert not np.shares_memory(held, stretches)
 
     def test_caller_mutation_does_not_reach_caches(self, deformed_reps):
         built, rotations, stretches = self._built_from_caller_arrays(deformed_reps)
-        expected = (built.rotations.copy(), built.stretches.copy(),
-                    built.content_hash(), built.log_stretches.copy())
+        expected = (built.quaternions.copy(), built.log_stretches.copy(),
+                    built.rotations.copy(), built.stretches.copy(),
+                    built.content_hash())
         rotations[:] = np.eye(3)
         stretches[:] = 2.0 * np.eye(2)
-        assert np.array_equal(built.rotations, expected[0])
-        assert np.array_equal(built.stretches, expected[1])
-        assert built.content_hash() == expected[2]
-        assert np.array_equal(built.log_stretches, expected[3])
-        assert built.content_hash() == deformed_reps[0].content_hash()
+        assert np.array_equal(built.quaternions, expected[0])
+        assert np.array_equal(built.log_stretches, expected[1])
+        assert np.array_equal(built.rotations, expected[2])
+        assert np.array_equal(built.stretches, expected[3])
+        assert built.content_hash() == expected[4]
 
     def test_log_stretches_read_only_and_exact(self, deformed_reps):
+        # The constructor converts the matrices once; later parts are the
+        # stored arrays, and the matrices are derived from them.
         rep = deformed_reps[1]
-        logs = rep.log_stretches
-        assert not logs.flags.writeable
-        with pytest.raises(ValueError):
-            logs[0, 0, 0] = 1.0
-        assert np.array_equal(logs, spd2_log(rep.stretches))
-        assert rep.log_stretches is logs
+        rotations, stretches = np.array(rep.rotations), np.array(rep.stretches)
+        built = ShapeRep(rotations, stretches, rep.reference_hash)
+        quats, logs = built.quaternions, built.log_stretches
+        assert np.array_equal(quats, _quaternions(_entries(rotations)))
+        assert np.array_equal(logs, spd2_log(stretches))
+        assert built.quaternions is quats and built.log_stretches is logs
+        for part in (quats, logs):
+            with pytest.raises(ValueError):
+                part.reshape(-1)[0] = 1.0
+        assert np.array_equal(built.rotations, _matrices(_quaternion_entries(quats)))
+        assert np.array_equal(built.stretches, spd2_exp(logs))
+        assert np.max(np.abs(built.rotations - rotations)) <= ROTATION_EPS
 
     def test_content_hash_matches_fresh_digest(self, deformed_reps):
         rep = deformed_reps[2]
         first = rep.content_hash()
-        fresh = ShapeRep(rep.rotations, rep.stretches, rep.reference_hash)
+        digest = hashlib.sha256()
+        for part in (rep.reference_hash.encode(), rep.quaternions.tobytes(),
+                     rep.log_stretches.tobytes()):
+            digest.update(part)
+        assert first == digest.hexdigest()
+        fresh = ShapeRep._from_parts(np.array(rep.quaternions),
+                                     np.array(rep.log_stretches), rep.reference_hash)
         assert fresh.content_hash() == first == rep.content_hash()
-        other = ShapeRep(rep.rotations, 2.0 * rep.stretches, rep.reference_hash)
+        other = ShapeRep._from_parts(rep.quaternions, rep.log_stretches + 0.5,
+                                     rep.reference_hash)
         assert other.content_hash() != first
+
+    def test_holds_quaternions_and_logs_only(self):
+        # 5,120 triangles and 7,680 inner edges: 0.41 MB of quaternions and
+        # stretch logs, against 1.13 MB when the matrices were held too.
+        ref = build_reference(icosphere(4))
+        rep = encode(ref, smooth_deformation(ref.mesh, seed=0))[0]
+        rep.content_hash()
+        rep.rotations, rep.stretches  # derived, never held
+        arrays = [value for value in vars(rep).values() if isinstance(value, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) <= 0.42e6
+        assert not any(a.shape == (rep.n_edges, 3, 3) for a in arrays)
+        assert rep.quaternions.shape == (4, 7680)
+        assert rep.log_stretches.shape == (5120, 2, 2)
+
+
+# Axis-angle vectors in three regimes of the angle: tiny (below the 1e-8 of
+# the kernels' series), main, and within 1e-3 of pi.
+unit_axes = st.tuples(st.floats(0.0, np.pi), st.floats(-np.pi, np.pi)).map(
+    lambda t: np.array([np.sin(t[0]) * np.cos(t[1]), np.sin(t[0]) * np.sin(t[1]),
+                        np.cos(t[0])]))
+ANGLES = {
+    "tiny": st.floats(-12.0, -8.0).map(lambda e: 10.0 ** e),
+    "main": st.floats(1e-8, np.pi - 1e-3),
+    "near_pi": st.floats(-12.0, -3.0).map(lambda e: np.pi - 10.0 ** e),
+}
+
+
+def rodrigues(axis, angle):
+    """The rotation by ``angle`` about the unit ``axis``, from Rodrigues'
+    formula rather than a quaternion."""
+    K = skew(axis)
+    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+
+
+class TestFileRoundTripProperty:
+    @pytest.mark.parametrize("regime", list(ANGLES))
+    @given(data=st.data())
+    def test_save_load_is_bit_equal(self, tmp_path_factory, regime, data):
+        turns = data.draw(st.lists(st.tuples(unit_axes, ANGLES[regime]),
+                                   min_size=1, max_size=4))
+        logs = data.draw(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                                            st.floats(-2.0, 2.0)),
+                                  min_size=1, max_size=3))
+        R = np.stack([rodrigues(axis, angle) for axis, angle in turns])
+        U = spd2_exp(np.array([[[a, b], [b, c]] for a, b, c in logs]))
+        rep = ShapeRep(R, U, "h")
+        path = tmp_path_factory.mktemp("rep") / "rep.json"
+        rep.save(path)
+        back = ShapeRep.load(path)
+        assert np.array_equal(back.quaternions, rep.quaternions)
+        assert np.array_equal(back.log_stretches, rep.log_stretches)
+        assert back.content_hash() == rep.content_hash()
+        assert np.max(np.abs(back.rotations - R)) <= ROTATION_EPS
 
 
 class TestRefinement:

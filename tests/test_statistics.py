@@ -42,6 +42,8 @@ from shapeforms.synthetic import icosphere, smooth_deformation
 
 from helpers import INVALID_STOPPING_RULES, add_tangents, rep_inner, rep_norm
 
+EPS = np.finfo(float).eps
+
 
 @pytest.fixture(scope="module")
 def ref():
@@ -370,17 +372,41 @@ class TestSerializationAndRebias:
         assert np.array_equal(s2.rotations, s1.rotations)
         assert np.array_equal(s2.stretches, s1.stretches)
 
-    def test_file_without_stretch_logs_loads(self, model, tmp_path):
-        # Files written before the mean carried its stretch logs.
+    @staticmethod
+    def _legacy_model_file(model, tmp_path, with_logs):
+        """``model`` saved with its mean in the earlier rotation-matrix
+        format, with or without the mean's stretch-log triples."""
         path = tmp_path / "model.json"
         model.save(path)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        del payload["mean"]["log_stretches"]
+        mean = model.mean
+        payload["mean"] = {
+            "rotations": mean.rotations.reshape(-1, 9).tolist(),
+            "stretches": mean.stretches.reshape(-1, 4)[:, [0, 1, 3]].tolist()}
+        if with_logs:
+            payload["mean"]["log_stretches"] = \
+                mean.log_stretches.reshape(-1, 4)[:, [0, 1, 3]].tolist()
         path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
-        back = PGAModel.load(path)
-        assert np.array_equal(back.mean.rotations, model.mean.rotations)
-        assert np.array_equal(back.mean.stretches, model.mean.stretches)
-        assert np.array_equal(back.mean.log_stretches, spd2_log(model.mean.stretches))
+        return path
+
+    def test_file_without_stretch_logs_loads(self, model, tmp_path):
+        # Files written before the mean carried its stretch logs: the mean
+        # is the shape of the matrix constructor on its stored matrices.
+        back = PGAModel.load(self._legacy_model_file(model, tmp_path, False))
+        mean = model.mean
+        built = ShapeRep(mean.rotations, mean.stretches, mean.reference_hash)
+        assert np.array_equal(back.mean.quaternions, built.quaternions)
+        assert np.array_equal(back.mean.log_stretches, spd2_log(mean.stretches))
+        assert np.array_equal(back._mode_matrix, model._mode_matrix)
+
+    def test_legacy_file_with_stretch_logs_loads(self, model, tmp_path):
+        # Files written before the mean was stored as quaternions: the mean
+        # holds the stored stretch logs themselves.
+        back = PGAModel.load(self._legacy_model_file(model, tmp_path, True))
+        mean = model.mean
+        built = ShapeRep(mean.rotations, mean.stretches, mean.reference_hash)
+        assert np.array_equal(back.mean.quaternions, built.quaternions)
+        assert np.array_equal(back.mean.log_stretches, mean.log_stretches)
         assert np.array_equal(back._mode_matrix, model._mode_matrix)
 
     @pytest.mark.parametrize("edit, message", [
@@ -392,9 +418,15 @@ class TestSerializationAndRebias:
          r"variance 2 holds a non-finite value"),
         (lambda p: p["mean"]["log_stretches"][3].__setitem__(1, float("-inf")),
          r"the stretch log of triangle 3 holds a non-finite value"),
-        (lambda p: p["mean"]["rotations"].__setitem__(6, [2.0, 0, 0, 0, 1, 0, 0, 0, 1]),
-         r"rotation of edge 6 is not a finite rotation"),
-    ], ids=["mode_edge", "mode_triangle", "variance", "stretch_log", "mean_rotation"])
+        (lambda p: p["mean"]["quaternions"].__setitem__(6, [2.0, 0, 0, 0]),
+         r"quaternion of edge 6 is not a finite unit quaternion"),
+        (lambda p: p.__setitem__("mean", {
+            "rotations": [[1.0, 0, 0, 0, 1, 0, 0, 0, 1]] * 5
+            + [[2.0, 0, 0, 0, 1, 0, 0, 0, 1]],
+            "log_stretches": p["mean"]["log_stretches"]}),
+         r"rotation of edge 5 is not a finite rotation"),
+    ], ids=["mode_edge", "mode_triangle", "variance", "stretch_log", "mean_rotation",
+            "legacy_mean_rotation"])
     def test_invalid_model_file_is_refused(self, model, tmp_path, edit, message):
         path = tmp_path / "model.json"
         model.save(path)
@@ -449,19 +481,26 @@ class TestSerializationAndRebias:
 
 class TestHeldQuaternions:
     def test_each_shape_converted_once(self, ref, cohort, monkeypatch):
-        # Fresh shapes, so that no conversion is cached on them yet.
-        reps = [ShapeRep(r.rotations, r.stretches, r.reference_hash) for r in cohort]
-        converted = []
+        # Building a shape from matrices converts its rotations once; the
+        # analysis after it neither converts a matrix to a quaternion nor
+        # forms a matrix from one.
+        matrices = [(r.rotations, r.stretches) for r in cohort]
+        calls = []
+        for kernel in ("_quaternions", "_quaternion_entries"):
+            original = getattr(liegroups, kernel)
 
-        def counting(e):
-            converted.append(e)
-            return convert(e)
+            def counting(*args, original=original, kernel=kernel):
+                calls.append(kernel)
+                return original(*args)
 
-        convert = liegroups._quaternions
-        for name, module in list(sys.modules.items()):
-            if (name.startswith("shapeforms")
-                    and getattr(module, "_quaternions", None) is convert):
-                monkeypatch.setattr(module, "_quaternions", counting)
+            for name, module in list(sys.modules.items()):
+                if (name.startswith("shapeforms")
+                        and getattr(module, kernel, None) is original):
+                    monkeypatch.setattr(module, kernel, counting)
+
+        reps = [ShapeRep(R, U, ref.content_hash) for R, U in matrices]
+        assert calls == ["_quaternions"] * len(reps)
+        calls.clear()
 
         mu = frechet_mean(reps)
         model = pga(ref, reps, mu=mu)
@@ -470,11 +509,9 @@ class TestHeldQuaternions:
         generalization_curve(ref, reps)
         for rep in reps:
             coefficients(ref, model, rep)
-
-        counts = [sum(np.shares_memory(e, shape.rotations) for e in converted)
-                  for shape in reps + [mu]]
-        assert counts == [1] * len(reps) + [1]
-        assert len(converted) == len(reps) + 1
+        sample(model, 3, seed=0)
+        geodesic(reps[0], reps[1], 0.5)
+        assert calls == []
 
     def test_held_quaternions_are_read_only(self, cohort):
         rep = cohort[0]
@@ -483,8 +520,10 @@ class TestHeldQuaternions:
         assert rep.quaternions is quats
         with pytest.raises(ValueError):
             quats[0, 0] = 1.0
-        assert np.array_equal(quats, liegroups._quaternions(
+        built = ShapeRep(rep.rotations, rep.stretches, rep.reference_hash)
+        assert np.array_equal(built.quaternions, liegroups._quaternions(
             liegroups._entries(rep.rotations)))
+        assert np.max(np.abs(np.sum(quats * quats, axis=0) - 1.0)) <= 4.0 * EPS
 
 
 class TestStoredMean:
@@ -499,36 +538,27 @@ class TestStoredMean:
                               _coefficient_rows(ref, computed, cohort))
 
     def test_shape_file_keeps_the_rotation_logs_of_the_mean(self, cohort, tmp_path):
-        # A shape file stores the rotation matrices, whose quaternions every
-        # log at the mean is taken at; its stretch logs are taken again
-        # from the stored stretches.
+        # A shape file stores the quaternions and stretch logs the mean
+        # holds, at which every log at the mean is taken.
         mu = frechet_mean(cohort)
         mu.save(tmp_path / "mean.json")
         loaded = ShapeRep.load(tmp_path / "mean.json")
         assert np.array_equal(loaded.quaternions, mu.quaternions)
+        assert np.array_equal(loaded.log_stretches, mu.log_stretches)
         for rep in cohort:
-            assert np.array_equal(rep_log(loaded, rep).rot_part,
-                                  rep_log(mu, rep).rot_part)
+            assert np.array_equal(rep_log(loaded, rep).coordinates,
+                                  rep_log(mu, rep).coordinates)
 
-    def test_shape_file_mean_gives_the_computed_model_up_to_rounding(
-            self, ref, cohort, tmp_path):
-        # A shape file stores no stretch logs, so the reloaded mean's are
-        # spd2_log(spd2_exp(log mean)), equal to the computed ones only up
-        # to rounding; a model file carries them and reproduces the bits
-        # (test_reloaded_mean_gives_the_computed_model). The supplied model
-        # agrees within 32 EPS relative to the largest entry.
+    def test_shape_file_mean_gives_the_computed_model(self, ref, cohort, tmp_path):
+        # The stretch logs travel with a shape file as with a model file,
+        # so a mean reloaded from one reproduces the model's bits.
         computed = pga(ref, cohort)
         computed.mean.save(tmp_path / "mean.json")
         supplied = pga(ref, cohort, mu=ShapeRep.load(tmp_path / "mean.json"))
-        bound = 32.0 * np.finfo(float).eps
-
-        def relative(a, b):
-            return np.max(np.abs(a - b)) / np.max(np.abs(a))
-
-        assert relative(computed._mode_matrix, supplied._mode_matrix) <= bound
-        assert relative(computed.variances, supplied.variances) <= bound
-        assert relative(_coefficient_rows(ref, computed, cohort),
-                        _coefficient_rows(ref, supplied, cohort)) <= bound
+        assert np.array_equal(supplied._mode_matrix, computed._mode_matrix)
+        assert np.array_equal(supplied.variances, computed.variances)
+        assert np.array_equal(_coefficient_rows(ref, supplied, cohort),
+                              _coefficient_rows(ref, computed, cohort))
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12])
     def test_residual_at_the_returned_matrices_below_tolerance(self, cohort, tol):
