@@ -107,10 +107,10 @@ def _distances(ref, mean, a, matrix, targets, weights, meshes, label):
 
     With ``meshes`` ``None``, the target is one shape: ``targets`` are the
     unit quaternions ``(4, E)`` of its relative rotations and its stretch
-    logs ``(4m,)`` at ``mu``, ``mean`` may be ``None``, and the distances
-    ``(b,)`` are :func:`_tangent_distances` in blocks whose per-row arrays,
-    such as the ``4E`` quaternion entries of a sample, stay under
-    ``_BLOCK_BYTES``. Else ``targets`` are not read, ``mean`` is ``mu`` as
+    log triples ``(3m,)`` at ``mu``, ``mean`` may be ``None``, and the
+    distances ``(b,)`` are :func:`_tangent_distances` in blocks whose
+    per-row arrays, such as the ``4E`` quaternion entries of a sample, stay
+    under ``_BLOCK_BYTES``. Else ``targets`` are not read, ``mean`` is ``mu`` as
     a :class:`ShapeRep`, each row is reconstructed on the system of
     :func:`_vertex_targets` (``ConvergenceError`` names ``label(k)``) and
     measured by :func:`_aligned_rms` against the ``[n]`` target vertices.
@@ -255,7 +255,7 @@ def _specificity_targets(ref, model, training):
     """The training shapes as :func:`_nearest_distances` targets at the
     model mean: the unit quaternions ``(4, n, E)`` of their relative
     rotations, each product of a shape's held quaternions written straight
-    into the array, their stretch logs ``(n, 4m)``, and the angles
+    into the array, their stretch log triples ``(n, 3m)``, and the angles
     ``(n, E)`` of those relative rotations."""
     mu = model.mean
     _check_binding(ref, mu, *training)

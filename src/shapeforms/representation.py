@@ -25,10 +25,17 @@ derived on access, for reconstruction and for callers that read them.
 
 A tangent vector at a shape is one element of the product Lie algebra:
 an axis-angle vector per inner edge and a symmetric 2x2 matrix per
-triangle. :class:`TangentRep` holds it as one flat array of ``3E + 4m``
+triangle. :class:`TangentRep` holds it as one flat array of ``3E + 3m``
 coordinates, the ``E`` axis-angle vectors first and then the ``m``
-row-major 2x2 matrices, so statistics on tangent vectors are plain linear
-algebra on these coordinates.
+matrices, so statistics on tangent vectors are plain linear algebra on
+these coordinates.
+
+A symmetric 2x2 value, a stretch log or the stretch part of a tangent
+vector, is held and stored as its triple ``(X11, X12, X22)``. Matrices and
+triples convert into each other only where matrices enter or leave: the
+constructors of :class:`ShapeRep` and :class:`TangentRep`, which take
+matrices, ``ShapeRep.stretches``, ``TangentRep.stretch_part`` and the
+loader of the earlier file format.
 """
 
 import hashlib
@@ -87,19 +94,21 @@ class ShapeRep:
 
     A representation holds two read-only arrays: the unit quaternions
     ``quaternions`` ``(4, E)`` of its rotations, scalar part first, and the
-    logarithms ``log_stretches`` ``(m, 2, 2)`` of its stretches, 32 bytes an
-    edge and 32 a triangle. Every log, mean step and distance reads these
-    two forms. The matrices ``rotations`` ``(E, 3, 3)`` and ``stretches``
-    ``(m, 2, 2)`` are derived from them on each access and never held;
-    reconstruction derives them once per call.
+    logarithms ``log_stretches`` ``(m, 3)`` of its stretches as
+    ``(L11, L12, L22)`` triples, 32 bytes an edge and 24 a triangle. Every
+    log, mean step and distance reads these two forms. The matrices
+    ``rotations`` ``(E, 3, 3)`` and ``stretches`` ``(m, 2, 2)`` are derived
+    from them on each access and never held; reconstruction derives them
+    once per call.
 
     The constructor takes the matrices, and it is the one place where
-    rotation matrices become quaternions (:func:`_quaternions` and
-    :func:`spd2_log`). Every other representation, such as an exponential,
-    a mean or a loaded file, is built from quaternions and logs by
-    :meth:`_from_parts`. A representation is immutable and keeps copies of
-    what it is built from, so later changes to the caller's arrays do not
-    reach it, and its content hash is computed once.
+    rotation matrices become quaternions and stretches their log triples
+    (:func:`_quaternions` and :func:`spd2_log`). Every other
+    representation, such as an exponential, a mean or a loaded file, is
+    built from quaternions and log triples by :meth:`_from_parts`. A
+    representation is immutable and keeps copies of what it is built from,
+    so later changes to the caller's arrays do not reach it, and its
+    content hash is computed once.
     """
 
     def __init__(self, rotations, stretches, reference_hash):
@@ -111,13 +120,13 @@ class ShapeRep:
             raise ValueError("stretches must have shape (m, 2, 2)")
         # Both kernels return new arrays, which the shape keeps as they are.
         self.quaternions = _read_only(_quaternions(_entries(rotations)))
-        self.log_stretches = _read_only(spd2_log(stretches))
+        self.log_stretches = _read_only(_sym_to_triples(spd2_log(stretches)))
         self.reference_hash = reference_hash
 
     @classmethod
     def _from_parts(cls, quaternions, log_stretches, reference_hash):
         """The representation holding copies of ``quaternions`` ``(4, E)``
-        and ``log_stretches`` ``(m, 2, 2)``."""
+        and ``log_stretches`` ``(m, 3)``."""
         rep = cls.__new__(cls)
         rep.quaternions = _frozen(quaternions)
         rep.log_stretches = _frozen(log_stretches)
@@ -132,9 +141,10 @@ class ShapeRep:
 
     @property
     def stretches(self):
-        """Read-only stretches ``spd2_exp(log_stretches)`` ``(m, 2, 2)``,
-        derived on each access: about 1.2 ms at 20,480 triangles."""
-        return _read_only(spd2_exp(self.log_stretches))
+        """Read-only stretches ``(m, 2, 2)``, the exponentials of the
+        ``log_stretches`` triples, derived on each access: about 1.2 ms at
+        20,480 triangles."""
+        return _read_only(spd2_exp(_triples_to_sym(self.log_stretches)))
 
     @property
     def n_edges(self):
@@ -177,8 +187,7 @@ def _shape_payload(rep):
     ``(L11, L12, L22)`` triple, in reference edge/triangle order: the
     arrays the shape holds, so a reload is bit-equal.
     """
-    return {"quaternions": rep.quaternions.T,
-            "log_stretches": _sym_to_triples(rep.log_stretches)}
+    return {"quaternions": rep.quaternions.T, "log_stretches": rep.log_stretches}
 
 
 #: Largest ``| |q|^2 - 1 |`` that a stored quaternion may have.
@@ -226,7 +235,7 @@ def _legacy_shape(payload, reference_hash, path):
     rotations = rows.reshape(-1, 3, 3)
     if "log_stretches" in payload:
         logs = _log_triples(payload, path)
-        rep = ShapeRep(rotations, spd2_exp(logs), reference_hash)
+        rep = ShapeRep(rotations, spd2_exp(_triples_to_sym(logs)), reference_hash)
         return ShapeRep._from_parts(rep.quaternions, logs, reference_hash)
     triples = np.array(payload["stretches"], dtype=float)
     u11, u12, u22 = triples.T
@@ -238,11 +247,11 @@ def _legacy_shape(payload, reference_hash, path):
 
 
 def _log_triples(payload, path):
-    """The ``log_stretches`` triples of ``payload`` as ``(m, 2, 2)``
-    matrices, refused by :func:`_check_finite` if one is not finite."""
+    """The ``log_stretches`` triples ``(m, 3)`` of ``payload``, refused by
+    :func:`_check_finite` if one is not finite."""
     logs = np.array(payload["log_stretches"], dtype=float)
     _check_finite(logs, path, "the stretch log of triangle")
-    return _triples_to_sym(logs)
+    return logs
 
 
 def _check_rotations(e, path):
@@ -279,8 +288,7 @@ def _refuse(ok, path, message):
 def _tangent_payload(v):
     """The ``{rot_part, stretch_part}`` JSON payload of a tangent vector:
     3 floats per inner edge and the ``(X11, X12, X22)`` triple per triangle."""
-    return {"rot_part": v.rot_part,
-            "stretch_part": _sym_to_triples(v.stretch_part)}
+    return {"rot_part": v.rot_part, "stretch_part": v._stretch_triples}
 
 
 def _tangent_from_payload(payload, base_hash, path, name):
@@ -293,7 +301,9 @@ def _tangent_from_payload(payload, base_hash, path, name):
     triples = np.array(payload["stretch_part"], dtype=float)
     _check_finite(rot_part, path, f"{name} at edge")
     _check_finite(triples, path, f"{name} at triangle")
-    return TangentRep(rot_part, _triples_to_sym(triples), base_hash)
+    return TangentRep._from_coordinates(
+        np.concatenate((rot_part.reshape(-1), triples.reshape(-1))), len(rot_part),
+        base_hash)
 
 
 def _read_json(path):
@@ -314,14 +324,19 @@ def _write_json(path, payload):
         handle.write("\n")
 
 
+#: Frobenius weights of a symmetric 2x2 matrix's ``(X11, X12, X22)`` triple.
+_TRIPLE_WEIGHTS = np.array([1.0, 2.0, 1.0])
+
+
 def _sym_to_triples(sym):
-    """``(n, 2, 2)`` symmetric matrices as ``(n, 3)`` rows ``(X11, X12, X22)``."""
-    return sym.reshape(-1, 4)[:, [0, 1, 3]]
+    """``(n, 2, 2)`` symmetric matrices as ``(n, 3)`` rows ``(X11, X12, X22)``,
+    a new C-contiguous array."""
+    return np.take(sym.reshape(-1, 4), [0, 1, 3], axis=1)
 
 
 def _triples_to_sym(triples):
     """Inverse of :func:`_sym_to_triples` on an ``(n, 3)`` array."""
-    return triples[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
+    return np.take(triples, [0, 1, 1, 2], axis=1).reshape(-1, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -341,15 +356,28 @@ class TangentRep:
     Rotational entries are axis-angle vectors per inner edge (of the
     right-translated group logarithm), stretch entries symmetric 2x2
     matrices per triangle. The vector is its ``coordinates``, one
-    C-contiguous ``(3E + 4m,)`` array with the rotation parts first;
-    ``rot_part`` ``(E, 3)`` and ``stretch_part`` ``(m, 2, 2)`` are views of
-    it.
+    C-contiguous ``(3E + 3m,)`` array with the rotation parts first and
+    then the ``(X11, X12, X22)`` triples of the matrices; ``rot_part``
+    ``(E, 3)`` is a view of it, and ``stretch_part`` the read-only matrices
+    ``(m, 2, 2)`` derived from the triples on each access.
+
+    The constructor takes the matrices and raises ``ValueError``, naming
+    the first such triangle, for one that is not symmetric.
     """
 
     def __init__(self, rot_part, stretch_part, base_hash):
         rot_part = np.asarray(rot_part, dtype=float)
+        stretch_part = np.asarray(stretch_part, dtype=float)
+        if stretch_part.ndim != 3 or stretch_part.shape[1:] != (2, 2):
+            raise ValueError("stretch_part must have shape (m, 2, 2)")
+        upper, lower = stretch_part[:, 0, 1], stretch_part[:, 1, 0]
+        asymmetric = upper != lower
+        if asymmetric.any():
+            k = int(np.argmax(asymmetric))
+            raise ValueError(f"stretch part of triangle {k} is not symmetric: "
+                             f"X12 = {upper[k]:.17g}, X21 = {lower[k]:.17g}")
         self.coordinates = np.concatenate(
-            (rot_part.reshape(-1), np.asarray(stretch_part, dtype=float).reshape(-1)))
+            (rot_part.reshape(-1), _sym_to_triples(stretch_part).reshape(-1)))
         self.n_edges = rot_part.shape[0]
         self.base_hash = base_hash
 
@@ -368,8 +396,19 @@ class TangentRep:
         return self.coordinates[: 3 * self.n_edges].reshape(self.n_edges, 3)
 
     @property
+    def n_triangles(self):
+        return (self.coordinates.size - 3 * self.n_edges) // 3
+
+    @property
+    def _stretch_triples(self):
+        """The ``(m, 3)`` view of the stretch coordinates."""
+        return self.coordinates[3 * self.n_edges:].reshape(-1, 3)
+
+    @property
     def stretch_part(self):
-        return self.coordinates[3 * self.n_edges:].reshape(-1, 2, 2)
+        """Read-only symmetric matrices ``(m, 2, 2)`` of the stretch
+        triples, derived on each access."""
+        return _read_only(_triples_to_sym(self._stretch_triples))
 
     def __mul__(self, scalar):
         return TangentRep._from_coordinates(
@@ -395,6 +434,23 @@ def _check_binding(ref, *shapes):
                 f"triangles) does not fit the reference ({ref.n_inner_edges}, "
                 f"{ref.n_triangles})"
             )
+
+
+def _tangent_size(shape):
+    """The coordinate count ``3E + 3m`` of a tangent vector at ``shape``."""
+    return 3 * (shape.n_edges + shape.n_triangles)
+
+
+def _check_tangent(base, v, name):
+    """Raise :class:`ReferenceMismatchError` unless ``v``, called ``name``,
+    is a tangent vector at ``base``: bound to its content hash and of its
+    :func:`_tangent_size`."""
+    if v.base_hash != base.content_hash():
+        raise ReferenceMismatchError(f"{name} has a different base point")
+    if v.n_edges != base.n_edges or v.coordinates.size != _tangent_size(base):
+        raise ReferenceMismatchError(
+            f"{name} sized ({v.n_edges} edges, {v.n_triangles} triangles) does "
+            f"not fit the base shape ({base.n_edges}, {base.n_triangles})")
 
 
 def _check_same_reference(*shapes):
@@ -485,11 +541,12 @@ def rep_exp(base, v):
     The rotations are the quaternion products ``exp(v_e) * q_e`` and the
     stretch logs the sums ``v_i + L_i``, so no matrix is formed, and
     ``v = 0`` gives ``base``'s own arrays: ``exp(0)`` is ``(1, 0, 0, 0)``.
+    A ``v`` that is not a tangent vector at ``base`` raises
+    :class:`ReferenceMismatchError`, see :func:`_check_tangent`.
     """
-    if v.base_hash != base.content_hash():
-        raise ReferenceMismatchError("tangent vector has a different base point")
+    _check_tangent(base, v, "tangent vector")
     quats = _quaternion_product(_exp_quaternions(v.rot_part), base.quaternions)
-    return ShapeRep._from_parts(quats, v.stretch_part + base.log_stretches,
+    return ShapeRep._from_parts(quats, v._stretch_triples + base.log_stretches,
                                 base.reference_hash)
 
 
@@ -508,26 +565,30 @@ def relative_rotation_angles(s, t):
 def _coordinate_weights(ref, params):
     """Metric weights ``w`` of the tangent coordinates: the metric inner
     product of two tangent vectors is ``sum(w * x * y)`` over their
-    ``coordinates`` ``x`` and ``y``."""
+    ``coordinates`` ``x`` and ``y``.
+
+    A symmetric matrix's squared Frobenius norm is ``X11^2 + 2 X12^2 +
+    X22^2``, so the weights of a triangle's triple are its area weight
+    times ``_TRIPLE_WEIGHTS``."""
     omega = params.omega
     rot = np.zeros(0)
     if ref.n_inner_edges:
         # Skew matrices built from axis vectors have squared Frobenius
         # norm 2 |xi|^2, hence the factor two.
         rot = np.repeat(2.0 * omega**3 / ref.total_edge_area * ref.edge_areas, 3)
-    spd = np.repeat(omega / ref.total_area * ref.tri_areas, 4)
-    return np.concatenate((rot, spd))
+    spd = np.outer(omega / ref.total_area * ref.tri_areas, _TRIPLE_WEIGHTS)
+    return np.concatenate((rot, spd.reshape(-1)))
 
 
 def _tangent_distances(vectors, relative, stretch_logs, weights):
     """Distances of the shapes ``exp_mu(v)`` to target shapes ``t``, all
     given in tangent coordinates at one base ``mu``.
 
-    ``vectors`` are the :class:`TangentRep` coordinates ``(..., 3E + 4m)``
+    ``vectors`` are the :class:`TangentRep` coordinates ``(..., 3E + 3m)``
     of the ``v``, and ``weights`` their :func:`_coordinate_weights`. A target
     enters through the unit quaternions ``relative`` ``(4, ..., E)`` of
-    ``t mu^T`` and its stretch logs ``(..., 4m)`` at ``mu``; the leading
-    shapes broadcast. This is :func:`_exp_distances` of the quaternions of
+    ``t mu^T`` and its stretch log triples ``(..., 3m)`` at ``mu``; the
+    leading shapes broadcast. This is :func:`_exp_distances` of the quaternions of
     the rotations ``exp(v_e)``.
     """
     n_edges = relative.shape[-1]
@@ -540,7 +601,7 @@ def _tangent_distances(vectors, relative, stretch_logs, weights):
 def _exp_distances(quaternions, stretches, relative, stretch_logs, weights):
     """:func:`_tangent_distances` of the shapes ``exp_mu(v)`` whose rotations
     ``exp(v_e)`` have the unit quaternions ``(4, ..., E)`` and whose stretch
-    coordinates are ``stretches`` ``(..., 4m)``.
+    coordinates are ``stretches`` ``(..., 3m)``.
 
     The angle between ``exp(v_e) mu_e`` and ``t_e`` is that of the conjugate
     ``exp(v_e)^T t_e mu_e^T``, measured on the quaternions of ``exp(v_e)``,

@@ -1,13 +1,14 @@
 """First and second moment statistics on shape representations.
 
-A cohort is handled stacked: its logs at a base form one ``(n, E, 3)`` and
-one ``(n, m, 2, 2)`` array, built from the ``ShapeRep.log_stretches`` and
-``ShapeRep.quaternions`` that each shape holds (32 E bytes of quaternions);
-a call stacks the quaternions into one ``(4, n, E)`` array. A pass over
-the cohort takes the relative quaternions ``q conj(q_mu)`` of blocks of
-``b`` shapes, ``(4, b, E)`` under ``_BLOCK_BYTES`` so that the temporaries
-stay small, and their logarithms, all with the elementwise kernels of
-:mod:`liegroups`. The moments form and convert no rotation matrix.
+A cohort is handled stacked: its logs at a base form one ``(n, E, 3)``
+array and one ``(n, m, 3)`` array of stretch-log triples, built from the
+``ShapeRep.log_stretches`` and ``ShapeRep.quaternions`` that each shape
+holds (32 E bytes of quaternions); a call stacks the quaternions into
+one ``(4, n, E)`` array. A pass over the cohort takes the relative
+quaternions ``q conj(q_mu)`` of blocks of ``b`` shapes, ``(4, b, E)``
+under ``_BLOCK_BYTES`` so that the temporaries stay small, and their
+logarithms, all with the elementwise kernels of :mod:`liegroups`. The
+moments form and convert no rotation matrix.
 
 The mean is the Riemannian center of mass. Its stretch part is the
 closed-form log-Euclidean mean, the average of the stretch logarithms
@@ -27,9 +28,9 @@ Principal modes come from the eigendecomposition of the Gram matrix of the
 logs at the mean (Fletcher et al., "Principal geodesic analysis for the
 study of nonlinear statistics of shape", 2004), reusing the logs of the
 mean's last step. They have unit metric length, so mode coefficients are
-plain inner products. A tangent vector is its ``(3E + 4m)`` coordinates
+plain inner products. A tangent vector is its ``(3E + 3m)`` coordinates
 (see :class:`TangentRep`), and a model keeps its modes as the rows of one
-``(k, 3E + 4m)`` matrix of them, so synthesizing a shape takes one matrix
+``(k, 3E + 3m)`` matrix of them, so synthesizing a shape takes one matrix
 product.
 
 Projection onto modes has one path, :func:`_project`: the stacked logs of
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ReferenceMismatchError
+from .errors import ConvergenceError, MeshFormatError, ReferenceMismatchError
 from .liegroups import (
     _check_each,
     _exp_quaternions,
@@ -57,9 +58,11 @@ from .representation import (
     DistanceParams,
     ShapeRep,
     TangentRep,
+    _TRIPLE_WEIGHTS,
     _check_binding,
     _check_finite,
     _check_same_reference,
+    _check_tangent,
     _coordinate_weights,
     _encode_stack,
     _read_json,
@@ -67,6 +70,7 @@ from .representation import (
     _shape_payload,
     _tangent_from_payload,
     _tangent_payload,
+    _tangent_size,
     _write_json,
     rep_exp,
 )
@@ -92,8 +96,8 @@ def _quaternion_stack(reps):
 
 
 def _stretch_logs(reps, mu_logs):
-    """Stretch parts ``(n, m, 2, 2)`` of the logs of ``reps`` at the stretch
-    logarithms ``mu_logs``."""
+    """Stretch parts ``(n, m, 3)`` of the logs of ``reps`` at the stretch
+    log triples ``mu_logs``."""
     logs = np.stack([rep.log_stretches for rep in reps])
     logs -= mu_logs
     return logs
@@ -133,7 +137,8 @@ def _rotation_logs(quats, mu_q):
 
 def _residual(rot_total, stretch_total):
     """Unweighted product norm of a summed log, see :func:`mean_residual`."""
-    return float(np.sqrt(2.0 * np.sum(rot_total**2) + np.sum(stretch_total**2)))
+    return float(np.sqrt(2.0 * np.sum(rot_total**2)
+                         + np.sum(stretch_total**2 * _TRIPLE_WEIGHTS)))
 
 
 def mean_residual(mu, reps):
@@ -189,7 +194,7 @@ def _mean_logs(quats, mu_q, mu_logs, log_mean, tol, max_iter, logs=None):
 
 def _mean_and_logs(reps, tol, max_iter):
     """Fréchet mean of ``reps``, from ``reps[0]``, with the rotation and
-    stretch logs ``(n, E, 3)``, ``(n, m, 2, 2)`` of ``reps`` at it.
+    stretch logs ``(n, E, 3)``, ``(n, m, 3)`` of ``reps`` at it.
 
     ``reps[0]`` itself is returned when it already passes the test. Any
     other mean holds the quaternions of the iteration's last product and
@@ -232,7 +237,7 @@ class PGAModel:
     Modes are tangent vectors at the mean with unit metric norm;
     ``variances`` are the Gram eigenvalues divided by the sample count,
     in descending order. The model is immutable: at construction it stacks
-    the modes' tangent coordinates once into a read-only ``(k, 3E + 4m)``
+    the modes' tangent coordinates once into a read-only ``(k, 3E + 3m)``
     mode matrix, which :func:`coefficients` and :func:`synthesize` use, and
     ``modes`` becomes a tuple of views of its rows. :func:`coefficients`
     takes every log at the mean's held ``quaternions`` and
@@ -242,8 +247,11 @@ class PGAModel:
     Raises
     ------
     ReferenceMismatchError
-        If a mode is not a tangent vector at ``mean``, or if
-        ``reference_hash`` is not the reference of ``mean``.
+        If a mode is not a tangent vector at ``mean`` (another base point or
+        another size), or if ``reference_hash`` is not the reference of
+        ``mean``.
+    ValueError
+        If the number of variances is not the number of modes.
     """
 
     mean: ShapeRep
@@ -257,18 +265,20 @@ class PGAModel:
             raise ReferenceMismatchError(
                 f"model reference {self.reference_hash!r} is not its mean's "
                 f"{self.mean.reference_hash!r}")
-        base_hash = self.mean.content_hash()
-        if any(mode.base_hash != base_hash for mode in self.modes):
-            raise ReferenceMismatchError("a mode is not a tangent vector at the mean")
-        n_edges = self.mean.n_edges
+        for k, mode in enumerate(self.modes):
+            _check_tangent(self.mean, mode, f"mode {k}")
+        variances = np.asarray(self.variances, dtype=float)
+        if variances.shape != (len(self.modes),):
+            raise ValueError(f"{variances.size} variances for {len(self.modes)} modes")
+        n_edges, base_hash = self.mean.n_edges, self.mean.content_hash()
         matrix = np.array([mode.coordinates for mode in self.modes], dtype=float)
-        matrix = matrix.reshape(-1, 3 * n_edges + 4 * self.mean.n_triangles)
+        matrix = matrix.reshape(-1, _tangent_size(self.mean))
         matrix.flags.writeable = False
         # The modes become read-only views of the matrix rows.
         modes = tuple(TangentRep._from_coordinates(row, n_edges, base_hash)
                       for row in matrix)
         object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "variances", np.asarray(self.variances, dtype=float))
+        object.__setattr__(self, "variances", variances)
         object.__setattr__(self, "_mode_matrix", matrix)
 
     @property
@@ -292,25 +302,26 @@ class PGAModel:
     def load(cls, path):
         """Read a file written by :meth:`save`, or one whose mean is of the
         earlier rotation-matrix format (see :func:`_shape_from_payload`).
-        Invalid values, such as a non-finite mode entry or a mean quaternion
-        off unit norm, raise :class:`MeshFormatError`."""
+        Invalid values, such as a non-finite mode entry, a mean quaternion
+        off unit norm or a mode of another size than the mean's, raise
+        :class:`MeshFormatError`."""
         payload = _read_json(path)
         mean = _shape_from_payload(payload["mean"], payload["reference_hash"], path)
         base_hash = mean.content_hash()
         variances = np.array(payload["variances"], dtype=float)
         _check_finite(variances.reshape(-1, 1), path, "variance")
-        return cls(
-            mean=mean,
-            modes=[_tangent_from_payload(entry, base_hash, path, f"mode {k}")
-                   for k, entry in enumerate(payload["modes"])],
-            variances=variances,
-            params=DistanceParams(payload["omega"]),
-            reference_hash=payload["reference_hash"],
-        )
+        modes = [_tangent_from_payload(entry, base_hash, path, f"mode {k}")
+                 for k, entry in enumerate(payload["modes"])]
+        try:
+            return cls(mean=mean, modes=modes, variances=variances,
+                       params=DistanceParams(payload["omega"]),
+                       reference_hash=payload["reference_hash"])
+        except (ReferenceMismatchError, ValueError) as exc:
+            raise MeshFormatError(str(exc), path=path) from exc
 
 
 def _principal_modes(weights, rot_logs, stretch_logs):
-    """Variances ``(k,)`` and mode matrix ``(k, 3E + 4m)`` of the stacked
+    """Variances ``(k,)`` and mode matrix ``(k, 3E + 3m)`` of the stacked
     logs at a mean, in the metric of the :func:`_coordinate_weights`
     ``weights``.
 
@@ -387,13 +398,13 @@ def pga(ref, reps, mu=None, params=DistanceParams()):
 
 def _project(rot_logs, stretch_logs, matrix, weights):
     """Coefficient rows ``(n, k)`` of shapes on the modes in the rows of
-    ``matrix`` ``(k, 3E + 4m)``, from their rotation and stretch logs
-    ``(n, E, 3)`` and ``(n, m, 2, 2)`` at the model's mean.
+    ``matrix`` ``(k, 3E + 3m)``, from their rotation and stretch logs
+    ``(n, E, 3)`` and ``(n, m, 3)`` at the model's mean.
 
     ``weights`` are the :func:`_coordinate_weights`. A stack of
-    ``(1, 3E + 4m)`` rows times the mode matrix is one matrix-vector
+    ``(1, 3E + 3m)`` rows times the mode matrix is one matrix-vector
     product per row, so a row has the same bits whether its shape is
-    projected alone or in a cohort, which one ``(n, 3E + 4m)`` matrix
+    projected alone or in a cohort, which one ``(n, 3E + 3m)`` matrix
     product would not keep.
     """
     n = len(rot_logs)

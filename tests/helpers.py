@@ -20,8 +20,7 @@ from shapeforms.representation import (
     DistanceParams,
     TangentRep,
     _coordinate_weights,
-    _sym_to_triples,
-    _triples_to_sym,
+    _tangent_size,
 )
 
 
@@ -119,7 +118,7 @@ def edge_index(ref, i, j):
 def zero_tangent(base):
     """The zero tangent vector at the representation ``base``."""
     return TangentRep._from_coordinates(
-        np.zeros(3 * base.n_edges + 4 * base.n_triangles), base.n_edges,
+        np.zeros(_tangent_size(base)), base.n_edges,
         base.content_hash())
 
 
@@ -184,31 +183,13 @@ def flatten_tangent(ref, params, v):
     :func:`rep_inner`, which turns Gram matrices
     and projections into plain linear algebra.
     """
-    omega = params.omega
-    parts = []
-    if ref.n_inner_edges:
-        w_rot = np.sqrt(2.0 * omega**3 / ref.total_edge_area * ref.edge_areas)
-        parts.append((v.rot_part * w_rot[:, None]).reshape(-1))
-    w_spd = np.sqrt(omega / ref.total_area * ref.tri_areas)
-    sym = _sym_to_triples(v.stretch_part) * [1.0, np.sqrt(2.0), 1.0]
-    parts.append((sym * w_spd[:, None]).reshape(-1))
-    return np.concatenate(parts)
+    return v.coordinates * np.sqrt(_coordinate_weights(ref, params))
 
 
 def unflatten_tangent(ref, params, vec, base_hash):
     """Inverse of :func:`flatten_tangent`."""
-    omega = params.omega
-    E = ref.n_inner_edges
-    rot = np.zeros((E, 3))
-    offset = 0
-    if E:
-        w_rot = np.sqrt(2.0 * omega**3 / ref.total_edge_area * ref.edge_areas)
-        rot = vec[: 3 * E].reshape(E, 3) / w_rot[:, None]
-        offset = 3 * E
-    w_spd = np.sqrt(omega / ref.total_area * ref.tri_areas)
-    sym = vec[offset:].reshape(-1, 3) / w_spd[:, None]
-    sym[:, 1] /= np.sqrt(2.0)
-    return TangentRep(rot, _triples_to_sym(sym), base_hash)
+    return TangentRep._from_coordinates(
+        vec / np.sqrt(_coordinate_weights(ref, params)), ref.n_inner_edges, base_hash)
 
 
 def needle_mesh(mesh, triangle, length=100.0):

@@ -348,6 +348,27 @@ class TestModelPipeline:
         ]) == 0
         assert len(list(sample_dir.glob("sample_*.json"))) == 3
 
+    def test_model_with_a_mode_of_another_size_refused(self, workspace, model_file,
+                                                       capsys):
+        # One mode holding the coordinates of two, with one variance, which
+        # without a size check load as a model of two modes and sample.
+        payload = json.loads(model_file.read_text())
+        payload["modes"] = [{part: payload["modes"][0][part] + payload["modes"][1][part]
+                             for part in ("rot_part", "stretch_part")}]
+        payload["variances"] = payload["variances"][:1]
+        model = workspace / "doubled_mode_model.json"
+        model.write_text(json.dumps(payload) + "\n")
+        capsys.readouterr()
+        sample_dir = workspace / "refused_samples"
+        assert main([
+            "sample", "--reference", str(workspace / "ref.obj"),
+            "--model", str(model), "--count", "2", "--out-dir", str(sample_dir),
+        ]) == 1
+        assert capsys.readouterr().err == (
+            f"error:format: {model}: mode 0 sized (240 edges, 160 triangles) does "
+            f"not fit the base shape (120, 80)\n")
+        assert not sample_dir.exists()
+
     def test_metrics(self, workspace):
         out = workspace / "metrics.csv"
         inputs = [str(workspace / f"shape_{k}.obj") for k in range(4)]

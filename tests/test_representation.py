@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from shapeforms import representation
@@ -76,6 +76,11 @@ def deformed_reps(ref):
         mesh = smooth_deformation(ref.mesh, seed=seed, stretch=0.1, wave_amplitude=0.05)
         reps.append(encode(ref, mesh)[0])
     return reps
+
+
+def triples(sym):
+    """The ``(X11, X12, X22)`` rows of symmetric ``(m, 2, 2)`` matrices."""
+    return np.asarray(sym).reshape(-1, 4)[:, [0, 1, 3]]
 
 
 def random_rigid(rng):
@@ -510,10 +515,7 @@ class TestSerialization:
         payload = {
             "reference_hash": rep.reference_hash,
             "quaternions": [[float(x) for x in q] for q in rep.quaternions.T],
-            "log_stretches": [
-                [float(L[0, 0]), float(L[0, 1]), float(L[1, 1])]
-                for L in rep.log_stretches
-            ],
+            "log_stretches": [[float(x) for x in L] for L in rep.log_stretches],
         }
         expected = io.StringIO()
         json.dump(payload, expected)
@@ -666,7 +668,7 @@ class TestLoadValidation:
         built = ShapeRep(rotations, rep.stretches, rep.reference_hash)
         assert np.array_equal(back.quaternions, built.quaternions)
         assert np.max(np.abs(back.rotations[5] - rotations[5])) <= 2e-12
-        assert np.array_equal(back.log_stretches, spd2_log(rep.stretches))
+        assert np.array_equal(back.log_stretches, triples(spd2_log(rep.stretches)))
 
     @pytest.mark.parametrize("edit, message", [
         (_set_quaternion(5, (2.0, 0.0, 0.0, 0.0)),
@@ -719,24 +721,27 @@ def random_tangent(rng, base):
 
 
 class TestTangentLayout:
-    """A tangent vector is one coordinate array; its parts are views."""
+    """A tangent vector is one coordinate array: ``rot_part`` is a view of
+    it, and ``stretch_part`` the matrices of its triples."""
 
     @pytest.fixture(params=["icosphere-1", "single-triangle"])
     def layout_ref(self, request, ref):
         return ref if request.param == "icosphere-1" else single_triangle_reference()
 
-    def test_parts_are_views_of_coordinates(self, ref, deformed_reps):
+    def test_rot_part_is_a_view_and_stretch_part_derived(self, ref, deformed_reps):
         v = rep_log(deformed_reps[0], deformed_reps[1])
         E, m = ref.n_inner_edges, ref.n_triangles
-        assert v.coordinates.shape == (3 * E + 4 * m,)
+        assert v.coordinates.shape == (3 * E + 3 * m,)
         assert v.coordinates.flags.c_contiguous
         assert v.rot_part.shape == (E, 3) and v.stretch_part.shape == (m, 2, 2)
         assert np.shares_memory(v.rot_part, v.coordinates)
-        assert np.shares_memory(v.stretch_part, v.coordinates)
+        assert not np.shares_memory(v.stretch_part, v.coordinates)
+        assert not v.stretch_part.flags.writeable
         assert np.array_equal(v.coordinates[: 3 * E], v.rot_part.reshape(-1))
-        assert np.array_equal(v.coordinates[3 * E:], v.stretch_part.reshape(-1))
-        v.stretch_part[1, 0, 1] = 7.0
-        assert v.coordinates[3 * E + 4 + 1] == 7.0
+        assert np.array_equal(v.coordinates[3 * E:],
+                              triples(v.stretch_part).reshape(-1))
+        v.coordinates[3 * E + 3 + 1] = 7.0
+        assert v.stretch_part[1, 0, 1] == v.stretch_part[1, 1, 0] == 7.0
 
     def test_constructor_copies_the_parts(self, ref, deformed_reps):
         rot = np.ones((ref.n_inner_edges, 3))
@@ -773,7 +778,8 @@ class TestTangentLayout:
         v, w = random_tangent(rng, base), random_tangent(rng, base)
 
         def parts(u):
-            return np.concatenate((u.rot_part.reshape(-1), u.stretch_part.reshape(-1)))
+            return np.concatenate((u.rot_part.reshape(-1),
+                                   triples(u.stretch_part).reshape(-1)))
 
         weights = _coordinate_weights(layout_ref, params)
         got = rep_inner(layout_ref, params, v, w)
@@ -827,13 +833,14 @@ class TestCaches:
         built = ShapeRep(rotations, stretches, rep.reference_hash)
         quats, logs = built.quaternions, built.log_stretches
         assert np.array_equal(quats, _quaternions(_entries(rotations)))
-        assert np.array_equal(logs, spd2_log(stretches))
+        assert np.array_equal(logs, triples(spd2_log(stretches)))
         assert built.quaternions is quats and built.log_stretches is logs
         for part in (quats, logs):
             with pytest.raises(ValueError):
                 part.reshape(-1)[0] = 1.0
         assert np.array_equal(built.rotations, _matrices(_quaternion_entries(quats)))
-        assert np.array_equal(built.stretches, spd2_exp(logs))
+        assert np.array_equal(built.stretches,
+                              spd2_exp(logs[:, [0, 1, 1, 2]].reshape(-1, 2, 2)))
         assert np.max(np.abs(built.rotations - rotations)) <= ROTATION_EPS
 
     def test_content_hash_matches_fresh_digest(self, deformed_reps):
@@ -852,17 +859,18 @@ class TestCaches:
         assert other.content_hash() != first
 
     def test_holds_quaternions_and_logs_only(self):
-        # 5,120 triangles and 7,680 inner edges: 0.41 MB of quaternions and
-        # stretch logs, against 1.13 MB when the matrices were held too.
+        # 5,120 triangles and 7,680 inner edges: 245,760 bytes of quaternions
+        # and 122,880 of stretch-log triples, against 1.13 MB when the
+        # matrices were held too.
         ref = build_reference(icosphere(4))
         rep = encode(ref, smooth_deformation(ref.mesh, seed=0))[0]
         rep.content_hash()
         rep.rotations, rep.stretches  # derived, never held
         arrays = [value for value in vars(rep).values() if isinstance(value, np.ndarray)]
-        assert sum(a.nbytes for a in arrays) <= 0.42e6
+        assert sum(a.nbytes for a in arrays) == 368_640
         assert not any(a.shape == (rep.n_edges, 3, 3) for a in arrays)
         assert rep.quaternions.shape == (4, 7680)
-        assert rep.log_stretches.shape == (5120, 2, 2)
+        assert rep.log_stretches.shape == (5120, 3)
 
 
 # Axis-angle vectors in three regimes of the angle: tiny (below the 1e-8 of
@@ -903,6 +911,73 @@ class TestFileRoundTripProperty:
         assert np.array_equal(back.log_stretches, rep.log_stretches)
         assert back.content_hash() == rep.content_hash()
         assert np.max(np.abs(back.rotations - R)) <= ROTATION_EPS
+
+
+class TestTangentRefusals:
+    def test_non_symmetric_stretch_part_refused(self):
+        stretch = np.zeros((4, 2, 2))
+        stretch[2, 0, 1] = 0.5
+        with pytest.raises(ValueError, match=r"^stretch part of triangle 2 is not "
+                                             r"symmetric: X12 = 0.5, X21 = 0$"):
+            TangentRep(np.zeros((3, 3)), stretch, "h")
+
+    def test_stretch_part_of_other_shape_refused(self):
+        with pytest.raises(ValueError,
+                           match=r"^stretch_part must have shape \(m, 2, 2\)$"):
+            TangentRep(np.zeros((3, 3)), np.zeros((4, 3)), "h")
+
+    @pytest.mark.parametrize("make, sizes", [
+        (lambda base: TangentRep(np.full((1, 3), 0.1), np.full((1, 2, 2), 0.1),
+                                 base.content_hash()),
+         "(1 edges, 1 triangles)"),
+        (lambda base: TangentRep._from_coordinates(
+            np.zeros(3 * base.n_edges + 3 * base.n_triangles + 3), base.n_edges,
+            base.content_hash()),
+         "(120 edges, 81 triangles)"),
+    ], ids=["one_edge_one_triangle", "one_triangle_more"])
+    def test_exp_refuses_a_tangent_sized_for_another_shape(self, deformed_reps, make,
+                                                          sizes):
+        base = deformed_reps[0]
+        with pytest.raises(ReferenceMismatchError,
+                           match=rf"^tangent vector sized {re.escape(sizes)} does not "
+                                 r"fit the base shape \(120, 80\)$"):
+            rep_exp(base, make(base))
+
+
+#: A shape of two edges and three triangles, the base of the tangent vectors
+#: drawn below.
+EXP_BASE = ShapeRep(so3_exp(np.array([[0.3, -0.2, 0.1], [1.0, 0.5, -2.0]])),
+                    spd2_exp(np.array([[[0.2, 0.1], [0.1, -0.3]],
+                                       [[0.0, 0.0], [0.0, 0.0]],
+                                       [[-1.0, 0.4], [0.4, 0.7]]])),
+                    "h")
+coordinate = st.floats(-2.0, 2.0)
+
+
+class TestExpFileRoundTripProperty:
+    """A tangent vector whose stretch part is not symmetric is refused; any
+    other leads by ``rep_exp`` to a shape whose file reloads bit for bit."""
+
+    @given(rot=st.lists(st.tuples(*3 * [st.floats(-1.0, 1.0)]), min_size=2, max_size=2),
+           stretch=st.lists(st.tuples(*4 * [coordinate], st.booleans()),
+                            min_size=3, max_size=3))
+    @example(rot=[(0.0, 0.0, 0.0)] * 2,
+             stretch=[(0.0, 0.5, -0.5, 0.0, False)] + [(0.0, 0.0, 0.0, 0.0, True)] * 2)
+    def test_accepted_tangent_reloads_bit_equal(self, tmp_path_factory, rot, stretch):
+        X = np.array([[[a, b], [b if symmetric else c, d]]
+                      for a, b, c, d, symmetric in stretch])
+        try:
+            v = TangentRep(np.array(rot), X, EXP_BASE.content_hash())
+        except ValueError:
+            assert not np.array_equal(X, np.swapaxes(X, 1, 2))
+            return
+        shape = rep_exp(EXP_BASE, v)
+        path = tmp_path_factory.mktemp("exp") / "shape.json"
+        shape.save(path)
+        back = ShapeRep.load(path)
+        assert np.array_equal(back.quaternions, shape.quaternions)
+        assert np.array_equal(back.log_stretches, shape.log_stretches)
+        assert back.content_hash() == shape.content_hash()
 
 
 class TestRefinement:

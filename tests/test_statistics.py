@@ -274,6 +274,24 @@ class TestCoefficientRows:
         with pytest.raises(ReferenceMismatchError, match="different reference"):
             _coefficient_rows(ref, model, cohort[:2] + [alien])
 
+    def test_mode_of_another_size_rejected(self, model):
+        mean = model.mean
+        modes = list(model.modes)
+        modes[1] = TangentRep(np.zeros((mean.n_edges, 3)),
+                              np.zeros((mean.n_triangles + 1, 2, 2)),
+                              mean.content_hash())
+        with pytest.raises(ReferenceMismatchError,
+                           match=r"^mode 1 sized \(120 edges, 81 triangles\) does not "
+                                 r"fit the base shape \(120, 80\)$"):
+            PGAModel(mean=mean, modes=modes, variances=model.variances,
+                     params=model.params, reference_hash=model.reference_hash)
+
+    def test_variance_count_other_than_mode_count_rejected(self, model):
+        with pytest.raises(ValueError, match=r"^6 variances for 5 modes$"):
+            PGAModel(mean=model.mean, modes=model.modes,
+                     variances=np.append(model.variances, 1.0),
+                     params=model.params, reference_hash=model.reference_hash)
+
 
 class TestSampling:
     def test_zero_variance_returns_mean(self, ref, model):
@@ -384,8 +402,7 @@ class TestSerializationAndRebias:
             "rotations": mean.rotations.reshape(-1, 9).tolist(),
             "stretches": mean.stretches.reshape(-1, 4)[:, [0, 1, 3]].tolist()}
         if with_logs:
-            payload["mean"]["log_stretches"] = \
-                mean.log_stretches.reshape(-1, 4)[:, [0, 1, 3]].tolist()
+            payload["mean"]["log_stretches"] = mean.log_stretches.tolist()
         path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
         return path
 
@@ -396,7 +413,8 @@ class TestSerializationAndRebias:
         mean = model.mean
         built = ShapeRep(mean.rotations, mean.stretches, mean.reference_hash)
         assert np.array_equal(back.mean.quaternions, built.quaternions)
-        assert np.array_equal(back.mean.log_stretches, spd2_log(mean.stretches))
+        assert np.array_equal(back.mean.log_stretches,
+                              spd2_log(mean.stretches).reshape(-1, 4)[:, [0, 1, 3]])
         assert np.array_equal(back._mode_matrix, model._mode_matrix)
 
     def test_legacy_file_with_stretch_logs_loads(self, model, tmp_path):
@@ -425,8 +443,16 @@ class TestSerializationAndRebias:
             + [[2.0, 0, 0, 0, 1, 0, 0, 0, 1]],
             "log_stretches": p["mean"]["log_stretches"]}),
          r"rotation of edge 5 is not a finite rotation"),
+        # One mode holding the coordinates of two, with one variance, which
+        # without a size check fill two rows of the mode matrix.
+        (lambda p: p.update(modes=[{
+            part: p["modes"][0][part] + p["modes"][1][part]
+            for part in ("rot_part", "stretch_part")}], variances=p["variances"][:1]),
+         r"mode 0 sized \(240 edges, 160 triangles\) does not fit the base shape "
+         r"\(120, 80\)$"),
+        (lambda p: p["variances"].pop(), r"4 variances for 5 modes$"),
     ], ids=["mode_edge", "mode_triangle", "variance", "stretch_log", "mean_rotation",
-            "legacy_mean_rotation"])
+            "legacy_mean_rotation", "mode_of_two_sizes", "variance_count"])
     def test_invalid_model_file_is_refused(self, model, tmp_path, edit, message):
         path = tmp_path / "model.json"
         model.save(path)
