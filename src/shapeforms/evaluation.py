@@ -88,11 +88,15 @@ def _aligned_rms(target, configs):
     return np.sqrt(np.mean(np.sum(residual**2, axis=-1), axis=-1))
 
 
+def _check_metric(metric):
+    """Refuse a ``metric`` other than ``"intrinsic"`` and ``"vertex"``."""
+    if metric not in ("intrinsic", "vertex"):
+        raise ValueError(f"unknown metric {metric!r}")
+
+
 def _vertex_targets(ref, reps, metric):
     """``None`` for ``metric="intrinsic"``; for ``"vertex"``, the system of
     ``ref`` and the vertices ``(n, V, 3)`` of ``reps``, each reconstructed once."""
-    if metric not in ("intrinsic", "vertex"):
-        raise ValueError(f"unknown metric {metric!r}")
     if metric == "intrinsic":
         return None
     system = prefactor(ref)
@@ -246,9 +250,14 @@ def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrin
     if not training:
         raise ValueError("training set is empty")
     _check_count("n_samples", n_samples, 1)
+    _check_metric(metric)
     n_modes = model.n_modes if modes is None else _mode_count(model, modes)
-    return _specificity(ref, model, _specificity_targets(ref, model, training),
-                        n_samples, n_modes, seed, _vertex_targets(ref, training, metric))
+    if metric == "intrinsic":
+        return _specificity(ref, model, _specificity_targets(ref, model, training),
+                            n_samples, n_modes, seed, None)
+    _check_binding(ref, model.mean, *training)
+    return _specificity(ref, model, None, n_samples, n_modes, seed,
+                        _vertex_targets(ref, training, metric))
 
 
 def _specificity_targets(ref, model, training):
@@ -269,10 +278,10 @@ def _specificity_targets(ref, model, training):
 
 
 def _specificity(ref, model, targets, n_samples, n_modes, seed, meshes):
-    """:func:`specificity` on the :func:`_specificity_targets` and the
-    :func:`_vertex_targets` of the training shapes: the intrinsic nearest
-    distances by :func:`_nearest_distances`, the vertex ones as the
-    smallest of all :func:`_distances`."""
+    """:func:`specificity` on the :func:`_specificity_targets` or the
+    :func:`_vertex_targets` of the training shapes, whichever the metric
+    reads: the intrinsic nearest distances by :func:`_nearest_distances`,
+    the vertex ones as the smallest of all :func:`_distances`."""
     draws = _sample_coefficients(model, n_samples, seed, n_modes)
     matrix = model._mode_matrix[:n_modes]
     weights = _coordinate_weights(ref, model.params)
@@ -305,6 +314,7 @@ def generalization_curve(ref, reps, max_modes=None, params=DistanceParams(),
     if max_modes is None:
         max_modes = len(reps) - 2
     _check_count("max_modes", max_modes, 1)
+    _check_metric(metric)
     return _generalization(ref, reps, max_modes, params,
                            _vertex_targets(ref, reps, metric))
 
@@ -405,6 +415,7 @@ def metrics_report(ref, reps, params=DistanceParams(), n_samples=1000,
     _check_count("n_samples", n_samples, 1)
     if max_modes is not None:
         _check_count("max_modes", max_modes, 1)
+    _check_metric(metric)
     if len(reps) < 3:
         raise ValueError("need at least three shapes for leave-one-out")
     model = pga(ref, reps, params=params)
@@ -413,7 +424,7 @@ def metrics_report(ref, reps, params=DistanceParams(), n_samples=1000,
     cap = model.n_modes if max_modes is None else min(max_modes, model.n_modes)
     mode_counts = np.arange(1, cap + 1)
     meshes = _vertex_targets(ref, reps, metric)
-    targets = _specificity_targets(ref, model, reps)
+    targets = _specificity_targets(ref, model, reps) if meshes is None else None
     spec = np.array([_specificity(ref, model, targets, n_samples, int(k), seed, meshes)
                      for k in mode_counts])
     del targets  # the folds below run without them

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import MeshTopologyError
 from .liegroups import so3_exp
-from .mesh import TriangleMesh, unique_edges
+from .mesh import unique_edges
 from .reconstruction import DEFAULT_MAX_ITER, DEFAULT_TOL, reconstruct
 from .representation import ShapeRep, _write_json
 
@@ -131,7 +131,7 @@ def flatten(ref, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, system=None):
 
     planarity = float(np.abs(vertices[:, 2]).max() / ref.mesh.bbox_diagonal)
     vertices[:, 2] = 0.0
-    flat_mesh = TriangleMesh(vertices, ref.mesh.triangles)
+    flat_mesh = ref.mesh._with_vertices(vertices)
 
     edges = unique_edges(ref.mesh.triangles)
     ref_len = np.linalg.norm(

@@ -3,11 +3,17 @@
 Meshes are oriented 2-manifolds: counter-clockwise winding defines the
 outward normal, every edge touches at most two triangles, and the dual
 graph of triangles is a single connected component. These properties are
-checked on construction since everything downstream relies on them. A
-mesh file's suffix, ``.obj`` or ``.off`` in any case, chooses its format.
+checked on construction since everything downstream relies on them; a
+mesh built on the triangles of a checked one, as a reconstruction is on
+its reference's, has only its geometry checked. A mesh file's suffix,
+``.obj`` or ``.off`` in any case, chooses its format, and a file is read
+and written as one text.
 """
 
 import hashlib
+import re
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 import scipy.sparse
@@ -19,8 +25,17 @@ from .errors import DegenerateGeometryError, MeshFormatError, MeshTopologyError
 # squared bounding-box diagonal.
 DEGENERATE_AREA_FACTOR = 1e-12
 
-# The largest face index a file may give: triangles are stored as int64.
-_MAX_INDEX = np.iinfo(np.int64).max
+# The face indices a file may give: triangles are stored as int64.
+_MIN_INDEX, _MAX_INDEX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+
+# Kinds of OBJ line, by the first token: "v", "f" or any other.
+_IGNORED, _VERTEX, _FACE = 0, 1, 2
+
+# Bytes that are ASCII and not whitespace to ``str.split``.
+_TOKEN_BYTE = np.array([b < 128 and not chr(b).isspace() for b in range(256)])
+
+# The coordinate tokens of a split vertex line.
+_COORDINATES = itemgetter(slice(1, 4))
 
 
 class TriangleMesh:
@@ -41,7 +56,9 @@ class TriangleMesh:
             raise MeshTopologyError("vertices must be an (n, 3) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshTopologyError("triangles must be an (m, 3) array")
-        self._validate()
+        self._check_indices()
+        self._check_geometry()
+        self._check_dual_graph()
         self.vertices.flags.writeable = False
         self.triangles.flags.writeable = False
 
@@ -89,11 +106,30 @@ class TriangleMesh:
             v = v @ np.asarray(rotation).T
         if translation is not None:
             v = v + np.asarray(translation)
-        return TriangleMesh(v, self.triangles)
+        return self._with_vertices(v)
 
-    def _validate(self):
-        m = self.n_triangles
-        if m == 0:
+    def _with_vertices(self, vertices):
+        """The mesh of ``vertices`` on this mesh's triangles.
+
+        The triangles passed the topology checks when this mesh was built,
+        so only the geometry of the new vertices is checked, as in
+        :meth:`_check_geometry`. ``vertices`` must be ``(n, 3)`` with this
+        mesh's ``n``, or :class:`MeshTopologyError` is raised.
+        """
+        mesh = TriangleMesh.__new__(TriangleMesh)
+        mesh.vertices = np.ascontiguousarray(vertices, dtype=float)
+        if mesh.vertices.shape != self.vertices.shape:
+            raise MeshTopologyError(f"vertices of shape {mesh.vertices.shape} do not "
+                                    f"fit the triangles of a mesh of shape "
+                                    f"{self.vertices.shape}")
+        mesh.triangles = self.triangles
+        mesh._check_geometry()
+        mesh.vertices.flags.writeable = False
+        return mesh
+
+    def _check_indices(self):
+        """Triangles exist, index vertices and repeat none."""
+        if self.n_triangles == 0:
             raise MeshTopologyError("mesh has no triangles")
         if self.triangles.min() < 0 or self.triangles.max() >= self.n_vertices:
             raise MeshTopologyError("triangle index out of range")
@@ -105,6 +141,8 @@ class TriangleMesh:
             bad = int(np.flatnonzero(repeated)[0])
             raise DegenerateGeometryError(f"triangle {bad} repeats a vertex")
 
+    def _check_geometry(self):
+        """No triangle area falls to the degenerate threshold."""
         areas = self.triangle_areas()
         threshold = DEGENERATE_AREA_FACTOR * self.bbox_diagonal**2
         if np.any(areas <= threshold):
@@ -114,7 +152,11 @@ class TriangleMesh:
                 f"{threshold:.3g}"
             )
 
-        pairs, _ = _dual_edges(tri, self.n_vertices)
+    def _check_dual_graph(self):
+        """Edges are manifold with consistent winding, and the triangles
+        form one component."""
+        m = self.n_triangles
+        pairs, _ = _dual_edges(self.triangles, self.n_vertices)
         dual = scipy.sparse.coo_matrix(
             (np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(m, m)
         )
@@ -187,17 +229,19 @@ def _suffix(path):
 def load_mesh(path):
     """Read a mesh from an OBJ or OFF file, chosen by the file suffix.
 
-    Vertex order is preserved. A parse error is a ``MeshFormatError`` with
-    its line number where one applies; an invalid mesh's error names the path.
+    The file is read once, as one text, and its vertex and face tokens are
+    converted in bulk, each by Python's ``float`` or ``int``. Vertex order
+    is preserved. A parse error is a ``MeshFormatError`` with its line
+    number where one applies; an invalid mesh's error names the path.
     """
     path = str(path)
     read = _read_obj if _suffix(path) == ".obj" else _read_off
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise MeshFormatError(str(exc), path=path) from exc
-    vertices, triangles = read(lines, path)
+    vertices, triangles = read(text, path)
     try:
         return TriangleMesh(vertices, triangles)
     except (MeshTopologyError, DegenerateGeometryError) as exc:
@@ -206,14 +250,17 @@ def load_mesh(path):
 
 def save_mesh(mesh, path, vertex_scalars=None):
     """Write ``mesh`` as OBJ or OFF text, chosen by the file suffix, with
-    full float precision.
+    full float precision (``%.17g``).
+
+    Each block of lines, the vertices and the faces, is formatted by one
+    ``%`` operation and the file is written at once.
 
     ``vertex_scalars`` (OBJ only) appends one extra column to each vertex
     line, e.g. for thickness maps picked up by downstream visualization.
     """
     path = str(path)
     obj = _suffix(path) == ".obj"
-    tails = [""] * mesh.n_vertices
+    columns = mesh.vertices
     if vertex_scalars is not None:
         if not obj:
             raise MeshFormatError("vertex scalars are only supported for OBJ", path=path)
@@ -221,113 +268,216 @@ def save_mesh(mesh, path, vertex_scalars=None):
         if vertex_scalars.shape != (mesh.n_vertices,):
             raise MeshFormatError(f"expected {mesh.n_vertices} vertex scalars, "
                                   f"got shape {vertex_scalars.shape}", path=path)
-        tails = [f" {s:.17g}" for s in vertex_scalars.tolist()]
+        columns = np.column_stack((columns, vertex_scalars))
     # OBJ tags its lines and counts from 1; OFF starts with its counts.
-    prefix, face, base = ("v ", "f", 1) if obj else ("", "3", 0)
+    if obj:
+        head, vertex, face, base = "", "v %.17g", "f %d %d %d\n", 1
+    else:
+        head, vertex, face, base = (f"OFF\n{mesh.n_vertices} {mesh.n_triangles} 0\n",
+                                    "%.17g", "3 %d %d %d\n", 0)
+    vertex += " %.17g" * (columns.shape[1] - 1) + "\n"
+    text = (head + (vertex * mesh.n_vertices) % tuple(columns.ravel().tolist())
+            + (face * mesh.n_triangles) % tuple((mesh.triangles + base).ravel().tolist()))
     with open(path, "w", encoding="utf-8") as handle:
-        if not obj:
-            handle.write(f"OFF\n{mesh.n_vertices} {mesh.n_triangles} 0\n")
-        for (x, y, z), tail in zip(mesh.vertices.tolist(), tails):
-            handle.write(f"{prefix}{x:.17g} {y:.17g} {z:.17g}{tail}\n")
-        for a, b, c in (mesh.triangles + base).tolist():
-            handle.write(f"{face} {a} {b} {c}\n")
+        handle.write(text)
 
 
-def _read_obj(lines, path):
-    """Vertex and face arrays of OBJ text. Comments are whole lines."""
-    vertices, faces = [], []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "v":
+def _read_obj(text, path):
+    """Vertex and face arrays of OBJ text. Comments are whole lines.
+
+    A line is a vertex or a face line when its first token is ``v`` or
+    ``f`` (see :func:`_obj_kinds`); any other is ignored. Vertex lines are
+    split one by one, since they may carry extra columns, and their first
+    three coordinates converted together; face lines are split as one text,
+    which must give four tokens a line. When a bulk check fails,
+    :func:`_raise_obj_error` finds the first bad line.
+    """
+    lines = np.array(text.split("\n"), dtype=object)
+    kinds = _obj_kinds(text, lines)
+    try:
+        rows = list(map(str.split, lines[kinds == _VERTEX]))
+        if min(map(len, rows), default=4) < 4:
+            raise ValueError("vertex line with fewer than 3 coordinates")
+        vertices = np.fromiter(map(float, chain.from_iterable(map(_COORDINATES, rows))),
+                               dtype=float, count=3 * len(rows)).reshape(-1, 3)
+        faces = _obj_faces(lines[kinds == _FACE])
+    except (ValueError, OverflowError):
+        _raise_obj_error(lines, kinds, path)
+        raise
+    if not len(vertices):
+        raise MeshFormatError("no vertices found", path=path)
+    return vertices, faces
+
+
+def _obj_kinds(text, lines):
+    """The kind of each of the ``lines`` of OBJ ``text``, split at
+    ``"\\n"``: ``_VERTEX``, ``_FACE`` or ``_IGNORED``.
+
+    The first two bytes decide most lines: ``"v "`` and ``"f "`` open
+    vertex and face lines, and a line is ignored when it is empty, starts
+    with another ASCII byte that is no whitespace, or starts with ``v`` or
+    ``f`` and such a byte, as ``vn`` does. Only the other lines, such as
+    indented ones or a tab after the keyword, have their first token split
+    off.
+    """
+    data = np.frombuffer(text.encode() + b"\n\n", dtype=np.uint8)
+    starts = np.concatenate(([0], np.flatnonzero(data[:-2] == ord("\n")) + 1))
+    first, second = data[starts], data[starts + 1]
+    vertex, face = first == ord("v"), first == ord("f")
+    keyword, spaced = vertex | face, second == ord(" ")
+    kinds = np.full(starts.size, _IGNORED)
+    kinds[vertex & spaced] = _VERTEX
+    kinds[face & spaced] = _FACE
+    decided = ((keyword & (spaced | _TOKEN_BYTE[second]))
+               | (_TOKEN_BYTE[first] & ~keyword) | (first == ord("\n")))
+    for i in np.flatnonzero(~decided).tolist():
+        head = lines[i].split(None, 1)[:1]
+        kinds[i] = {"v": _VERTEX, "f": _FACE}.get(head[0] if head else "", _IGNORED)
+    return kinds
+
+
+def _obj_faces(lines):
+    """Zero-based ``(m, 3)`` indices of the OBJ face ``lines``, split as one
+    text. Raises ``ValueError`` or ``OverflowError`` unless each line holds
+    ``f`` and three tokens whose parts before any ``/`` are positive
+    integers that fit int64.
+    """
+    joined = " ".join(lines)
+    tokens = joined.split()
+    m = len(lines)
+    if len(tokens) != 4 * m:
+        raise ValueError("face lines without 3 corners each")
+    # Each line opens with the token "f". Of 4m tokens, the lines start at
+    # 0, 4, 8, ... unless one has other than four; then the "f" of a line
+    # that starts elsewhere stays among the indices, and int refuses it.
+    del tokens[::4]
+    if "/" in joined:
+        tokens = [token.split("/", 1)[0] for token in tokens]
+    faces = _integers(tokens).reshape(-1, 3)
+    if np.any(faces <= 0):
+        raise ValueError("face index not positive")
+    return faces - 1
+
+
+def _integers(tokens):
+    """``int(token)`` of each of ``tokens``, as an int64 array.
+
+    Tokens of 1 to 18 ASCII digits, as mesh files hold, are read by one
+    ``np.fromstring`` after a check of the bytes; those values are within
+    int64, so they are what ``int`` gives. Any other token, such as ``+3``,
+    ``1_000`` or a number beyond int64, sends all of them through ``int``,
+    which raises ``ValueError``, or int64 ``OverflowError``.
+    """
+    text = " ".join(tokens)
+    data = np.frombuffer(text.encode(), dtype=np.uint8)
+    lengths = np.diff(np.flatnonzero(data == ord(" ")), prepend=-1, append=data.size) - 1
+    if (tokens and np.all((data - ord("0") < 10) | (data == ord(" ")))
+            and 1 <= lengths.min() and lengths.max() <= 18):
+        return np.fromstring(text, dtype=np.int64, sep=" ")
+    return np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
+
+
+def _raise_obj_error(lines, kinds, path):
+    """Raise the ``MeshFormatError`` of the first vertex or face line of
+    ``lines`` that fails a rule of :func:`_read_obj`, with its line number."""
+    for i in np.flatnonzero(kinds != _IGNORED).tolist():
+        parts, lineno = lines[i].split(), i + 1
+        if kinds[i] == _VERTEX:
             if len(parts) < 4:
                 raise MeshFormatError("vertex needs 3 coordinates", path, lineno)
             try:
-                vertices.append([float(x) for x in parts[1:4]])
+                [float(x) for x in parts[1:4]]
             except ValueError as exc:
                 raise MeshFormatError(f"bad coordinate: {exc}", path, lineno)
-        elif parts[0] == "f":
-            if len(parts) != 4:
-                raise MeshFormatError("only triangular faces are supported "
-                                      f"(got {len(parts) - 1} corners)", path, lineno)
-            idx = []
-            for token in parts[1:]:
-                try:
-                    value = int(token.split("/")[0])
-                except ValueError:
-                    raise MeshFormatError(f"bad face index {token!r}", path, lineno)
-                if value <= 0:
-                    raise MeshFormatError(f"face index {value} is not positive "
-                                          "(OBJ is 1-based)", path, lineno)
-                if value > _MAX_INDEX:
-                    raise MeshFormatError(f"face index {value} is out of range",
-                                          path, lineno)
-                idx.append(value - 1)
-            faces.append(idx)
-        # Other OBJ keywords (vn, vt, o, g, s, usemtl, ...) are ignored.
-    if not vertices:
-        raise MeshFormatError("no vertices found", path=path)
-    return np.array(vertices), np.array(faces, dtype=np.int64)
+            continue
+        if len(parts) != 4:
+            raise MeshFormatError("only triangular faces are supported "
+                                  f"(got {len(parts) - 1} corners)", path, lineno)
+        for token in parts[1:]:
+            try:
+                value = int(token.split("/")[0])
+            except ValueError:
+                raise MeshFormatError(f"bad face index {token!r}", path, lineno)
+            if value <= 0:
+                raise MeshFormatError(f"face index {value} is not positive "
+                                      "(OBJ is 1-based)", path, lineno)
+            if value > _MAX_INDEX:
+                raise MeshFormatError(f"face index {value} is out of range",
+                                      path, lineno)
 
 
-def _read_off(lines, path):
+def _read_off(text, path):
     """Vertex and face arrays of OFF text. Comments run from ``#`` to the
-    end of the line; the header's edge count is not read."""
-    # The (lineno, token) stream with comments stripped.
-    tokens = [(lineno, token) for lineno, raw in enumerate(lines, start=1)
-              for token in raw.split("#", 1)[0].split()]
+    end of the line; the header's edge count is not read.
+
+    The comments are cut from the whole text, which is then split into one
+    token list. The vertex tokens are converted together, and so are the
+    face tokens, four a face; when that fails, :func:`_raise_off_error`
+    finds the first bad vertex or face. Line numbers are worked out only
+    for an error, by :func:`_off_token_lines`.
+    """
+    tokens = re.sub("#[^\n]*", "", text).split() if "#" in text else text.split()
     if not tokens:
         raise MeshFormatError("empty file", path=path)
-    pos = 1 if tokens[0][1].upper() == "OFF" else 0
-
-    def take(count, what):
-        nonlocal pos
-        if pos + count > len(tokens):
-            raise MeshFormatError(f"unexpected end of file while reading {what}", path)
-        chunk = tokens[pos : pos + count]
-        pos += count
-        return chunk
-
-    header = take(3, "counts")
+    pos = 1 if tokens[0].upper() == "OFF" else 0
+    if pos + 3 > len(tokens):
+        raise MeshFormatError("unexpected end of file while reading counts", path)
     try:
-        n_vertices, n_faces = int(header[0][1]), int(header[1][1])
+        n_vertices, n_faces = int(tokens[pos]), int(tokens[pos + 1])
     except ValueError:
-        raise MeshFormatError("bad count line", path, header[0][0])
+        raise MeshFormatError("bad count line", path, _off_token_lines(text)[pos])
     if n_vertices < 0 or n_faces < 0:
-        raise MeshFormatError("negative count", path, header[0][0])
+        raise MeshFormatError("negative count", path, _off_token_lines(text)[pos])
     # A vertex takes 3 tokens and a triangle 4: refuse counts the file
     # cannot hold before allocating for them.
-    needed, held = 3 * n_vertices + 4 * n_faces, len(tokens) - pos
+    needed, held = 3 * n_vertices + 4 * n_faces, len(tokens) - pos - 3
     if needed > held:
         raise MeshFormatError(f"{n_vertices} vertices and {n_faces} faces need "
                               f"{needed} tokens, the file holds {held}",
-                              path, header[0][0])
+                              path, _off_token_lines(text)[pos])
 
-    vertices = np.empty((n_vertices, 3))
-    for i in range(n_vertices):
-        chunk = take(3, f"vertex {i}")
-        try:
-            vertices[i] = [float(t) for _, t in chunk]
-        except ValueError:
-            raise MeshFormatError("bad vertex coordinate", path, chunk[0][0])
+    start = pos + 3
+    end = start + 3 * n_vertices
+    try:
+        vertices = np.fromiter(map(float, tokens[start:end]), dtype=float,
+                               count=3 * n_vertices).reshape(-1, 3)
+        faces = _integers(tokens[end : end + 4 * n_faces]).reshape(-1, 4)
+        if np.any(faces[:, 0] != 3):
+            raise ValueError("face with other than 3 corners")
+    except (ValueError, OverflowError):
+        _raise_off_error(tokens, start, n_vertices, n_faces, text, path)
+        raise
+    return vertices, faces[:, 1:]
 
-    faces = np.empty((n_faces, 3), dtype=np.int64)
-    for i in range(n_faces):
-        (lineno, count_token) = take(1, f"face {i}")[0]
+
+def _off_token_lines(text):
+    """The line number of each token of OFF ``text``, comments stripped."""
+    return [lineno for lineno, line in enumerate(text.split("\n"), start=1)
+            for _ in line.split("#", 1)[0].split()]
+
+
+def _raise_off_error(tokens, start, n_vertices, n_faces, text, path):
+    """Raise the ``MeshFormatError`` of the first of the ``n_vertices``
+    vertices and ``n_faces`` faces from ``tokens[start]`` on that fails a
+    rule of :func:`_read_off`, with the line of its first token (of its
+    first index, for a bad index)."""
+    lines = _off_token_lines(text)
+    for k in range(start, start + 3 * n_vertices, 3):
         try:
-            corners = int(count_token)
+            [float(t) for t in tokens[k : k + 3]]
         except ValueError:
-            raise MeshFormatError("bad face corner count", path, lineno)
+            raise MeshFormatError("bad vertex coordinate", path, lines[k])
+    for k in range(start + 3 * n_vertices, start + 3 * n_vertices + 4 * n_faces, 4):
+        try:
+            corners = int(tokens[k])
+        except ValueError:
+            raise MeshFormatError("bad face corner count", path, lines[k])
         if corners != 3:
             raise MeshFormatError("only triangular faces are supported "
-                                  f"(got {corners})", path, lineno)
-        chunk = take(3, f"face {i}")
+                                  f"(got {corners})", path, lines[k])
         try:
-            faces[i] = [int(t) for _, t in chunk]
+            indices = [int(t) for t in tokens[k + 1 : k + 4]]
         except ValueError:
-            raise MeshFormatError("bad face index", path, chunk[0][0])
-        except OverflowError:
-            raise MeshFormatError("face index out of range", path, chunk[0][0])
-    return vertices, faces
+            raise MeshFormatError("bad face index", path, lines[k + 1])
+        if not all(_MIN_INDEX <= i <= _MAX_INDEX for i in indices):
+            raise MeshFormatError("face index out of range", path, lines[k + 1])

@@ -63,7 +63,6 @@ from .liegroups import (
     _quaternion_entries,
     polar_rotation,
 )
-from .mesh import TriangleMesh
 from .representation import _check_binding
 
 #: Energies below ``_FLOOR_FACTOR`` times the size of the prescribed
@@ -488,9 +487,10 @@ def reconstruct(ref, rep, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, system=Non
     _check_binding(ref, rep)
     if system is None:
         system = prefactor(ref)
-    # The alternation's edge arrays are freed before the mesh is validated.
+    # The alternation's edge arrays are freed before the mesh is built on
+    # the reference's triangles, which checks only its geometry.
     report = _alternate(ref, rep, tol, max_iter, system)
-    mesh = TriangleMesh(report.positions[: system.n_vertices], ref.mesh.triangles)
+    mesh = ref.mesh._with_vertices(report.positions[: system.n_vertices])
     return mesh, report
 
 

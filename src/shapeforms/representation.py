@@ -42,6 +42,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -177,7 +178,8 @@ class ShapeRep:
         files carry, are ignored. Invalid values raise
         :class:`MeshFormatError`, see :func:`_shape_from_payload`."""
         payload = _read_json(path)
-        return _shape_from_payload(payload, payload["reference_hash"], path)
+        return _shape_from_payload(payload, _value(payload, "reference_hash", path),
+                                   path)
 
 
 def _shape_payload(rep):
@@ -201,15 +203,18 @@ _ROTATION_TOL = 1e-9
 def _shape_from_payload(payload, reference_hash, path):
     """Inverse of :func:`_shape_payload`, bound to ``reference_hash``.
 
-    A payload without ``quaternions`` is of the earlier format and goes to
-    :func:`_legacy_shape`. Raises :class:`MeshFormatError` for the file
-    ``path``, naming the first bad edge or triangle: for a quaternion that
-    is not finite or has ``| |q|^2 - 1 |`` above ``_QUATERNION_TOL``, and
-    for a stretch-log triple that is not finite.
+    A payload with ``rotations`` and without ``quaternions`` is of the
+    earlier format and goes to :func:`_legacy_shape`. Raises
+    :class:`MeshFormatError` for the file ``path``, naming either the key,
+    for a missing key or an array that is no list of rows of 4 or 3 numbers
+    (see :func:`_float_rows`), or the first bad edge or triangle, for a
+    quaternion that is not finite or has ``| |q|^2 - 1 |`` above
+    ``_QUATERNION_TOL`` and for a stretch-log triple that is not finite.
     """
-    if "quaternions" not in payload:
+    if isinstance(payload, dict) and "quaternions" not in payload \
+            and "rotations" in payload:
         return _legacy_shape(payload, reference_hash, path)
-    rows = np.array(payload["quaternions"], dtype=float).reshape(-1, 4)
+    rows = _float_rows(payload, "quaternions", 4, path)
     with np.errstate(invalid="ignore", over="ignore"):
         drift = np.abs(np.sum(rows * rows, axis=1) - 1.0)
     _refuse(drift <= _QUATERNION_TOL, path, lambda k: (
@@ -224,20 +229,21 @@ def _legacy_shape(payload, reference_hash, path):
     triples ``stretches`` and, in a model's mean, ``log_stretches`` triples,
     which the shape then holds in place of the logs of the stretches.
 
-    Raises :class:`MeshFormatError` for the file ``path``, naming the first
-    bad edge or triangle: for a rotation that is not finite, has an entry
-    of ``|R^T R - I|`` above ``_ROTATION_TOL`` or ``det R <= 0``, for a
-    stretch triple that is not finite and positive-definite, and for a
-    stretch-log triple that is not finite.
+    Raises :class:`MeshFormatError` for the file ``path``, naming either the
+    key, as :func:`_float_rows` does, or the first bad edge or triangle,
+    for a rotation that is not finite, has an entry of ``|R^T R - I|``
+    above ``_ROTATION_TOL`` or ``det R <= 0``, for a stretch triple that is
+    not finite and positive-definite, and for a stretch-log triple that is
+    not finite.
     """
-    rows = np.array(payload["rotations"], dtype=float).reshape(-1, 9)
+    rows = _float_rows(payload, "rotations", 9, path)
     _check_rotations(np.ascontiguousarray(rows.T), path)
     rotations = rows.reshape(-1, 3, 3)
     if "log_stretches" in payload:
         logs = _log_triples(payload, path)
         rep = ShapeRep(rotations, spd2_exp(_triples_to_sym(logs)), reference_hash)
         return ShapeRep._from_parts(rep.quaternions, logs, reference_hash)
-    triples = np.array(payload["stretches"], dtype=float)
+    triples = _float_rows(payload, "stretches", 3, path)
     u11, u12, u22 = triples.T
     with np.errstate(invalid="ignore", over="ignore"):
         spd = np.isfinite(triples).all(axis=1) & (u11 > 0.0) & (u11 * u22 > u12 * u12)
@@ -249,9 +255,47 @@ def _legacy_shape(payload, reference_hash, path):
 def _log_triples(payload, path):
     """The ``log_stretches`` triples ``(m, 3)`` of ``payload``, refused by
     :func:`_check_finite` if one is not finite."""
-    logs = np.array(payload["log_stretches"], dtype=float)
+    logs = _float_rows(payload, "log_stretches", 3, path)
     _check_finite(logs, path, "the stretch log of triangle")
     return logs
+
+
+def _value(payload, key, path, owner=""):
+    """``payload[key]``, or :class:`MeshFormatError` for the file ``path``
+    if ``payload`` is no JSON object with ``key``; ``owner``, such as
+    ``"mode 2"``, names the object in the message."""
+    if not isinstance(payload, dict) or key not in payload:
+        raise MeshFormatError(f"missing key {key!r}{owner and ' in ' + owner}",
+                              path=path)
+    return payload[key]
+
+
+def _float_rows(payload, key, width, path, owner=""):
+    """The float array ``(n, width)`` of ``payload[key]``, a list of ``n``
+    rows of ``width`` numbers, or for ``width`` ``None`` the ``(n,)`` array
+    of a list of ``n`` numbers.
+
+    Values convert as ``np.array(..., dtype=float)`` converts them, but
+    the rows are checked first and then read by one ``np.fromiter``, which
+    is faster than ``np.array`` on nested lists. Raises
+    :class:`MeshFormatError` for the file ``path``, naming ``key`` (and
+    ``owner``, see :func:`_value`), if the key is missing or its value is
+    of another shape or holds a value that is no number.
+    """
+    value = _value(payload, key, path, owner)
+    shape = "numbers" if width is None else f"rows of {width} numbers"
+    try:
+        if type(value) is not list:
+            raise TypeError(f"got {type(value).__name__}")
+        if width is None:
+            return np.fromiter(value, dtype=float, count=len(value))
+        if not set(map(type, value)) <= {list} or not set(map(len, value)) <= {width}:
+            raise ValueError("a row is not a list of that length")
+        return np.fromiter(chain.from_iterable(value), dtype=float,
+                           count=width * len(value)).reshape(-1, width)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MeshFormatError(f"{key!r}{owner and ' of ' + owner} is not a list of "
+                              f"{shape}: {exc}", path=path) from exc
 
 
 def _check_rotations(e, path):
@@ -294,11 +338,13 @@ def _tangent_payload(v):
 def _tangent_from_payload(payload, base_hash, path, name):
     """Inverse of :func:`_tangent_payload`, at the base ``base_hash``.
 
-    Raises :class:`MeshFormatError` for the file ``path`` if a value is not
-    finite, naming the vector ``name`` and the edge or triangle.
+    Raises :class:`MeshFormatError` for the file ``path``, naming the
+    vector ``name`` and either the key, for a missing key or an array that
+    is no list of rows of 3 numbers (see :func:`_float_rows`), or the edge
+    or triangle, for a value that is not finite.
     """
-    rot_part = np.array(payload["rot_part"], dtype=float).reshape(-1, 3)
-    triples = np.array(payload["stretch_part"], dtype=float)
+    rot_part = _float_rows(payload, "rot_part", 3, path, name)
+    triples = _float_rows(payload, "stretch_part", 3, path, name)
     _check_finite(rot_part, path, f"{name} at edge")
     _check_finite(triples, path, f"{name} at triangle")
     return TangentRep._from_coordinates(

@@ -65,12 +65,14 @@ from .representation import (
     _check_tangent,
     _coordinate_weights,
     _encode_stack,
+    _float_rows,
     _read_json,
     _shape_from_payload,
     _shape_payload,
     _tangent_from_payload,
     _tangent_payload,
     _tangent_size,
+    _value,
     _write_json,
     rep_exp,
 )
@@ -306,16 +308,17 @@ class PGAModel:
         off unit norm or a mode of another size than the mean's, raise
         :class:`MeshFormatError`."""
         payload = _read_json(path)
-        mean = _shape_from_payload(payload["mean"], payload["reference_hash"], path)
+        reference_hash = _value(payload, "reference_hash", path)
+        mean = _shape_from_payload(_value(payload, "mean", path), reference_hash, path)
         base_hash = mean.content_hash()
-        variances = np.array(payload["variances"], dtype=float)
+        variances = _float_rows(payload, "variances", None, path)
         _check_finite(variances.reshape(-1, 1), path, "variance")
         modes = [_tangent_from_payload(entry, base_hash, path, f"mode {k}")
-                 for k, entry in enumerate(payload["modes"])]
+                 for k, entry in enumerate(_value(payload, "modes", path))]
         try:
             return cls(mean=mean, modes=modes, variances=variances,
-                       params=DistanceParams(payload["omega"]),
-                       reference_hash=payload["reference_hash"])
+                       params=DistanceParams(_value(payload, "omega", path)),
+                       reference_hash=reference_hash)
         except (ReferenceMismatchError, ValueError) as exc:
             raise MeshFormatError(str(exc), path=path) from exc
 

@@ -78,6 +78,25 @@ class TestRoundtrip:
         back = load_mesh(out)
         assert rigid_rms(back, original) < 1e-6 * original.bbox_diagonal
 
+    def test_shape_file_with_malformed_logs_refused(self, workspace, capsys):
+        rep = workspace / "wide_rep.json"
+        assert main([
+            "encode", "--reference", str(workspace / "ref.obj"),
+            "--input", str(workspace / "shape_0.obj"), "--out", str(rep),
+        ]) == 0
+        payload = json.loads(rep.read_text())
+        payload["log_stretches"] = [row + [0.0] for row in payload["log_stretches"]]
+        rep.write_text(json.dumps(payload) + "\n")
+        capsys.readouterr()
+        out = workspace / "wide_rep.obj"
+        assert main([
+            "reconstruct", "--reference", str(workspace / "ref.obj"),
+            "--input", str(rep), "--out", str(out),
+        ]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error:format: {rep}: 'log_stretches' is not a list of rows of 3 numbers")
+        assert not out.exists()
+
     def test_shape_file_that_is_no_shape_refused(self, workspace, capsys):
         rep = workspace / "scaled_rep.json"
         assert main([

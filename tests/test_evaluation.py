@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from shapeforms import evaluation, representation, statistics
-from shapeforms.errors import ConvergenceError, CutLocusError
+from shapeforms.errors import (
+    ConvergenceError,
+    CutLocusError,
+    ReferenceMismatchError,
+)
 from shapeforms.evaluation import (
     ClassifierModel,
     _aligned_rms,
@@ -127,6 +131,44 @@ class TestSpecificity:
     def test_empty_training_rejected(self, ref, model):
         with pytest.raises(ValueError):
             specificity(ref, model, [])
+
+    def test_vertex_metric_builds_no_intrinsic_targets(self, ref, cohort, model,
+                                                       monkeypatch):
+        def refuse(*args):
+            raise AssertionError("intrinsic targets built")
+
+        monkeypatch.setattr(evaluation, "_specificity_targets", refuse)
+        assert specificity(ref, model, cohort[:3], n_samples=2, metric="vertex",
+                           seed=1) > 0.0
+        report = metrics_report(ref, cohort[:4], n_samples=2, metric="vertex",
+                                max_modes=1)
+        assert report.specificity[0] > 0.0
+
+    def test_vertex_metric_checks_binding_before_reconstructing(self, ref, cohort,
+                                                                model, monkeypatch):
+        other = build_reference(icosphere(1).transformed(scale=2.0))
+        foreign, _ = encode(other, other.mesh)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reconstructed")
+
+        monkeypatch.setattr(evaluation, "reconstruct", refuse)
+        with pytest.raises(ReferenceMismatchError):
+            specificity(ref, model, [cohort[0], foreign], n_samples=2, metric="vertex")
+
+    @pytest.mark.parametrize("call", [
+        lambda ref, reps, model: specificity(ref, model, reps, metric="Vertex"),
+        lambda ref, reps, model: generalization_curve(ref, reps, metric="Vertex"),
+        lambda ref, reps, model: metrics_report(ref, reps, metric="Vertex"),
+    ], ids=["specificity", "generalization_curve", "metrics_report"])
+    def test_unknown_metric_refused_first(self, ref, cohort, model, monkeypatch, call):
+        def refuse(*args, **kwargs):
+            raise AssertionError("checked or computed before the metric")
+
+        for name in ("_check_binding", "pga", "reconstruct", "_specificity_targets"):
+            monkeypatch.setattr(evaluation, name, refuse)
+        with pytest.raises(ValueError, match="^unknown metric 'Vertex'$"):
+            call(ref, cohort, model)
 
     @pytest.mark.parametrize("modes", [-1, -5])
     def test_negative_mode_count_rejected(self, ref, cohort, model, modes):

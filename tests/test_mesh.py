@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,12 +15,13 @@ from shapeforms.mesh import (
     DEGENERATE_AREA_FACTOR,
     TriangleMesh,
     _dual_edges,
+    _integers,
     load_mesh,
     save_mesh,
     unique_edges,
 )
 from shapeforms.reference import build_reference, deformation_gradients
-from shapeforms.synthetic import cylinder_patch, icosphere
+from shapeforms.synthetic import cylinder_patch, icosphere, smooth_deformation
 
 from helpers import edge_index
 
@@ -627,3 +630,211 @@ class TestGradInverses:
         assert np.abs(units[:, None] * H - inverse).max() <= bound * np.abs(inverse).max()
         identity = deformation_gradients(ref, mesh)[0]
         assert np.abs(identity - np.eye(3)).max() <= max(1e-12, bound)
+
+
+def _reference_text(mesh, obj, vertex_scalars=None):
+    """The mesh text written line by line, as the writer once did."""
+    tails = ([""] * mesh.n_vertices if vertex_scalars is None
+             else [f" {s:.17g}" for s in vertex_scalars.tolist()])
+    prefix, face, base = ("v ", "f", 1) if obj else ("", "3", 0)
+    lines = [] if obj else [f"OFF\n{mesh.n_vertices} {mesh.n_triangles} 0\n"]
+    for (x, y, z), tail in zip(mesh.vertices.tolist(), tails):
+        lines.append(f"{prefix}{x:.17g} {y:.17g} {z:.17g}{tail}\n")
+    for a, b, c in (mesh.triangles + base).tolist():
+        lines.append(f"{face} {a} {b} {c}\n")
+    return "".join(lines)
+
+
+# Whitespace that str.split() separates tokens by, besides the line break.
+_SEPARATORS = [" ", "  ", "\t", " \t", "\x0b", "\x0c", "\xa0", " "]
+_OBJ_EXTRAS = ["# comment", "#v 9 9 9", "   # indented comment", "", "  \t ", "vn 0 0 1",
+               "vt 0.5 0.5", "o part", "g group", "s off", "usemtl skin", "vv 1 2 3",
+               "fo 1 2 3"]
+
+
+@pytest.fixture(scope="module")
+def sphere_20k():
+    """A deformed 20,480-triangle sphere."""
+    return smooth_deformation(icosphere(5), seed=4)
+
+
+class TestBulkReader:
+    """The readers convert all tokens at once; every rule of the README's
+    "File formats" paragraph holds for texts built from known arrays."""
+
+    @staticmethod
+    def _mesh(offsets):
+        sphere = icosphere(0)
+        return sphere._with_vertices(sphere.vertices + np.reshape(offsets, (-1, 3)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.floats(-0.01, 0.01), min_size=36, max_size=36), st.data())
+    def test_obj_text_gives_its_arrays(self, tmp_path_factory, offsets, data):
+        mesh = self._mesh(offsets)
+
+        def sep():
+            return data.draw(st.sampled_from(_SEPARATORS))
+
+        extra = st.lists(st.sampled_from(_OBJ_EXTRAS), max_size=2)
+        lines = []
+        for x, y, z in mesh.vertices.tolist():
+            lines += data.draw(extra)
+            lead = data.draw(st.sampled_from(["", " ", "\t"]))
+            tail = data.draw(st.lists(st.sampled_from(["1", "0.5", "-2e-3", "v", "f"]),
+                                      max_size=3))
+            lines.append(lead + sep().join(["v", repr(x), f"{y:.17g}", repr(z), *tail]))
+        for a, b, c in (mesh.triangles + 1).tolist():
+            lines += data.draw(extra)
+            corner = data.draw(st.sampled_from(["{}", "{}/{}", "{}//{}", "{}/{}/{}"]))
+            lines.append(sep().join(["f"] + [corner.format(k, k, k) for k in (a, b, c)]))
+        newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        path = tmp_path_factory.mktemp("obj") / "mesh.obj"
+        path.write_bytes(newline.join(lines).encode("utf-8"))
+
+        back = load_mesh(path)
+        assert_bit_equal(back.vertices, mesh.vertices)
+        assert_bit_equal(back.triangles, mesh.triangles)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.floats(-0.01, 0.01), min_size=36, max_size=36), st.data())
+    def test_off_text_gives_its_arrays(self, tmp_path_factory, offsets, data):
+        mesh = self._mesh(offsets)
+        tokens = [str(mesh.n_vertices), str(mesh.n_triangles), "30"]
+        tokens += [repr(x) for x in mesh.vertices.ravel().tolist()]
+        for row in mesh.triangles.tolist():
+            tokens += ["3"] + [str(k) for k in row]
+        # Tokens wrap across lines, and comments run to the end of a line.
+        gaps = st.sampled_from(_SEPARATORS + ["\n", " # note\n", "#\n", "\n\n# # x\n"])
+        text = data.draw(st.sampled_from(["OFF\n", "off ", "# header\nOFF\n", ""]))
+        text += "".join(token + data.draw(gaps) for token in tokens)
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        path = tmp_path_factory.mktemp("off") / "mesh.off"
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+
+        back = load_mesh(path)
+        assert_bit_equal(back.vertices, mesh.vertices)
+        assert_bit_equal(back.triangles, mesh.triangles)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(0, 10**18 - 1).map(str),
+        st.integers(-2**70, 2**70).map(str),
+        st.sampled_from(["007", "+3", "-0", "1_000", "٣", "", "1.0", "x", "9" * 18,
+                         "9" * 19, str(2**63 - 1), str(2**63), str(-2**63)])),
+        max_size=6))
+    def test_integers_are_those_of_int(self, tokens):
+        # Either error sends the reader to its scan, so either may come first.
+        try:
+            expected = np.array([int(t) for t in tokens], dtype=np.int64)
+        except (ValueError, OverflowError):
+            with pytest.raises((ValueError, OverflowError)):
+                _integers(tokens)
+        else:
+            assert_bit_equal(_integers(tokens), expected)
+
+    @pytest.mark.parametrize(
+        "suffix, line, token, message",
+        [(".obj", 25_000, 2, "bad face index 'x'"),
+         (".obj", 5_000, 3, "bad coordinate: could not convert string to float: 'x'"),
+         (".off", 25_000, 2, "bad face index"),
+         (".off", 5_000, 1, "bad vertex coordinate")],
+        ids=["obj-face", "obj-vertex", "off-face", "off-vertex"])
+    def test_bad_token_deep_in_a_large_file(self, tmp_path, sphere_20k, suffix, line,
+                                            token, message):
+        path = tmp_path / f"big{suffix}"
+        save_mesh(sphere_20k, path)
+        lines = path.read_text().split("\n")
+        parts = lines[line - 1].split(" ")
+        parts[token] = "x"
+        lines[line - 1] = " ".join(parts)
+        path.write_text("\n".join(lines))
+        with pytest.raises(MeshFormatError, match=f"^{re.escape(str(path))}:{line}: "
+                                                  f"{re.escape(message)}$"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("faces, line, corners",
+                             [("f 1 2\nf 1 2 3 4", 4, 2), ("f 1 2 3 4\nf 1 2", 4, 4),
+                              ("f 1 2 3\nf 1 2 3 f\nf 1 2", 5, 4)],
+                             ids=["short-first", "long-first", "f-as-corner"])
+    def test_face_lines_making_up_the_token_count(self, tmp_path, faces, line,
+                                                  corners):
+        # Four tokens a line on average, but not on every line.
+        path = tmp_path / "uneven.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{faces}\n")
+        with pytest.raises(MeshFormatError, match=rf":{line}: only triangular faces "
+                                                  rf"are supported \(got {corners} "):
+            load_mesh(path)
+
+    def test_obj_without_faces(self, tmp_path):
+        path = tmp_path / "points.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n")
+        with pytest.raises(MeshTopologyError, match="mesh has no triangles"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("suffix, scalars", [(".obj", True), (".off", False)],
+                             ids=["obj-with-scalars", "off"])
+    def test_save_load_save_bytes(self, tmp_path, sphere_20k, suffix, scalars):
+        mesh = sphere_20k
+        assert mesh.n_triangles == 20_480
+        values = (np.random.default_rng(0).normal(size=mesh.n_vertices)
+                  if scalars else None)
+        first, second = tmp_path / f"a{suffix}", tmp_path / f"b{suffix}"
+        save_mesh(mesh, first, vertex_scalars=values)
+        back = load_mesh(first)
+        save_mesh(back, second, vertex_scalars=values)
+        assert_bit_equal(back.vertices, mesh.vertices)
+        assert_bit_equal(back.triangles, mesh.triangles)
+        assert first.read_bytes() == second.read_bytes()
+        assert first.read_text() == _reference_text(mesh, suffix == ".obj", values)
+
+
+class TestValidatedTriangles:
+    """Meshes built on a checked mesh's triangles skip the topology pass
+    and keep the geometry check."""
+
+    @pytest.fixture
+    def refuse_dual_edges(self, monkeypatch):
+        """Make every later ``_dual_edges`` call fail."""
+        import shapeforms.mesh as mesh_module
+
+        def refuse(*args):
+            raise AssertionError("_dual_edges called")
+
+        return lambda: monkeypatch.setattr(mesh_module, "_dual_edges", refuse)
+
+    def test_transformed(self, tetrahedron, refuse_dual_edges):
+        refuse_dual_edges()
+        moved = tetrahedron.transformed(rotation=so3_exp(np.array([0.1, 0.2, 0.3])),
+                                        translation=[1.0, 2.0, 3.0], scale=2.0)
+        assert moved.triangles is tetrahedron.triangles
+        assert not moved.vertices.flags.writeable
+
+    def test_reconstruct(self, refuse_dual_edges):
+        from shapeforms.reconstruction import reconstruct
+        from shapeforms.representation import encode
+
+        ref = build_reference(icosphere(2))
+        rep, _ = encode(ref, smooth_deformation(ref.mesh, seed=1))
+        refuse_dual_edges()
+        mesh, report = reconstruct(ref, rep)
+        assert report.converged
+        assert mesh.triangles is ref.mesh.triangles
+
+    def test_flatten(self, refuse_dual_edges):
+        from shapeforms.flattening import flatten
+
+        ref = build_reference(cylinder_patch(n_u=8, n_v=12))
+        refuse_dual_edges()
+        flat, report = flatten(ref)
+        assert report.converged
+        assert flat.triangles is ref.mesh.triangles
+
+    def test_degenerate_vertices_refused(self, square, refuse_dual_edges):
+        refuse_dual_edges()
+        with pytest.raises(DegenerateGeometryError, match="triangle 0 has area 0 "):
+            square.transformed(scale=[1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 3), (4, 2)])
+    def test_other_vertex_count_refused(self, square, shape):
+        with pytest.raises(MeshTopologyError, match=rf"vertices of shape \({shape[0]}, "):
+            square._with_vertices(np.zeros(shape))

@@ -698,6 +698,43 @@ class TestLoadValidation:
                                                       edit, message):
         _assert_refused(_rewritten(deformed_reps[0], tmp_path, edit), message)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.update(log_stretches=[row + [0.0] for row in p["log_stretches"]]),
+         r"'log_stretches' is not a list of rows of 3 numbers: a row is not a list "
+         r"of that length$"),
+        (lambda p: p["quaternions"][3].pop(),
+         r"'quaternions' is not a list of rows of 4 numbers"),
+        (lambda p: p["quaternions"].append([1.0, 0.0, 0.0, 0.0, 0.0]),
+         r"'quaternions' is not a list of rows of 4 numbers"),
+        (lambda p: p.update(quaternions=[x for q in p["quaternions"] for x in q]),
+         r"'quaternions' is not a list of rows of 4 numbers"),
+        (lambda p: p["log_stretches"][2].__setitem__(1, [0.0]),
+         r"'log_stretches' is not a list of rows of 3 numbers: setting an array "
+         r"element with a sequence"),
+        (lambda p: p["log_stretches"][2].__setitem__(1, {}),
+         r"'log_stretches' is not a list of rows of 3 numbers"),
+        (lambda p: p.update(log_stretches="none"),
+         r"'log_stretches' is not a list of rows of 3 numbers: got str$"),
+        (lambda p: p.pop("log_stretches"), r"missing key 'log_stretches'$"),
+        (lambda p: p.pop("reference_hash"), r"missing key 'reference_hash'$"),
+        (lambda p: [p.pop(key) for key in ("quaternions", "log_stretches")],
+         r"missing key 'quaternions'$"),
+    ], ids=["four_log_columns", "short_quaternion", "long_quaternion",
+            "flat_quaternions", "nested_value", "object_value", "no_list",
+            "no_logs", "no_hash", "no_arrays"])
+    def test_malformed_arrays_are_refused(self, deformed_reps, tmp_path, edit, message):
+        _assert_refused(_rewritten(deformed_reps[0], tmp_path, edit), message)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p["rotations"][1].pop(), r"'rotations' is not a list of rows of 9"),
+        (lambda p: p.update(stretches=[row + [1.0] for row in p["stretches"]]),
+         r"'stretches' is not a list of rows of 3 numbers"),
+        (lambda p: p.pop("stretches"), r"missing key 'stretches'$"),
+    ], ids=["short_rotation", "four_stretch_columns", "no_stretches"])
+    def test_malformed_legacy_arrays_are_refused(self, deformed_reps, tmp_path, edit,
+                                                 message):
+        _assert_refused(_legacy_file(deformed_reps[0], tmp_path, edit), message)
+
     def test_rounded_quaternions_load(self, deformed_reps, tmp_path):
         # A quaternion off unit norm by rounding, well below the 1e-9
         # tolerance, loads unchanged.

@@ -451,8 +451,21 @@ class TestSerializationAndRebias:
          r"mode 0 sized \(240 edges, 160 triangles\) does not fit the base shape "
          r"\(120, 80\)$"),
         (lambda p: p["variances"].pop(), r"4 variances for 5 modes$"),
+        (lambda p: p["modes"][2]["rot_part"][0].append(0.0),
+         r"'rot_part' of mode 2 is not a list of rows of 3 numbers"),
+        (lambda p: p["modes"][1].pop("stretch_part"), r"missing key 'stretch_part' in "
+                                                      r"mode 1$"),
+        (lambda p: p["mean"].update(log_stretches=[
+            row + [0.0] for row in p["mean"]["log_stretches"]]),
+         r"'log_stretches' is not a list of rows of 3 numbers"),
+        (lambda p: p.update(variances=[[v] for v in p["variances"]]),
+         r"'variances' is not a list of numbers"),
+        (lambda p: p.pop("modes"), r"missing key 'modes'$"),
+        (lambda p: p.pop("omega"), r"missing key 'omega'$"),
     ], ids=["mode_edge", "mode_triangle", "variance", "stretch_log", "mean_rotation",
-            "legacy_mean_rotation", "mode_of_two_sizes", "variance_count"])
+            "legacy_mean_rotation", "mode_of_two_sizes", "variance_count",
+            "mode_row_of_four", "mode_without_stretch_part", "mean_logs_of_four",
+            "nested_variances", "no_modes", "no_omega"])
     def test_invalid_model_file_is_refused(self, model, tmp_path, edit, message):
         path = tmp_path / "model.json"
         model.save(path)
