@@ -252,22 +252,20 @@ def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrin
     _check_count("n_samples", n_samples, 1)
     _check_metric(metric)
     n_modes = model.n_modes if modes is None else _mode_count(model, modes)
-    if metric == "intrinsic":
-        return _specificity(ref, model, _specificity_targets(ref, model, training),
-                            n_samples, n_modes, seed, None)
     _check_binding(ref, model.mean, *training)
-    return _specificity(ref, model, None, n_samples, n_modes, seed,
-                        _vertex_targets(ref, training, metric))
+    meshes = _vertex_targets(ref, training, metric)
+    targets = _specificity_targets(model, training) if meshes is None else None
+    return _specificity(ref, model, targets, n_samples, n_modes, seed, meshes)
 
 
-def _specificity_targets(ref, model, training):
+def _specificity_targets(model, training):
     """The training shapes as :func:`_nearest_distances` targets at the
     model mean: the unit quaternions ``(4, n, E)`` of their relative
     rotations, each product of a shape's held quaternions written straight
     into the array, their stretch log triples ``(n, 3m)``, and the angles
-    ``(n, E)`` of those relative rotations."""
+    ``(n, E)`` of those relative rotations. The shapes must be bound to
+    the mean's reference."""
     mu = model.mean
-    _check_binding(ref, mu, *training)
     relative = np.empty((4, len(training), mu.n_edges))
     for k, rep in enumerate(training):
         relative[:, k] = _quaternion_product(rep.quaternions, mu.quaternions,
@@ -424,7 +422,7 @@ def metrics_report(ref, reps, params=DistanceParams(), n_samples=1000,
     cap = model.n_modes if max_modes is None else min(max_modes, model.n_modes)
     mode_counts = np.arange(1, cap + 1)
     meshes = _vertex_targets(ref, reps, metric)
-    targets = _specificity_targets(ref, model, reps) if meshes is None else None
+    targets = _specificity_targets(model, reps) if meshes is None else None
     spec = np.array([_specificity(ref, model, targets, n_samples, int(k), seed, meshes)
                      for k in mode_counts])
     del targets  # the folds below run without them

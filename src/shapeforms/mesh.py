@@ -12,7 +12,7 @@ and written as one text.
 
 import hashlib
 import re
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -30,9 +30,7 @@ _MIN_INDEX, _MAX_INDEX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
 # Kinds of OBJ line, by the first token: "v", "f" or any other.
 _IGNORED, _VERTEX, _FACE = 0, 1, 2
-
-# Bytes that are ASCII and not whitespace to ``str.split``.
-_TOKEN_BYTE = np.array([b < 128 and not chr(b).isspace() for b in range(256)])
+_KINDS = {"v": _VERTEX, "f": _FACE}
 
 # The coordinate tokens of a split vertex line.
 _COORDINATES = itemgetter(slice(1, 4))
@@ -286,14 +284,14 @@ def _read_obj(text, path):
     """Vertex and face arrays of OBJ text. Comments are whole lines.
 
     A line is a vertex or a face line when its first token is ``v`` or
-    ``f`` (see :func:`_obj_kinds`); any other is ignored. Vertex lines are
-    split one by one, since they may carry extra columns, and their first
-    three coordinates converted together; face lines are split as one text,
-    which must give four tokens a line. When a bulk check fails,
+    ``f``; any other is ignored. Vertex lines are split one by one, since
+    they may carry extra columns, and their first three coordinates
+    converted together; face lines are split as one text, which must give
+    four tokens a line. When a bulk check fails,
     :func:`_raise_obj_error` finds the first bad line.
     """
     lines = np.array(text.split("\n"), dtype=object)
-    kinds = _obj_kinds(text, lines)
+    kinds = _obj_kinds(lines)
     try:
         rows = list(map(str.split, lines[kinds == _VERTEX]))
         if min(map(len, rows), default=4) < 4:
@@ -309,31 +307,12 @@ def _read_obj(text, path):
     return vertices, faces
 
 
-def _obj_kinds(text, lines):
-    """The kind of each of the ``lines`` of OBJ ``text``, split at
-    ``"\\n"``: ``_VERTEX``, ``_FACE`` or ``_IGNORED``.
-
-    The first two bytes decide most lines: ``"v "`` and ``"f "`` open
-    vertex and face lines, and a line is ignored when it is empty, starts
-    with another ASCII byte that is no whitespace, or starts with ``v`` or
-    ``f`` and such a byte, as ``vn`` does. Only the other lines, such as
-    indented ones or a tab after the keyword, have their first token split
-    off.
-    """
-    data = np.frombuffer(text.encode() + b"\n\n", dtype=np.uint8)
-    starts = np.concatenate(([0], np.flatnonzero(data[:-2] == ord("\n")) + 1))
-    first, second = data[starts], data[starts + 1]
-    vertex, face = first == ord("v"), first == ord("f")
-    keyword, spaced = vertex | face, second == ord(" ")
-    kinds = np.full(starts.size, _IGNORED)
-    kinds[vertex & spaced] = _VERTEX
-    kinds[face & spaced] = _FACE
-    decided = ((keyword & (spaced | _TOKEN_BYTE[second]))
-               | (_TOKEN_BYTE[first] & ~keyword) | (first == ord("\n")))
-    for i in np.flatnonzero(~decided).tolist():
-        head = lines[i].split(None, 1)[:1]
-        kinds[i] = {"v": _VERTEX, "f": _FACE}.get(head[0] if head else "", _IGNORED)
-    return kinds
+def _obj_kinds(lines):
+    """The kind of each of the OBJ ``lines`` by its first token:
+    ``_VERTEX``, ``_FACE`` or ``_IGNORED``."""
+    heads = [(line.split(None, 1) or ("",))[0] for line in lines]
+    return np.fromiter(map(_KINDS.get, heads, repeat(_IGNORED)), dtype=int,
+                       count=len(lines))
 
 
 def _obj_faces(lines):
@@ -360,20 +339,9 @@ def _obj_faces(lines):
 
 
 def _integers(tokens):
-    """``int(token)`` of each of ``tokens``, as an int64 array.
-
-    Tokens of 1 to 18 ASCII digits, as mesh files hold, are read by one
-    ``np.fromstring`` after a check of the bytes; those values are within
-    int64, so they are what ``int`` gives. Any other token, such as ``+3``,
-    ``1_000`` or a number beyond int64, sends all of them through ``int``,
-    which raises ``ValueError``, or int64 ``OverflowError``.
-    """
-    text = " ".join(tokens)
-    data = np.frombuffer(text.encode(), dtype=np.uint8)
-    lengths = np.diff(np.flatnonzero(data == ord(" ")), prepend=-1, append=data.size) - 1
-    if (tokens and np.all((data - ord("0") < 10) | (data == ord(" ")))
-            and 1 <= lengths.min() and lengths.max() <= 18):
-        return np.fromstring(text, dtype=np.int64, sep=" ")
+    """``int(token)`` of each of ``tokens``, as an int64 array. Raises
+    ``ValueError`` for a token ``int`` refuses, ``OverflowError`` for one
+    beyond int64."""
     return np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
 
 

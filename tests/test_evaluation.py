@@ -198,7 +198,7 @@ class TestSpecificity:
 def exhaustive_nearest(ref, model, training, n_samples, modes, seed):
     """The distances of the samples of ``specificity`` to every training
     shape by one ``_tangent_distances`` call, and their smallest ones."""
-    targets = evaluation._specificity_targets(ref, model, training)
+    targets = evaluation._specificity_targets(model, training)
     draws = statistics._sample_coefficients(model, n_samples, seed, modes)
     vectors = draws @ model._mode_matrix[:modes]
     weights = representation._coordinate_weights(ref, model.params)
