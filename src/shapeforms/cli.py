@@ -14,7 +14,6 @@ function it calls agree unless a flag says otherwise.
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -22,7 +21,7 @@ import sys
 import numpy as np
 
 from . import synthetic
-from .errors import ShapeFormsError
+from .errors import MeshFormatError, ShapeFormsError
 from .evaluation import DEFAULT_CV_DRAWS, accuracy_curve, metrics_report, train_svm
 from .flattening import flatten
 from .mesh import load_mesh, save_mesh
@@ -203,9 +202,6 @@ def main(argv=None):
     except ShapeFormsError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, KeyError) as exc:
-        print(f"error:format: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error:usage: {exc}", file=sys.stderr)
         return 1
@@ -351,47 +347,42 @@ def _cmd_features(args):
     print(f"wrote {len(rows)} feature rows to {args.out}")
 
 
-def _read_feature_csv(path):
-    names, rows = [], []
+def _read_csv(path, last=None):
+    """The rows below the header of the CSV file ``path``, as pairs of a
+    line number and the row's fields, skipping blank lines. The header must
+    begin with ``shape`` and, for a ``last`` name, end with it. A row with
+    another number of fields than the header raises
+    :class:`MeshFormatError` naming its line."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
-        if not header or header[0] != "shape":
-            raise ValueError(f"{path}: expected a 'shape,...' header")
-        for record in reader:
-            names.append(record[0])
-            rows.append([float(x) for x in record[1:]])
-    return names, np.array(rows, dtype=float)
-
-
-def _read_label_csv(path):
-    """The shape names and labels of a CSV with a ``shape,label`` header."""
-    names, labels = [], []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if len(header) < 2 or header[0] != "shape" or header[-1] != "label":
-            raise ValueError(f"{path}: expected a 'shape,label' header")
-        for record in reader:
-            names.append(record[0])
-            labels.append(int(record[-1]))
-    return names, labels
+        header = next(reader, [])
+        if header[:1] != ["shape"] or last and (len(header) < 2 or header[-1] != last):
+            raise ValueError(f"{path}: expected a 'shape,{last or '...'}' header")
+        rows = []
+        for record in filter(None, reader):
+            if len(record) != len(header):
+                raise MeshFormatError(f"{len(record)} fields under a header of "
+                                      f"{len(header)}", path=path, line=reader.line_num)
+            rows.append((reader.line_num, record))
+    return rows
 
 
 def _cmd_classify(args):
-    names, features = _read_feature_csv(args.features)
-    label_names, labels = _read_label_csv(args.labels)
-    labels = np.array(labels, dtype=int)
+    rows = _read_csv(args.features)
+    label_rows = _read_csv(args.labels, "label")
+    features = np.array([[float(x) for x in row[1:]] for _, row in rows], dtype=float)
+    labels = np.array([int(row[-1]) for _, row in label_rows], dtype=int)
     if labels.shape[0] != features.shape[0]:
         raise ValueError(
             f"{features.shape[0]} feature rows but {labels.shape[0]} labels"
         )
     # Rows pair by position; each label row names its feature row's shape,
     # by the name or by its final path component.
-    for line, (name, label_name) in enumerate(zip(names, label_names), start=2):
+    for (line, row), (label_line, label_row) in zip(rows, label_rows):
+        name, label_name = row[0], label_row[0]
         if label_name not in (name, os.path.basename(name)):
             raise ValueError(
-                f"{args.labels}:{line}: label row names shape {label_name!r}, "
+                f"{args.labels}:{label_line}: label row names shape {label_name!r}, "
                 f"but line {line} of {args.features} is shape {name!r}")
     rows = accuracy_curve(features, labels, args.shares, draws=args.draws,
                           reg=args.reg, seed=args.seed)

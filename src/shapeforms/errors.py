@@ -12,10 +12,10 @@ class ShapeFormsError(Exception):
 
 
 class MeshFormatError(ShapeFormsError):
-    """A mesh, shape or model file could not be parsed, or holds invalid
-    values: a non-finite value, a rotation that is not one, or a stretch
-    that is not positive-definite. Carries the file's ``path`` and, for
-    meshes, a line number when known."""
+    """A mesh, shape, model or CSV file could not be parsed, or holds
+    invalid values: a non-finite value, a rotation that is not one, or a
+    stretch that is not positive-definite. Carries the file's ``path`` and,
+    for meshes and CSV files, a line number when known."""
 
     category = "format"
 

@@ -27,8 +27,9 @@ from .representation import (
     _check_binding,
     _coordinate_weights,
     _exp_distances,
+    _float_rows,
     _read_json,
-    _tangent_distances,
+    _value,
     _write_json,
     rep_exp,
 )
@@ -94,57 +95,67 @@ def _check_metric(metric):
         raise ValueError(f"unknown metric {metric!r}")
 
 
-def _vertex_targets(ref, reps, metric):
-    """``None`` for ``metric="intrinsic"``; for ``"vertex"``, the system of
-    ``ref`` and the vertices ``(n, V, 3)`` of ``reps``, each reconstructed once."""
+def _search(ref, reps, metric, weights):
+    """The nearest-target search of ``metric`` for a measure of ``reps``,
+    picked once: ``search(mean, a, matrix, targets, rows, label)`` yields,
+    block by block of rows of ``a``, the distances ``(b,)`` of the shapes
+    ``exp_mean(a @ matrix)`` to their nearest target. ``"intrinsic"`` is
+    :func:`_nearest_distances` of the :func:`_nearest_targets` ``targets``;
+    ``"vertex"`` reconstructs each of ``reps`` once, here, and is
+    :func:`_vertex_distances` against those of ``reps[rows]``."""
     if metric == "intrinsic":
-        return None
+        return lambda mean, a, matrix, targets, rows, label: _nearest_distances(
+            a, matrix, targets, weights)
     system = prefactor(ref)
-    return system, np.stack([_converged_mesh(reconstruct(ref, t, system=system),
-                                             f"training shape {k}").vertices
-                             for k, t in enumerate(reps)])
+    vertices = np.stack([_converged_mesh(reconstruct(ref, t, system=system),
+                                         f"training shape {k}").vertices
+                         for k, t in enumerate(reps)])
+    return lambda mean, a, matrix, targets, rows, label: _vertex_distances(
+        ref, system, mean, a, matrix, vertices[rows], label)
 
 
-def _distances(ref, mean, a, matrix, targets, weights, meshes, label):
-    """Yield row slices of ``a`` with the distances ``(b, [n])`` of the shapes
-    ``exp_mu(a @ matrix)`` to their target.
-
-    With ``meshes`` ``None``, the target is one shape: ``targets`` are the
-    unit quaternions ``(4, E)`` of its relative rotations and its stretch
-    log triples ``(3m,)`` at ``mu``, ``mean`` may be ``None``, and the
-    distances ``(b,)`` are :func:`_tangent_distances` in blocks whose
-    per-row arrays, such as the ``4E`` quaternion entries of a sample, stay
-    under ``_BLOCK_BYTES``. Else ``targets`` are not read, ``mean`` is ``mu`` as
-    a :class:`ShapeRep`, each row is reconstructed on the system of
-    :func:`_vertex_targets` (``ConvergenceError`` names ``label(k)``) and
-    measured by :func:`_aligned_rms` against the ``[n]`` target vertices.
-    """
-    if meshes is None:
-        relative, stretch_logs = targets
-        item_bytes = 8 * max(4 * relative.shape[-1], matrix.shape[1])
-        for block in _blocks(len(a), item_bytes):
-            yield block, _tangent_distances(a[block] @ matrix, relative,
-                                            stretch_logs, weights)
-        return
-    system, vertices = meshes
+def _vertex_distances(ref, system, mean, a, matrix, vertices, label):
+    """Yield, row by row of ``a``, the distance ``(1,)`` of the shape
+    ``exp_mean(row @ matrix)`` to its nearest target: the smallest
+    :func:`_aligned_rms` of its mesh, reconstructed on ``system``
+    (``ConvergenceError`` names ``label(k)`` for row ``k``), against the
+    target vertices ``(n, V, 3)``."""
     for k, row in enumerate(a):
         v = TangentRep._from_coordinates(row @ matrix, mean.n_edges,
                                          mean.content_hash())
         mesh = _converged_mesh(reconstruct(ref, rep_exp(mean, v), system=system),
                                label(k))
-        yield slice(k, k + 1), _aligned_rms(vertices, mesh.vertices)[None]
+        yield np.min(_aligned_rms(vertices, mesh.vertices), keepdims=True)
+
+
+def _nearest_targets(mean, shapes):
+    """The ``shapes`` as :func:`_nearest_distances` targets at the shape
+    ``mean``: the unit quaternions ``(4, n, E)`` of their relative
+    rotations, each product of a shape's held quaternions written straight
+    into the array, their stretch log triples ``(n, 3m)``, and the angles
+    ``(n, E)`` of those relative rotations. The shapes must be bound to the
+    mean's reference."""
+    relative = np.empty((4, len(shapes), mean.n_edges))
+    for k, rep in enumerate(shapes):
+        relative[:, k] = _quaternion_product(rep.quaternions, mean.quaternions,
+                                             conjugate=True)
+    stretch_logs = _stretch_logs(shapes, mean.log_stretches)
+    return relative, stretch_logs.reshape(len(shapes), -1), _rotation_angle(relative)
 
 
 def _nearest_distances(a, matrix, targets, weights):
     """Yield, block by block of rows of ``a``, the distances ``(b,)`` of the
-    shapes ``exp_mu(a @ matrix)`` to their nearest target: the smallest of
-    their :func:`_tangent_distances` to the :func:`_specificity_targets`,
-    found by an exact search that measures only the targets that can be
-    the nearest, as triangle-inequality pruning does for k-means (Elkan,
-    "Using the triangle inequality to accelerate k-means", 2003). Each
-    sample's rotations are exponentiated once, for all of its targets.
+    shapes ``exp_mu(a @ matrix)`` to their nearest target among the
+    :func:`_nearest_targets` at ``mu``, in the metric of the
+    :func:`_coordinate_weights` ``weights``. Specificity searches the
+    training shapes; generalization is the one-target case, the held-out
+    shape. Each sample's rotations are exponentiated once, for all of its
+    targets, and its distance to a target is :func:`_exp_distances`.
 
-    A sample's tangent vector ``xi`` has the edge angles ``phi = |xi_e|``,
+    The search is exact, and measures only the targets that can be the
+    nearest, as triangle-inequality pruning does for k-means (Elkan,
+    "Using the triangle inequality to accelerate k-means", 2003). A
+    sample's tangent vector ``xi`` has the edge angles ``phi = |xi_e|``,
     and a target's relative rotations at ``mu`` the angles ``theta_t``. By
     the triangle inequality of the bi-invariant angle metric, the angle
     between the sample's and the target's rotation of an edge lies between
@@ -156,7 +167,9 @@ def _nearest_distances(a, matrix, targets, weights):
     exactly, then every target whose bound is within a rounding margin,
     derived in the code, of that distance. Every other target's computed
     distance is at least the smallest one, so the minimum is over the same
-    exact distances as a search of all targets.
+    exact distances as a search of all targets. With one target there is
+    nothing to prune: no bound is formed, and a block of samples is
+    measured in one :func:`_exp_distances` call.
 
     A sample whose upper bound ``phi + theta_t`` on some edge reaches
     ``pi - 2 _PI_MARGIN`` for some target may be at the cut locus, or have
@@ -196,10 +209,15 @@ def _nearest_distances(a, matrix, targets, weights):
         vectors = a[block] @ matrix
         rot = vectors[:, :split].reshape(len(vectors), n_edges, 3)
         quaternions = _exp_quaternions(rot)
+        stretch = vectors[:, split:]
+        if len(theta) == 1:
+            # Nothing to prune: the block is measured against its one target.
+            yield _exp_distances(quaternions, stretch, relative[:, 0], stretch_logs[0],
+                                 weights)
+            continue
         x, y, z = np.moveaxis(rot, -1, 0)
         phi = np.sqrt(x * x + y * y + z * z)
         w_phi = phi * rot_w
-        stretch = vectors[:, split:]
         w_stretch = stretch * stretch_w
         scale = (np.einsum("be,be->b", w_phi, phi)
                  + np.einsum("bc,bc->b", w_stretch, stretch))[:, None] + target_sq
@@ -239,13 +257,15 @@ def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrin
     physically based surface distances), raising ``ConvergenceError`` for
     a reconstruction that does not converge.
 
-    The intrinsic nearest shape is found by an exact search: lower bounds
-    from the triangle inequality of the angle metric leave the rotation
-    angle kernel only the training shapes that a sample can be nearest to,
-    and the minimum is over the same exact distances as a search of all of
-    them (a sum over a different count of rows may round them differently,
-    by an ulp). A ``CutLocusError`` is raised as by that search, for the
-    first sample at the cut locus of any training shape, nearest or not.
+    The intrinsic nearest shape is found by the exact search of
+    :func:`_nearest_distances`, of which :func:`generalization_curve` is
+    the one-target case: lower bounds from the triangle inequality of the
+    angle metric leave the rotation angle kernel only the training shapes
+    that a sample can be nearest to, and the minimum is over the same exact
+    distances as a search of all of them (a sum over a different count of
+    rows may round them differently, by an ulp). A ``CutLocusError`` is
+    raised as by that search, for the first sample at the cut locus of any
+    training shape, nearest or not.
     """
     if not training:
         raise ValueError("training set is empty")
@@ -253,44 +273,19 @@ def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrin
     _check_metric(metric)
     n_modes = model.n_modes if modes is None else _mode_count(model, modes)
     _check_binding(ref, model.mean, *training)
-    meshes = _vertex_targets(ref, training, metric)
-    targets = _specificity_targets(model, training) if meshes is None else None
-    return _specificity(ref, model, targets, n_samples, n_modes, seed, meshes)
+    search = _search(ref, training, metric, _coordinate_weights(ref, model.params))
+    targets = _nearest_targets(model.mean, training) if metric == "intrinsic" else None
+    return _specificity(model, search, targets, n_samples, n_modes, seed)
 
 
-def _specificity_targets(model, training):
-    """The training shapes as :func:`_nearest_distances` targets at the
-    model mean: the unit quaternions ``(4, n, E)`` of their relative
-    rotations, each product of a shape's held quaternions written straight
-    into the array, their stretch log triples ``(n, 3m)``, and the angles
-    ``(n, E)`` of those relative rotations. The shapes must be bound to
-    the mean's reference."""
-    mu = model.mean
-    relative = np.empty((4, len(training), mu.n_edges))
-    for k, rep in enumerate(training):
-        relative[:, k] = _quaternion_product(rep.quaternions, mu.quaternions,
-                                             conjugate=True)
-    stretch_logs = _stretch_logs(training, mu.log_stretches)
-    return (relative, stretch_logs.reshape(len(training), -1),
-            _rotation_angle(relative))
-
-
-def _specificity(ref, model, targets, n_samples, n_modes, seed, meshes):
-    """:func:`specificity` on the :func:`_specificity_targets` or the
-    :func:`_vertex_targets` of the training shapes, whichever the metric
-    reads: the intrinsic nearest distances by :func:`_nearest_distances`,
-    the vertex ones as the smallest of all :func:`_distances`."""
+def _specificity(model, search, targets, n_samples, n_modes, seed):
+    """:func:`specificity` by the :func:`_search` ``search`` of the training
+    shapes, with their :func:`_nearest_targets` at the model mean for the
+    intrinsic one."""
     draws = _sample_coefficients(model, n_samples, seed, n_modes)
-    matrix = model._mode_matrix[:n_modes]
-    weights = _coordinate_weights(ref, model.params)
-    if meshes is None:
-        nearest = _nearest_distances(draws, matrix, targets, weights)
-    else:
-        nearest = (np.min(d, axis=1) for _, d in _distances(
-            ref, model.mean, draws, matrix, None, weights, meshes,
-            lambda k: f"specificity sample {k}"))
     total = 0.0
-    for d in nearest:
+    for d in search(model.mean, draws, model._mode_matrix[:n_modes], targets,
+                    slice(None), lambda k: f"specificity sample {k}"):
         total += float(np.sum(d))
     return total / n_samples
 
@@ -301,10 +296,10 @@ def generalization_curve(ref, reps, max_modes=None, params=DistanceParams(),
 
     Each fold fits mean and modes on the remaining shapes, projects the
     held-out shape, and measures the distance of the projection to it.
-    Returns an array indexed by mode count ``1 .. max_modes``. One fold
-    loop serves both metrics, which choose only the distance as in
-    :func:`specificity`; ``"vertex"`` reconstructs each shape and each
-    distinct projection once.
+    Returns an array indexed by mode count ``1 .. max_modes``. The distance
+    is that of :func:`specificity` with the held-out shape as the one
+    target: the same search serves both measures, for either metric;
+    ``"vertex"`` reconstructs each shape and each distinct projection once.
     """
     if len(reps) < 3:
         raise ValueError("need at least three shapes for leave-one-out")
@@ -313,12 +308,14 @@ def generalization_curve(ref, reps, max_modes=None, params=DistanceParams(),
         max_modes = len(reps) - 2
     _check_count("max_modes", max_modes, 1)
     _check_metric(metric)
-    return _generalization(ref, reps, max_modes, params,
-                           _vertex_targets(ref, reps, metric))
+    weights = _coordinate_weights(ref, params)
+    return _generalization(ref, reps, max_modes, weights,
+                           _search(ref, reps, metric, weights))
 
 
-def _generalization(ref, reps, max_modes, params, meshes):
-    """:func:`generalization_curve`, with the :func:`_vertex_targets` of ``reps``.
+def _generalization(ref, reps, max_modes, weights, search):
+    """:func:`generalization_curve` by the :func:`_search` ``search`` of
+    ``reps``, in the metric of the :func:`_coordinate_weights` ``weights``.
 
     A fold's rotation mean is sought from the full cohort's, and its stretch
     log mean is the exact downdate ``(n mean - L_i) / (n - 1)``. Only the
@@ -330,8 +327,8 @@ def _generalization(ref, reps, max_modes, params, meshes):
     columns are its shapes in their own order and the last is the held-out
     one. The first pass of a fold's mean would be taken at the full mean, so
     it reads the full mean's last-pass logs of its shapes instead. The
-    held-out shape's relative quaternion at the fold mean is formed once; its
-    log is projected and it is the target of the distances.
+    held-out shape is the one :func:`_nearest_targets` target at the fold
+    mean, formed once; its log is projected and it is searched.
     """
     _check_binding(ref, *reps)
     n = len(reps)
@@ -339,7 +336,6 @@ def _generalization(ref, reps, max_modes, params, meshes):
     quats = _quaternion_stack(reps[1:] + reps[:1])
     full_mean, _, logs = _mean_logs(quats, reps[0].quaternions, log_mean, log_mean,
                                     DEFAULT_MEAN_TOL, DEFAULT_MEAN_MAX_ITER)
-    weights = _coordinate_weights(ref, params)
     errors = np.zeros((n, max_modes))
     for i, held_out in enumerate(reps):
         if i:
@@ -353,27 +349,19 @@ def _generalization(ref, reps, max_modes, params, meshes):
         matrix = _principal_modes(weights, rot_logs,
                                   _stretch_logs(rest, fold_log_mean))[1]
         del rot_logs  # the distances below run without the fold's logs
-        relative = _quaternion_product(quats[:, -1], mu, conjugate=True)
-        stretch_logs = held_out.log_stretches - fold_log_mean
-        a = _project(_quaternion_log(relative, "edge")[None], stretch_logs[None],
-                     matrix, weights)[0]
+        fold_mean = ShapeRep._from_parts(mu, fold_log_mean, held_out.reference_hash)
+        targets = _nearest_targets(fold_mean, [held_out])
+        a = _project(_quaternion_log(targets[0], "edge"), targets[1], matrix,
+                     weights)[0]
         used = np.minimum(np.arange(1, max_modes + 1), a.size)
         distinct = np.unique(used)
         prefixes = a * (np.arange(a.size) < distinct[:, None])
-        fold_meshes = fold_mean = None
-        if meshes is not None:
-            fold_meshes = meshes[0], meshes[1][i]
-            fold_mean = ShapeRep._from_parts(mu, fold_log_mean,
-                                             held_out.reference_hash)
-        d = np.empty(distinct.size)
-        for block, dist in _distances(
-                ref, fold_mean, prefixes, matrix,
-                (relative, stretch_logs.reshape(-1)), weights, fold_meshes,
-                lambda k: f"shape {i} projected on {distinct[k]} modes"):
-            d[block] = dist
+        d = np.concatenate(list(search(
+            fold_mean, prefixes, matrix, targets, slice(i, i + 1),
+            lambda k: f"shape {i} projected on {distinct[k]} modes")))
         errors[i] = d[np.searchsorted(distinct, used)]
         # The next fold's mean iteration runs without this fold's arrays.
-        del mu, matrix, relative, a, prefixes, fold_mean
+        del mu, matrix, targets, a, prefixes, fold_mean
     return errors.mean(axis=0)
 
 
@@ -421,12 +409,13 @@ def metrics_report(ref, reps, params=DistanceParams(), n_samples=1000,
         raise ValueError("the shapes do not vary: the model has no modes")
     cap = model.n_modes if max_modes is None else min(max_modes, model.n_modes)
     mode_counts = np.arange(1, cap + 1)
-    meshes = _vertex_targets(ref, reps, metric)
-    targets = _specificity_targets(model, reps) if meshes is None else None
-    spec = np.array([_specificity(ref, model, targets, n_samples, int(k), seed, meshes)
+    weights = _coordinate_weights(ref, model.params)
+    search = _search(ref, reps, metric, weights)
+    targets = _nearest_targets(model.mean, reps) if metric == "intrinsic" else None
+    spec = np.array([_specificity(model, search, targets, n_samples, int(k), seed)
                      for k in mode_counts])
     del targets  # the folds below run without them
-    gen = _generalization(ref, reps, cap, model.params, meshes)
+    gen = _generalization(ref, reps, cap, weights, search)
     comp = np.array([compactness(model, int(k)) for k in mode_counts])
     return MetricsReport(modes=mode_counts, specificity=spec, generalization=gen,
                          compactness=comp)
@@ -486,13 +475,15 @@ class ClassifierModel:
 
     @classmethod
     def load(cls, path):
+        """Read a file written by :meth:`save`; a missing key or a value of
+        another type raises :class:`MeshFormatError`."""
         payload = _read_json(path)
         return cls(
-            weights_std=np.array(payload["weights_std"], dtype=float),
-            bias_std=float(payload["bias_std"]),
-            feature_mean=np.array(payload["feature_mean"], dtype=float),
-            feature_std=np.array(payload["feature_std"], dtype=float),
-            regularization=float(payload["regularization"]),
+            weights_std=_float_rows(payload, "weights_std", None, path),
+            bias_std=float(_value(payload, "bias_std", path, kind=float)),
+            feature_mean=_float_rows(payload, "feature_mean", None, path),
+            feature_std=_float_rows(payload, "feature_std", None, path),
+            regularization=float(_value(payload, "regularization", path, kind=float)),
         )
 
 

@@ -140,7 +140,13 @@ class TriangleMesh:
             raise DegenerateGeometryError(f"triangle {bad} repeats a vertex")
 
     def _check_geometry(self):
-        """No triangle area falls to the degenerate threshold."""
+        """Every vertex is finite, and no triangle area falls to the
+        degenerate threshold."""
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise DegenerateGeometryError(
+                f"vertex {bad} is not finite: {self.vertices[bad].tolist()}")
         areas = self.triangle_areas()
         threshold = DEGENERATE_AREA_FACTOR * self.bbox_diagonal**2
         if np.any(areas <= threshold):

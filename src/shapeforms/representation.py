@@ -49,6 +49,7 @@ import numpy as np
 from .errors import MeshFormatError, ReferenceMismatchError
 from .liegroups import (
     _check_each,
+    _det_entries,
     _entries,
     _exp_quaternions,
     _matrices,
@@ -178,8 +179,8 @@ class ShapeRep:
         files carry, are ignored. Invalid values raise
         :class:`MeshFormatError`, see :func:`_shape_from_payload`."""
         payload = _read_json(path)
-        return _shape_from_payload(payload, _value(payload, "reference_hash", path),
-                                   path)
+        return _shape_from_payload(
+            payload, _value(payload, "reference_hash", path, kind=str), path)
 
 
 def _shape_payload(rep):
@@ -260,14 +261,26 @@ def _log_triples(payload, path):
     return logs
 
 
-def _value(payload, key, path, owner=""):
+#: The JSON types that :func:`_value` accepts for an expected type, and
+#: what its message calls them.
+_JSON_KINDS = {str: ((str,), "a string"), list: ((list,), "a list"),
+               float: ((int, float), "a number")}
+
+
+def _value(payload, key, path, owner="", kind=None):
     """``payload[key]``, or :class:`MeshFormatError` for the file ``path``
-    if ``payload`` is no JSON object with ``key``; ``owner``, such as
-    ``"mode 2"``, names the object in the message."""
+    if ``payload`` is no JSON object with ``key`` or, for ``kind`` ``str``,
+    ``list`` or ``float``, the value is no JSON string, array or number;
+    ``owner``, such as ``"mode 2"``, names the object in the message."""
     if not isinstance(payload, dict) or key not in payload:
         raise MeshFormatError(f"missing key {key!r}{owner and ' in ' + owner}",
                               path=path)
-    return payload[key]
+    value = payload[key]
+    if kind is not None and type(value) not in _JSON_KINDS[kind][0]:
+        raise MeshFormatError(f"{key!r}{owner and ' of ' + owner} is not "
+                              f"{_JSON_KINDS[kind][1]}: got {type(value).__name__}",
+                              path=path)
+    return value
 
 
 def _float_rows(payload, key, width, path, owner=""):
@@ -301,15 +314,14 @@ def _float_rows(payload, key, width, path, owner=""):
 def _check_rotations(e, path):
     """:func:`_refuse` the matrices with row-major entries ``e`` ``(9, E)``
     that are no rotations, elementwise: an entry of ``R^T R`` is the dot
-    product of two columns, and ``det R`` a cofactor expansion. NaN fails
+    product of two columns, and ``det R`` is :func:`_det_entries`. NaN fails
     every comparison, so a non-finite matrix is refused with the rest."""
     worst = np.zeros(e.shape[1])
     with np.errstate(invalid="ignore", over="ignore"):
         for p, q in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
             gram = e[p] * e[q] + e[3 + p] * e[3 + q] + e[6 + p] * e[6 + q]
             np.maximum(worst, np.abs(gram - 1.0 if p == q else gram), out=worst)
-        a, b, c, d, f, g, h, i, j = e
-        det = a * (f * j - g * i) + b * (g * h - d * j) + c * (d * i - f * h)
+        det = _det_entries(e)
     _refuse((worst <= _ROTATION_TOL) & (det > 0.0), path, lambda k: (
         f"rotation of edge {k} is not a finite rotation: max |R^T R - I| = "
         f"{worst[k]:.3g} (at most {_ROTATION_TOL:g}), det R = {det[k]:.17g}"))
@@ -353,9 +365,13 @@ def _tangent_from_payload(payload, base_hash, path, name):
 
 
 def _read_json(path):
-    """The payload of a JSON file written by :func:`_write_json`."""
+    """The payload of a JSON file written by :func:`_write_json`; a file
+    that does not decode raises :class:`MeshFormatError` naming it."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise MeshFormatError(str(exc), path=path) from exc
 
 
 def _write_json(path, payload):
@@ -626,28 +642,14 @@ def _coordinate_weights(ref, params):
     return np.concatenate((rot, spd.reshape(-1)))
 
 
-def _tangent_distances(vectors, relative, stretch_logs, weights):
-    """Distances of the shapes ``exp_mu(v)`` to target shapes ``t``, all
-    given in tangent coordinates at one base ``mu``.
-
-    ``vectors`` are the :class:`TangentRep` coordinates ``(..., 3E + 3m)``
-    of the ``v``, and ``weights`` their :func:`_coordinate_weights`. A target
-    enters through the unit quaternions ``relative`` ``(4, ..., E)`` of
-    ``t mu^T`` and its stretch log triples ``(..., 3m)`` at ``mu``; the
-    leading shapes broadcast. This is :func:`_exp_distances` of the quaternions of
-    the rotations ``exp(v_e)``.
-    """
-    n_edges = relative.shape[-1]
-    split = 3 * n_edges
-    rot = vectors[..., :split].reshape(vectors.shape[:-1] + (n_edges, 3))
-    return _exp_distances(_exp_quaternions(rot), vectors[..., split:], relative,
-                          stretch_logs, weights)
-
-
 def _exp_distances(quaternions, stretches, relative, stretch_logs, weights):
-    """:func:`_tangent_distances` of the shapes ``exp_mu(v)`` whose rotations
-    ``exp(v_e)`` have the unit quaternions ``(4, ..., E)`` and whose stretch
-    coordinates are ``stretches`` ``(..., 3m)``.
+    """Distances of the shapes ``exp_mu(v)`` to target shapes ``t``, all at
+    one base ``mu``, in the metric of the :func:`_coordinate_weights`
+    ``weights``. The rotations ``exp(v_e)`` enter by their unit quaternions
+    ``(4, ..., E)`` and the ``v`` by their stretch coordinates ``stretches``
+    ``(..., 3m)``; a target by the unit quaternions ``relative`` ``(4, ...,
+    E)`` of ``t mu^T`` and its stretch log triples ``(..., 3m)`` at ``mu``.
+    The leading shapes broadcast.
 
     The angle between ``exp(v_e) mu_e`` and ``t_e`` is that of the conjugate
     ``exp(v_e)^T t_e mu_e^T``, measured on the quaternions of ``exp(v_e)``,

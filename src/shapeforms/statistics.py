@@ -308,16 +308,16 @@ class PGAModel:
         off unit norm or a mode of another size than the mean's, raise
         :class:`MeshFormatError`."""
         payload = _read_json(path)
-        reference_hash = _value(payload, "reference_hash", path)
+        reference_hash = _value(payload, "reference_hash", path, kind=str)
         mean = _shape_from_payload(_value(payload, "mean", path), reference_hash, path)
         base_hash = mean.content_hash()
         variances = _float_rows(payload, "variances", None, path)
         _check_finite(variances.reshape(-1, 1), path, "variance")
         modes = [_tangent_from_payload(entry, base_hash, path, f"mode {k}")
-                 for k, entry in enumerate(_value(payload, "modes", path))]
+                 for k, entry in enumerate(_value(payload, "modes", path, kind=list))]
         try:
             return cls(mean=mean, modes=modes, variances=variances,
-                       params=DistanceParams(_value(payload, "omega", path)),
+                       params=DistanceParams(_value(payload, "omega", path, kind=float)),
                        reference_hash=reference_hash)
         except (ReferenceMismatchError, ValueError) as exc:
             raise MeshFormatError(str(exc), path=path) from exc

@@ -10,6 +10,7 @@ from shapeforms.flattening import _unfold_rotations
 from shapeforms.liegroups import (
     _check_cut_locus,
     _entries,
+    _exp_quaternions,
     _quaternion_angle,
     _quaternions,
     spd2_exp,
@@ -20,6 +21,7 @@ from shapeforms.representation import (
     DistanceParams,
     TangentRep,
     _coordinate_weights,
+    _exp_distances,
     _tangent_size,
 )
 
@@ -140,6 +142,28 @@ def generalization(ref, reps, modes, params=DistanceParams(), metric="intrinsic"
     """Leave-one-out error for one mode count."""
     return float(generalization_curve(ref, reps, max_modes=modes, params=params,
                                       metric=metric)[modes - 1])
+
+
+def tangent_distances(vectors, relative, stretch_logs, weights):
+    """Distances of the shapes ``exp_mu(v)`` to target shapes ``t``, from
+    the :class:`TangentRep` coordinates ``(..., 3E + 3m)`` of the ``v``:
+    ``_exp_distances`` of the quaternions of the rotations ``exp(v_e)``,
+    with its targets and weights. The leading shapes broadcast, so a
+    samples x targets block measures every pair: the exhaustive reference
+    of the nearest-target search."""
+    n_edges = relative.shape[-1]
+    split = 3 * n_edges
+    rot = vectors[..., :split].reshape(vectors.shape[:-1] + (n_edges, 3))
+    return _exp_distances(_exp_quaternions(rot), vectors[..., split:], relative,
+                          stretch_logs, weights)
+
+
+def exhaustive_nearest_distances(a, matrix, targets, weights):
+    """What ``evaluation._nearest_distances`` yields, in one block, by
+    measuring every target: the smallest :func:`tangent_distances` of each
+    shape ``exp_mu(a @ matrix)``."""
+    vectors = a @ matrix
+    yield tangent_distances(vectors[:, None], *targets[:2], weights).min(axis=1)
 
 
 def pdm_synthesize(model, coeffs):

@@ -217,6 +217,23 @@ class TestRoundtrip:
         assert code == 1
         assert "error:format" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text[:19], "Expecting value: line 1 column 20 (char 19)"),
+        (lambda text: text.replace('"omega": 10.0', '"omega": "ten"'),
+         "'omega' is not a number: got str"),
+        (lambda text: text.replace('"reference_hash": "', '"reference_hash": 5, "x": "'),
+         "'reference_hash' is not a string: got int"),
+    ], ids=["truncated", "text_omega", "numeric_reference_hash"])
+    def test_invalid_model_file_fails_with_its_name(self, workspace, model_file,
+                                                    tmp_path, capsys, edit, message):
+        model = tmp_path / "model.json"
+        model.write_text(edit(model_file.read_text()))
+        capsys.readouterr()
+        assert main(["synthesize", "--reference", str(workspace / "ref.obj"),
+                     "--model", str(model), "--coeffs", "0.1",
+                     "--out", str(tmp_path / "never.obj")]) == 1
+        assert capsys.readouterr().err == f"error:format: {model}: {message}\n"
+
     def test_encode_missing_file_fails(self, workspace, capsys):
         code = main([
             "encode", "--reference", str(workspace / "ref.obj"),
@@ -332,12 +349,14 @@ class TestModelPipeline:
         model = PGAModel.load(model_path)
         expected = [coefficients(ref, model, encode(ref, load_mesh(path))[0])
                     for path in inputs]
-        names, rows = cli._read_feature_csv(features)
-        assert names == inputs
-        assert np.array_equal(rows, expected)
-        names, rows = cli._read_feature_csv(coeffs)
-        assert names == inputs
-        assert np.allclose(rows, expected, rtol=1e-12, atol=0.0)
+        for path in (features, coeffs):
+            rows = cli._read_csv(path)
+            assert [row[0] for _, row in rows] == inputs
+            values = np.array([[float(x) for x in row[1:]] for _, row in rows])
+            if path == features:
+                assert np.array_equal(values, expected)
+            else:
+                assert np.allclose(values, expected, rtol=1e-12, atol=0.0)
 
     def test_ill_conditioned_shape_named(self, workspace, tmp_path, capsys):
         save_mesh(needle_mesh(icosphere(1), 7), tmp_path / "needle.obj")
@@ -632,6 +651,39 @@ class TestExtendedFlags:
         assert self._classify(features, labels, tmp_path / "never.csv") == 1
         assert capsys.readouterr().err == (
             f"error:usage: {labels}: expected a 'shape,label' header\n")
+
+    def test_blank_lines_skipped(self, tmp_path):
+        features, labels = self._classify_inputs(tmp_path)
+        assert self._classify(features, labels, tmp_path / "plain.csv") == 0
+        for path in (features, labels):
+            rows = path.read_text().splitlines()
+            path.write_text("\n".join(rows[:3] + [""] + rows[3:] + [""]) + "\n")
+        assert self._classify(features, labels, tmp_path / "blank.csv") == 0
+        assert ((tmp_path / "blank.csv").read_bytes()
+                == (tmp_path / "plain.csv").read_bytes())
+
+    @pytest.mark.parametrize("which", ["features", "labels"])
+    def test_short_row_refused_with_its_line(self, tmp_path, capsys, which):
+        features, labels = self._classify_inputs(tmp_path)
+        path = features if which == "features" else labels
+        rows = path.read_text().splitlines()
+        rows[4] = rows[4].rsplit(",", 1)[0]
+        path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "never.csv"
+        assert self._classify(features, labels, out) == 1
+        fields = len(rows[0].split(","))
+        assert capsys.readouterr().err == (
+            f"error:format: {path}:5: {fields - 1} fields under a header of {fields}\n")
+        assert not out.exists()
+
+    def test_label_lines_named_past_a_blank_line(self, tmp_path, capsys):
+        features, labels = self._classify_inputs(tmp_path)
+        rows = labels.read_text().splitlines()
+        labels.write_text("\n".join([rows[0], "", rows[2], rows[1], *rows[3:]]) + "\n")
+        assert self._classify(features, labels, tmp_path / "never.csv") == 1
+        assert capsys.readouterr().err == (
+            f"error:usage: {labels}:3: label row names shape 'shape_1.obj', but line 2 "
+            f"of {features} is shape 'cohort/shape_0.obj'\n")
 
     @pytest.mark.parametrize("value", ["0", "-1", "two"])
     def test_invalid_draws_rejected(self, workspace, capsys, value):

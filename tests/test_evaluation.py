@@ -1,4 +1,6 @@
 import functools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from shapeforms import evaluation, representation, statistics
 from shapeforms.errors import (
     ConvergenceError,
     CutLocusError,
+    MeshFormatError,
     ReferenceMismatchError,
 )
 from shapeforms.evaluation import (
@@ -39,7 +42,13 @@ from shapeforms.representation import (
 from shapeforms.statistics import PGAModel, coefficients, frechet_mean, pga
 from shapeforms.synthetic import icosphere, smooth_deformation
 
-from helpers import INVALID_STOPPING_RULES, generalization, pdm_synthesize
+from helpers import (
+    INVALID_STOPPING_RULES,
+    exhaustive_nearest_distances,
+    generalization,
+    pdm_synthesize,
+    tangent_distances,
+)
 
 EPS = np.finfo(float).eps
 
@@ -134,15 +143,23 @@ class TestSpecificity:
 
     def test_vertex_metric_builds_no_intrinsic_targets(self, ref, cohort, model,
                                                        monkeypatch):
-        def refuse(*args):
-            raise AssertionError("intrinsic targets built")
+        # The training shapes are no targets at the model mean; only each
+        # held-out shape is one at its fold mean, whose log is projected.
+        built = []
+        targets = evaluation._nearest_targets
 
-        monkeypatch.setattr(evaluation, "_specificity_targets", refuse)
+        def recorded(mean, shapes):
+            built.append(len(shapes))
+            return targets(mean, shapes)
+
+        monkeypatch.setattr(evaluation, "_nearest_targets", recorded)
         assert specificity(ref, model, cohort[:3], n_samples=2, metric="vertex",
                            seed=1) > 0.0
+        assert built == []
         report = metrics_report(ref, cohort[:4], n_samples=2, metric="vertex",
                                 max_modes=1)
         assert report.specificity[0] > 0.0
+        assert built == [1] * 4
 
     def test_vertex_metric_checks_binding_before_reconstructing(self, ref, cohort,
                                                                 model, monkeypatch):
@@ -165,7 +182,7 @@ class TestSpecificity:
         def refuse(*args, **kwargs):
             raise AssertionError("checked or computed before the metric")
 
-        for name in ("_check_binding", "pga", "reconstruct", "_specificity_targets"):
+        for name in ("_check_binding", "pga", "reconstruct", "_nearest_targets"):
             monkeypatch.setattr(evaluation, name, refuse)
         with pytest.raises(ValueError, match="^unknown metric 'Vertex'$"):
             call(ref, cohort, model)
@@ -197,12 +214,12 @@ class TestSpecificity:
 
 def exhaustive_nearest(ref, model, training, n_samples, modes, seed):
     """The distances of the samples of ``specificity`` to every training
-    shape by one ``_tangent_distances`` call, and their smallest ones."""
-    targets = evaluation._specificity_targets(model, training)
+    shape by one ``tangent_distances`` call, and their smallest ones."""
+    targets = evaluation._nearest_targets(model.mean, training)
     draws = statistics._sample_coefficients(model, n_samples, seed, modes)
     vectors = draws @ model._mode_matrix[:modes]
     weights = representation._coordinate_weights(ref, model.params)
-    every = representation._tangent_distances(vectors[:, None], *targets[:2], weights)
+    every = tangent_distances(vectors[:, None], *targets[:2], weights)
     return every.min(axis=1), targets, draws, weights
 
 
@@ -272,8 +289,7 @@ class TestNearestSearch:
         vectors = np.concatenate([np.zeros((n_samples, 3)),
                                   1024.0 + sigma * 2.0**-30], axis=1)
         weights = np.ones(vectors.shape[1])
-        every = representation._tangent_distances(vectors[:, None], relative,
-                                                  stretch_logs, weights)
+        every = tangent_distances(vectors[:, None], relative, stretch_logs, weights)
         own = 2 * np.arange(n_samples)
         first, second = every[own // 2, own], every[own // 2, own + 1]
         assert np.all(np.argmin(every, axis=1) == own + 1)
@@ -368,6 +384,74 @@ class TestGeneralization:
         monkeypatch.setattr(statistics, "_rotation_logs", counted)
         generalization_curve(ref, reps)
         assert len(calls) == 3 + 6 * 2
+
+    def test_both_measures_go_through_one_search_per_metric(self, ref, cohort, model,
+                                                           monkeypatch):
+        def refuse(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(evaluation, "_nearest_distances", refuse)
+        with pytest.raises(AssertionError, match="searched"):
+            generalization_curve(ref, cohort, max_modes=1)
+        with pytest.raises(AssertionError, match="searched"):
+            specificity(ref, model, cohort, n_samples=2)
+        monkeypatch.setattr(evaluation, "_vertex_distances", refuse)
+        with pytest.raises(AssertionError, match="searched"):
+            generalization_curve(ref, cohort[:4], max_modes=1, metric="vertex")
+        with pytest.raises(AssertionError, match="searched"):
+            specificity(ref, model, cohort[:3], n_samples=2, metric="vertex")
+
+    def test_intrinsic_curves_match_the_exhaustive_search(self, ref, cohort,
+                                                          monkeypatch):
+        mu = frechet_mean(cohort)
+        direction = rep_log(mu, cohort[1])
+        cohorts = [cohort, cohort[:4], stretch_only_cohort(ref, 6, seed=2),
+                   [rep_exp(mu, a * direction) for a in (-1.0, -0.5, 0.1, 0.6, 1.2)]]
+        curves = [generalization_curve(ref, reps) for reps in cohorts]
+        report = metrics_report(ref, cohort, n_samples=30)
+        monkeypatch.setattr(evaluation, "_nearest_distances",
+                            exhaustive_nearest_distances)
+        for reps, curve in zip(cohorts, curves):
+            expected = generalization_curve(ref, reps)
+            assert np.all(np.abs(curve - expected) <= 4 * EPS * expected)
+        exhaustive = metrics_report(ref, cohort, n_samples=30)
+        assert np.all(np.abs(report.generalization - exhaustive.generalization)
+                      <= 4 * EPS * exhaustive.generalization)
+        assert np.all(np.abs(report.specificity - exhaustive.specificity)
+                      <= 4 * EPS * exhaustive.specificity)
+
+    def test_held_out_shape_turned_by_pi_raises_at_the_cut_locus(self, ref):
+        # Shapes that share their rotations, and one turned by pi at edge 3:
+        # the full mean's first pass meets the half turn.
+        reps = stretch_only_cohort(ref, 5, seed=3)
+        rotations = reps[2].rotations.copy()
+        rotations[3] = so3_exp(np.pi * np.array([0.0, 0.6, 0.8])) @ rotations[3]
+        reps[2] = ShapeRep(rotations, reps[2].stretches, reps[2].reference_hash)
+        with pytest.raises(CutLocusError) as error:
+            generalization_curve(ref, reps)
+        assert str(error.value) == ("edge 3 is at the cut locus: rotation angle "
+                                    "3.1415926535897931 is within 1e-12 of pi")
+
+    def test_one_target_at_the_cut_locus_raises_as_the_exhaustive_search(
+            self, ref, cohort, model):
+        # The held-out shape a half turn from the second of three projections
+        # on edge 5: the one-target search names it as the search of all does.
+        mu = model.mean
+        a = np.array([[0.5, 0.0], [0.8, -0.3], [0.2, 0.4]])
+        matrix = model._mode_matrix[:2]
+        rot = (a @ matrix)[:, :3 * mu.n_edges].reshape(3, mu.n_edges, 3)
+        rotations = mu.rotations.copy()
+        rotations[5] = (so3_exp(rot[1, 5]) @ so3_exp(np.pi * np.array([0.6, 0.0, 0.8]))
+                        @ mu.rotations[5])
+        held_out = ShapeRep(rotations, cohort[0].stretches, mu.reference_hash)
+        targets = evaluation._nearest_targets(mu, [held_out])
+        weights = representation._coordinate_weights(ref, model.params)
+        with pytest.raises(CutLocusError) as exhaustive_error:
+            list(exhaustive_nearest_distances(a, matrix, targets, weights))
+        assert str(exhaustive_error.value).startswith("edge 5 is at the cut locus")
+        with pytest.raises(CutLocusError) as error:
+            list(evaluation._nearest_distances(a, matrix, targets, weights))
+        assert str(error.value) == str(exhaustive_error.value)
 
     def test_identical_shapes_zero(self, ref, cohort):
         reps = [cohort[0]] * 4
@@ -539,6 +623,23 @@ class TestSvm:
         back = ClassifierModel.load(path)
         assert np.allclose(back.eta, clf.eta)
         assert back.bias == pytest.approx(clf.bias)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.pop("bias_std"), r"missing key 'bias_std'$"),
+        (lambda p: p.update(regularization="1"),
+         r"'regularization' is not a number: got str$"),
+        (lambda p: p.update(feature_std=[[1.0, 1.0]]),
+         r"'feature_std' is not a list of numbers"),
+    ], ids=["no_bias", "text_regularization", "nested_scales"])
+    def test_invalid_file_is_refused(self, tmp_path, edit, message):
+        X, y = toy_blobs(seed=4)
+        path = tmp_path / "clf.json"
+        train_svm(X, y).save(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(MeshFormatError, match=rf"^{re.escape(str(path))}: {message}"):
+            ClassifierModel.load(path)
 
 
 def reference_train_svm(X, y, reg=1.0, n_iterations=600):

@@ -59,6 +59,13 @@ class TestTriangleMesh:
         with pytest.raises(DegenerateGeometryError):
             TriangleMesh(vertices, np.array([[0, 1, 2]]))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_vertex_refused(self, value):
+        vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, value, 0.0]])
+        with pytest.raises(DegenerateGeometryError,
+                           match=rf"^vertex 2 is not finite: \[0\.0, {value}, 0\.0\]$"):
+            TriangleMesh(vertices, np.array([[0, 1, 2]]))
+
     def test_inconsistent_winding(self):
         vertices = np.array(
             [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
@@ -145,6 +152,18 @@ class TestMeshIO:
         assert back.n_vertices == 4
         assert back.n_triangles == 4
         assert ref.n_inner_edges == 6
+
+    @pytest.mark.parametrize("name, text", [
+        ("tri.obj", "v 0 0 0\nv 1 0 0\nv 0 inf 0\nf 1 2 3\n"),
+        ("tri.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 inf 0\n3 0 1 2\n"),
+        ("tri.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nv nan 0 0\nf 1 2 3\n"),
+    ], ids=["obj", "off", "obj_unused_nan"])
+    def test_non_finite_vertex_refused(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(DegenerateGeometryError,
+                           match=rf"^{re.escape(str(path))}: vertex \d is not finite"):
+            load_mesh(path)
 
     def test_obj_zero_index_rejected(self, tmp_path):
         path = tmp_path / "bad.obj"
@@ -833,6 +852,14 @@ class TestValidatedTriangles:
         refuse_dual_edges()
         with pytest.raises(DegenerateGeometryError, match="triangle 0 has area 0 "):
             square.transformed(scale=[1.0, 0.0, 1.0])
+
+    def test_non_finite_vertices_refused(self, square, refuse_dual_edges):
+        # A reconstruction with NaN positions fails here, naming the vertex.
+        refuse_dual_edges()
+        vertices = np.array(square.vertices)
+        vertices[3, 1] = np.nan
+        with pytest.raises(DegenerateGeometryError, match="^vertex 3 is not finite: "):
+            square._with_vertices(vertices)
 
     @pytest.mark.parametrize("shape", [(3, 3), (5, 3), (4, 2)])
     def test_other_vertex_count_refused(self, square, shape):

@@ -34,7 +34,6 @@ from shapeforms.representation import (
     ShapeRep,
     TangentRep,
     _encode_stack,
-    _tangent_distances,
     encode,
     geodesic,
     relative_rotation_angles,
@@ -51,6 +50,7 @@ from helpers import (
     needle_mesh,
     rep_inner,
     skew,
+    tangent_distances,
     times_transpose,
     unflatten_tangent,
     zero_tangent,
@@ -409,7 +409,7 @@ class TestDiagnostics:
 
 
 class TestTangentDistances:
-    """``_tangent_distances`` on a stacked samples x targets block against
+    """``tangent_distances`` on a stacked samples x targets block against
     ``rep_distance`` of each formed sample ``exp_mu(v)`` to each target."""
 
     @staticmethod
@@ -422,8 +422,8 @@ class TestTangentDistances:
             _entries(mu.rotations))
         stretch_logs = np.stack([t.log_stretches - mu.log_stretches
                                  for t in targets]).reshape(len(targets), -1)
-        return _tangent_distances(vectors[:, None, :], _quaternions(relative),
-                                  stretch_logs, _coordinate_weights(ref, params))
+        return tangent_distances(vectors[:, None, :], _quaternions(relative),
+                                 stretch_logs, _coordinate_weights(ref, params))
 
     @staticmethod
     def samples(mu, count, seed):

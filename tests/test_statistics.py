@@ -462,10 +462,16 @@ class TestSerializationAndRebias:
          r"'variances' is not a list of numbers"),
         (lambda p: p.pop("modes"), r"missing key 'modes'$"),
         (lambda p: p.pop("omega"), r"missing key 'omega'$"),
+        (lambda p: p.update(omega="ten"), r"'omega' is not a number: got str$"),
+        (lambda p: p.update(omega=True), r"'omega' is not a number: got bool$"),
+        (lambda p: p.update(modes=3), r"'modes' is not a list: got int$"),
+        (lambda p: p.update(reference_hash=5),
+         r"'reference_hash' is not a string: got int$"),
     ], ids=["mode_edge", "mode_triangle", "variance", "stretch_log", "mean_rotation",
             "legacy_mean_rotation", "mode_of_two_sizes", "variance_count",
             "mode_row_of_four", "mode_without_stretch_part", "mean_logs_of_four",
-            "nested_variances", "no_modes", "no_omega"])
+            "nested_variances", "no_modes", "no_omega", "text_omega", "boolean_omega",
+            "number_of_modes", "numeric_reference_hash"])
     def test_invalid_model_file_is_refused(self, model, tmp_path, edit, message):
         path = tmp_path / "model.json"
         model.save(path)
@@ -477,6 +483,14 @@ class TestSerializationAndRebias:
             PGAModel.load(path)
         assert excinfo.value.path == path
         assert excinfo.value.category == "format"
+
+    def test_truncated_model_file_is_refused(self, model, tmp_path):
+        path = tmp_path / "model.json"
+        model.save(path)
+        path.write_text(path.read_text(encoding="utf-8")[:19], encoding="utf-8")
+        with pytest.raises(MeshFormatError, match=rf"^{re.escape(str(path))}: "
+                                                  r"Expecting value: line 1 column 20"):
+            PGAModel.load(path)
 
     def test_modes_are_read_only_views_of_the_mode_matrix(self, model, tmp_path):
         model.save(tmp_path / "model.json")
