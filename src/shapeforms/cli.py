@@ -367,11 +367,24 @@ def _read_csv(path, last=None):
     return rows
 
 
+def _csv_value(text, kind, path, line):
+    """The field ``text`` at ``line`` of the CSV file ``path`` as a ``kind``,
+    ``float`` or ``int``; a field that does not parse raises
+    :class:`MeshFormatError` naming the file and line."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "a number" if kind is float else "an integer"
+        raise MeshFormatError(f"{text!r} is not {noun}", path=path, line=line) from None
+
+
 def _cmd_classify(args):
     rows = _read_csv(args.features)
     label_rows = _read_csv(args.labels, "label")
-    features = np.array([[float(x) for x in row[1:]] for _, row in rows], dtype=float)
-    labels = np.array([int(row[-1]) for _, row in label_rows], dtype=int)
+    features = np.array([[_csv_value(x, float, args.features, line) for x in row[1:]]
+                         for line, row in rows], dtype=float)
+    labels = np.array([_csv_value(row[-1], int, args.labels, line)
+                       for line, row in label_rows], dtype=int)
     if labels.shape[0] != features.shape[0]:
         raise ValueError(
             f"{features.shape[0]} feature rows but {labels.shape[0]} labels"

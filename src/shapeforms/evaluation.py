@@ -132,44 +132,65 @@ def _nearest_targets(mean, shapes):
     """The ``shapes`` as :func:`_nearest_distances` targets at the shape
     ``mean``: the unit quaternions ``(4, n, E)`` of their relative
     rotations, each product of a shape's held quaternions written straight
-    into the array, their stretch log triples ``(n, 3m)``, and the angles
-    ``(n, E)`` of those relative rotations. The shapes must be bound to the
-    mean's reference."""
+    into the array, and their stretch log triples ``(n, 3m)``; for more than
+    one shape also the angles ``(n, E)`` of those relative rotations, which
+    only the pruning bounds read. The shapes must be bound to the mean's
+    reference."""
     relative = np.empty((4, len(shapes), mean.n_edges))
     for k, rep in enumerate(shapes):
         relative[:, k] = _quaternion_product(rep.quaternions, mean.quaternions,
                                              conjugate=True)
-    stretch_logs = _stretch_logs(shapes, mean.log_stretches)
-    return relative, stretch_logs.reshape(len(shapes), -1), _rotation_angle(relative)
+    stretch_logs = _stretch_logs(shapes, mean.log_stretches).reshape(len(shapes), -1)
+    if len(shapes) == 1:
+        return relative, stretch_logs
+    return relative, stretch_logs, _rotation_angle(relative)
+
+
+def _target_bounds(targets, weights):
+    """The :func:`_nearest_targets` ``targets`` with the target-only parts
+    of the pruning bounds appended, in the metric of the
+    :func:`_coordinate_weights` ``weights``: each target's squared norm
+    ``target_sq`` ``(n,)`` and each edge's largest angle ``reach`` ``(E,)``.
+    Targets that carry them, or have one shape and need none, are returned
+    as they are."""
+    if len(targets) != 3:
+        return targets
+    relative, stretch_logs, theta = targets
+    split = 3 * relative.shape[-1]
+    target_sq = ((theta * theta) @ weights[:split:3]
+                 + (stretch_logs * stretch_logs) @ weights[split:])
+    return targets + (target_sq, np.max(theta, axis=0))
 
 
 def _nearest_distances(a, matrix, targets, weights):
     """Yield, block by block of rows of ``a``, the distances ``(b,)`` of the
     shapes ``exp_mu(a @ matrix)`` to their nearest target among the
     :func:`_nearest_targets` at ``mu``, in the metric of the
-    :func:`_coordinate_weights` ``weights``. Specificity searches the
-    training shapes; generalization is the one-target case, the held-out
-    shape. Each sample's rotations are exponentiated once, for all of its
-    targets, and its distance to a target is :func:`_exp_distances`.
+    :func:`_coordinate_weights` ``weights``; the targets may carry their
+    :func:`_target_bounds`. Specificity searches the training shapes;
+    generalization is the one-target case, the held-out shape. Each
+    sample's rotations are exponentiated once, for all of its targets, and
+    its distance to a target is :func:`_exp_distances`.
 
     The search is exact, and measures only the targets that can be the
     nearest, as triangle-inequality pruning does for k-means (Elkan,
     "Using the triangle inequality to accelerate k-means", 2003). A
     sample's tangent vector ``xi`` has the edge angles ``phi = |xi_e|``,
-    and a target's relative rotations at ``mu`` the angles ``theta_t``. By
-    the triangle inequality of the bi-invariant angle metric, the angle
-    between the sample's and the target's rotation of an edge lies between
-    ``|phi - theta_t|`` and ``phi + theta_t``, for ``phi < pi``. So the
-    squared distance to ``t`` is at least ``LB_t^2 = sum w (phi -
-    theta_t)^2 + |stretch difference|^2``, whose stretch part is exact; both
-    parts expand into products over the coordinates, formed for a block of
-    samples at once. A sample's target with the smallest bound is measured
-    exactly, then every target whose bound is within a rounding margin,
-    derived in the code, of that distance. Every other target's computed
-    distance is at least the smallest one, so the minimum is over the same
-    exact distances as a search of all targets. With one target there is
-    nothing to prune: no bound is formed, and a block of samples is
-    measured in one :func:`_exp_distances` call.
+    which the exponential returns, and a target's relative rotations at
+    ``mu`` the angles ``theta_t``. By the triangle inequality of the
+    bi-invariant angle metric, the angle between the sample's and the
+    target's rotation of an edge lies between ``|phi - theta_t|`` and ``phi
+    + theta_t``, for ``phi < pi``. So the squared distance to ``t`` is at
+    least ``LB_t^2 = sum w (phi - theta_t)^2 + |stretch difference|^2``,
+    whose stretch part is exact; both parts expand into products over the
+    coordinates, formed for a block of samples at once. A sample's target
+    with the smallest bound is measured exactly, then every target whose
+    bound is within a rounding margin, derived in the code, of that
+    distance. Every other target's computed distance is at least the
+    smallest one, so the minimum is over the same exact distances as a
+    search of all targets. With one target there is nothing to prune: no
+    angle or bound is formed, and a block of samples is measured in one
+    :func:`_exp_distances` call.
 
     A sample whose upper bound ``phi + theta_t`` on some edge reaches
     ``pi - 2 _PI_MARGIN`` for some target may be at the cut locus, or have
@@ -181,14 +202,23 @@ def _nearest_distances(a, matrix, targets, weights):
     arrays under ``_BLOCK_BYTES``: its ``D`` coordinates and the ``4E``
     quaternion entries of its rotations.
     """
-    relative, stretch_logs, theta = targets
-    n_edges = theta.shape[1]
+    relative, stretch_logs = targets[:2]
+    n_edges = relative.shape[-1]
     split = 3 * n_edges
+    item_bytes = 8 * max(4 * n_edges, matrix.shape[1])
+    if len(stretch_logs) == 1:
+        # Nothing to prune: each block is measured against its one target.
+        for block in _blocks(len(a), item_bytes):
+            vectors = a[block] @ matrix
+            rot = vectors[:, :split].reshape(len(vectors), n_edges, 3)
+            yield _exp_distances(_exp_quaternions(rot), vectors[:, split:],
+                                 relative[:, 0], stretch_logs[0], weights)
+        return
+    theta, target_sq, reach = _target_bounds(targets, weights)[2:]
     rot_w, stretch_w = weights[:split:3], weights[split:]
-    target_sq = (theta * theta) @ rot_w + (stretch_logs * stretch_logs) @ stretch_w
     # phi + theta_t stays below the limit at every edge and target when
-    # phi + the largest theta_t of the edge does; rounding keeps the order.
-    reach = np.max(theta, axis=0)
+    # phi + the largest theta_t of the edge, its reach, does; rounding
+    # keeps the order.
     limit = np.pi - 2.0 * _PI_MARGIN
     # The rounding margin, in EPS = 2u for the unit roundoff u; a sum of D
     # terms rounds by at most D/2 EPS of the sum of their magnitudes.
@@ -204,19 +234,11 @@ def _nearest_distances(a, matrix, targets, weights):
     # bound and any computed distance, and no pruned target's computed
     # distance is below the smallest measured one.
     slack = (matrix.shape[1] + 64) * np.finfo(float).eps
-    item_bytes = 8 * max(4 * n_edges, matrix.shape[1])
     for block in _blocks(len(a), item_bytes):
         vectors = a[block] @ matrix
         rot = vectors[:, :split].reshape(len(vectors), n_edges, 3)
-        quaternions = _exp_quaternions(rot)
+        quaternions, phi = _exp_quaternions(rot, angles=True)
         stretch = vectors[:, split:]
-        if len(theta) == 1:
-            # Nothing to prune: the block is measured against its one target.
-            yield _exp_distances(quaternions, stretch, relative[:, 0], stretch_logs[0],
-                                 weights)
-            continue
-        x, y, z = np.moveaxis(rot, -1, 0)
-        phi = np.sqrt(x * x + y * y + z * z)
         w_phi = phi * rot_w
         w_stretch = stretch * stretch_w
         scale = (np.einsum("be,be->b", w_phi, phi)
@@ -245,6 +267,23 @@ def _nearest_distances(a, matrix, targets, weights):
         yield nearest
 
 
+def _held_targets(model, training, weights):
+    """The :func:`_target_bounds` of the :func:`_nearest_targets`
+    ``training`` at the model mean, in the metric of the
+    :func:`_coordinate_weights` ``weights`` of the model's reference and
+    parameters. They are held read-only on ``model``, keyed by the ordered
+    content hashes of ``training``, and formed only when the key changes."""
+    key = tuple(rep.content_hash() for rep in training)
+    held = model._specificity_targets
+    if held is None or held[0] != key:
+        targets = _target_bounds(_nearest_targets(model.mean, training), weights)
+        for array in targets:
+            array.flags.writeable = False
+        held = (key, targets)
+        object.__setattr__(model, "_specificity_targets", held)
+    return held[1]
+
+
 def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrinsic",
                 seed=0):
     """Mean distance of model samples to their nearest training shape.
@@ -266,6 +305,14 @@ def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrin
     rows may round them differently, by an ulp). A ``CutLocusError`` is
     raised as by that search, for the first sample at the cut locus of any
     training shape, nearest or not.
+
+    The intrinsic targets are held on ``model``, keyed by the ordered
+    ``content_hash()`` values of ``training``: a call with the same model
+    and cohort, at any mode count, forms none. They are the relative
+    quaternions of the ``n`` training shapes at the model mean, their
+    stretch logs and angles, and the bounds' target-only parts, ``8 ((5E +
+    3m + 1) n + E)`` bytes for ``E`` edges and ``m`` triangles (see
+    :class:`~shapeforms.statistics.PGAModel`).
     """
     if not training:
         raise ValueError("training set is empty")
@@ -273,8 +320,9 @@ def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrin
     _check_metric(metric)
     n_modes = model.n_modes if modes is None else _mode_count(model, modes)
     _check_binding(ref, model.mean, *training)
-    search = _search(ref, training, metric, _coordinate_weights(ref, model.params))
-    targets = _nearest_targets(model.mean, training) if metric == "intrinsic" else None
+    weights = _coordinate_weights(ref, model.params)
+    search = _search(ref, training, metric, weights)
+    targets = _held_targets(model, training, weights) if metric == "intrinsic" else None
     return _specificity(model, search, targets, n_samples, n_modes, seed)
 
 

@@ -168,11 +168,13 @@ def _shepperd(e, trace):
     return out
 
 
-def _exp_quaternions(xi):
+def _exp_quaternions(xi, angles=False):
     """Unit quaternions ``(4, ...)`` of the rotations ``so3_exp(xi)`` for
     axis-angle vectors ``(..., 3)``: ``(cos(t/2), sin(t/2)/t * xi)`` with
     ``t = |xi|``, and the series ``1/2 - t^2/48`` of ``sin(t/2)/t`` below
-    ``_TINY_ANGLE``. The scalar part is negative for ``t > pi``.
+    ``_TINY_ANGLE``. The scalar part is negative for ``t > pi``. With
+    ``angles``, returns the pair of the quaternions and the angles ``t``
+    ``(...)``, ``sqrt(x*x + y*y + z*z)`` of the vectors' components.
     """
     xi = np.asarray(xi, dtype=float)
     x, y, z = np.moveaxis(xi, -1, 0)
@@ -188,7 +190,7 @@ def _exp_quaternions(xi):
     np.multiply(s, x, out=out[1, ...])
     np.multiply(s, y, out=out[2, ...])
     np.multiply(s, z, out=out[3, ...])
-    return out
+    return (out, theta) if angles else out
 
 
 def _quaternion_entries(q):

@@ -246,6 +246,17 @@ class PGAModel:
     ``log_stretches``, which a file stores, so a loaded, a supplied and a
     computed mean project alike.
 
+    The model also holds the intrinsic targets of the last
+    :func:`~shapeforms.evaluation.specificity` call, so that calls at
+    several mode counts on one cohort form them once. The entry is keyed by
+    the ordered ``content_hash()`` values of the training shapes, formed
+    again when the key changes and freed with the model. Its read-only
+    arrays are the relative quaternions ``(4, n, E)`` of the ``n`` training
+    shapes at the mean, their stretch logs ``(n, 3m)`` and angles ``(n,
+    E)``, each target's squared norm ``(n,)`` and each edge's largest angle
+    ``(E,)``: ``8 ((5E + 3m + 1) n + E)`` bytes, or for one training shape,
+    which needs no bounds, the first two, ``8 (4E + 3m)`` bytes.
+
     Raises
     ------
     ReferenceMismatchError
@@ -282,6 +293,7 @@ class PGAModel:
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "variances", variances)
         object.__setattr__(self, "_mode_matrix", matrix)
+        object.__setattr__(self, "_specificity_targets", None)
 
     @property
     def n_modes(self):

@@ -676,6 +676,22 @@ class TestExtendedFlags:
             f"error:format: {path}:5: {fields - 1} fields under a header of {fields}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("which, value, message", [
+        ("features", "x", "'x' is not a number"),
+        ("labels", "one", "'one' is not an integer"),
+    ])
+    def test_unparsable_value_refused_with_its_line(self, tmp_path, capsys, which,
+                                                    value, message):
+        features, labels = self._classify_inputs(tmp_path)
+        path = features if which == "features" else labels
+        rows = path.read_text().splitlines()
+        rows[3] = rows[3].rsplit(",", 1)[0] + f",{value}"
+        path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "never.csv"
+        assert self._classify(features, labels, out) == 1
+        assert capsys.readouterr().err == f"error:format: {path}:4: {message}\n"
+        assert not out.exists()
+
     def test_label_lines_named_past_a_blank_line(self, tmp_path, capsys):
         features, labels = self._classify_inputs(tmp_path)
         rows = labels.read_text().splitlines()

@@ -212,6 +212,78 @@ class TestSpecificity:
         assert value == specificity(ref, model, cohort, n_samples=3, modes=2, seed=4)
 
 
+def counted_targets(monkeypatch):
+    """Record the number of shapes of every ``_nearest_targets`` call."""
+    built = []
+    targets = evaluation._nearest_targets
+
+    def recorded(mean, shapes):
+        built.append(len(shapes))
+        return targets(mean, shapes)
+
+    monkeypatch.setattr(evaluation, "_nearest_targets", recorded)
+    return built
+
+
+class TestHeldTargets:
+    """The intrinsic targets of ``specificity``, held on the model for its
+    calls with one cohort. Each test builds its own model."""
+
+    def test_second_call_forms_no_targets(self, ref, cohort, monkeypatch):
+        model = pga(ref, cohort)
+        fresh = [specificity(ref, pga(ref, cohort), cohort, n_samples=6, modes=k,
+                             seed=2) for k in (1, 3, 1)]
+        built = counted_targets(monkeypatch)
+        held = [specificity(ref, model, cohort, n_samples=6, modes=k, seed=2)
+                for k in (1, 3, 1)]
+        assert built == [len(cohort)]
+        assert [v.hex() for v in held] == [v.hex() for v in fresh]
+
+    @pytest.mark.parametrize("change", [
+        lambda reps, other: reps[:4],
+        lambda reps, other: reps[::-1],
+        lambda reps, other: reps[:2] + [other] + reps[3:],
+    ], ids=["other_cohort", "reordered", "one_swapped"])
+    def test_changed_cohort_gets_fresh_targets(self, ref, cohort, monkeypatch, change):
+        mu = frechet_mean(cohort)
+        training = change(cohort, rep_exp(mu, 0.5 * rep_log(mu, cohort[2])))
+        expected = specificity(ref, pga(ref, cohort), training, n_samples=8, seed=3)
+        model = pga(ref, cohort)
+        specificity(ref, model, cohort, n_samples=8, seed=3)
+        built = counted_targets(monkeypatch)
+        value = specificity(ref, model, training, n_samples=8, seed=3)
+        assert built == [len(training)]
+        assert value.hex() == expected.hex()
+        assert model._specificity_targets[0] == tuple(
+            rep.content_hash() for rep in training)
+
+    def test_held_arrays_are_read_only(self, ref, cohort):
+        model = pga(ref, cohort)
+        assert model._specificity_targets is None
+        specificity(ref, model, cohort, n_samples=2)
+        arrays = model._specificity_targets[1]
+        assert len(arrays) == 5
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+    @pytest.mark.parametrize("count", [1, 2, 6])
+    def test_held_size_is_the_stated_one(self, ref, cohort, count):
+        # 8 ((5E + 3m + 1) n + E) bytes for n > 1 training shapes; one shape
+        # needs no bounds and holds 8 (4E + 3m) bytes.
+        model = pga(ref, cohort)
+        specificity(ref, model, cohort[:count], n_samples=2)
+        E, m = ref.n_inner_edges, ref.n_triangles
+        size = 8 * ((5 * E + 3 * m + 1) * count + E) if count > 1 else 8 * (4 * E + 3 * m)
+        assert sum(a.nbytes for a in model._specificity_targets[1]) == size
+
+    def test_vertex_metric_holds_nothing(self, ref, cohort):
+        model = pga(ref, cohort)
+        assert specificity(ref, model, cohort[:3], n_samples=2, metric="vertex") > 0.0
+        assert model._specificity_targets is None
+
+
 def exhaustive_nearest(ref, model, training, n_samples, modes, seed):
     """The distances of the samples of ``specificity`` to every training
     shape by one ``tangent_distances`` call, and their smallest ones."""

@@ -793,6 +793,25 @@ class TestQuaternions:
         grid = _quaternions(_entries(R.reshape(1, -1, 3, 3)))
         assert np.array_equal(grid[:, 0], q)
 
+    @given(st.lists(st.tuples(unit_axes, st.one_of(
+        regime_angles,
+        st.floats(np.pi - NEAR_PI, np.pi + NEAR_PI),
+        st.floats(np.pi, 4.0 * np.pi),
+    )).map(lambda p: p[1] * p[0]), min_size=1, max_size=12))
+    def test_exp_returns_the_angles_it_uses(self, vectors):
+        # The angles of the series branch, near pi and above pi, for a stack
+        # laid out as the nearest-target search lays out a sample's edges:
+        # rows of a strided slice of a wider array.
+        wide = np.zeros((2, 3 * len(vectors) + 2))
+        wide[1, :-2] = np.ravel(vectors)
+        xi = wide[:, :-2].reshape(2, len(vectors), 3)
+        for stack in (xi, xi[1], xi[1, 0]):
+            q, theta = _exp_quaternions(stack, angles=True)
+            assert np.array_equal(q, _exp_quaternions(stack))
+            x, y, z = np.moveaxis(stack, -1, 0)
+            assert np.array_equal(theta, np.sqrt(x * x + y * y + z * z))
+            assert theta.shape == q.shape[1:]
+
 
 def extended_log(P):
     """Rotation logarithm of the nearly orthogonal ``P`` ``(3, 3)`` in
