@@ -32,6 +32,7 @@ from .representation import (
     DistanceParams,
     ShapeRep,
     _encode_stack,
+    _write_csv,
     encode,
     geodesic,
     relative_rotation_angles,
@@ -286,12 +287,8 @@ def _cmd_mean(args):
 
 
 def _write_coeff_csv(path, names, rows):
-    n_modes = rows.shape[1] if rows.size else 0
-    with open(path, "w", encoding="utf-8") as handle:
-        header = ",".join(["shape"] + [f"mode_{k + 1}" for k in range(n_modes)])
-        handle.write(header + "\n")
-        for name, row in zip(names, rows):
-            handle.write(",".join([name] + [_fmt(x) for x in row]) + "\n")
+    _write_csv(path, ["shape"] + [f"mode_{k + 1}" for k in range(rows.shape[1])],
+               ([name, *row] for name, row in zip(names, rows)))
 
 
 def _cmd_pga(args):
@@ -329,7 +326,7 @@ def _cmd_flatten(args):
     ref = _load_reference(args.reference)
     scalars = None
     if args.scalars is not None:
-        scalars = np.loadtxt(args.scalars, dtype=float).reshape(-1)
+        scalars = _read_scalars(args.scalars, ref.mesh.n_vertices)
     mesh, report = flatten(ref)
     save_mesh(mesh, args.out, vertex_scalars=scalars)
     _warn_unconverged(report, args.out)
@@ -368,7 +365,7 @@ def _read_csv(path, last=None):
 
 
 def _csv_value(text, kind, path, line):
-    """The field ``text`` at ``line`` of the CSV file ``path`` as a ``kind``,
+    """The field ``text`` at ``line`` of the text file ``path`` as a ``kind``,
     ``float`` or ``int``; a field that does not parse raises
     :class:`MeshFormatError` naming the file and line."""
     try:
@@ -376,6 +373,18 @@ def _csv_value(text, kind, path, line):
     except ValueError:
         noun = "a number" if kind is float else "an integer"
         raise MeshFormatError(f"{text!r} is not {noun}", path=path, line=line) from None
+
+
+def _read_scalars(path, count):
+    """The ``count`` numbers of the file ``path``, one per line, skipping
+    blank lines; else :class:`MeshFormatError` names the file (and line)."""
+    with open(path, "r", encoding="utf-8") as handle:
+        values = [_csv_value(text, float, path, line)
+                  for line, text in enumerate(map(str.strip, handle), 1) if text]
+    if len(values) != count:
+        raise MeshFormatError(f"expected {count} vertex scalars, got {len(values)}",
+                              path=path)
+    return np.array(values)
 
 
 def _cmd_classify(args):
@@ -399,10 +408,7 @@ def _cmd_classify(args):
                 f"but line {line} of {args.features} is shape {name!r}")
     rows = accuracy_curve(features, labels, args.shares, draws=args.draws,
                           reg=args.reg, seed=args.seed)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write("share,mean_accuracy,std_accuracy\n")
-        for share, mean, std in rows:
-            handle.write(f"{_fmt(share)},{_fmt(mean)},{_fmt(std)}\n")
+    _write_csv(args.out, ("share", "mean_accuracy", "std_accuracy"), rows)
     if args.out_model is not None:
         clf = train_svm(features, labels, reg=args.reg)
         clf.save(args.out_model)
@@ -426,10 +432,8 @@ def _cmd_diagnose(args):
     ref = _load_reference(ref_path)
     angles = relative_rotation_angles(*_encode_all(ref, args.inputs))
     counts, edges = np.histogram(angles, bins=args.bins, range=(0.0, np.pi))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write("bin_lo,bin_hi,count\n")
-        for lo, hi, count in zip(edges[:-1], edges[1:], counts):
-            handle.write(f"{_fmt(lo)},{_fmt(hi)},{int(count)}\n")
+    _write_csv(args.out, ("bin_lo", "bin_hi", "count"),
+               zip(edges[:-1], edges[1:], counts))
     print(f"max_angle {_fmt(float(angles.max()) if angles.size else 0.0)}")
 
 
@@ -475,11 +479,9 @@ def _cmd_gen_synthetic(args):
     for name, mesh in meshes.items():
         save_mesh(mesh, os.path.join(args.out_dir, name))
     if args.kind == "two-class-cohort":
-        with open(os.path.join(args.out_dir, "labels.csv"), "w",
-                  encoding="utf-8") as handle:
-            handle.write("shape,label\n")
-            for name in meshes:
-                handle.write(f"{name},{1 if name.startswith('class_pos') else -1}\n")
+        _write_csv(os.path.join(args.out_dir, "labels.csv"), ("shape", "label"),
+                   ((name, 1 if name.startswith("class_pos") else -1)
+                    for name in meshes))
     print(f"wrote {what.format(count=args.count)} to {args.out_dir}")
 
 

@@ -25,11 +25,14 @@ from .representation import (
     ShapeRep,
     TangentRep,
     _check_binding,
+    _check_finite,
     _coordinate_weights,
     _exp_distances,
     _float_rows,
     _read_json,
+    _refuse,
     _value,
+    _write_csv,
     _write_json,
     rep_exp,
 )
@@ -128,14 +131,15 @@ def _vertex_distances(ref, system, mean, a, matrix, vertices, label):
         yield np.min(_aligned_rms(vertices, mesh.vertices), keepdims=True)
 
 
-def _nearest_targets(mean, shapes):
+def _nearest_targets(mean, shapes, weights):
     """The ``shapes`` as :func:`_nearest_distances` targets at the shape
     ``mean``: the unit quaternions ``(4, n, E)`` of their relative
-    rotations, each product of a shape's held quaternions written straight
-    into the array, and their stretch log triples ``(n, 3m)``; for more than
-    one shape also the angles ``(n, E)`` of those relative rotations, which
-    only the pruning bounds read. The shapes must be bound to the mean's
-    reference."""
+    rotations, each product of held quaternions written straight into the
+    array, and their stretch log triples ``(n, 3m)``. More than one shape
+    adds the bounds' target-only parts, in the metric of the
+    :func:`_coordinate_weights` ``weights``: the angles ``theta`` ``(n, E)``
+    of the relative rotations, ``target_sq`` ``(n,)``, each target's squared
+    norm, and ``reach`` ``(E,)``, each edge's largest angle."""
     relative = np.empty((4, len(shapes), mean.n_edges))
     for k, rep in enumerate(shapes):
         relative[:, k] = _quaternion_product(rep.quaternions, mean.quaternions,
@@ -143,34 +147,21 @@ def _nearest_targets(mean, shapes):
     stretch_logs = _stretch_logs(shapes, mean.log_stretches).reshape(len(shapes), -1)
     if len(shapes) == 1:
         return relative, stretch_logs
-    return relative, stretch_logs, _rotation_angle(relative)
-
-
-def _target_bounds(targets, weights):
-    """The :func:`_nearest_targets` ``targets`` with the target-only parts
-    of the pruning bounds appended, in the metric of the
-    :func:`_coordinate_weights` ``weights``: each target's squared norm
-    ``target_sq`` ``(n,)`` and each edge's largest angle ``reach`` ``(E,)``.
-    Targets that carry them, or have one shape and need none, are returned
-    as they are."""
-    if len(targets) != 3:
-        return targets
-    relative, stretch_logs, theta = targets
-    split = 3 * relative.shape[-1]
+    theta = _rotation_angle(relative)
+    split = 3 * mean.n_edges
     target_sq = ((theta * theta) @ weights[:split:3]
                  + (stretch_logs * stretch_logs) @ weights[split:])
-    return targets + (target_sq, np.max(theta, axis=0))
+    return relative, stretch_logs, theta, target_sq, np.max(theta, axis=0)
 
 
 def _nearest_distances(a, matrix, targets, weights):
     """Yield, block by block of rows of ``a``, the distances ``(b,)`` of the
     shapes ``exp_mu(a @ matrix)`` to their nearest target among the
     :func:`_nearest_targets` at ``mu``, in the metric of the
-    :func:`_coordinate_weights` ``weights``; the targets may carry their
-    :func:`_target_bounds`. Specificity searches the training shapes;
-    generalization is the one-target case, the held-out shape. Each
-    sample's rotations are exponentiated once, for all of its targets, and
-    its distance to a target is :func:`_exp_distances`.
+    :func:`_coordinate_weights` ``weights``. Specificity searches the
+    training shapes; generalization is the one-target case, the held-out
+    shape. Each sample's rotations are exponentiated once, for all of its
+    targets, and its distance to a target is :func:`_exp_distances`.
 
     The search is exact, and measures only the targets that can be the
     nearest, as triangle-inequality pruning does for k-means (Elkan,
@@ -206,15 +197,6 @@ def _nearest_distances(a, matrix, targets, weights):
     n_edges = relative.shape[-1]
     split = 3 * n_edges
     item_bytes = 8 * max(4 * n_edges, matrix.shape[1])
-    if len(stretch_logs) == 1:
-        # Nothing to prune: each block is measured against its one target.
-        for block in _blocks(len(a), item_bytes):
-            vectors = a[block] @ matrix
-            rot = vectors[:, :split].reshape(len(vectors), n_edges, 3)
-            yield _exp_distances(_exp_quaternions(rot), vectors[:, split:],
-                                 relative[:, 0], stretch_logs[0], weights)
-        return
-    theta, target_sq, reach = _target_bounds(targets, weights)[2:]
     rot_w, stretch_w = weights[:split:3], weights[split:]
     # phi + theta_t stays below the limit at every edge and target when
     # phi + the largest theta_t of the edge, its reach, does; rounding
@@ -237,8 +219,14 @@ def _nearest_distances(a, matrix, targets, weights):
     for block in _blocks(len(a), item_bytes):
         vectors = a[block] @ matrix
         rot = vectors[:, :split].reshape(len(vectors), n_edges, 3)
-        quaternions, phi = _exp_quaternions(rot, angles=True)
         stretch = vectors[:, split:]
+        if len(stretch_logs) == 1:
+            # Nothing to prune: the block is measured against its one target.
+            yield _exp_distances(_exp_quaternions(rot), stretch, relative[:, 0],
+                                 stretch_logs[0], weights)
+            continue
+        theta, target_sq, reach = targets[2:]
+        quaternions, phi = _exp_quaternions(rot, angles=True)
         w_phi = phi * rot_w
         w_stretch = stretch * stretch_w
         scale = (np.einsum("be,be->b", w_phi, phi)
@@ -268,15 +256,14 @@ def _nearest_distances(a, matrix, targets, weights):
 
 
 def _held_targets(model, training, weights):
-    """The :func:`_target_bounds` of the :func:`_nearest_targets`
-    ``training`` at the model mean, in the metric of the
-    :func:`_coordinate_weights` ``weights`` of the model's reference and
-    parameters. They are held read-only on ``model``, keyed by the ordered
-    content hashes of ``training``, and formed only when the key changes."""
+    """The :func:`_nearest_targets` ``training`` at the model mean, in the
+    ``weights`` of the model's reference and parameters, held read-only on
+    ``model``, keyed by the ordered content hashes of ``training``, and
+    formed only when the key changes."""
     key = tuple(rep.content_hash() for rep in training)
     held = model._specificity_targets
     if held is None or held[0] != key:
-        targets = _target_bounds(_nearest_targets(model.mean, training), weights)
+        targets = _nearest_targets(model.mean, training, weights)
         for array in targets:
             array.flags.writeable = False
         held = (key, targets)
@@ -306,13 +293,14 @@ def specificity(ref, model, training, n_samples=1000, modes=None, metric="intrin
     raised as by that search, for the first sample at the cut locus of any
     training shape, nearest or not.
 
-    The intrinsic targets are held on ``model``, keyed by the ordered
-    ``content_hash()`` values of ``training``: a call with the same model
-    and cohort, at any mode count, forms none. They are the relative
-    quaternions of the ``n`` training shapes at the model mean, their
-    stretch logs and angles, and the bounds' target-only parts, ``8 ((5E +
-    3m + 1) n + E)`` bytes for ``E`` edges and ``m`` triangles (see
-    :class:`~shapeforms.statistics.PGAModel`).
+    The intrinsic targets, the :func:`_nearest_targets` at the model mean,
+    are formed once per model and cohort and held read-only on ``model``,
+    keyed by the ordered ``content_hash()`` values of ``training``. For
+    ``n`` training shapes of ``E`` edges and ``m`` triangles they are the
+    relative quaternions ``(4, n, E)``, stretch logs ``(n, 3m)``, angles
+    ``(n, E)``, squared norms ``(n,)`` and each edge's largest angle
+    ``(E,)``: ``8 ((5E + 3m + 1) n + E)`` bytes, or ``8 (4E + 3m)`` for one
+    shape, which needs only the first two.
     """
     if not training:
         raise ValueError("training set is empty")
@@ -398,7 +386,7 @@ def _generalization(ref, reps, max_modes, weights, search):
                                   _stretch_logs(rest, fold_log_mean))[1]
         del rot_logs  # the distances below run without the fold's logs
         fold_mean = ShapeRep._from_parts(mu, fold_log_mean, held_out.reference_hash)
-        targets = _nearest_targets(fold_mean, [held_out])
+        targets = _nearest_targets(fold_mean, [held_out], weights)
         a = _project(_quaternion_log(targets[0], "edge"), targets[1], matrix,
                      weights)[0]
         used = np.minimum(np.arange(1, max_modes + 1), a.size)
@@ -432,14 +420,9 @@ class MetricsReport:
     compactness: np.ndarray
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("modes,specificity,generalization,compactness\n")
-            for row in zip(
-                self.modes, self.specificity, self.generalization, self.compactness
-            ):
-                handle.write(
-                    f"{int(row[0])},{row[1]:.17g},{row[2]:.17g},{row[3]:.17g}\n"
-                )
+        _write_csv(path, ("modes", "specificity", "generalization", "compactness"),
+                   zip(self.modes, self.specificity, self.generalization,
+                       self.compactness))
 
 
 def metrics_report(ref, reps, params=DistanceParams(), n_samples=1000,
@@ -459,7 +442,8 @@ def metrics_report(ref, reps, params=DistanceParams(), n_samples=1000,
     mode_counts = np.arange(1, cap + 1)
     weights = _coordinate_weights(ref, model.params)
     search = _search(ref, reps, metric, weights)
-    targets = _nearest_targets(model.mean, reps) if metric == "intrinsic" else None
+    targets = (_nearest_targets(model.mean, reps, weights) if metric == "intrinsic"
+               else None)
     spec = np.array([_specificity(model, search, targets, n_samples, int(k), seed)
                      for k in mode_counts])
     del targets  # the folds below run without them
@@ -523,16 +507,23 @@ class ClassifierModel:
 
     @classmethod
     def load(cls, path):
-        """Read a file written by :meth:`save`; a missing key or a value of
-        another type raises :class:`MeshFormatError`."""
+        """Read a file written by :meth:`save`. A missing key, a value of
+        another type or a non-finite one, ``weights_std``, ``feature_mean``
+        and ``feature_std`` of different lengths, or a ``feature_std`` entry
+        that is not positive raise :class:`MeshFormatError` naming the key."""
         payload = _read_json(path)
-        return cls(
-            weights_std=_float_rows(payload, "weights_std", None, path),
-            bias_std=float(_value(payload, "bias_std", path, kind=float)),
-            feature_mean=_float_rows(payload, "feature_mean", None, path),
-            feature_std=_float_rows(payload, "feature_std", None, path),
-            regularization=float(_value(payload, "regularization", path, kind=float)),
-        )
+        arrays = {key: _float_rows(payload, key, None, path)
+                  for key in ("weights_std", "feature_mean", "feature_std")}
+        numbers = {key: float(_value(payload, key, path, kind=float))
+                   for key in ("bias_std", "regularization")}
+        for key, values in {**arrays, **numbers}.items():
+            _check_finite(np.reshape(values, (-1, 1)), path, f"{key!r} entry")
+        keys, sizes = list(arrays), np.array([len(v) for v in arrays.values()])
+        _refuse(sizes == sizes[0], path, lambda k: f"{keys[k]!r} has {sizes[k]} "
+                f"entries, 'weights_std' {sizes[0]}")
+        _refuse(arrays["feature_std"] > 0.0, path,
+                lambda k: f"'feature_std' entry {k} is not positive")
+        return cls(**arrays, **numbers)
 
 
 def _train_stack(X, y, reg, n_iterations):

@@ -386,6 +386,14 @@ def _write_json(path, payload):
         handle.write("\n")
 
 
+def _write_csv(path, header, rows):
+    """Write the ``header`` names and the ``rows`` as CSV: text as it is, numbers
+    with 17 significant digits, which round-trip a float and keep an integer."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(",".join(x if isinstance(x, str) else f"{x:.17g}"
+                                   for x in row) + "\n" for row in [header, *rows])
+
+
 #: Frobenius weights of a symmetric 2x2 matrix's ``(X11, X12, X22)`` triple.
 _TRIPLE_WEIGHTS = np.array([1.0, 2.0, 1.0])
 

@@ -250,12 +250,9 @@ class PGAModel:
     :func:`~shapeforms.evaluation.specificity` call, so that calls at
     several mode counts on one cohort form them once. The entry is keyed by
     the ordered ``content_hash()`` values of the training shapes, formed
-    again when the key changes and freed with the model. Its read-only
-    arrays are the relative quaternions ``(4, n, E)`` of the ``n`` training
-    shapes at the mean, their stretch logs ``(n, 3m)`` and angles ``(n,
-    E)``, each target's squared norm ``(n,)`` and each edge's largest angle
-    ``(E,)``: ``8 ((5E + 3m + 1) n + E)`` bytes, or for one training shape,
-    which needs no bounds, the first two, ``8 (4E + 3m)`` bytes.
+    again when the key changes and freed with the model. Its arrays and
+    their size are those stated at
+    :func:`~shapeforms.evaluation.specificity`.
 
     Raises
     ------

@@ -590,6 +590,46 @@ class TestExtendedFlags:
         assert len(first) == 5
         assert first[-1] == "2.5"
 
+    @staticmethod
+    def _flatten_scalars(root, text, monkeypatch=None):
+        """Flatten a 110-vertex patch with the scalars file ``text``, or
+        refuse any flattening under ``monkeypatch``; the exit code and the
+        scalars file."""
+        patch = root / "patch.obj"
+        save_mesh(cylinder_patch(n_u=9, n_v=10), patch)
+        scalars = root / "scalars.txt"
+        scalars.write_text(text)
+        if monkeypatch is not None:
+            monkeypatch.setattr(cli, "flatten", lambda ref: pytest.fail("flattened"))
+        code = main(["flatten", "--reference", str(patch),
+                     "--out", str(root / "never.obj"), "--scalars", str(scalars)])
+        assert not (root / "never.obj").exists()
+        return code, scalars
+
+    def test_flatten_scalar_not_a_number_refused_with_its_line(self, tmp_path,
+                                                                capsys):
+        # Blank lines are skipped, and counted in the line numbers.
+        values = ["0.5"] * 110
+        values[6] = "x"
+        code, scalars = self._flatten_scalars(tmp_path, "\n\n" + "\n".join(values))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error:format: {scalars}:9: 'x' is not a number\n")
+
+    def test_flatten_scalar_count_checked_before_flattening(self, tmp_path, capsys,
+                                                            monkeypatch):
+        code, scalars = self._flatten_scalars(tmp_path, "0.5\n" * 109, monkeypatch)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error:format: {scalars}: expected 110 vertex scalars, got 109\n")
+
+    def test_flatten_scalar_rows_of_two_refused(self, tmp_path, capsys):
+        # 55 rows of two values hold 110 numbers, but not one per vertex line.
+        code, scalars = self._flatten_scalars(tmp_path, "0.5 1.5\n" * 55)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error:format: {scalars}:1: '0.5 1.5' is not a number\n")
+
     def test_classify_writes_model(self, tmp_path):
         features, labels = self._classify_inputs(tmp_path)
         clf_path = tmp_path / "clf.json"

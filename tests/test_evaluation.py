@@ -145,14 +145,7 @@ class TestSpecificity:
                                                        monkeypatch):
         # The training shapes are no targets at the model mean; only each
         # held-out shape is one at its fold mean, whose log is projected.
-        built = []
-        targets = evaluation._nearest_targets
-
-        def recorded(mean, shapes):
-            built.append(len(shapes))
-            return targets(mean, shapes)
-
-        monkeypatch.setattr(evaluation, "_nearest_targets", recorded)
+        built = counted_targets(monkeypatch)
         assert specificity(ref, model, cohort[:3], n_samples=2, metric="vertex",
                            seed=1) > 0.0
         assert built == []
@@ -160,6 +153,28 @@ class TestSpecificity:
                                 max_modes=1)
         assert report.specificity[0] > 0.0
         assert built == [1] * 4
+
+    def test_intrinsic_report_builds_its_targets_once(self, ref, cohort,
+                                                      monkeypatch):
+        # The training shapes are targets at the model mean once, bounds and
+        # all, for every mode count; each held-out shape is one at its fold
+        # mean.
+        built = counted_targets(monkeypatch)
+        searched = []
+        search = evaluation._nearest_distances
+
+        def recorded(a, matrix, targets, weights):
+            searched.append(targets)
+            return search(a, matrix, targets, weights)
+
+        monkeypatch.setattr(evaluation, "_nearest_distances", recorded)
+        report = metrics_report(ref, cohort, n_samples=2)
+        n, counts = len(cohort), report.modes.size
+        assert built == [n] + [1] * n
+        assert len(searched) == counts + n
+        assert len(searched[0]) == 5
+        assert all(targets is searched[0] for targets in searched[:counts])
+        assert all(len(targets) == 2 for targets in searched[counts:])
 
     def test_vertex_metric_checks_binding_before_reconstructing(self, ref, cohort,
                                                                 model, monkeypatch):
@@ -217,9 +232,9 @@ def counted_targets(monkeypatch):
     built = []
     targets = evaluation._nearest_targets
 
-    def recorded(mean, shapes):
+    def recorded(mean, shapes, weights):
         built.append(len(shapes))
-        return targets(mean, shapes)
+        return targets(mean, shapes, weights)
 
     monkeypatch.setattr(evaluation, "_nearest_targets", recorded)
     return built
@@ -287,10 +302,10 @@ class TestHeldTargets:
 def exhaustive_nearest(ref, model, training, n_samples, modes, seed):
     """The distances of the samples of ``specificity`` to every training
     shape by one ``tangent_distances`` call, and their smallest ones."""
-    targets = evaluation._nearest_targets(model.mean, training)
+    weights = representation._coordinate_weights(ref, model.params)
+    targets = evaluation._nearest_targets(model.mean, training, weights)
     draws = statistics._sample_coefficients(model, n_samples, seed, modes)
     vectors = draws @ model._mode_matrix[:modes]
-    weights = representation._coordinate_weights(ref, model.params)
     every = tangent_distances(vectors[:, None], *targets[:2], weights)
     return every.min(axis=1), targets, draws, weights
 
@@ -357,10 +372,15 @@ class TestNearestSearch:
         relative = np.zeros((4, len(offsets), 1))
         relative[0] = 1.0
         relative[:, -1, 0] = [np.cos(0.5), np.sin(0.5), 0.0, 0.0]
-        targets = (relative, stretch_logs, evaluation._rotation_angle(relative))
         vectors = np.concatenate([np.zeros((n_samples, 3)),
                                   1024.0 + sigma * 2.0**-30], axis=1)
         weights = np.ones(vectors.shape[1])
+        # The form of _nearest_targets, whose shapes these are not.
+        theta = evaluation._rotation_angle(relative)
+        targets = (relative, stretch_logs, theta,
+                   (theta * theta) @ weights[:3:3]
+                   + (stretch_logs * stretch_logs) @ weights[3:],
+                   np.max(theta, axis=0))
         every = tangent_distances(vectors[:, None], relative, stretch_logs, weights)
         own = 2 * np.arange(n_samples)
         first, second = every[own // 2, own], every[own // 2, own + 1]
@@ -516,8 +536,8 @@ class TestGeneralization:
         rotations[5] = (so3_exp(rot[1, 5]) @ so3_exp(np.pi * np.array([0.6, 0.0, 0.8]))
                         @ mu.rotations[5])
         held_out = ShapeRep(rotations, cohort[0].stretches, mu.reference_hash)
-        targets = evaluation._nearest_targets(mu, [held_out])
         weights = representation._coordinate_weights(ref, model.params)
+        targets = evaluation._nearest_targets(mu, [held_out], weights)
         with pytest.raises(CutLocusError) as exhaustive_error:
             list(exhaustive_nearest_distances(a, matrix, targets, weights))
         assert str(exhaustive_error.value).startswith("edge 5 is at the cut locus")
@@ -702,7 +722,23 @@ class TestSvm:
          r"'regularization' is not a number: got str$"),
         (lambda p: p.update(feature_std=[[1.0, 1.0]]),
          r"'feature_std' is not a list of numbers"),
-    ], ids=["no_bias", "text_regularization", "nested_scales"])
+        (lambda p: p.update(bias_std=float("nan")),
+         r"'bias_std' entry 0 holds a non-finite value$"),
+        (lambda p: p["feature_mean"].__setitem__(1, float("-inf")),
+         r"'feature_mean' entry 1 holds a non-finite value$"),
+        (lambda p: p.update(regularization=float("inf")),
+         r"'regularization' entry 0 holds a non-finite value$"),
+        (lambda p: p.update(weights_std=p["weights_std"][:-1]),
+         r"'feature_mean' has 4 entries, 'weights_std' 3$"),
+        (lambda p: p["feature_std"].append(1.0),
+         r"'feature_std' has 5 entries, 'weights_std' 4$"),
+        (lambda p: p["feature_std"].__setitem__(1, 0.0),
+         r"'feature_std' entry 1 is not positive$"),
+        (lambda p: p["feature_std"].__setitem__(0, -2.0),
+         r"'feature_std' entry 0 is not positive$"),
+    ], ids=["no_bias", "text_regularization", "nested_scales", "nan_bias",
+            "infinite_mean", "infinite_regularization", "short_weights",
+            "long_scales", "zero_scale", "negative_scale"])
     def test_invalid_file_is_refused(self, tmp_path, edit, message):
         X, y = toy_blobs(seed=4)
         path = tmp_path / "clf.json"

@@ -139,3 +139,58 @@ def test_every_private_function_has_a_reader_in_the_program():
     # demos or the benchmark; one that only the tests read is dead code.
     assert _uncalled(_module_functions(private=True), _sources(),
                      own_module_counts=True) == []
+
+
+def unread_private_names(paths):
+    """The private names that a top-level statement of the modules at
+    ``paths`` defines (a function, a class or an assigned name) and that
+    no other top-level statement of them reads, as a loaded name or as an
+    attribute, as ``(module file name, name)`` pairs. Imports are no reads,
+    nor is a function's call of itself."""
+    defined, reads = [], []
+    for path in paths:
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                names = [statement.name]
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = (statement.targets if isinstance(statement, ast.Assign)
+                           else [statement.target])
+                names = [node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name)]
+            else:
+                names = []
+            defined += [(path.name, name, statement) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+            reads.append((statement, {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute)}))
+    return [(module, name) for module, name, statement in defined
+            if not any(name in names for other, names in reads
+                       if other is not statement)]
+
+
+def test_unread_private_names_are_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from .b import _imported\n"
+        "_LIMIT = 3\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1) if n else _LIMIT\n"
+        "def _by_attribute():\n"
+        "    pass\n"
+        "class _Unused:\n"
+        "    pass\n")
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "def _imported():\n"
+        "    return a._by_attribute()\n")
+    assert unread_private_names(sorted(tmp_path.glob("*.py"))) == [
+        ("a.py", "_recursive"), ("a.py", "_Unused"), ("b.py", "_imported")]
+
+
+def test_every_private_name_has_a_reader_in_the_library():
+    # A private name that only the tests, the demos or the benchmark read
+    # is no part of the library.
+    paths = sorted((ROOT / "src" / "shapeforms").glob("*.py"))
+    assert unread_private_names(paths) == []
