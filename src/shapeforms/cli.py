@@ -366,13 +366,17 @@ def _read_csv(path, last=None):
 
 def _csv_value(text, kind, path, line):
     """The field ``text`` at ``line`` of the text file ``path`` as a ``kind``,
-    ``float`` or ``int``; a field that does not parse raises
+    ``float`` or ``int``; a field that does not parse, or parses to a
+    non-finite float such as ``nan`` or ``inf``, raises
     :class:`MeshFormatError` naming the file and line."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         noun = "a number" if kind is float else "an integer"
         raise MeshFormatError(f"{text!r} is not {noun}", path=path, line=line) from None
+    if kind is float and not math.isfinite(value):
+        raise MeshFormatError(f"{text!r} is not a finite number", path=path, line=line)
+    return value
 
 
 def _read_scalars(path, count):

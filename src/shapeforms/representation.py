@@ -20,8 +20,10 @@ contributions.
 A shape holds each rotation as its unit quaternion and each stretch as
 its matrix logarithm (log-Euclidean, Arsigny et al., 2006), the forms that
 every log, mean step and distance computes on, and a shape file stores
-exactly these: ``4E + 3m`` floats, reloaded bit for bit. The matrices are
-derived on access, for reconstruction and for callers that read them.
+exactly these: ``4E + 3m`` floats, reloaded bit for bit. A file of the
+earlier rotation-matrix format is refused; its shapes are made again from
+their meshes. The matrices are derived on access, for reconstruction and
+for callers that read them.
 
 A tangent vector at a shape is one element of the product Lie algebra:
 an axis-angle vector per inner edge and a symmetric 2x2 matrix per
@@ -34,10 +36,10 @@ A symmetric 2x2 value, a stretch log or the stretch part of a tangent
 vector, is held and stored as its triple ``(X11, X12, X22)``. Matrices and
 triples convert into each other only where matrices enter or leave: the
 constructors of :class:`ShapeRep` and :class:`TangentRep`, which take
-matrices, ``ShapeRep.stretches``, ``TangentRep.stretch_part`` and the
-loader of the earlier file format.
+matrices, ``ShapeRep.stretches`` and ``TangentRep.stretch_part``.
 """
 
+import csv
 import hashlib
 import json
 from dataclasses import dataclass
@@ -49,7 +51,6 @@ import numpy as np
 from .errors import MeshFormatError, ReferenceMismatchError
 from .liegroups import (
     _check_each,
-    _det_entries,
     _entries,
     _exp_quaternions,
     _matrices,
@@ -174,9 +175,8 @@ class ShapeRep:
 
     @classmethod
     def load(cls, path):
-        """Read a file written by :meth:`save`, or one of the earlier
-        rotation-matrix format; other keys, such as the ``omega`` that older
-        files carry, are ignored. Invalid values raise
+        """Read a file written by :meth:`save`; other keys, such as the
+        ``omega`` that older files carry, are ignored. Invalid values raise
         :class:`MeshFormatError`, see :func:`_shape_from_payload`."""
         payload = _read_json(path)
         return _shape_from_payload(
@@ -196,25 +196,16 @@ def _shape_payload(rep):
 #: Largest ``| |q|^2 - 1 |`` that a stored quaternion may have.
 _QUATERNION_TOL = 1e-9
 
-#: Largest entry of ``|R^T R - I|`` that a rotation of a file in the
-#: earlier format may have.
-_ROTATION_TOL = 1e-9
-
 
 def _shape_from_payload(payload, reference_hash, path):
     """Inverse of :func:`_shape_payload`, bound to ``reference_hash``.
 
-    A payload with ``rotations`` and without ``quaternions`` is of the
-    earlier format and goes to :func:`_legacy_shape`. Raises
-    :class:`MeshFormatError` for the file ``path``, naming either the key,
-    for a missing key or an array that is no list of rows of 4 or 3 numbers
-    (see :func:`_float_rows`), or the first bad edge or triangle, for a
-    quaternion that is not finite or has ``| |q|^2 - 1 |`` above
+    Raises :class:`MeshFormatError` for the file ``path``, naming either
+    the key, for a missing key or an array that is no list of rows of 4 or
+    3 numbers (see :func:`_float_rows`), or the first bad edge or triangle,
+    for a quaternion that is not finite or has ``| |q|^2 - 1 |`` above
     ``_QUATERNION_TOL`` and for a stretch-log triple that is not finite.
     """
-    if isinstance(payload, dict) and "quaternions" not in payload \
-            and "rotations" in payload:
-        return _legacy_shape(payload, reference_hash, path)
     rows = _float_rows(payload, "quaternions", 4, path)
     with np.errstate(invalid="ignore", over="ignore"):
         drift = np.abs(np.sum(rows * rows, axis=1) - 1.0)
@@ -222,35 +213,6 @@ def _shape_from_payload(payload, reference_hash, path):
         f"quaternion of edge {k} is not a finite unit quaternion: "
         f"| |q|^2 - 1 | = {drift[k]:.3g} (at most {_QUATERNION_TOL:g})"))
     return ShapeRep._from_parts(rows.T, _log_triples(payload, path), reference_hash)
-
-
-def _legacy_shape(payload, reference_hash, path):
-    """A shape from a payload of the earlier format, through the matrix
-    constructor: row-major ``rotations``, ``(U11, U12, U22)`` stretch
-    triples ``stretches`` and, in a model's mean, ``log_stretches`` triples,
-    which the shape then holds in place of the logs of the stretches.
-
-    Raises :class:`MeshFormatError` for the file ``path``, naming either the
-    key, as :func:`_float_rows` does, or the first bad edge or triangle,
-    for a rotation that is not finite, has an entry of ``|R^T R - I|``
-    above ``_ROTATION_TOL`` or ``det R <= 0``, for a stretch triple that is
-    not finite and positive-definite, and for a stretch-log triple that is
-    not finite.
-    """
-    rows = _float_rows(payload, "rotations", 9, path)
-    _check_rotations(np.ascontiguousarray(rows.T), path)
-    rotations = rows.reshape(-1, 3, 3)
-    if "log_stretches" in payload:
-        logs = _log_triples(payload, path)
-        rep = ShapeRep(rotations, spd2_exp(_triples_to_sym(logs)), reference_hash)
-        return ShapeRep._from_parts(rep.quaternions, logs, reference_hash)
-    triples = _float_rows(payload, "stretches", 3, path)
-    u11, u12, u22 = triples.T
-    with np.errstate(invalid="ignore", over="ignore"):
-        spd = np.isfinite(triples).all(axis=1) & (u11 > 0.0) & (u11 * u22 > u12 * u12)
-    _refuse(spd, path, lambda k: f"stretch of triangle {k} is not a finite "
-            f"positive-definite matrix: {triples[k].tolist()}")
-    return ShapeRep(rotations, _triples_to_sym(triples), reference_hash)
 
 
 def _log_triples(payload, path):
@@ -309,22 +271,6 @@ def _float_rows(payload, key, width, path, owner=""):
     except (TypeError, ValueError, OverflowError) as exc:
         raise MeshFormatError(f"{key!r}{owner and ' of ' + owner} is not a list of "
                               f"{shape}: {exc}", path=path) from exc
-
-
-def _check_rotations(e, path):
-    """:func:`_refuse` the matrices with row-major entries ``e`` ``(9, E)``
-    that are no rotations, elementwise: an entry of ``R^T R`` is the dot
-    product of two columns, and ``det R`` is :func:`_det_entries`. NaN fails
-    every comparison, so a non-finite matrix is refused with the rest."""
-    worst = np.zeros(e.shape[1])
-    with np.errstate(invalid="ignore", over="ignore"):
-        for p, q in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
-            gram = e[p] * e[q] + e[3 + p] * e[3 + q] + e[6 + p] * e[6 + q]
-            np.maximum(worst, np.abs(gram - 1.0 if p == q else gram), out=worst)
-        det = _det_entries(e)
-    _refuse((worst <= _ROTATION_TOL) & (det > 0.0), path, lambda k: (
-        f"rotation of edge {k} is not a finite rotation: max |R^T R - I| = "
-        f"{worst[k]:.3g} (at most {_ROTATION_TOL:g}), det R = {det[k]:.17g}"))
 
 
 def _check_finite(values, path, what):
@@ -387,11 +333,14 @@ def _write_json(path, payload):
 
 
 def _write_csv(path, header, rows):
-    """Write the ``header`` names and the ``rows`` as CSV: text as it is, numbers
-    with 17 significant digits, which round-trip a float and keep an integer."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(",".join(x if isinstance(x, str) else f"{x:.17g}"
-                                   for x in row) + "\n" for row in [header, *rows])
+    """Write the ``header`` names and the ``rows`` as CSV: numbers with 17
+    significant digits, which round-trip a float and keep an integer, and
+    text as it is unless it holds a ``,``, ``"`` or a newline, which
+    ``csv.writer`` quotes as ``csv.reader`` reads it back."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(
+            [x if isinstance(x, str) else f"{x:.17g}" for x in row]
+            for row in [header, *rows])
 
 
 #: Frobenius weights of a symmetric 2x2 matrix's ``(X11, X12, X22)`` triple.

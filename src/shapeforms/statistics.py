@@ -311,11 +311,10 @@ class PGAModel:
 
     @classmethod
     def load(cls, path):
-        """Read a file written by :meth:`save`, or one whose mean is of the
-        earlier rotation-matrix format (see :func:`_shape_from_payload`).
-        Invalid values, such as a non-finite mode entry, a mean quaternion
-        off unit norm or a mode of another size than the mean's, raise
-        :class:`MeshFormatError`."""
+        """Read a file written by :meth:`save`; its mean is read as a shape
+        file is (see :func:`_shape_from_payload`). Invalid values, such as a
+        non-finite mode entry, a mean quaternion off unit norm or a mode of
+        another size than the mean's, raise :class:`MeshFormatError`."""
         payload = _read_json(path)
         reference_hash = _value(payload, "reference_hash", path, kind=str)
         mean = _shape_from_payload(_value(payload, "mean", path), reference_hash, path)

@@ -174,6 +174,14 @@ def pdm_synthesize(model, coeffs):
     return flat.reshape(-1, 3)
 
 
+def earlier_format_payload(rep):
+    """The payload of ``rep`` in the shape-file format that the loader no
+    longer reads: row-major ``rotations`` and ``(U11, U12, U22)`` stretch
+    triples ``stretches``, without ``quaternions``."""
+    return {"rotations": rep.rotations.reshape(-1, 9).tolist(),
+            "stretches": rep.stretches.reshape(-1, 4)[:, [0, 1, 3]].tolist()}
+
+
 def skew(xi):
     """Map vectors ``(..., 3)`` to skew-symmetric matrices ``(..., 3, 3)``."""
     xi = np.asarray(xi, dtype=float)

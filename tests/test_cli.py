@@ -14,7 +14,7 @@ from shapeforms.flattening import flatten
 from shapeforms.liegroups import polar3
 from shapeforms.mesh import load_mesh, save_mesh
 from shapeforms.reference import build_reference
-from shapeforms.representation import encode
+from shapeforms.representation import ShapeRep, encode
 from shapeforms.statistics import PGAModel, coefficients
 from shapeforms.synthetic import (
     cylinder_patch,
@@ -23,7 +23,7 @@ from shapeforms.synthetic import (
     smooth_deformation,
 )
 
-from helpers import needle_mesh
+from helpers import earlier_format_payload, needle_mesh
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 WARNING = re.compile(r"warning: .+: reconstruction did not converge in \d+ iterations")
@@ -115,6 +115,27 @@ class TestRoundtrip:
         assert capsys.readouterr().err.startswith(
             f"error:format: {rep}: quaternion of edge 5 is not a finite unit "
             f"quaternion")
+        assert not out.exists()
+
+    def test_earlier_format_shape_file_refused(self, workspace, tmp_path, capsys):
+        # A shape file of the rotation-matrix format has no quaternions; its
+        # shape is made again from the mesh by ``encode``.
+        rep = tmp_path / "rep.json"
+        assert main([
+            "encode", "--reference", str(workspace / "ref.obj"),
+            "--input", str(workspace / "shape_0.obj"), "--out", str(rep),
+        ]) == 0
+        shape = ShapeRep.load(rep)
+        rep.write_text(json.dumps({"reference_hash": shape.reference_hash,
+                                   **earlier_format_payload(shape)}) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "never.obj"
+        assert main([
+            "reconstruct", "--reference", str(workspace / "ref.obj"),
+            "--input", str(rep), "--out", str(out),
+        ]) == 1
+        assert capsys.readouterr().err == (
+            f"error:format: {rep}: missing key 'quaternions'\n")
         assert not out.exists()
 
     def test_unconverged_reconstruction_warns(self, workspace, capsys):
@@ -407,6 +428,43 @@ class TestModelPipeline:
             f"not fit the base shape (120, 80)\n")
         assert not sample_dir.exists()
 
+    def test_model_with_an_earlier_format_mean_refused(self, workspace, model_file,
+                                                      tmp_path, capsys):
+        payload = json.loads(model_file.read_text())
+        mean = PGAModel.load(model_file).mean
+        payload["mean"] = {**earlier_format_payload(mean),
+                           "log_stretches": payload["mean"]["log_stretches"]}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "never.obj"
+        assert main(["synthesize", "--reference", str(workspace / "ref.obj"),
+                     "--model", str(model), "--coeffs", "0.1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error:format: {model}: missing key 'quaternions'\n")
+        assert not out.exists()
+
+    def test_shape_name_with_a_comma_is_quoted(self, workspace, tmp_path):
+        # ``pga`` writes the name ``a,0.obj`` quoted, as ``csv.reader``
+        # reads it back, so ``classify`` takes the file it wrote.
+        inputs = [str(tmp_path / "a,0.obj")] + [
+            str(workspace / f"shape_{k}.obj") for k in range(1, 4)]
+        save_mesh(load_mesh(workspace / "shape_0.obj"), inputs[0])
+        coeffs = tmp_path / "coeffs.csv"
+        assert main(["pga", *inputs, "--reference", str(workspace / "ref.obj"),
+                     "--out-model", str(tmp_path / "model.json"),
+                     "--out-coeffs", str(coeffs)]) == 0
+        rows = coeffs.read_text().splitlines()
+        assert rows[1].startswith(f'"{inputs[0]}",')
+        assert [row[0] for _, row in cli._read_csv(coeffs)] == inputs
+        labels = tmp_path / "labels.csv"
+        labels.write_text('shape,label\n"a,0.obj",-1\n' + "".join(
+            f"shape_{k}.obj,{1 if k % 2 else -1}\n" for k in range(1, 4)))
+        accuracy = tmp_path / "accuracy.csv"
+        assert main(["classify", "--features", str(coeffs), "--labels", str(labels),
+                     "--out", str(accuracy), "--shares", "0.5", "--draws", "4"]) == 0
+        assert len(accuracy.read_text().splitlines()) == 2
+
     def test_metrics(self, workspace):
         out = workspace / "metrics.csv"
         inputs = [str(workspace / f"shape_{k}.obj") for k in range(4)]
@@ -616,6 +674,17 @@ class TestExtendedFlags:
         assert capsys.readouterr().err == (
             f"error:format: {scalars}:9: 'x' is not a number\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_flatten_scalar_not_finite_refused_with_its_line(self, tmp_path, capsys,
+                                                             value):
+        # ``float`` parses these, but an OBJ vertex column must be finite.
+        values = ["0.5"] * 110
+        values[6] = value
+        code, scalars = self._flatten_scalars(tmp_path, "\n".join(values))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error:format: {scalars}:7: {value!r} is not a finite number\n")
+
     def test_flatten_scalar_count_checked_before_flattening(self, tmp_path, capsys,
                                                             monkeypatch):
         code, scalars = self._flatten_scalars(tmp_path, "0.5\n" * 109, monkeypatch)
@@ -719,6 +788,9 @@ class TestExtendedFlags:
     @pytest.mark.parametrize("which, value, message", [
         ("features", "x", "'x' is not a number"),
         ("labels", "one", "'one' is not an integer"),
+        ("features", "nan", "'nan' is not a finite number"),
+        ("features", "inf", "'inf' is not a finite number"),
+        ("features", "-inf", "'-inf' is not a finite number"),
     ])
     def test_unparsable_value_refused_with_its_line(self, tmp_path, capsys, which,
                                                     value, message):

@@ -2,16 +2,15 @@
 become ``(X11, X12, X22)`` triples, at one site per purpose.
 
 A shape holds the quaternions of its rotations (``ShapeRep.quaternions``),
-converted by the constructor that takes matrices, through which encoding,
-flattening and files of the earlier format go; every other shape is built
-from quaternions. Only the matrix-input kernels of
-:mod:`shapeforms.liegroups` convert their own arguments. A new conversion
-of a shape's rotations fails here.
+converted by the constructor that takes matrices, through which encoding
+and flattening go; every other shape is built from quaternions. Only the
+matrix-input kernels of :mod:`shapeforms.liegroups` convert their own
+arguments. A new conversion of a shape's rotations fails here.
 
 Stretch logs and the stretch parts of tangent vectors are held as triples.
 Matrices become triples only in the constructors that take them, and
-triples matrices only where matrices are handed out or read from the
-earlier file format; a new conversion between the two fails here.
+triples matrices only where matrices are handed out; a new conversion
+between the two fails here.
 """
 
 import ast
@@ -27,7 +26,6 @@ ALLOWED = {
 TRIPLE_SITES = {
     ("representation.py", "ShapeRep.__init__"),
     ("representation.py", "ShapeRep.stretches"),
-    ("representation.py", "_legacy_shape"),
     ("representation.py", "TangentRep.__init__"),
     ("representation.py", "TangentRep.stretch_part"),
 }

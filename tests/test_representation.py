@@ -540,24 +540,16 @@ class TestSerialization:
         assert np.array_equal(back.log_stretches, rep.log_stretches)
         assert back.content_hash() == rep.content_hash()
 
-    def test_legacy_file_of_a_fixed_rep_loads(self, tmp_path):
-        # The bytes the earlier format wrote for this shape load through the
-        # matrix constructor, with its bits.
-        rotations = np.array([[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]])
-        stretches = np.array([[[1.5, 0.1], [0.1, 2.0]], [[1.0, 0.0], [0.0, 1.0]]])
+    def test_legacy_file_of_a_fixed_rep_is_refused(self, tmp_path):
+        # The bytes the earlier rotation-matrix format wrote for a shape: no
+        # quaternions, so the file is refused as any file without them.
         path = tmp_path / "rep.json"
         path.write_bytes(
             b'{"reference_hash": "abc", '
             b'"rotations": [[0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0]], '
             b'"stretches": [[1.5, 0.1, 2.0], [1.0, 0.0, 1.0]]}\n'
         )
-        back = ShapeRep.load(path)
-        built = ShapeRep(rotations, stretches, "abc")
-        assert np.array_equal(back.quaternions, built.quaternions)
-        assert np.array_equal(back.log_stretches, built.log_stretches)
-        assert back.content_hash() == built.content_hash()
-        assert np.max(np.abs(back.rotations - rotations)) <= ROTATION_EPS
-        assert np.max(np.abs(back.stretches - stretches)) <= 16.0 * EPS
+        _assert_refused(path, r"missing key 'quaternions'$")
 
     def test_load_ignores_an_omega_key(self, tmp_path):
         # Files written before ``save`` lost its ``omega`` argument carry
@@ -565,28 +557,15 @@ class TestSerialization:
         path = tmp_path / "rep.json"
         path.write_bytes(
             b'{"reference_hash": "abc", '
-            b'"rotations": [[0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0]], '
-            b'"stretches": [[1.5, 0.1, 2.0]], "omega": 2.5}\n'
+            b'"quaternions": [[0.7071067811865476, 0.0, 0.0, 0.7071067811865475]], '
+            b'"log_stretches": [[1.0, 0.0, 0.0]], "omega": 2.5}\n'
         )
         back = ShapeRep.load(path)
         built = ShapeRep([[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]],
-                         [[[1.5, 0.1], [0.1, 2.0]]], "abc")
+                         [[[np.e, 0.0], [0.0, 1.0]]], "abc")
         assert back.reference_hash == "abc"
         assert np.array_equal(back.quaternions, built.quaternions)
         assert np.array_equal(back.log_stretches, built.log_stretches)
-
-
-def _legacy_file(rep, tmp_path, edit=lambda payload: None):
-    """The path of a shape file of the earlier format holding ``rep``'s
-    rotation matrices and stretch triples, after ``edit`` changed its
-    payload."""
-    path = tmp_path / "rep.json"
-    payload = {"reference_hash": rep.reference_hash,
-               "rotations": rep.rotations.reshape(-1, 9).tolist(),
-               "stretches": rep.stretches.reshape(-1, 4)[:, [0, 1, 3]].tolist()}
-    edit(payload)
-    path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
-    return path
 
 
 def _rewritten(rep, tmp_path, edit):
@@ -597,14 +576,6 @@ def _rewritten(rep, tmp_path, edit):
     edit(payload)
     path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
     return path
-
-
-def _set_rotation(edge, matrix):
-    return lambda p: p["rotations"].__setitem__(edge, np.ravel(matrix).tolist())
-
-
-def _set_stretch(triangle, triple):
-    return lambda p: p["stretches"].__setitem__(triangle, list(triple))
 
 
 def _set_quaternion(edge, q):
@@ -630,45 +601,7 @@ def _assert_refused(path, message):
 
 class TestLoadValidation:
     """A shape file with invalid values is refused on load, naming the
-    file and the first bad edge or triangle; these cases hold files of the
-    earlier rotation-matrix format."""
-
-    @pytest.mark.parametrize("edit, message", [
-        (_set_rotation(5, np.diag([2.0, 1.0, 1.0])),
-         r"rotation of edge 5 is not a finite rotation: max \|R\^T R - I\| = 3 "),
-        (_set_rotation(0, np.diag([-1.0, 1.0, 1.0])),
-         r"rotation of edge 0 is not a finite rotation: .*det R = -1$"),
-        (_set_rotation(3, so3_exp([0.1, 0.2, 0.3]) + 1e-8),
-         r"rotation of edge 3 is not a finite rotation"),
-        (_set_rotation(7, np.full((3, 3), np.nan)),
-         r"rotation of edge 7 is not a finite rotation: max \|R\^T R - I\| = nan"),
-        (_set_rotation(2, [np.inf, 0, 0, 0, 1, 0, 0, 0, 1]),
-         r"rotation of edge 2 is not a finite rotation"),
-        (_set_stretch(4, (-1.0, 0.0, 1.0)),
-         r"stretch of triangle 4 is not a finite positive-definite matrix"),
-        (_set_stretch(9, (1.0, 2.0, 1.0)),
-         r"stretch of triangle 9 is not a finite positive-definite matrix"),
-        (_set_stretch(1, (np.inf, 0.0, 1.0)),
-         r"stretch of triangle 1 is not a finite positive-definite matrix"),
-        (_set_stretch(6, (1.0, np.nan, 1.0)),
-         r"stretch of triangle 6 is not a finite positive-definite matrix"),
-    ], ids=["scaled", "reflection", "off_by_1e-8", "nan_rotation", "inf_rotation",
-            "negative_stretch", "indefinite_stretch", "inf_stretch", "nan_stretch"])
-    def test_invalid_values_are_refused(self, deformed_reps, tmp_path, edit, message):
-        _assert_refused(_legacy_file(deformed_reps[0], tmp_path, edit), message)
-
-    def test_rounded_rotations_load(self, deformed_reps, tmp_path):
-        # A rotation off orthogonality by rounding, well below the 1e-9
-        # tolerance, loads through the matrix constructor.
-        rep = deformed_reps[0]
-        rotations = np.array(rep.rotations)
-        rotations[5] *= 1.0 + 1e-12
-        back = ShapeRep.load(_legacy_file(rep, tmp_path,
-                                          _set_rotation(5, rotations[5])))
-        built = ShapeRep(rotations, rep.stretches, rep.reference_hash)
-        assert np.array_equal(back.quaternions, built.quaternions)
-        assert np.max(np.abs(back.rotations[5] - rotations[5])) <= 2e-12
-        assert np.array_equal(back.log_stretches, triples(spd2_log(rep.stretches)))
+    file and the first bad edge or triangle."""
 
     @pytest.mark.parametrize("edit, message", [
         (_set_quaternion(5, (2.0, 0.0, 0.0, 0.0)),
@@ -724,16 +657,6 @@ class TestLoadValidation:
             "no_logs", "no_hash", "no_arrays"])
     def test_malformed_arrays_are_refused(self, deformed_reps, tmp_path, edit, message):
         _assert_refused(_rewritten(deformed_reps[0], tmp_path, edit), message)
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda p: p["rotations"][1].pop(), r"'rotations' is not a list of rows of 9"),
-        (lambda p: p.update(stretches=[row + [1.0] for row in p["stretches"]]),
-         r"'stretches' is not a list of rows of 3 numbers"),
-        (lambda p: p.pop("stretches"), r"missing key 'stretches'$"),
-    ], ids=["short_rotation", "four_stretch_columns", "no_stretches"])
-    def test_malformed_legacy_arrays_are_refused(self, deformed_reps, tmp_path, edit,
-                                                 message):
-        _assert_refused(_legacy_file(deformed_reps[0], tmp_path, edit), message)
 
     def test_rounded_quaternions_load(self, deformed_reps, tmp_path):
         # A quaternion off unit norm by rounding, well below the 1e-9

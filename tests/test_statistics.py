@@ -14,7 +14,7 @@ from shapeforms.errors import (
     MeshFormatError,
     ReferenceMismatchError,
 )
-from shapeforms.liegroups import so3_exp, spd2_log
+from shapeforms.liegroups import so3_exp
 from shapeforms.reconstruction import reconstruct
 from shapeforms.reference import build_reference
 from shapeforms.representation import (
@@ -390,43 +390,6 @@ class TestSerializationAndRebias:
         assert np.array_equal(s2.rotations, s1.rotations)
         assert np.array_equal(s2.stretches, s1.stretches)
 
-    @staticmethod
-    def _legacy_model_file(model, tmp_path, with_logs):
-        """``model`` saved with its mean in the earlier rotation-matrix
-        format, with or without the mean's stretch-log triples."""
-        path = tmp_path / "model.json"
-        model.save(path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        mean = model.mean
-        payload["mean"] = {
-            "rotations": mean.rotations.reshape(-1, 9).tolist(),
-            "stretches": mean.stretches.reshape(-1, 4)[:, [0, 1, 3]].tolist()}
-        if with_logs:
-            payload["mean"]["log_stretches"] = mean.log_stretches.tolist()
-        path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
-        return path
-
-    def test_file_without_stretch_logs_loads(self, model, tmp_path):
-        # Files written before the mean carried its stretch logs: the mean
-        # is the shape of the matrix constructor on its stored matrices.
-        back = PGAModel.load(self._legacy_model_file(model, tmp_path, False))
-        mean = model.mean
-        built = ShapeRep(mean.rotations, mean.stretches, mean.reference_hash)
-        assert np.array_equal(back.mean.quaternions, built.quaternions)
-        assert np.array_equal(back.mean.log_stretches,
-                              spd2_log(mean.stretches).reshape(-1, 4)[:, [0, 1, 3]])
-        assert np.array_equal(back._mode_matrix, model._mode_matrix)
-
-    def test_legacy_file_with_stretch_logs_loads(self, model, tmp_path):
-        # Files written before the mean was stored as quaternions: the mean
-        # holds the stored stretch logs themselves.
-        back = PGAModel.load(self._legacy_model_file(model, tmp_path, True))
-        mean = model.mean
-        built = ShapeRep(mean.rotations, mean.stretches, mean.reference_hash)
-        assert np.array_equal(back.mean.quaternions, built.quaternions)
-        assert np.array_equal(back.mean.log_stretches, mean.log_stretches)
-        assert np.array_equal(back._mode_matrix, model._mode_matrix)
-
     @pytest.mark.parametrize("edit, message", [
         (lambda p: p["modes"][1]["rot_part"][4].__setitem__(2, float("nan")),
          r"mode 1 at edge 4 holds a non-finite value"),
@@ -438,11 +401,12 @@ class TestSerializationAndRebias:
          r"the stretch log of triangle 3 holds a non-finite value"),
         (lambda p: p["mean"]["quaternions"].__setitem__(6, [2.0, 0, 0, 0]),
          r"quaternion of edge 6 is not a finite unit quaternion"),
+        # A mean of the earlier rotation-matrix format, which is no longer read.
         (lambda p: p.__setitem__("mean", {
-            "rotations": [[1.0, 0, 0, 0, 1, 0, 0, 0, 1]] * 5
-            + [[2.0, 0, 0, 0, 1, 0, 0, 0, 1]],
+            "rotations": [[1.0, 0, 0, 0, 1, 0, 0, 0, 1]] * len(p["mean"]["quaternions"]),
+            "stretches": [[1.0, 0, 1.0]] * len(p["mean"]["log_stretches"]),
             "log_stretches": p["mean"]["log_stretches"]}),
-         r"rotation of edge 5 is not a finite rotation"),
+         r"missing key 'quaternions'$"),
         # One mode holding the coordinates of two, with one variance, which
         # without a size check fill two rows of the mode matrix.
         (lambda p: p.update(modes=[{
